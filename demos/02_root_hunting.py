@@ -1,9 +1,9 @@
 """Count and locate growth rates of the normal-mode determinant.
 
 The winding number of L(s) along the boundary of a right-half-plane region
-counts the exponentially growing modes there; bisection plus Newton then
-pins each root to machine precision, and the small-eps expansions predict
-where the roots sit.  Run: python demos/02_root_hunting.py
+counts the exponentially growing modes there; the roots of one degree-6
+polynomial, polished by Newton, pin each of them to machine precision, and
+the small-eps expansions predict where the roots sit.  Run: python demos/02_root_hunting.py
 """
 
 import dataclasses

@@ -5,6 +5,9 @@ Usage:
     pvstab classify|roots|modes|sweep|validate <scenario-file>
            [--out PATH] [--seed N] [--jobs N]
 
+``--jobs`` is accepted for compatibility and ignored: every command maps its
+points serially.
+
 A scenario file is a flat key-value document with block headers:
 
     [state]            one or more equilibrium blocks (keys v2 v3 H2 H3
@@ -31,7 +34,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,48 +318,38 @@ def _state_params(state: EquilibriumState) -> dict:
                  state.E1_hat, state.eps, state.sigma))}
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_classify(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
+def cmd_classify(scenario: Scenario, out: _Output) -> int:
     grid = scenario.grid()
-
-    def one(item):
-        index, point = item
+    failed = 0
+    for index, point in enumerate(grid):
         try:
-            cls = classify(point.state, tol_eq=scenario.analysis.tol_for(point.state))
             _, warns = validate_state(point.state)
+            cls = classify(point.state, tol_eq=scenario.analysis.tol_for(point.state))
             rec = {"index": index, **dict(point.coords),
                    **_state_params(point.state), **cls.to_record(),
                    "warnings": warns}
         except PvstabError as err:
             rec = {"index": index, "error": str(err)}
-        return rec
-
-    records = _map_jobs(one, list(enumerate(grid)), jobs)
-    for rec in records:
+            failed += 1
         out.line(_json_line(rec))
-    failed = sum(1 for r in records if "error" in r)
-    return 3 if records and failed == len(records) else 0
+    return 3 if grid and failed == len(grid) else 0
 
 
-def cmd_roots(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
-    grid = scenario.grid()
+def cmd_roots(scenario: Scenario, out: _Output) -> int:
     analysis = scenario.analysis
 
-    def one(item):
-        index, point = item
-        region = analysis.region_for(point.state)
-        summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
-                                  region=region, locate=True)
+    def rows_of(index, point):
+        try:
+            validate_state(point.state)
+            summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
+                                      region=analysis.region_for(point.state),
+                                      locate=True)
+        except PvstabError as err:
+            return [{"index": index, "error": str(err)}]
         rows = []
         for rec in summary.records:
             base = {
@@ -382,9 +374,9 @@ def cmd_roots(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
     out.line("# pvstab-csv v1")
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for rows in _map_jobs(one, list(enumerate(grid)), jobs):
-        for row in rows:
-            writer.writerow({k: _csv_cell(row[k]) for k in columns})
+    for index, point in enumerate(scenario.grid()):
+        for row in rows_of(index, point):
+            writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
     return 0
 
 
@@ -419,31 +411,33 @@ def _expected_growth(state: EquilibriumState, cls):
     return best, best_dir
 
 
-def cmd_modes(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
+def cmd_modes(scenario: Scenario, out: _Output) -> int:
     analysis = scenario.analysis
     grid = scenario.grid()
     wrote_any = False
+    failed = 0
     for index, point in enumerate(grid):
         state = point.state
-        cls = classify(state, tol_eq=analysis.tol_for(state))
-        if not cls.verdict.is_unstable:
-            continue
-        expected, direction = _expected_growth(state, cls)
-        if expected <= 0.0:
-            continue
-        region = analysis.region_for(state) or default_region(state)
-        region = HalfDiskRegion(min(region.delta, 0.3 * expected), region.radius)
-        ctx = make_context(state, direction)
         try:
-            report = find_unstable_roots(ctx, region)
+            validate_state(state)
+            cls = classify(state, tol_eq=analysis.tol_for(state))
+            if not cls.verdict.is_unstable:
+                continue
+            expected, direction = _expected_growth(state, cls)
+            if expected <= 0.0:
+                continue
+            region = analysis.region_for(state) or default_region(state)
+            region = HalfDiskRegion(min(region.delta, 0.3 * expected), region.radius)
+            report = find_unstable_roots(make_context(state, direction), region)
+            if not report.roots:
+                continue
+            root = max(report.roots, key=lambda z: z.real)
+            growth = growth_table(state, root, direction, _MODE_N, _MODE_T,
+                                  decay_p=analysis.decay_p)
         except PvstabError as err:
             out.line(_json_line({"index": index, "error": str(err)}))
+            failed += 1
             continue
-        if not report.roots:
-            continue
-        root = max(report.roots, key=lambda z: z.real)
-        growth = growth_table(state, root, direction, _MODE_N, _MODE_T,
-                              decay_p=analysis.decay_p)
         for n in _MODE_N:
             try:
                 mode = build_mode(state, root, direction, n,
@@ -467,22 +461,22 @@ def cmd_modes(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
     if not wrote_any:
         out.line(_json_line({"note": "no unstable state/direction found; "
                                      "no modes to dump"}))
-    return 0
+    return 3 if grid and failed == len(grid) else 0
 
 
-def cmd_sweep(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
+def cmd_sweep(scenario: Scenario, out: _Output) -> int:
     if not scenario.sweeps:
         raise ScenarioParseError("sweep command requires a [sweep] block")
     analysis = scenario.analysis
     grid = scenario.grid()
     coord_names = [ax.parameter for ax in scenario.sweeps]
 
-    def one(item):
-        index, point = item
+    def row_of(index, point):
         row = {"index": index}
         row.update({f"sweep_{k}": v for k, v in point.coords})
         row.update(_state_params(point.state))
         try:
+            validate_state(point.state)
             cls = classify(point.state, tol_eq=analysis.tol_for(point.state))
             row.update(cls.to_record())
             row["error"] = ""
@@ -502,11 +496,7 @@ def cmd_sweep(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
             else:
                 row["numeric_unstable"] = row["max_re_s"] = row["agreement"] = ""
         except PvstabError as err:
-            for key in ("verdict", "margin", "f_min", "omega_star_2",
-                        "omega_star_3", "G", "degenerate_flag",
-                        "numeric_unstable", "max_re_s", "agreement"):
-                row.setdefault(key, "")
-            row["error"] = str(err)
+            row["error"] = str(err)    # columns not reached stay empty
         return row
 
     columns = (["index"] + [f"sweep_{k}" for k in coord_names]
@@ -517,7 +507,8 @@ def cmd_sweep(scenario: Scenario, out: _Output, jobs: int = 1) -> int:
     out.line("# pvstab-csv v1")
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in _map_jobs(one, list(enumerate(grid)), jobs):
+    for index, point in enumerate(grid):
+        row = row_of(index, point)
         writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
     return 0
 
@@ -558,8 +549,7 @@ def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
     return dataclasses.replace(st, E1_hat=e1)
 
 
-def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0,
-                 jobs: int = 1) -> int:
+def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
     """Criterion-versus-numerics gate on random margin-filtered states.
 
     Draws states until ``analysis.sample`` of them fall outside the margin
@@ -584,8 +574,7 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0,
             continue
         accepted.append((st, cls))
 
-    def one(item):
-        index, (st, cls) = item
+    def record_of(index, st, cls):
         rec = {"index": index, **_state_params(st),
                "verdict": cls.verdict.value, "margin": cls.margin,
                "band": margin_band(st, cls.tol_eq)}
@@ -604,7 +593,8 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0,
             rec["error"] = str(err)
         return rec
 
-    records = _map_jobs(one, list(enumerate(accepted)), jobs)
+    records = [record_of(index, st, cls)
+               for index, (st, cls) in enumerate(accepted)]
     n_failed = sum(1 for r in records if "error" in r)
     judged = [r for r in records if "agree" in r]
     n_disagree = sum(1 for r in records if r.get("agree") is False)
@@ -635,7 +625,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for validate sampling")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent per-state workers")
+                        help="accepted for compatibility and ignored; "
+                             "every command runs serially")
     args = parser.parse_args(argv)
 
     try:
@@ -650,15 +641,15 @@ def main(argv=None) -> int:
     out = _Output(args.out)
     try:
         if args.command == "classify":
-            code = cmd_classify(scenario, out, jobs=args.jobs)
+            code = cmd_classify(scenario, out)
         elif args.command == "roots":
-            code = cmd_roots(scenario, out, jobs=args.jobs)
+            code = cmd_roots(scenario, out)
         elif args.command == "modes":
-            code = cmd_modes(scenario, out, jobs=args.jobs)
+            code = cmd_modes(scenario, out)
         elif args.command == "sweep":
-            code = cmd_sweep(scenario, out, jobs=args.jobs)
+            code = cmd_sweep(scenario, out)
         else:
-            code = cmd_validate(scenario, out, seed=args.seed, jobs=args.jobs)
+            code = cmd_validate(scenario, out, seed=args.seed)
     except ScenarioParseError as err:
         print(f"pvstab: {err}", file=sys.stderr)
         return 1

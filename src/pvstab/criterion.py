@@ -12,7 +12,7 @@ right-hand side equals the minimum over unit wave directions omega' of
 
 a quadratic form on the unit circle whose smaller eigenvalue has the closed
 form above.  `minimize_f` returns the minimum together with the minimizing
-direction, reconstructed from the angle relations at the extremum.
+direction, the eigenvector of that eigenvalue.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class MinimizationResult:
 
     f_min: float
     omega_star: WaveDirection
-    x_star_trig: tuple[float, float]  # (cos 2x*, sin 2x*), x* from the field bisector
     degenerate: bool = False          # F constant on the circle (or both fields zero)
 
 
@@ -55,7 +54,7 @@ class Classification:
     critical_e1_sq: float        # instability threshold for E1^2
     margin: float                # E1^2 - critical_e1_sq
     minimizer: WaveDirection     # worst direction omega'* (antipode equivalent)
-    f_min: float                 # min F, equals critical_e1_sq up to roundoff
+    f_min: float                 # min F, equal to critical_e1_sq
     transitional_G: float | None = None
     degenerate: bool = False
     tol_eq: float = 0.0
@@ -98,54 +97,27 @@ def _canonical(w2: float, w3: float) -> WaveDirection:
 def minimize_f(state: EquilibriumState) -> MinimizationResult:
     """Minimize F(omega') = (H'.omega')^2 + (Hv'.omega')^2 on |omega'| = 1.
 
-    Nondegenerate case: with a = |H'|^2, b = |Hv'|^2 and alpha the angle
-    between the fields,
+    F(omega') = omega'^T M omega' with M = H'H'^T + Hv'Hv'^T, so the minimizer
+    is the eigenvector of the smaller eigenvalue of M, at the angle
 
-        F_min = (a + b - sqrt((a+b)^2 - 4ab sin^2(alpha))) / 2,
+        theta* = atan2(-2 m12, -(m11 - m22)) / 2,
 
-    attained at the angle x* from the bisector of alpha fixed by
-
-        cos 2x* = -(b+a) cos(alpha) / r,  sin 2x* = -(b-a) sin(alpha) / r,
-
-    r being the square root above.  Degenerate cases: if either field
-    vanishes the minimizer is perpendicular to the other one (F_min = 0 when
-    only one is zero); if a = b and the fields are orthogonal, F is constant
-    on the circle and any direction minimizes (flagged).
+    and F_min = critical_e1_squared(state).  When the eigenvalue gap
+    r = sqrt((m11 - m22)^2 + 4 m12^2) vanishes (both fields zero, or
+    orthogonal fields with |H'| = |Hv'|), F is constant on the circle and any
+    direction minimizes: that case is flagged degenerate and reports (1, 0).
     """
     H2, H3 = state.H_hat_t
     Hv2, Hv3 = state.Hv_hat_t
-    a, b = state.H_sq, state.Hv_sq
-
-    if a == 0.0 and b == 0.0:
-        return MinimizationResult(0.0, WaveDirection(1.0, 0.0), (1.0, 0.0),
-                                  degenerate=True)
-    if a == 0.0:
-        r = math.sqrt(b)
-        return MinimizationResult(0.0, _canonical(Hv3 / r, -Hv2 / r), (-1.0, 0.0))
-    if b == 0.0:
-        r = math.sqrt(a)
-        return MinimizationResult(0.0, _canonical(H3 / r, -H2 / r), (-1.0, 0.0))
-
-    dot = H2 * Hv2 + H3 * Hv3
-    cross = H2 * Hv3 - H3 * Hv2
-    alpha = math.atan2(cross, dot)
-    rad = (a + b) ** 2 - 4.0 * cross * cross
-    r = math.sqrt(max(rad, 0.0))
-
-    if r <= 1e-14 * (a + b):
-        # a = b with orthogonal fields: F is identically (a+b)/2.
-        return MinimizationResult(0.5 * (a + b), WaveDirection(1.0, 0.0),
-                                  (1.0, 0.0), degenerate=True)
-
-    cos2x = -(b + a) * math.cos(alpha) / r
-    sin2x = -(b - a) * math.sin(alpha) / r
-    x_star = 0.5 * math.atan2(sin2x, cos2x)
-    theta_bisector = math.atan2(H3, H2) + 0.5 * alpha
-    theta = theta_bisector + x_star
-    f_min = 0.5 * (a + b - r)
-    return MinimizationResult(max(f_min, 0.0),
-                              _canonical(math.cos(theta), math.sin(theta)),
-                              (cos2x, sin2x))
+    m11 = H2 * H2 + Hv2 * Hv2
+    m22 = H3 * H3 + Hv3 * Hv3
+    m12 = H2 * H3 + Hv2 * Hv3
+    f_min = critical_e1_squared(state)
+    r = math.hypot(m11 - m22, 2.0 * m12)
+    if r <= 1e-14 * (state.H_sq + state.Hv_sq):
+        return MinimizationResult(f_min, WaveDirection(1.0, 0.0), degenerate=True)
+    theta = 0.5 * math.atan2(-2.0 * m12, -(m11 - m22))
+    return MinimizationResult(f_min, _canonical(math.cos(theta), math.sin(theta)))
 
 
 def critical_e1_squared(state: EquilibriumState) -> float:
@@ -215,9 +187,9 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
     """
     if tol_eq is None:
         tol_eq = default_tol_eq(state)
-    crit = critical_e1_squared(state)
-    margin = state.E1_hat ** 2 - crit
     mres = minimize_f(state)
+    crit = mres.f_min
+    margin = state.E1_hat ** 2 - crit
 
     if margin > tol_eq:
         verdict, G = Verdict.VIOLENTLY_UNSTABLE, None

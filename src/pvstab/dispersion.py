@@ -12,8 +12,11 @@ Roots with Re s > 0 generate exponentially growing modes whose rate scales
 with the wavenumber (violent instability).  The principal branch of the
 square root is analytic on the open right half-plane, so roots there are
 counted exactly by the argument principle along the boundary of a half-disk
-{Re s >= delta, |s - delta| <= R}; located roots are polished by Newton
-iteration with the analytic derivative.
+{Re s >= delta, |s - delta| <= R}.  They are located without a search:
+writing L = A sqrt(1 + eps^2 s^2) + B with A = ell^2 + w_plus^2, the roots
+of L are the principal-branch roots of the degree-6 polynomial
+A^2 (1 + eps^2 s^2) - B^2.  They are polished by Newton iteration with the
+analytic derivative, and the winding count certifies them.
 
 Small-eps expansions of the roots (integer-power ladder in the generic case,
 half-integer ladder in the transitional case) are built by substituting a
@@ -213,20 +216,6 @@ def _half_disk_path(delta: float, radius: float):
     return point_of
 
 
-def _polygon_path(vertices):
-    verts = np.asarray(vertices, dtype=complex)
-    m = len(verts)
-
-    def point_of(u):
-        u = np.asarray(u, dtype=float)
-        k = np.minimum((u * m).astype(int), m - 1)
-        local = u * m - k
-        p0 = verts[k]
-        p1 = verts[(k + 1) % m]
-        return p0 + (p1 - p0) * local
-    return point_of
-
-
 def _circle_path(center: complex, radius: float):
     def point_of(u):
         u = np.asarray(u, dtype=float)
@@ -307,13 +296,6 @@ def count_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> int:
     return winding
 
 
-def _rect_count(ctx: LopatinskiContext, re0, re1, im0, im1) -> int:
-    path = _polygon_path([complex(re0, im0), complex(re1, im0),
-                          complex(re1, im1), complex(re0, im1)])
-    winding, _, _ = _winding_number(ctx, path, n0=64)
-    return winding
-
-
 def newton_refine(ctx: LopatinskiContext, s0: complex, max_iter: int = 60):
     """Polish a root estimate; returns (s, |L(s)|, scale at s)."""
     s = complex(s0)
@@ -348,76 +330,45 @@ class RootReport:
         return max((r.real for r in self.roots), default=None)
 
 
+def _candidate_roots(ctx: LopatinskiContext) -> list[complex]:
+    """Roots of L with Re s > 0, from one polynomial, Newton-polished.
+
+    Writing L = A g + B with A = ell^2 + w_plus^2, g = sqrt(1 + eps^2 s^2)
+    and B the remaining quadratic, the roots of L on either branch of g are
+    the roots of A^2 (1 + eps^2 s^2) - B^2, of degree 6 (4 at eps = 0).  A
+    root belongs to the principal branch when |A g + B| <= |A g - B|.
+    """
+    b, eps, e1 = ctx.bundle, ctx.eps, ctx.e1
+    a = np.array([1.0, 2j * b.v_dot, b.w_plus ** 2 - b.v_dot ** 2])
+    bq = np.array([ctx.hv_sq * eps ** 2, -2j * e1 * b.w_perp * eps,
+                   b.w_minus ** 2 - e1 ** 2])
+    poly = np.polysub(np.convolve(np.convolve(a, a), [eps ** 2, 0.0, 1.0]),
+                      np.convolve(bq, bq))
+    z = np.roots(poly)
+    # Re s > 0 only: this also drops the branch points +-i/eps, where dL/ds
+    # is singular and which are roots of the polynomial when B(+-i/eps) = 0.
+    z = z[z.real > 0.0]
+    ag = np.polyval(a, z) * np.sqrt(1.0 + (eps * z) ** 2)
+    bz = np.polyval(bq, z)
+    z = z[np.abs(ag + bz) <= np.abs(ag - bz)]
+    return [newton_refine(ctx, complex(s))[0] for s in z]
+
+
 def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> RootReport:
     """Count roots in the region, then localize them.
 
-    Localization bisects the bounding rectangle on winding counts down to
-    cells of diameter 1e-6 * R and Newton-polishes from the cell centers.
-    Cells that stall with a count >= 2 are reported via ``flags`` rather
-    than raised.
+    The roots are those of a degree-6 polynomial (see ``_candidate_roots``)
+    that lie in the region after Newton polishing; the winding count over
+    the region certifies them.  A mismatch between the two, or a root whose
+    residual exceeds certification, is reported via ``flags``.
     """
     winding, used, n_int, min_rel = _count_on_region(ctx, region)
-    flags: list[str] = []
     if winding == 0:
         return RootReport(used, 0, (), (), n_int, min_rel)
 
-    d, r = used.delta, used.radius
-    rect = (d, d + r, -r, r)
-    try:
-        total = _rect_count(ctx, *rect)
-    except ContourTooCloseError:
-        # expand the box marginally to move its edges off any root
-        rect = (d * 0.97, d + 1.02 * r, -1.02 * r, 1.02 * r)
-        total = _rect_count(ctx, *rect)
-    minimal = 1e-6 * r
-    located: list[tuple[complex, int]] = []
-    stack = [(rect, total)]
-    while stack:
-        (re0, re1, im0, im1), cnt = stack.pop()
-        if cnt <= 0:
-            continue
-        if max(re1 - re0, im1 - im0) <= minimal:
-            center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-            if cnt >= 2:
-                flags.append(f"MultiplicityUnresolved: count {cnt} in minimal "
-                             f"cell at {center:.6g}")
-            located.append((newton_refine(ctx, center)[0], cnt))
-            continue
-        split_re = (re1 - re0) >= (im1 - im0)
-        lo, hi = (re0, re1) if split_re else (im0, im1)
-        child1 = child2 = None
-        for frac in (0.5, 0.53, 0.47, 0.51):
-            cut = lo + frac * (hi - lo)
-            a = (re0, cut, im0, im1) if split_re else (re0, re1, im0, cut)
-            b = (cut, re1, im0, im1) if split_re else (re0, re1, cut, im1)
-            try:
-                c1 = _rect_count(ctx, *a)
-                child1, child2 = (a, c1), (b, cnt - c1)
-                break
-            except ContourTooCloseError:
-                continue
-        if child1 is None:
-            # every tested cut grazes a root: treat the cell as minimal
-            center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-            flags.append(f"cell at {center:.6g} could not be split cleanly")
-            located.append((newton_refine(ctx, center)[0], cnt))
-            continue
-        if child2[1] < 0 or child1[1] > cnt:
-            child2 = (child2[0], _rect_count(ctx, *child2[0]))
-        stack.extend([child1, child2])
-
-    # Merge duplicates (cells straddling a jittered boundary), keep region hits.
-    merged: list[tuple[complex, int]] = []
-    for s, m in sorted(located, key=lambda t: (t[0].real, t[0].imag)):
-        if merged and abs(s - merged[-1][0]) <= 1e-7 * r:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], m))
-        else:
-            merged.append((s, m))
-    roots: list[complex] = []
-    for s, m in merged:
-        if used.contains(s):
-            roots.extend([s] * m)
-    roots.sort(key=lambda z: (-z.real, z.imag))
+    roots = sorted((s for s in _candidate_roots(ctx) if used.contains(s)),
+                   key=lambda z: (-z.real, z.imag))
+    flags: list[str] = []
     if len(roots) != winding:
         flags.append(f"located {len(roots)} roots but winding is {winding}")
     residuals = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -16,6 +17,19 @@ MINIMAL = """
 H2 = 1.0
 Hv2 = 2.0
 E1 = 0.3
+"""
+
+EPS_SWEEP = """
+[state]
+H2 = 1.0
+Hv3 = 2.0
+E1 = 0.5
+
+[sweep]
+parameter = eps
+min = 0
+max = 1.5
+steps = 4
 """
 
 SWEEP = """
@@ -39,6 +53,12 @@ def _write(tmp_path, text, name="scenario.scn"):
 
 def _run(args):
     return main(args)
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# pvstab-csv v1"
+    return list(csv.DictReader(lines[1:]))
 
 
 class TestParseScenario:
@@ -248,6 +268,16 @@ steps = 25
         assert _run(["sweep", path, "--out", str(out2), "--jobs", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_swept_points_are_validated(self, tmp_path):
+        # eps = 0, 1.0 and 1.5 are rejected by validation, as classify does
+        out = tmp_path / "sweep.csv"
+        assert _run(["sweep", _write(tmp_path, EPS_SWEEP), "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert [r["error"] for r in rows] == [
+            "eps must be positive, got 0.0", "", "eps must be below 1, got 1.0",
+            "eps must be below 1, got 1.5"]
+        assert [r["verdict"] for r in rows] == ["", "NeutrallyStable", "", ""]
+
     def test_missing_sweep_block_is_usage_error(self, tmp_path):
         assert _run(["sweep", _write(tmp_path, MINIMAL)]) == 1
 
@@ -268,6 +298,18 @@ class TestRootsCommand:
         assert located, "expected at least one located root"
         for r in located:
             assert float(r["re_s"]) == pytest.approx(0.3, abs=5e-3)
+
+
+    def test_invalid_point_is_one_error_row(self, tmp_path):
+        text = EPS_SWEEP.replace("steps = 4", "steps = 4\n[analysis]\nn_dirs = 8")
+        out = tmp_path / "roots.csv"
+        assert _run(["roots", _write(tmp_path, text), "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        by_index = {i: [r for r in rows if r["index"] == str(i)] for i in range(4)}
+        assert [len(by_index[i]) for i in range(4)] == [1, 10, 1, 1]
+        assert by_index[0][0]["error"] == "eps must be positive, got 0.0"
+        assert by_index[0][0]["winding"] == ""
+        assert all(r["winding"] == "0" and not r["error"] for r in by_index[1])
 
 
 class TestRootsRegionOverride:
@@ -313,6 +355,15 @@ class TestModesCommand:
             assert r["s"][0] > 0
             assert max(r["residuals"]["pressure"],
                        r["residuals"]["constraints"]) <= 1e-10
+
+    def test_bad_point_does_not_lose_the_run(self, tmp_path):
+        text = MINIMAL + "\n[sweep]\nparameter = eps\nmin = 0\nmax = 0.02\nsteps = 3\n"
+        out = tmp_path / "modes.jsonl"
+        assert _run(["modes", _write(tmp_path, text), "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert recs[0] == {"index": 0, "error": "eps must be positive, got 0.0"}
+        for index in (1, 2):
+            assert [r["n"] for r in recs if r["index"] == index] == [1, 10, 100]
 
     def test_unstable_scenario_mode_records(self, tmp_path):
         out = tmp_path / "modes.jsonl"

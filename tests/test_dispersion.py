@@ -176,6 +176,51 @@ class TestFindRoots:
         assert all(r.real > 0 for r in rep.roots)
 
 
+def _mp_newton_step(ctx, s):
+    """|L(s) / L'(s)| at 50 digits: the distance to the nearest simple root."""
+    import mpmath
+
+    b = ctx.bundle
+    with mpmath.workdps(50):
+        s = mpmath.mpc(s.real, s.imag)
+        eps, e1, hv = (mpmath.mpf(x) for x in (ctx.eps, ctx.e1, ctx.hv_sq))
+        wp, wm, wperp, v = (mpmath.mpf(x) for x in
+                            (b.w_plus, b.w_minus, b.w_perp, b.v_dot))
+        ell = s + 1j * v
+        g = mpmath.sqrt(1 + (eps * s) ** 2)
+        val = ((ell ** 2 + wp ** 2) * g + wm ** 2 - e1 ** 2
+               - 2j * e1 * wperp * eps * s + hv * (eps * s) ** 2)
+        dval = (2 * ell * g + (ell ** 2 + wp ** 2) * eps ** 2 * s / g
+                - 2j * e1 * wperp * eps + 2 * hv * eps ** 2 * s)
+        return float(abs(val / dval))
+
+
+OBLIQUE = _state(H=(1.2, -0.4), Hv=(0.3, 1.5), E1=1.6, v=(0.7, -1.1))
+
+
+@pytest.mark.parametrize("st", [
+    *(dataclasses.replace(OBLIQUE, eps=eps)
+      for eps in (1e-6, 1e-4, 1e-2, 0.2, 0.5, 0.9)),
+    _state(H=(1.0, 0.5), Hv=(2.0, 1.0), E1=0.8, v=(0.5, -1.0)),   # collinear
+    dataclasses.replace(OBLIQUE, eps=0.0),
+    TRANSITIONAL,
+], ids=["eps1e-6", "eps1e-4", "eps1e-2", "eps0.2", "eps0.5", "eps0.9",
+        "collinear", "eps0", "transitional"])
+def test_polynomial_roots_certified_at_high_precision(st):
+    # every located root must match the winding count and lie within
+    # 1e-10 (1 + |s|) of a true root of L evaluated at 50 digits
+    located = 0
+    for k in range(8):
+        ctx = make_context(st, WaveDirection.from_angle(math.pi * k / 8 + 0.1))
+        rep = find_unstable_roots(ctx, default_region(st))
+        assert not rep.flags
+        assert len(rep.roots) == rep.winding_count
+        for s in rep.roots:
+            assert _mp_newton_step(ctx, s) <= 1e-10 * (1.0 + abs(s))
+        located += len(rep.roots)
+    assert located > 0
+
+
 class TestSeriesGeneric:
     def test_unstable_leading_coefficient(self):
         ctx = make_context(COLLINEAR, PERP)
