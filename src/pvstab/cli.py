@@ -342,14 +342,7 @@ def cmd_classify(scenario: Scenario, out: _Output) -> int:
 def cmd_roots(scenario: Scenario, out: _Output) -> int:
     analysis = scenario.analysis
 
-    def rows_of(index, point):
-        try:
-            validate_state(point.state)
-            summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
-                                      region=analysis.region_for(point.state),
-                                      locate=True)
-        except PvstabError as err:
-            return [{"index": index, "error": str(err)}]
+    def rows_of(index, summary):
         rows = []
         for rec in summary.records:
             base = {
@@ -374,10 +367,21 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
     out.line("# pvstab-csv v1")
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for index, point in enumerate(scenario.grid()):
-        for row in rows_of(index, point):
+    grid = scenario.grid()
+    failed = 0
+    for index, point in enumerate(grid):
+        try:
+            validate_state(point.state)
+            summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
+                                      region=analysis.region_for(point.state),
+                                      locate=True)
+            rows = rows_of(index, summary)
+        except PvstabError as err:
+            rows = [{"index": index, "error": str(err)}]
+            failed += 1
+        for row in rows:
             writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
-    return 0
+    return 3 if grid and failed == len(grid) else 0
 
 
 def _csv_cell(value) -> str:
@@ -497,7 +501,8 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
                 row["numeric_unstable"] = row["max_re_s"] = row["agreement"] = ""
         except PvstabError as err:
             row["error"] = str(err)    # columns not reached stay empty
-        return row
+            return row, True
+        return row, False
 
     columns = (["index"] + [f"sweep_{k}" for k in coord_names]
                + list(EquilibriumState.RECORD_KEYS)
@@ -507,10 +512,12 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
     out.line("# pvstab-csv v1")
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
+    failed = 0
     for index, point in enumerate(grid):
-        row = row_of(index, point)
+        row, error = row_of(index, point)
+        failed += error
         writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
-    return 0
+    return 3 if grid and failed == len(grid) else 0
 
 
 def margin_band(state: EquilibriumState, tol_eq: float) -> float:

@@ -116,7 +116,9 @@ def minimize_f(state: EquilibriumState) -> MinimizationResult:
     r = math.hypot(m11 - m22, 2.0 * m12)
     if r <= 1e-14 * (state.H_sq + state.Hv_sq):
         return MinimizationResult(f_min, WaveDirection(1.0, 0.0), degenerate=True)
-    theta = 0.5 * math.atan2(-2.0 * m12, -(m11 - m22))
+    # + 0.0 turns -0.0 into +0.0: on axis-aligned fields the signed zero of
+    # m12 would otherwise pick the representative
+    theta = 0.5 * math.atan2(-2.0 * m12 + 0.0, -(m11 - m22))
     return MinimizationResult(f_min, _canonical(math.cos(theta), math.sin(theta)))
 
 

@@ -12,7 +12,11 @@ Roots with Re s > 0 generate exponentially growing modes whose rate scales
 with the wavenumber (violent instability).  The principal branch of the
 square root is analytic on the open right half-plane, so roots there are
 counted exactly by the argument principle along the boundary of a half-disk
-{Re s >= delta, |s - delta| <= R}.  They are located without a search:
+{Re s >= delta, |s - delta| <= R}.  The directions of one state share that
+contour, so a scan counts them as one batch: one set of flat arrays, one
+phase and jump test per refinement round and one evaluation of L for all
+their new points, with each direction refined by the rules of a count alone.
+The roots are located without a search:
 writing L = A sqrt(1 + eps^2 s^2) + B with A = ell^2 + w_plus^2, the roots
 of L are the principal-branch roots of the degree-6 polynomial
 A^2 (1 + eps^2 s^2) - B^2.  They are polished by Newton iteration with the
@@ -29,6 +33,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +57,15 @@ _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 
 @dataclass(frozen=True)
 class LopatinskiContext:
-    """Frozen per-direction data for evaluating L and its derivative."""
+    """Frozen per-direction data for evaluating L and its derivative.
+
+    The evaluators also take a batch of directions of one state: then
+    ``direction`` is None and the ``bundle`` fields are arrays that
+    broadcast against ``s``, one value per evaluation point.
+    """
 
     state: EquilibriumState
-    direction: WaveDirection            # unit vector
+    direction: WaveDirection | None     # unit vector; None for a batch
     bundle: FrequencyBundle
 
     @property
@@ -109,13 +121,26 @@ def vacuum_decay_root(s, eps: float):
 
 def lopatinski(ctx: LopatinskiContext, s):
     """L(s) on the unit-|omega'| normalization; vectorized over s."""
+    # The in-place steps repeat the operations of the plain expression in the
+    # same order, so the values are the same; they only keep fewer arrays of
+    # the size of s alive, which matters when s holds a batch of directions.
     s = np.asarray(s, dtype=complex)
     b = ctx.bundle
-    ell = s + 1j * b.v_dot
     es = ctx.eps * s
-    g = np.sqrt(1.0 + es * es)
-    out = ((ell * ell + b.w_plus ** 2) * g + b.w_minus ** 2 - ctx.e1 ** 2
-           - 2j * ctx.e1 * b.w_perp * es + ctx.hv_sq * es * es)
+    g = es * es
+    g += 1.0
+    g = np.sqrt(g)
+    out = s + 1j * b.v_dot                       # ell
+    out *= out
+    out += b.w_plus ** 2
+    out *= g
+    del g
+    out += b.w_minus ** 2
+    out -= ctx.e1 ** 2
+    out -= 2j * ctx.e1 * b.w_perp * es
+    quad = ctx.hv_sq * es
+    quad *= es
+    out += quad
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -133,13 +158,24 @@ def lopatinski_deriv(ctx: LopatinskiContext, s):
 
 def lopatinski_scale(ctx: LopatinskiContext, s):
     """Sum of the term magnitudes of L(s): the natural relative scale."""
+    # in place for the same reason, and with the same values, as lopatinski
     s = np.asarray(s, dtype=complex)
     b = ctx.bundle
-    ell = s + 1j * b.v_dot
     es = ctx.eps * s
-    g = np.sqrt(1.0 + es * es)
-    out = (np.abs((ell * ell + b.w_plus ** 2) * g) + b.w_minus ** 2 + ctx.e1 ** 2
-           + np.abs(2.0 * ctx.e1 * b.w_perp * es) + ctx.hv_sq * np.abs(es) ** 2)
+    g = es * es
+    g += 1.0
+    g = np.sqrt(g)
+    head = s + 1j * b.v_dot                      # ell
+    head *= head
+    head += b.w_plus ** 2
+    head *= g
+    del g
+    out = np.abs(head)
+    del head
+    out += b.w_minus ** 2
+    out += ctx.e1 ** 2
+    out += np.abs(2.0 * ctx.e1 * b.w_perp * es)
+    out += ctx.hv_sq * np.abs(es) ** 2
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -223,9 +259,58 @@ def _circle_path(center: complex, radius: float):
     return point_of
 
 
-def _winding_number(ctx: LopatinskiContext, point_of, n0: int,
-                    max_points: int = _MAX_CONTOUR_POINTS):
-    """Winding of L around 0 along a closed path, adaptively refined.
+def _batch_context(ctxs, fields: np.ndarray) -> LopatinskiContext:
+    # fields rows are (w_plus, w_minus, w_perp, v_dot), one value per point
+    # (or per row of a 2-D s): many directions of one state in one context.
+    # A batch of one keeps its own context: with float fields every array
+    # operation of the evaluators stays on numpy's contiguous fast path,
+    # where per-point arrays would add work and nothing else.
+    if len(ctxs) == 1:
+        return ctxs[0]
+    return LopatinskiContext(state=ctxs[0].state, direction=None,
+                             bundle=FrequencyBundle(*fields))
+
+
+def _evaluate(ctx: LopatinskiContext, s):
+    # L and |L|/scale.  The scale comes first, so that its real array rather
+    # than the complex L is what stays alive while the other one is built:
+    # that lowers the peak memory of a large batch.
+    scale = np.maximum(lopatinski_scale(ctx, s), 1e-300)
+    vals = lopatinski(ctx, s)
+    rel = np.abs(vals)
+    rel /= scale
+    return vals, rel
+
+
+def _spliced(a: np.ndarray, new: np.ndarray, old: np.ndarray, at: np.ndarray):
+    out = np.empty(old.size, dtype=a.dtype)
+    out[old] = a
+    out[at] = new
+    return out
+
+
+@lru_cache(maxsize=None)
+def _unit_grid(n0: int) -> np.ndarray:
+    # The starting parameters of every count, shared read-only: building
+    # them anew took a few per cent of a one-direction count.
+    u = np.linspace(0.0, 1.0, n0 + 1)
+    u.flags.writeable = False
+    return u
+
+
+def _winding_numbers(ctxs, point_of, n0: int,
+                     max_points: int = _MAX_CONTOUR_POINTS) -> list:
+    """Winding of L around 0 along one closed path, for several directions.
+
+    The contexts share the state and the path; only their field projections
+    differ.  The directions are refined as one batch: flat arrays of path
+    parameter and L, one contiguous segment per direction (plus the running
+    minimum of |L|/scale of each segment), with the phase and jump tests run
+    once per round over all of them and every new point evaluated in one
+    call.  Each direction is refined by the same rules as if it were
+    counted alone, and leaves the batch the round it finishes.  Its values
+    of L can differ from those of a count alone in the last bit: per-point
+    arrays square the field projections with numpy, floats with libm's pow.
 
     Parametric midpoints are inserted until every step both changes the
     argument by less than pi/2 and changes the value by less than the
@@ -235,59 +320,143 @@ def _winding_number(ctx: LopatinskiContext, point_of, n0: int,
     wrapped phase difference that looks small (aliasing) -- but the value
     jump |dL| ~ 2|L| it causes cannot be hidden.
 
-    Raises ContourTooCloseError when the relative |L| floor is undercut (a
-    root sits on or too near the path) and NonConvergentError past the
-    point budget.  Returns (winding, n_intervals, min relative |L|).
+    Returns, per context, (winding, n_intervals, min relative |L|), or the
+    error that ended its count: ContourTooCloseError when the relative |L|
+    floor is undercut (a root sits on or too near the path),
+    NonConvergentError past the point budget or for a non-integer winding.
     """
-    u = np.linspace(0.0, 1.0, n0 + 1)
-    pts = point_of(u)
-    vals = lopatinski(ctx, pts)
-    rel = np.abs(vals) / np.maximum(lopatinski_scale(ctx, pts), 1e-300)
+    fields = np.array([[c.bundle.w_plus, c.bundle.w_minus, c.bundle.w_perp,
+                        c.bundle.v_dot] for c in ctxs]).T
+    live = list(range(len(ctxs)))             # context of each segment
+    sizes = [n0 + 1] * len(ctxs)              # points of each segment
+    u0 = _unit_grid(n0)
+    # every direction starts on the same points: broadcast them, not copies
+    vals, rel = _evaluate(_batch_context(ctxs, fields[:, :, None]),
+                          np.broadcast_to(point_of(u0), (len(ctxs), n0 + 1)))
+    min_rel = rel.min(axis=1)                 # running min of each segment
+    del rel
+    vals = vals.ravel()
+    u = np.concatenate([u0] * len(ctxs))
+    out: list = [None] * len(ctxs)
     while True:
-        if rel.min() < _CONTOUR_FLOOR:
-            raise ContourTooCloseError(
-                f"min |L|/scale = {rel.min():.3e} on contour (floor {_CONTOUR_FLOOR:g})")
-        dphi = np.diff(np.angle(vals))
-        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
+        starts = list(accumulate(sizes[:-1], initial=0))
         mags = np.abs(vals)
-        jump = np.abs(np.diff(vals)) > 0.8 * np.minimum(mags[:-1], mags[1:])
-        bad = (np.abs(dphi) >= 0.5 * np.pi) | jump
-        bad &= np.diff(u) > 1e-12          # stop refining below roundoff
-        if not bad.any():
-            break
-        if len(u) + int(bad.sum()) > max_points:
-            raise NonConvergentError(
-                f"contour refinement exceeded {max_points} points")
-        new_u = 0.5 * (u[:-1][bad] + u[1:][bad])
-        new_pts = point_of(new_u)
-        new_vals = lopatinski(ctx, new_pts)
-        new_rel = np.abs(new_vals) / np.maximum(
-            lopatinski_scale(ctx, new_pts), 1e-300)
-        idx = np.searchsorted(u, new_u)
-        u = np.insert(u, idx, new_u)
-        vals = np.insert(vals, idx, new_vals)
-        rel = np.insert(rel, idx, new_rel)
-    total = float(np.sum(dphi)) / (2.0 * np.pi)
-    winding = int(round(total))
-    if abs(total - winding) > 0.25:
-        raise NonConvergentError(f"non-integer winding {total:.6f}")
-    return winding, len(u) - 1, float(rel.min())
+        bad = np.abs(vals[1:] - vals[:-1]) > 0.8 * np.minimum(mags[:-1], mags[1:])
+        del mags
+        dphi = np.angle(vals)
+        dphi = dphi[1:] - dphi[:-1]
+        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
+        bad |= np.abs(dphi) >= 0.5 * np.pi
+        # stop refining below roundoff; u drops from 1 to 0 between
+        # segments, so this also masks the steps that join two segments
+        bad &= u[1:] - u[:-1] > 1e-12
+        n_bad = np.add.reduceat(bad, starts).tolist()
+        alive = [False] * len(live)
+        for j, c in enumerate(live):
+            if min_rel[j] < _CONTOUR_FLOOR:
+                out[c] = ContourTooCloseError(
+                    f"min |L|/scale = {min_rel[j]:.3e} on contour "
+                    f"(floor {_CONTOUR_FLOOR:g})")
+            elif n_bad[j] == 0:
+                total = float(dphi[starts[j]:starts[j] + sizes[j] - 1].sum())
+                total /= 2.0 * np.pi
+                winding = int(round(total))
+                out[c] = (
+                    NonConvergentError(f"non-integer winding {total:.6f}")
+                    if abs(total - winding) > 0.25
+                    else (winding, sizes[j] - 1, float(min_rel[j])))
+            elif sizes[j] + n_bad[j] > max_points:
+                out[c] = NonConvergentError(
+                    f"contour refinement exceeded {max_points} points")
+            else:
+                alive[j] = True
+        del dphi
+        if not any(alive):
+            return out
+        if not all(alive):
+            # finished directions leave the batch
+            mask = np.repeat(alive, sizes)
+            u, vals = u[mask], vals[mask]
+            bad = bad[mask[:-1]][:u.size - 1]
+            min_rel, fields = min_rel[alive], fields[:, alive]
+            live, sizes, n_bad = ([x for x, a in zip(seq, alive) if a]
+                                  for seq in (live, sizes, n_bad))
+        idx = np.flatnonzero(bad)
+        new_u = 0.5 * (u[idx] + u[idx + 1])
+        new_vals, new_rel = _evaluate(
+            _batch_context(ctxs, np.repeat(fields, n_bad, axis=1)),
+            point_of(new_u))
+        min_rel = np.minimum(min_rel, np.minimum.reduceat(
+            new_rel, list(accumulate(n_bad[:-1], initial=0))))
+        # splice the new points in after their left ends
+        at = idx + np.arange(1, idx.size + 1)
+        old = np.ones(u.size + idx.size, dtype=bool)
+        old[at] = False
+        u = _spliced(u, new_u, old, at)
+        vals = _spliced(vals, new_vals, old, at)
+        sizes = [n + m for n, m in zip(sizes, n_bad)]
 
 
-def _count_on_region(ctx: LopatinskiContext, region: HalfDiskRegion):
-    """Winding over the half-disk, jittering the boundary off grazed roots."""
-    last_err = None
+def _winding_number(ctx: LopatinskiContext, point_of, n0: int,
+                    max_points: int = _MAX_CONTOUR_POINTS):
+    """Winding of L around 0 along a closed path: the batch of one.
+
+    Returns (winding, n_intervals, min relative |L|); raises the error that
+    ``_winding_numbers`` reports.
+    """
+    result = _winding_numbers([ctx], point_of, n0, max_points)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class _RegionCount(NamedTuple):
+    """A winding count certified on one half-disk (after any jitter)."""
+
+    winding: int
+    region: HalfDiskRegion
+    contour_points: int
+    min_rel: float
+
+
+def _count_on_regions(ctxs, region: HalfDiskRegion) -> list:
+    """Winding over the half-disk for each context, as one batch.
+
+    A direction whose contour grazes a root is counted again, with the
+    directions that grazed alongside it, on each jittered boundary in turn.
+    Returns a _RegionCount or the error per context.
+    """
+    out: list = [None] * len(ctxs)
+    last_err: dict = {}
+    pending = list(range(len(ctxs)))
     for jd, jr in _JITTERS:
         reg = HalfDiskRegion(region.delta * jd, region.radius * jr)
-        try:
-            winding, n_int, min_rel = _winding_number(
-                ctx, _half_disk_path(reg.delta, reg.radius), n0=512)
-            return winding, reg, n_int, min_rel
-        except ContourTooCloseError as err:
-            last_err = err
-    raise ContourTooCloseError(
-        f"contour grazes a root after {len(_JITTERS) - 1} boundary "
-        f"perturbations: {last_err}")
+        results = _winding_numbers([ctxs[i] for i in pending],
+                                   _half_disk_path(reg.delta, reg.radius), n0=512)
+        grazed = []
+        for i, res in zip(pending, results):
+            if isinstance(res, ContourTooCloseError):
+                last_err[i] = res
+                grazed.append(i)
+            else:
+                out[i] = res if isinstance(res, Exception) else _RegionCount(
+                    res[0], reg, *res[1:])
+        pending = grazed
+        if not pending:
+            return out
+    for i in pending:
+        out[i] = ContourTooCloseError(
+            f"contour grazes a root after {len(_JITTERS) - 1} boundary "
+            f"perturbations: {last_err[i]}")
+    return out
+
+
+def _count_on_region(ctx: LopatinskiContext, region: HalfDiskRegion) -> _RegionCount:
+    """Winding over the half-disk, jittering the boundary off grazed roots."""
+    result = _count_on_regions([ctx], region)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def count_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> int:
@@ -354,15 +523,19 @@ def _candidate_roots(ctx: LopatinskiContext) -> list[complex]:
     return [newton_refine(ctx, complex(s))[0] for s in z]
 
 
-def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> RootReport:
+def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion,
+                        counted: _RegionCount | None = None) -> RootReport:
     """Count roots in the region, then localize them.
 
     The roots are those of a degree-6 polynomial (see ``_candidate_roots``)
     that lie in the region after Newton polishing; the winding count over
     the region certifies them.  A mismatch between the two, or a root whose
-    residual exceeds certification, is reported via ``flags``.
+    residual exceeds certification, is reported via ``flags``.  ``counted``
+    is a count already certified on ``region`` for this direction; it is
+    used instead of counting again.
     """
-    winding, used, n_int, min_rel = _count_on_region(ctx, region)
+    winding, used, n_int, min_rel = (counted if counted is not None
+                                     else _count_on_region(ctx, region))
     if winding == 0:
         return RootReport(used, 0, (), (), n_int, min_rel)
 
@@ -574,17 +747,28 @@ class ScanSummary:
     n_errors: int
 
 
-def _count_with_doubling(ctx: LopatinskiContext, region: HalfDiskRegion):
+def _count_with_doubling(ctxs, region: HalfDiskRegion) -> list:
     # The default radius is validated by doubling until the count stabilizes
-    # (at most three doublings).
-    count, used, n_int, min_rel = _count_on_region(ctx, region)
+    # (at most three doublings).  All directions are counted at R in one
+    # batch and at 2R in a second; only those whose count changed go on.
+    # Directions that jittered onto another radius double from it, in a
+    # batch of their own.
+    counts = _count_on_regions(ctxs, region)
+    doubling = [i for i, c in enumerate(counts) if isinstance(c, _RegionCount)]
     for _ in range(3):
-        bigger = HalfDiskRegion(region.delta, used.radius * 2.0)
-        count2, used2, n2, rel2 = _count_on_region(ctx, bigger)
-        if count2 == count:
-            break
-        count, used, n_int, min_rel = count2, used2, n2, rel2
-    return count, used, n_int, min_rel
+        by_radius: dict[float, list[int]] = {}
+        for i in doubling:
+            by_radius.setdefault(counts[i].region.radius, []).append(i)
+        doubling = []
+        for radius, idx in by_radius.items():
+            bigger = HalfDiskRegion(region.delta, radius * 2.0)
+            for i, c in zip(idx, _count_on_regions([ctxs[i] for i in idx], bigger)):
+                if isinstance(c, Exception):
+                    counts[i] = c           # a failed doubling fails the direction
+                elif c.winding != counts[i].winding:
+                    counts[i] = c
+                    doubling.append(i)
+    return counts
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
@@ -593,8 +777,12 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
     """Count unstable roots over equispaced directions plus the F-minimizers.
 
     A state is declared numerically unstable iff any scanned direction has a
-    positive right-half-plane root count.  Per-direction failures are
-    recorded, not raised.
+    positive right-half-plane root count.  The directions share the state
+    and the region, so their winding counts run as one batch (see
+    ``_winding_numbers``): all of them on the region, then, for the default
+    region, all of them on the doubled radius, then only those whose count
+    changed.  Directions with roots are localized with the count already
+    certified.  Per-direction failures are recorded, not raised.
     """
     if n_dirs < 8:
         raise ValueError("n_dirs must be at least 8")
@@ -606,21 +794,21 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
                   for k in range(n_dirs)]
     directions += [star, WaveDirection(-star.omega2, -star.omega3)]
 
+    ctxs = [make_context(state, d) for d in directions]
+    if region is None:
+        results = _count_with_doubling(ctxs, default_region(state))
+    else:
+        results = _count_on_regions(ctxs, region)
     records = []
-    for d in directions:
-        ctx = make_context(state, d)
-        try:
-            if region is None:
-                count, used, n_int, min_rel = _count_with_doubling(
-                    ctx, default_region(state))
-            else:
-                count, used, n_int, min_rel = _count_on_region(ctx, region)
-            report = None
-            if count > 0 and locate:
-                report = find_unstable_roots(ctx, used)
-            records.append(DirectionScan(d, count, used, n_int, min_rel, report))
-        except (ContourTooCloseError, NonConvergentError) as err:
-            records.append(DirectionScan(d, None, error=str(err)))
+    for d, ctx, c in zip(directions, ctxs, results):
+        if isinstance(c, Exception):
+            records.append(DirectionScan(d, None, error=str(c)))
+            continue
+        report = None
+        if c.winding > 0 and locate:
+            report = find_unstable_roots(ctx, c.region, counted=c)
+        records.append(DirectionScan(d, c.winding, c.region, c.contour_points,
+                                     c.min_rel, report))
     counts = [r.count for r in records if r.count is not None]
     res = [r.max_re_s for r in records if r.max_re_s is not None]
     return ScanSummary(

@@ -165,6 +165,11 @@ class FrequencyBundle:
     v_dot   = v'  . omega'
 
     For unit omega': w_minus^2 + w_perp^2 = |Hv'|^2.
+
+    The fields are floats for one direction.  A batched winding count over
+    many directions of one state puts arrays in them instead, one value per
+    evaluation point (or per row of a 2-D array of points), and evaluates L
+    for every direction with the same formula.
     """
 
     w_plus: float

@@ -426,6 +426,19 @@ class TestValidateCommand:
             assert code == 0
 
 
+EPS_INVALID = EPS_SWEEP.replace("min = 0", "min = 1.0").replace(
+    "steps = 4", "steps = 3\n[analysis]\nn_dirs = 8")
+
+
+@pytest.mark.parametrize("command", ["classify", "roots", "modes", "sweep"])
+def test_every_point_failing_exits_3(tmp_path, command):
+    # eps = 1.0, 1.25, 1.5: every grid point fails validation, so every
+    # command writes only error rows and reports a numerical failure
+    out = tmp_path / "out.txt"
+    assert _run([command, _write(tmp_path, EPS_INVALID), "--out", str(out)]) == 3
+    assert out.read_text().count("eps must be below 1") == 3
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = _write(tmp_path, MINIMAL)

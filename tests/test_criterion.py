@@ -70,6 +70,19 @@ class TestMinimizeF:
         assert m.degenerate
         assert m.f_min == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("H, Hv, expect", [
+        ((1.0, 0.0), (2.0, 0.0), 1.0), ((-1.0, 0.0), (-2.0, 0.0), 1.0),
+        ((1.0, 0.0), (-2.0, 0.0), 1.0), ((0.0, 0.0), (-3.0, 0.0), 1.0),
+        ((0.0, 1.0), (0.0, 2.0), 0.0), ((0.0, -1.0), (0.0, -2.0), 0.0),
+        ((0.0, 1.0), (0.0, -2.0), 0.0), ((0.0, 0.0), (0.0, 3.0), 0.0)])
+    def test_axis_aligned_fields_sign_independent(self, H, Hv, expect):
+        # the representative must not follow the sign of a zero in m12: on
+        # the x axis omega_3 = +1, on the y axis omega_3 = +0.0 (CSV "0.0")
+        w = minimize_f(_state(H=H, Hv=Hv)).omega_star
+        assert w.omega3 == expect
+        assert math.copysign(1.0, w.omega3) == 1.0
+        assert abs(w.omega2) < 1e-15 if expect else w.omega2 == 1.0
+
     def test_canonical_representative(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

@@ -367,6 +367,98 @@ class TestWindingAgainstBruteForce:
             checked += 1
 
 
+def _single_scan(state, n_dirs, region=None):
+    """(count, region, contour_points, error) per direction of a scan, each
+    counted as a batch of one, with the radius doubling done per direction."""
+    from pvstab.criterion import minimize_f
+    from pvstab.dispersion import _count_on_region
+    from pvstab.errors import ContourTooCloseError, NonConvergentError
+
+    star = minimize_f(state).omega_star
+    directions = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
+                  for k in range(n_dirs)]
+    directions += [star, WaveDirection(-star.omega2, -star.omega3)]
+    out = []
+    for d in directions:
+        ctx = make_context(state, d)
+        try:
+            if region is not None:
+                c = _count_on_region(ctx, region)
+            else:
+                base = default_region(state)
+                c = _count_on_region(ctx, base)
+                for _ in range(3):
+                    bigger = _count_on_region(
+                        ctx, HalfDiskRegion(base.delta, 2.0 * c.region.radius))
+                    if bigger.winding == c.winding:
+                        break
+                    c = bigger
+            out.append((c.winding, c.region, c.contour_points, None))
+        except (ContourTooCloseError, NonConvergentError) as err:
+            out.append((None, None, None, str(err)))
+    return out
+
+
+def _records(summary):
+    return [(r.count, r.region, r.contour_points, r.error) for r in summary.records]
+
+
+class TestBatchedCount:
+    def test_batch_matches_batch_of_one(self):
+        # 12 states x 18 directions: sampler states plus the corners
+        from pvstab.cli import sample_validation_state
+
+        rng = np.random.default_rng(17)
+        states = [sample_validation_state(rng) for _ in range(6)]
+        states += [COLLINEAR, TRANSITIONAL,
+                   _state(H=(1.3, -0.2), Hv=(0.4, 2.0), v=(0.5, 0.2))]   # E1 = 0
+        states += [dataclasses.replace(OBLIQUE, eps=eps) for eps in (1e-4, 0.5, 0.9)]
+        pairs = 0
+        for st in states:
+            batched = _records(scan_directions(st, n_dirs=16, locate=False))
+            assert batched == _single_scan(st, 16), st
+            pairs += len(batched)
+        assert pairs >= 200
+
+    def test_grazed_root_jitters_only_its_directions(self):
+        # the chord Re s = delta runs through the root at omega' = (0, 1)
+        # and, by the mirror symmetry of this flowless state, through the
+        # conjugate root at (0, -1); those directions alone are re-counted on
+        # a jittered region, the others keep the region they were given
+        ctx = make_context(COLLINEAR, PERP)
+        root = find_unstable_roots(ctx, default_region(COLLINEAR)).roots[0]
+        region = HalfDiskRegion(root.real, 10.0)
+        summary = scan_directions(COLLINEAR, n_dirs=16, region=region)
+        assert _records(summary) == _single_scan(COLLINEAR, 16, region)
+        jittered = [r for r in summary.records if r.region != region]
+        assert len(jittered) == 4
+        assert all(abs(r.direction.omega3) == 1.0 and r.count == 1 for r in jittered)
+        assert summary.n_errors == 0
+
+    def test_failed_direction_leaves_others_unchanged(self):
+        from pvstab.dispersion import _half_disk_path, _winding_numbers
+        from pvstab.errors import NonConvergentError
+
+        st = _state(H=(1, 0), Hv=(0, 1), E1=0.5, v=(0.8, -0.3))
+        ctxs = [make_context(st, WaveDirection.from_angle(2.0 * math.pi * k / 16))
+                for k in range(16)]
+        reg = default_region(st)
+        path = _half_disk_path(reg.delta, reg.radius)
+        free = _winding_numbers(ctxs, path, n0=512)
+        points = sorted({r[1] + 1 for r in free})
+        assert len(points) >= 2
+        budget = points[-1] - 1        # the most refined direction(s) fail
+        tight = _winding_numbers(ctxs, path, n0=512, max_points=budget)
+        failed = 0
+        for f, t in zip(free, tight):
+            if f[1] + 1 > budget:
+                assert isinstance(t, NonConvergentError)
+                failed += 1
+            else:
+                assert t == f
+        assert 0 < failed < len(ctxs)
+
+
 class TestScanDirections:
     def test_collinear_unstable_everywhere_detected(self):
         summary = scan_directions(COLLINEAR, n_dirs=32)
