@@ -94,6 +94,13 @@ def _canonical(w2: float, w3: float) -> WaveDirection:
     return WaveDirection(w2, w3)
 
 
+def _moments(state: EquilibriumState) -> tuple[float, float, float]:
+    # entries (m11, m22, m12) of M = H'H'^T + Hv'Hv'^T, F(omega') = omega'^T M omega'
+    H2, H3 = state.H_hat_t
+    Hv2, Hv3 = state.Hv_hat_t
+    return H2 * H2 + Hv2 * Hv2, H3 * H3 + Hv3 * Hv3, H2 * H3 + Hv2 * Hv3
+
+
 def minimize_f(state: EquilibriumState) -> MinimizationResult:
     """Minimize F(omega') = (H'.omega')^2 + (Hv'.omega')^2 on |omega'| = 1.
 
@@ -107,11 +114,7 @@ def minimize_f(state: EquilibriumState) -> MinimizationResult:
     orthogonal fields with |H'| = |Hv'|), F is constant on the circle and any
     direction minimizes: that case is flagged degenerate and reports (1, 0).
     """
-    H2, H3 = state.H_hat_t
-    Hv2, Hv3 = state.Hv_hat_t
-    m11 = H2 * H2 + Hv2 * Hv2
-    m22 = H3 * H3 + Hv3 * Hv3
-    m12 = H2 * H3 + Hv2 * Hv3
+    m11, m22, m12 = _moments(state)
     f_min = critical_e1_squared(state)
     r = math.hypot(m11 - m22, 2.0 * m12)
     if r <= 1e-14 * (state.H_sq + state.Hv_sq):
@@ -125,13 +128,20 @@ def minimize_f(state: EquilibriumState) -> MinimizationResult:
 def critical_e1_squared(state: EquilibriumState) -> float:
     """Instability threshold for E1^2 (the minimum of F in closed form).
 
-    Uses |H x Hv| = |H2*Hv3 - H3*Hv2| directly; the radicand is clamped at
-    zero against roundoff so that collinear fields give exactly 0.
+    Uses |H x Hv| = |H2*Hv3 - H3*Hv2| directly.  The radicand is the squared
+    eigenvalue gap of M, (m11 - m22)^2 + 4 m12^2, formed as a difference of
+    squares; near constant F that difference cancels (roundoff can even make
+    it negative), so where it loses four or more leading bits the gap is
+    taken from the entries of M instead.  Where it loses fewer, the two
+    forms are about equally accurate.
     """
     hs = state.H_sq + state.Hv_sq
     cross = state.cross_H_Hv
     rad = hs * hs - 4.0 * cross * cross
-    return 0.5 * (hs - math.sqrt(max(rad, 0.0)))
+    if rad < 0.0625 * hs * hs:
+        m11, m22, m12 = _moments(state)
+        return 0.5 * (hs - math.hypot(m11 - m22, 2.0 * m12))
+    return 0.5 * (hs - math.sqrt(rad))
 
 
 def transitional_discriminant(state: EquilibriumState) -> float:

@@ -13,9 +13,10 @@ with the wavenumber (violent instability).  The principal branch of the
 square root is analytic on the open right half-plane, so roots there are
 counted exactly by the argument principle along the boundary of a half-disk
 {Re s >= delta, |s - delta| <= R}.  The directions of one state share that
-contour, so a scan counts them as one batch: one set of flat arrays, one
-phase and jump test per refinement round and one evaluation of L for all
-their new points, with each direction refined by the rules of a count alone.
+contour, so a scan counts them as one batch: the starting grid is evaluated
+once for all of them, and each refinement round bisects, evaluates (in one
+call) and tests only the intervals that failed the round before, with each
+direction refined by the rules of a count alone.
 The roots are located without a search:
 writing L = A sqrt(1 + eps^2 s^2) + B with A = ell^2 + w_plus^2, the roots
 of L are the principal-branch roots of the degree-6 polynomial
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +61,8 @@ class LopatinskiContext:
 
     The evaluators also take a batch of directions of one state: then
     ``direction`` is None and the ``bundle`` fields are arrays that
-    broadcast against ``s``, one value per evaluation point.
+    broadcast against ``s``: one value per evaluation point, or (k, 1)
+    columns of one value per direction against points shared by all k.
     """
 
     state: EquilibriumState
@@ -261,7 +262,8 @@ def _circle_path(center: complex, radius: float):
 
 def _batch_context(ctxs, fields: np.ndarray) -> LopatinskiContext:
     # fields rows are (w_plus, w_minus, w_perp, v_dot), one value per point
-    # (or per row of a 2-D s): many directions of one state in one context.
+    # (or per direction, as (k, 1) columns against a shared 1-D s): many
+    # directions of one state in one context.
     # A batch of one keeps its own context: with float fields every array
     # operation of the evaluators stays on numpy's contiguous fast path,
     # where per-point arrays would add work and nothing else.
@@ -282,13 +284,6 @@ def _evaluate(ctx: LopatinskiContext, s):
     return vals, rel
 
 
-def _spliced(a: np.ndarray, new: np.ndarray, old: np.ndarray, at: np.ndarray):
-    out = np.empty(old.size, dtype=a.dtype)
-    out[old] = a
-    out[at] = new
-    return out
-
-
 @lru_cache(maxsize=None)
 def _unit_grid(n0: int) -> np.ndarray:
     # The starting parameters of every count, shared read-only: building
@@ -298,16 +293,30 @@ def _unit_grid(n0: int) -> np.ndarray:
     return u
 
 
+def _step_test(du, lo, hi):
+    # Wrapped phase step and refinement flag of intervals of parameter
+    # length du whose ends lo and hi are (L, |L|, arg L) triples.
+    bad = np.abs(hi[0] - lo[0]) > 0.8 * np.minimum(lo[1], hi[1])
+    dphi = np.mod(hi[2] - lo[2] + np.pi, 2.0 * np.pi) - np.pi
+    bad |= np.abs(dphi) >= 0.5 * np.pi
+    bad &= du > 1e-12                       # stop refining below roundoff
+    return dphi, bad
+
+
 def _winding_numbers(ctxs, point_of, n0: int,
                      max_points: int = _MAX_CONTOUR_POINTS) -> list:
     """Winding of L around 0 along one closed path, for several directions.
 
     The contexts share the state and the path; only their field projections
-    differ.  The directions are refined as one batch: flat arrays of path
-    parameter and L, one contiguous segment per direction (plus the running
-    minimum of |L|/scale of each segment), with the phase and jump tests run
-    once per round over all of them and every new point evaluated in one
-    call.  Each direction is refined by the same rules as if it were
+    differ.  The starting grid of the path is evaluated once, as points
+    shared by all directions, so the factors that depend on s alone are
+    computed once per point.  Refinement is incremental: an interval that
+    passes the tests is accepted for good, its wrapped phase step added to
+    its direction's total, and only the intervals that fail are kept, as
+    flat arrays of both ends (direction, path parameter, L, |L|, arg L).
+    Each round bisects them all, evaluates every midpoint in one call and
+    tests only the two halves, so its cost is proportional to the points
+    it adds.  Each direction is refined by the same rules as if it were
     counted alone, and leaves the batch the round it finishes.  Its values
     of L can differ from those of a count alone in the last bit: per-point
     arrays square the field projections with numpy, floats with libm's pow.
@@ -325,76 +334,71 @@ def _winding_numbers(ctxs, point_of, n0: int,
     floor is undercut (a root sits on or too near the path),
     NonConvergentError past the point budget or for a non-integer winding.
     """
+    k = len(ctxs)
     fields = np.array([[c.bundle.w_plus, c.bundle.w_minus, c.bundle.w_perp,
                         c.bundle.v_dot] for c in ctxs]).T
-    live = list(range(len(ctxs)))             # context of each segment
-    sizes = [n0 + 1] * len(ctxs)              # points of each segment
     u0 = _unit_grid(n0)
-    # every direction starts on the same points: broadcast them, not copies
-    vals, rel = _evaluate(_batch_context(ctxs, fields[:, :, None]),
-                          np.broadcast_to(point_of(u0), (len(ctxs), n0 + 1)))
-    min_rel = rel.min(axis=1)                 # running min of each segment
+    vals, rel = _evaluate(_batch_context(ctxs, fields[:, :, None]), point_of(u0))
+    vals = vals.reshape(k, n0 + 1)            # a batch of one gives (n0 + 1,)
+    min_rel = rel.reshape(k, n0 + 1).min(axis=1)
     del rel
-    vals = vals.ravel()
-    u = np.concatenate([u0] * len(ctxs))
-    out: list = [None] * len(ctxs)
+    grid = (vals, np.abs(vals), np.angle(vals))
+    # round 0 tests every interval of the grid, on views of its ends
+    dphi, bad = _step_test(np.diff(u0), [a[:, :-1] for a in grid],
+                           [a[:, 1:] for a in grid])
+    total = np.sum(dphi, axis=1, where=~bad)
+    # the failing intervals: direction, then (u, L, |L|, arg L) at each end
+    seg, i = np.nonzero(bad)
+    lo = [u0[i]] + [a[seg, i] for a in grid]
+    hi = [u0[i + 1]] + [a[seg, i + 1] for a in grid]
+    del grid, dphi, bad, i
+    n_int = [n0] * k
+    live = list(range(k))
+    out: list = [None] * k
     while True:
-        starts = list(accumulate(sizes[:-1], initial=0))
-        mags = np.abs(vals)
-        bad = np.abs(vals[1:] - vals[:-1]) > 0.8 * np.minimum(mags[:-1], mags[1:])
-        del mags
-        dphi = np.angle(vals)
-        dphi = dphi[1:] - dphi[:-1]
-        dphi = np.mod(dphi + np.pi, 2.0 * np.pi) - np.pi
-        bad |= np.abs(dphi) >= 0.5 * np.pi
-        # stop refining below roundoff; u drops from 1 to 0 between
-        # segments, so this also masks the steps that join two segments
-        bad &= u[1:] - u[:-1] > 1e-12
-        n_bad = np.add.reduceat(bad, starts).tolist()
-        alive = [False] * len(live)
-        for j, c in enumerate(live):
+        n_bad = np.bincount(seg, minlength=k).tolist()
+        still = []
+        for j in live:
             if min_rel[j] < _CONTOUR_FLOOR:
-                out[c] = ContourTooCloseError(
+                out[j] = ContourTooCloseError(
                     f"min |L|/scale = {min_rel[j]:.3e} on contour "
                     f"(floor {_CONTOUR_FLOOR:g})")
             elif n_bad[j] == 0:
-                total = float(dphi[starts[j]:starts[j] + sizes[j] - 1].sum())
-                total /= 2.0 * np.pi
-                winding = int(round(total))
-                out[c] = (
-                    NonConvergentError(f"non-integer winding {total:.6f}")
-                    if abs(total - winding) > 0.25
-                    else (winding, sizes[j] - 1, float(min_rel[j])))
-            elif sizes[j] + n_bad[j] > max_points:
-                out[c] = NonConvergentError(
+                turns = float(total[j]) / (2.0 * np.pi)
+                winding = int(round(turns))
+                out[j] = (
+                    NonConvergentError(f"non-integer winding {turns:.6f}")
+                    if abs(turns - winding) > 0.25
+                    else (winding, n_int[j], float(min_rel[j])))
+            elif n_int[j] + 1 + n_bad[j] > max_points:
+                out[j] = NonConvergentError(
                     f"contour refinement exceeded {max_points} points")
             else:
-                alive[j] = True
-        del dphi
-        if not any(alive):
+                still.append(j)
+                n_int[j] += n_bad[j]
+        if not still:
             return out
-        if not all(alive):
+        if len(still) < len(live):
             # finished directions leave the batch
-            mask = np.repeat(alive, sizes)
-            u, vals = u[mask], vals[mask]
-            bad = bad[mask[:-1]][:u.size - 1]
-            min_rel, fields = min_rel[alive], fields[:, alive]
-            live, sizes, n_bad = ([x for x, a in zip(seq, alive) if a]
-                                  for seq in (live, sizes, n_bad))
-        idx = np.flatnonzero(bad)
-        new_u = 0.5 * (u[idx] + u[idx + 1])
-        new_vals, new_rel = _evaluate(
-            _batch_context(ctxs, np.repeat(fields, n_bad, axis=1)),
-            point_of(new_u))
-        min_rel = np.minimum(min_rel, np.minimum.reduceat(
-            new_rel, list(accumulate(n_bad[:-1], initial=0))))
-        # splice the new points in after their left ends
-        at = idx + np.arange(1, idx.size + 1)
-        old = np.ones(u.size + idx.size, dtype=bool)
-        old[at] = False
-        u = _spliced(u, new_u, old, at)
-        vals = _spliced(vals, new_vals, old, at)
-        sizes = [n + m for n, m in zip(sizes, n_bad)]
+            keep = np.zeros(k, dtype=bool)
+            keep[still] = True
+            keep = keep[seg]
+            seg, lo, hi = seg[keep], [a[keep] for a in lo], [a[keep] for a in hi]
+        live = still
+        # bisect every failing interval into (lo, mid) and (mid, hi): of each
+        # quantity laid out as lo, mid, hi, the first two thirds are the low
+        # ends of the halves and the last two thirds their high ends
+        mid_u = 0.5 * (lo[0] + hi[0])
+        mid, mid_rel = _evaluate(_batch_context(ctxs, fields[:, seg]), point_of(mid_u))
+        np.minimum.at(min_rel, seg, mid_rel)
+        n = seg.size
+        ends = [np.concatenate(e) for e in
+                zip(lo, (mid_u, mid, np.abs(mid), np.angle(mid)), hi)]
+        lo, hi = [e[:2 * n] for e in ends], [e[n:] for e in ends]
+        seg = np.concatenate((seg, seg))
+        dphi, bad = _step_test(hi[0] - lo[0], lo[1:], hi[1:])
+        total += np.bincount(seg, weights=np.where(bad, 0.0, dphi), minlength=k)
+        seg, lo, hi = seg[bad], [a[bad] for a in lo], [a[bad] for a in hi]
 
 
 def _winding_number(ctx: LopatinskiContext, point_of, n0: int,

@@ -168,8 +168,9 @@ class FrequencyBundle:
 
     The fields are floats for one direction.  A batched winding count over
     many directions of one state puts arrays in them instead, one value per
-    evaluation point (or per row of a 2-D array of points), and evaluates L
-    for every direction with the same formula.
+    evaluation point (or (k, 1) columns of one value per direction, against
+    points shared by all k), and evaluates L for every direction with the
+    same formula.
     """
 
     w_plus: float

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvstab.criterion import (Verdict, classify, critical_e1_squared,
@@ -122,6 +122,29 @@ class TestCriticalE1Squared:
     def test_zero_plasma_field(self):
         assert critical_e1_squared(_state(Hv=(1.3, -0.4))) == 0.0
 
+    @pytest.mark.parametrize("H, Hv", [
+        ((1.0, 1e-8), (0.0, 1.0)),          # near-constant F
+        ((0.7, -1e-7), (1e-9, 0.7)),        # near-constant F, rotated
+        ((2.0, 1.0), (4.0, 2.0 + 1e-9)),    # nearly collinear
+        ((0.6, 0.8), (-0.8, 0.6)),          # orthogonal, equal magnitude
+        ((1.3, -0.4), (0.4, 1.3)),          # orthogonal, equal magnitude
+        ((0.0, 0.0), (0.0, 0.0)),           # zero fields
+        ((1.2, -0.4), (0.3, 1.5)),          # generic
+    ], ids=["near-constant", "near-constant-rotated", "nearly-collinear",
+            "orthogonal-equal", "orthogonal-equal-oblique", "zero", "generic"])
+    def test_matches_eigenvalue_at_high_precision(self, H, Hv):
+        # the smaller eigenvalue of M = H'H'^T + Hv'Hv'^T, at 50 digits from
+        # the same float inputs
+        import mpmath
+
+        s = _state(H=H, Hv=Hv)
+        with mpmath.workdps(50):
+            (h2, h3), (g2, g3) = ((mpmath.mpf(x) for x in v) for v in (H, Hv))
+            m11, m22, m12 = h2 * h2 + g2 * g2, h3 * h3 + g3 * g3, h2 * h3 + g2 * g3
+            exact = (m11 + m22 - mpmath.sqrt((m11 - m22) ** 2 + 4 * m12 ** 2)) / 2
+            err = float(abs(critical_e1_squared(s) - exact))
+        assert err <= 4e-16 * (s.H_sq + s.Hv_sq)
+
     def test_equals_minimized_f(self):
         rng = np.random.default_rng(9)
         for _ in range(10_000):
@@ -223,6 +246,15 @@ class TestClassify:
                        E1=math.sqrt(s.Hv_sq + gap))
             assert classify(s).verdict is Verdict.VIOLENTLY_UNSTABLE
 
+    def test_near_constant_f_above_band_is_unstable(self):
+        # F_min = 1 - 1e-8, so E1^2 = 1 - 5e-9 is 5e-9 above the threshold,
+        # outside the band tol_eq = 3e-9; a threshold formed by cancellation
+        # reads 1.0 and puts the state 5e-9 below it
+        c = classify(_state(H=(1, 1e-8), Hv=(0, 1), E1=math.sqrt(1 - 5e-9)))
+        assert c.verdict is Verdict.VIOLENTLY_UNSTABLE
+        assert c.margin == pytest.approx(5e-9, rel=1e-6)
+        assert c.tol_eq == pytest.approx(3e-9)
+
     def test_record_fields(self):
         rec = classify(_state(H=(1, 0), Hv=(2, 0), E1=0.3)).to_record()
         assert rec["verdict"] == "ViolentlyUnstable"
@@ -234,6 +266,7 @@ class TestClassify:
        g2=st.floats(-3, 3), g3=st.floats(-3, 3),
        theta=st.floats(0, 2 * math.pi))
 @settings(max_examples=300, deadline=None)
+@example(h2=1.0, h3=1e-8, g2=0.0, g3=1.0, theta=2.0)
 def test_fmin_is_global_lower_bound(h2, h3, g2, g3, theta):
     s = _state(H=(h2, h3), Hv=(g2, g3))
     m = minimize_f(s)

@@ -11,9 +11,9 @@ from pvstab.dispersion import (BranchKind, HalfDiskRegion, count_unstable_roots,
                                plasma_decay_root, scan_directions,
                                series_root_generic, series_root_transitional,
                                transitional_tolerance, vacuum_decay_root)
-from pvstab.errors import (DirectionError, NotTransitionalError,
-                           TransitionalAtThisDirectionError)
-from pvstab.state import EquilibriumState, WaveDirection
+from pvstab.errors import (ContourTooCloseError, DirectionError, NonConvergentError,
+                           NotTransitionalError, TransitionalAtThisDirectionError)
+from pvstab.state import EquilibriumState, FrequencyBundle, WaveDirection
 
 
 def _state(H=(0, 0), Hv=(0, 0), E1=0.0, v=(0, 0), eps=1e-2):
@@ -457,6 +457,150 @@ class TestBatchedCount:
             else:
                 assert t == f
         assert 0 < failed < len(ctxs)
+
+
+def _fields(ctxs):
+    return np.array([[c.bundle.w_plus, c.bundle.w_minus, c.bundle.w_perp,
+                      c.bundle.v_dot] for c in ctxs]).T
+
+
+def _per_point(ctx, shape):
+    """ctx with its field projections repeated as one value per point."""
+    return dataclasses.replace(ctx, direction=None, bundle=FrequencyBundle(
+        *(np.full(shape, f) for f in _fields([ctx])[:, 0])))
+
+
+def _reference_count(ctx, point_of, n0, max_points, per_point):
+    """One direction, path-ordered, every interval re-tested each round."""
+    from pvstab.dispersion import _CONTOUR_FLOOR, _evaluate
+
+    def evaluate(s):
+        return _evaluate(_per_point(ctx, s.shape) if per_point else ctx, s)
+
+    u = np.linspace(0.0, 1.0, n0 + 1)
+    vals, rel = evaluate(point_of(u))
+    min_rel = rel.min()
+    while True:
+        mags = np.abs(vals)
+        bad = np.abs(np.diff(vals)) > 0.8 * np.minimum(mags[:-1], mags[1:])
+        dphi = np.mod(np.diff(np.angle(vals)) + np.pi, 2 * np.pi) - np.pi
+        bad |= np.abs(dphi) >= 0.5 * np.pi
+        bad &= np.diff(u) > 1e-12
+        if min_rel < _CONTOUR_FLOOR:
+            raise ContourTooCloseError(min_rel)
+        if not bad.any():
+            turns = dphi.sum() / (2 * np.pi)
+            if abs(turns - round(turns)) > 0.25:
+                raise NonConvergentError(turns)
+            return round(turns), u.size - 1, float(min_rel)
+        if u.size + bad.sum() > max_points:
+            raise NonConvergentError(max_points)
+        idx = np.flatnonzero(bad)
+        new_u = 0.5 * (u[idx] + u[idx + 1])
+        new_vals, new_rel = evaluate(point_of(new_u))
+        min_rel = min(min_rel, new_rel.min())
+        u = np.insert(u, idx + 1, new_u)
+        vals = np.insert(vals, idx + 1, new_vals)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ContourTooCloseError, NonConvergentError) as err:
+        return type(err)
+
+
+def _as_outcome(result):
+    return type(result) if isinstance(result, Exception) else result
+
+
+class TestIncrementalRefinement:
+    """The kernel against a plain path-ordered refinement of one direction."""
+
+    def _check(self, ctxs, point_of, n0, max_points=1 << 20):
+        from pvstab.dispersion import _winding_numbers
+
+        batch = _winding_numbers(ctxs, point_of, n0, max_points)
+        # a batch evaluates on per-point field arrays, a batch of one on floats
+        per_point = len(ctxs) > 1
+        for ctx, got in zip(ctxs, batch):
+            want = _outcome(lambda: _reference_count(ctx, point_of, n0,
+                                                     max_points, per_point))
+            assert _as_outcome(got) == want, ctx
+        return batch
+
+    def test_matches_reference(self):
+        from pvstab.cli import sample_validation_state
+        from pvstab.dispersion import _circle_path, _half_disk_path
+
+        rng = np.random.default_rng(23)
+        states = [sample_validation_state(rng) for _ in range(8)]
+        states += [COLLINEAR, TRANSITIONAL, NEUTRAL]
+        states += [dataclasses.replace(OBLIQUE, eps=eps) for eps in (1e-4, 0.3, 0.8)]
+        pairs = windings = 0
+        for st in states:
+            ctxs = [make_context(st, WaveDirection.from_angle(a))
+                    for a in rng.uniform(0.0, 2.0 * np.pi, 16)]
+            reg = default_region(st)
+            for radius in (reg.radius, 2.0 * reg.radius):
+                out = self._check(ctxs, _half_disk_path(reg.delta, radius), 512)
+                windings += sum(isinstance(r, tuple) and r[0] > 0 for r in out)
+            for ctx in ctxs:
+                s0 = complex(math.sqrt(abs(ctx.leading_deficit)), -ctx.v_dot)
+                self._check([ctx], _circle_path(s0, 0.25), 32)
+            pairs += len(ctxs)
+        assert pairs >= 200
+        assert windings > 0
+
+    def test_floor_error_matches_reference(self):
+        # the chord Re s = delta runs through the roots at omega' = (0, +-1)
+        from pvstab.dispersion import _half_disk_path
+
+        root = find_unstable_roots(make_context(COLLINEAR, PERP),
+                                   default_region(COLLINEAR)).roots[0]
+        ctxs = [make_context(COLLINEAR, WaveDirection.from_angle(2.0 * math.pi * k / 16))
+                for k in range(16)]
+        out = self._check(ctxs, _half_disk_path(root.real, 10.0), 512)
+        assert sum(isinstance(r, ContourTooCloseError) for r in out) == 2
+        out = self._check(ctxs[4:5], _half_disk_path(root.real, 10.0), 512)
+        assert isinstance(out[0], ContourTooCloseError)
+
+    def test_point_budget_error_matches_reference(self):
+        from pvstab.dispersion import _half_disk_path
+
+        st = _state(H=(1, 0), Hv=(0, 1), E1=0.5, v=(0.8, -0.3))
+        ctxs = [make_context(st, WaveDirection.from_angle(2.0 * math.pi * k / 16))
+                for k in range(16)]
+        reg = default_region(st)
+        path = _half_disk_path(reg.delta, reg.radius)
+        points = sorted(r[1] + 1 for r in self._check(ctxs, path, 512))
+        budget = points[len(points) // 2]
+        out = self._check(ctxs, path, 512, max_points=budget)
+        failed = sum(isinstance(r, NonConvergentError) for r in out)
+        assert 0 < failed < len(ctxs)
+        self._check(ctxs[:1], path, 512, max_points=points[0] - 1)
+
+    def test_shared_path_evaluation_is_per_point_evaluation(self):
+        # the starting grid evaluates points of shape (n,) against (k, 1)
+        # columns of field projections; each row must be bit for bit the
+        # evaluation with one field value per point
+        from pvstab.cli import sample_validation_state
+        from pvstab.dispersion import LopatinskiContext, _half_disk_path
+
+        rng = np.random.default_rng(29)
+        states = [sample_validation_state(rng) for _ in range(4)]
+        states += [dataclasses.replace(OBLIQUE, eps=eps) for eps in (0.0, 1e-4, 0.8)]
+        for st in states:
+            ctxs = [make_context(st, WaveDirection.from_angle(a))
+                    for a in rng.uniform(0.0, 2.0 * np.pi, 12)]
+            reg = default_region(st)
+            s = _half_disk_path(reg.delta, reg.radius)(np.linspace(0.0, 1.0, 257))
+            shared = LopatinskiContext(st, None, FrequencyBundle(*_fields(ctxs)[:, :, None]))
+            for f in (lopatinski, lopatinski_scale):
+                grid = f(shared, s)
+                assert grid.shape == (len(ctxs), s.size)
+                for ctx, row in zip(ctxs, grid):
+                    assert row.tobytes() == f(_per_point(ctx, s.shape), s).tobytes()
 
 
 class TestScanDirections:
