@@ -28,8 +28,8 @@ from .errors import (ContourTooCloseError, DegenerateSymbolError,
                      StateValidationError, TransitionalAtThisDirectionError)
 from .modes import (ModeSolution, ResidualReport, build_mode, growth_table,
                     residuals)
-from .oracle import (ConvergenceRecord, OracleConfig, dense_root_scan,
-                     eigen_fmin, grid_fmin, series_vs_numeric)
+from .oracle import (ConvergenceRecord, dense_root_scan, eigen_fmin, grid_fmin,
+                     series_vs_numeric)
 from .state import (EquilibriumState, FrequencyBundle, WaveDirection,
                     b0_matrix, frequency_bundle, galilean_transform,
                     validate_state)

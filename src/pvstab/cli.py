@@ -17,7 +17,11 @@ A scenario file is a flat key-value document with block headers:
                        min, max, steps
     [analysis]         optional numerics overrides: tol_eq (relative
                        equality-band coefficient), n_dirs, delta, radius,
-                       series_order, decay_p, cross_check, sample
+                       decay_p, cross_check, sample
+
+``sweep`` with ``cross_check`` and ``validate`` judge the closed-form verdict
+against a winding scan by one rule (`judge_verdict`): undecided inside
+`margin_band`, an error when any scanned direction failed.
 
 Outputs are JSON lines (classify, modes, validate) or versioned CSV
 (roots, sweep); identical scenarios produce byte-identical files.  Exit
@@ -38,16 +42,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import criterion, dispersion
-from .criterion import Verdict, classify
-from .dispersion import HalfDiskRegion, default_region, find_unstable_roots, \
-    make_context, scan_directions
-from .errors import (ContourTooCloseError, DegenerateSymbolError,
-                     NonConvergentError, PvstabError, ScenarioParseError,
-                     StateValidationError)
-from .modes import build_mode, growth_table, residuals
-from .oracle import eigen_fmin
-from .state import EquilibriumState, WaveDirection, validate_state
+from . import criterion
+from .criterion import classify
+from .dispersion import HalfDiskRegion, ScanSummary, default_region, \
+    find_unstable_roots, make_context, scan_directions
+from .errors import (ContourTooCloseError, NonConvergentError, PvstabError,
+                     ScenarioParseError, StateValidationError)
+from .modes import build_mode, growth_rows, residuals
+from .state import EquilibriumState, validate_state
 
 SWEEP_PARAMETERS = ("E1", "angle_alpha", "H_mag", "Hv_mag", "v2", "v3", "eps")
 
@@ -72,7 +74,6 @@ class AnalysisOptions:
     n_dirs: int = 32
     delta: float | None = None  # region overrides (absolute)
     radius: float | None = None
-    series_order: int = 2
     decay_p: float = 3.0
     cross_check: bool = False
     sample: int = 200
@@ -152,8 +153,8 @@ def apply_sweep_parameter(state: EquilibriumState, name: str,
 
 _STATE_KEYS = set(EquilibriumState.RECORD_KEYS)
 _SWEEP_KEYS = {"parameter", "min", "max", "steps"}
-_ANALYSIS_KEYS = {"tol_eq", "n_dirs", "delta", "radius", "series_order",
-                  "decay_p", "cross_check", "sample"}
+_ANALYSIS_KEYS = {"tol_eq", "n_dirs", "delta", "radius", "decay_p",
+                  "cross_check", "sample"}
 
 
 def _parse_bool(text: str, line: int) -> bool:
@@ -266,7 +267,7 @@ def parse_scenario(path) -> Scenario:
     for key, (value, ln) in analysis_block.items():
         if key == "cross_check":
             analysis.cross_check = _parse_bool(value, ln)
-        elif key in ("n_dirs", "series_order", "sample"):
+        elif key in ("n_dirs", "sample"):
             try:
                 setattr(analysis, key, int(value))
             except ValueError:
@@ -373,8 +374,7 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
         try:
             validate_state(point.state)
             summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
-                                      region=analysis.region_for(point.state),
-                                      locate=True)
+                                      region=analysis.region_for(point.state))
             rows = rows_of(index, summary)
         except PvstabError as err:
             rows = [{"index": index, "error": str(err)}]
@@ -396,23 +396,21 @@ def _expected_growth(state: EquilibriumState, cls):
     """Leading-order growth rate and the direction carrying it.
 
     Above the threshold the growing root sits at sqrt(margin) along the
-    F-minimizer; on the critical set it opens at sqrt(eps) scale wherever
-    the sign product is positive (any direction minimizes F in the
-    degenerate constant-F case, so those states are searched over a fan).
+    F-minimizer.  On the critical set it opens at sqrt(2 eps P), where
+    P = E1 w_perp (v'.omega') > 0 is the sign product at the F-minimizer or,
+    when F is constant and every direction minimizes it, the largest P over
+    all directions (`criterion.degenerate_transitional`).
     """
     if cls.margin > cls.tol_eq:
         return math.sqrt(cls.margin), cls.minimizer
-    candidates = [cls.minimizer]
     if cls.degenerate:
-        candidates += [WaveDirection.from_angle(math.pi * k / 32)
-                       for k in range(32)]
-    best, best_dir = 0.0, cls.minimizer
-    for d in candidates:
-        bundle = dispersion.make_context(state, d).bundle
+        g, direction = criterion.degenerate_transitional(state)
+        product = 2.0 * g
+    else:
+        direction = cls.minimizer
+        bundle = make_context(state, direction).bundle
         product = 2.0 * state.E1_hat * bundle.w_perp * bundle.v_dot
-        if product > 0 and math.sqrt(product * state.eps) > best:
-            best, best_dir = math.sqrt(product * state.eps), d
-    return best, best_dir
+    return math.sqrt(max(product, 0.0) * state.eps), direction
 
 
 def cmd_modes(scenario: Scenario, out: _Output) -> int:
@@ -436,19 +434,13 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
             if not report.roots:
                 continue
             root = max(report.roots, key=lambda z: z.real)
-            growth = growth_table(state, root, direction, _MODE_N, _MODE_T,
-                                  decay_p=analysis.decay_p)
+            modes = [build_mode(state, root, direction, n, decay_p=analysis.decay_p)
+                     for n in _MODE_N]
         except PvstabError as err:
             out.line(_json_line({"index": index, "error": str(err)}))
             failed += 1
             continue
-        for n in _MODE_N:
-            try:
-                mode = build_mode(state, root, direction, n,
-                                  decay_p=analysis.decay_p)
-            except DegenerateSymbolError as err:
-                out.line(_json_line({"index": index, "n": n, "error": str(err)}))
-                continue
+        for mode in modes:
             res = residuals(mode, state)
             rec = {"index": index, **mode.to_record(),
                    "residuals": {
@@ -459,7 +451,7 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
                        "scale": res.scale},
                    "growth": [{"t": g.t, "initial_norm": g.initial_norm,
                                "ratio": g.ratio, "log_ratio": g.log_ratio}
-                              for g in growth if g.n == n]}
+                              for g in growth_rows(mode, _MODE_T)]}
             out.line(_json_line(rec))
             wrote_any = True
     if not wrote_any:
@@ -483,22 +475,11 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
             validate_state(point.state)
             cls = classify(point.state, tol_eq=analysis.tol_for(point.state))
             row.update(cls.to_record())
-            row["error"] = ""
             if analysis.cross_check:
-                summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
-                                          region=analysis.region_for(point.state),
-                                          locate=True)
+                summary, agree = judge_verdict(point.state, cls, analysis)
                 row["numeric_unstable"] = summary.numerically_unstable
-                row["max_re_s"] = summary.max_re_s if summary.max_re_s is not None else ""
-                verdict = Verdict(row["verdict"])
-                if verdict is Verdict.VIOLENTLY_UNSTABLE:
-                    row["agreement"] = summary.numerically_unstable
-                elif verdict is Verdict.NEUTRALLY_STABLE:
-                    row["agreement"] = not summary.numerically_unstable
-                else:
-                    row["agreement"] = True  # band: not decidable at fixed eps
-            else:
-                row["numeric_unstable"] = row["max_re_s"] = row["agreement"] = ""
+                row["max_re_s"] = summary.max_re_s
+                row["agreement"] = agree        # None (empty cell): undecided
         except PvstabError as err:
             row["error"] = str(err)    # columns not reached stay empty
             return row, True
@@ -538,6 +519,26 @@ def margin_band(state: EquilibriumState, tol_eq: float) -> float:
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
+def judge_verdict(state: EquilibriumState, cls: criterion.Classification,
+                  analysis: AnalysisOptions) -> tuple[ScanSummary, bool | None]:
+    """Scan ``state`` and judge the closed-form verdict ``cls`` against it.
+
+    Returns the scan and the agreement: whether the verdict is unstable
+    exactly when some direction has a right-half-plane root, or None inside
+    `margin_band`, where the numerics cannot decide.  A scan in which any
+    direction failed raises a PvstabError naming how many failed and the
+    first failure.
+    """
+    summary = scan_directions(state, n_dirs=analysis.n_dirs,
+                              region=analysis.region_for(state))
+    if summary.n_errors:
+        first = next(r.error for r in summary.records if r.error)
+        raise PvstabError(f"{summary.n_errors} direction(s) failed: {first}")
+    if abs(cls.margin) <= margin_band(state, cls.tol_eq):
+        return summary, None
+    return summary, cls.verdict.is_unstable == summary.numerically_unstable
+
+
 def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
     """Random state straddling the stability boundary.
 
@@ -552,7 +553,8 @@ def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
                           H_hat_t=(float(H[0]), float(H[1])),
                           Hv_hat_t=(float(Hv[0]), float(Hv[1])),
                           E1_hat=0.0, eps=1e-2)
-    e1 = float(rng.uniform(0.0, 1.5 * math.sqrt(eigen_fmin(st) + 1.0)))
+    f_min = criterion.critical_e1_squared(st)
+    e1 = float(rng.uniform(0.0, 1.5 * math.sqrt(f_min + 1.0)))
     return dataclasses.replace(st, E1_hat=e1)
 
 
@@ -586,16 +588,10 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
                "verdict": cls.verdict.value, "margin": cls.margin,
                "band": margin_band(st, cls.tol_eq)}
         try:
-            summary = scan_directions(st, n_dirs=analysis.n_dirs,
-                                      region=analysis.region_for(st),
-                                      locate=True)
-            if summary.n_errors:
-                errs = [r.error for r in summary.records if r.error]
-                rec["error"] = f"{summary.n_errors} direction(s) failed: {errs[0]}"
-            else:
-                rec["numeric_unstable"] = summary.numerically_unstable
-                rec["max_re_s"] = summary.max_re_s
-                rec["agree"] = (cls.verdict.is_unstable == summary.numerically_unstable)
+            summary, agree = judge_verdict(st, cls, analysis)
+            rec["numeric_unstable"] = summary.numerically_unstable
+            rec["max_re_s"] = summary.max_re_s
+            rec["agree"] = agree    # never None: band states were set aside
         except PvstabError as err:
             rec["error"] = str(err)
         return rec

@@ -12,7 +12,11 @@ right-hand side equals the minimum over unit wave directions omega' of
 
 a quadratic form on the unit circle whose smaller eigenvalue has the closed
 form above.  `minimize_f` returns the minimum together with the minimizing
-direction, the eigenvector of that eigenvalue.
+direction, the eigenvector of that eigenvalue.  On the critical set,
+`transitional_discriminant` gives G; when F is constant (every direction
+minimizes it) `degenerate_transitional` gives G as the maximum of the
+direction-wise sign quantity, with its maximizing direction, also in
+closed form.
 """
 
 from __future__ import annotations
@@ -22,11 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .state import EquilibriumState, WaveDirection, frequency_bundle
-
-# Degenerate transitional states are checked on this many sampled directions
-# in addition to the reported representative.
-_DEGENERATE_SAMPLES = 64
-
 
 class Verdict(str, enum.Enum):
     VIOLENTLY_UNSTABLE = "ViolentlyUnstable"
@@ -160,25 +159,30 @@ def transitional_discriminant(state: EquilibriumState) -> float:
                            + (state.Hv_sq - state.E1_hat ** 2) * (v2 * Hv3 - v3 * Hv2))
 
 
-def _degenerate_transitional_quantity(state: EquilibriumState,
-                                      representative: WaveDirection) -> float:
-    """Worst-case transitional sign quantity when every direction minimizes F.
+def degenerate_transitional(state: EquilibriumState) -> tuple[float, WaveDirection]:
+    """Sign quantity G and its direction when every direction minimizes F.
 
-    The closed form for G assumes an isolated minimizer pair and collapses to
-    zero in the constant-F case.  There the square-root-of-eps growth branch
-    opens at any direction omega' with E1 * w_perp(omega') * (v'.omega') > 0,
-    so we report the maximum of that product over sampled directions plus the
-    representative.
+    The closed form for G assumes an isolated minimizer pair and collapses
+    to zero when F is constant.  There the square-root-of-eps growth branch
+    opens at every direction omega' with E1 * w_perp(omega') * (v'.omega') > 0,
+    so G is the maximum of that product over unit omega'.  With
+    a = (Hv3, -Hv2), w_perp = a.omega' and the maximum is
+
+        G* = |E1| * | |v'| a + sgn(E1) |a| v' |^2 / (4 |a| |v'|)  >= 0,
+
+    attained along omega' ~ |v'| a + sgn(E1) |a| v'.  Where that vector
+    vanishes, G* is 0 and the direction reported is (1, 0).
     """
-    best = -math.inf
-    dirs = [representative] + [
-        WaveDirection.from_angle(2.0 * math.pi * k / _DEGENERATE_SAMPLES)
-        for k in range(_DEGENERATE_SAMPLES)
-    ]
-    for d in dirs:
-        bun = frequency_bundle(state, d)
-        best = max(best, state.E1_hat * bun.w_perp * bun.v_dot)
-    return best
+    Hv2, Hv3 = state.Hv_hat_t
+    v2, v3 = state.v_hat_t
+    na, nv = math.hypot(Hv2, Hv3), math.hypot(v2, v3)
+    sign = math.copysign(1.0, state.E1_hat)
+    u2, u3 = nv * Hv3 + sign * na * v2, -nv * Hv2 + sign * na * v3
+    nu = math.hypot(u2, u3)
+    if nu == 0.0:       # a = 0, v' = 0, or a antiparallel to sgn(E1) v'
+        return 0.0, WaveDirection(1.0, 0.0)
+    g = abs(state.E1_hat) * nu * nu / (4.0 * na * nv)
+    return g, _canonical(u2 / nu, u3 / nu)
 
 
 def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classification:
@@ -189,9 +193,9 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
       * ViolentlyUnstable   if margin >  tol_eq,
       * NeutrallyStable     if margin < -tol_eq,
       * TransitionalUnstable / TransitionalNeutral inside the band,
-        decided by the sign of the transitional discriminant (in the
-        degenerate constant-F case, by the worst sampled direction-wise
-        sign quantity instead; see _degenerate_transitional_quantity).
+        decided by the sign of the transitional discriminant G (in the
+        degenerate constant-F case, by the largest direction-wise sign
+        quantity instead, in closed form; see degenerate_transitional).
 
     ``tol_eq`` defaults to ``default_tol_eq(state)``; pass 0 to resolve the
     strict inequality exactly (meaningful when the threshold is exact, e.g.
@@ -209,7 +213,7 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
         verdict, G = Verdict.NEUTRALLY_STABLE, None
     else:
         if mres.degenerate:
-            G = _degenerate_transitional_quantity(state, mres.omega_star)
+            G, _ = degenerate_transitional(state)
         else:
             G = transitional_discriminant(state)
         verdict = (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0

@@ -85,10 +85,6 @@ class LopatinskiContext:
     def v_dot(self) -> float:
         return self.bundle.v_dot
 
-    def ell(self, s):
-        """Symbol ell(s) = s + i (v'.omega')."""
-        return s + 1j * self.bundle.v_dot
-
     @property
     def leading_deficit(self) -> float:
         """D = E1^2 - w_plus^2 - w_minus^2, the eps = 0 squared growth rate."""
@@ -776,8 +772,7 @@ def _count_with_doubling(ctxs, region: HalfDiskRegion) -> list:
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
-                    region: HalfDiskRegion | None = None,
-                    locate: bool = True) -> ScanSummary:
+                    region: HalfDiskRegion | None = None) -> ScanSummary:
     """Count unstable roots over equispaced directions plus the F-minimizers.
 
     A state is declared numerically unstable iff any scanned direction has a
@@ -809,7 +804,7 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
             records.append(DirectionScan(d, None, error=str(c)))
             continue
         report = None
-        if c.winding > 0 and locate:
+        if c.winding > 0:
             report = find_unstable_roots(ctx, c.region, counted=c)
         records.append(DirectionScan(d, c.winding, c.region, c.contour_points,
                                      c.min_rel, report))

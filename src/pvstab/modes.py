@@ -235,6 +235,18 @@ class GrowthRow:
     log_ratio: float
 
 
+def growth_rows(mode: ModeSolution, t_list) -> list[GrowthRow]:
+    """Growth exp(n Re(s) t) of one mode at the times t_list."""
+    norm0 = mode.amplitude_scale
+    rows = []
+    for t in t_list:
+        log_ratio = mode.n * mode.s.real * t
+        ratio = math.exp(log_ratio) if log_ratio < 700.0 else math.inf
+        rows.append(GrowthRow(n=mode.n, t=t, initial_norm=norm0,
+                              ratio=ratio, log_ratio=log_ratio))
+    return rows
+
+
 def growth_table(state: EquilibriumState, s: complex, direction: WaveDirection,
                  n_list, t_list, decay_p: float = 3.0) -> list[GrowthRow]:
     """Tabulate the Hadamard growth exp(n Re(s) t) against the initial size.
@@ -242,13 +254,6 @@ def growth_table(state: EquilibriumState, s: complex, direction: WaveDirection,
     With decay_p large enough the initial norms stay bounded (they decay in
     n) while the ratio diverges in n for every fixed t > 0.
     """
-    rows = []
-    for n in n_list:
-        mode = build_mode(state, s, direction, n, decay_p=decay_p)
-        norm0 = mode.amplitude_scale
-        for t in t_list:
-            log_ratio = n * s.real * t
-            ratio = math.exp(log_ratio) if log_ratio < 700.0 else math.inf
-            rows.append(GrowthRow(n=n, t=t, initial_norm=norm0,
-                                  ratio=ratio, log_ratio=log_ratio))
-    return rows
+    return [row for n in n_list
+            for row in growth_rows(build_mode(state, s, direction, n, decay_p=decay_p),
+                                   t_list)]

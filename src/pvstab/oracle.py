@@ -23,17 +23,6 @@ from .errors import ContourTooCloseError, NonConvergentError
 from .state import EquilibriumState, WaveDirection
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    grid_points: int = 4096          # directions on the unit circle (>= 1024)
-    resolution: float = 1e-3         # complex-plane grid step for dense scans
-    tolerance: float = 1e-2          # relative |L| below which a grid minimum is a candidate
-
-    def __post_init__(self):
-        if self.grid_points < 1024:
-            raise ValueError("grid_points must be at least 1024")
-
-
 def grid_fmin(state: EquilibriumState, n: int = 4096) -> tuple[float, WaveDirection]:
     """Minimum of F over n equispaced unit directions.
 
@@ -61,12 +50,11 @@ def eigen_fmin(state: EquilibriumState) -> float:
     """Smaller eigenvalue of M = H' H'^T + Hv' Hv'^T.
 
     F(omega') = omega'^T M omega' on the unit circle, so its minimum is the
-    smaller eigenvalue: (tr - sqrt(tr^2 - 4 det)) / 2 with the radicand
-    clamped at zero.  trace M = |H'|^2 + |Hv'|^2 and det M = (H' x Hv')^2.
+    smaller eigenvalue of M, taken here from LAPACK (`np.linalg.eigvalsh`):
+    no closed form, so no cancellation in tr^2 - 4 det near constant F.
     """
-    tr = state.H_sq + state.Hv_sq
-    det = state.cross_H_Hv ** 2
-    return 0.5 * (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+    fields = np.array([state.H_hat_t, state.Hv_hat_t])
+    return float(np.linalg.eigvalsh(fields.T @ fields)[0])
 
 
 @dataclass(frozen=True)

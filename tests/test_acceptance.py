@@ -115,7 +115,7 @@ def test_c04_neutral_series_and_spectra():
                 assert all(abs(c.real) <= 1e-12 * scale
                            for c in branch.coefficients), (st, d, branch)
 
-        summary = pv.scan_directions(st, n_dirs=16, locate=False)
+        summary = pv.scan_directions(st, n_dirs=16)
         assert summary.n_errors == 0, st
         assert not summary.numerically_unstable, st
 

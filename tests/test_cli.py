@@ -282,6 +282,68 @@ steps = 25
         assert _run(["sweep", _write(tmp_path, MINIMAL)]) == 1
 
 
+CROSS_CHECK = """
+[state]
+H2 = 1.0
+Hv2 = 2.0
+E1 = 0.3
+
+[sweep]
+parameter = E1
+min = 0
+max = 0.4
+steps = 3
+
+[analysis]
+cross_check = true
+n_dirs = 16
+"""
+
+
+class TestSweepCrossCheck:
+    def test_agreement_decided_outside_band_only(self, tmp_path):
+        # collinear fields: E1 = 0 sits on the critical set, inside the
+        # margin band; E1 = 0.2 and 0.4 are violently unstable outside it
+        out = tmp_path / "sweep.csv"
+        assert _run(["sweep", _write(tmp_path, CROSS_CHECK), "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert [r["agreement"] for r in rows] == ["", "True", "True"]
+        assert [r["numeric_unstable"] for r in rows] == ["False", "True", "True"]
+        assert all(r["error"] == "" for r in rows)
+
+    def test_band_states_are_not_judged(self, tmp_path):
+        # at eps = 0.3 the margin band is 8.6-10.4 wide while |margin| stays
+        # below 0.21: no row can be judged, whatever the scan finds
+        text = ("[state]\nH2 = 1.0\nHv3 = 2.0\nv2 = 1.0\neps = 0.3\nE1 = 1.0\n"
+                "[sweep]\nparameter = E1\nmin = 0.9\nmax = 1.1\nsteps = 9\n"
+                "[analysis]\ncross_check = true\nn_dirs = 16\n")
+        out = tmp_path / "sweep.csv"
+        assert _run(["sweep", _write(tmp_path, text), "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert len(rows) == 9
+        for r in rows:
+            assert r["agreement"] == "" and r["error"] == ""
+            assert r["numeric_unstable"] in ("True", "False")
+
+    def test_failed_direction_is_an_error_row(self, tmp_path, monkeypatch):
+        import pvstab.cli as cli_mod
+        from pvstab.dispersion import DirectionScan, ScanSummary
+        from pvstab.state import WaveDirection
+
+        def fake_scan(state, n_dirs=32, region=None):
+            return ScanSummary(
+                records=(DirectionScan(WaveDirection(1, 0), None, error="boom"),
+                         DirectionScan(WaveDirection(0, 1), 0)),
+                numerically_unstable=False, max_re_s=None, n_errors=1)
+
+        monkeypatch.setattr(cli_mod, "scan_directions", fake_scan)
+        out = tmp_path / "sweep.csv"
+        assert _run(["sweep", _write(tmp_path, CROSS_CHECK), "--out", str(out)]) == 3
+        for r in _csv_rows(out):
+            assert r["error"] == "1 direction(s) failed: boom"
+            assert r["verdict"] and r["agreement"] == "" and r["numeric_unstable"] == ""
+
+
 class TestRootsCommand:
     def test_csv_structure(self, tmp_path):
         text = MINIMAL + "\n[analysis]\nn_dirs = 8\n"
@@ -356,6 +418,26 @@ class TestModesCommand:
             assert max(r["residuals"]["pressure"],
                        r["residuals"]["constraints"]) <= 1e-10
 
+    def test_each_mode_is_built_once(self, tmp_path, monkeypatch):
+        # n = 1, 10, 100 per unstable state, for its record and its growth
+        # rows alike
+        import pvstab.cli as cli_mod
+        import pvstab.modes as modes_mod
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[3])
+            return original(*args, **kwargs)
+
+        original = modes_mod.build_mode
+        monkeypatch.setattr(cli_mod, "build_mode", counting)
+        monkeypatch.setattr(modes_mod, "build_mode", counting)
+        text = MINIMAL + "\n[sweep]\nparameter = E1\nmin = 0.3\nmax = 0.4\nsteps = 2\n"
+        out = tmp_path / "modes.jsonl"
+        assert _run(["modes", _write(tmp_path, text), "--out", str(out)]) == 0
+        assert built == [1, 10, 100, 1, 10, 100]
+
     def test_bad_point_does_not_lose_the_run(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nparameter = eps\nmin = 0\nmax = 0.02\nsteps = 3\n"
         out = tmp_path / "modes.jsonl"
@@ -410,7 +492,7 @@ class TestValidateCommand:
         import pvstab.cli as cli_mod
         from pvstab.dispersion import ScanSummary
 
-        def fake_scan(state, n_dirs=32, region=None, locate=True):
+        def fake_scan(state, n_dirs=32, region=None):
             return ScanSummary(records=(), numerically_unstable=False,
                                max_re_s=None, n_errors=0)
 

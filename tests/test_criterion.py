@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvstab.criterion import (Verdict, classify, critical_e1_squared,
-                              default_tol_eq, f_of_omega, minimize_f,
-                              transitional_discriminant)
+                              default_tol_eq, degenerate_transitional,
+                              f_of_omega, minimize_f, transitional_discriminant)
 from pvstab.state import EquilibriumState, WaveDirection
 
 
@@ -154,6 +154,42 @@ class TestCriticalE1Squared:
             assert abs(crit - f_min) <= 1e-10 * (1.0 + f_min)
 
 
+class TestDegenerateTransitional:
+    def test_bounds_a_dense_direction_grid(self):
+        # the closed-form maximum is at least the product on 4,096
+        # directions and equals it at the returned direction
+        rng = np.random.default_rng(23)
+        theta = 2 * np.pi * np.arange(4096) / 4096
+        c, s = np.cos(theta), np.sin(theta)
+        for _ in range(300):
+            r, alpha = rng.uniform(0.1, 2.0), rng.uniform(0, 2 * np.pi)
+            turn = rng.choice([-1.0, 1.0])
+            st = _state(H=(r * math.cos(alpha), r * math.sin(alpha)),
+                        Hv=(-turn * r * math.sin(alpha), turn * r * math.cos(alpha)),
+                        E1=rng.uniform(-2, 2), v=tuple(rng.uniform(-2, 2, 2)))
+            assert minimize_f(st).degenerate
+            g, w = degenerate_transitional(st)
+            (Hv2, Hv3), (v2, v3) = st.Hv_hat_t, st.v_hat_t
+            product = st.E1_hat * (Hv3 * c - Hv2 * s) * (v2 * c + v3 * s)
+            at_w = st.E1_hat * (Hv3 * w.omega2 - Hv2 * w.omega3) * (
+                v2 * w.omega2 + v3 * w.omega3)
+            scale = abs(st.E1_hat) * math.sqrt(st.Hv_sq * st.v_sq)
+            assert g >= 0.0 and w.is_unit
+            assert product.max() <= g + 1e-14 * scale
+            assert abs(at_w - g) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("Hv, E1, v", [
+        ((0, 0), 1.0, (1, 2)),        # a = 0
+        ((0, 1), 1.0, (0, 0)),        # v' = 0
+        ((0, 1), 0.0, (1, 2)),        # E1 = 0
+        ((0, 1), 1.0, (-2, 0)),       # a antiparallel to sgn(E1) v'
+        ((0, 1), -1.0, (2, 0)),
+    ], ids=["zero-field", "no-flow", "zero-E1", "antiparallel", "antiparallel-negative"])
+    def test_zero_where_no_direction_is_positive(self, Hv, E1, v):
+        g, w = degenerate_transitional(_state(Hv=Hv, E1=E1, v=v))
+        assert g == 0.0 and w.is_unit
+
+
 class TestTransitionalDiscriminant:
     def test_zero_velocity(self):
         assert transitional_discriminant(
@@ -212,14 +248,27 @@ class TestClassify:
         assert c.verdict is Verdict.TRANSITIONAL_NEUTRAL
         assert c.transitional_G == pytest.approx(-6.0)
 
-    def test_degenerate_transitional_uses_sampled_quantity(self):
+    def test_degenerate_transitional_uses_direction_maximum(self):
         # F is constant: the closed-form G degenerates to 0, but the
         # square-root-of-eps branch opens at directions with
         # E1 * w_perp * (v'.omega') > 0; here that is omega2^2 > 0.
         c = classify(_state(H=(1, 0), Hv=(0, 1), E1=1.0, v=(1, 0)))
         assert c.degenerate
         assert c.verdict is Verdict.TRANSITIONAL_UNSTABLE
-        assert c.transitional_G > 0
+        assert c.transitional_G == pytest.approx(1.0)
+
+    def test_degenerate_narrow_positive_lobe(self):
+        # the product is positive only on a lobe 0.02 rad wide around the
+        # angle b + pi/2 - 0.01, which lies between two directions of a
+        # 64-point grid; the maximum over that grid is -7.8e-4
+        b = 0.8 * 2 * math.pi / 64
+        c = classify(_state(H=(math.cos(b), math.sin(b)),
+                            Hv=(-math.sin(b), math.cos(b)), E1=1.0,
+                            v=(math.cos(b + math.pi - 0.02),
+                               math.sin(b + math.pi - 0.02))))
+        assert c.degenerate
+        assert c.verdict is Verdict.TRANSITIONAL_UNSTABLE
+        assert c.transitional_G == pytest.approx((1 - math.cos(0.02)) / 2, rel=1e-9)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(10)

@@ -415,7 +415,7 @@ class TestBatchedCount:
         states += [dataclasses.replace(OBLIQUE, eps=eps) for eps in (1e-4, 0.5, 0.9)]
         pairs = 0
         for st in states:
-            batched = _records(scan_directions(st, n_dirs=16, locate=False))
+            batched = _records(scan_directions(st, n_dirs=16))
             assert batched == _single_scan(st, 16), st
             pairs += len(batched)
         assert pairs >= 200

@@ -5,8 +5,8 @@ import pytest
 
 from pvstab.criterion import critical_e1_squared
 from pvstab.dispersion import local_winding, make_context
-from pvstab.oracle import (OracleConfig, dense_root_scan, eigen_fmin,
-                           grid_fmin, grid_fmin_bound, series_vs_numeric)
+from pvstab.oracle import (dense_root_scan, eigen_fmin, grid_fmin,
+                           grid_fmin_bound, series_vs_numeric)
 from pvstab.state import EquilibriumState, WaveDirection
 
 
@@ -30,6 +30,19 @@ class TestEigenFmin:
     def test_collinear_rank_deficient(self):
         assert eigen_fmin(_state(H=(1.5, -0.9), Hv=(3, -1.8))) == pytest.approx(
             0.0, abs=1e-14)
+
+    def test_near_constant_f_at_high_precision(self):
+        # F_min = 1 - 1e-8; the closed form (tr - sqrt(tr^2 - 4 det)) / 2
+        # cancels to 1.0 here
+        import mpmath
+
+        st = _state(H=(1, 1e-8), Hv=(0, 1))
+        with mpmath.workdps(50):
+            h3 = mpmath.mpf(1e-8)
+            m11, m22, m12 = mpmath.mpf(1), h3 * h3 + 1, h3
+            exact = (m11 + m22 - mpmath.sqrt((m11 - m22) ** 2 + 4 * m12 ** 2)) / 2
+            err = float(abs(eigen_fmin(st) - exact))
+        assert err <= 4e-16 * (st.H_sq + st.Hv_sq)
 
 
 class TestGridFmin:
@@ -100,16 +113,6 @@ class TestDenseRootScan:
         ctx = make_context(NEUTRAL, WaveDirection(1, 0))
         with pytest.raises(ValueError):
             dense_root_scan(ctx, (-0.1, 1.0, -1.0, 1.0), 1e-3)
-
-
-class TestOracleConfig:
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            OracleConfig(grid_points=512)
-
-    def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.grid_points >= 1024
 
 
 class TestSeriesVsNumeric:
