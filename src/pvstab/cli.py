@@ -81,12 +81,12 @@ class AnalysisOptions:
     def tol_for(self, state: EquilibriumState) -> float:
         return criterion.default_tol_eq(state, coeff=self.tol_eq)
 
-    def region_for(self, state: EquilibriumState) -> HalfDiskRegion | None:
-        if self.delta is None and self.radius is None:
-            return None
+    def region_for(self, state: EquilibriumState) -> HalfDiskRegion:
+        """The region every scan of ``state`` uses: the default one, with
+        the overrides applied."""
         base = default_region(state)
-        return HalfDiskRegion(self.delta if self.delta is not None else base.delta,
-                              self.radius if self.radius is not None else base.radius)
+        return HalfDiskRegion(base.delta if self.delta is None else self.delta,
+                              base.radius if self.radius is None else self.radius)
 
 
 @dataclass(frozen=True)
@@ -354,6 +354,7 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
                 "R": rec.region.radius if rec.region else "",
                 "contour_points": rec.contour_points or "",
                 "error": rec.error or "",
+                "flags": "; ".join(rec.report.flags) if rec.report else "",
             }
             if rec.report is not None and rec.report.roots:
                 for root, res in zip(rec.report.roots, rec.report.residuals):
@@ -364,7 +365,7 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
         return rows
 
     columns = ["index", "omega2", "omega3", "winding", "re_s", "im_s",
-               "abs_L", "delta", "R", "contour_points", "error"]
+               "abs_L", "delta", "R", "contour_points", "error", "flags"]
     out.line("# pvstab-csv v1")
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
@@ -428,7 +429,7 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
             expected, direction = _expected_growth(state, cls)
             if expected <= 0.0:
                 continue
-            region = analysis.region_for(state) or default_region(state)
+            region = analysis.region_for(state)
             region = HalfDiskRegion(min(region.delta, 0.3 * expected), region.radius)
             report = find_unstable_roots(make_context(state, direction), region)
             if not report.roots:
@@ -501,21 +502,24 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
     return 3 if grid and failed == len(grid) else 0
 
 
-def margin_band(state: EquilibriumState, tol_eq: float) -> float:
+def margin_band(state: EquilibriumState, tol_eq: float,
+                delta: float | None = None) -> float:
     """Half-width of the margin interval not decidable numerically at fixed eps.
 
     The classification criterion is asymptotic (valid for eps below a
     state-dependent ceiling), while the winding scan runs at the state's
-    actual eps with a contour offset delta.  Near the critical set the
-    finite-eps root shifts by O(eps * E1 * |Hv'| * (1 + |v'|)) in the squared
-    growth rate, and roots with Re s <= delta are undetectable, so agreement
-    can only be asserted outside the band below.
+    actual eps with a contour offset delta (the scan's, by default that of
+    `default_region`).  Near the critical set the finite-eps root shifts by
+    O(eps * E1 * |Hv'| * (1 + |v'|)) in the squared growth rate, and roots
+    with Re s <= delta are undetectable, so agreement can only be asserted
+    outside the band below.
     """
     e1, hv, vm = abs(state.E1_hat), math.sqrt(state.Hv_sq), math.sqrt(state.v_sq)
     a = 2.0 * state.eps * e1 * hv * vm + (state.eps * e1 * hv) ** 2
     smax = e1 + vm
     b = (state.eps * smax) ** 2 * (state.Hv_sq + 0.5 * (smax ** 2 + state.H_sq))
-    delta = default_region(state).delta
+    if delta is None:
+        delta = default_region(state).delta
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
@@ -529,12 +533,12 @@ def judge_verdict(state: EquilibriumState, cls: criterion.Classification,
     direction failed raises a PvstabError naming how many failed and the
     first failure.
     """
-    summary = scan_directions(state, n_dirs=analysis.n_dirs,
-                              region=analysis.region_for(state))
+    region = analysis.region_for(state)
+    summary = scan_directions(state, n_dirs=analysis.n_dirs, region=region)
     if summary.n_errors:
         first = next(r.error for r in summary.records if r.error)
         raise PvstabError(f"{summary.n_errors} direction(s) failed: {first}")
-    if abs(cls.margin) <= margin_band(state, cls.tol_eq):
+    if abs(cls.margin) <= margin_band(state, cls.tol_eq, region.delta):
         return summary, None
     return summary, cls.verdict.is_unstable == summary.numerically_unstable
 
@@ -570,7 +574,7 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
     analysis = scenario.analysis
     rng = np.random.default_rng(seed)
     target = analysis.sample
-    accepted: list[tuple[EquilibriumState, criterion.Classification]] = []
+    accepted: list[tuple[EquilibriumState, criterion.Classification, float]] = []
     n_band = 0
     max_attempts = 1000 * max(target, 1)
     attempts = 0
@@ -578,15 +582,16 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
         attempts += 1
         st = sample_validation_state(rng)
         cls = classify(st, tol_eq=analysis.tol_for(st))
-        if abs(cls.margin) <= margin_band(st, cls.tol_eq):
+        band = margin_band(st, cls.tol_eq, analysis.region_for(st).delta)
+        if abs(cls.margin) <= band:
             n_band += 1
             continue
-        accepted.append((st, cls))
+        accepted.append((st, cls, band))
 
-    def record_of(index, st, cls):
+    def record_of(index, st, cls, band):
         rec = {"index": index, **_state_params(st),
                "verdict": cls.verdict.value, "margin": cls.margin,
-               "band": margin_band(st, cls.tol_eq)}
+               "band": band}
         try:
             summary, agree = judge_verdict(st, cls, analysis)
             rec["numeric_unstable"] = summary.numerically_unstable
@@ -596,8 +601,7 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
             rec["error"] = str(err)
         return rec
 
-    records = [record_of(index, st, cls)
-               for index, (st, cls) in enumerate(accepted)]
+    records = [record_of(index, *item) for index, item in enumerate(accepted)]
     n_failed = sum(1 for r in records if "error" in r)
     judged = [r for r in records if "agree" in r]
     n_disagree = sum(1 for r in records if r.get("agree") is False)

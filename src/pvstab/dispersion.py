@@ -12,14 +12,19 @@ Roots with Re s > 0 generate exponentially growing modes whose rate scales
 with the wavenumber (violent instability).  The principal branch of the
 square root is analytic on the open right half-plane, so roots there are
 counted exactly by the argument principle along the boundary of a half-disk
-{Re s >= delta, |s - delta| <= R}.  The directions of one state share that
-contour, so a scan counts them as one batch: the starting grid is evaluated
-once for all of them, and each refinement round bisects, evaluates (in one
-call) and tests only the intervals that failed the round before, with each
-direction refined by the rules of a count alone.
-The roots are located without a search:
-writing L = A sqrt(1 + eps^2 s^2) + B with A = ell^2 + w_plus^2, the roots
-of L are the principal-branch roots of the degree-6 polynomial
+{Re s >= delta, |s - delta| <= R}.  The default radius is proven to hold
+every such root: beyond a closed-form R* (``root_radius_bound``) the terms
+of L cannot cancel on Re s >= delta, so each direction is counted once.
+Since L_{-omega'}(s) = conj(L_{omega'}(conj s)) and the half-disk is
+symmetric about the real axis, a scan counts and locates one direction of
+each antipodal pair and builds the record of the other by conjugation.
+The directions of one state share the half-disk, so a scan counts them as
+one batch: the starting grid is evaluated once for all of them, and each
+refinement round bisects, evaluates (in one call) and tests only the
+intervals that failed the round before, with each direction refined by the
+rules of a count alone.  The roots are located without a search: writing
+L = A sqrt(1 + eps^2 s^2) + B with A = ell^2 + w_plus^2, the roots of L
+are the principal-branch roots of the degree-6 polynomial
 A^2 (1 + eps^2 s^2) - B^2.  They are polished by Newton iteration with the
 analytic derivative, and the winding count certifies them.
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -47,8 +52,9 @@ _MAX_CONTOUR_POINTS = 1 << 20
 _CONTOUR_FLOOR = 1e-8          # min |L|/scale on a usable contour
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
 _ROOT_RESIDUAL = 1e-10         # relative residual certified per reported root
-# (delta, R) multipliers tried when a contour grazes a root
+# (delta, R) multipliers tried when a contour grazes a root, and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
+_JITTER_MIN = min(min(j) for j in _JITTERS)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +226,85 @@ class HalfDiskRegion:
         return s.real >= self.delta and abs(s - self.delta) <= self.radius
 
 
-def default_region(state: EquilibriumState) -> HalfDiskRegion:
-    """Region large enough for every root at small eps.
+def _beyond(p2: float, p1: float, p0: float) -> float:
+    # the larger root of p2 r^2 + p1 r + p0 (p2 > 0): the polynomial is
+    # positive beyond it; -inf when it is positive everywhere
+    disc = p1 * p1 - 4.0 * p2 * p0
+    return (-p1 + math.sqrt(disc)) / (2.0 * p2) if disc > 0.0 else -math.inf
 
-    At eps = 0 all roots satisfy |s| <= |v'| + E1; the factor 10 margin
-    absorbs the finite-eps corrections and the field projections.
+
+# The intervals, in x = eps |s|, on which the dip of |1 + eps^2 s^2| at x = 1
+# is checked, from the top down: (lower end, upper end, least |x - 1| on the
+# interval, sqrt(1 + lower end^2)).  Their ends halve the distance to x = 1,
+# from 1/2 and from 2.
+_DIP_LADDER = (0.5, 0.75, 0.875, 0.9375, 1.0, 1.0625, 1.125, 1.25, 1.5, 2.0)
+_DIP_PIECES = tuple((lo, hi, max(lo - 1.0, 1.0 - hi), math.sqrt(1.0 + lo * lo))
+                    for lo, hi in zip(_DIP_LADDER[-2::-1], _DIP_LADDER[:0:-1]))
+
+
+def root_radius_bound(state: EquilibriumState, delta: float) -> float:
+    """R*: no root of L with Re s >= delta has |s| >= R*, in any direction.
+
+    Write L = A g + B with A = ell^2 + w_plus^2, g = sqrt(1 + eps^2 s^2)
+    and B the rest (see ``_candidate_roots``).  With r = |s| >= |v'|, the
+    projections bounded by the magnitudes of the state, and x = eps r,
+
+        |A|   >= (r - |v'|)^2 - |H'|^2                          =: a(r),
+        |B|   <= |Hv'|^2 x^2 + 2 |E1| |Hv'| x + max(|Hv'|^2, E1^2) =: b(r),
+        |g|^2 =  eps^2 |s - i/eps| |s + i/eps|
+              >= max(eps delta, |x - 1|) sqrt(1 + x^2)           =: G(r),
+
+    the last on Re s >= delta: the factor nearer the branch point is at
+    least Re s and at least ||s| - 1/eps|, the other at least
+    sqrt(r^2 + 1/eps^2).  Where a > 0 and a^2 G > b^2, |A g| > |B| and L
+    has no root.  Three ranges of x cover r >= R*.  On x <= 1/2, G >= 1/2
+    and on x >= 2, G >= x^2/2; on each the condition follows from one
+    quadratic in r.  The dip of G at x = 1 between them is checked
+    explicitly, on the intervals of ``_DIP_PIECES``: on each, a is taken at
+    its lower end, b at its upper end, and |x - 1| in G at its point nearest
+    x = 1.
+    """
+    c, h, hv = math.sqrt(state.v_sq), math.sqrt(state.H_sq), math.sqrt(state.Hv_sq)
+    e, eps = abs(state.E1_hat), state.eps
+    m = max(hv * hv, e * e)
+    if eps == 0.0:                          # g = 1 and |B| <= m exactly
+        return c + math.sqrt(h * h + m)
+    rt2 = math.sqrt(2.0)
+    # x >= 2: a(r) > sqrt2 (|Hv'|^2 eps r + 2 |E1| |Hv'| + m/2) >= sqrt2 b / x
+    tail = max(_beyond(1.0, -(2.0 * c + rt2 * hv * hv * eps),
+                       c * c - h * h - rt2 * (2.0 * e * hv + 0.5 * m)), c, 2.0 / eps)
+    if tail > 2.0 / eps:
+        return tail
+    floor = eps * delta
+    for x_lo, x_hi, dist, root in _DIP_PIECES:    # the first to fail is the highest
+        lo = x_lo / eps - c                         # r - |v'| at the lower end
+        a = lo * lo - h * h
+        y = hv * x_hi
+        b = y * (y + 2.0 * e) + m                   # b at the upper end
+        if lo < 0.0 or a <= 0.0 or a * a * (dist if dist > floor else floor) * root <= b * b:
+            return x_hi / eps
+    # x <= 1/2: a(r) > sqrt2 b(r)
+    p2 = 1.0 - rt2 * (hv * eps) ** 2
+    if p2 <= 0.0:
+        return 0.5 / eps
+    inner = max(_beyond(p2, -2.0 * (c + rt2 * e * hv * eps), c * c - h * h - rt2 * m), c)
+    return min(inner, 0.5 / eps)
+
+
+def default_region(state: EquilibriumState) -> HalfDiskRegion:
+    """Half-disk holding every root with Re s >= delta, in every direction.
+
+    R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|) sets delta = 1e-3 R and is the
+    radius unless the proven bound (``root_radius_bound``) needs more.  The
+    bound is taken at the least jittered delta and divided by the least
+    jitter factor (``_JITTERS``), so that every half-disk a count may move
+    to still holds all the roots to its right.
     """
     r = 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
                 + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
-    return HalfDiskRegion(delta=1e-3 * r, radius=r)
+    delta = 1e-3 * r
+    r_star = root_radius_bound(state, _JITTER_MIN * delta)
+    return HalfDiskRegion(delta=delta, radius=max(r, r_star / _JITTER_MIN))
 
 
 def _half_disk_path(delta: float, radius: float):
@@ -747,28 +823,21 @@ class ScanSummary:
     n_errors: int
 
 
-def _count_with_doubling(ctxs, region: HalfDiskRegion) -> list:
-    # The default radius is validated by doubling until the count stabilizes
-    # (at most three doublings).  All directions are counted at R in one
-    # batch and at 2R in a second; only those whose count changed go on.
-    # Directions that jittered onto another radius double from it, in a
-    # batch of their own.
-    counts = _count_on_regions(ctxs, region)
-    doubling = [i for i, c in enumerate(counts) if isinstance(c, _RegionCount)]
-    for _ in range(3):
-        by_radius: dict[float, list[int]] = {}
-        for i in doubling:
-            by_radius.setdefault(counts[i].region.radius, []).append(i)
-        doubling = []
-        for radius, idx in by_radius.items():
-            bigger = HalfDiskRegion(region.delta, radius * 2.0)
-            for i, c in zip(idx, _count_on_regions([ctxs[i] for i in idx], bigger)):
-                if isinstance(c, Exception):
-                    counts[i] = c           # a failed doubling fails the direction
-                elif c.winding != counts[i].winding:
-                    counts[i] = c
-                    doubling.append(i)
-    return counts
+def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
+    """The scan of -omega' built from that of omega'.
+
+    Under omega' -> -omega' the projections w_plus, w_minus, w_perp and
+    v'.omega' all change sign, so L_{-omega'}(s) = conj(L_{omega'}(conj s)).
+    The half-disk is symmetric about the real axis: the count, region and
+    contour certificates carry over, and the roots are the conjugates.
+    """
+    report = scan.report
+    if report is not None:
+        pairs = sorted(zip((z.conjugate() for z in report.roots), report.residuals),
+                       key=lambda p: (-p[0].real, p[0].imag))
+        report = replace(report, roots=tuple(z for z, _ in pairs),
+                         residuals=tuple(res for _, res in pairs))
+    return replace(scan, direction=direction, report=report)
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
@@ -776,12 +845,15 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
     """Count unstable roots over equispaced directions plus the F-minimizers.
 
     A state is declared numerically unstable iff any scanned direction has a
-    positive right-half-plane root count.  The directions share the state
-    and the region, so their winding counts run as one batch (see
-    ``_winding_numbers``): all of them on the region, then, for the default
-    region, all of them on the doubled radius, then only those whose count
-    changed.  Directions with roots are localized with the count already
-    certified.  Per-direction failures are recorded, not raised.
+    positive right-half-plane root count.  Only one direction of each
+    antipodal pair is counted and located: the first half of an even
+    equispaced set, and the F-minimizer; the other is its mirror image (see
+    ``_mirrored``).  With an odd ``n_dirs`` only the F-minimizer pair folds.
+    The counted directions share the state and the region, so their winding
+    counts run as one batch (see ``_winding_numbers``), once, on ``region``
+    or on the default region, whose radius is proven to hold every root.
+    Directions with roots are localized with the count already certified.
+    Per-direction failures are recorded, not raised.
     """
     if n_dirs < 8:
         raise ValueError("n_dirs must be at least 8")
@@ -792,22 +864,26 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
     directions = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
     directions += [star, WaveDirection(-star.omega2, -star.omega3)]
+    # index of the direction whose mirror image each folded direction is
+    mirror_of = {n_dirs + 1: n_dirs}
+    if n_dirs % 2 == 0:
+        mirror_of.update((k + n_dirs // 2, k) for k in range(n_dirs // 2))
+    own = [i for i in range(len(directions)) if i not in mirror_of]
 
-    ctxs = [make_context(state, d) for d in directions]
-    if region is None:
-        results = _count_with_doubling(ctxs, default_region(state))
-    else:
-        results = _count_on_regions(ctxs, region)
-    records = []
-    for d, ctx, c in zip(directions, ctxs, results):
+    ctxs = [make_context(state, directions[i]) for i in own]
+    results = _count_on_regions(ctxs, region or default_region(state))
+    scans = {}
+    for i, ctx, c in zip(own, ctxs, results):
         if isinstance(c, Exception):
-            records.append(DirectionScan(d, None, error=str(c)))
+            scans[i] = DirectionScan(directions[i], None, error=str(c))
             continue
         report = None
         if c.winding > 0:
             report = find_unstable_roots(ctx, c.region, counted=c)
-        records.append(DirectionScan(d, c.winding, c.region, c.contour_points,
-                                     c.min_rel, report))
+        scans[i] = DirectionScan(directions[i], c.winding, c.region,
+                                 c.contour_points, c.min_rel, report)
+    records = [scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
+               for i, d in enumerate(directions)]
     counts = [r.count for r in records if r.count is not None]
     res = [r.max_re_s for r in records if r.max_re_s is not None]
     return ScanSummary(

@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +327,20 @@ class TestSweepCrossCheck:
             assert r["agreement"] == "" and r["error"] == ""
             assert r["numeric_unstable"] in ("True", "False")
 
+    def test_band_follows_region_override(self, tmp_path):
+        # roots at Re s = 0.3 and 0.5 lie below the overridden delta = 1, so
+        # the scan cannot see them; the band is taken with that delta, and
+        # neither row is judged
+        text = ("[state]\nH2 = 1\nHv2 = 2\n"
+                "[sweep]\nparameter = E1\nmin = 0.3\nmax = 0.5\nsteps = 2\n"
+                "[analysis]\ndelta = 1.0\nradius = 10\ncross_check = true\n")
+        out = tmp_path / "sweep.csv"
+        assert _run(["sweep", _write(tmp_path, text), "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert [r["verdict"] for r in rows] == ["ViolentlyUnstable"] * 2
+        assert [r["numeric_unstable"] for r in rows] == ["False"] * 2
+        assert [r["agreement"] for r in rows] == ["", ""]
+
     def test_failed_direction_is_an_error_row(self, tmp_path, monkeypatch):
         import pvstab.cli as cli_mod
         from pvstab.dispersion import DirectionScan, ScanSummary
@@ -353,7 +369,7 @@ class TestRootsCommand:
         assert lines[0] == "# pvstab-csv v1"
         assert lines[1].split(",") == [
             "index", "omega2", "omega3", "winding", "re_s", "im_s", "abs_L",
-            "delta", "R", "contour_points", "error"]
+            "delta", "R", "contour_points", "error", "flags"]
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
         assert len(rows) == 10          # 8 + the two antipodal minimizers
         located = [r for r in rows if r["re_s"]]
@@ -372,6 +388,31 @@ class TestRootsCommand:
         assert by_index[0][0]["error"] == "eps must be positive, got 0.0"
         assert by_index[0][0]["winding"] == ""
         assert all(r["winding"] == "0" and not r["error"] for r in by_index[1])
+
+    def test_flags_column(self, tmp_path, monkeypatch):
+        # a flagged report shows its flags on each of its root rows, and the
+        # mirror image of its direction carries the same flags
+        import dataclasses
+
+        from pvstab import dispersion
+
+        locate = dispersion.find_unstable_roots
+
+        def flagged(ctx, region, counted=None):
+            rep = locate(ctx, region, counted=counted)
+            return dataclasses.replace(rep, flags=("first", "second"))
+
+        monkeypatch.setattr(dispersion, "find_unstable_roots", flagged)
+        text = MINIMAL + "\n[analysis]\nn_dirs = 8\n"
+        out = tmp_path / "roots.csv"
+        assert _run(["roots", _write(tmp_path, text), "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        located = [r for r in rows if r["re_s"]]
+        # omega' = (0, +-1) among the 8 directions, and the two minimizers
+        assert len(located) == 4
+        assert {r["omega3"][0] for r in located} == {"1", "-"}
+        assert all(r["flags"] == "first; second" for r in located)
+        assert all(r["flags"] == "" for r in rows if not r["re_s"])
 
 
 class TestRootsRegionOverride:
@@ -487,6 +528,21 @@ class TestValidateCommand:
         assert 0 < n_band < 100     # the filter trims a minority of draws
 
 
+    def test_band_uses_overridden_delta(self, tmp_path):
+        from pvstab.criterion import classify
+
+        text = "[state]\nH2 = 1.0\n[analysis]\nsample = 3\nn_dirs = 8\ndelta = 0.2\n"
+        out = tmp_path / "val.jsonl"
+        assert _run(["validate", _write(tmp_path, text), "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()[:-1]]
+        assert len(recs) == 3
+        for r in recs:
+            st = EquilibriumState.from_record(
+                {k: r[k] for k in EquilibriumState.RECORD_KEYS})
+            cls = classify(st, tol_eq=AnalysisOptions().tol_for(st))
+            assert r["band"] == margin_band(st, cls.tol_eq, 0.2)
+            assert abs(r["margin"]) > r["band"] and r["agree"] is True
+
     def test_disagreement_exits_with_gate_code(self, tmp_path, monkeypatch):
         # force the scan to contradict the classifier: the gate must exit 2
         import pvstab.cli as cli_mod
@@ -523,9 +579,14 @@ def test_every_point_failing_exits_3(tmp_path, command):
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        import pvstab
+
         path = _write(tmp_path, MINIMAL)
+        # the child imports the package this test imported
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(pvstab.__file__).resolve().parent.parent)}
         proc = subprocess.run([sys.executable, "-m", "pvstab", "classify", path],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout.splitlines()[0])["verdict"] == \
             "ViolentlyUnstable"

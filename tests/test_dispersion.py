@@ -369,7 +369,7 @@ class TestWindingAgainstBruteForce:
 
 def _single_scan(state, n_dirs, region=None):
     """(count, region, contour_points, error) per direction of a scan, each
-    counted as a batch of one, with the radius doubling done per direction."""
+    direction counted alone, unfolded, on ``region`` or the default region."""
     from pvstab.criterion import minimize_f
     from pvstab.dispersion import _count_on_region
     from pvstab.errors import ContourTooCloseError, NonConvergentError
@@ -380,19 +380,8 @@ def _single_scan(state, n_dirs, region=None):
     directions += [star, WaveDirection(-star.omega2, -star.omega3)]
     out = []
     for d in directions:
-        ctx = make_context(state, d)
         try:
-            if region is not None:
-                c = _count_on_region(ctx, region)
-            else:
-                base = default_region(state)
-                c = _count_on_region(ctx, base)
-                for _ in range(3):
-                    bigger = _count_on_region(
-                        ctx, HalfDiskRegion(base.delta, 2.0 * c.region.radius))
-                    if bigger.winding == c.winding:
-                        break
-                    c = bigger
+            c = _count_on_region(make_context(state, d), region or default_region(state))
             out.append((c.winding, c.region, c.contour_points, None))
         except (ContourTooCloseError, NonConvergentError) as err:
             out.append((None, None, None, str(err)))
@@ -626,3 +615,193 @@ class TestScanDirections:
     def test_rejects_few_directions(self):
         with pytest.raises(ValueError):
             scan_directions(NEUTRAL, n_dirs=4)
+
+
+# ---------------------------------------------------------------------------
+# the fold of antipodal directions and the proven radius R*
+
+
+CORNERS = {
+    **{f"eps{eps:g}": dataclasses.replace(OBLIQUE, eps=eps)
+       for eps in (1e-6, 1e-2, 0.19, 0.5, 0.9)},
+    "collinear": _state(H=(1.0, 0.5), Hv=(2.0, 1.0), E1=0.8, v=(0.5, -1.0)),
+    "zero_fields": _state(E1=0.7, v=(0.4, -0.9)),
+    "E1_zero": _state(H=(1.3, -0.2), Hv=(0.4, 2.0), v=(0.5, 0.2)),
+    "transitional": TRANSITIONAL,
+    "eps0": dataclasses.replace(OBLIQUE, eps=0.0),
+    "strong_Hv": _state(Hv=(10.0, 0.0), E1=1.0, eps=0.9),     # R* > R
+}
+
+
+def _mp_coefficients(st, w):
+    """A and B of L = A g + B as polynomials in s (lowest order first), for
+    omega' = w, at the working precision."""
+    import mpmath
+
+    f = mpmath.mpf
+    (h2, h3), (hv2, hv3), (v2, v3) = (map(f, x) for x in
+                                      (st.H_hat_t, st.Hv_hat_t, st.v_hat_t))
+    w2, w3 = w
+    eps, e1 = f(st.eps), f(st.E1_hat)
+    v = v2 * w2 + v3 * w3
+    a = [(h2 * w2 + h3 * w3) ** 2 - v ** 2, 2j * v, mpmath.mpc(1)]
+    b = [(hv2 * w2 + hv3 * w3) ** 2 - e1 ** 2, -2j * e1 * (hv3 * w2 - hv2 * w3) * eps,
+         (hv2 ** 2 + hv3 ** 2) * eps ** 2]
+    return a, b, eps
+
+
+def _mp_terms(st, w, s):
+    """(A, g, B) of L = A g + B at s, for omega' = w."""
+    import mpmath
+
+    a, b, eps = _mp_coefficients(st, w)
+    return (mpmath.polyval(a[::-1], s), mpmath.sqrt(1 + (eps * s) ** 2),
+            mpmath.polyval(b[::-1], s))
+
+
+def _mp_roots(st, w):
+    """The roots of L for omega' = w: the principal-branch roots of
+    A^2 (1 + eps^2 s^2) - B^2, at the working precision."""
+    import mpmath
+
+    def mul(p, q):
+        out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    a, b, eps = _mp_coefficients(st, w)
+    lhs = mul(mul(a, a), [1, 0, eps ** 2])
+    poly = [x - y for x, y in zip(lhs, mul(b, b) + [0, 0])][::-1]
+    while poly[0] == 0:                 # degree 4 at eps = 0
+        poly = poly[1:]
+    start = np.roots([complex(c) for c in poly])      # double precision start
+    roots = []
+    for z in mpmath.polyroots(poly, maxsteps=100, extraprec=50,
+                              roots_init=[mpmath.mpc(z) for z in start]):
+        ta, g, tb = _mp_terms(st, w, z)
+        if abs(ta * g + tb) <= abs(ta * g - tb):
+            roots.append(z)
+    return roots
+
+
+@pytest.mark.parametrize("st", CORNERS.values(), ids=CORNERS.keys())
+def test_antipodal_symmetry_at_high_precision(st):
+    # L_{-omega'}(s) = conj(L_{omega'}(conj s)): what lets a scan build the
+    # record of -omega' from that of omega'
+    import mpmath
+
+    rng = np.random.default_rng(31)
+    with mpmath.workdps(50):
+        for theta in rng.uniform(0.0, 2.0 * np.pi, 4):
+            w = (mpmath.cos(theta), mpmath.sin(theta))
+            for re, im in rng.uniform((1e-3, -4.0), (4.0, 4.0), (6, 2)):
+                s = mpmath.mpc(re, im)
+                a, g, b = _mp_terms(st, w, mpmath.conj(s))
+                am, gm, bm = _mp_terms(st, (-w[0], -w[1]), s)
+                assert abs(am * gm + bm - mpmath.conj(a * g + b)) <= \
+                    mpmath.mpf(10) ** -45 * (abs(am * gm) + abs(bm))
+
+
+@pytest.mark.parametrize("st", CORNERS.values(), ids=CORNERS.keys())
+def test_no_root_beyond_proven_radius(st):
+    # no root with Re s >= delta has |s| >= R* in any direction, and the
+    # bound |A g| > |B| behind it holds on sampled points with |s| >= R*;
+    # half a circle of directions suffices, the other half being mirror
+    # images with conjugate roots
+    import mpmath
+
+    from pvstab.criterion import minimize_f
+    from pvstab.dispersion import root_radius_bound
+
+    delta = default_region(st).delta
+    r_star = root_radius_bound(st, delta)
+    star = minimize_f(st).omega_star
+    thetas = [math.pi * k / 6 + 0.1 for k in range(6)]
+    thetas.append(math.atan2(star.omega3, star.omega2))
+    radii = [r_star * t for t in (1.0, 1.1, 1.5, 3.0, 10.0)]
+    if st.eps > 0.0:
+        radii += [x / st.eps for x in (1.0 - 2.0 ** -8, 1.0, 1.0 + 2.0 ** -8)
+                  if x / st.eps >= r_star]
+    found = 0
+    with mpmath.workdps(50):
+        d = mpmath.mpf(delta)
+        for theta in thetas:
+            w = (mpmath.cos(theta), mpmath.sin(theta))
+            for z in _mp_roots(st, w):
+                if z.real >= d:
+                    assert abs(z) < r_star, (theta, z)
+                    found += 1
+            for r in map(mpmath.mpf, radii):
+                for t in (0.0, 0.125, 0.5, 1.0):
+                    re = d + (r - d) * t
+                    im = mpmath.sqrt(r * r - re * re)
+                    for s in {mpmath.mpc(re, im), mpmath.mpc(re, -im)}:
+                        a, g, b = _mp_terms(st, w, s)
+                        assert abs(a * g) > abs(b), (theta, s)
+    assert found > 0 or st.E1_hat == 0.0 or st is CORNERS["strong_Hv"]
+
+
+def test_default_radius_holds_jittered_regions():
+    # every half-disk a grazed count may move to still holds every root to
+    # its right; where R* exceeds the nominal radius, it sets the radius
+    from pvstab.dispersion import _JITTERS, root_radius_bound
+
+    for st in CORNERS.values():
+        reg = default_region(st)
+        for jd, jr in _JITTERS:
+            assert root_radius_bound(st, jd * reg.delta) <= jr * reg.radius
+    strong = CORNERS["strong_Hv"]
+    assert default_region(strong).radius > 1e3 * default_region(strong).delta
+
+
+class TestFold:
+    def test_folded_scan_matches_unfolded(self, monkeypatch):
+        # one direction of each antipodal pair is counted; every record
+        # equals the one of its direction counted and located alone
+        from pvstab import dispersion
+        from pvstab.cli import sample_validation_state
+
+        batches = []
+        count = dispersion._count_on_regions
+        monkeypatch.setattr(dispersion, "_count_on_regions", lambda ctxs, region: (
+            batches.append(len(ctxs)), count(ctxs, region))[1])
+        rng = np.random.default_rng(37)
+        states = [sample_validation_state(rng) for _ in range(4)]
+        states += [COLLINEAR, TRANSITIONAL, CORNERS["collinear"], CORNERS["zero_fields"]]
+        states += [CORNERS[k] for k in ("eps1e-06", "eps0.19", "eps0.5", "eps0.9")]
+        located = 0
+        for st in states:
+            for n in (16, 15):
+                batches.clear()
+                summary = scan_directions(st, n_dirs=n)
+                assert batches[0] == (n // 2 if n % 2 == 0 else n) + 1
+                for rec in summary.records:
+                    ctx = make_context(st, rec.direction)
+                    c = dispersion._count_on_region(ctx, default_region(st))
+                    assert (rec.count, rec.region, rec.contour_points, rec.error) == \
+                        (c.winding, c.region, c.contour_points, None), (st, rec)
+                    if c.winding == 0:
+                        assert rec.report is None
+                        continue
+                    alone = find_unstable_roots(ctx, c.region, counted=c)
+                    assert len(rec.report.roots) == len(alone.roots) == c.winding
+                    for got, want in zip(rec.report.roots, alone.roots):
+                        assert abs(got - want) <= 1e-12 * abs(want), (st, rec)
+                    located += c.winding
+        assert located >= 50
+
+    def test_mirrored_record_conjugates_and_resorts(self):
+        from pvstab.dispersion import DirectionScan, RootReport, _mirrored
+
+        reg = HalfDiskRegion(0.1, 10.0)
+        roots = (2.0 + 1.0j, 1.0 - 3.0j, 1.0 + 2.0j)
+        rep = RootReport(reg, 3, roots, (1e-15, 2e-15, 3e-15), 600, 0.25, ("f",))
+        rec = DirectionScan(PERP, 3, reg, 600, 0.25, rep)
+        out = _mirrored(rec, WaveDirection(0, -1))
+        assert out.direction == WaveDirection(0, -1)
+        assert (out.count, out.region, out.contour_points, out.min_rel) == (3, reg, 600, 0.25)
+        assert out.report.roots == (2.0 - 1.0j, 1.0 - 2.0j, 1.0 + 3.0j)
+        assert out.report.residuals == (1e-15, 3e-15, 2e-15)
+        assert out.report.flags == ("f",) and out.report.winding_count == 3
