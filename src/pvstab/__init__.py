@@ -5,31 +5,32 @@ Layers:
 
   state       equilibrium parameters, validation, frame reduction
   criterion   closed-form violent-instability classification
-  dispersion  Lopatinski determinant, root counting, small-eps series
+  dispersion  Lopatinski determinant, root counting and location
   modes       explicit exponentially growing mode sequences with residual checks
-  oracle      independent brute-force verifiers (grids, dense scans)
+  oracle      independent verifiers (grids, dense scans, small-eps series,
+              raw determinant, local winding)
   cli         scenario files, sweeps, and the criterion-vs-numerics gate
 """
 
 from .criterion import (Classification, MinimizationResult, Verdict, classify,
                         critical_e1_squared, default_tol_eq, f_of_omega,
                         minimize_f, transitional_discriminant)
-from .dispersion import (BranchKind, DirectionScan, HalfDiskRegion,
-                         LopatinskiContext, RootReport, ScanSummary,
-                         SeriesRoot, count_unstable_roots, default_region,
-                         find_unstable_roots, lopatinski, lopatinski_deriv,
-                         lopatinski_raw, lopatinski_scale, make_context,
+from .dispersion import (DirectionScan, HalfDiskRegion, LopatinskiContext,
+                         RootReport, ScanSummary, count_unstable_roots,
+                         default_region, find_unstable_roots, lopatinski,
+                         lopatinski_deriv, lopatinski_scale, make_context,
                          newton_refine, plasma_decay_root, scan_directions,
-                         series_root_generic, series_root_transitional,
-                         transitional_tolerance, vacuum_decay_root)
+                         vacuum_decay_root)
 from .errors import (ContourTooCloseError, DegenerateSymbolError,
                      DirectionError, NonConvergentError, NotTransitionalError,
                      PvstabError, ScenarioParseError, SingularFrameError,
                      StateValidationError, TransitionalAtThisDirectionError)
 from .modes import (ModeSolution, ResidualReport, build_mode, growth_table,
                     residuals)
-from .oracle import (ConvergenceRecord, dense_root_scan, eigen_fmin, grid_fmin,
-                     series_vs_numeric)
+from .oracle import (BranchKind, ConvergenceRecord, SeriesRoot, dense_root_scan,
+                     eigen_fmin, grid_fmin, lopatinski_raw, series_root_generic,
+                     series_root_transitional, series_vs_numeric,
+                     transitional_tolerance)
 from .state import (EquilibriumState, FrequencyBundle, WaveDirection,
                     b0_matrix, frequency_bundle, galilean_transform,
                     validate_state)

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import criterion
 from .criterion import classify
-from .dispersion import HalfDiskRegion, ScanSummary, default_region, \
+from .dispersion import MIN_N_DIRS, HalfDiskRegion, ScanSummary, default_region, \
     find_unstable_roots, make_context, scan_directions
 from .errors import (ContourTooCloseError, NonConvergentError, PvstabError,
                      ScenarioParseError, StateValidationError)
@@ -277,6 +277,12 @@ def parse_scenario(path) -> Scenario:
                 setattr(analysis, key, float(value))
             except ValueError:
                 raise ScenarioParseError(f"bad number for {key!r}: {value!r}", ln) from None
+        if key == "n_dirs" and analysis.n_dirs < MIN_N_DIRS:
+            raise ScenarioParseError(
+                f"n_dirs must be at least {MIN_N_DIRS}, got {value!r}", ln)
+        if key in ("delta", "radius") and not 0.0 < getattr(analysis, key) < math.inf:
+            raise ScenarioParseError(
+                f"{key} must be positive and finite, got {value!r}", ln)
 
     return Scenario(states=states, sweeps=sweeps, analysis=analysis,
                     warnings=scenario_warnings)
@@ -380,17 +386,8 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
         except PvstabError as err:
             rows = [{"index": index, "error": str(err)}]
             failed += 1
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
+        writer.writerows(rows)
     return 3 if grid and failed == len(grid) else 0
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _expected_growth(state: EquilibriumState, cls):
@@ -498,7 +495,7 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
     for index, point in enumerate(grid):
         row, error = row_of(index, point)
         failed += error
-        writer.writerow({k: _csv_cell(row.get(k, "")) for k in columns})
+        writer.writerow(row)
     return 3 if grid and failed == len(grid) else 0
 
 

@@ -1,4 +1,4 @@
-"""Lopatinski determinant: evaluation, right-half-plane root counting, series.
+"""Lopatinski determinant: evaluation and right-half-plane roots.
 
 For a unit tangential wave vector omega' the normal-mode analysis reduces to
 the scalar equation L(s) = 0 in the Laplace variable s, with
@@ -28,24 +28,20 @@ are the principal-branch roots of the degree-6 polynomial
 A^2 (1 + eps^2 s^2) - B^2.  They are polished by Newton iteration with the
 analytic derivative, and the winding count certifies them.
 
-Small-eps expansions of the roots (integer-power ladder in the generic case,
-half-integer ladder in the transitional case) are built by substituting a
-truncated power series into L and solving order by order.
+Its independent cross-checks (small-eps root expansions, L at a non-unit
+omega', a densely sampled winding) are in ``oracle``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ContourTooCloseError, DirectionError, NonConvergentError,
-                     NotTransitionalError, TransitionalAtThisDirectionError)
+from .errors import ContourTooCloseError, NonConvergentError
 from .state import EquilibriumState, FrequencyBundle, WaveDirection, frequency_bundle
 
 _MAX_CONTOUR_POINTS = 1 << 20
@@ -55,6 +51,7 @@ _ROOT_RESIDUAL = 1e-10         # relative residual certified per reported root
 # (delta, R) multipliers tried when a contour grazes a root, and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 _JITTER_MIN = min(min(j) for j in _JITTERS)
+MIN_N_DIRS = 8                 # least number of directions a scan accepts
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +179,6 @@ def lopatinski_scale(ctx: LopatinskiContext, s):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def lopatinski_raw(state: EquilibriumState, omega, s):
-    """Unnormalized determinant for a general (non-unit) omega'.
-
-    Homogeneous of degree three: L(t s, t omega') = t^3 L(s, omega') for t > 0.
-    """
-    w2, w3 = (omega.omega2, omega.omega3) if isinstance(omega, WaveDirection) else omega
-    if w2 == 0.0 and w3 == 0.0:
-        raise DirectionError("omega' must be nonzero")
-    s = np.asarray(s, dtype=complex)
-    H2, H3 = state.H_hat_t
-    Hv2, Hv3 = state.Hv_hat_t
-    v2, v3 = state.v_hat_t
-    wmag = math.hypot(w2, w3)
-    wp = H2 * w2 + H3 * w3
-    wm = Hv2 * w2 + Hv3 * w3
-    wperp = Hv3 * w2 - Hv2 * w3
-    ell = s + 1j * (v2 * w2 + v3 * w3)
-    es = state.eps * s
-    out = ((ell * ell + wp ** 2) * np.sqrt(wmag ** 2 + es * es)
-           + wm ** 2 * wmag - state.E1_hat ** 2 * wmag ** 3
-           - 2j * state.E1_hat * wperp * es * wmag
-           + wmag * state.Hv_sq * es * es)
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # argument-principle machinery
 
@@ -322,13 +294,6 @@ def _half_disk_path(delta: float, radius: float):
         y = 1.0 - 4.0 * (u[~arc] - 0.5)            # +1 .. -1 down the chord
         s[~arc] = delta + 1j * radius * y * np.abs(y)
         return s
-    return point_of
-
-
-def _circle_path(center: complex, radius: float):
-    def point_of(u):
-        u = np.asarray(u, dtype=float)
-        return center + radius * np.exp(2j * np.pi * u)
     return point_of
 
 
@@ -471,19 +436,6 @@ def _winding_numbers(ctxs, point_of, n0: int,
         dphi, bad = _step_test(hi[0] - lo[0], lo[1:], hi[1:])
         total += np.bincount(seg, weights=np.where(bad, 0.0, dphi), minlength=k)
         seg, lo, hi = seg[bad], [a[bad] for a in lo], [a[bad] for a in hi]
-
-
-def _winding_number(ctx: LopatinskiContext, point_of, n0: int,
-                    max_points: int = _MAX_CONTOUR_POINTS):
-    """Winding of L around 0 along a closed path: the batch of one.
-
-    Returns (winding, n_intervals, min relative |L|); raises the error that
-    ``_winding_numbers`` reports.
-    """
-    result = _winding_numbers([ctx], point_of, n0, max_points)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 class _RegionCount(NamedTuple):
@@ -630,170 +582,6 @@ def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion,
                       n_int, min_rel, tuple(flags))
 
 
-def local_winding(ctx: LopatinskiContext, center: complex, radius: float) -> int:
-    """Winding of L along a small circle; confirms an isolated root."""
-    winding, _, _ = _winding_number(ctx, _circle_path(center, radius), n0=32)
-    return winding
-
-
-# ---------------------------------------------------------------------------
-# small-eps root expansions
-
-
-class BranchKind(str, Enum):
-    GENERIC_UNSTABLE = "GenericUnstable"
-    GENERIC_DECAYING = "GenericDecaying"
-    GENERIC_NEUTRAL_PLUS = "GenericNeutral+"
-    GENERIC_NEUTRAL_MINUS = "GenericNeutral-"
-    TRANSITIONAL_SQRT_EPS_PLUS = "TransitionalSqrtEps+"
-    TRANSITIONAL_SQRT_EPS_MINUS = "TransitionalSqrtEps-"
-    TRANSITIONAL_ZERO_SPEED = "TransitionalZeroSpeed"
-
-
-@dataclass(frozen=True)
-class SeriesRoot:
-    """Truncated expansion s(eps) = sum_j c_j eps^(k_j) of one root branch."""
-
-    branch: BranchKind
-    coefficients: tuple[complex, ...]
-    exponents: tuple[float, ...]
-
-    def eval(self, eps: float, order: int | None = None) -> complex:
-        """Partial sum at eps, optionally truncated to ``order + 1`` terms."""
-        terms = zip(self.coefficients, self.exponents)
-        if order is not None:
-            terms = list(terms)[:order + 1]
-        return sum(c * eps ** k for c, k in terms)
-
-
-def transitional_tolerance(ctx: LopatinskiContext) -> float:
-    """Band |D| below which a direction counts as transitional."""
-    b = ctx.bundle
-    return 1e-9 * (1.0 + ctx.e1 ** 2 + b.w_plus ** 2 + b.w_minus ** 2)
-
-
-def _series_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(a, b)[:n + 1]
-
-
-def _series_shift(a: np.ndarray, k: int, n: int) -> np.ndarray:
-    out = np.zeros(n + 1, dtype=complex)
-    m = min(len(a), n + 1 - k)
-    if m > 0:
-        out[k:k + m] = a[:m]
-    return out
-
-
-def _sqrt1p_series(u: np.ndarray, n: int) -> np.ndarray:
-    # sqrt(1 + u) for a series u in eps with zero constant term
-    out = np.zeros(n + 1, dtype=complex)
-    out[0] = 1.0
-    uk = np.zeros(n + 1, dtype=complex)
-    uk[0] = 1.0
-    coef = 1.0
-    for k in range(1, n + 1):
-        coef *= (0.5 - (k - 1)) / k
-        uk = _series_mul(uk, u, n)
-        if not uk.any():
-            break
-        out += coef * uk
-    return out
-
-
-def _lopatinski_series(ctx: LopatinskiContext, s_ser: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of eps^0 .. eps^n of L(s(eps), eps) for s a series in eps."""
-    b = ctx.bundle
-    s = _series_shift(s_ser, 0, n)
-    ell = s.copy()
-    ell[0] += 1j * b.v_dot
-    ell2 = _series_mul(ell, ell, n)
-    s2 = _series_mul(s, s, n)
-    u = _series_shift(s2, 2, n)                     # eps^2 s^2
-    g = _sqrt1p_series(u, n)
-    head = ell2.copy()
-    head[0] += b.w_plus ** 2
-    out = _series_mul(head, g, n)
-    out[0] += b.w_minus ** 2 - ctx.e1 ** 2
-    out += -2j * ctx.e1 * b.w_perp * _series_shift(s, 1, n)
-    out += ctx.hv_sq * u
-    return out
-
-
-def _generic_coefficients(ctx: LopatinskiContext, s0: complex, order: int) -> list[complex]:
-    # Order j coefficient of L depends on c_j only through 2*(s0 + iV)*c_j,
-    # so each order is a single linear solve.
-    denom = 2.0 * (s0 + 1j * ctx.bundle.v_dot)
-    coeffs = [s0]
-    for j in range(1, order + 1):
-        trial = np.array(coeffs + [0.0], dtype=complex)
-        residual = _lopatinski_series(ctx, trial, j)[j]
-        coeffs.append(-residual / denom)
-    return coeffs
-
-
-def series_root_generic(ctx: LopatinskiContext, order: int = 2) -> list[SeriesRoot]:
-    """Integer-ladder expansions s = s0 + s1 eps + ... at a generic direction.
-
-    With D = E1^2 - w_plus^2 - w_minus^2:
-      D > 0: s0 = +-sqrt(D) - i(v'.omega'); the + branch is the growing root.
-      D < 0: s0 = i(+-eta - (v'.omega')), eta = sqrt(-D); every coefficient
-             is purely imaginary (neutral oscillations).
-    """
-    D = ctx.leading_deficit
-    if abs(D) <= transitional_tolerance(ctx):
-        raise TransitionalAtThisDirectionError(
-            f"|D| = {abs(D):.3e} within the transitional band; "
-            "use series_root_transitional")
-    v = ctx.bundle.v_dot
-    out = []
-    if D > 0.0:
-        branches = ((1.0, BranchKind.GENERIC_UNSTABLE),
-                    (-1.0, BranchKind.GENERIC_DECAYING))
-        s0_of = lambda sign: sign * math.sqrt(D) - 1j * v
-    else:
-        eta = math.sqrt(-D)
-        branches = ((1.0, BranchKind.GENERIC_NEUTRAL_PLUS),
-                    (-1.0, BranchKind.GENERIC_NEUTRAL_MINUS))
-        s0_of = lambda sign: 1j * (sign * eta - v)
-    for sign, kind in branches:
-        coeffs = _generic_coefficients(ctx, s0_of(sign), order)
-        out.append(SeriesRoot(kind, tuple(coeffs),
-                              tuple(float(j) for j in range(order + 1))))
-    return out
-
-
-def series_root_transitional(ctx: LopatinskiContext, order: int = 2) -> list[SeriesRoot]:
-    """Root expansions exactly on the critical set (D = 0 at this direction).
-
-    If (v'.omega') != 0 the double root at -i(v'.omega') splits on a
-    half-integer ladder with s1^2 = 2 E1 w_perp (v'.omega'): a real pair
-    (one growing like sqrt(eps)) when the product is positive, an imaginary
-    pair (neutral) otherwise.  If (v'.omega') = 0 one root is exactly 0 and
-    the other is purely imaginary of size O(eps).
-    """
-    D = ctx.leading_deficit
-    if abs(D) > transitional_tolerance(ctx):
-        raise NotTransitionalError(
-            f"|D| = {abs(D):.3e} exceeds the transitional band at this direction")
-    b = ctx.bundle
-    v = b.v_dot
-    if v != 0.0:
-        s1 = cmath.sqrt(2.0 * ctx.e1 * b.w_perp * v)
-        return [
-            SeriesRoot(BranchKind.TRANSITIONAL_SQRT_EPS_PLUS,
-                       (-1j * v, s1), (0.0, 0.5)),
-            SeriesRoot(BranchKind.TRANSITIONAL_SQRT_EPS_MINUS,
-                       (-1j * v, -s1), (0.0, 0.5)),
-        ]
-    alpha = 2j * ctx.e1 * b.w_perp
-    # next term of the odd ladder s = alpha*eps + beta*eps^3 + ...
-    beta = -alpha * (ctx.hv_sq + 0.5 * b.w_plus ** 2)
-    return [
-        SeriesRoot(BranchKind.TRANSITIONAL_ZERO_SPEED, (0j,), (0.0,)),
-        SeriesRoot(BranchKind.TRANSITIONAL_ZERO_SPEED, (alpha, beta), (1.0, 3.0)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # direction scans
 
@@ -855,8 +643,8 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
     Directions with roots are localized with the count already certified.
     Per-direction failures are recorded, not raised.
     """
-    if n_dirs < 8:
-        raise ValueError("n_dirs must be at least 8")
+    if n_dirs < MIN_N_DIRS:
+        raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
     from .criterion import minimize_f  # local import: criterion has no dispersion dep
 
     mres = minimize_f(state)

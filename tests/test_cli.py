@@ -121,6 +121,25 @@ class TestParseScenario:
         assert sc.analysis.n_dirs == 16 and sc.analysis.cross_check
         assert sc.analysis.tol_eq == 1e-6
 
+    def test_n_dirs_below_scan_minimum(self, tmp_path, capsys):
+        path = _write(tmp_path, MINIMAL + "\n[analysis]\nn_dirs = 7\n")
+        with pytest.raises(ScenarioParseError, match="line 8: n_dirs must be at least 8"):
+            parse_scenario(path)
+        assert _run(["roots", path]) == 1
+        assert capsys.readouterr().err == "pvstab: line 8: n_dirs must be at least 8, got '7'\n"
+
+    def test_delta_out_of_range(self, tmp_path):
+        for value in ("0", "-0.5", "nan", "inf"):
+            path = _write(tmp_path, MINIMAL + f"\n[analysis]\ndelta = {value}\n")
+            with pytest.raises(ScenarioParseError, match="line 8: delta must be positive"):
+                parse_scenario(path)
+
+    def test_radius_out_of_range(self, tmp_path):
+        for value in ("0", "-1", "nan", "inf"):
+            path = _write(tmp_path, MINIMAL + f"\n[analysis]\nradius = {value}\n")
+            with pytest.raises(ScenarioParseError, match="line 8: radius must be positive"):
+                parse_scenario(path)
+
     def test_comments_ignored(self, tmp_path):
         sc = parse_scenario(_write(tmp_path, "# top\n[state]\nH2 = 1 # inline\n"))
         assert sc.states[0].H_hat_t == (1.0, 0.0)

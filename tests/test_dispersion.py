@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as hst
 
-from pvstab.dispersion import (BranchKind, HalfDiskRegion, count_unstable_roots,
-                               default_region, find_unstable_roots, local_winding,
-                               lopatinski, lopatinski_deriv, lopatinski_raw,
+from pvstab.dispersion import (HalfDiskRegion, count_unstable_roots, default_region,
+                               find_unstable_roots, lopatinski, lopatinski_deriv,
                                lopatinski_scale, make_context, newton_refine,
-                               plasma_decay_root, scan_directions,
-                               series_root_generic, series_root_transitional,
-                               transitional_tolerance, vacuum_decay_root)
+                               plasma_decay_root, scan_directions, vacuum_decay_root)
 from pvstab.errors import (ContourTooCloseError, DirectionError, NonConvergentError,
                            NotTransitionalError, TransitionalAtThisDirectionError)
+from pvstab.oracle import (BranchKind, local_winding, lopatinski_raw,
+                           series_root_generic, series_root_transitional,
+                           transitional_tolerance)
 from pvstab.state import EquilibriumState, FrequencyBundle, WaveDirection
 
 
@@ -339,7 +341,7 @@ class TestWindingAgainstBruteForce:
     def test_adaptive_matches_dense_uniform_sampling(self):
         # the adaptive refinement must reproduce the winding obtained from
         # oversampled uniform discretization on random states and regions
-        from pvstab.dispersion import _half_disk_path, _winding_number
+        from pvstab.dispersion import _half_disk_path, _winding_numbers
         from pvstab.errors import ContourTooCloseError
 
         rng = np.random.default_rng(99)
@@ -353,10 +355,10 @@ class TestWindingAgainstBruteForce:
             ctx = make_context(st, d)
             region = default_region(st)
             path = _half_disk_path(region.delta, region.radius)
-            try:
-                adaptive, _, _ = _winding_number(ctx, path, n0=512)
-            except ContourTooCloseError:
+            result = _winding_numbers([ctx], path, n0=512)[0]
+            if isinstance(result, ContourTooCloseError):
                 continue
+            adaptive, _, _ = result
             u = np.linspace(0.0, 1.0, (1 << 16) + 1)
             vals = lopatinski(ctx, path(u))
             dphi = np.diff(np.angle(vals))
@@ -520,7 +522,7 @@ class TestIncrementalRefinement:
 
     def test_matches_reference(self):
         from pvstab.cli import sample_validation_state
-        from pvstab.dispersion import _circle_path, _half_disk_path
+        from pvstab.dispersion import _half_disk_path
 
         rng = np.random.default_rng(23)
         states = [sample_validation_state(rng) for _ in range(8)]
@@ -536,7 +538,8 @@ class TestIncrementalRefinement:
                 windings += sum(isinstance(r, tuple) and r[0] > 0 for r in out)
             for ctx in ctxs:
                 s0 = complex(math.sqrt(abs(ctx.leading_deficit)), -ctx.v_dot)
-                self._check([ctx], _circle_path(s0, 0.25), 32)
+                self._check([ctx], lambda u: s0 + 0.25 * np.exp(
+                    2j * np.pi * np.asarray(u, dtype=float)), 32)
             pairs += len(ctxs)
         assert pairs >= 200
         assert windings > 0
@@ -754,6 +757,51 @@ def test_default_radius_holds_jittered_regions():
             assert root_radius_bound(st, jd * reg.delta) <= jr * reg.radius
     strong = CORNERS["strong_Hv"]
     assert default_region(strong).radius > 1e3 * default_region(strong).delta
+
+
+_COMPONENT = hst.floats(-2.0, 2.0)
+_PAIR = hst.tuples(_COMPONENT, _COMPONENT)
+
+
+@given(h=_PAIR, hv=_PAIR, v=_PAIR, e1=hst.floats(0.0, 2.5), eps=hst.floats(1e-6, 0.9),
+       theta=hst.floats(0.0, 2.0 * math.pi),
+       points=hst.lists(hst.tuples(hst.floats(1e-3, 20.0), hst.floats(-20.0, 20.0)),
+                        min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+@example(h=(1.0, 0.0), hv=(0.0, 2.0), v=(1.0, 0.0), e1=1.0, eps=1e-4, theta=0.0,
+         points=[(0.02, 0.0)])
+def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
+    # L at random points, and the roots of L taken from the degree-6
+    # polynomial, for random states and directions, against 50 digits; the
+    # example is the transitional band, a root at Re s ~ 2 sqrt(eps)
+    import mpmath
+
+    from pvstab.dispersion import _candidate_roots
+
+    st = _state(H=h, Hv=hv, E1=e1, v=v, eps=eps)
+    d = WaveDirection.from_angle(theta)
+    ctx = make_context(st, d)
+    s = np.array([complex(re, im) for re, im in points])
+    with mpmath.workdps(50):
+        w = (mpmath.mpf(d.omega2), mpmath.mpf(d.omega3))
+        for z, val, scale in zip(s, lopatinski(ctx, s), lopatinski_scale(ctx, s)):
+            a, g, b = _mp_terms(st, w, mpmath.mpc(z.real, z.imag))
+            assert abs(val - complex(a * g + b)) <= 1e-13 * scale, z
+        try:
+            want = [complex(z) for z in _mp_roots(st, w)]
+        except mpmath.mp.NoConvergence:
+            reject()    # a (near-)multiple root polyroots cannot separate
+    got = _candidate_roots(ctx)
+    # the roots clearly off the imaginary axis agree both ways; on the axis
+    # sit neutral roots and the branch points +-i/eps, where roundoff
+    # decides the sign of Re s
+    for z in got:
+        if z.real > 1e-8 * (1.0 + abs(z)):
+            assert min(abs(z - y) for y in want) <= 1e-10 * (1.0 + abs(z)), (z, want)
+    for y in want:
+        if y.real > 1e-8 * (1.0 + abs(y)):
+            assert min((abs(z - y) for z in got), default=math.inf) <= \
+                1e-10 * (1.0 + abs(y)), (y, got)
 
 
 class TestFold:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pvstab.criterion import critical_e1_squared
-from pvstab.dispersion import local_winding, make_context
+from pvstab.dispersion import make_context
 from pvstab.oracle import (dense_root_scan, eigen_fmin, grid_fmin,
-                           grid_fmin_bound, series_vs_numeric)
+                           grid_fmin_bound, local_winding, series_vs_numeric)
 from pvstab.state import EquilibriumState, WaveDirection
 
 
