@@ -17,10 +17,10 @@ from .criterion import (Classification, MinimizationResult, Verdict, classify,
                         minimize_f, transitional_discriminant)
 from .dispersion import (DirectionScan, HalfDiskRegion, LopatinskiContext,
                          RootReport, ScanSummary, count_unstable_roots,
-                         default_region, find_unstable_roots, lopatinski,
-                         lopatinski_deriv, lopatinski_scale, make_context,
-                         newton_refine, plasma_decay_root, scan_directions,
-                         vacuum_decay_root)
+                         default_region, find_unstable_roots, locate_roots,
+                         lopatinski, lopatinski_deriv, lopatinski_scale,
+                         make_context, newton_refine, plasma_decay_root,
+                         scan_directions, scan_states, vacuum_decay_root)
 from .errors import (ContourTooCloseError, DegenerateSymbolError,
                      DirectionError, NonConvergentError, NotTransitionalError,
                      PvstabError, ScenarioParseError, SingularFrameError,

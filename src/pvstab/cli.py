@@ -20,8 +20,11 @@ A scenario file is a flat key-value document with block headers:
                        decay_p, cross_check, sample
 
 ``sweep`` with ``cross_check`` and ``validate`` judge the closed-form verdict
-against a winding scan by one rule (`judge_verdict`): undecided inside
-`margin_band`, an error when any scanned direction failed.
+against a winding scan by one rule (`judge_verdicts`): undecided inside
+`margin_band`, an error when any scanned direction failed.  Every command
+that scans or locates roots validates its points first and then runs the
+valid ones as one batch (``dispersion.scan_states``/``locate_roots``); a
+point that fails becomes one error row, and rows are written in index order.
 
 Outputs are JSON lines (classify, modes, validate) or versioned CSV
 (roots, sweep); identical scenarios produce byte-identical files.  Exit
@@ -44,8 +47,8 @@ import numpy as np
 
 from . import criterion
 from .criterion import classify
-from .dispersion import MIN_N_DIRS, HalfDiskRegion, ScanSummary, default_region, \
-    find_unstable_roots, make_context, scan_directions
+from .dispersion import MIN_N_DIRS, HalfDiskRegion, default_region, locate_roots, \
+    make_context, scan_states
 from .errors import (ContourTooCloseError, NonConvergentError, PvstabError,
                      ScenarioParseError, StateValidationError)
 from .modes import build_mode, growth_rows, residuals
@@ -283,6 +286,13 @@ def parse_scenario(path) -> Scenario:
         if key in ("delta", "radius") and not 0.0 < getattr(analysis, key) < math.inf:
             raise ScenarioParseError(
                 f"{key} must be positive and finite, got {value!r}", ln)
+        if key == "tol_eq" and not 0.0 <= analysis.tol_eq < math.inf:
+            raise ScenarioParseError(
+                f"tol_eq must be non-negative and finite, got {value!r}", ln)
+        if key == "decay_p" and not math.isfinite(analysis.decay_p):
+            raise ScenarioParseError(f"decay_p must be finite, got {value!r}", ln)
+        if key == "sample" and analysis.sample < 1:
+            raise ScenarioParseError(f"sample must be at least 1, got {value!r}", ln)
 
     return Scenario(states=states, sweeps=sweeps, analysis=analysis,
                     warnings=scenario_warnings)
@@ -376,18 +386,19 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     grid = scenario.grid()
-    failed = 0
+    errors = {}
     for index, point in enumerate(grid):
         try:
             validate_state(point.state)
-            summary = scan_directions(point.state, n_dirs=analysis.n_dirs,
-                                      region=analysis.region_for(point.state))
-            rows = rows_of(index, summary)
         except PvstabError as err:
-            rows = [{"index": index, "error": str(err)}]
-            failed += 1
-        writer.writerows(rows)
-    return 3 if grid and failed == len(grid) else 0
+            errors[index] = str(err)
+    valid = [p.state for i, p in enumerate(grid) if i not in errors]
+    summaries = scan_states(valid, analysis.n_dirs,
+                            [analysis.region_for(st) for st in valid])
+    for index in range(len(grid)):
+        writer.writerows([{"index": index, "error": errors[index]}] if index in errors
+                         else rows_of(index, next(summaries)))
+    return 3 if grid and len(errors) == len(grid) else 0
 
 
 def _expected_growth(state: EquilibriumState, cls):
@@ -414,8 +425,9 @@ def _expected_growth(state: EquilibriumState, cls):
 def cmd_modes(scenario: Scenario, out: _Output) -> int:
     analysis = scenario.analysis
     grid = scenario.grid()
-    wrote_any = False
-    failed = 0
+    # per point to report, in index order: the error that rejected it, or the
+    # state, context and region of the direction to locate
+    jobs: list[tuple[int, PvstabError | tuple]] = []
     for index, point in enumerate(grid):
         state = point.state
         try:
@@ -427,12 +439,26 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
             if expected <= 0.0:
                 continue
             region = analysis.region_for(state)
-            region = HalfDiskRegion(min(region.delta, 0.3 * expected), region.radius)
-            report = find_unstable_roots(make_context(state, direction), region)
+            jobs.append((index, (state, make_context(state, direction), HalfDiskRegion(
+                min(region.delta, 0.3 * expected), region.radius))))
+        except PvstabError as err:
+            jobs.append((index, err))
+    located = [job for _, job in jobs if not isinstance(job, PvstabError)]
+    reports = locate_roots([ctx for _, ctx, _ in located], [reg for _, _, reg in located])
+    wrote_any = False
+    failed = 0
+    for index, job in jobs:
+        try:
+            if isinstance(job, PvstabError):
+                raise job
+            state, ctx, _ = job
+            report = next(reports)
+            if isinstance(report, PvstabError):
+                raise report
             if not report.roots:
                 continue
             root = max(report.roots, key=lambda z: z.real)
-            modes = [build_mode(state, root, direction, n, decay_p=analysis.decay_p)
+            modes = [build_mode(state, root, ctx.direction, n, decay_p=analysis.decay_p)
                      for n in _MODE_N]
         except PvstabError as err:
             out.line(_json_line({"index": index, "error": str(err)}))
@@ -450,6 +476,8 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
                    "growth": [{"t": g.t, "initial_norm": g.initial_norm,
                                "ratio": g.ratio, "log_ratio": g.log_ratio}
                               for g in growth_rows(mode, _MODE_T)]}
+            if report.flags:
+                rec["flags"] = list(report.flags)
             out.line(_json_line(rec))
             wrote_any = True
     if not wrote_any:
@@ -466,22 +494,18 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
     coord_names = [ax.parameter for ax in scenario.sweeps]
 
     def row_of(index, point):
+        # the row and the classification, None when the point failed
         row = {"index": index}
         row.update({f"sweep_{k}": v for k, v in point.coords})
         row.update(_state_params(point.state))
         try:
             validate_state(point.state)
             cls = classify(point.state, tol_eq=analysis.tol_for(point.state))
-            row.update(cls.to_record())
-            if analysis.cross_check:
-                summary, agree = judge_verdict(point.state, cls, analysis)
-                row["numeric_unstable"] = summary.numerically_unstable
-                row["max_re_s"] = summary.max_re_s
-                row["agreement"] = agree        # None (empty cell): undecided
         except PvstabError as err:
             row["error"] = str(err)    # columns not reached stay empty
-            return row, True
-        return row, False
+            return row, None
+        row.update(cls.to_record())
+        return row, cls
 
     columns = (["index"] + [f"sweep_{k}" for k in coord_names]
                + list(EquilibriumState.RECORD_KEYS)
@@ -491,10 +515,23 @@ def cmd_sweep(scenario: Scenario, out: _Output) -> int:
     out.line("# pvstab-csv v1")
     writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
+    rows = (row_of(index, point) for index, point in enumerate(grid))
+    if analysis.cross_check:
+        rows = list(rows)
+        checked = [(row, cls) for row, cls in rows if cls is not None]
+        states = [grid[row["index"]].state for row, _ in checked]
+        for (row, _), verdict in zip(checked, judge_verdicts(
+                states, [cls for _, cls in checked], analysis)):
+            if isinstance(verdict, PvstabError):
+                row["error"] = str(verdict)
+                continue
+            summary, agree = verdict
+            row["numeric_unstable"] = summary.numerically_unstable
+            row["max_re_s"] = summary.max_re_s
+            row["agreement"] = agree        # None (empty cell): undecided
     failed = 0
-    for index, point in enumerate(grid):
-        row, error = row_of(index, point)
-        failed += error
+    for row, _ in rows:
+        failed += "error" in row
         writer.writerow(row)
     return 3 if grid and failed == len(grid) else 0
 
@@ -520,24 +557,27 @@ def margin_band(state: EquilibriumState, tol_eq: float,
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
-def judge_verdict(state: EquilibriumState, cls: criterion.Classification,
-                  analysis: AnalysisOptions) -> tuple[ScanSummary, bool | None]:
-    """Scan ``state`` and judge the closed-form verdict ``cls`` against it.
+def judge_verdicts(states: list[EquilibriumState],
+                   classes: list[criterion.Classification],
+                   analysis: AnalysisOptions):
+    """Scan the states as one batch and judge each closed-form verdict.
 
-    Returns the scan and the agreement: whether the verdict is unstable
-    exactly when some direction has a right-half-plane root, or None inside
-    `margin_band`, where the numerics cannot decide.  A scan in which any
-    direction failed raises a PvstabError naming how many failed and the
-    first failure.
+    Yields, per state in order, the scan and the agreement: whether the
+    verdict ``classes[j]`` is unstable exactly when some direction has a
+    right-half-plane root, or None inside `margin_band`, where the numerics
+    cannot decide.  A scan in which any direction failed yields, in place of
+    the pair, a PvstabError naming how many failed and the first failure.
     """
-    region = analysis.region_for(state)
-    summary = scan_directions(state, n_dirs=analysis.n_dirs, region=region)
-    if summary.n_errors:
-        first = next(r.error for r in summary.records if r.error)
-        raise PvstabError(f"{summary.n_errors} direction(s) failed: {first}")
-    if abs(cls.margin) <= margin_band(state, cls.tol_eq, region.delta):
-        return summary, None
-    return summary, cls.verdict.is_unstable == summary.numerically_unstable
+    regions = [analysis.region_for(st) for st in states]
+    for st, cls, region, summary in zip(states, classes, regions,
+                                        scan_states(states, analysis.n_dirs, regions)):
+        if summary.n_errors:
+            first = next(r.error for r in summary.records if r.error)
+            yield PvstabError(f"{summary.n_errors} direction(s) failed: {first}")
+        elif abs(cls.margin) <= margin_band(st, cls.tol_eq, region.delta):
+            yield summary, None
+        else:
+            yield summary, cls.verdict.is_unstable == summary.numerically_unstable
 
 
 def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
@@ -585,20 +625,28 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
             continue
         accepted.append((st, cls, band))
 
-    def record_of(index, st, cls, band):
+    def record_of(index, st, cls, band, verdict):
         rec = {"index": index, **_state_params(st),
                "verdict": cls.verdict.value, "margin": cls.margin,
                "band": band}
-        try:
-            summary, agree = judge_verdict(st, cls, analysis)
-            rec["numeric_unstable"] = summary.numerically_unstable
-            rec["max_re_s"] = summary.max_re_s
-            rec["agree"] = agree    # never None: band states were set aside
-        except PvstabError as err:
-            rec["error"] = str(err)
+        if isinstance(verdict, PvstabError):
+            rec["error"] = str(verdict)
+            return rec
+        summary, agree = verdict
+        rec["numeric_unstable"] = summary.numerically_unstable
+        rec["max_re_s"] = summary.max_re_s
+        rec["agree"] = agree    # never None: band states were set aside
+        flags = [f"({r.direction.omega2:.6g}, {r.direction.omega3:.6g}): {flag}"
+                 for r in summary.records if r.report is not None
+                 for flag in r.report.flags]
+        if flags:
+            rec["flags"] = flags
         return rec
 
-    records = [record_of(index, *item) for index, item in enumerate(accepted)]
+    verdicts = judge_verdicts([st for st, _, _ in accepted],
+                              [cls for _, cls, _ in accepted], analysis)
+    records = [record_of(index, *item, verdict)
+               for index, (item, verdict) in enumerate(zip(accepted, verdicts))]
     n_failed = sum(1 for r in records if "error" in r)
     judged = [r for r in records if "agree" in r]
     n_disagree = sum(1 for r in records if r.get("agree") is False)

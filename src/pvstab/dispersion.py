@@ -48,6 +48,8 @@ _MAX_CONTOUR_POINTS = 1 << 20
 _CONTOUR_FLOOR = 1e-8          # min |L|/scale on a usable contour
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
 _ROOT_RESIDUAL = 1e-10         # relative residual certified per reported root
+_BRANCH_POINT = 1e-9           # |1 + eps^2 s^2| at which a root is a branch point
+_MAX_BATCH = 64                # directions per batch (or one state's): bounds memory
 # (delta, R) multipliers tried when a contour grazes a root, and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 _JITTER_MIN = min(min(j) for j in _JITTERS)
@@ -62,10 +64,10 @@ MIN_N_DIRS = 8                 # least number of directions a scan accepts
 class LopatinskiContext:
     """Frozen per-direction data for evaluating L and its derivative.
 
-    The evaluators also take a batch of directions of one state: then
-    ``direction`` is None and the ``bundle`` fields are arrays that
-    broadcast against ``s``: one value per evaluation point, or (k, 1)
-    columns of one value per direction against points shared by all k.
+    The evaluators read the state scalars and the ``bundle`` fields through
+    the attributes below, so they also take a batch of directions of any
+    states (``_Batch``), whose attributes are arrays that broadcast against
+    ``s``.
     """
 
     state: EquilibriumState
@@ -119,28 +121,52 @@ def vacuum_decay_root(s, eps: float):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def lopatinski(ctx: LopatinskiContext, s):
-    """L(s) on the unit-|omega'| normalization; vectorized over s."""
-    # The in-place steps repeat the operations of the plain expression in the
-    # same order, so the values are the same; they only keep fewer arrays of
-    # the size of s alive, which matters when s holds a batch of directions.
-    s = np.asarray(s, dtype=complex)
-    b = ctx.bundle
-    es = ctx.eps * s
+def _sqrt_factor(es):
+    # sqrt(1 + eps^2 s^2) from es = eps s.  Here and below, the in-place
+    # additions repeat the operations of the plain expression in the same
+    # order, so the values are the same; they only keep fewer arrays of the
+    # size of s alive, which matters for a batch.  Complex products are
+    # never taken in place: numpy multiplies a complex array of one element
+    # in place with other roundings than any longer array, and a direction
+    # must get the same values of L in a batch of any size.
     g = es * es
     g += 1.0
-    g = np.sqrt(g)
-    out = s + 1j * b.v_dot                       # ell
-    out *= out
-    out += b.w_plus ** 2
-    out *= g
-    del g
-    out += b.w_minus ** 2
-    out -= ctx.e1 ** 2
-    out -= 2j * ctx.e1 * b.w_perp * es
-    quad = ctx.hv_sq * es
-    quad *= es
-    out += quad
+    return np.sqrt(g)
+
+
+def _head(ctx, s, g):
+    # (ell^2 + w_plus^2) g: the term that L and its scale share
+    ell = s + 1j * ctx.bundle.v_dot
+    head = ell * ell
+    del ell
+    head += ctx.bundle.w_plus ** 2
+    return head * g
+
+
+def _add_tail(ctx, head, es):
+    # L from its head, in place: the terms of L without the square root
+    head += ctx.bundle.w_minus ** 2
+    head -= ctx.e1 ** 2
+    head -= 2j * ctx.e1 * ctx.bundle.w_perp * es
+    head += (ctx.hv_sq * es) * es
+    return head
+
+
+def _scale_of(ctx, head, es):
+    # the sum of the term magnitudes of L, from its head
+    out = np.abs(head)
+    out += ctx.bundle.w_minus ** 2
+    out += ctx.e1 ** 2
+    out += np.abs(2.0 * ctx.e1 * ctx.bundle.w_perp * es)
+    out += ctx.hv_sq * np.abs(es) ** 2
+    return out
+
+
+def lopatinski(ctx: LopatinskiContext, s):
+    """L(s) on the unit-|omega'| normalization; vectorized over s."""
+    s = np.asarray(s, dtype=complex)
+    es = ctx.eps * s
+    out = _add_tail(ctx, _head(ctx, s, _sqrt_factor(es)), es)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -158,24 +184,9 @@ def lopatinski_deriv(ctx: LopatinskiContext, s):
 
 def lopatinski_scale(ctx: LopatinskiContext, s):
     """Sum of the term magnitudes of L(s): the natural relative scale."""
-    # in place for the same reason, and with the same values, as lopatinski
     s = np.asarray(s, dtype=complex)
-    b = ctx.bundle
     es = ctx.eps * s
-    g = es * es
-    g += 1.0
-    g = np.sqrt(g)
-    head = s + 1j * b.v_dot                      # ell
-    head *= head
-    head += b.w_plus ** 2
-    head *= g
-    del g
-    out = np.abs(head)
-    del head
-    out += b.w_minus ** 2
-    out += ctx.e1 ** 2
-    out += np.abs(2.0 * ctx.e1 * b.w_perp * es)
-    out += ctx.hv_sq * np.abs(es) ** 2
+    out = _scale_of(ctx, _head(ctx, s, _sqrt_factor(es)), es)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -279,55 +290,86 @@ def default_region(state: EquilibriumState) -> HalfDiskRegion:
     return HalfDiskRegion(delta=delta, radius=max(r, r_star / _JITTER_MIN))
 
 
-def _half_disk_path(delta: float, radius: float):
-    # Positively oriented boundary: right half-circle from delta-iR through
-    # delta+R to delta+iR, then the vertical chord back down.  The chord is
-    # parametrized with a quadratic stretch toward small |Im s|: that is
-    # where the imaginary-axis roots of neutral states pass at distance
-    # delta, the sharpest feature the sampling has to resolve.
-    def point_of(u):
-        u = np.asarray(u, dtype=float)
-        s = np.empty(u.shape, dtype=complex)
-        arc = u < 0.5
-        theta = -0.5 * np.pi + 2.0 * np.pi * u[arc]
-        s[arc] = delta + radius * np.exp(1j * theta)
-        y = 1.0 - 4.0 * (u[~arc] - 0.5)            # +1 .. -1 down the chord
-        s[~arc] = delta + 1j * radius * y * np.abs(y)
-        return s
-    return point_of
+def _path_factors(u):
+    # the parts of the boundary that depend on the path parameter alone: the
+    # masks of the arc and of the chord, exp(i theta) on the arc, and y and
+    # |y| on the chord
+    arc = u < 0.5
+    y = 1.0 - 4.0 * (u[~arc] - 0.5)            # +1 .. -1 down the chord
+    return arc, ~arc, np.exp(1j * (-0.5 * np.pi + 2.0 * np.pi * u[arc])), y, np.abs(y)
 
 
-def _batch_context(ctxs, fields: np.ndarray) -> LopatinskiContext:
-    # fields rows are (w_plus, w_minus, w_perp, v_dot), one value per point
-    # (or per direction, as (k, 1) columns against a shared 1-D s): many
-    # directions of one state in one context.
-    # A batch of one keeps its own context: with float fields every array
-    # operation of the evaluators stays on numpy's contiguous fast path,
-    # where per-point arrays would add work and nothing else.
-    if len(ctxs) == 1:
-        return ctxs[0]
-    return LopatinskiContext(state=ctxs[0].state, direction=None,
-                             bundle=FrequencyBundle(*fields))
+def _half_disk_points(delta, radius, u, factors=None):
+    """Points of half-disk boundaries at path parameters u in [0, 1].
+
+    Positively oriented: the right half-circle from delta - iR through
+    delta + R to delta + iR, then the vertical chord back down.  The chord
+    is parametrized with a quadratic stretch toward small |Im s|: that is
+    where the imaginary-axis roots of neutral states pass at distance delta,
+    the sharpest feature the sampling has to resolve.  ``delta`` and
+    ``radius`` broadcast against ``u``: one half-disk per point, or (k, 1)
+    columns of one half-disk per direction against shared parameters, whose
+    ``_path_factors`` may be passed in.
+    """
+    arc, chord, rot, y, ay = _path_factors(u) if factors is None else factors
+    shape = np.broadcast_shapes(np.shape(delta), np.shape(radius), np.shape(u))
+    delta, radius = np.broadcast_to(delta, shape), np.broadcast_to(radius, shape)
+    s = np.empty(shape, dtype=complex)
+    s[..., arc] = delta[..., arc] + radius[..., arc] * rot
+    s[..., chord] = delta[..., chord] + 1j * radius[..., chord] * y * ay
+    return s
 
 
-def _evaluate(ctx: LopatinskiContext, s):
-    # L and |L|/scale.  The scale comes first, so that its real array rather
-    # than the complex L is what stays alive while the other one is built:
-    # that lowers the peak memory of a large batch.
-    scale = np.maximum(lopatinski_scale(ctx, s), 1e-300)
-    vals = lopatinski(ctx, s)
+def _columns(ctxs) -> np.ndarray:
+    # (7, k): eps, E1, |Hv'|^2 and the bundle fields of each context
+    return np.array([(c.eps, c.e1, c.hv_sq, c.bundle.w_plus, c.bundle.w_minus,
+                      c.bundle.w_perp, c.bundle.v_dot) for c in ctxs]).T
+
+
+class _Batch:
+    """Directions of any states, as the evaluators read them.
+
+    ``cols`` holds the rows of ``_columns``, or of its columns indexed or
+    broadcast alike: one value per evaluation point, or (k, 1) columns of
+    one value per direction.  Its rows become the attributes of a
+    LopatinskiContext that the evaluators read.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+        self.eps, self.e1, self.hv_sq = cols[:3]
+        self.bundle = FrequencyBundle(*cols[3:])
+
+
+def _finish(ctx, head, es):
+    # L and |L|/scale from the head of L and es = eps s, with the values of
+    # lopatinski and lopatinski_scale: the scale is taken from the head, and
+    # L is completed in place on the head's array
+    scale = _scale_of(ctx, head, es)
+    np.maximum(scale, 1e-300, out=scale)
+    vals = _add_tail(ctx, head, es)
     rel = np.abs(vals)
     rel /= scale
     return vals, rel
 
 
+def _evaluate(ctx, s):
+    # L and |L|/scale, computing the head they share once
+    es = ctx.eps * s
+    return _finish(ctx, _head(ctx, s, _sqrt_factor(es)), es)
+
+
 @lru_cache(maxsize=None)
-def _unit_grid(n0: int) -> np.ndarray:
-    # The starting parameters of every count, shared read-only: building
-    # them anew took a few per cent of a one-direction count.
+def _unit_grid(n0: int):
+    # The starting parameters of every count and their path factors, shared
+    # read-only: building them anew took a few per cent of a count.
     u = np.linspace(0.0, 1.0, n0 + 1)
-    u.flags.writeable = False
-    return u
+    arc, _, *parts = _path_factors(u)
+    for a in (u, *parts):
+        a.flags.writeable = False
+    # u is sorted, so the arc is its first part: slices index it faster
+    n_arc = int(arc.sum())
+    return u, (slice(0, n_arc), slice(n_arc, None), *parts)
 
 
 def _step_test(du, lo, hi):
@@ -340,23 +382,23 @@ def _step_test(du, lo, hi):
     return dphi, bad
 
 
-def _winding_numbers(ctxs, point_of, n0: int,
+def _winding_numbers(ctxs, delta, radius, n0: int = 512,
                      max_points: int = _MAX_CONTOUR_POINTS) -> list:
-    """Winding of L around 0 along one closed path, for several directions.
+    """Winding of L around 0 along half-disk boundaries, for several directions.
 
-    The contexts share the state and the path; only their field projections
-    differ.  The starting grid of the path is evaluated once, as points
-    shared by all directions, so the factors that depend on s alone are
-    computed once per point.  Refinement is incremental: an interval that
-    passes the tests is accepted for good, its wrapped phase step added to
-    its direction's total, and only the intervals that fail are kept, as
-    flat arrays of both ends (direction, path parameter, L, |L|, arg L).
-    Each round bisects them all, evaluates every midpoint in one call and
-    tests only the two halves, so its cost is proportional to the points
-    it adds.  Each direction is refined by the same rules as if it were
-    counted alone, and leaves the batch the round it finishes.  Its values
-    of L can differ from those of a count alone in the last bit: per-point
-    arrays square the field projections with numpy, floats with libm's pow.
+    Direction j, with context ``ctxs[j]`` of any state, is counted on the
+    half-disk of ``delta[j]`` and ``radius[j]``.  Its state scalars, field
+    projections and half-disk are columns of one batch, so the starting
+    grids of all paths are evaluated in one call, and every value of L is
+    computed elementwise from the columns of its own direction: a direction
+    gets the same values, and the same count, in any batch.  Refinement is
+    incremental: an interval that passes the tests is accepted for good, its
+    wrapped phase step added to its direction's total, and only the
+    intervals that fail are kept, as flat arrays of both ends (direction,
+    path parameter, L, |L|, arg L).  Each round bisects them all, evaluates
+    every midpoint in one call and tests only the two halves, so its cost is
+    proportional to the points it adds.  A direction leaves the batch the
+    round it finishes.
 
     Parametric midpoints are inserted until every step both changes the
     argument by less than pi/2 and changes the value by less than the
@@ -372,12 +414,26 @@ def _winding_numbers(ctxs, point_of, n0: int,
     NonConvergentError past the point budget or for a non-integer winding.
     """
     k = len(ctxs)
-    fields = np.array([[c.bundle.w_plus, c.bundle.w_minus, c.bundle.w_perp,
-                        c.bundle.v_dot] for c in ctxs]).T
-    u0 = _unit_grid(n0)
-    vals, rel = _evaluate(_batch_context(ctxs, fields[:, :, None]), point_of(u0))
-    vals = vals.reshape(k, n0 + 1)            # a batch of one gives (n0 + 1,)
-    min_rel = rel.reshape(k, n0 + 1).min(axis=1)
+    cols = _columns(ctxs)
+    delta, radius = np.asarray(delta), np.asarray(radius, dtype=float)
+    u0, factors = _unit_grid(n0)
+    # the directions of one state on one half-disk share the starting grid
+    # of their path, and the factors of L that depend on s alone: those are
+    # computed once per run of such directions
+    key = np.stack((cols[0], delta, radius))
+    run = np.concatenate(([0], np.cumsum(np.any(key[:, 1:] != key[:, :-1], axis=0))))
+    first = np.flatnonzero(np.diff(run, prepend=-1))
+    s = _half_disk_points(delta[first, None], radius[first, None], u0, factors)
+    es = cols[0, first, None] * s
+    g = _sqrt_factor(es)
+    if first.size < k:
+        s, es, g = s[run], es[run], g[run]
+    batch = _Batch(cols[:, :, None])
+    head = _head(batch, s, g)
+    del s, g                # of the size of the grid: only es is needed on
+    vals, rel = _finish(batch, head, es)
+    del head, es
+    min_rel = rel.min(axis=1)
     del rel
     grid = (vals, np.abs(vals), np.angle(vals))
     # round 0 tests every interval of the grid, on views of its ends
@@ -388,7 +444,7 @@ def _winding_numbers(ctxs, point_of, n0: int,
     seg, i = np.nonzero(bad)
     lo = [u0[i]] + [a[seg, i] for a in grid]
     hi = [u0[i + 1]] + [a[seg, i + 1] for a in grid]
-    del grid, dphi, bad, i
+    del grid, vals, dphi, bad, i
     n_int = [n0] * k
     live = list(range(k))
     out: list = [None] * k
@@ -426,7 +482,8 @@ def _winding_numbers(ctxs, point_of, n0: int,
         # quantity laid out as lo, mid, hi, the first two thirds are the low
         # ends of the halves and the last two thirds their high ends
         mid_u = 0.5 * (lo[0] + hi[0])
-        mid, mid_rel = _evaluate(_batch_context(ctxs, fields[:, seg]), point_of(mid_u))
+        mid, mid_rel = _evaluate(_Batch(cols[:, seg]), _half_disk_points(
+            delta[seg], radius[seg], mid_u))
         np.minimum.at(min_rel, seg, mid_rel)
         n = seg.size
         ends = [np.concatenate(e) for e in
@@ -447,22 +504,24 @@ class _RegionCount(NamedTuple):
     min_rel: float
 
 
-def _count_on_regions(ctxs, region: HalfDiskRegion) -> list:
-    """Winding over the half-disk for each context, as one batch.
+def _count_on_regions(ctxs, regions) -> list:
+    """Winding over each context's half-disk, as one batch.
 
-    A direction whose contour grazes a root is counted again, with the
-    directions that grazed alongside it, on each jittered boundary in turn.
-    Returns a _RegionCount or the error per context.
+    ``regions[j]`` is the half-disk of ``ctxs[j]``; the contexts may belong
+    to different states.  A direction whose contour grazes a root is counted
+    again, with every direction that grazed alongside it, on each jittered
+    boundary in turn.  Returns a _RegionCount or the error per context.
     """
     out: list = [None] * len(ctxs)
     last_err: dict = {}
     pending = list(range(len(ctxs)))
     for jd, jr in _JITTERS:
-        reg = HalfDiskRegion(region.delta * jd, region.radius * jr)
+        regs = [HalfDiskRegion(regions[i].delta * jd, regions[i].radius * jr)
+                for i in pending]
         results = _winding_numbers([ctxs[i] for i in pending],
-                                   _half_disk_path(reg.delta, reg.radius), n0=512)
+                                   [r.delta for r in regs], [r.radius for r in regs])
         grazed = []
-        for i, res in zip(pending, results):
+        for i, reg, res in zip(pending, regs, results):
             if isinstance(res, ContourTooCloseError):
                 last_err[i] = res
                 grazed.append(i)
@@ -481,7 +540,7 @@ def _count_on_regions(ctxs, region: HalfDiskRegion) -> list:
 
 def _count_on_region(ctx: LopatinskiContext, region: HalfDiskRegion) -> _RegionCount:
     """Winding over the half-disk, jittering the boundary off grazed roots."""
-    result = _count_on_regions([ctx], region)[0]
+    result = _count_on_regions([ctx], [region])[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -493,21 +552,55 @@ def count_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> int:
     return winding
 
 
-def newton_refine(ctx: LopatinskiContext, s0: complex, max_iter: int = 60):
-    """Polish a root estimate; returns (s, |L(s)|, scale at s)."""
-    s = complex(s0)
+def _modulus(z):
+    # |z| by the C library's hypot, as abs() takes it of a Python complex:
+    # the residuals then keep the digits that a polish of one root with
+    # Python numbers gives more often (numpy's complex absolute rounds
+    # otherwise in the last bit)
+    return np.hypot(z.real, z.imag)
+
+
+def newton_refine(ctx, s0, max_iter: int = 60):
+    """Polish root estimates by Newton iteration, all of them at once.
+
+    ``ctx`` is one direction's context, or a ``_Batch`` of one direction
+    per estimate.  An estimate stops when |L| is within _NEWTON_TARGET of
+    the scale, when dL/ds vanishes, or when its step falls below roundoff;
+    |L| and the scale are evaluated at the point where it stopped.  Returns
+    (s, |L(s)|, scale at s) of the shape of ``s0``.
+    """
+    s = np.array(s0, dtype=complex)
+    shape = s.shape
+    s = s.reshape(-1)
+    n = s.size
+    cols = ctx.cols if isinstance(ctx, _Batch) else _columns([ctx])
+    cols = np.broadcast_to(cols, (cols.shape[0], n))
+    abs_l, scale = np.empty(n), np.empty(n)
+    act = np.arange(n)
+    stepped = []                  # stopped after a step: evaluated at the end
     for _ in range(max_iter):
-        val = lopatinski(ctx, s)
-        if abs(val) <= _NEWTON_TARGET * lopatinski_scale(ctx, s):
+        if not act.size:
             break
-        dval = lopatinski_deriv(ctx, s)
-        if dval == 0:
-            break
-        step = val / dval
-        s -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(s)):
-            break
-    return s, abs(lopatinski(ctx, s)), lopatinski_scale(ctx, s)
+        c, z = _Batch(cols[:, act]), s[act]
+        val = lopatinski(c, z)
+        sc = lopatinski_scale(c, z)
+        mag = _modulus(val)
+        dval = lopatinski_deriv(c, z)
+        stop = (mag <= _NEWTON_TARGET * sc) | (dval == 0)
+        abs_l[act[stop]], scale[act[stop]] = mag[stop], sc[stop]
+        go = ~stop
+        act, step = act[go], val[go] / dval[go]
+        s[act] -= step
+        small = _modulus(step) <= 1e-16 * (1.0 + _modulus(s[act]))
+        stepped.append(act[small])
+        act = act[~small]
+    done = np.concatenate(stepped + [act])
+    if done.size:
+        c, z = _Batch(cols[:, done]), s[done]
+        abs_l[done], scale[done] = _modulus(lopatinski(c, z)), lopatinski_scale(c, z)
+    if not shape:
+        return complex(s[0]), float(abs_l[0]), float(scale[0])
+    return s.reshape(shape), abs_l.reshape(shape), scale.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -527,59 +620,137 @@ class RootReport:
         return max((r.real for r in self.roots), default=None)
 
 
-def _candidate_roots(ctx: LopatinskiContext) -> list[complex]:
-    """Roots of L with Re s > 0, from one polynomial, Newton-polished.
-
-    Writing L = A g + B with A = ell^2 + w_plus^2, g = sqrt(1 + eps^2 s^2)
-    and B the remaining quadratic, the roots of L on either branch of g are
-    the roots of A^2 (1 + eps^2 s^2) - B^2, of degree 6 (4 at eps = 0).  A
-    root belongs to the principal branch when |A g + B| <= |A g - B|.
-    """
+def _polynomial(ctx: LopatinskiContext) -> np.ndarray:
+    # A^2 (1 + eps^2 s^2) - B^2 for L = A g + B, highest power first.  The
+    # products are np.convolve's: its dot products may fuse multiply-adds,
+    # and a closed form that does not would move the roots that Newton
+    # leaves in place by an ulp.
     b, eps, e1 = ctx.bundle, ctx.eps, ctx.e1
     a = np.array([1.0, 2j * b.v_dot, b.w_plus ** 2 - b.v_dot ** 2])
     bq = np.array([ctx.hv_sq * eps ** 2, -2j * e1 * b.w_perp * eps,
                    b.w_minus ** 2 - e1 ** 2])
-    poly = np.polysub(np.convolve(np.convolve(a, a), [eps ** 2, 0.0, 1.0]),
+    return np.polysub(np.convolve(np.convolve(a, a), [eps ** 2, 0.0, 1.0]),
                       np.convolve(bq, bq))
-    z = np.roots(poly)
-    # Re s > 0 only: this also drops the branch points +-i/eps, where dL/ds
-    # is singular and which are roots of the polynomial when B(+-i/eps) = 0.
-    z = z[z.real > 0.0]
-    ag = np.polyval(a, z) * np.sqrt(1.0 + (eps * z) ** 2)
-    bz = np.polyval(bq, z)
-    z = z[np.abs(ag + bz) <= np.abs(ag - bz)]
-    return [newton_refine(ctx, complex(s))[0] for s in z]
 
 
-def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion,
-                        counted: _RegionCount | None = None) -> RootReport:
-    """Count roots in the region, then localize them.
+def _stacked_roots(polys) -> list:
+    """np.roots of each coefficient array (highest power first), bit for bit,
+    without the roots at s = 0 of trailing zero coefficients.
+
+    The companion matrices are laid out as np.roots lays them out, after
+    dropping the leading and trailing zero coefficients, and those of one
+    degree are stacked into one eigenvalue call.
+    """
+    out = [np.empty(0, dtype=complex)] * len(polys)
+    by_degree: dict = {}
+    for i, p in enumerate(polys):
+        nz = np.flatnonzero(p)
+        if nz.size > 1:
+            by_degree.setdefault(nz[-1] - nz[0], []).append((i, p[nz[0]:nz[-1] + 1]))
+    for m, group in by_degree.items():
+        p = np.array([q for _, q in group])
+        comp = np.zeros((len(group), m, m), dtype=p.dtype)
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        for (i, _), z in zip(group, np.linalg.eigvals(comp)):
+            out[i] = z
+    return out
+
+
+def _candidate_roots(ctxs) -> list:
+    """Roots of L with Re s > 0, Newton-polished, for each context.
+
+    Writing L = A g + B with A = ell^2 + w_plus^2, g = sqrt(1 + eps^2 s^2)
+    and B the remaining quadratic, the roots of L on either branch of g are
+    the roots of A^2 (1 + eps^2 s^2) - B^2, of degree 6 (4 at eps = 0).
+    The polynomials of all contexts are solved together
+    (``_stacked_roots``), and all their roots polished by one Newton
+    iteration.  A root belongs to the principal branch when
+    |A g + B| <= |A g - B|.  Returns (roots, |L|, scale) arrays per
+    context, the last two from Newton.
+    """
+    if not ctxs:
+        return []
+    found = _stacked_roots([_polynomial(c) for c in ctxs])
+    owner = np.repeat(np.arange(len(ctxs)), [z.size for z in found])
+    z = np.concatenate(found)
+    cols = _columns(ctxs)[:, owner]
+    batch, es = _Batch(cols), cols[0] * z
+    g = _sqrt_factor(es)
+    ag = _head(batch, z, g)
+    bz = _add_tail(batch, np.zeros_like(z), es)
+    # the branch points +-i/eps are roots of the polynomial where B(+-i/eps)
+    # = 0, and roundoff can put them at Re s > 0; dL/ds is singular there,
+    # so Newton cannot move them, and they are dropped
+    keep = (z.real > 0.0) & (np.abs(g) ** 2 > _BRANCH_POINT) & (
+        np.abs(ag + bz) <= np.abs(ag - bz))
+    owner = owner[keep]
+    roots, abs_l, scale = newton_refine(_Batch(cols[:, keep]), z[keep])
+    ends = np.searchsorted(owner, np.arange(len(ctxs) + 1))
+    return [(roots[lo:hi], abs_l[lo:hi], scale[lo:hi])
+            for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _root_reports(ctxs, counts) -> list:
+    """The RootReport of each context from its certified count.
+
+    The roots of all contexts with a positive winding are located as one
+    batch (see ``_candidate_roots``); those inside the counted region are
+    reported, sorted by (-Re, Im), with the residuals Newton ended on.  A
+    mismatch with the winding, or a root whose residual exceeds
+    certification, is reported via ``flags``.
+    """
+    located = [i for i, c in enumerate(counts) if c.winding > 0]
+    found = dict(zip(located, _candidate_roots([ctxs[i] for i in located])))
+    reports = []
+    for i, (winding, used, n_int, min_rel) in enumerate(counts):
+        if winding == 0:
+            reports.append(RootReport(used, 0, (), (), n_int, min_rel))
+            continue
+        roots, abs_l, scale = (a.tolist() for a in found[i])
+        inside = sorted((j for j, s in enumerate(roots) if used.contains(s)),
+                        key=lambda j: (-roots[j].real, roots[j].imag))
+        flags: list[str] = []
+        if len(inside) != winding:
+            flags.append(f"located {len(inside)} roots but winding is {winding}")
+        flags += [f"root {roots[j]:.6g} residual {abs_l[j]:.3e} above certification"
+                  for j in inside if abs_l[j] > _ROOT_RESIDUAL * scale[j]]
+        reports.append(RootReport(used, winding, tuple(roots[j] for j in inside),
+                                  tuple(abs_l[j] for j in inside), n_int, min_rel,
+                                  tuple(flags)))
+    return reports
+
+
+def locate_roots(ctxs, regions):
+    """Count and locate the roots of each context in its region, in batches.
+
+    ``regions[j]`` is the region of ``ctxs[j]``; the contexts may belong to
+    different states.  Up to _MAX_BATCH directions are counted as one batch
+    (see ``_count_on_regions``) and located as one (see ``_root_reports``).
+    Yields, per context and in order, its RootReport or the error that
+    ended its count.
+    """
+    for lo in range(0, len(ctxs), _MAX_BATCH):
+        part, regs = ctxs[lo:lo + _MAX_BATCH], regions[lo:lo + _MAX_BATCH]
+        counts = _count_on_regions(part, regs)
+        ok = [i for i, c in enumerate(counts) if not isinstance(c, Exception)]
+        reports = dict(zip(ok, _root_reports([part[i] for i in ok],
+                                             [counts[i] for i in ok])))
+        yield from (reports.get(i, c) for i, c in enumerate(counts))
+
+
+def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> RootReport:
+    """Count roots in the region, then localize them (``locate_roots``).
 
     The roots are those of a degree-6 polynomial (see ``_candidate_roots``)
     that lie in the region after Newton polishing; the winding count over
     the region certifies them.  A mismatch between the two, or a root whose
-    residual exceeds certification, is reported via ``flags``.  ``counted``
-    is a count already certified on ``region`` for this direction; it is
-    used instead of counting again.
+    residual exceeds certification, is reported via ``flags``.
     """
-    winding, used, n_int, min_rel = (counted if counted is not None
-                                     else _count_on_region(ctx, region))
-    if winding == 0:
-        return RootReport(used, 0, (), (), n_int, min_rel)
-
-    roots = sorted((s for s in _candidate_roots(ctx) if used.contains(s)),
-                   key=lambda z: (-z.real, z.imag))
-    flags: list[str] = []
-    if len(roots) != winding:
-        flags.append(f"located {len(roots)} roots but winding is {winding}")
-    residuals = []
-    for s in roots:
-        res = abs(lopatinski(ctx, s))
-        residuals.append(res)
-        if res > _ROOT_RESIDUAL * lopatinski_scale(ctx, s):
-            flags.append(f"root {s:.6g} residual {res:.3e} above certification")
-    return RootReport(used, winding, tuple(roots), tuple(residuals),
-                      n_int, min_rel, tuple(flags))
+    result = next(locate_roots([ctx], [region]))
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +796,64 @@ def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
                        key=lambda p: (-p[0].real, p[0].imag))
         report = replace(report, roots=tuple(z for z, _ in pairs),
                          residuals=tuple(res for _, res in pairs))
-    return replace(scan, direction=direction, report=report)
+    return DirectionScan(direction, scan.count, scan.region, scan.contour_points,
+                         scan.min_rel, report, scan.error)
+
+
+def _summary(records) -> ScanSummary:
+    counts = [r.count for r in records if r.count is not None]
+    res = [r.max_re_s for r in records if r.max_re_s is not None]
+    return ScanSummary(
+        records=tuple(records),
+        numerically_unstable=any(c > 0 for c in counts),
+        max_re_s=max(res) if res else None,
+        n_errors=sum(1 for r in records if r.error is not None),
+    )
+
+
+def scan_states(states, n_dirs: int = 32, regions=None):
+    """Scan the directions of each state (see ``scan_directions``) in batches.
+
+    ``regions[j]`` is the region of ``states[j]``, None for its default
+    region.  The counted directions of as many states as fit in _MAX_BATCH
+    (at least one state) go to ``locate_roots`` together, so they are
+    counted as one batch and those with roots located as one.  Yields a
+    ScanSummary per state, in order.
+    """
+    if n_dirs < MIN_N_DIRS:
+        raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
+    from .criterion import minimize_f  # local import: criterion has no dispersion dep
+
+    states = list(states)
+    regions = [None] * len(states) if regions is None else list(regions)
+    equispaced = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
+                  for k in range(n_dirs)]
+    # index of the direction whose mirror image each folded direction is
+    mirror_of = {n_dirs + 1: n_dirs}
+    if n_dirs % 2 == 0:
+        mirror_of.update((k + n_dirs // 2, k) for k in range(n_dirs // 2))
+    own = [i for i in range(n_dirs + 2) if i not in mirror_of]
+    per_batch = max(1, _MAX_BATCH // len(own))
+    for lo in range(0, len(states), per_batch):
+        group, ctxs, regs = [], [], []
+        for st, reg in zip(states[lo:lo + per_batch], regions[lo:lo + per_batch]):
+            star = minimize_f(st).omega_star
+            directions = equispaced + [star, WaveDirection(-star.omega2, -star.omega3)]
+            group.append(directions)
+            ctxs += [make_context(st, directions[i]) for i in own]
+            regs += [reg or default_region(st)] * len(own)
+        located = locate_roots(ctxs, regs)
+        for directions in group:
+            scans = {}
+            for i in own:
+                rep = next(located)
+                scans[i] = (DirectionScan(directions[i], None, error=str(rep))
+                            if isinstance(rep, Exception) else
+                            DirectionScan(directions[i], rep.winding_count, rep.region,
+                                          rep.contour_points, rep.min_abs_on_contour,
+                                          rep if rep.winding_count else None))
+            yield _summary([scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
+                            for i, d in enumerate(directions)])
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
@@ -637,46 +865,9 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
     antipodal pair is counted and located: the first half of an even
     equispaced set, and the F-minimizer; the other is its mirror image (see
     ``_mirrored``).  With an odd ``n_dirs`` only the F-minimizer pair folds.
-    The counted directions share the state and the region, so their winding
-    counts run as one batch (see ``_winding_numbers``), once, on ``region``
-    or on the default region, whose radius is proven to hold every root.
-    Directions with roots are localized with the count already certified.
-    Per-direction failures are recorded, not raised.
+    The counted directions are counted once, on ``region`` or on the default
+    region, whose radius is proven to hold every root; directions with roots
+    are localized with that count.  Per-direction failures are recorded,
+    not raised.  A scan of one state is a batch of one of ``scan_states``.
     """
-    if n_dirs < MIN_N_DIRS:
-        raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
-    from .criterion import minimize_f  # local import: criterion has no dispersion dep
-
-    mres = minimize_f(state)
-    star = mres.omega_star
-    directions = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
-                  for k in range(n_dirs)]
-    directions += [star, WaveDirection(-star.omega2, -star.omega3)]
-    # index of the direction whose mirror image each folded direction is
-    mirror_of = {n_dirs + 1: n_dirs}
-    if n_dirs % 2 == 0:
-        mirror_of.update((k + n_dirs // 2, k) for k in range(n_dirs // 2))
-    own = [i for i in range(len(directions)) if i not in mirror_of]
-
-    ctxs = [make_context(state, directions[i]) for i in own]
-    results = _count_on_regions(ctxs, region or default_region(state))
-    scans = {}
-    for i, ctx, c in zip(own, ctxs, results):
-        if isinstance(c, Exception):
-            scans[i] = DirectionScan(directions[i], None, error=str(c))
-            continue
-        report = None
-        if c.winding > 0:
-            report = find_unstable_roots(ctx, c.region, counted=c)
-        scans[i] = DirectionScan(directions[i], c.winding, c.region,
-                                 c.contour_points, c.min_rel, report)
-    records = [scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
-               for i, d in enumerate(directions)]
-    counts = [r.count for r in records if r.count is not None]
-    res = [r.max_re_s for r in records if r.max_re_s is not None]
-    return ScanSummary(
-        records=tuple(records),
-        numerically_unstable=any(c > 0 for c in counts),
-        max_re_s=max(res) if res else None,
-        n_errors=sum(1 for r in records if r.error is not None),
-    )
+    return next(scan_states([state], n_dirs, [region]))

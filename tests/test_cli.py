@@ -140,6 +140,27 @@ class TestParseScenario:
             with pytest.raises(ScenarioParseError, match="line 8: radius must be positive"):
                 parse_scenario(path)
 
+    def test_tol_eq_out_of_range(self, tmp_path):
+        for value in ("-1", "nan", "inf"):
+            path = _write(tmp_path, MINIMAL + f"\n[analysis]\ntol_eq = {value}\n")
+            with pytest.raises(ScenarioParseError,
+                               match="line 8: tol_eq must be non-negative and finite"):
+                parse_scenario(path)
+        path = _write(tmp_path, MINIMAL + "\n[analysis]\ntol_eq = 0\n")
+        assert parse_scenario(path).analysis.tol_eq == 0.0
+
+    def test_decay_p_not_finite(self, tmp_path):
+        for value in ("nan", "inf", "-inf"):
+            path = _write(tmp_path, MINIMAL + f"\n[analysis]\ndecay_p = {value}\n")
+            with pytest.raises(ScenarioParseError, match="line 8: decay_p must be finite"):
+                parse_scenario(path)
+
+    def test_sample_below_one(self, tmp_path):
+        for value in ("0", "-3"):
+            path = _write(tmp_path, MINIMAL + f"\n[analysis]\nsample = {value}\n")
+            with pytest.raises(ScenarioParseError, match="line 8: sample must be at least 1"):
+                parse_scenario(path)
+
     def test_comments_ignored(self, tmp_path):
         sc = parse_scenario(_write(tmp_path, "# top\n[state]\nH2 = 1 # inline\n"))
         assert sc.states[0].H_hat_t == (1.0, 0.0)
@@ -365,13 +386,14 @@ class TestSweepCrossCheck:
         from pvstab.dispersion import DirectionScan, ScanSummary
         from pvstab.state import WaveDirection
 
-        def fake_scan(state, n_dirs=32, region=None):
-            return ScanSummary(
-                records=(DirectionScan(WaveDirection(1, 0), None, error="boom"),
-                         DirectionScan(WaveDirection(0, 1), 0)),
-                numerically_unstable=False, max_re_s=None, n_errors=1)
+        def fake_scan(states, n_dirs=32, regions=None):
+            for _ in states:
+                yield ScanSummary(
+                    records=(DirectionScan(WaveDirection(1, 0), None, error="boom"),
+                             DirectionScan(WaveDirection(0, 1), 0)),
+                    numerically_unstable=False, max_re_s=None, n_errors=1)
 
-        monkeypatch.setattr(cli_mod, "scan_directions", fake_scan)
+        monkeypatch.setattr(cli_mod, "scan_states", fake_scan)
         out = tmp_path / "sweep.csv"
         assert _run(["sweep", _write(tmp_path, CROSS_CHECK), "--out", str(out)]) == 3
         for r in _csv_rows(out):
@@ -415,13 +437,13 @@ class TestRootsCommand:
 
         from pvstab import dispersion
 
-        locate = dispersion.find_unstable_roots
+        locate = dispersion._root_reports
 
-        def flagged(ctx, region, counted=None):
-            rep = locate(ctx, region, counted=counted)
-            return dataclasses.replace(rep, flags=("first", "second"))
+        def flagged(ctxs, counts):
+            return [dataclasses.replace(rep, flags=("first", "second"))
+                    for rep in locate(ctxs, counts)]
 
-        monkeypatch.setattr(dispersion, "find_unstable_roots", flagged)
+        monkeypatch.setattr(dispersion, "_root_reports", flagged)
         text = MINIMAL + "\n[analysis]\nn_dirs = 8\n"
         out = tmp_path / "roots.csv"
         assert _run(["roots", _write(tmp_path, text), "--out", str(out)]) == 0
@@ -567,11 +589,12 @@ class TestValidateCommand:
         import pvstab.cli as cli_mod
         from pvstab.dispersion import ScanSummary
 
-        def fake_scan(state, n_dirs=32, region=None):
-            return ScanSummary(records=(), numerically_unstable=False,
-                               max_re_s=None, n_errors=0)
+        def fake_scan(states, n_dirs=32, regions=None):
+            for _ in states:
+                yield ScanSummary(records=(), numerically_unstable=False,
+                                  max_re_s=None, n_errors=0)
 
-        monkeypatch.setattr(cli_mod, "scan_directions", fake_scan)
+        monkeypatch.setattr(cli_mod, "scan_states", fake_scan)
         text = "[state]\nH2 = 1.0\nHv2 = 2.0\nE1 = 0.3\n" \
                "[analysis]\nsample = 5\nn_dirs = 16\n"
         out = tmp_path / "val.jsonl"
@@ -594,6 +617,74 @@ def test_every_point_failing_exits_3(tmp_path, command):
     out = tmp_path / "out.txt"
     assert _run([command, _write(tmp_path, EPS_INVALID), "--out", str(out)]) == 3
     assert out.read_text().count("eps must be below 1") == 3
+
+
+def test_flags_in_modes_and_validate_records(tmp_path, monkeypatch):
+    # a record carries the flags of its reports only when there are some:
+    # none at the certification threshold, one per located root once no
+    # residual can be certified
+    from pvstab import dispersion
+
+    def records(command, text):
+        out = tmp_path / f"{command}.jsonl"
+        _run([command, _write(tmp_path, text), "--out", str(out), "--seed", "3"])
+        return [json.loads(ln) for ln in out.read_text().splitlines()]
+
+    modes_text = MINIMAL
+    validate_text = MINIMAL + "\n[analysis]\nsample = 6\nn_dirs = 8\n"
+    plain = records("modes", modes_text) + records("validate", validate_text)[:-1]
+    assert not any("flags" in r for r in plain)
+    monkeypatch.setattr(dispersion, "_ROOT_RESIDUAL", 0.0)
+    modes = records("modes", modes_text)
+    assert [r["n"] for r in modes] == [1, 10, 100]
+    for r, base in zip(modes, plain[:3]):
+        flags = r.pop("flags")
+        assert flags and all("above certification" in f for f in flags)
+        assert r == base
+    validate = records("validate", validate_text)[:-1]
+    unstable = [r for r in validate if r["numeric_unstable"]]
+    assert unstable and len(unstable) < len(validate)
+    for r, base in zip(validate, plain[3:]):
+        flags = r.pop("flags", [])
+        assert bool(flags) == r["numeric_unstable"]
+        assert all("above certification" in f for f in flags)
+        assert r == base
+
+
+@pytest.mark.parametrize("command", ["roots", "modes"])
+def test_batch_rows_equal_rows_alone(tmp_path, command):
+    # three states swept in eps over 0..0.75 run as one batch: eps = 0 is
+    # one error row per state, and every other point's rows are those of
+    # its state run alone
+    from pvstab.cli import _state_params
+
+    text = ("[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\n"
+            "[state]\nH2 = 1\nHv3 = 2\nE1 = 1\nv2 = 1\n"
+            "[state]\nH2 = 1\nHv3 = 1\nE1 = 0.5\nv3 = 0.4\n"
+            "[sweep]\nparameter = eps\nmin = 0\nmax = 0.75\nsteps = 4\n"
+            "[analysis]\nn_dirs = 8\n")
+
+    def rows(text, name):
+        out = tmp_path / name
+        assert _run([command, _write(tmp_path, text, name + ".scn"), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        if command == "roots":
+            return [ln.split(",", 1) for ln in lines[2:]]
+        return [(str(r.pop("index", "")), json.dumps(r)) for r in map(json.loads, lines)]
+
+    batch = rows(text, "batch")
+    grid = parse_scenario(_write(tmp_path, text)).grid()
+    for index, point in enumerate(grid):
+        mine = [rest for i, rest in batch if i == str(index)]
+        if point.state.eps == 0.0:
+            assert len(mine) == 1 and "eps must be positive" in mine[0]
+            continue
+        alone = "[state]\n" + "".join(f"{k} = {v!r}\n" for k, v in
+                                       _state_params(point.state).items())
+        want = [rest for i, rest in rows(alone + "[analysis]\nn_dirs = 8\n", f"alone{index}")
+                if i == "0"]
+        assert mine == want, index
+    assert len(batch) > len(grid)
 
 
 class TestEntryPoint:

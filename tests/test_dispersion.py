@@ -15,7 +15,7 @@ from pvstab.errors import (ContourTooCloseError, DirectionError, NonConvergentEr
 from pvstab.oracle import (BranchKind, local_winding, lopatinski_raw,
                            series_root_generic, series_root_transitional,
                            transitional_tolerance)
-from pvstab.state import EquilibriumState, FrequencyBundle, WaveDirection
+from pvstab.state import EquilibriumState, WaveDirection
 
 
 def _state(H=(0, 0), Hv=(0, 0), E1=0.0, v=(0, 0), eps=1e-2):
@@ -341,7 +341,7 @@ class TestWindingAgainstBruteForce:
     def test_adaptive_matches_dense_uniform_sampling(self):
         # the adaptive refinement must reproduce the winding obtained from
         # oversampled uniform discretization on random states and regions
-        from pvstab.dispersion import _half_disk_path, _winding_numbers
+        from pvstab.dispersion import _half_disk_points, _winding_numbers
         from pvstab.errors import ContourTooCloseError
 
         rng = np.random.default_rng(99)
@@ -354,13 +354,12 @@ class TestWindingAgainstBruteForce:
             d = WaveDirection.from_angle(rng.uniform(0, 2 * np.pi))
             ctx = make_context(st, d)
             region = default_region(st)
-            path = _half_disk_path(region.delta, region.radius)
-            result = _winding_numbers([ctx], path, n0=512)[0]
+            result = _winding_numbers([ctx], [region.delta], [region.radius], n0=512)[0]
             if isinstance(result, ContourTooCloseError):
                 continue
             adaptive, _, _ = result
             u = np.linspace(0.0, 1.0, (1 << 16) + 1)
-            vals = lopatinski(ctx, path(u))
+            vals = lopatinski(ctx, _half_disk_points(region.delta, region.radius, u))
             dphi = np.diff(np.angle(vals))
             dphi = np.mod(dphi + np.pi, 2 * np.pi) - np.pi
             brute = np.sum(dphi) / (2 * np.pi)
@@ -427,19 +426,19 @@ class TestBatchedCount:
         assert summary.n_errors == 0
 
     def test_failed_direction_leaves_others_unchanged(self):
-        from pvstab.dispersion import _half_disk_path, _winding_numbers
+        from pvstab.dispersion import _winding_numbers
         from pvstab.errors import NonConvergentError
 
         st = _state(H=(1, 0), Hv=(0, 1), E1=0.5, v=(0.8, -0.3))
         ctxs = [make_context(st, WaveDirection.from_angle(2.0 * math.pi * k / 16))
                 for k in range(16)]
         reg = default_region(st)
-        path = _half_disk_path(reg.delta, reg.radius)
-        free = _winding_numbers(ctxs, path, n0=512)
+        path = ([reg.delta] * 16, [reg.radius] * 16)
+        free = _winding_numbers(ctxs, *path, n0=512)
         points = sorted({r[1] + 1 for r in free})
         assert len(points) >= 2
         budget = points[-1] - 1        # the most refined direction(s) fail
-        tight = _winding_numbers(ctxs, path, n0=512, max_points=budget)
+        tight = _winding_numbers(ctxs, *path, n0=512, max_points=budget)
         failed = 0
         for f, t in zip(free, tight):
             if f[1] + 1 > budget:
@@ -449,24 +448,61 @@ class TestBatchedCount:
                 assert t == f
         assert 0 < failed < len(ctxs)
 
+    def test_states_batch_matches_each_state_alone(self, monkeypatch):
+        # states on different half-disks in one batch: one whose chord runs
+        # through its roots (a jittered retry), one whose most refined
+        # direction exceeds a tight point budget, and sampler and corner
+        # states; the summary of each equals the scan of its state alone
+        from functools import partial
 
-def _fields(ctxs):
-    return np.array([[c.bundle.w_plus, c.bundle.w_minus, c.bundle.w_perp,
-                      c.bundle.v_dot] for c in ctxs]).T
+        from pvstab import dispersion
+        from pvstab.cli import sample_validation_state
+
+        root = find_unstable_roots(make_context(COLLINEAR, PERP),
+                                   default_region(COLLINEAR)).roots[0]
+        budget_state = _state(H=(1, 0), Hv=(0, 1), E1=0.5, v=(0.8, -0.3))
+        rng = np.random.default_rng(41)
+        states = [sample_validation_state(rng) for _ in range(4)]
+        states += [COLLINEAR, budget_state, TRANSITIONAL, CORNERS["eps0.5"]]
+        # the chord of budget_state passes 1e-5 from its neutral roots
+        regions = [None] * 4 + [HalfDiskRegion(root.real, 10.0), HalfDiskRegion(1e-5, 5.0),
+                                HalfDiskRegion(0.05, 30.0), None]
+        budget = max(r.contour_points for r in
+                     scan_directions(budget_state, 16, regions[5]).records)
+        monkeypatch.setattr(dispersion, "_winding_numbers",
+                            partial(dispersion._winding_numbers, max_points=budget))
+        batches = []
+        count = dispersion._count_on_regions
+        monkeypatch.setattr(dispersion, "_count_on_regions", lambda ctxs, regs: (
+            batches.append(len(ctxs)), count(ctxs, regs))[1])
+        monkeypatch.setattr(dispersion, "_MAX_BATCH", 100)
+        summaries = list(dispersion.scan_states(states, 16, regions))
+        assert batches == [9 * len(states)]
+        for st, reg, summary in zip(states, regions, summaries):
+            assert summary == scan_directions(st, 16, reg), st
+        grazed = summaries[4].records
+        assert any(r.region != regions[4] for r in grazed) and summaries[4].n_errors == 0
+        failed = [r for r in summaries[5].records if r.error]
+        assert failed and all("exceeded" in r.error for r in failed)
+        assert len(failed) < len(summaries[5].records)
+        assert sum(s.numerically_unstable for s in summaries) >= 3
 
 
 def _per_point(ctx, shape):
-    """ctx with its field projections repeated as one value per point."""
-    return dataclasses.replace(ctx, direction=None, bundle=FrequencyBundle(
-        *(np.full(shape, f) for f in _fields([ctx])[:, 0])))
+    """ctx as a batch: its state scalars and field projections repeated as
+    one value per point."""
+    from pvstab.dispersion import _Batch, _columns
+
+    cols = _columns([ctx])
+    return _Batch(np.broadcast_to(cols, (cols.shape[0], *shape)))
 
 
-def _reference_count(ctx, point_of, n0, max_points, per_point):
+def _reference_count(ctx, point_of, n0, max_points):
     """One direction, path-ordered, every interval re-tested each round."""
     from pvstab.dispersion import _CONTOUR_FLOOR, _evaluate
 
     def evaluate(s):
-        return _evaluate(_per_point(ctx, s.shape) if per_point else ctx, s)
+        return _evaluate(_per_point(ctx, s.shape), s)
 
     u = np.linspace(0.0, 1.0, n0 + 1)
     vals, rel = evaluate(point_of(u))
@@ -508,21 +544,19 @@ def _as_outcome(result):
 class TestIncrementalRefinement:
     """The kernel against a plain path-ordered refinement of one direction."""
 
-    def _check(self, ctxs, point_of, n0, max_points=1 << 20):
-        from pvstab.dispersion import _winding_numbers
+    def _check(self, ctxs, delta, radius, n0, max_points=1 << 20):
+        # direction j on the half-disk of delta[j] and radius[j]
+        from pvstab.dispersion import _half_disk_points, _winding_numbers
 
-        batch = _winding_numbers(ctxs, point_of, n0, max_points)
-        # a batch evaluates on per-point field arrays, a batch of one on floats
-        per_point = len(ctxs) > 1
-        for ctx, got in zip(ctxs, batch):
-            want = _outcome(lambda: _reference_count(ctx, point_of, n0,
-                                                     max_points, per_point))
+        batch = _winding_numbers(ctxs, delta, radius, n0, max_points)
+        for ctx, d, r, got in zip(ctxs, delta, radius, batch):
+            want = _outcome(lambda: _reference_count(
+                ctx, lambda u: _half_disk_points(d, r, u), n0, max_points))
             assert _as_outcome(got) == want, ctx
         return batch
 
     def test_matches_reference(self):
         from pvstab.cli import sample_validation_state
-        from pvstab.dispersion import _half_disk_path
 
         rng = np.random.default_rng(23)
         states = [sample_validation_state(rng) for _ in range(8)]
@@ -534,65 +568,67 @@ class TestIncrementalRefinement:
                     for a in rng.uniform(0.0, 2.0 * np.pi, 16)]
             reg = default_region(st)
             for radius in (reg.radius, 2.0 * reg.radius):
-                out = self._check(ctxs, _half_disk_path(reg.delta, radius), 512)
+                out = self._check(ctxs, [reg.delta] * 16, [radius] * 16, 512)
                 windings += sum(isinstance(r, tuple) and r[0] > 0 for r in out)
-            for ctx in ctxs:
-                s0 = complex(math.sqrt(abs(ctx.leading_deficit)), -ctx.v_dot)
-                self._check([ctx], lambda u: s0 + 0.25 * np.exp(
-                    2j * np.pi * np.asarray(u, dtype=float)), 32)
+            # small half-disks about the eps = 0 root estimates, from few points
+            s0 = [complex(math.sqrt(abs(c.leading_deficit)), -c.v_dot) - 0.1
+                  for c in ctxs]
+            self._check(ctxs, s0, [0.25] * 16, 32)
             pairs += len(ctxs)
         assert pairs >= 200
         assert windings > 0
 
     def test_floor_error_matches_reference(self):
         # the chord Re s = delta runs through the roots at omega' = (0, +-1)
-        from pvstab.dispersion import _half_disk_path
-
         root = find_unstable_roots(make_context(COLLINEAR, PERP),
                                    default_region(COLLINEAR)).roots[0]
         ctxs = [make_context(COLLINEAR, WaveDirection.from_angle(2.0 * math.pi * k / 16))
                 for k in range(16)]
-        out = self._check(ctxs, _half_disk_path(root.real, 10.0), 512)
+        out = self._check(ctxs, [root.real] * 16, [10.0] * 16, 512)
         assert sum(isinstance(r, ContourTooCloseError) for r in out) == 2
-        out = self._check(ctxs[4:5], _half_disk_path(root.real, 10.0), 512)
+        out = self._check(ctxs[4:5], [root.real], [10.0], 512)
         assert isinstance(out[0], ContourTooCloseError)
 
     def test_point_budget_error_matches_reference(self):
-        from pvstab.dispersion import _half_disk_path
-
         st = _state(H=(1, 0), Hv=(0, 1), E1=0.5, v=(0.8, -0.3))
         ctxs = [make_context(st, WaveDirection.from_angle(2.0 * math.pi * k / 16))
                 for k in range(16)]
         reg = default_region(st)
-        path = _half_disk_path(reg.delta, reg.radius)
-        points = sorted(r[1] + 1 for r in self._check(ctxs, path, 512))
+        path = ([reg.delta] * 16, [reg.radius] * 16)
+        points = sorted(r[1] + 1 for r in self._check(ctxs, *path, 512))
         budget = points[len(points) // 2]
-        out = self._check(ctxs, path, 512, max_points=budget)
+        out = self._check(ctxs, *path, 512, max_points=budget)
         failed = sum(isinstance(r, NonConvergentError) for r in out)
         assert 0 < failed < len(ctxs)
-        self._check(ctxs[:1], path, 512, max_points=points[0] - 1)
+        self._check(ctxs[:1], [reg.delta], [reg.radius], 512, max_points=points[0] - 1)
 
     def test_shared_path_evaluation_is_per_point_evaluation(self):
-        # the starting grid evaluates points of shape (n,) against (k, 1)
-        # columns of field projections; each row must be bit for bit the
-        # evaluation with one field value per point
+        # the starting grid evaluates the (k, n) points of k half-disks, of
+        # directions of different states, against (k, 1) columns; each row
+        # must be bit for bit the evaluation with one value per point, and
+        # the points those of each half-disk alone
         from pvstab.cli import sample_validation_state
-        from pvstab.dispersion import LopatinskiContext, _half_disk_path
+        from pvstab.dispersion import (_Batch, _columns, _evaluate, _half_disk_points,
+                                       _unit_grid)
 
         rng = np.random.default_rng(29)
         states = [sample_validation_state(rng) for _ in range(4)]
         states += [dataclasses.replace(OBLIQUE, eps=eps) for eps in (0.0, 1e-4, 0.8)]
-        for st in states:
-            ctxs = [make_context(st, WaveDirection.from_angle(a))
-                    for a in rng.uniform(0.0, 2.0 * np.pi, 12)]
-            reg = default_region(st)
-            s = _half_disk_path(reg.delta, reg.radius)(np.linspace(0.0, 1.0, 257))
-            shared = LopatinskiContext(st, None, FrequencyBundle(*_fields(ctxs)[:, :, None]))
-            for f in (lopatinski, lopatinski_scale):
-                grid = f(shared, s)
-                assert grid.shape == (len(ctxs), s.size)
-                for ctx, row in zip(ctxs, grid):
-                    assert row.tobytes() == f(_per_point(ctx, s.shape), s).tobytes()
+        ctxs = [make_context(st, WaveDirection.from_angle(a)) for st in states
+                for a in rng.uniform(0.0, 2.0 * np.pi, 6)]
+        regs = [default_region(c.state) for c in ctxs]
+        delta, radius = (np.array([[getattr(r, f)] for r in regs]) for f in ("delta", "radius"))
+        u, factors = _unit_grid(256)
+        s = _half_disk_points(delta, radius, u, factors)
+        vals, rel = _evaluate(_Batch(_columns(ctxs)[:, :, None]), s)
+        assert vals.shape == (len(ctxs), u.size)
+        for ctx, reg, s_row, v_row, r_row in zip(ctxs, regs, s, vals, rel):
+            alone = _half_disk_points(reg.delta, reg.radius, u)
+            assert s_row.tobytes() == alone.tobytes()
+            want = _evaluate(_per_point(ctx, alone.shape), alone)
+            assert v_row.tobytes() == want[0].tobytes()
+            assert r_row.tobytes() == want[1].tobytes()
+            assert v_row.tobytes() == lopatinski(_per_point(ctx, alone.shape), alone).tobytes()
 
 
 class TestScanDirections:
@@ -791,7 +827,7 @@ def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
             want = [complex(z) for z in _mp_roots(st, w)]
         except mpmath.mp.NoConvergence:
             reject()    # a (near-)multiple root polyroots cannot separate
-    got = _candidate_roots(ctx)
+    got = _candidate_roots([ctx])[0][0].tolist()
     # the roots clearly off the imaginary axis agree both ways; on the axis
     # sit neutral roots and the branch points +-i/eps, where roundoff
     # decides the sign of Re s
@@ -802,6 +838,89 @@ def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
         if y.real > 1e-8 * (1.0 + abs(y)):
             assert min((abs(z - y) for z in got), default=math.inf) <= \
                 1e-10 * (1.0 + abs(y)), (y, got)
+
+
+def test_stacked_eigenvalues_are_np_roots():
+    # bit for bit, with the zero roots of trailing zero coefficients left
+    # out: sampler states (degree 6), eps |Hv'| = 1 (the s^4 coefficient
+    # loses its constant term; the s^6 one is eps^2 for every eps > 0),
+    # eps = 0 (two leading zeros: degree 4) and zero fields with E1 = 0 and
+    # no flow (four trailing zeros: the branch points +-i/eps alone)
+    from pvstab.cli import sample_validation_state
+    from pvstab.dispersion import _polynomial, _stacked_roots
+
+    rng = np.random.default_rng(43)
+    states = [sample_validation_state(rng) for _ in range(6)]
+    states += [_state(H=(1.0, 0.5), Hv=(2.0, 0.0), E1=0.7, v=(0.3, 0.0), eps=0.5),
+               dataclasses.replace(OBLIQUE, eps=0.0), _state(eps=0.3)]
+    polys = [_polynomial(make_context(st, WaveDirection.from_angle(a)))
+             for st in states for a in rng.uniform(0.0, 2.0 * np.pi, 4)]
+    got = _stacked_roots(polys)
+    assert {z.size for z in got} == {6, 4, 2}
+    for p, z in zip(polys, got):
+        want = np.roots(p)
+        assert want[:z.size].tobytes() == z.tobytes()
+        assert not want[z.size:].any()
+
+
+def test_branch_points_are_not_roots():
+    # B(+-i/eps) ~ 0 makes the branch points +-i/eps roots of the polynomial,
+    # and roundoff puts some of them at Re s > 0, where Newton cannot move
+    # them; they must not come back as roots of L
+    from pvstab.dispersion import _candidate_roots, _polynomial, _stacked_roots
+
+    st = _state(H=(1.1993, 0.9874), Hv=(0.0, 1e-12), E1=1e-12, eps=0.487)
+    ctxs = [make_context(st, WaveDirection.from_angle(a))
+            for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)]
+    raw = np.concatenate(_stacked_roots([_polynomial(c) for c in ctxs]))
+    at_branch = np.abs(1.0 + (st.eps * raw) ** 2) < 1e-12
+    assert np.any(at_branch & (raw.real > 0.0))
+    for roots, _, _ in _candidate_roots(ctxs):
+        assert np.all(np.abs(1.0 + (st.eps * roots) ** 2) > 1e-6), roots
+
+
+_PICK = hst.tuples(_PAIR, _PAIR, _PAIR, hst.floats(0.0, 2.5), hst.floats(1e-4, 0.9),
+                   hst.floats(0.0, 2.0 * math.pi), hst.floats(1e-5, 1.0),
+                   hst.floats(0.5, 8.0))
+# a neutral state's roots +-0.87i pass 1e-5 from the chord; the transitional
+# root sits near 2 sqrt(eps) = 0.2
+_NEAR_NEUTRAL = ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), 0.5, 1e-2, 0.0, 1e-5, 2.0)
+_TRANSITIONAL = ((1.0, 0.0), (0.0, 2.0), (1.0, 0.0), 1.0, 1e-2, 0.0, 0.05, 3.0)
+
+
+@given(picks=hst.lists(_PICK, min_size=2, max_size=3))
+@settings(max_examples=20, deadline=None)
+@example(picks=[_NEAR_NEUTRAL, _TRANSITIONAL, ((1.0, 0.0), (0.0, 1.0), (0.3, -0.2), 0.5,
+                                               1e-2, 1.0, 1e-3, 1.5)])
+def test_winding_counts_against_mpmath(picks):
+    # each pick is a state, a direction and a half-disk {Re s >= delta,
+    # |s - delta| <= R}; one batch counts them all, and each count equals
+    # the number of principal-branch roots at 50 digits inside the half-disk
+    # it was certified on
+    import mpmath
+
+    from pvstab.dispersion import _count_on_regions
+
+    ctxs, regions = [], []
+    for h, hv, v, e1, eps, theta, delta, radius in picks:
+        ctxs.append(make_context(_state(H=h, Hv=hv, E1=e1, v=v, eps=eps),
+                                 WaveDirection.from_angle(theta)))
+        regions.append(HalfDiskRegion(delta, radius))
+    counts = _count_on_regions(ctxs, regions)
+    for ctx, c in zip(ctxs, counts):
+        if isinstance(c, ContourTooCloseError):
+            continue            # a root on every jittered boundary
+        assert not isinstance(c, Exception), c
+        d = ctx.direction
+        with mpmath.workdps(50):
+            try:
+                roots = _mp_roots(ctx.state, (mpmath.mpf(d.omega2), mpmath.mpf(d.omega3)))
+            except mpmath.mp.NoConvergence:
+                reject()
+            delta = mpmath.mpf(c.region.delta)
+            inside = sum(1 for z in roots
+                         if z.real > delta and abs(z - delta) < c.region.radius)
+        assert c.winding == inside, (ctx, c, roots)
 
 
 class TestFold:
@@ -833,7 +952,7 @@ class TestFold:
                     if c.winding == 0:
                         assert rec.report is None
                         continue
-                    alone = find_unstable_roots(ctx, c.region, counted=c)
+                    alone = find_unstable_roots(ctx, c.region)
                     assert len(rec.report.roots) == len(alone.roots) == c.winding
                     for got, want in zip(rec.report.roots, alone.roots):
                         assert abs(got - want) <= 1e-12 * abs(want), (st, rec)
