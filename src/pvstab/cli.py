@@ -19,17 +19,19 @@ A scenario file is a flat key-value document with block headers:
                        equality-band coefficient), n_dirs, delta, radius,
                        decay_p, cross_check, sample
 
-``sweep`` with ``cross_check`` and ``validate`` judge the closed-form verdict
-against a winding scan by one rule (`judge_verdicts`): undecided inside
-`margin_band`, an error when any scanned direction failed.  Every command
-that scans or locates roots validates its points first and then runs the
-valid ones as one batch (``dispersion.scan_states``/``locate_roots``); a
-point that fails becomes one error row, and rows are written in index order.
+Every grid point is validated and classified once (`_checked`), and one
+that fails becomes one error row; rows are written in index order.
+``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
+as one batch (``dispersion.scan_states``/``locate_roots``).  ``sweep`` with
+``cross_check`` and ``validate`` judge the closed-form verdict against a
+winding scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
+an error when any scanned direction failed.  A state with a component or E1
+beyond ``state.MAX_MAGNITUDE`` in magnitude is invalid.
 
 Outputs are JSON lines (classify, modes, validate) or versioned CSV
 (roots, sweep); identical scenarios produce byte-identical files.  Exit
-codes: 0 success, 1 I/O or parse failure, 2 validation-gate failure,
-3 internal numerical failure.
+codes: 0 success, 1 usage, I/O or parse failure, 2 validation-gate failure,
+3 internal numerical failure (for a grid command: every point failed).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -49,8 +52,7 @@ from . import criterion
 from .criterion import classify
 from .dispersion import MIN_N_DIRS, HalfDiskRegion, default_region, locate_roots, \
     make_context, scan_states
-from .errors import (ContourTooCloseError, NonConvergentError, PvstabError,
-                     ScenarioParseError, StateValidationError)
+from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import build_mode, growth_rows, residuals
 from .state import EquilibriumState, validate_state
 
@@ -154,19 +156,43 @@ def apply_sweep_parameter(state: EquilibriumState, name: str,
 # scenario parsing
 
 
-_STATE_KEYS = set(EquilibriumState.RECORD_KEYS)
-_SWEEP_KEYS = {"parameter", "min", "max", "steps"}
-_ANALYSIS_KEYS = {"tol_eq", "n_dirs", "delta", "radius", "decay_p",
-                  "cross_check", "sample"}
+# The typed keys: each maps to its type, a condition on its value (None for
+# none) and that condition in words.  A value that fails the condition is
+# rejected as "<words>, got <value>".
+_SWEEP_KEYS = {
+    "parameter": (str, SWEEP_PARAMETERS.__contains__,
+                  f"sweep parameter must be one of {SWEEP_PARAMETERS}"),
+    "steps": (int, None, None),
+    "min": (float, None, None),
+    "max": (float, None, None),
+}
+_ANALYSIS_KEYS = {
+    "tol_eq": (float, lambda x: 0.0 <= x < math.inf,
+               "tol_eq must be non-negative and finite"),
+    "n_dirs": (int, lambda n: n >= MIN_N_DIRS, f"n_dirs must be at least {MIN_N_DIRS}"),
+    "delta": (float, lambda x: 0.0 < x < math.inf, "delta must be positive and finite"),
+    "radius": (float, lambda x: 0.0 < x < math.inf, "radius must be positive and finite"),
+    "decay_p": (float, math.isfinite, "decay_p must be finite"),
+    "cross_check": (bool, None, None),
+    "sample": (int, lambda n: n >= 1, "sample must be at least 1"),
+}
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
+_NOT_A = {bool: "expected a boolean, got {text!r}",
+          int: "bad integer for {key!r}: {text!r}",
+          float: "bad number for {key!r}: {text!r}"}
 
 
-def _parse_bool(text: str, line: int) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ScenarioParseError(f"expected a boolean, got {text!r}", line)
+def _typed(table: dict, key: str, text: str, line: int):
+    """``text``, the value of ``key`` on ``line``, typed and checked by ``table``."""
+    kind, ok, words = table[key]
+    try:
+        value = _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ScenarioParseError(_NOT_A[kind].format(key=key, text=text), line) from None
+    if ok is not None and not ok(value):
+        raise ScenarioParseError(f"{words}, got {text!r}", line)
+    return value
 
 
 def parse_scenario(path) -> Scenario:
@@ -204,7 +230,7 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioParseError("key outside of any [state]/[sweep]/[analysis] block",
                                      lineno)
         key, value = (part.strip() for part in text.split("=", 1))
-        allowed = {"state": _STATE_KEYS, "sweep": _SWEEP_KEYS,
+        allowed = {"state": EquilibriumState.RECORD_KEYS, "sweep": _SWEEP_KEYS,
                    "analysis": _ANALYSIS_KEYS}[current_kind]
         if key not in allowed:
             raise ScenarioParseError(f"unknown key {key!r} in [{current_kind}] block",
@@ -217,23 +243,11 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioParseError("at most 2 swept axes are supported",
                                  sweep_blocks[2][0])
 
-    def fnum(block, key, default, lineno):
-        if key not in block:
-            if default is None:
-                raise ScenarioParseError(f"missing required key {key!r}", lineno)
-            return default
-        value, ln = block[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ScenarioParseError(f"bad number for {key!r}: {value!r}", ln) from None
-
     scenario_warnings = []
     states = []
     for lineno, block in state_blocks:
-        record = {k: v for k, (v, _) in block.items()}
         try:
-            st = EquilibriumState.from_record(record)
+            st = EquilibriumState.from_record({k: v for k, (v, _) in block.items()})
         except ValueError as err:
             raise ScenarioParseError(f"bad [state] block: {err}", lineno) from None
         try:
@@ -245,54 +259,20 @@ def parse_scenario(path) -> Scenario:
 
     sweeps = []
     for lineno, block in sweep_blocks:
-        if "parameter" not in block:
-            raise ScenarioParseError("sweep block needs a 'parameter' key", lineno)
-        pname, pln = block["parameter"]
-        if pname not in SWEEP_PARAMETERS:
-            raise ScenarioParseError(
-                f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {pname!r}", pln)
-        if "steps" not in block:
-            raise ScenarioParseError("sweep block needs a 'steps' key", lineno)
-        steps_raw, sln = block["steps"]
-        try:
-            steps = int(steps_raw)
-        except ValueError:
-            raise ScenarioParseError(
-                f"bad integer for 'steps': {steps_raw!r}", sln) from None
+        def value(key, missing=None):
+            if key not in block:
+                raise ScenarioParseError(missing or f"missing required key {key!r}", lineno)
+            return _typed(_SWEEP_KEYS, key, *block[key])
+
+        parameter = value("parameter", "sweep block needs a 'parameter' key")
+        steps = value("steps", "sweep block needs a 'steps' key")
         if steps < 2:
             raise ScenarioParseError("sweep needs steps >= 2", lineno)
-        sweeps.append(SweepAxis(parameter=pname,
-                                min=fnum(block, "min", None, lineno),
-                                max=fnum(block, "max", None, lineno),
-                                steps=steps))
+        sweeps.append(SweepAxis(parameter, value("min"), value("max"), steps))
 
     analysis = AnalysisOptions()
-    for key, (value, ln) in analysis_block.items():
-        if key == "cross_check":
-            analysis.cross_check = _parse_bool(value, ln)
-        elif key in ("n_dirs", "sample"):
-            try:
-                setattr(analysis, key, int(value))
-            except ValueError:
-                raise ScenarioParseError(f"bad integer for {key!r}: {value!r}", ln) from None
-        else:
-            try:
-                setattr(analysis, key, float(value))
-            except ValueError:
-                raise ScenarioParseError(f"bad number for {key!r}: {value!r}", ln) from None
-        if key == "n_dirs" and analysis.n_dirs < MIN_N_DIRS:
-            raise ScenarioParseError(
-                f"n_dirs must be at least {MIN_N_DIRS}, got {value!r}", ln)
-        if key in ("delta", "radius") and not 0.0 < getattr(analysis, key) < math.inf:
-            raise ScenarioParseError(
-                f"{key} must be positive and finite, got {value!r}", ln)
-        if key == "tol_eq" and not 0.0 <= analysis.tol_eq < math.inf:
-            raise ScenarioParseError(
-                f"tol_eq must be non-negative and finite, got {value!r}", ln)
-        if key == "decay_p" and not math.isfinite(analysis.decay_p):
-            raise ScenarioParseError(f"decay_p must be finite, got {value!r}", ln)
-        if key == "sample" and analysis.sample < 1:
-            raise ScenarioParseError(f"sample must be at least 1, got {value!r}", ln)
+    for key, (text, line) in analysis_block.items():
+        setattr(analysis, key, _typed(_ANALYSIS_KEYS, key, text, line))
 
     return Scenario(states=states, sweeps=sweeps, analysis=analysis,
                     warnings=scenario_warnings)
@@ -302,30 +282,8 @@ def parse_scenario(path) -> Scenario:
 # output helpers
 
 
-class _Output:
-    """Writes to a path or stdout ('-'); buffers so outputs are atomic-ish."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.buffer = io.StringIO()
-
-    def write(self, text: str):
-        self.buffer.write(text)
-
-    def line(self, text: str):
-        self.buffer.write(text + "\n")
-
-    def flush(self):
-        data = self.buffer.getvalue()
-        if self.path == "-":
-            sys.stdout.write(data)
-        else:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(data)
-
-
 def _json_line(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(", ", ": "))
+    return json.dumps(record, ensure_ascii=False, separators=(", ", ": ")) + "\n"
 
 
 def _state_params(state: EquilibriumState) -> dict:
@@ -335,28 +293,49 @@ def _state_params(state: EquilibriumState) -> dict:
                  state.E1_hat, state.eps, state.sigma))}
 
 
+def _checked(scenario: Scenario):
+    """Validate and classify each grid point, in index order.
+
+    Yields (index, point, outcome): the outcome is the classification and
+    the validation warnings, or the PvstabError that rejected the point.  A
+    generator, so that a command can write each row as it goes.
+    """
+    analysis = scenario.analysis
+    for index, point in enumerate(scenario.grid()):
+        try:
+            _, warns = validate_state(point.state)
+            outcome = classify(point.state, tol_eq=analysis.tol_for(point.state)), warns
+        except PvstabError as err:
+            outcome = err
+        yield index, point, outcome
+
+
+def _status(n_points: int, n_failed: int) -> int:
+    """Exit code of a grid command: 3 when every point failed, else 0."""
+    return 3 if n_points and n_failed == n_points else 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_classify(scenario: Scenario, out: _Output) -> int:
-    grid = scenario.grid()
-    failed = 0
-    for index, point in enumerate(grid):
-        try:
-            _, warns = validate_state(point.state)
-            cls = classify(point.state, tol_eq=scenario.analysis.tol_for(point.state))
+def cmd_classify(scenario: Scenario, out: TextIO) -> int:
+    n_points = n_failed = 0
+    for index, point, outcome in _checked(scenario):
+        n_points += 1
+        if isinstance(outcome, PvstabError):
+            rec = {"index": index, "error": str(outcome)}
+            n_failed += 1
+        else:
+            cls, warns = outcome
             rec = {"index": index, **dict(point.coords),
                    **_state_params(point.state), **cls.to_record(),
                    "warnings": warns}
-        except PvstabError as err:
-            rec = {"index": index, "error": str(err)}
-            failed += 1
-        out.line(_json_line(rec))
-    return 3 if grid and failed == len(grid) else 0
+        out.write(_json_line(rec))
+    return _status(n_points, n_failed)
 
 
-def cmd_roots(scenario: Scenario, out: _Output) -> int:
+def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
 
     def rows_of(index, summary):
@@ -382,23 +361,19 @@ def cmd_roots(scenario: Scenario, out: _Output) -> int:
 
     columns = ["index", "omega2", "omega3", "winding", "re_s", "im_s",
                "abs_L", "delta", "R", "contour_points", "error", "flags"]
-    out.line("# pvstab-csv v1")
-    writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
+    out.write("# pvstab-csv v1\n")
+    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    grid = scenario.grid()
-    errors = {}
-    for index, point in enumerate(grid):
-        try:
-            validate_state(point.state)
-        except PvstabError as err:
-            errors[index] = str(err)
-    valid = [p.state for i, p in enumerate(grid) if i not in errors]
+    checked = list(_checked(scenario))
+    valid = [point.state for _, point, outcome in checked
+             if not isinstance(outcome, PvstabError)]
     summaries = scan_states(valid, analysis.n_dirs,
                             [analysis.region_for(st) for st in valid])
-    for index in range(len(grid)):
-        writer.writerows([{"index": index, "error": errors[index]}] if index in errors
+    for index, _, outcome in checked:
+        writer.writerows([{"index": index, "error": str(outcome)}]
+                         if isinstance(outcome, PvstabError)
                          else rows_of(index, next(summaries)))
-    return 3 if grid and len(errors) == len(grid) else 0
+    return _status(len(checked), len(checked) - len(valid))
 
 
 def _expected_growth(state: EquilibriumState, cls):
@@ -422,31 +397,30 @@ def _expected_growth(state: EquilibriumState, cls):
     return math.sqrt(max(product, 0.0) * state.eps), direction
 
 
-def cmd_modes(scenario: Scenario, out: _Output) -> int:
+def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
-    grid = scenario.grid()
     # per point to report, in index order: the error that rejected it, or the
     # state, context and region of the direction to locate
     jobs: list[tuple[int, PvstabError | tuple]] = []
-    for index, point in enumerate(grid):
-        state = point.state
-        try:
-            validate_state(state)
-            cls = classify(state, tol_eq=analysis.tol_for(state))
-            if not cls.verdict.is_unstable:
-                continue
-            expected, direction = _expected_growth(state, cls)
-            if expected <= 0.0:
-                continue
-            region = analysis.region_for(state)
-            jobs.append((index, (state, make_context(state, direction), HalfDiskRegion(
-                min(region.delta, 0.3 * expected), region.radius))))
-        except PvstabError as err:
-            jobs.append((index, err))
+    n_points = 0
+    for index, point, outcome in _checked(scenario):
+        n_points += 1
+        if isinstance(outcome, PvstabError):
+            jobs.append((index, outcome))
+            continue
+        state, (cls, _) = point.state, outcome
+        if not cls.verdict.is_unstable:
+            continue
+        expected, direction = _expected_growth(state, cls)
+        if expected <= 0.0:
+            continue
+        region = analysis.region_for(state)
+        jobs.append((index, (state, make_context(state, direction), HalfDiskRegion(
+            min(region.delta, 0.3 * expected), region.radius))))
     located = [job for _, job in jobs if not isinstance(job, PvstabError)]
     reports = locate_roots([ctx for _, ctx, _ in located], [reg for _, _, reg in located])
     wrote_any = False
-    failed = 0
+    n_failed = 0
     for index, job in jobs:
         try:
             if isinstance(job, PvstabError):
@@ -461,8 +435,8 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
             modes = [build_mode(state, root, ctx.direction, n, decay_p=analysis.decay_p)
                      for n in _MODE_N]
         except PvstabError as err:
-            out.line(_json_line({"index": index, "error": str(err)}))
-            failed += 1
+            out.write(_json_line({"index": index, "error": str(err)}))
+            n_failed += 1
             continue
         for mode in modes:
             res = residuals(mode, state)
@@ -478,62 +452,53 @@ def cmd_modes(scenario: Scenario, out: _Output) -> int:
                               for g in growth_rows(mode, _MODE_T)]}
             if report.flags:
                 rec["flags"] = list(report.flags)
-            out.line(_json_line(rec))
+            out.write(_json_line(rec))
             wrote_any = True
     if not wrote_any:
-        out.line(_json_line({"note": "no unstable state/direction found; "
-                                     "no modes to dump"}))
-    return 3 if grid and failed == len(grid) else 0
+        out.write(_json_line({"note": "no unstable state/direction found; "
+                                      "no modes to dump"}))
+    return _status(n_points, n_failed)
 
 
-def cmd_sweep(scenario: Scenario, out: _Output) -> int:
+def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     if not scenario.sweeps:
         raise ScenarioParseError("sweep command requires a [sweep] block")
-    analysis = scenario.analysis
-    grid = scenario.grid()
-    coord_names = [ax.parameter for ax in scenario.sweeps]
-
-    def row_of(index, point):
-        # the row and the classification, None when the point failed
-        row = {"index": index}
-        row.update({f"sweep_{k}": v for k, v in point.coords})
-        row.update(_state_params(point.state))
-        try:
-            validate_state(point.state)
-            cls = classify(point.state, tol_eq=analysis.tol_for(point.state))
-        except PvstabError as err:
-            row["error"] = str(err)    # columns not reached stay empty
-            return row, None
-        row.update(cls.to_record())
-        return row, cls
-
-    columns = (["index"] + [f"sweep_{k}" for k in coord_names]
+    columns = (["index"] + [f"sweep_{ax.parameter}" for ax in scenario.sweeps]
                + list(EquilibriumState.RECORD_KEYS)
                + ["verdict", "margin", "f_min", "omega_star_2", "omega_star_3",
                   "G", "degenerate_flag", "numeric_unstable", "max_re_s",
                   "agreement", "error"])
-    out.line("# pvstab-csv v1")
-    writer = csv.DictWriter(out.buffer, fieldnames=columns, lineterminator="\n")
+    out.write("# pvstab-csv v1\n")
+    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    rows = (row_of(index, point) for index, point in enumerate(grid))
-    if analysis.cross_check:
-        rows = list(rows)
-        checked = [(row, cls) for row, cls in rows if cls is not None]
-        states = [grid[row["index"]].state for row, _ in checked]
-        for (row, _), verdict in zip(checked, judge_verdicts(
-                states, [cls for _, cls in checked], analysis)):
+    cross_check = scenario.analysis.cross_check
+    checked = _checked(scenario)
+    if cross_check:
+        checked = list(checked)
+        valid = [(point.state, outcome[0]) for _, point, outcome in checked
+                 if not isinstance(outcome, PvstabError)]
+        verdicts = judge_verdicts([st for st, _ in valid], [cls for _, cls in valid],
+                                  scenario.analysis)
+    n_points = n_failed = 0
+    for index, point, outcome in checked:
+        n_points += 1
+        row = {"index": index, **{f"sweep_{k}": v for k, v in point.coords},
+               **_state_params(point.state)}
+        if isinstance(outcome, PvstabError):
+            row["error"] = str(outcome)    # columns not reached stay empty
+        else:
+            row.update(outcome[0].to_record())
+            verdict = next(verdicts) if cross_check else None
             if isinstance(verdict, PvstabError):
                 row["error"] = str(verdict)
-                continue
-            summary, agree = verdict
-            row["numeric_unstable"] = summary.numerically_unstable
-            row["max_re_s"] = summary.max_re_s
-            row["agreement"] = agree        # None (empty cell): undecided
-    failed = 0
-    for row, _ in rows:
-        failed += "error" in row
+            elif verdict is not None:
+                summary, agree = verdict
+                row["numeric_unstable"] = summary.numerically_unstable
+                row["max_re_s"] = summary.max_re_s
+                row["agreement"] = agree        # None (empty cell): undecided
+        n_failed += "error" in row
         writer.writerow(row)
-    return 3 if grid and failed == len(grid) else 0
+    return _status(n_points, n_failed)
 
 
 def margin_band(state: EquilibriumState, tol_eq: float,
@@ -599,7 +564,7 @@ def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
     return dataclasses.replace(st, E1_hat=e1)
 
 
-def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
+def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     """Criterion-versus-numerics gate on random margin-filtered states.
 
     Draws states until ``analysis.sample`` of them fall outside the margin
@@ -652,8 +617,8 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
     n_disagree = sum(1 for r in records if r.get("agree") is False)
     agreement = 1.0 if not judged else 1.0 - n_disagree / len(judged)
     for rec in records:
-        out.line(_json_line(rec))
-    out.line(_json_line({"summary": {
+        out.write(_json_line(rec))
+    out.write(_json_line({"summary": {
         "sampled": attempts, "band": n_band, "checked": len(judged),
         "root_finder_failures": n_failed, "disagreements": n_disagree,
         "agreement": agreement, "seed": seed}}))
@@ -664,13 +629,20 @@ def cmd_validate(scenario: Scenario, out: _Output, seed: int = 0) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # exit 1, not argparse's 2: that is the gate's code
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="pvstab",
-        description="Stability analysis of planar plasma-vacuum interfaces "
-                    "with a nonzero vacuum displacement current.")
-    parser.add_argument("command",
-                        choices=("classify", "roots", "modes", "sweep", "validate"))
+    commands = {"classify": cmd_classify, "roots": cmd_roots, "modes": cmd_modes,
+                "sweep": cmd_sweep,
+                "validate": lambda scenario, out: cmd_validate(scenario, out, args.seed)}
+    parser = _Parser(prog="pvstab",
+                     description="Stability analysis of planar plasma-vacuum interfaces "
+                                 "with a nonzero vacuum displacement current.")
+    parser.add_argument("command", choices=commands)
     parser.add_argument("scenario", help="scenario file path")
     parser.add_argument("--out", default="-",
                         help="output path ('-' for stdout, the default)")
@@ -680,41 +652,24 @@ def main(argv=None) -> int:
                         help="accepted for compatibility and ignored; "
                              "every command runs serially")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
 
+    out = io.StringIO()     # written out once the command has succeeded
     try:
         scenario = parse_scenario(args.scenario)
+        for warning in scenario.warnings:
+            print(f"pvstab: warning: {warning}", file=sys.stderr)
+        code = commands[args.command](scenario, out)
+        if args.out == "-":
+            sys.stdout.write(out.getvalue())
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
     except (OSError, ScenarioParseError) as err:
         print(f"pvstab: {err}", file=sys.stderr)
         return 1
-
-    for warning in scenario.warnings:
-        print(f"pvstab: warning: {warning}", file=sys.stderr)
-
-    out = _Output(args.out)
-    try:
-        if args.command == "classify":
-            code = cmd_classify(scenario, out)
-        elif args.command == "roots":
-            code = cmd_roots(scenario, out)
-        elif args.command == "modes":
-            code = cmd_modes(scenario, out)
-        elif args.command == "sweep":
-            code = cmd_sweep(scenario, out)
-        else:
-            code = cmd_validate(scenario, out, seed=args.seed)
-    except ScenarioParseError as err:
-        print(f"pvstab: {err}", file=sys.stderr)
-        return 1
-    except (ContourTooCloseError, NonConvergentError, PvstabError) as err:
+    except PvstabError as err:    # the numerical errors derive from it
         print(f"pvstab: numerical failure: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
-        print(f"pvstab: {err}", file=sys.stderr)
-        return 1
-
-    try:
-        out.flush()
-    except OSError as err:
-        print(f"pvstab: {err}", file=sys.stderr)
-        return 1
     return code

@@ -29,6 +29,15 @@ from .errors import DirectionError, SingularFrameError, StateValidationError
 # reach the percent scale; results are still computed, with a warning.
 EPS_WARN_THRESHOLD = 0.2
 
+# Largest magnitude of a flow or field component, or of E1, that a state may
+# have.  The analysis multiplies up to six of them: L on a counting contour
+# is of degree 3 in s (the head (ell^2 + w_plus^2) sqrt(1 + eps^2 s^2)),
+# and the radius of that contour, the bound R* of
+# ``dispersion.root_radius_bound``, grows like |Hv'|^2.  With every
+# magnitude at most 1e50 these products stay below 1e300, which leaves a
+# factor 1e8 under the largest float (1.8e308) for their coefficients.
+MAX_MAGNITUDE = 1e50
+
 
 @dataclass(frozen=True)
 class EquilibriumState:
@@ -150,10 +159,6 @@ class WaveDirection:
     def from_angle(cls, theta: float) -> "WaveDirection":
         return cls(math.cos(theta), math.sin(theta))
 
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.array([self.omega2, self.omega3])
-
 
 @dataclass(frozen=True)
 class FrequencyBundle:
@@ -181,15 +186,22 @@ class FrequencyBundle:
 def validate_state(raw: EquilibriumState) -> tuple[EquilibriumState, list[str]]:
     """Check admissibility of an equilibrium; return it with warnings.
 
-    Hard errors (raised): non-finite entries, eps <= 0, eps*|sigma| >= 1.
+    Hard errors (raised): non-finite entries, a component of v', H' or Hv',
+    or E1, beyond MAX_MAGNITUDE in magnitude, eps <= 0, eps >= 1, and
+    eps*|sigma| >= 1.
     Soft conditions (warnings): the physical restriction |Hv|^2 >= E1^2 is
     violated or met with equality (either way the state is ill-posed, which
     the analysis itself will report), and eps above the asymptotic ceiling.
     """
     vals = (*raw.v_hat_t, *raw.H_hat_t, *raw.Hv_hat_t,
             raw.E1_hat, raw.eps, raw.sigma)
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise StateValidationError("non-finite equilibrium parameter")
+    if max(map(abs, vals[:7])) > MAX_MAGNITUDE:
+        name, value = next((k, v) for k, v in zip(raw.RECORD_KEYS, vals)
+                           if abs(v) > MAX_MAGNITUDE)
+        raise StateValidationError(f"|{name}| = {abs(value):g} exceeds {MAX_MAGNITUDE:g}, "
+                                   "the largest magnitude the analysis represents")
     if raw.eps <= 0.0:
         raise StateValidationError(f"eps must be positive, got {raw.eps}")
     if raw.eps >= 1.0:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pvstab.cli import (AnalysisOptions, apply_sweep_parameter, main,
-                        margin_band, parse_scenario, sample_validation_state)
+from pvstab.cli import (AnalysisOptions, apply_sweep_parameter, cmd_classify, cmd_sweep,
+                        main, margin_band, parse_scenario, sample_validation_state)
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
 from pvstab.state import EquilibriumState
@@ -63,7 +63,70 @@ def _csv_rows(path):
     return list(csv.DictReader(lines[1:]))
 
 
+_AXIS = "[state]\nH2 = 1\n[sweep]\n"           # the axis keys start on line 4
+_ANALYSIS = "[state]\nH2 = 1\n[analysis]\n"    # the analysis keys start on line 4
+_PARAMETER_ERROR = "sweep parameter must be one of ('E1', 'angle_alpha', 'H_mag', " \
+    "'Hv_mag', 'v2', 'v3', 'eps'), got 'H2'"
+
+# one scenario per message a scenario can be rejected with, and the line it names
+PARSE_ERRORS = {
+    "unknown_block": ("[foo]\n", "line 1: unknown block [foo]"),
+    "no_equals": ("[state]\nH2 1\n", "line 2: expected 'key = value', got 'H2 1'"),
+    "key_outside_block": (
+        "H2 = 1\n", "line 1: key outside of any [state]/[sweep]/[analysis] block"),
+    "unknown_key": ("[state]\nH2 = 1\nbogus = 2\n",
+                    "line 3: unknown key 'bogus' in [state] block"),
+    "bad_state_number": ("[state]\nH2 = abc\n",
+                         "line 1: bad [state] block: could not convert string to float: 'abc'"),
+    "invalid_state": ("[state]\nH2 = 1\neps = 0\n",
+                      "line 1: invalid [state] block: eps must be positive, got 0.0"),
+    "bad_axis_number": (_AXIS + "parameter = E1\nmin = x\nmax = 1\nsteps = 3\n",
+                        "line 5: bad number for 'min': 'x'"),
+    "bad_analysis_number": (_ANALYSIS + "delta = x\n", "line 4: bad number for 'delta': 'x'"),
+    "bad_integer": (_ANALYSIS + "n_dirs = 8.5\n", "line 4: bad integer for 'n_dirs': '8.5'"),
+    "bad_steps": (_AXIS + "parameter = E1\nmin = 0\nmax = 1\nsteps = 2.5\n",
+                  "line 7: bad integer for 'steps': '2.5'"),
+    "not_boolean": (_ANALYSIS + "cross_check = maybe\n",
+                    "line 4: expected a boolean, got 'maybe'"),
+    "missing_parameter": (_AXIS + "min = 0\nmax = 1\nsteps = 3\n",
+                          "line 3: sweep block needs a 'parameter' key"),
+    "missing_steps": (_AXIS + "parameter = E1\nmin = 0\nmax = 1\n",
+                      "line 3: sweep block needs a 'steps' key"),
+    "missing_min": (_AXIS + "parameter = E1\nmax = 1\nsteps = 3\n",
+                    "line 3: missing required key 'min'"),
+    "missing_max": (_AXIS + "parameter = E1\nmin = 0\nsteps = 3\n",
+                    "line 3: missing required key 'max'"),
+    "steps_below_2": (_AXIS + "parameter = E1\nmin = 0\nmax = 1\nsteps = 1\n",
+                      "line 3: sweep needs steps >= 2"),
+    "bad_sweep_parameter": (_AXIS + "parameter = H2\nmin = 0\nmax = 1\nsteps = 3\n",
+                            "line 4: " + _PARAMETER_ERROR),
+    # an axis is checked in the order parameter, steps, min, max
+    "axis_check_order": (_AXIS + "min = x\nsteps = x\nparameter = H2\n",
+                         "line 6: " + _PARAMETER_ERROR),
+    "axis_steps_before_min": (_AXIS + "min = x\nsteps = 1\nparameter = E1\n",
+                              "line 3: sweep needs steps >= 2"),
+    "three_axes": ("[state]\nH2 = 1\n"
+                   + "[sweep]\nparameter = E1\nmin = 0\nmax = 1\nsteps = 2\n" * 3,
+                   "line 13: at most 2 swept axes are supported"),
+    "no_state": ("[analysis]\nn_dirs = 8\n", "scenario contains no [state] block"),
+    "n_dirs_range": (_ANALYSIS + "n_dirs = 7\n", "line 4: n_dirs must be at least 8, got '7'"),
+    "delta_range": (_ANALYSIS + "delta = 0\n",
+                    "line 4: delta must be positive and finite, got '0'"),
+    "radius_range": (_ANALYSIS + "radius = inf\n",
+                     "line 4: radius must be positive and finite, got 'inf'"),
+    "tol_eq_range": (_ANALYSIS + "tol_eq = -1\n",
+                     "line 4: tol_eq must be non-negative and finite, got '-1'"),
+    "decay_p_range": (_ANALYSIS + "decay_p = nan\n", "line 4: decay_p must be finite, got 'nan'"),
+    "sample_range": (_ANALYSIS + "sample = 0\n", "line 4: sample must be at least 1, got '0'"),
+}
+
+
 class TestParseScenario:
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+    def test_error_message(self, tmp_path, capsys, text, message):
+        assert _run(["classify", _write(tmp_path, text)]) == 1
+        assert capsys.readouterr() == ("", f"pvstab: {message}\n")
+
     def test_minimal(self, tmp_path):
         sc = parse_scenario(_write(tmp_path, MINIMAL))
         assert len(sc.states) == 1 and not sc.sweeps
@@ -685,6 +748,141 @@ def test_batch_rows_equal_rows_alone(tmp_path, command):
                 if i == "0"]
         assert mine == want, index
     assert len(batch) > len(grid)
+
+
+def _rows_by_index(path):
+    # the output lines of each grid index, CSV or JSON lines
+    lines = path.read_text().splitlines()
+    rows: dict = {}
+    if lines[0] == "# pvstab-csv v1":
+        for ln in lines[2:]:
+            rows.setdefault(int(ln.split(",", 1)[0]), []).append(ln)
+    else:
+        for ln in lines:
+            rows.setdefault(json.loads(ln).get("index"), []).append(ln)
+    return rows
+
+
+def _assert_finite(path):
+    # every number written is finite, but the growth ratio exp(n Re(s) t),
+    # which overflows by design once n Re(s) t >= 700
+    lines = path.read_text().splitlines()
+    if lines[0] == "# pvstab-csv v1":
+        for row in csv.DictReader(lines[1:]):
+            for key, cell in row.items():
+                if cell and key not in ("error", "flags"):
+                    assert math.isfinite(float(cell)), (key, cell)
+        return
+
+    def walk(x, key=None):
+        if isinstance(x, dict):
+            if "log_ratio" in x and x["log_ratio"] >= 700.0:
+                x = {k: v for k, v in x.items() if k != "ratio"}
+            for k, v in x.items():
+                walk(v, k)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v, key)
+        elif isinstance(x, float):
+            assert math.isfinite(x), key
+
+    for ln in lines:
+        walk(json.loads(ln))
+
+
+class TestMagnitudeBound:
+    # components and E1 are bounded by state.MAX_MAGNITUDE = 1e50
+
+    @pytest.mark.parametrize("command", ["classify", "roots", "modes", "sweep"])
+    @pytest.mark.parametrize("text, name, value", [
+        ("[state]\nH2 = 1e308\nHv2 = 1e308\n", "H2", "1e+308"),
+        ("[state]\nH2 = 1e100\nHv2 = 2e100\nE1 = 3e99\n", "H2", "1e+100"),
+        ("[state]\nv2 = 1\nv3 = -2e50\n", "v3", "2e+50"),
+    ])
+    def test_huge_state_is_a_parse_error(self, tmp_path, capsys, command, text, name, value):
+        # once a traceback at parse time, or -Infinity in classify and a
+        # traceback from the winding count in roots and modes
+        assert _run([command, _write(tmp_path, text)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"pvstab: line 1: invalid [state] block: |{name}| = {value} exceeds "
+            "1e+50, the largest magnitude the analysis represents\n"))
+
+    @pytest.mark.parametrize("command", ["classify", "roots", "modes", "sweep"])
+    def test_points_past_the_bound_are_error_rows(self, tmp_path, command):
+        # H_mag = 1, 5e199, 1e200: the run used to die on the second point
+        text = ("[state]\nH2 = 1\nHv2 = 0.5\nE1 = 0.3\n"
+                "[sweep]\nparameter = H_mag\nmin = 1\nmax = {}\nsteps = 3\n"
+                "[analysis]\nn_dirs = 8\n")
+        out, near = tmp_path / "out.txt", tmp_path / "near.txt"
+        assert _run([command, _write(tmp_path, text.format("1e200")), "--out", str(out)]) == 0
+        assert _run([command, _write(tmp_path, text.format("2"), "near.scn"),
+                     "--out", str(near)]) == 0
+        rows = _rows_by_index(out)
+        assert rows[0] == _rows_by_index(near)[0]
+        for index, value in ((1, "5e+199"), (2, "1e+200")):
+            assert len(rows[index]) == 1
+            assert f"|H2| = {value} exceeds 1e+50" in rows[index][0]
+
+    @pytest.mark.parametrize("eps", ["1e-52", "0.5"])
+    @pytest.mark.parametrize("command", ["classify", "roots", "modes"])
+    def test_state_at_the_bound_stays_finite(self, tmp_path, command, eps):
+        # at eps = 1e-52 the state is the image, under the scaling of the
+        # analysis, of a unit state at eps = 1e-2: it has a root to locate
+        # and modes to build; at eps = 0.5 the counting radius reaches 1.6e100
+        text = ("[state]\nv2 = 1e50\nv3 = -1e50\nH2 = 1e50\nH3 = -1e50\n"
+                f"Hv2 = -1e50\nHv3 = 1e50\nE1 = 1e50\neps = {eps}\n"
+                "[analysis]\nn_dirs = 8\n")
+        out = tmp_path / "out.txt"
+        assert _run([command, _write(tmp_path, text), "--out", str(out)]) == 0
+        _assert_finite(out)
+        if eps == "1e-52" and command != "classify":
+            assert "e+49" in out.read_text()        # a root at Re s ~ 1e50
+
+
+class TestUsage:
+    # exit code 2 is the validation gate's: a usage error exits 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus", "x.scn"], "argument command: invalid choice: 'bogus'"),
+        (["validate", "x.scn", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["validate", "x.scn", "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
+        ([], "the following arguments are required: command, scenario"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pvstab ")
+        assert f"pvstab: error: {message}" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pvstab ")
+
+
+@pytest.mark.parametrize("command", [cmd_classify, cmd_sweep])
+def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
+    # classify and sweep without cross_check write each row before they
+    # classify the next point: the output grows between any two calls
+    import io
+
+    import pvstab.cli as cli_mod
+
+    out, sizes = io.StringIO(), []
+    original = cli_mod.classify
+
+    def recording(state, tol_eq=None):
+        sizes.append(out.tell())
+        return original(state, tol_eq=tol_eq)
+
+    monkeypatch.setattr(cli_mod, "classify", recording)
+    assert command(parse_scenario(_write(tmp_path, SWEEP)), out) == 0
+    assert len(sizes) == 41
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 class TestEntryPoint:

@@ -698,9 +698,10 @@ def _mp_terms(st, w, s):
             mpmath.polyval(b[::-1], s))
 
 
-def _mp_roots(st, w):
+def _mp_roots(st, w, principal=True):
     """The roots of L for omega' = w: the principal-branch roots of
-    A^2 (1 + eps^2 s^2) - B^2, at the working precision."""
+    A^2 (1 + eps^2 s^2) - B^2, at the working precision (all of its roots
+    when ``principal`` is false)."""
     import mpmath
 
     def mul(p, q):
@@ -720,7 +721,7 @@ def _mp_roots(st, w):
     for z in mpmath.polyroots(poly, maxsteps=100, extraprec=50,
                               roots_init=[mpmath.mpc(z) for z in start]):
         ta, g, tb = _mp_terms(st, w, z)
-        if abs(ta * g + tb) <= abs(ta * g - tb):
+        if not principal or abs(ta * g + tb) <= abs(ta * g - tb):
             roots.append(z)
     return roots
 
@@ -806,10 +807,16 @@ _PAIR = hst.tuples(_COMPONENT, _COMPONENT)
 @settings(max_examples=50, deadline=None)
 @example(h=(1.0, 0.0), hv=(0.0, 2.0), v=(1.0, 0.0), e1=1.0, eps=1e-4, theta=0.0,
          points=[(0.02, 0.0)])
+@example(h=(1.0, 0.0), hv=(0.0, 1.0), v=(0.5, 1.0), e1=0.5, eps=0.1, theta=0.7,
+         points=[(0.5, 0.5)])
+@example(h=(0.109375, 0.0), hv=(0.0, 3.0822702764006485e-18), v=(0.0, 0.0), e1=0.0,
+         eps=0.75, theta=0.0, points=[(1.0, 0.0)])
 def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
     # L at random points, and the roots of L taken from the degree-6
     # polynomial, for random states and directions, against 50 digits; the
-    # example is the transitional band, a root at Re s ~ 2 sqrt(eps)
+    # first example is the transitional band, a root at Re s ~ 2 sqrt(eps),
+    # the second a neutral state with two candidates on the imaginary axis,
+    # the third a near-double root on the axis
     import mpmath
 
     from pvstab.dispersion import _candidate_roots
@@ -825,15 +832,21 @@ def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
             assert abs(val - complex(a * g + b)) <= 1e-13 * scale, z
         try:
             want = [complex(z) for z in _mp_roots(st, w)]
+            every = [complex(z) for z in _mp_roots(st, w, principal=False)]
         except mpmath.mp.NoConvergence:
             reject()    # a (near-)multiple root polyroots cannot separate
     got = _candidate_roots([ctx])[0][0].tolist()
     # the roots clearly off the imaginary axis agree both ways; on the axis
-    # sit neutral roots and the branch points +-i/eps, where roundoff
-    # decides the sign of Re s
+    # sit neutral roots, where roundoff decides the sign of Re s, so a
+    # candidate there is a root y or its mirror image -conj(y).  It is
+    # paired with every root of the polynomial: at a (near-)double root on
+    # the axis, where A ~ 0 and B ~ 0, 50 digits leave the branch undecided
     for z in got:
         if z.real > 1e-8 * (1.0 + abs(z)):
             assert min(abs(z - y) for y in want) <= 1e-10 * (1.0 + abs(z)), (z, want)
+        else:
+            assert min(min(abs(z - y), abs(z + y.conjugate())) for y in every) <= \
+                1e-10 * (1.0 + abs(z)), (z, every)
     for y in want:
         if y.real > 1e-8 * (1.0 + abs(y)):
             assert min((abs(z - y) for z in got), default=math.inf) <= \

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pvstab.errors import (DirectionError, SingularFrameError,
                            StateValidationError)
-from pvstab.state import (EquilibriumState, WaveDirection, b0_matrix,
+from pvstab.state import (MAX_MAGNITUDE, EquilibriumState, WaveDirection, b0_matrix,
                           frequency_bundle, galilean_transform, validate_state)
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -51,6 +51,21 @@ def test_validate_rejects_relativistic_sigma():
 def test_validate_rejects_nonfinite():
     with pytest.raises(StateValidationError):
         validate_state(EquilibriumState(H_hat_t=(math.nan, 0), eps=0.01))
+
+
+@pytest.mark.parametrize("field", ["v_hat_t", "H_hat_t", "Hv_hat_t"])
+def test_validate_bounds_magnitudes(field):
+    # each component, and E1, up to MAX_MAGNITUDE; sigma is bounded by eps
+    # alone, since only the frame change reads it
+    at = EquilibriumState(**{field: (MAX_MAGNITUDE, -MAX_MAGNITUDE)},
+                          E1_hat=-MAX_MAGNITUDE, eps=1e-60, sigma=1e59)
+    assert validate_state(at)[0] is at
+    for beyond in ((math.nextafter(MAX_MAGNITUDE, math.inf), 0.0),
+                   (0.0, -math.nextafter(MAX_MAGNITUDE, math.inf))):
+        with pytest.raises(StateValidationError, match="exceeds 1e[+]50"):
+            validate_state(EquilibriumState(**{field: beyond}))
+    with pytest.raises(StateValidationError, match=r"\|E1\| = 1e\+51 exceeds"):
+        validate_state(EquilibriumState(E1_hat=-1e51))
 
 
 def test_reconstruction_invariants():
