@@ -20,7 +20,9 @@ A scenario file is a flat key-value document with block headers:
                        decay_p, cross_check, sample
 
 Every grid point is validated and classified once (`_checked`), and one
-that fails becomes one error row; rows are written in index order.
+that fails becomes one error row; rows are written in index order.  The
+grid is generated as it is read (`Scenario.grid`), and ``roots`` and
+``sweep`` write CSV through one row writer (`_csv_rows`).
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``/``locate_roots``).  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
@@ -44,7 +46,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .dispersion import MIN_N_DIRS, HalfDiskRegion, default_region, locate_roots
     make_context, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import build_mode, growth_rows, residuals
-from .state import EquilibriumState, validate_state
+from .state import MAX_MAGNITUDE, EquilibriumState, validate_state
 
 SWEEP_PARAMETERS = ("E1", "angle_alpha", "H_mag", "Hv_mag", "v2", "v3", "eps")
 
@@ -107,17 +109,26 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     warnings: list[str] = field(default_factory=list)
 
-    def grid(self) -> list[GridPoint]:
-        """States crossed with the sweep grid (identity when no sweep)."""
-        points = []
+    def grid(self) -> Iterator[GridPoint]:
+        """States crossed with the sweep grid (identity when no sweep).
+
+        A generator, in index order: the last axis varies fastest, and each
+        axis level applies its parameter once per point of the level above.
+        """
+        levels = [(axis.parameter, [float(v) for v in axis.values()])
+                  for axis in self.sweeps]
+
+        def crossed(state, coords, depth):
+            if depth == len(levels):
+                yield GridPoint(state, coords)
+                return
+            name, values = levels[depth]
+            for v in values:
+                yield from crossed(apply_sweep_parameter(state, name, v),
+                                   coords + ((name, v),), depth + 1)
+
         for st in self.states:
-            stack = [(st, ())]
-            for axis in self.sweeps:
-                stack = [(apply_sweep_parameter(s, axis.parameter, float(v)),
-                          coords + ((axis.parameter, float(v)),))
-                         for s, coords in stack for v in axis.values()]
-            points.extend(GridPoint(s, coords) for s, coords in stack)
-        return points
+            yield from crossed(st, (), 0)
 
 
 def apply_sweep_parameter(state: EquilibriumState, name: str,
@@ -156,25 +167,31 @@ def apply_sweep_parameter(state: EquilibriumState, name: str,
 # scenario parsing
 
 
-# The typed keys: each maps to its type, a condition on its value (None for
-# none) and that condition in words.  A value that fails the condition is
-# rejected as "<words>, got <value>".
+# The typed keys: each maps to its type and the conditions on its value, each
+# with its words, checked in order.  A value that fails a condition is
+# rejected as "<words>, got <value>".  A region override is bounded like the
+# magnitudes of a state (state.MAX_MAGNITUDE), and decay_p so that n**-decay_p
+# stays within [1e-200, 1e200] for the n of _MODE_N.
 _SWEEP_KEYS = {
-    "parameter": (str, SWEEP_PARAMETERS.__contains__,
-                  f"sweep parameter must be one of {SWEEP_PARAMETERS}"),
-    "steps": (int, None, None),
-    "min": (float, None, None),
-    "max": (float, None, None),
+    "parameter": (str, (SWEEP_PARAMETERS.__contains__,
+                        f"sweep parameter must be one of {SWEEP_PARAMETERS}")),
+    "steps": (int,),
+    "min": (float,),
+    "max": (float,),
 }
+_MAX_DECAY_P = 100.0
 _ANALYSIS_KEYS = {
-    "tol_eq": (float, lambda x: 0.0 <= x < math.inf,
-               "tol_eq must be non-negative and finite"),
-    "n_dirs": (int, lambda n: n >= MIN_N_DIRS, f"n_dirs must be at least {MIN_N_DIRS}"),
-    "delta": (float, lambda x: 0.0 < x < math.inf, "delta must be positive and finite"),
-    "radius": (float, lambda x: 0.0 < x < math.inf, "radius must be positive and finite"),
-    "decay_p": (float, math.isfinite, "decay_p must be finite"),
-    "cross_check": (bool, None, None),
-    "sample": (int, lambda n: n >= 1, "sample must be at least 1"),
+    "tol_eq": (float, (lambda x: 0.0 <= x < math.inf,
+                       "tol_eq must be non-negative and finite")),
+    "n_dirs": (int, (lambda n: n >= MIN_N_DIRS, f"n_dirs must be at least {MIN_N_DIRS}")),
+    **{key: (float, (lambda x: 0.0 < x < math.inf, f"{key} must be positive and finite"),
+             (lambda x: x <= MAX_MAGNITUDE, f"{key} must be at most {MAX_MAGNITUDE:g}"))
+       for key in ("delta", "radius")},
+    "decay_p": (float, (math.isfinite, "decay_p must be finite"),
+                (lambda p: abs(p) <= _MAX_DECAY_P,
+                 f"decay_p must be at most {_MAX_DECAY_P:g} in magnitude")),
+    "cross_check": (bool,),
+    "sample": (int, (lambda n: n >= 1, "sample must be at least 1")),
 }
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
              **dict.fromkeys(("false", "0", "no", "off"), False)}
@@ -185,13 +202,14 @@ _NOT_A = {bool: "expected a boolean, got {text!r}",
 
 def _typed(table: dict, key: str, text: str, line: int):
     """``text``, the value of ``key`` on ``line``, typed and checked by ``table``."""
-    kind, ok, words = table[key]
+    kind, *checks = table[key]
     try:
         value = _BOOLEANS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         raise ScenarioParseError(_NOT_A[kind].format(key=key, text=text), line) from None
-    if ok is not None and not ok(value):
-        raise ScenarioParseError(f"{words}, got {text!r}", line)
+    for ok, words in checks:
+        if not ok(value):
+            raise ScenarioParseError(f"{words}, got {text!r}", line)
     return value
 
 
@@ -288,9 +306,37 @@ def _json_line(record: dict) -> str:
 
 def _state_params(state: EquilibriumState) -> dict:
     return {k: float(v) for k, v in
-            zip(EquilibriumState.RECORD_KEYS,
-                (*state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t,
-                 state.E1_hat, state.eps, state.sigma))}
+            zip(EquilibriumState.RECORD_KEYS, state.record_values())}
+
+
+class _Reprs(dict):
+    """The repr of each float looked up, computed on the first lookup."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = repr(x)
+        return text
+
+
+def _csv_rows(out: TextIO, columns):
+    """Write the versioned CSV header of ``columns``; return the function
+    that writes one row, a list of cells in column order.
+
+    A row is written as ``csv.writer`` writes it, None as an empty cell, but
+    the repr of each distinct float is computed once per table.  Zeros and
+    NaN are written directly (-0.0 == 0.0 would share a key, and NaN never
+    matches one), as is every cell that is not a float: bools, ints, numpy
+    scalars and strings keep their spellings and quoting.
+    """
+    out.write("# pvstab-csv v1\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    reprs = _Reprs()
+
+    def write(cells):
+        writer.writerow([reprs[c] if type(c) is float and c and c == c else c
+                         for c in cells])
+
+    return write
 
 
 def _checked(scenario: Scenario):
@@ -337,42 +383,29 @@ def cmd_classify(scenario: Scenario, out: TextIO) -> int:
 
 def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
-
-    def rows_of(index, summary):
-        rows = []
-        for rec in summary.records:
-            base = {
-                "index": index,
-                "omega2": rec.direction.omega2, "omega3": rec.direction.omega3,
-                "winding": rec.count,
-                "delta": rec.region.delta if rec.region else "",
-                "R": rec.region.radius if rec.region else "",
-                "contour_points": rec.contour_points or "",
-                "error": rec.error or "",
-                "flags": "; ".join(rec.report.flags) if rec.report else "",
-            }
-            if rec.report is not None and rec.report.roots:
-                for root, res in zip(rec.report.roots, rec.report.residuals):
-                    rows.append({**base, "re_s": root.real, "im_s": root.imag,
-                                 "abs_L": res})
-            else:
-                rows.append({**base, "re_s": "", "im_s": "", "abs_L": ""})
-        return rows
-
-    columns = ["index", "omega2", "omega3", "winding", "re_s", "im_s",
-               "abs_L", "delta", "R", "contour_points", "error", "flags"]
-    out.write("# pvstab-csv v1\n")
-    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
+    write = _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s",
+                            "abs_L", "delta", "R", "contour_points", "error", "flags"])
     checked = list(_checked(scenario))
     valid = [point.state for _, point, outcome in checked
              if not isinstance(outcome, PvstabError)]
     summaries = scan_states(valid, analysis.n_dirs,
                             [analysis.region_for(st) for st in valid])
     for index, _, outcome in checked:
-        writer.writerows([{"index": index, "error": str(outcome)}]
-                         if isinstance(outcome, PvstabError)
-                         else rows_of(index, next(summaries)))
+        if isinstance(outcome, PvstabError):
+            write([index, *[None] * 9, str(outcome), None])
+            continue
+        # a row per located root of each direction, or one without a root
+        for rec in next(summaries).records:
+            region, report = rec.region, rec.report
+            head = [index, rec.direction.omega2, rec.direction.omega3, rec.count]
+            tail = [*((region.delta, region.radius) if region else (None, None)),
+                    rec.contour_points or None, rec.error,
+                    "; ".join(report.flags) if report else None]
+            if report is not None and report.roots:
+                for root, res in zip(report.roots, report.residuals):
+                    write([*head, root.real, root.imag, res, *tail])
+            else:
+                write([*head, None, None, None, *tail])
     return _status(len(checked), len(checked) - len(valid))
 
 
@@ -468,9 +501,7 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
                + ["verdict", "margin", "f_min", "omega_star_2", "omega_star_3",
                   "G", "degenerate_flag", "numeric_unstable", "max_re_s",
                   "agreement", "error"])
-    out.write("# pvstab-csv v1\n")
-    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
+    write = _csv_rows(out, columns)
     cross_check = scenario.analysis.cross_check
     checked = _checked(scenario)
     if cross_check:
@@ -482,22 +513,26 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     n_points = n_failed = 0
     for index, point, outcome in checked:
         n_points += 1
-        row = {"index": index, **{f"sweep_{k}": v for k, v in point.coords},
-               **_state_params(point.state)}
+        row = [index, *(v for _, v in point.coords), *point.state.record_values()]
+        error = None
         if isinstance(outcome, PvstabError):
-            row["error"] = str(outcome)    # columns not reached stay empty
+            error = outcome
+            row += [None] * 10      # columns not reached stay empty
         else:
-            row.update(outcome[0].to_record())
+            cls = outcome[0]
+            row += [cls.verdict.value, cls.margin, cls.f_min, cls.minimizer.omega2,
+                    cls.minimizer.omega3, cls.transitional_G, cls.degenerate]
             verdict = next(verdicts) if cross_check else None
             if isinstance(verdict, PvstabError):
-                row["error"] = str(verdict)
-            elif verdict is not None:
-                summary, agree = verdict
-                row["numeric_unstable"] = summary.numerically_unstable
-                row["max_re_s"] = summary.max_re_s
-                row["agreement"] = agree        # None (empty cell): undecided
-        n_failed += "error" in row
-        writer.writerow(row)
+                error, verdict = verdict, None
+            if verdict is None:
+                row += [None] * 3
+            else:
+                summary, agree = verdict    # agree None (empty cell): undecided
+                row += [summary.numerically_unstable, summary.max_re_s, agree]
+        n_failed += error is not None
+        row.append(None if error is None else str(error))
+        write(row)
     return _status(n_points, n_failed)
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContourTooCloseError, NonConvergentError
+from .errors import ContourTooCloseError, NonConvergentError, PvstabError
 from .state import EquilibriumState, FrequencyBundle, WaveDirection, frequency_bundle
 
 _MAX_CONTOUR_POINTS = 1 << 20
@@ -638,8 +638,10 @@ def _stacked_roots(polys) -> list:
     without the roots at s = 0 of trailing zero coefficients.
 
     The companion matrices are laid out as np.roots lays them out, after
-    dropping the leading and trailing zero coefficients, and those of one
-    degree are stacked into one eigenvalue call.
+    dropping the leading and trailing zero coefficients, and the finite ones
+    of one degree are stacked into one eigenvalue call.  A polynomial whose
+    companion matrix is not finite (its leading coefficient, eps^2 for L, is
+    too small against the others) gets a PvstabError in place of its roots.
     """
     out = [np.empty(0, dtype=complex)] * len(polys)
     by_degree: dict = {}
@@ -649,11 +651,17 @@ def _stacked_roots(polys) -> list:
             by_degree.setdefault(nz[-1] - nz[0], []).append((i, p[nz[0]:nz[-1] + 1]))
     for m, group in by_degree.items():
         p = np.array([q for _, q in group])
-        comp = np.zeros((len(group), m, m), dtype=p.dtype)
-        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = -p[:, 1:] / p[:, :1]
+        finite = np.isfinite(head).all(axis=1)
+        comp = np.zeros((int(finite.sum()), m, m), dtype=p.dtype)
+        comp[:, 0, :] = head[finite]
         comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        for (i, _), z in zip(group, np.linalg.eigvals(comp)):
-            out[i] = z
+        roots = iter(np.linalg.eigvals(comp))
+        for (i, _), ok in zip(group, finite):
+            out[i] = next(roots) if ok else PvstabError(
+                f"cannot locate roots: the leading coefficient of the degree-{m} "
+                "polynomial, eps^2, is too small against the others")
     return out
 
 
@@ -667,11 +675,14 @@ def _candidate_roots(ctxs) -> list:
     (``_stacked_roots``), and all their roots polished by one Newton
     iteration.  A root belongs to the principal branch when
     |A g + B| <= |A g - B|.  Returns (roots, |L|, scale) arrays per
-    context, the last two from Newton.
+    context, the last two from Newton, or the PvstabError of a context
+    whose polynomial could not be solved.
     """
     if not ctxs:
         return []
     found = _stacked_roots([_polynomial(c) for c in ctxs])
+    failed = {j: z for j, z in enumerate(found) if isinstance(z, PvstabError)}
+    found = [np.empty(0, dtype=complex) if j in failed else z for j, z in enumerate(found)]
     owner = np.repeat(np.arange(len(ctxs)), [z.size for z in found])
     z = np.concatenate(found)
     cols = _columns(ctxs)[:, owner]
@@ -687,8 +698,8 @@ def _candidate_roots(ctxs) -> list:
     owner = owner[keep]
     roots, abs_l, scale = newton_refine(_Batch(cols[:, keep]), z[keep])
     ends = np.searchsorted(owner, np.arange(len(ctxs) + 1))
-    return [(roots[lo:hi], abs_l[lo:hi], scale[lo:hi])
-            for lo, hi in zip(ends[:-1], ends[1:])]
+    return [failed[j] if j in failed else (roots[lo:hi], abs_l[lo:hi], scale[lo:hi])
+            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))]
 
 
 def _root_reports(ctxs, counts) -> list:
@@ -698,7 +709,8 @@ def _root_reports(ctxs, counts) -> list:
     batch (see ``_candidate_roots``); those inside the counted region are
     reported, sorted by (-Re, Im), with the residuals Newton ended on.  A
     mismatch with the winding, or a root whose residual exceeds
-    certification, is reported via ``flags``.
+    certification, is reported via ``flags``; a context whose roots could
+    not be located has its PvstabError in place of a report.
     """
     located = [i for i, c in enumerate(counts) if c.winding > 0]
     found = dict(zip(located, _candidate_roots([ctxs[i] for i in located])))
@@ -706,6 +718,9 @@ def _root_reports(ctxs, counts) -> list:
     for i, (winding, used, n_int, min_rel) in enumerate(counts):
         if winding == 0:
             reports.append(RootReport(used, 0, (), (), n_int, min_rel))
+            continue
+        if isinstance(found[i], PvstabError):
+            reports.append(found[i])
             continue
         roots, abs_l, scale = (a.tolist() for a in found[i])
         inside = sorted((j for j, s in enumerate(roots) if used.contains(s)),

@@ -63,8 +63,8 @@ class ModeSolution:
             "lambda_minus": pair(self.lambda_minus),
             "omega": (self.omega.omega2, self.omega.omega3),
             "phi_bar": pair(self.phi_bar),
-            "plasma_amp": [pair(z) for z in self.plasma_amp],
-            "vacuum_amp": [pair(z) for z in self.vacuum_amp],
+            "plasma_amp": [(z.real, z.imag) for z in self.plasma_amp.tolist()],
+            "vacuum_amp": [(z.real, z.imag) for z in self.vacuum_amp.tolist()],
             "warnings": list(self.warnings),
         }
 

@@ -107,10 +107,13 @@ class EquilibriumState:
 
     RECORD_KEYS = ("v2", "v3", "H2", "H3", "Hv2", "Hv3", "E1", "eps", "sigma")
 
-    def to_record(self) -> dict[str, str]:
-        vals = (*self.v_hat_t, *self.H_hat_t, *self.Hv_hat_t,
+    def record_values(self) -> tuple:
+        """The parameters in the order of RECORD_KEYS."""
+        return (*self.v_hat_t, *self.H_hat_t, *self.Hv_hat_t,
                 self.E1_hat, self.eps, self.sigma)
-        return {k: repr(float(v)) for k, v in zip(self.RECORD_KEYS, vals)}
+
+    def to_record(self) -> dict[str, str]:
+        return {k: repr(float(v)) for k, v in zip(self.RECORD_KEYS, self.record_values())}
 
     @classmethod
     def from_record(cls, record: dict) -> "EquilibriumState":

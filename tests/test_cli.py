@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pvstab.cli import (AnalysisOptions, apply_sweep_parameter, cmd_classify, cmd_sweep,
                         main, margin_band, parse_scenario, sample_validation_state)
@@ -117,6 +120,13 @@ PARSE_ERRORS = {
     "tol_eq_range": (_ANALYSIS + "tol_eq = -1\n",
                      "line 4: tol_eq must be non-negative and finite, got '-1'"),
     "decay_p_range": (_ANALYSIS + "decay_p = nan\n", "line 4: decay_p must be finite, got 'nan'"),
+    # radius = 1e200 used to end the winding count in a ValueError on NaN,
+    # and decay_p = -400 building a mode in an OverflowError
+    "delta_bound": (_ANALYSIS + "delta = 1e51\n", "line 4: delta must be at most 1e+50, got '1e51'"),
+    "radius_bound": (_ANALYSIS + "radius = 1e200\n",
+                     "line 4: radius must be at most 1e+50, got '1e200'"),
+    "decay_p_bound": (_ANALYSIS + "decay_p = -400\n",
+                      "line 4: decay_p must be at most 100 in magnitude, got '-400'"),
     "sample_range": (_ANALYSIS + "sample = 0\n", "line 4: sample must be at least 1, got '0'"),
 }
 
@@ -136,14 +146,14 @@ class TestParseScenario:
 
     def test_sweep_grid(self, tmp_path):
         sc = parse_scenario(_write(tmp_path, SWEEP))
-        assert len(sc.grid()) == 41
-        values = [dict(p.coords)["E1"] for p in sc.grid()]
+        assert len(list(sc.grid())) == 41
+        values = [dict(p.coords)["E1"] for p in list(sc.grid())]
         assert values[0] == 0.0 and values[-1] == 2.0
 
     def test_two_axes(self, tmp_path):
         text = SWEEP + "\n[sweep]\nparameter = v2\nmin = -1\nmax = 1\nsteps = 3\n"
         sc = parse_scenario(_write(tmp_path, text))
-        assert len(sc.grid()) == 41 * 3
+        assert len(list(sc.grid())) == 41 * 3
 
     def test_three_axes_rejected(self, tmp_path):
         text = SWEEP + (
@@ -736,7 +746,7 @@ def test_batch_rows_equal_rows_alone(tmp_path, command):
         return [(str(r.pop("index", "")), json.dumps(r)) for r in map(json.loads, lines)]
 
     batch = rows(text, "batch")
-    grid = parse_scenario(_write(tmp_path, text)).grid()
+    grid = list(parse_scenario(_write(tmp_path, text)).grid())
     for index, point in enumerate(grid):
         mine = [rest for i, rest in batch if i == str(index)]
         if point.state.eps == 0.0:
@@ -880,9 +890,83 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
         return original(state, tol_eq=tol_eq)
 
     monkeypatch.setattr(cli_mod, "classify", recording)
+    # and they ask for grid point k + 1 only once row k is written: the grid
+    # is built as it is read (one sweep axis: one call per point)
+    lines, apply = [], cli_mod.apply_sweep_parameter
+
+    def applying(state, name, value):
+        lines.append(out.getvalue().count("\n"))
+        return apply(state, name, value)
+
+    monkeypatch.setattr(cli_mod, "apply_sweep_parameter", applying)
     assert command(parse_scenario(_write(tmp_path, SWEEP)), out) == 0
     assert len(sizes) == 41
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    header = 2 if command is cmd_sweep else 0
+    assert lines == [header + k for k in range(41)]
+
+
+_CELLS = hst.one_of(
+    hst.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1,
+                      1e300, True, False, 1, 0, 1.0, None, "", np.float64(0.1),
+                      np.float64(-0.0), np.int64(7), np.bool_(True), "a,b", 'say "x"',
+                      "two\nlines", "; ", " padded "]),
+    hst.floats(), hst.integers(-10**20, 10**20), hst.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(hst.lists(_CELLS, min_size=3, max_size=3), max_size=12))
+def test_csv_rows_writes_what_csv_writer_writes(rows):
+    import io
+
+    from pvstab.cli import _csv_rows
+
+    columns = ["a", "b", "c"]
+    rows = rows + rows[:3]          # repeated values come back from the cache
+    got, want = io.StringIO(), io.StringIO()
+    write = _csv_rows(got, columns)
+    for row in rows:
+        write(row)
+    want.write("# pvstab-csv v1\n")
+    csv.writer(want, lineterminator="\n").writerows([columns] + rows)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_pinned_rows(tmp_path):
+    # the spellings of -0.0, empty cells and quoted errors in a sweep row, and
+    # of a roots row without roots and one of a rejected point
+    text = ("[state]\nv2 = -0.0\nH2 = -0.0\nH3 = 1\nHv2 = 2\nHv3 = -0.0\nE1 = -0.0\n"
+            "[sweep]\nparameter = eps\nmin = 0\nmax = 0.02\nsteps = 3\n"
+            "[analysis]\nn_dirs = 8\n")
+    path = _write(tmp_path, text)
+    sweep, roots = tmp_path / "sweep.csv", tmp_path / "roots.csv"
+    assert _run(["sweep", path, "--out", str(sweep)]) == 0
+    assert _run(["roots", path, "--out", str(roots)]) == 0
+    lines = sweep.read_text().splitlines()
+    assert lines[2] == ('0,0.0,-0.0,0.0,-0.0,1.0,2.0,-0.0,-0.0,0.0,0.0,,,,,,,,,,,'
+                        '"eps must be positive, got 0.0"')
+    assert lines[3] == ("1,0.01,-0.0,0.0,-0.0,1.0,2.0,-0.0,-0.0,0.01,0.0,NeutrallyStable,"
+                        "-1.0,1.0,6.123233995736766e-17,1.0,,False,,,,")
+    lines = roots.read_text().splitlines()
+    assert lines[2] == '0,,,,,,,,,,"eps must be positive, got 0.0",'
+    assert lines[3] == "1,1.0,0.0,0,,,,0.04,40.0,530,,"
+
+
+@pytest.mark.parametrize("command", ["roots", "modes"])
+def test_tiny_eps_state_is_error_rows(tmp_path, command):
+    # at eps = 1e-160 the root polynomial cannot be solved: that state's
+    # located directions are errors, and the other state's rows are those it
+    # has alone (the whole batch used to die in a LinAlgError)
+    healthy = "[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\n"
+    text = healthy + "eps = 1e-160\n" + healthy
+    both, alone = tmp_path / "both.txt", tmp_path / "alone.txt"
+    assert _run([command, _write(tmp_path, text), "--out", str(both)]) == 0
+    assert _run([command, _write(tmp_path, healthy, "alone.scn"), "--out", str(alone)]) == 0
+    rows, want = _rows_by_index(both), _rows_by_index(alone)
+    assert rows[1] == [ln.replace("0", "1", 1) if command == "roots" else
+                       ln.replace('"index": 0', '"index": 1', 1) for ln in want[0]]
+    failed = [ln for ln in rows[0] if "eps^2, is too small" in ln]
+    assert failed and (command == "modes" or len(failed) < len(rows[0]))
 
 
 class TestEntryPoint:

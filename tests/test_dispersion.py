@@ -876,6 +876,27 @@ def test_stacked_eigenvalues_are_np_roots():
         assert not want[z.size:].any()
 
 
+def test_unsolvable_polynomial_fails_alone():
+    # at eps = 1e-160 the companion matrix overflows (its first row is the
+    # coefficients over eps^2); that context gets an error, and the others
+    # of the batch keep the roots and reports they have alone
+    from pvstab.dispersion import _polynomial, _stacked_roots, locate_roots
+    from pvstab.errors import PvstabError
+
+    tiny = dataclasses.replace(COLLINEAR, eps=1e-160)
+    oblique = WaveDirection.from_angle(0.3)
+    polys = [_polynomial(make_context(st, oblique)) for st in (COLLINEAR, tiny, NEUTRAL)]
+    got = _stacked_roots(polys)
+    assert isinstance(got[1], PvstabError) and "eps^2" in str(got[1])
+    for p, z in zip(polys[::2], got[::2]):
+        assert z.size == 6 and np.roots(p).tobytes() == z.tobytes()
+    ctxs = [make_context(st, PERP) for st in (tiny, COLLINEAR)]
+    regions = [default_region(st) for st in (tiny, COLLINEAR)]
+    failed, report = locate_roots(ctxs, regions)
+    assert isinstance(failed, PvstabError)
+    assert report == find_unstable_roots(ctxs[1], regions[1])
+
+
 def test_branch_points_are_not_roots():
     # B(+-i/eps) ~ 0 makes the branch points +-i/eps roots of the polynomial,
     # and roundoff puts some of them at Re s > 0, where Newton cannot move

@@ -173,6 +173,15 @@ class TestGrowthTable:
         assert rows[0].log_ratio == pytest.approx(10000.0)
 
 
+def test_mode_record_amplitudes_are_the_arrays_values(collinear_root):
+    mode = build_mode(COLLINEAR, collinear_root, PERP, 10)
+    rec = mode.to_record()
+    for key in ("plasma_amp", "vacuum_amp"):
+        want = [(float(np.real(z)), float(np.imag(z))) for z in getattr(mode, key)]
+        assert [tuple(map(type, pair)) for pair in rec[key]] == [(float, float)] * len(want)
+        assert np.array(rec[key]).tobytes() == np.array(want).tobytes()
+
+
 def test_mode_record_round_trip(collinear_root):
     mode = build_mode(COLLINEAR, collinear_root, PERP, 10)
     rec = mode.to_record()
