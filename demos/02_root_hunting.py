@@ -1,9 +1,10 @@
 """Count and locate growth rates of the normal-mode determinant.
 
-The winding number of L(s) along the boundary of a right-half-plane region
-counts the exponentially growing modes there; the roots of one degree-6
-polynomial, polished by Newton, pin each of them to machine precision, and
-the small-eps expansions predict where the roots sit.  Run: python demos/02_root_hunting.py
+The roots of one degree-6 polynomial count the exponentially growing modes
+in a right-half-plane region, certified by disks about them (or, where the
+disks cannot decide, by the winding number of L(s) along the region's
+boundary); Newton pins each root to machine precision, and the small-eps
+expansions predict where the roots sit.  Run: python demos/02_root_hunting.py
 """
 
 import dataclasses
@@ -21,9 +22,12 @@ def show_region(state, direction, label):
     print(f"{label}: direction ({direction.omega2:+.2f}, {direction.omega3:+.2f})")
     print(f"  region: Re s >= {report.region.delta:.3g}, "
           f"|s - delta| <= {report.region.radius:.3g}")
-    print(f"  winding number = {report.winding_count} "
-          f"({report.contour_points} contour intervals, "
-          f"min |L|/scale = {report.min_abs_on_contour:.2e})")
+    if report.certificate == "inclusion":
+        how = f"inclusion disks of radius <= {report.inclusion_radius:.1e}"
+    else:
+        how = (f"{report.contour_points} contour intervals, "
+               f"min |L|/scale = {report.min_abs_on_contour:.2e}")
+    print(f"  root count = {report.winding_count} ({how})")
     for root, res in zip(report.roots, report.residuals):
         print(f"  root s = {root.real:+.10f} {root.imag:+.10f}i   |L| = {res:.1e}")
     if not report.roots:

@@ -16,11 +16,11 @@ from .criterion import (Classification, MinimizationResult, Verdict, classify,
                         critical_e1_squared, default_tol_eq, f_of_omega,
                         minimize_f, transitional_discriminant)
 from .dispersion import (DirectionScan, HalfDiskRegion, LopatinskiContext,
-                         RootReport, ScanSummary, count_unstable_roots,
-                         default_region, find_unstable_roots, locate_roots,
-                         lopatinski, lopatinski_deriv, lopatinski_scale,
-                         make_context, newton_refine, plasma_decay_root,
-                         scan_directions, scan_states, vacuum_decay_root)
+                         RootReport, ScanSummary, default_region,
+                         find_unstable_roots, locate_roots, lopatinski,
+                         lopatinski_deriv, lopatinski_scale, make_context,
+                         newton_refine, scan_directions, scan_states,
+                         vacuum_decay_root)
 from .errors import (ContourTooCloseError, DegenerateSymbolError,
                      DirectionError, NonConvergentError, NotTransitionalError,
                      PvstabError, ScenarioParseError, SingularFrameError,

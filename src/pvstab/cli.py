@@ -3,10 +3,7 @@
 Usage:
 
     pvstab classify|roots|modes|sweep|validate <scenario-file>
-           [--out PATH] [--seed N] [--jobs N]
-
-``--jobs`` is accepted for compatibility and ignored: every command maps its
-points serially.
+           [--out PATH] [--seed N] [--jobs N]      (--jobs is ignored)
 
 A scenario file is a flat key-value document with block headers:
 
@@ -26,7 +23,7 @@ grid is generated as it is read (`Scenario.grid`), and ``roots`` and
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``/``locate_roots``).  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
-winding scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
+root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
 an error when any scanned direction failed.  A state with a component or E1
 beyond ``state.MAX_MAGNITUDE`` in magnitude is invalid.
 
@@ -384,7 +381,8 @@ def cmd_classify(scenario: Scenario, out: TextIO) -> int:
 def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
     write = _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s",
-                            "abs_L", "delta", "R", "contour_points", "error", "flags"])
+                            "abs_L", "delta", "R", "contour_points", "error", "flags",
+                            "certificate"])
     checked = list(_checked(scenario))
     valid = [point.state for _, point, outcome in checked
              if not isinstance(outcome, PvstabError)]
@@ -392,7 +390,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
                             [analysis.region_for(st) for st in valid])
     for index, _, outcome in checked:
         if isinstance(outcome, PvstabError):
-            write([index, *[None] * 9, str(outcome), None])
+            write([index, *[None] * 9, str(outcome), None, None])
             continue
         # a row per located root of each direction, or one without a root
         for rec in next(summaries).records:
@@ -400,7 +398,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
             head = [index, rec.direction.omega2, rec.direction.omega3, rec.count]
             tail = [*((region.delta, region.radius) if region else (None, None)),
                     rec.contour_points or None, rec.error,
-                    "; ".join(report.flags) if report else None]
+                    "; ".join(report.flags) if report else None, rec.certificate]
             if report is not None and report.roots:
                 for root, res in zip(report.roots, report.residuals):
                     write([*head, root.real, root.imag, res, *tail])

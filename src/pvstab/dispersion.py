@@ -8,28 +8,17 @@ the scalar equation L(s) = 0 in the Laplace variable s, with
 
     ell = s + i (v'.omega').
 
-Roots with Re s > 0 generate exponentially growing modes whose rate scales
-with the wavenumber (violent instability).  The principal branch of the
-square root is analytic on the open right half-plane, so roots there are
-counted exactly by the argument principle along the boundary of a half-disk
-{Re s >= delta, |s - delta| <= R}.  The default radius is proven to hold
-every such root: beyond a closed-form R* (``root_radius_bound``) the terms
-of L cannot cancel on Re s >= delta, so each direction is counted once.
-Since L_{-omega'}(s) = conj(L_{omega'}(conj s)) and the half-disk is
-symmetric about the real axis, a scan counts and locates one direction of
-each antipodal pair and builds the record of the other by conjugation.
-The directions of one state share the half-disk, so a scan counts them as
-one batch: the starting grid is evaluated once for all of them, and each
-refinement round bisects, evaluates (in one call) and tests only the
-intervals that failed the round before, with each direction refined by the
-rules of a count alone.  The roots are located without a search: writing
-L = A sqrt(1 + eps^2 s^2) + B with A = ell^2 + w_plus^2, the roots of L
-are the principal-branch roots of the degree-6 polynomial
-A^2 (1 + eps^2 s^2) - B^2.  They are polished by Newton iteration with the
-analytic derivative, and the winding count certifies them.
-
-Its independent cross-checks (small-eps root expansions, L at a non-unit
-omega', a densely sampled winding) are in ``oracle``.
+Roots with Re s > 0 generate modes growing at a rate proportional to the
+wavenumber (violent instability).  They are counted in a half-disk
+{Re s >= delta, |s - delta| <= R} proven to hold them all by default
+(``root_radius_bound``).  With L = A sqrt(1 + eps^2 s^2) + B and A =
+ell^2 + w_plus^2, they are principal-branch roots of the degree-6
+polynomial Q = A^2 (1 + eps^2 s^2) - B^2, real in sigma = -i s.  One
+eigenvalue call solves Q for a batch of directions; disks about its roots
+certify most counts (``_algebraic_counts``), the argument principle along
+the half-disk's boundary the rest (``_winding_numbers``).  Newton polishes
+the roots.  A scan counts one direction of each antipodal pair and mirrors
+the other.  Independent cross-checks are in ``oracle``.
 """
 
 from __future__ import annotations
@@ -49,6 +38,8 @@ _CONTOUR_FLOOR = 1e-8          # min |L|/scale on a usable contour
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
 _ROOT_RESIDUAL = 1e-10         # relative residual certified per reported root
 _BRANCH_POINT = 1e-9           # |1 + eps^2 s^2| at which a root is a branch point
+_ROUNDING = 2.0 ** -46         # 128 u: relative rounding bound of Q's coefficients and Horner
+_UNDERFLOW = 1e-322            # absolute rounding bound of values below the normal range
 _MAX_BATCH = 64                # directions per batch (or one state's): bounds memory
 # (delta, R) multipliers tried when a contour grazes a root, and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
@@ -64,10 +55,8 @@ MIN_N_DIRS = 8                 # least number of directions a scan accepts
 class LopatinskiContext:
     """Frozen per-direction data for evaluating L and its derivative.
 
-    The evaluators read the state scalars and the ``bundle`` fields through
-    the attributes below, so they also take a batch of directions of any
-    states (``_Batch``), whose attributes are arrays that broadcast against
-    ``s``.
+    The evaluators read only the attributes below, so they also take a
+    ``_Batch``, whose attributes are arrays that broadcast against ``s``.
     """
 
     state: EquilibriumState
@@ -103,32 +92,19 @@ def make_context(state: EquilibriumState, direction: WaveDirection) -> Lopatinsk
                              bundle=frequency_bundle(state, d))
 
 
-def plasma_decay_root(direction) -> float:
-    """Decay exponent of the plasma side, -|omega'| (equals -1 when unit)."""
-    if not isinstance(direction, WaveDirection):
-        direction = WaveDirection(*direction)
-    return -direction.norm
-
-
 def vacuum_decay_root(s, eps: float):
-    """Principal square root sqrt(1 + eps^2 s^2); Re >= 0 always.
-
-    Analytic in s on the open right half-plane: there 1 + eps^2 s^2 can only
-    reach the branch cut (-inf, 0] if s^2 is real and negative, which forces
-    s onto the imaginary axis.
-    """
+    """Principal square root sqrt(1 + eps^2 s^2); Re >= 0, and analytic in s
+    on the open right half-plane (its branch cut needs s^2 < 0)."""
     out = np.sqrt(1.0 + (eps * np.asarray(s, dtype=complex)) ** 2)
     return complex(out) if np.ndim(out) == 0 else out
 
 
 def _sqrt_factor(es):
-    # sqrt(1 + eps^2 s^2) from es = eps s.  Here and below, the in-place
-    # additions repeat the operations of the plain expression in the same
-    # order, so the values are the same; they only keep fewer arrays of the
-    # size of s alive, which matters for a batch.  Complex products are
-    # never taken in place: numpy multiplies a complex array of one element
-    # in place with other roundings than any longer array, and a direction
-    # must get the same values of L in a batch of any size.
+    # sqrt(1 + eps^2 s^2) from es = eps s.  Here and below, in-place
+    # additions give the plain expression's values with fewer temporaries.
+    # Complex products are never taken in place: numpy rounds an in-place
+    # product of one element otherwise than of longer arrays, and a
+    # direction must get the same values of L in a batch of any size.
     g = es * es
     g += 1.0
     return np.sqrt(g)
@@ -216,10 +192,9 @@ def _beyond(p2: float, p1: float, p0: float) -> float:
     return (-p1 + math.sqrt(disc)) / (2.0 * p2) if disc > 0.0 else -math.inf
 
 
-# The intervals, in x = eps |s|, on which the dip of |1 + eps^2 s^2| at x = 1
-# is checked, from the top down: (lower end, upper end, least |x - 1| on the
-# interval, sqrt(1 + lower end^2)).  Their ends halve the distance to x = 1,
-# from 1/2 and from 2.
+# Intervals in x = eps |s| on which the dip of |1 + eps^2 s^2| at x = 1 is
+# checked, from the top down: (lower end, upper end, least |x - 1| on it,
+# sqrt(1 + lower end^2)).
 _DIP_LADDER = (0.5, 0.75, 0.875, 0.9375, 1.0, 1.0625, 1.125, 1.25, 1.5, 2.0)
 _DIP_PIECES = tuple((lo, hi, max(lo - 1.0, 1.0 - hi), math.sqrt(1.0 + lo * lo))
                     for lo, hi in zip(_DIP_LADDER[-2::-1], _DIP_LADDER[:0:-1]))
@@ -228,24 +203,19 @@ _DIP_PIECES = tuple((lo, hi, max(lo - 1.0, 1.0 - hi), math.sqrt(1.0 + lo * lo))
 def root_radius_bound(state: EquilibriumState, delta: float) -> float:
     """R*: no root of L with Re s >= delta has |s| >= R*, in any direction.
 
-    Write L = A g + B with A = ell^2 + w_plus^2, g = sqrt(1 + eps^2 s^2)
-    and B the rest (see ``_candidate_roots``).  With r = |s| >= |v'|, the
-    projections bounded by the magnitudes of the state, and x = eps r,
+    Write L = A g + B, g = sqrt(1 + eps^2 s^2).  With r = |s| >= |v'| and
+    x = eps r,
 
         |A|   >= (r - |v'|)^2 - |H'|^2                          =: a(r),
         |B|   <= |Hv'|^2 x^2 + 2 |E1| |Hv'| x + max(|Hv'|^2, E1^2) =: b(r),
         |g|^2 =  eps^2 |s - i/eps| |s + i/eps|
               >= max(eps delta, |x - 1|) sqrt(1 + x^2)           =: G(r),
 
-    the last on Re s >= delta: the factor nearer the branch point is at
-    least Re s and at least ||s| - 1/eps|, the other at least
-    sqrt(r^2 + 1/eps^2).  Where a > 0 and a^2 G > b^2, |A g| > |B| and L
-    has no root.  Three ranges of x cover r >= R*.  On x <= 1/2, G >= 1/2
-    and on x >= 2, G >= x^2/2; on each the condition follows from one
-    quadratic in r.  The dip of G at x = 1 between them is checked
-    explicitly, on the intervals of ``_DIP_PIECES``: on each, a is taken at
-    its lower end, b at its upper end, and |x - 1| in G at its point nearest
-    x = 1.
+    the last on Re s >= delta.  Where a > 0 and a^2 G > b^2, |A g| > |B|
+    and L has no root.  On x <= 1/2, G >= 1/2 and on x >= 2, G >= x^2/2:
+    on each the condition is one quadratic in r.  The dip of G at x = 1 is
+    checked on the intervals of ``_DIP_PIECES``, with a at their lower end,
+    b at their upper end and |x - 1| at their point nearest x = 1.
     """
     c, h, hv = math.sqrt(state.v_sq), math.sqrt(state.H_sq), math.sqrt(state.Hv_sq)
     e, eps = abs(state.E1_hat), state.eps
@@ -278,10 +248,9 @@ def default_region(state: EquilibriumState) -> HalfDiskRegion:
     """Half-disk holding every root with Re s >= delta, in every direction.
 
     R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|) sets delta = 1e-3 R and is the
-    radius unless the proven bound (``root_radius_bound``) needs more.  The
-    bound is taken at the least jittered delta and divided by the least
-    jitter factor (``_JITTERS``), so that every half-disk a count may move
-    to still holds all the roots to its right.
+    radius unless the bound R* (``root_radius_bound``), taken at the least
+    jittered delta and divided by the least jitter factor, needs more: every
+    half-disk a winding count may move to still holds all the roots.
     """
     r = 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
                 + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
@@ -291,9 +260,7 @@ def default_region(state: EquilibriumState) -> HalfDiskRegion:
 
 
 def _path_factors(u):
-    # the parts of the boundary that depend on the path parameter alone: the
-    # masks of the arc and of the chord, exp(i theta) on the arc, and y and
-    # |y| on the chord
+    # masks of the arc and the chord, exp(i theta) on the arc, y and |y| on it
     arc = u < 0.5
     y = 1.0 - 4.0 * (u[~arc] - 0.5)            # +1 .. -1 down the chord
     return arc, ~arc, np.exp(1j * (-0.5 * np.pi + 2.0 * np.pi * u[arc])), y, np.abs(y)
@@ -302,14 +269,11 @@ def _path_factors(u):
 def _half_disk_points(delta, radius, u, factors=None):
     """Points of half-disk boundaries at path parameters u in [0, 1].
 
-    Positively oriented: the right half-circle from delta - iR through
-    delta + R to delta + iR, then the vertical chord back down.  The chord
-    is parametrized with a quadratic stretch toward small |Im s|: that is
-    where the imaginary-axis roots of neutral states pass at distance delta,
-    the sharpest feature the sampling has to resolve.  ``delta`` and
-    ``radius`` broadcast against ``u``: one half-disk per point, or (k, 1)
-    columns of one half-disk per direction against shared parameters, whose
-    ``_path_factors`` may be passed in.
+    Positively oriented: the right half-circle from delta - iR to delta + iR,
+    then the chord back down, stretched quadratically toward small |Im s|,
+    where the imaginary-axis roots of neutral states pass at distance delta.
+    ``delta`` and ``radius`` broadcast against ``u`` (with its
+    ``_path_factors`` passed in or not).
     """
     arc, chord, rot, y, ay = _path_factors(u) if factors is None else factors
     shape = np.broadcast_shapes(np.shape(delta), np.shape(radius), np.shape(u))
@@ -327,12 +291,9 @@ def _columns(ctxs) -> np.ndarray:
 
 
 class _Batch:
-    """Directions of any states, as the evaluators read them.
-
-    ``cols`` holds the rows of ``_columns``, or of its columns indexed or
-    broadcast alike: one value per evaluation point, or (k, 1) columns of
-    one value per direction.  Its rows become the attributes of a
-    LopatinskiContext that the evaluators read.
+    """Directions of any states, as the evaluators read them: the rows of
+    ``_columns``, indexed or broadcast alike (one value per point, or (k, 1)
+    columns of one value per direction), as a LopatinskiContext's attributes.
     """
 
     def __init__(self, cols: np.ndarray):
@@ -341,10 +302,11 @@ class _Batch:
         self.bundle = FrequencyBundle(*cols[3:])
 
 
-def _finish(ctx, head, es):
-    # L and |L|/scale from the head of L and es = eps s, with the values of
-    # lopatinski and lopatinski_scale: the scale is taken from the head, and
-    # L is completed in place on the head's array
+def _evaluate(ctx, s):
+    # L and |L|/scale, with the values of lopatinski and lopatinski_scale:
+    # the head they share is computed once, and L completed on its array
+    es = ctx.eps * s
+    head = _head(ctx, s, _sqrt_factor(es))
     scale = _scale_of(ctx, head, es)
     np.maximum(scale, 1e-300, out=scale)
     vals = _add_tail(ctx, head, es)
@@ -353,28 +315,19 @@ def _finish(ctx, head, es):
     return vals, rel
 
 
-def _evaluate(ctx, s):
-    # L and |L|/scale, computing the head they share once
-    es = ctx.eps * s
-    return _finish(ctx, _head(ctx, s, _sqrt_factor(es)), es)
-
-
 @lru_cache(maxsize=None)
 def _unit_grid(n0: int):
-    # The starting parameters of every count and their path factors, shared
-    # read-only: building them anew took a few per cent of a count.
+    # the starting parameters of every count and their path factors, shared
     u = np.linspace(0.0, 1.0, n0 + 1)
     arc, _, *parts = _path_factors(u)
     for a in (u, *parts):
         a.flags.writeable = False
-    # u is sorted, so the arc is its first part: slices index it faster
     n_arc = int(arc.sum())
     return u, (slice(0, n_arc), slice(n_arc, None), *parts)
 
 
 def _step_test(du, lo, hi):
-    # Wrapped phase step and refinement flag of intervals of parameter
-    # length du whose ends lo and hi are (L, |L|, arg L) triples.
+    # phase step and refinement flag of intervals du with (L, |L|, arg L) ends
     bad = np.abs(hi[0] - lo[0]) > 0.8 * np.minimum(lo[1], hi[1])
     dphi = np.mod(hi[2] - lo[2] + np.pi, 2.0 * np.pi) - np.pi
     bad |= np.abs(dphi) >= 0.5 * np.pi
@@ -387,52 +340,28 @@ def _winding_numbers(ctxs, delta, radius, n0: int = 512,
     """Winding of L around 0 along half-disk boundaries, for several directions.
 
     Direction j, with context ``ctxs[j]`` of any state, is counted on the
-    half-disk of ``delta[j]`` and ``radius[j]``.  Its state scalars, field
-    projections and half-disk are columns of one batch, so the starting
-    grids of all paths are evaluated in one call, and every value of L is
-    computed elementwise from the columns of its own direction: a direction
-    gets the same values, and the same count, in any batch.  Refinement is
-    incremental: an interval that passes the tests is accepted for good, its
-    wrapped phase step added to its direction's total, and only the
-    intervals that fail are kept, as flat arrays of both ends (direction,
-    path parameter, L, |L|, arg L).  Each round bisects them all, evaluates
-    every midpoint in one call and tests only the two halves, so its cost is
-    proportional to the points it adds.  A direction leaves the batch the
-    round it finishes.
-
-    Parametric midpoints are inserted until every step both changes the
-    argument by less than pi/2 and changes the value by less than the
-    smaller endpoint magnitude.  The second criterion is what catches
-    near-misses of the path: a root just off the contour flips the sign of
-    L across a span the initial sampling can step over entirely, leaving a
-    wrapped phase difference that looks small (aliasing) -- but the value
-    jump |dL| ~ 2|L| it causes cannot be hidden.
+    half-disk of ``delta[j]`` and ``radius[j]``, as columns of one batch:
+    every value of L is computed elementwise from its own direction's
+    columns, so a direction gets the same count in any batch.  An interval
+    that passes the tests is accepted for good; each round bisects only the
+    failing ones, evaluates every midpoint in one call and tests the two
+    halves.  A direction leaves the batch the round it finishes.  Every step
+    must change the argument by less than pi/2 and the value by less than
+    the smaller endpoint magnitude: a root just off the contour flips the
+    sign of L across a span the sampling can step over (aliasing), but not
+    the value jump |dL| ~ 2|L| it causes.
 
     Returns, per context, (winding, n_intervals, min relative |L|), or the
-    error that ended its count: ContourTooCloseError when the relative |L|
-    floor is undercut (a root sits on or too near the path),
-    NonConvergentError past the point budget or for a non-integer winding.
+    error that ended its count: ContourTooCloseError below the |L|/scale
+    floor, NonConvergentError past the point budget or for a non-integer one.
     """
     k = len(ctxs)
     cols = _columns(ctxs)
     delta, radius = np.asarray(delta), np.asarray(radius, dtype=float)
     u0, factors = _unit_grid(n0)
-    # the directions of one state on one half-disk share the starting grid
-    # of their path, and the factors of L that depend on s alone: those are
-    # computed once per run of such directions
-    key = np.stack((cols[0], delta, radius))
-    run = np.concatenate(([0], np.cumsum(np.any(key[:, 1:] != key[:, :-1], axis=0))))
-    first = np.flatnonzero(np.diff(run, prepend=-1))
-    s = _half_disk_points(delta[first, None], radius[first, None], u0, factors)
-    es = cols[0, first, None] * s
-    g = _sqrt_factor(es)
-    if first.size < k:
-        s, es, g = s[run], es[run], g[run]
     batch = _Batch(cols[:, :, None])
-    head = _head(batch, s, g)
-    del s, g                # of the size of the grid: only es is needed on
-    vals, rel = _finish(batch, head, es)
-    del head, es
+    vals, rel = _evaluate(batch, _half_disk_points(delta[:, None], radius[:, None],
+                                                   u0, factors))
     min_rel = rel.min(axis=1)
     del rel
     grid = (vals, np.abs(vals), np.angle(vals))
@@ -478,9 +407,8 @@ def _winding_numbers(ctxs, delta, radius, n0: int = 512,
             keep = keep[seg]
             seg, lo, hi = seg[keep], [a[keep] for a in lo], [a[keep] for a in hi]
         live = still
-        # bisect every failing interval into (lo, mid) and (mid, hi): of each
-        # quantity laid out as lo, mid, hi, the first two thirds are the low
-        # ends of the halves and the last two thirds their high ends
+        # bisect into (lo, mid) and (mid, hi): of each quantity laid out as
+        # lo, mid, hi, the halves' low ends are the first two thirds
         mid_u = 0.5 * (lo[0] + hi[0])
         mid, mid_rel = _evaluate(_Batch(cols[:, seg]), _half_disk_points(
             delta[seg], radius[seg], mid_u))
@@ -496,21 +424,23 @@ def _winding_numbers(ctxs, delta, radius, n0: int = 512,
 
 
 class _RegionCount(NamedTuple):
-    """A winding count certified on one half-disk (after any jitter)."""
+    """A count certified on one half-disk (after any jitter): by winding,
+    or by inclusion disks (no contour; ``inclusion_radius``, the largest)."""
 
     winding: int
     region: HalfDiskRegion
     contour_points: int
-    min_rel: float
+    min_rel: float | None
+    certificate: str = "winding"
+    inclusion_radius: float | None = None
 
 
 def _count_on_regions(ctxs, regions) -> list:
-    """Winding over each context's half-disk, as one batch.
+    """Winding over each context's half-disk ``regions[j]``, as one batch.
 
-    ``regions[j]`` is the half-disk of ``ctxs[j]``; the contexts may belong
-    to different states.  A direction whose contour grazes a root is counted
-    again, with every direction that grazed alongside it, on each jittered
-    boundary in turn.  Returns a _RegionCount or the error per context.
+    A direction whose contour grazes a root is counted again, with every
+    direction that grazed alongside it, on each jittered boundary in turn.
+    Returns a _RegionCount or the error per context.
     """
     out: list = [None] * len(ctxs)
     last_err: dict = {}
@@ -538,36 +468,163 @@ def _count_on_regions(ctxs, regions) -> list:
     return out
 
 
-def _count_on_region(ctx: LopatinskiContext, region: HalfDiskRegion) -> _RegionCount:
-    """Winding over the half-disk, jittering the boundary off grazed roots."""
-    result = _count_on_regions([ctx], [region])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+# ---------------------------------------------------------------------------
+# algebraic counts: the roots of Q and disks that hold them
 
 
-def count_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> int:
-    """Number of roots of L (with multiplicity) inside the half-disk region."""
-    winding, _, _, _ = _count_on_region(ctx, region)
-    return winding
+def _sigma_polynomial(cols, sign: float = -1.0) -> np.ndarray:
+    """Q = A^2 (1 + eps^2 s^2) - B^2 at s = i sigma: (7, k) coefficients,
+    lowest power first, for the ``_columns`` of k directions.
+
+    There A = w_plus^2 - (sigma + v.omega')^2, 1 + eps^2 s^2 = 1 - eps^2
+    sigma^2 and B = w_minus^2 - E1^2 + 2 E1 w_perp eps sigma - |Hv'|^2 eps^2
+    sigma^2 are real.  With sign = 1 on the absolute columns the same
+    operations sum the term magnitudes of each coefficient, its rounding bound.
+    """
+    eps, e1, hv_sq, wp, wm, wperp, v = cols
+    n, e2 = sign, sign * eps * eps
+    a0 = wp * wp + n * (v * v)              # A = a0 + 2 n v sigma + n sigma^2
+    c0, c1, c2 = a0 * a0, 4.0 * n * a0 * v, 4.0 * v * v + 2.0 * n * a0
+    b0, b1, b2 = wm * wm + n * (e1 * e1), 2.0 * e1 * wperp * eps, hv_sq * e2
+    return np.array([c0 + n * b0 * b0, c1 + 2.0 * n * b0 * b1,
+                     c2 + e2 * c0 + n * (b1 * b1 + 2.0 * b0 * b2),
+                     4.0 * v + e2 * c1 + 2.0 * n * b1 * b2,
+                     1.0 + e2 * c2 + n * b2 * b2, 4.0 * v * e2, e2])
+
+
+def _stacked_roots(p, mag):
+    """Roots of the real polynomials ``p`` (k, m + 1; highest power first)
+    from one eigenvalue call on companion matrices laid out as np.roots's.
+
+    The disk of radius m |p(z)/p'(z)| about z holds a root (Henrici), with p
+    and p' bounded by Horner's rounding bound, the term magnitudes ``mag``
+    evaluated at |z| (Higham, sec. 5.1).  Returns the roots, the radii and
+    whether each polynomial's disks are disjoint (one root each).
+    """
+    k, m = p.shape[0], p.shape[1] - 1
+    comp = np.zeros((k, m, m))
+    comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    z = np.linalg.eigvals(comp).astype(complex)
+    az = np.abs(z)
+    val, dval, err, derr = np.zeros_like(z), np.zeros_like(z), np.zeros_like(az), 0.0
+    with np.errstate(all="ignore"):
+        for c, e in zip(p.T, mag.T):
+            dval = dval * z + val
+            val = val * z + c[:, None]
+            derr = derr * az + err
+            err = err * az + e[:, None]
+        slack = np.abs(dval) - _ROUNDING * derr
+        r = np.where(slack > 0.0, m * (np.abs(val) + _ROUNDING * err) / slack, np.inf)
+        apart = np.abs(z[:, :, None] - z[:, None, :]) > r[:, :, None] + r[:, None, :]
+    return z, r, (apart | np.eye(m, dtype=bool)).all(axis=(1, 2))
+
+
+def _inclusion(cols):
+    """The roots of Q of each direction, as values of s, and their disks.
+
+    Q is of degree 4 at eps = 0.  Where its companion matrix is not finite
+    (eps^2 too small) t^6 Q(1/t) is solved: a disk in t without 0 maps to a
+    disk in sigma, one with 0 holds a root with |s| >= 1/(|t| + r), its
+    ``beyond``.  Returns (k, 6) arrays of the roots (NaN where none was
+    solved), the disks' centers, radii and ``beyond`` (0 for a disk, inf for
+    padding), and whether each direction's disks are disjoint.
+    """
+    k = cols.shape[1]
+    q = _sigma_polynomial(cols).T
+    mag = _sigma_polynomial(np.abs(cols), 1.0).T + _UNDERFLOW / _ROUNDING
+    roots, center = np.full((k, 6), np.nan, dtype=complex), np.zeros((k, 6), dtype=complex)
+    radius, beyond = np.full((k, 6), np.inf), np.full((k, 6), np.inf)
+    apart = np.zeros(k, dtype=bool)
+    flat = cols[0] == 0.0
+    with np.errstate(all="ignore"):
+        plain = ~flat & np.isfinite(q[:, :6] / q[:, 6:]).all(axis=1)
+        flip = ~flat & ~plain & np.isfinite(q[:, 1:] / q[:, :1]).all(axis=1)
+    for rows, order in ((flat, slice(4, None, -1)), (plain, slice(None, None, -1)),
+                        (flip, slice(None))):
+        if not rows.any():
+            continue
+        z, r, apart[rows] = _stacked_roots(q[rows][:, order], mag[rows][:, order])
+        m, mid, out = z.shape[1], z, 0.0
+        if rows is flip:                    # disks in t = 1/sigma
+            az = np.abs(z)
+            near = az > r
+            with np.errstate(all="ignore"):
+                den = az * az - r * r
+                out = np.where(near, 0.0, 1.0 / (az + r))
+                mid = np.where(near, np.conj(z) / den, 0.0)
+                r = np.where(near, r / den, np.inf)
+                z = 1.0 / z
+        roots[rows, :m], center[rows, :m] = 1j * z, 1j * mid
+        radius[rows, :m], beyond[rows, :m] = r, out
+    return roots, center, radius, beyond, apart
+
+
+def _factors(cols, z):
+    # the batch of the columns of z, eps z, g, A g and B of L = A g + B at z
+    b = _Batch(cols)
+    es = b.eps * z
+    g = _sqrt_factor(es)
+    return b, es, g, _head(b, z, g), _add_tail(b, np.zeros_like(z), es)
+
+
+def _root_of_l(cols, z, r):
+    """Whether the root of Q = (A g - B)(A g + B) in each disk |s - z| <= r
+    (in Re s > 0, where g is analytic) is one of L = A g + B, and whether
+    that is decided: exactly one factor has a modulus at z above r times a
+    bound of its derivative on the disk (finite), plus rounding.
+    """
+    b, es, g, ag, bz = _factors(cols, z)
+    eps, m = b.eps, np.abs(z) + r
+    ml = np.abs(z + 1j * b.bundle.v_dot) + r         # |ell| on the disk
+    g2 = np.abs(g) ** 2 - eps * eps * r * (2.0 * np.abs(z) + r)     # |g|^2 on it
+    with np.errstate(all="ignore"):
+        slope = (2.0 * ml * np.sqrt(1.0 + (eps * m) ** 2)
+                 + (ml * ml + b.bundle.w_plus ** 2) * eps * eps * m / np.sqrt(g2)
+                 + 2.0 * eps * (np.abs(b.e1 * b.bundle.w_perp) + b.hv_sq * eps * m))
+        reach = r * slope + _ROUNDING * _scale_of(b, ag, es)
+    of_l = np.abs(ag - bz) > reach
+    return of_l, (g2 > 0.0) & (of_l != (np.abs(ag + bz) > reach))
+
+
+def _algebraic_counts(cols, regions):
+    """The roots of Q (see ``_inclusion``) and, per direction, its count in
+    its region when the disks decide it, else None.
+
+    They decide when they are disjoint and each lies wholly outside the
+    half-disk, or wholly inside with its factor decided (``_root_of_l``).
+    """
+    roots, center, radius, beyond, apart = _inclusion(cols)
+    delta = np.array([r.delta for r in regions])[:, None]
+    big = np.array([r.radius for r in regions])[:, None]
+    with np.errstate(invalid="ignore"):
+        dist = np.abs(center - delta)
+        inside = (center.real - radius > delta) & (dist + radius < big)
+        known = (center.real + radius < delta) | (dist - radius > big) | (beyond > delta + big)
+    of_l = np.zeros_like(inside)
+    j, i = np.nonzero(inside)
+    of_l[j, i], known[j, i] = _root_of_l(cols[:, j], center[j, i], radius[j, i])
+    decided = apart & known.all(axis=1)
+    counts = (inside & of_l).sum(axis=1).tolist()
+    largest = np.max(np.where(np.isfinite(radius), radius, 0.0), axis=1).tolist()
+    return roots, [
+        _RegionCount(counts[j], reg, 0, None, "inclusion", largest[j]) if ok else None
+        for j, (ok, reg) in enumerate(zip(decided.tolist(), regions))]
 
 
 def _modulus(z):
-    # |z| by the C library's hypot, as abs() takes it of a Python complex:
-    # the residuals then keep the digits that a polish of one root with
-    # Python numbers gives more often (numpy's complex absolute rounds
-    # otherwise in the last bit)
+    # |z| by the C library's hypot, as abs() of a Python complex takes it
+    # (numpy's complex absolute rounds otherwise in the last bit)
     return np.hypot(z.real, z.imag)
 
 
 def newton_refine(ctx, s0, max_iter: int = 60):
     """Polish root estimates by Newton iteration, all of them at once.
 
-    ``ctx`` is one direction's context, or a ``_Batch`` of one direction
-    per estimate.  An estimate stops when |L| is within _NEWTON_TARGET of
-    the scale, when dL/ds vanishes, or when its step falls below roundoff;
-    |L| and the scale are evaluated at the point where it stopped.  Returns
-    (s, |L(s)|, scale at s) of the shape of ``s0``.
+    ``ctx`` is one direction's context, or a ``_Batch`` of one direction per
+    estimate.  An estimate stops when |L| <= _NEWTON_TARGET * scale, when
+    dL/ds vanishes or when its step falls below roundoff.  Returns (s, |L(s)|,
+    scale at s) of the shape of ``s0``.
     """
     s = np.array(s0, dtype=complex)
     shape = s.shape
@@ -607,161 +664,108 @@ def newton_refine(ctx, s0, max_iter: int = 60):
 class RootReport:
     """Certified right-half-plane roots of L in a region."""
 
-    region: HalfDiskRegion           # region actually integrated (after jitter)
+    region: HalfDiskRegion           # region actually counted (after jitter)
     winding_count: int
     roots: tuple[complex, ...]       # multiplicity-repeated, sorted by (-Re, Im)
     residuals: tuple[float, ...]     # |L| at each root
-    contour_points: int
-    min_abs_on_contour: float        # min |L|/scale along the counting contour
+    contour_points: int              # 0 when the inclusion disks certified the count
+    min_abs_on_contour: float | None     # min |L|/scale along the counting contour
     flags: tuple[str, ...] = ()
+    certificate: str = "winding"     # or "inclusion"
+    inclusion_radius: float | None = None    # the largest disk of an inclusion count
 
     @property
     def max_re(self) -> float | None:
         return max((r.real for r in self.roots), default=None)
 
 
-def _polynomial(ctx: LopatinskiContext) -> np.ndarray:
-    # A^2 (1 + eps^2 s^2) - B^2 for L = A g + B, highest power first.  The
-    # products are np.convolve's: its dot products may fuse multiply-adds,
-    # and a closed form that does not would move the roots that Newton
-    # leaves in place by an ulp.
-    b, eps, e1 = ctx.bundle, ctx.eps, ctx.e1
-    a = np.array([1.0, 2j * b.v_dot, b.w_plus ** 2 - b.v_dot ** 2])
-    bq = np.array([ctx.hv_sq * eps ** 2, -2j * e1 * b.w_perp * eps,
-                   b.w_minus ** 2 - e1 ** 2])
-    return np.polysub(np.convolve(np.convolve(a, a), [eps ** 2, 0.0, 1.0]),
-                      np.convolve(bq, bq))
+def _candidate_roots(cols, roots) -> list:
+    """Roots of L with Re s > 0, Newton-polished, per direction.
 
-
-def _stacked_roots(polys) -> list:
-    """np.roots of each coefficient array (highest power first), bit for bit,
-    without the roots at s = 0 of trailing zero coefficients.
-
-    The companion matrices are laid out as np.roots lays them out, after
-    dropping the leading and trailing zero coefficients, and the finite ones
-    of one degree are stacked into one eigenvalue call.  A polynomial whose
-    companion matrix is not finite (its leading coefficient, eps^2 for L, is
-    too small against the others) gets a PvstabError in place of its roots.
+    ``roots[j]`` are the finite roots of Q (``_inclusion``) of the direction
+    of ``cols[:, j]``; each root of L is one of them, on the principal
+    branch: |A g + B| <= |A g - B|.  All are polished by one Newton
+    iteration.  Returns (roots, |L|, scale) arrays per direction.
     """
-    out = [np.empty(0, dtype=complex)] * len(polys)
-    by_degree: dict = {}
-    for i, p in enumerate(polys):
-        nz = np.flatnonzero(p)
-        if nz.size > 1:
-            by_degree.setdefault(nz[-1] - nz[0], []).append((i, p[nz[0]:nz[-1] + 1]))
-    for m, group in by_degree.items():
-        p = np.array([q for _, q in group])
-        with np.errstate(over="ignore", invalid="ignore"):
-            head = -p[:, 1:] / p[:, :1]
-        finite = np.isfinite(head).all(axis=1)
-        comp = np.zeros((int(finite.sum()), m, m), dtype=p.dtype)
-        comp[:, 0, :] = head[finite]
-        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        roots = iter(np.linalg.eigvals(comp))
-        for (i, _), ok in zip(group, finite):
-            out[i] = next(roots) if ok else PvstabError(
-                f"cannot locate roots: the leading coefficient of the degree-{m} "
-                "polynomial, eps^2, is too small against the others")
-    return out
-
-
-def _candidate_roots(ctxs) -> list:
-    """Roots of L with Re s > 0, Newton-polished, for each context.
-
-    Writing L = A g + B with A = ell^2 + w_plus^2, g = sqrt(1 + eps^2 s^2)
-    and B the remaining quadratic, the roots of L on either branch of g are
-    the roots of A^2 (1 + eps^2 s^2) - B^2, of degree 6 (4 at eps = 0).
-    The polynomials of all contexts are solved together
-    (``_stacked_roots``), and all their roots polished by one Newton
-    iteration.  A root belongs to the principal branch when
-    |A g + B| <= |A g - B|.  Returns (roots, |L|, scale) arrays per
-    context, the last two from Newton, or the PvstabError of a context
-    whose polynomial could not be solved.
-    """
-    if not ctxs:
-        return []
-    found = _stacked_roots([_polynomial(c) for c in ctxs])
-    failed = {j: z for j, z in enumerate(found) if isinstance(z, PvstabError)}
-    found = [np.empty(0, dtype=complex) if j in failed else z for j, z in enumerate(found)]
-    owner = np.repeat(np.arange(len(ctxs)), [z.size for z in found])
-    z = np.concatenate(found)
-    cols = _columns(ctxs)[:, owner]
-    batch, es = _Batch(cols), cols[0] * z
-    g = _sqrt_factor(es)
-    ag = _head(batch, z, g)
-    bz = _add_tail(batch, np.zeros_like(z), es)
-    # the branch points +-i/eps are roots of the polynomial where B(+-i/eps)
-    # = 0, and roundoff can put them at Re s > 0; dL/ds is singular there,
-    # so Newton cannot move them, and they are dropped
+    j, i = np.nonzero(np.isfinite(roots))
+    z, cols = roots[j, i], cols[:, j]
+    _, _, g, ag, bz = _factors(cols, z)
+    # the branch points +-i/eps, roots of Q where B(+-i/eps) = 0, are dropped:
+    # roundoff can put them at Re s > 0, where Newton cannot move them
     keep = (z.real > 0.0) & (np.abs(g) ** 2 > _BRANCH_POINT) & (
         np.abs(ag + bz) <= np.abs(ag - bz))
-    owner = owner[keep]
-    roots, abs_l, scale = newton_refine(_Batch(cols[:, keep]), z[keep])
-    ends = np.searchsorted(owner, np.arange(len(ctxs) + 1))
-    return [failed[j] if j in failed else (roots[lo:hi], abs_l[lo:hi], scale[lo:hi])
-            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))]
+    found, abs_l, scale = newton_refine(_Batch(cols[:, keep]), z[keep])
+    ends = np.searchsorted(j[keep], np.arange(len(roots) + 1))
+    return [(found[lo:hi], abs_l[lo:hi], scale[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def _root_reports(ctxs, counts) -> list:
-    """The RootReport of each context from its certified count.
+def _root_reports(cols, counts, roots) -> list:
+    """The RootReport of each direction from its count.
 
-    The roots of all contexts with a positive winding are located as one
-    batch (see ``_candidate_roots``); those inside the counted region are
-    reported, sorted by (-Re, Im), with the residuals Newton ended on.  A
-    mismatch with the winding, or a root whose residual exceeds
-    certification, is reported via ``flags``; a context whose roots could
-    not be located has its PvstabError in place of a report.
+    The roots of Q of all directions with a positive count are polished as
+    one batch (``_candidate_roots``); those inside the counted region are
+    reported, sorted by (-Re, Im).  A mismatch with the count, or a residual
+    above certification, is reported via ``flags``; a direction whose Q was
+    not solved has a PvstabError in place of a report.
     """
-    located = [i for i, c in enumerate(counts) if c.winding > 0]
-    found = dict(zip(located, _candidate_roots([ctxs[i] for i in located])))
+    located = [i for i, c in enumerate(counts)
+               if c.winding > 0 and np.isfinite(roots[i]).any()]
+    found = dict(zip(located, _candidate_roots(cols[:, located], roots[located]))
+                 if located else ())
     reports = []
-    for i, (winding, used, n_int, min_rel) in enumerate(counts):
-        if winding == 0:
-            reports.append(RootReport(used, 0, (), (), n_int, min_rel))
+    for i, c in enumerate(counts):
+        kept = c.certificate, c.inclusion_radius
+        if c.winding == 0:
+            reports.append(RootReport(c.region, 0, (), (), c.contour_points, c.min_rel,
+                                      (), *kept))
             continue
-        if isinstance(found[i], PvstabError):
-            reports.append(found[i])
+        if i not in found:
+            reports.append(PvstabError(
+                "cannot locate roots: neither the degree-6 polynomial nor its reverse "
+                "has a finite companion matrix"))
             continue
-        roots, abs_l, scale = (a.tolist() for a in found[i])
-        inside = sorted((j for j, s in enumerate(roots) if used.contains(s)),
-                        key=lambda j: (-roots[j].real, roots[j].imag))
+        z, abs_l, scale = (a.tolist() for a in found[i])
+        inside = sorted((j for j, s in enumerate(z) if c.region.contains(s)),
+                        key=lambda j: (-z[j].real, z[j].imag))
         flags: list[str] = []
-        if len(inside) != winding:
-            flags.append(f"located {len(inside)} roots but winding is {winding}")
-        flags += [f"root {roots[j]:.6g} residual {abs_l[j]:.3e} above certification"
+        if len(inside) != c.winding:
+            flags.append(f"located {len(inside)} roots but winding is {c.winding}")
+        flags += [f"root {z[j]:.6g} residual {abs_l[j]:.3e} above certification"
                   for j in inside if abs_l[j] > _ROOT_RESIDUAL * scale[j]]
-        reports.append(RootReport(used, winding, tuple(roots[j] for j in inside),
-                                  tuple(abs_l[j] for j in inside), n_int, min_rel,
-                                  tuple(flags)))
+        reports.append(RootReport(c.region, c.winding, tuple(z[j] for j in inside),
+                                  tuple(abs_l[j] for j in inside), c.contour_points,
+                                  c.min_rel, tuple(flags), *kept))
     return reports
 
 
 def locate_roots(ctxs, regions):
-    """Count and locate the roots of each context in its region, in batches.
+    """Count and locate the roots of each context in its region ``regions[j]``.
 
-    ``regions[j]`` is the region of ``ctxs[j]``; the contexts may belong to
-    different states.  Up to _MAX_BATCH directions are counted as one batch
-    (see ``_count_on_regions``) and located as one (see ``_root_reports``).
-    Yields, per context and in order, its RootReport or the error that
-    ended its count.
+    Up to _MAX_BATCH contexts, of any states, form a batch: one eigenvalue
+    call solves Q for all, whose disks count those they decide
+    (``_algebraic_counts``), the winding the rest (``_count_on_regions``);
+    all are located as one (``_root_reports``).  Yields, per context and in
+    order, its RootReport or the error that ended its count.
     """
     for lo in range(0, len(ctxs), _MAX_BATCH):
         part, regs = ctxs[lo:lo + _MAX_BATCH], regions[lo:lo + _MAX_BATCH]
-        counts = _count_on_regions(part, regs)
+        cols = _columns(part)
+        roots, counts = _algebraic_counts(cols, regs)
+        undecided = [i for i, c in enumerate(counts) if c is None]
+        if undecided:
+            wound = _count_on_regions([part[i] for i in undecided],
+                                      [regs[i] for i in undecided])
+            for i, c in zip(undecided, wound):
+                counts[i] = c
         ok = [i for i, c in enumerate(counts) if not isinstance(c, Exception)]
-        reports = dict(zip(ok, _root_reports([part[i] for i in ok],
-                                             [counts[i] for i in ok])))
+        reports = dict(zip(ok, _root_reports(cols[:, ok], [counts[i] for i in ok],
+                                             roots[ok])))
         yield from (reports.get(i, c) for i, c in enumerate(counts))
 
 
 def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> RootReport:
-    """Count roots in the region, then localize them (``locate_roots``).
-
-    The roots are those of a degree-6 polynomial (see ``_candidate_roots``)
-    that lie in the region after Newton polishing; the winding count over
-    the region certifies them.  A mismatch between the two, or a root whose
-    residual exceeds certification, is reported via ``flags``.
-    """
+    """Count the roots of L in the region and locate them: a batch of one of
+    ``locate_roots``.  Raises the error that ended the count."""
     result = next(locate_roots([ctx], [region]))
     if isinstance(result, Exception):
         raise result
@@ -781,6 +785,8 @@ class DirectionScan:
     min_rel: float | None = None
     report: RootReport | None = None   # present when roots were located
     error: str | None = None
+    certificate: str | None = None     # "inclusion" or "winding"; None on error
+    inclusion_radius: float | None = None
 
     @property
     def max_re_s(self) -> float | None:
@@ -800,10 +806,9 @@ class ScanSummary:
 def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
     """The scan of -omega' built from that of omega'.
 
-    Under omega' -> -omega' the projections w_plus, w_minus, w_perp and
-    v'.omega' all change sign, so L_{-omega'}(s) = conj(L_{omega'}(conj s)).
-    The half-disk is symmetric about the real axis: the count, region and
-    contour certificates carry over, and the roots are the conjugates.
+    The field projections change sign, so L_{-omega'}(s) = conj(L_{omega'}(conj
+    s)); the half-disk is symmetric about the real axis, so the count, region
+    and certificates carry over, and the roots are the conjugates.
     """
     report = scan.report
     if report is not None:
@@ -812,7 +817,8 @@ def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
         report = replace(report, roots=tuple(z for z, _ in pairs),
                          residuals=tuple(res for _, res in pairs))
     return DirectionScan(direction, scan.count, scan.region, scan.contour_points,
-                         scan.min_rel, report, scan.error)
+                         scan.min_rel, report, scan.error, scan.certificate,
+                         scan.inclusion_radius)
 
 
 def _summary(records) -> ScanSummary:
@@ -829,11 +835,9 @@ def _summary(records) -> ScanSummary:
 def scan_states(states, n_dirs: int = 32, regions=None):
     """Scan the directions of each state (see ``scan_directions``) in batches.
 
-    ``regions[j]`` is the region of ``states[j]``, None for its default
-    region.  The counted directions of as many states as fit in _MAX_BATCH
-    (at least one state) go to ``locate_roots`` together, so they are
-    counted as one batch and those with roots located as one.  Yields a
-    ScanSummary per state, in order.
+    ``regions[j]`` is the region of ``states[j]``, None for its default.
+    The counted directions of as many states as fit in _MAX_BATCH (at least
+    one) go to ``locate_roots`` together.  Yields a ScanSummary per state.
     """
     if n_dirs < MIN_N_DIRS:
         raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
@@ -866,7 +870,8 @@ def scan_states(states, n_dirs: int = 32, regions=None):
                             if isinstance(rep, Exception) else
                             DirectionScan(directions[i], rep.winding_count, rep.region,
                                           rep.contour_points, rep.min_abs_on_contour,
-                                          rep if rep.winding_count else None))
+                                          rep if rep.winding_count else None, None,
+                                          rep.certificate, rep.inclusion_radius))
             yield _summary([scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
                             for i, d in enumerate(directions)])
 
@@ -875,14 +880,11 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
                     region: HalfDiskRegion | None = None) -> ScanSummary:
     """Count unstable roots over equispaced directions plus the F-minimizers.
 
-    A state is declared numerically unstable iff any scanned direction has a
-    positive right-half-plane root count.  Only one direction of each
-    antipodal pair is counted and located: the first half of an even
-    equispaced set, and the F-minimizer; the other is its mirror image (see
-    ``_mirrored``).  With an odd ``n_dirs`` only the F-minimizer pair folds.
-    The counted directions are counted once, on ``region`` or on the default
-    region, whose radius is proven to hold every root; directions with roots
-    are localized with that count.  Per-direction failures are recorded,
-    not raised.  A scan of one state is a batch of one of ``scan_states``.
+    A state is numerically unstable iff some direction has a root with
+    Re s > 0 in ``region`` (default: one proven to hold every root).  One
+    direction of each antipodal pair is counted and located, the other
+    mirrored (``_mirrored``); with an odd ``n_dirs`` only the F-minimizer
+    pair folds.  Per-direction failures are recorded, not raised.  A batch
+    of one of ``scan_states``.
     """
     return next(scan_states([state], n_dirs, [region]))

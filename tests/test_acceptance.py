@@ -54,7 +54,7 @@ def test_c01_collinearity():
         ctx = pv.make_context(st, perp)
         base = pv.default_region(st)
         region = pv.HalfDiskRegion(min(base.delta, 1e-2 * abs(e1)), base.radius)
-        assert pv.count_unstable_roots(ctx, region) >= 1, st
+        assert pv.find_unstable_roots(ctx, region).winding_count >= 1, st
 
 
 @criterion(2, "closed-form verdict agrees with winding scan on 200 states")

@@ -483,7 +483,7 @@ class TestRootsCommand:
         assert lines[0] == "# pvstab-csv v1"
         assert lines[1].split(",") == [
             "index", "omega2", "omega3", "winding", "re_s", "im_s", "abs_L",
-            "delta", "R", "contour_points", "error", "flags"]
+            "delta", "R", "contour_points", "error", "flags", "certificate"]
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
         assert len(rows) == 10          # 8 + the two antipodal minimizers
         located = [r for r in rows if r["re_s"]]
@@ -512,9 +512,9 @@ class TestRootsCommand:
 
         locate = dispersion._root_reports
 
-        def flagged(ctxs, counts):
+        def flagged(*args):
             return [dataclasses.replace(rep, flags=("first", "second"))
-                    for rep in locate(ctxs, counts)]
+                    for rep in locate(*args)]
 
         monkeypatch.setattr(dispersion, "_root_reports", flagged)
         text = MINIMAL + "\n[analysis]\nn_dirs = 8\n"
@@ -780,7 +780,7 @@ def _assert_finite(path):
     if lines[0] == "# pvstab-csv v1":
         for row in csv.DictReader(lines[1:]):
             for key, cell in row.items():
-                if cell and key not in ("error", "flags"):
+                if cell and key not in ("error", "flags", "certificate"):
                     assert math.isfinite(float(cell)), (key, cell)
         return
 
@@ -948,15 +948,16 @@ def test_pinned_rows(tmp_path):
     assert lines[3] == ("1,0.01,-0.0,0.0,-0.0,1.0,2.0,-0.0,-0.0,0.01,0.0,NeutrallyStable,"
                         "-1.0,1.0,6.123233995736766e-17,1.0,,False,,,,")
     lines = roots.read_text().splitlines()
-    assert lines[2] == '0,,,,,,,,,,"eps must be positive, got 0.0",'
-    assert lines[3] == "1,1.0,0.0,0,,,,0.04,40.0,530,,"
+    assert lines[2] == '0,,,,,,,,,,"eps must be positive, got 0.0",,'
+    assert lines[3] == "1,1.0,0.0,0,,,,0.04,40.0,,,,inclusion"
 
 
 @pytest.mark.parametrize("command", ["roots", "modes"])
-def test_tiny_eps_state_is_error_rows(tmp_path, command):
-    # at eps = 1e-160 the root polynomial cannot be solved: that state's
-    # located directions are errors, and the other state's rows are those it
-    # has alone (the whole batch used to die in a LinAlgError)
+def test_tiny_eps_state_is_located(tmp_path, command):
+    # at eps = 1e-160 the companion matrix of the root polynomial is not
+    # finite, and its reverse is solved instead: that state's roots are
+    # located (their values are checked at 50 digits in test_inclusion), and
+    # the other state's rows are those it has alone
     healthy = "[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\n"
     text = healthy + "eps = 1e-160\n" + healthy
     both, alone = tmp_path / "both.txt", tmp_path / "alone.txt"
@@ -965,8 +966,14 @@ def test_tiny_eps_state_is_error_rows(tmp_path, command):
     rows, want = _rows_by_index(both), _rows_by_index(alone)
     assert rows[1] == [ln.replace("0", "1", 1) if command == "roots" else
                        ln.replace('"index": 0', '"index": 1', 1) for ln in want[0]]
-    failed = [ln for ln in rows[0] if "eps^2, is too small" in ln]
-    assert failed and (command == "modes" or len(failed) < len(rows[0]))
+    assert not [ln for ln in rows[0] if "error" in ln or "cannot" in ln]
+    if command == "roots":
+        located = [r for r in csv.DictReader(both.read_text().splitlines()[1:])
+                   if r["index"] == "0" and r["re_s"]]
+        assert len(located) == 4
+        assert all(float(r["re_s"]) == pytest.approx(0.3, abs=1e-12) for r in located)
+    else:
+        assert len(rows[0]) == len(want[0]) > 0
 
 
 class TestEntryPoint:
