@@ -1,10 +1,9 @@
 """Count and locate growth rates of the normal-mode determinant.
 
 The roots of one degree-6 polynomial count the exponentially growing modes
-in a right-half-plane region, certified by disks about them (or, where the
-disks cannot decide, by the winding number of L(s) along the region's
-boundary); Newton pins each root to machine precision, and the small-eps
-expansions predict where the roots sit.  Run: python demos/02_root_hunting.py
+in a right-half-plane region, certified by clusters of disks about them;
+Newton pins each root to machine precision, and the small-eps expansions
+predict where the roots sit.  Run: python demos/02_root_hunting.py
 """
 
 import dataclasses
@@ -22,12 +21,8 @@ def show_region(state, direction, label):
     print(f"{label}: direction ({direction.omega2:+.2f}, {direction.omega3:+.2f})")
     print(f"  region: Re s >= {report.region.delta:.3g}, "
           f"|s - delta| <= {report.region.radius:.3g}")
-    if report.certificate == "inclusion":
-        how = f"inclusion disks of radius <= {report.inclusion_radius:.1e}"
-    else:
-        how = (f"{report.contour_points} contour intervals, "
-               f"min |L|/scale = {report.min_abs_on_contour:.2e}")
-    print(f"  root count = {report.winding_count} ({how})")
+    print(f"  root count = {report.winding_count} "
+          f"(inclusion disks of radius <= {report.inclusion_radius:.1e})")
     for root, res in zip(report.roots, report.residuals):
         print(f"  root s = {root.real:+.10f} {root.imag:+.10f}i   |L| = {res:.1e}")
     if not report.roots:

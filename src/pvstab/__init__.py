@@ -21,8 +21,7 @@ from .dispersion import (DirectionScan, HalfDiskRegion, LopatinskiContext,
                          lopatinski_deriv, lopatinski_scale, make_context,
                          newton_refine, scan_directions, scan_states,
                          vacuum_decay_root)
-from .errors import (ContourTooCloseError, DegenerateSymbolError,
-                     DirectionError, NonConvergentError, NotTransitionalError,
+from .errors import (DegenerateSymbolError, DirectionError, NotTransitionalError,
                      PvstabError, ScenarioParseError, SingularFrameError,
                      StateValidationError, TransitionalAtThisDirectionError)
 from .modes import (ModeSolution, ResidualReport, build_mode, growth_table,

@@ -397,8 +397,8 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
             region, report = rec.region, rec.report
             head = [index, rec.direction.omega2, rec.direction.omega3, rec.count]
             tail = [*((region.delta, region.radius) if region else (None, None)),
-                    rec.contour_points or None, rec.error,
-                    "; ".join(report.flags) if report else None, rec.certificate]
+                    None, rec.error, "; ".join(report.flags) if report else None,
+                    None if rec.error else "inclusion"]
             if report is not None and report.roots:
                 for root, res in zip(report.roots, report.residuals):
                     write([*head, root.real, root.imag, res, *tail])
@@ -539,8 +539,8 @@ def margin_band(state: EquilibriumState, tol_eq: float,
     """Half-width of the margin interval not decidable numerically at fixed eps.
 
     The classification criterion is asymptotic (valid for eps below a
-    state-dependent ceiling), while the winding scan runs at the state's
-    actual eps with a contour offset delta (the scan's, by default that of
+    state-dependent ceiling), while the root count runs at the state's
+    actual eps on a half-disk Re s >= delta (the scan's, by default that of
     `default_region`).  Near the critical set the finite-eps root shifts by
     O(eps * E1 * |Hv'| * (1 + |v'|)) in the squared growth rate, and roots
     with Re s <= delta are undetectable, so agreement can only be asserted
@@ -601,8 +601,9 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     """Criterion-versus-numerics gate on random margin-filtered states.
 
     Draws states until ``analysis.sample`` of them fall outside the margin
-    band, scans each for right-half-plane roots, and requires the winding
-    verdict to agree with the closed-form verdict on every one.  Band states
+    band, scans each for right-half-plane roots, and requires the numeric
+    verdict (a root counted in some direction) to agree with the closed-form
+    verdict on every one.  Band states
     are counted but not judged; root-finder failures are excluded from the
     denominator and reported separately.
     """

@@ -14,34 +14,34 @@ wavenumber (violent instability).  They are counted in a half-disk
 (``root_radius_bound``).  With L = A sqrt(1 + eps^2 s^2) + B and A =
 ell^2 + w_plus^2, they are principal-branch roots of the degree-6
 polynomial Q = A^2 (1 + eps^2 s^2) - B^2, real in sigma = -i s.  One
-eigenvalue call solves Q for a batch of directions; disks about its roots
-certify most counts (``_algebraic_counts``), the argument principle along
-the half-disk's boundary the rest (``_winding_numbers``).  Newton polishes
-the roots.  A scan counts one direction of each antipodal pair and mirrors
-the other.  Independent cross-checks are in ``oracle``.
+eigenvalue call solves Q for a batch of directions, and clusters of
+Weierstrass disks about its roots certify every count
+(``_algebraic_counts``); a direction they cannot decide is an error, never
+a guess.  Newton polishes the roots.  A scan counts one direction of each
+antipodal pair and mirrors the other.  Independent cross-checks are in
+``oracle``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContourTooCloseError, NonConvergentError, PvstabError
+from .errors import PvstabError
 from .state import EquilibriumState, FrequencyBundle, WaveDirection, frequency_bundle
 
-_MAX_CONTOUR_POINTS = 1 << 20
-_CONTOUR_FLOOR = 1e-8          # min |L|/scale on a usable contour
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
 _ROOT_RESIDUAL = 1e-10         # relative residual certified per reported root
 _BRANCH_POINT = 1e-9           # |1 + eps^2 s^2| at which a root is a branch point
 _ROUNDING = 2.0 ** -46         # 128 u: relative rounding bound of Q's coefficients and Horner
 _UNDERFLOW = 1e-322            # absolute rounding bound of values below the normal range
+_NUDGE = 2.0 ** -23            # relative step between nodes from repeated eigenvalues
 _MAX_BATCH = 64                # directions per batch (or one state's): bounds memory
-# (delta, R) multipliers tried when a contour grazes a root, and the least
+# (delta, R) multipliers tried when an inclusion disk straddles the boundary,
+# and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 _JITTER_MIN = min(min(j) for j in _JITTERS)
 MIN_N_DIRS = 8                 # least number of directions a scan accepts
@@ -167,7 +167,7 @@ def lopatinski_scale(ctx: LopatinskiContext, s):
 
 
 # ---------------------------------------------------------------------------
-# argument-principle machinery
+# regions
 
 
 @dataclass(frozen=True)
@@ -250,38 +250,13 @@ def default_region(state: EquilibriumState) -> HalfDiskRegion:
     R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|) sets delta = 1e-3 R and is the
     radius unless the bound R* (``root_radius_bound``), taken at the least
     jittered delta and divided by the least jitter factor, needs more: every
-    half-disk a winding count may move to still holds all the roots.
+    half-disk a count may move to still holds all the roots.
     """
     r = 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
                 + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
     delta = 1e-3 * r
     r_star = root_radius_bound(state, _JITTER_MIN * delta)
     return HalfDiskRegion(delta=delta, radius=max(r, r_star / _JITTER_MIN))
-
-
-def _path_factors(u):
-    # masks of the arc and the chord, exp(i theta) on the arc, y and |y| on it
-    arc = u < 0.5
-    y = 1.0 - 4.0 * (u[~arc] - 0.5)            # +1 .. -1 down the chord
-    return arc, ~arc, np.exp(1j * (-0.5 * np.pi + 2.0 * np.pi * u[arc])), y, np.abs(y)
-
-
-def _half_disk_points(delta, radius, u, factors=None):
-    """Points of half-disk boundaries at path parameters u in [0, 1].
-
-    Positively oriented: the right half-circle from delta - iR to delta + iR,
-    then the chord back down, stretched quadratically toward small |Im s|,
-    where the imaginary-axis roots of neutral states pass at distance delta.
-    ``delta`` and ``radius`` broadcast against ``u`` (with its
-    ``_path_factors`` passed in or not).
-    """
-    arc, chord, rot, y, ay = _path_factors(u) if factors is None else factors
-    shape = np.broadcast_shapes(np.shape(delta), np.shape(radius), np.shape(u))
-    delta, radius = np.broadcast_to(delta, shape), np.broadcast_to(radius, shape)
-    s = np.empty(shape, dtype=complex)
-    s[..., arc] = delta[..., arc] + radius[..., arc] * rot
-    s[..., chord] = delta[..., chord] + 1j * radius[..., chord] * y * ay
-    return s
 
 
 def _columns(ctxs) -> np.ndarray:
@@ -292,8 +267,7 @@ def _columns(ctxs) -> np.ndarray:
 
 class _Batch:
     """Directions of any states, as the evaluators read them: the rows of
-    ``_columns``, indexed or broadcast alike (one value per point, or (k, 1)
-    columns of one value per direction), as a LopatinskiContext's attributes.
+    ``_columns``, one value per point, as a LopatinskiContext's attributes.
     """
 
     def __init__(self, cols: np.ndarray):
@@ -302,174 +276,8 @@ class _Batch:
         self.bundle = FrequencyBundle(*cols[3:])
 
 
-def _evaluate(ctx, s):
-    # L and |L|/scale, with the values of lopatinski and lopatinski_scale:
-    # the head they share is computed once, and L completed on its array
-    es = ctx.eps * s
-    head = _head(ctx, s, _sqrt_factor(es))
-    scale = _scale_of(ctx, head, es)
-    np.maximum(scale, 1e-300, out=scale)
-    vals = _add_tail(ctx, head, es)
-    rel = np.abs(vals)
-    rel /= scale
-    return vals, rel
-
-
-@lru_cache(maxsize=None)
-def _unit_grid(n0: int):
-    # the starting parameters of every count and their path factors, shared
-    u = np.linspace(0.0, 1.0, n0 + 1)
-    arc, _, *parts = _path_factors(u)
-    for a in (u, *parts):
-        a.flags.writeable = False
-    n_arc = int(arc.sum())
-    return u, (slice(0, n_arc), slice(n_arc, None), *parts)
-
-
-def _step_test(du, lo, hi):
-    # phase step and refinement flag of intervals du with (L, |L|, arg L) ends
-    bad = np.abs(hi[0] - lo[0]) > 0.8 * np.minimum(lo[1], hi[1])
-    dphi = np.mod(hi[2] - lo[2] + np.pi, 2.0 * np.pi) - np.pi
-    bad |= np.abs(dphi) >= 0.5 * np.pi
-    bad &= du > 1e-12                       # stop refining below roundoff
-    return dphi, bad
-
-
-def _winding_numbers(ctxs, delta, radius, n0: int = 512,
-                     max_points: int = _MAX_CONTOUR_POINTS) -> list:
-    """Winding of L around 0 along half-disk boundaries, for several directions.
-
-    Direction j, with context ``ctxs[j]`` of any state, is counted on the
-    half-disk of ``delta[j]`` and ``radius[j]``, as columns of one batch:
-    every value of L is computed elementwise from its own direction's
-    columns, so a direction gets the same count in any batch.  An interval
-    that passes the tests is accepted for good; each round bisects only the
-    failing ones, evaluates every midpoint in one call and tests the two
-    halves.  A direction leaves the batch the round it finishes.  Every step
-    must change the argument by less than pi/2 and the value by less than
-    the smaller endpoint magnitude: a root just off the contour flips the
-    sign of L across a span the sampling can step over (aliasing), but not
-    the value jump |dL| ~ 2|L| it causes.
-
-    Returns, per context, (winding, n_intervals, min relative |L|), or the
-    error that ended its count: ContourTooCloseError below the |L|/scale
-    floor, NonConvergentError past the point budget or for a non-integer one.
-    """
-    k = len(ctxs)
-    cols = _columns(ctxs)
-    delta, radius = np.asarray(delta), np.asarray(radius, dtype=float)
-    u0, factors = _unit_grid(n0)
-    batch = _Batch(cols[:, :, None])
-    vals, rel = _evaluate(batch, _half_disk_points(delta[:, None], radius[:, None],
-                                                   u0, factors))
-    min_rel = rel.min(axis=1)
-    del rel
-    grid = (vals, np.abs(vals), np.angle(vals))
-    # round 0 tests every interval of the grid, on views of its ends
-    dphi, bad = _step_test(np.diff(u0), [a[:, :-1] for a in grid],
-                           [a[:, 1:] for a in grid])
-    total = np.sum(dphi, axis=1, where=~bad)
-    # the failing intervals: direction, then (u, L, |L|, arg L) at each end
-    seg, i = np.nonzero(bad)
-    lo = [u0[i]] + [a[seg, i] for a in grid]
-    hi = [u0[i + 1]] + [a[seg, i + 1] for a in grid]
-    del grid, vals, dphi, bad, i
-    n_int = [n0] * k
-    live = list(range(k))
-    out: list = [None] * k
-    while True:
-        n_bad = np.bincount(seg, minlength=k).tolist()
-        still = []
-        for j in live:
-            if min_rel[j] < _CONTOUR_FLOOR:
-                out[j] = ContourTooCloseError(
-                    f"min |L|/scale = {min_rel[j]:.3e} on contour "
-                    f"(floor {_CONTOUR_FLOOR:g})")
-            elif n_bad[j] == 0:
-                turns = float(total[j]) / (2.0 * np.pi)
-                winding = int(round(turns))
-                out[j] = (
-                    NonConvergentError(f"non-integer winding {turns:.6f}")
-                    if abs(turns - winding) > 0.25
-                    else (winding, n_int[j], float(min_rel[j])))
-            elif n_int[j] + 1 + n_bad[j] > max_points:
-                out[j] = NonConvergentError(
-                    f"contour refinement exceeded {max_points} points")
-            else:
-                still.append(j)
-                n_int[j] += n_bad[j]
-        if not still:
-            return out
-        if len(still) < len(live):
-            # finished directions leave the batch
-            keep = np.zeros(k, dtype=bool)
-            keep[still] = True
-            keep = keep[seg]
-            seg, lo, hi = seg[keep], [a[keep] for a in lo], [a[keep] for a in hi]
-        live = still
-        # bisect into (lo, mid) and (mid, hi): of each quantity laid out as
-        # lo, mid, hi, the halves' low ends are the first two thirds
-        mid_u = 0.5 * (lo[0] + hi[0])
-        mid, mid_rel = _evaluate(_Batch(cols[:, seg]), _half_disk_points(
-            delta[seg], radius[seg], mid_u))
-        np.minimum.at(min_rel, seg, mid_rel)
-        n = seg.size
-        ends = [np.concatenate(e) for e in
-                zip(lo, (mid_u, mid, np.abs(mid), np.angle(mid)), hi)]
-        lo, hi = [e[:2 * n] for e in ends], [e[n:] for e in ends]
-        seg = np.concatenate((seg, seg))
-        dphi, bad = _step_test(hi[0] - lo[0], lo[1:], hi[1:])
-        total += np.bincount(seg, weights=np.where(bad, 0.0, dphi), minlength=k)
-        seg, lo, hi = seg[bad], [a[bad] for a in lo], [a[bad] for a in hi]
-
-
-class _RegionCount(NamedTuple):
-    """A count certified on one half-disk (after any jitter): by winding,
-    or by inclusion disks (no contour; ``inclusion_radius``, the largest)."""
-
-    winding: int
-    region: HalfDiskRegion
-    contour_points: int
-    min_rel: float | None
-    certificate: str = "winding"
-    inclusion_radius: float | None = None
-
-
-def _count_on_regions(ctxs, regions) -> list:
-    """Winding over each context's half-disk ``regions[j]``, as one batch.
-
-    A direction whose contour grazes a root is counted again, with every
-    direction that grazed alongside it, on each jittered boundary in turn.
-    Returns a _RegionCount or the error per context.
-    """
-    out: list = [None] * len(ctxs)
-    last_err: dict = {}
-    pending = list(range(len(ctxs)))
-    for jd, jr in _JITTERS:
-        regs = [HalfDiskRegion(regions[i].delta * jd, regions[i].radius * jr)
-                for i in pending]
-        results = _winding_numbers([ctxs[i] for i in pending],
-                                   [r.delta for r in regs], [r.radius for r in regs])
-        grazed = []
-        for i, reg, res in zip(pending, regs, results):
-            if isinstance(res, ContourTooCloseError):
-                last_err[i] = res
-                grazed.append(i)
-            else:
-                out[i] = res if isinstance(res, Exception) else _RegionCount(
-                    res[0], reg, *res[1:])
-        pending = grazed
-        if not pending:
-            return out
-    for i in pending:
-        out[i] = ContourTooCloseError(
-            f"contour grazes a root after {len(_JITTERS) - 1} boundary "
-            f"perturbations: {last_err[i]}")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# algebraic counts: the roots of Q and disks that hold them
+# algebraic counts: the roots of Q and the clusters of disks that hold them
 
 
 def _sigma_polynomial(cols, sign: float = -1.0) -> np.ndarray:
@@ -494,48 +302,82 @@ def _sigma_polynomial(cols, sign: float = -1.0) -> np.ndarray:
 
 def _stacked_roots(p, mag):
     """Roots of the real polynomials ``p`` (k, m + 1; highest power first)
-    from one eigenvalue call on companion matrices laid out as np.roots's.
+    from one eigenvalue call on companion matrices laid out as np.roots's,
+    and the clusters of disks that hold them.
 
-    The disk of radius m |p(z)/p'(z)| about z holds a root (Henrici), with p
-    and p' bounded by Horner's rounding bound, the term magnitudes ``mag``
-    evaluated at |z| (Higham, sec. 5.1).  Returns the roots, the radii and
-    whether each polynomial's disks are disjoint (one root each).
+    About distinct nodes z_i the disks |z - z_i| <= m |w_i|, with the
+    Weierstrass correction w_i = p(z_i) / (a_m prod_{j != i} (z_i - z_j)),
+    hold every root, and a connected component of c disks holds exactly c
+    (Carstensen 1991; Neumaier 2003).  The nodes are the eigenvalues, those
+    closer than a step _NUDGE (|z| + the middle root modulus) moved apart by
+    multiples of it (any distinct nodes will do: this separates double
+    roots and roots split by rounding), and p(z_i) is bounded by Horner's
+    rounding bound, the term magnitudes ``mag`` evaluated at |z_i| (Higham,
+    sec. 5.1).  Returns the eigenvalues and, at the first disk of each
+    component, its number of disks and the center and radius of a disk that
+    encloses it (0 elsewhere).
     """
     k, m = p.shape[0], p.shape[1] - 1
     comp = np.zeros((k, m, m))
     comp[:, 0, :] = -p[:, 1:] / p[:, :1]
     comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
     z = np.linalg.eigvals(comp).astype(complex)
+    index, eye = np.arange(m), np.eye(m, dtype=bool)
     az = np.abs(z)
-    val, dval, err, derr = np.zeros_like(z), np.zeros_like(z), np.zeros_like(az), 0.0
+    middle = np.sort(az, axis=1)[:, m // 2:m // 2 + 1]       # the scale of the roots
+    step = _NUDGE * (az + np.where(middle > 0.0, middle, 1.0))
+    gap = np.abs(z[:, :, None] - z[:, None, :])
+    close, nodes = gap <= step[:, :, None], z
+    if np.count_nonzero(close) > k * m:                     # not only the diagonal
+        nodes = z + np.tril(close, -1).any(axis=2) * index * step
+        gap = np.abs(nodes[:, :, None] - nodes[:, None, :])
+    # p(z) / 2^(m e) by Horner in z / 2^e, with |z| <= 2^e: no overflow
+    e = np.frexp(np.maximum(np.abs(nodes), 1.0))[1]
+    u = nodes * np.ldexp(1.0, -e)
+    au = np.abs(u)
+    val, err = np.zeros_like(u), np.zeros_like(au)
     with np.errstate(all="ignore"):
-        for c, e in zip(p.T, mag.T):
-            dval = dval * z + val
-            val = val * z + c[:, None]
-            derr = derr * az + err
-            err = err * az + e[:, None]
-        slack = np.abs(dval) - _ROUNDING * derr
-        r = np.where(slack > 0.0, m * (np.abs(val) + _ROUNDING * err) / slack, np.inf)
-        apart = np.abs(z[:, :, None] - z[:, None, :]) > r[:, :, None] + r[:, None, :]
-    return z, r, (apart | np.eye(m, dtype=bool)).all(axis=(1, 2))
+        for j, (c, a) in enumerate(zip(p.T, mag.T)):
+            val = val * u + np.ldexp(c[:, None], -j * e)
+            err = err * au + np.ldexp(a[:, None], -j * e) + _UNDERFLOW / _ROUNDING
+        lead = np.abs(p[:, :1]) - _ROUNDING * mag[:, :1]
+        # |w| in mantissas and exponents, which over- and underflow only at the end
+        (bm, be), (lm, le) = np.frexp(np.abs(val) + _ROUNDING * err), np.frexp(lead)
+        gm, ge = np.frexp(np.where(eye, 1.0, gap))
+        r = np.where(lead > 0.0, np.ldexp((m + _ROUNDING) * bm / (lm * gm.prod(axis=2)),
+                                          be + m * e - le - ge.sum(axis=2)), np.inf)
+        # the components: disks joined by chains of overlaps, first to last
+        joined = (gap <= r[:, :, None] + r[:, None, :]) | eye
+        if np.count_nonzero(joined) == k * m:           # every disk alone
+            return z, np.ones((k, m), dtype=int), nodes, r
+        for _ in range((m - 1).bit_length()):
+            joined = joined @ joined
+        first = joined.argmax(axis=2) == index
+        size = joined.sum(axis=2)
+        center = (joined @ nodes[:, :, None])[:, :, 0] / size
+        reach = np.where(joined, np.abs(nodes[:, None, :] - center[:, :, None])
+                         + r[:, None, :], 0.0).max(axis=2)
+        radius = np.where(size > 1, reach * (1.0 + _ROUNDING), r)   # a disk alone is its own
+    return z, np.where(first, size, 0), np.where(first, center, 0.0), np.where(first, radius, 0.0)
 
 
 def _inclusion(cols):
-    """The roots of Q of each direction, as values of s, and their disks.
+    """The roots of Q of each direction, as values of s, and the clusters of
+    disks that hold them (``_stacked_roots``).
 
     Q is of degree 4 at eps = 0.  Where its companion matrix is not finite
     (eps^2 too small) t^6 Q(1/t) is solved: a disk in t without 0 maps to a
-    disk in sigma, one with 0 holds a root with |s| >= 1/(|t| + r), its
-    ``beyond``.  Returns (k, 6) arrays of the roots (NaN where none was
-    solved), the disks' centers, radii and ``beyond`` (0 for a disk, inf for
-    padding), and whether each direction's disks are disjoint.
+    disk in sigma, one with 0 holds roots with |s| >= 1/(|t| + r), its
+    ``beyond``.  Returns (k, 6) arrays: the roots (NaN where none was
+    solved) and, at the first disk of each cluster, its size and the center,
+    radius and ``beyond`` (0 for a disk) of a disk that holds it (size 0
+    elsewhere).
     """
     k = cols.shape[1]
     q = _sigma_polynomial(cols).T
     mag = _sigma_polynomial(np.abs(cols), 1.0).T + _UNDERFLOW / _ROUNDING
     roots, center = np.full((k, 6), np.nan, dtype=complex), np.zeros((k, 6), dtype=complex)
-    radius, beyond = np.full((k, 6), np.inf), np.full((k, 6), np.inf)
-    apart = np.zeros(k, dtype=bool)
+    size, radius, beyond = np.zeros((k, 6), dtype=int), np.zeros((k, 6)), np.zeros((k, 6))
     flat = cols[0] == 0.0
     with np.errstate(all="ignore"):
         plain = ~flat & np.isfinite(q[:, :6] / q[:, 6:]).all(axis=1)
@@ -544,20 +386,20 @@ def _inclusion(cols):
                         (flip, slice(None))):
         if not rows.any():
             continue
-        z, r, apart[rows] = _stacked_roots(q[rows][:, order], mag[rows][:, order])
-        m, mid, out = z.shape[1], z, 0.0
+        z, n, mid, r = _stacked_roots(q[rows][:, order], mag[rows][:, order])
+        m, out = z.shape[1], 0.0
         if rows is flip:                    # disks in t = 1/sigma
-            az = np.abs(z)
+            az = np.abs(mid)
             near = az > r
             with np.errstate(all="ignore"):
                 den = az * az - r * r
                 out = np.where(near, 0.0, 1.0 / (az + r))
-                mid = np.where(near, np.conj(z) / den, 0.0)
+                mid = np.where(near, np.conj(mid) / den, 0.0)
                 r = np.where(near, r / den, np.inf)
                 z = 1.0 / z
-        roots[rows, :m], center[rows, :m] = 1j * z, 1j * mid
+        roots[rows, :m], size[rows, :m], center[rows, :m] = 1j * z, n, 1j * mid
         radius[rows, :m], beyond[rows, :m] = r, out
-    return roots, center, radius, beyond, apart
+    return roots, size, center, radius, beyond
 
 
 def _factors(cols, z):
@@ -569,8 +411,8 @@ def _factors(cols, z):
 
 
 def _root_of_l(cols, z, r):
-    """Whether the root of Q = (A g - B)(A g + B) in each disk |s - z| <= r
-    (in Re s > 0, where g is analytic) is one of L = A g + B, and whether
+    """Whether the roots of Q = (A g - B)(A g + B) in each disk |s - z| <= r
+    (in Re s > 0, where g is analytic) are roots of L = A g + B, and whether
     that is decided: exactly one factor has a modulus at z above r times a
     bound of its derivative on the disk (finite), plus rounding.
     """
@@ -587,29 +429,60 @@ def _root_of_l(cols, z, r):
     return of_l, (g2 > 0.0) & (of_l != (np.abs(ag + bz) > reach))
 
 
+class _RegionCount(NamedTuple):
+    """A count certified on one half-disk (after any jitter) by clusters of
+    inclusion disks, the largest of radius ``radius``."""
+
+    count: int
+    region: HalfDiskRegion
+    radius: float
+
+
 def _algebraic_counts(cols, regions):
     """The roots of Q (see ``_inclusion``) and, per direction, its count in
-    its region when the disks decide it, else None.
+    its region, or a PvstabError where the clusters cannot decide it.
 
-    They decide when they are disjoint and each lies wholly outside the
-    half-disk, or wholly inside with its factor decided (``_root_of_l``).
+    A cluster is decided when it lies wholly outside the half-disk, or wholly
+    inside with its factor of Q decided (``_root_of_l``); the count is the
+    size of the inside clusters that hold roots of L.  A direction with a
+    cluster across the boundary is decided again, from the same disks, on
+    each jittered half-disk in turn (all of them proven to hold every root
+    by ``default_region``).
     """
-    roots, center, radius, beyond, apart = _inclusion(cols)
-    delta = np.array([r.delta for r in regions])[:, None]
-    big = np.array([r.radius for r in regions])[:, None]
-    with np.errstate(invalid="ignore"):
-        dist = np.abs(center - delta)
-        inside = (center.real - radius > delta) & (dist + radius < big)
-        known = (center.real + radius < delta) | (dist - radius > big) | (beyond > delta + big)
-    of_l = np.zeros_like(inside)
-    j, i = np.nonzero(inside)
-    of_l[j, i], known[j, i] = _root_of_l(cols[:, j], center[j, i], radius[j, i])
-    decided = apart & known.all(axis=1)
-    counts = (inside & of_l).sum(axis=1).tolist()
+    roots, size, center, radius, beyond = _inclusion(cols)
     largest = np.max(np.where(np.isfinite(radius), radius, 0.0), axis=1).tolist()
-    return roots, [
-        _RegionCount(counts[j], reg, 0, None, "inclusion", largest[j]) if ok else None
-        for j, (ok, reg) in enumerate(zip(decided.tolist(), regions))]
+    out: list = [None] * len(regions)
+    pending = np.arange(len(regions))
+    for jd, jr in _JITTERS:
+        regs = [regions[j] if jd == jr == 1.0 else
+                HalfDiskRegion(regions[j].delta * jd, regions[j].radius * jr)
+                for j in pending.tolist()]
+        delta = np.array([r.delta for r in regs])[:, None]
+        big = np.array([r.radius for r in regs])[:, None]
+        c, r, n = center[pending], radius[pending], size[pending]
+        with np.errstate(invalid="ignore"):
+            dist = np.abs(c - delta)
+            inside = (n > 0) & (c.real - r > delta) & (dist + r < big)
+            known = ((n == 0) | (c.real + r < delta) | (dist - r > big)
+                     | (beyond[pending] > delta + big))
+        of_l = np.zeros_like(inside)
+        j, i = np.nonzero(inside)
+        of_l[j, i], known[j, i] = _root_of_l(cols[:, pending[j]], c[j, i], r[j, i])
+        decided = known.all(axis=1) & n.any(axis=1)
+        counts = np.where(of_l, n, 0).sum(axis=1).tolist()
+        for j, reg, ok, count in zip(pending.tolist(), regs, decided.tolist(), counts):
+            if ok:
+                out[j] = _RegionCount(count, reg, largest[j])
+        pending = pending[~decided]
+        if not pending.size:
+            return roots, out
+    for j in pending.tolist():
+        out[j] = PvstabError(
+            "cannot count roots: neither the degree-6 polynomial nor its reverse has a "
+            "finite companion matrix" if np.isnan(roots[j]).all() else
+            f"inclusion disks cannot decide the root count after {len(_JITTERS) - 1} "
+            "boundary perturbations")
+    return roots, out
 
 
 def _modulus(z):
@@ -665,14 +538,11 @@ class RootReport:
     """Certified right-half-plane roots of L in a region."""
 
     region: HalfDiskRegion           # region actually counted (after jitter)
-    winding_count: int
+    winding_count: int               # roots of L in the region
     roots: tuple[complex, ...]       # multiplicity-repeated, sorted by (-Re, Im)
     residuals: tuple[float, ...]     # |L| at each root
-    contour_points: int              # 0 when the inclusion disks certified the count
-    min_abs_on_contour: float | None     # min |L|/scale along the counting contour
     flags: tuple[str, ...] = ()
-    certificate: str = "winding"     # or "inclusion"
-    inclusion_radius: float | None = None    # the largest disk of an inclusion count
+    inclusion_radius: float | None = None    # the largest disk of the count
 
     @property
     def max_re(self) -> float | None:
@@ -705,36 +575,26 @@ def _root_reports(cols, counts, roots) -> list:
     The roots of Q of all directions with a positive count are polished as
     one batch (``_candidate_roots``); those inside the counted region are
     reported, sorted by (-Re, Im).  A mismatch with the count, or a residual
-    above certification, is reported via ``flags``; a direction whose Q was
-    not solved has a PvstabError in place of a report.
+    above certification, is reported via ``flags``.
     """
-    located = [i for i, c in enumerate(counts)
-               if c.winding > 0 and np.isfinite(roots[i]).any()]
+    located = [i for i, c in enumerate(counts) if c.count > 0]
     found = dict(zip(located, _candidate_roots(cols[:, located], roots[located]))
                  if located else ())
     reports = []
     for i, c in enumerate(counts):
-        kept = c.certificate, c.inclusion_radius
-        if c.winding == 0:
-            reports.append(RootReport(c.region, 0, (), (), c.contour_points, c.min_rel,
-                                      (), *kept))
-            continue
-        if i not in found:
-            reports.append(PvstabError(
-                "cannot locate roots: neither the degree-6 polynomial nor its reverse "
-                "has a finite companion matrix"))
+        if c.count == 0:
+            reports.append(RootReport(c.region, 0, (), (), (), c.radius))
             continue
         z, abs_l, scale = (a.tolist() for a in found[i])
         inside = sorted((j for j, s in enumerate(z) if c.region.contains(s)),
                         key=lambda j: (-z[j].real, z[j].imag))
         flags: list[str] = []
-        if len(inside) != c.winding:
-            flags.append(f"located {len(inside)} roots but winding is {c.winding}")
+        if len(inside) != c.count:
+            flags.append(f"located {len(inside)} roots but winding is {c.count}")
         flags += [f"root {z[j]:.6g} residual {abs_l[j]:.3e} above certification"
                   for j in inside if abs_l[j] > _ROOT_RESIDUAL * scale[j]]
-        reports.append(RootReport(c.region, c.winding, tuple(z[j] for j in inside),
-                                  tuple(abs_l[j] for j in inside), c.contour_points,
-                                  c.min_rel, tuple(flags), *kept))
+        reports.append(RootReport(c.region, c.count, tuple(z[j] for j in inside),
+                                  tuple(abs_l[j] for j in inside), tuple(flags), c.radius))
     return reports
 
 
@@ -742,21 +602,13 @@ def locate_roots(ctxs, regions):
     """Count and locate the roots of each context in its region ``regions[j]``.
 
     Up to _MAX_BATCH contexts, of any states, form a batch: one eigenvalue
-    call solves Q for all, whose disks count those they decide
-    (``_algebraic_counts``), the winding the rest (``_count_on_regions``);
-    all are located as one (``_root_reports``).  Yields, per context and in
-    order, its RootReport or the error that ended its count.
+    call solves Q for all, whose disks count them (``_algebraic_counts``),
+    and all are located as one (``_root_reports``).  Yields, per context and
+    in order, its RootReport or the error that ended its count.
     """
     for lo in range(0, len(ctxs), _MAX_BATCH):
-        part, regs = ctxs[lo:lo + _MAX_BATCH], regions[lo:lo + _MAX_BATCH]
-        cols = _columns(part)
-        roots, counts = _algebraic_counts(cols, regs)
-        undecided = [i for i, c in enumerate(counts) if c is None]
-        if undecided:
-            wound = _count_on_regions([part[i] for i in undecided],
-                                      [regs[i] for i in undecided])
-            for i, c in zip(undecided, wound):
-                counts[i] = c
+        cols = _columns(ctxs[lo:lo + _MAX_BATCH])
+        roots, counts = _algebraic_counts(cols, regions[lo:lo + _MAX_BATCH])
         ok = [i for i, c in enumerate(counts) if not isinstance(c, Exception)]
         reports = dict(zip(ok, _root_reports(cols[:, ok], [counts[i] for i in ok],
                                              roots[ok])))
@@ -781,11 +633,8 @@ class DirectionScan:
     direction: WaveDirection
     count: int | None                  # None when the count itself failed
     region: HalfDiskRegion | None = None
-    contour_points: int | None = None
-    min_rel: float | None = None
     report: RootReport | None = None   # present when roots were located
     error: str | None = None
-    certificate: str | None = None     # "inclusion" or "winding"; None on error
     inclusion_radius: float | None = None
 
     @property
@@ -808,7 +657,7 @@ def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
 
     The field projections change sign, so L_{-omega'}(s) = conj(L_{omega'}(conj
     s)); the half-disk is symmetric about the real axis, so the count, region
-    and certificates carry over, and the roots are the conjugates.
+    and inclusion radius carry over, and the roots are the conjugates.
     """
     report = scan.report
     if report is not None:
@@ -816,8 +665,7 @@ def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
                        key=lambda p: (-p[0].real, p[0].imag))
         report = replace(report, roots=tuple(z for z, _ in pairs),
                          residuals=tuple(res for _, res in pairs))
-    return DirectionScan(direction, scan.count, scan.region, scan.contour_points,
-                         scan.min_rel, report, scan.error, scan.certificate,
+    return DirectionScan(direction, scan.count, scan.region, report, scan.error,
                          scan.inclusion_radius)
 
 
@@ -869,9 +717,8 @@ def scan_states(states, n_dirs: int = 32, regions=None):
                 scans[i] = (DirectionScan(directions[i], None, error=str(rep))
                             if isinstance(rep, Exception) else
                             DirectionScan(directions[i], rep.winding_count, rep.region,
-                                          rep.contour_points, rep.min_abs_on_contour,
                                           rep if rep.winding_count else None, None,
-                                          rep.certificate, rep.inclusion_radius))
+                                          rep.inclusion_radius))
             yield _summary([scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
                             for i, d in enumerate(directions)])
 

@@ -17,14 +17,6 @@ class DirectionError(PvstabError, ValueError):
     """Zero or non-finite tangential wave vector."""
 
 
-class ContourTooCloseError(PvstabError, RuntimeError):
-    """A root (or near-root) sits on the integration contour even after jittering."""
-
-
-class NonConvergentError(PvstabError, RuntimeError):
-    """Adaptive contour refinement exceeded its point budget."""
-
-
 class TransitionalAtThisDirectionError(PvstabError, ValueError):
     """Generic series requested where the leading coefficient degenerates."""
 

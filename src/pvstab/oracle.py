@@ -24,8 +24,8 @@ import numpy as np
 from .dispersion import (HalfDiskRegion, LopatinskiContext, default_region,
                          find_unstable_roots, lopatinski, lopatinski_scale,
                          make_context)
-from .errors import (ContourTooCloseError, DirectionError, NonConvergentError,
-                     NotTransitionalError, TransitionalAtThisDirectionError)
+from .errors import (DirectionError, NotTransitionalError, PvstabError,
+                     TransitionalAtThisDirectionError)
 from .state import EquilibriumState, WaveDirection
 
 
@@ -361,7 +361,7 @@ def series_vs_numeric(state: EquilibriumState, direction: WaveDirection,
             reg = HalfDiskRegion(min(reg.delta, 0.2 * expected_re), reg.radius)
         try:
             report = find_unstable_roots(ctx, reg)
-        except (ContourTooCloseError, NonConvergentError) as err:
+        except PvstabError as err:          # a count the inclusion disks cannot decide
             flags.append(f"eps={eps:g}: {err}")
             continue
         if not report.roots:

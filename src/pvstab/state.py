@@ -30,9 +30,9 @@ from .errors import DirectionError, SingularFrameError, StateValidationError
 EPS_WARN_THRESHOLD = 0.2
 
 # Largest magnitude of a flow or field component, or of E1, that a state may
-# have.  The analysis multiplies up to six of them: L on a counting contour
+# have.  The analysis multiplies up to six of them: L on a counted half-disk
 # is of degree 3 in s (the head (ell^2 + w_plus^2) sqrt(1 + eps^2 s^2)),
-# and the radius of that contour, the bound R* of
+# and the radius of that half-disk, the bound R* of
 # ``dispersion.root_radius_bound``, grows like |Hv'|^2.  With every
 # magnitude at most 1e50 these products stay below 1e300, which leaves a
 # factor 1e8 under the largest float (1.8e308) for their coefficients.
