@@ -334,6 +334,39 @@ class TestSeriesTransitional:
             series_root_transitional(ctx)
 
 
+class TestCountAgainstBruteForce:
+    @pytest.mark.parametrize("eps", [1e-2, 0.9])
+    def test_count_matches_dense_uniform_sampling(self, eps):
+        # the certified count must equal the winding number of L along the
+        # boundary of the half-disk, summed from oversampled uniform points
+        # on random states, directions and default regions
+        rng = np.random.default_rng(99)
+        checked = 0
+        while checked < 40:
+            st = _state(H=tuple(rng.uniform(-2, 2, 2)),
+                        Hv=tuple(rng.uniform(-2, 2, 2)),
+                        v=tuple(rng.uniform(-2, 2, 2)),
+                        E1=float(rng.uniform(0, 2.5)), eps=eps)
+            d = WaveDirection.from_angle(rng.uniform(0, 2 * np.pi))
+            ctx = make_context(st, d)
+            region = default_region(st)
+            delta, radius = region.delta, region.radius
+            t = np.linspace(0.0, 1.0, (1 << 16) + 1)
+            chord = delta + 1j * radius * (1.0 - 2.0 * t)
+            arc = delta + radius * np.exp(1j * np.pi * (t[1:] - 0.5))
+            s = np.concatenate([chord, arc])
+            vals = lopatinski(ctx, s)
+            if np.min(np.abs(vals) / lopatinski_scale(ctx, s)) < 1e-6:
+                continue            # a root at the boundary: no sampled winding
+            dphi = np.diff(np.angle(vals))
+            dphi = np.mod(dphi + np.pi, 2 * np.pi) - np.pi
+            assert np.max(np.abs(dphi)) < 0.5, (st, d)      # resolved
+            brute = np.sum(dphi) / (2 * np.pi)
+            assert abs(brute - round(brute)) < 1e-9
+            assert find_unstable_roots(ctx, region).winding_count == round(brute), (st, d)
+            checked += 1
+
+
 def _single_scan(state, n_dirs, region=None):
     """(count, region, error) per direction of a scan, each direction
     counted alone, unfolded, on ``region`` or the default region."""
@@ -388,6 +421,53 @@ class TestBatchedCount:
         assert len(jittered) == 4
         assert all(abs(r.direction.omega3) == 1.0 and r.count == 1 for r in jittered)
         assert summary.n_errors == 0
+
+    def test_failed_direction_leaves_others_unchanged(self, monkeypatch):
+        # with no jittered retry, the directions whose chord runs through a
+        # root (omega' = (0, +-1), see above) stay undecided: each is its own
+        # error, and every other direction of the batch keeps its count
+        from pvstab import dispersion
+        from pvstab.dispersion import _algebraic_counts, _columns
+
+        ctx = make_context(COLLINEAR, PERP)
+        root = find_unstable_roots(ctx, default_region(COLLINEAR)).roots[0]
+        region = HalfDiskRegion(root.real, 10.0)
+        ctxs = [make_context(COLLINEAR, WaveDirection.from_angle(2.0 * math.pi * k / 16))
+                for k in range(16)]
+        cols, regions = _columns(ctxs), [region] * 16
+        free = _algebraic_counts(cols, regions)[1]
+        monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
+        tight = _algebraic_counts(cols, regions)[1]
+        failed = 0
+        for c, f, t in zip(ctxs, free, tight):
+            assert not isinstance(f, PvstabError)
+            if f.region != region:
+                assert isinstance(t, PvstabError) and "cannot decide" in str(t)
+                failed += 1
+            else:
+                assert t == f
+        assert failed == 2
+
+    def test_undecided_directions_are_error_records(self, monkeypatch):
+        # the scan of the batch above: the undecided directions and their
+        # mirror images are error records, counted in n_errors, and the
+        # other records are those of the scan with jittered retries; as only
+        # the undecided directions have roots in the region, the state is
+        # not reported unstable
+        from pvstab import dispersion
+
+        ctx = make_context(COLLINEAR, PERP)
+        root = find_unstable_roots(ctx, default_region(COLLINEAR)).roots[0]
+        region = HalfDiskRegion(root.real, 10.0)
+        free = scan_directions(COLLINEAR, n_dirs=16, region=region)
+        monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
+        tight = scan_directions(COLLINEAR, n_dirs=16, region=region)
+        failed = [t for t in tight.records if t.error is not None]
+        assert len(failed) == tight.n_errors == 4
+        assert all(abs(t.direction.omega3) == 1.0 and t.count is None for t in failed)
+        for f, t in zip(free.records, tight.records):
+            assert t.error is not None or t == f
+        assert free.numerically_unstable and not tight.numerically_unstable
 
     def test_states_batch_matches_each_state_alone(self, monkeypatch):
         # states on different half-disks in one batch: one whose chord runs
