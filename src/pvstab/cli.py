@@ -13,8 +13,9 @@ A scenario file is a flat key-value document with block headers:
                        {E1, angle_alpha, H_mag, Hv_mag, v2, v3, eps},
                        min, max, steps
     [analysis]         optional numerics overrides: tol_eq (relative
-                       equality-band coefficient), n_dirs, delta, radius,
-                       decay_p, cross_check, sample
+                       equality-band coefficient), n_dirs, delta (counting
+                       region Re s >= delta; its radius is always proven at
+                       that delta), decay_p, cross_check, sample
 
 Every grid point is validated and classified once (`_checked`), and one
 that fails becomes one error row; rows are written in index order.  The
@@ -49,8 +50,7 @@ import numpy as np
 
 from . import criterion
 from .criterion import classify
-from .dispersion import MIN_N_DIRS, HalfDiskRegion, default_region, locate_roots, \
-    make_context, scan_states
+from .dispersion import MIN_N_DIRS, default_region, locate_roots, make_context, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import build_mode, growth_rows, residuals
 from .state import MAX_MAGNITUDE, EquilibriumState, validate_state
@@ -76,21 +76,13 @@ class SweepAxis:
 class AnalysisOptions:
     tol_eq: float = 1e-9        # relative coefficient, scaled per state
     n_dirs: int = 32
-    delta: float | None = None  # region overrides (absolute)
-    radius: float | None = None
+    delta: float | None = None  # counting-region delta override (absolute)
     decay_p: float = 3.0
     cross_check: bool = False
     sample: int = 200
 
     def tol_for(self, state: EquilibriumState) -> float:
         return criterion.default_tol_eq(state, coeff=self.tol_eq)
-
-    def region_for(self, state: EquilibriumState) -> HalfDiskRegion:
-        """The region every scan of ``state`` uses: the default one, with
-        the overrides applied."""
-        base = default_region(state)
-        return HalfDiskRegion(base.delta if self.delta is None else self.delta,
-                              base.radius if self.radius is None else self.radius)
 
 
 @dataclass(frozen=True)
@@ -166,8 +158,8 @@ def apply_sweep_parameter(state: EquilibriumState, name: str,
 
 # The typed keys: each maps to its type and the conditions on its value, each
 # with its words, checked in order.  A value that fails a condition is
-# rejected as "<words>, got <value>".  A region override is bounded like the
-# magnitudes of a state (state.MAX_MAGNITUDE), and decay_p so that n**-decay_p
+# rejected as "<words>, got <value>".  delta is bounded like the magnitudes
+# of a state (state.MAX_MAGNITUDE), and decay_p so that n**-decay_p
 # stays within [1e-200, 1e200] for the n of _MODE_N.
 _SWEEP_KEYS = {
     "parameter": (str, (SWEEP_PARAMETERS.__contains__,
@@ -181,9 +173,8 @@ _ANALYSIS_KEYS = {
     "tol_eq": (float, (lambda x: 0.0 <= x < math.inf,
                        "tol_eq must be non-negative and finite")),
     "n_dirs": (int, (lambda n: n >= MIN_N_DIRS, f"n_dirs must be at least {MIN_N_DIRS}")),
-    **{key: (float, (lambda x: 0.0 < x < math.inf, f"{key} must be positive and finite"),
-             (lambda x: x <= MAX_MAGNITUDE, f"{key} must be at most {MAX_MAGNITUDE:g}"))
-       for key in ("delta", "radius")},
+    "delta": (float, (lambda x: 0.0 < x < math.inf, "delta must be positive and finite"),
+              (lambda x: x <= MAX_MAGNITUDE, f"delta must be at most {MAX_MAGNITUDE:g}")),
     "decay_p": (float, (math.isfinite, "decay_p must be finite"),
                 (lambda p: abs(p) <= _MAX_DECAY_P,
                  f"decay_p must be at most {_MAX_DECAY_P:g} in magnitude")),
@@ -218,6 +209,7 @@ def parse_scenario(path) -> Scenario:
     state_blocks: list[tuple[int, dict]] = []
     sweep_blocks: list[tuple[int, dict]] = []
     analysis_block: dict = {}
+    analysis_line = 0               # the line of the [analysis] header, once read
     current: dict | None = None
     current_kind = ""
 
@@ -234,7 +226,10 @@ def parse_scenario(path) -> Scenario:
                 current = {}
                 sweep_blocks.append((lineno, current))
             elif kind == "analysis":
-                current = analysis_block
+                if analysis_line:
+                    raise ScenarioParseError(
+                        f"repeated [analysis] block (first at line {analysis_line})", lineno)
+                current, analysis_line = analysis_block, lineno
             else:
                 raise ScenarioParseError(f"unknown block [{kind}]", lineno)
             current_kind = kind
@@ -250,6 +245,9 @@ def parse_scenario(path) -> Scenario:
         if key not in allowed:
             raise ScenarioParseError(f"unknown key {key!r} in [{current_kind}] block",
                                      lineno)
+        if key in current:
+            raise ScenarioParseError(f"repeated key {key!r} in [{current_kind}] block "
+                                     f"(first at line {current[key][1]})", lineno)
         current[key] = (value, lineno)
 
     if not state_blocks:
@@ -387,22 +385,23 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     valid = [point.state for _, point, outcome in checked
              if not isinstance(outcome, PvstabError)]
     summaries = scan_states(valid, analysis.n_dirs,
-                            [analysis.region_for(st) for st in valid])
+                            [default_region(st, analysis.delta) for st in valid])
     for index, _, outcome in checked:
         if isinstance(outcome, PvstabError):
             write([index, *[None] * 9, str(outcome), None, None])
             continue
         # a row per located root of each direction, or one without a root
         for rec in next(summaries).records:
-            region, report = rec.region, rec.report
-            head = [index, rec.direction.omega2, rec.direction.omega3, rec.count]
-            tail = [*((region.delta, region.radius) if region else (None, None)),
-                    None, rec.error, "; ".join(report.flags) if report else None,
-                    None if rec.error else "inclusion"]
-            if report is not None and report.roots:
-                for root, res in zip(report.roots, report.residuals):
-                    write([*head, root.real, root.imag, res, *tail])
-            else:
+            report, d = rec.report, rec.direction
+            if report is None:          # the count failed
+                write([index, d.omega2, d.omega3, *[None] * 7, rec.error, None, None])
+                continue
+            head = [index, d.omega2, d.omega3, report.winding_count]
+            tail = [report.region.delta, report.region.radius, None, None,
+                    "; ".join(report.flags), "inclusion"]
+            for root, res in zip(report.roots, report.residuals):
+                write([*head, root.real, root.imag, res, *tail])
+            if not report.roots:
                 write([*head, None, None, None, *tail])
     return _status(len(checked), len(checked) - len(valid))
 
@@ -445,9 +444,9 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
         expected, direction = _expected_growth(state, cls)
         if expected <= 0.0:
             continue
-        region = analysis.region_for(state)
-        jobs.append((index, (state, make_context(state, direction), HalfDiskRegion(
-            min(region.delta, 0.3 * expected), region.radius))))
+        delta = min(default_region(state, analysis.delta).delta, 0.3 * expected)
+        jobs.append((index, (state, make_context(state, direction),
+                             default_region(state, delta))))
     located = [job for _, job in jobs if not isinstance(job, PvstabError)]
     reports = locate_roots([ctx for _, ctx, _ in located], [reg for _, _, reg in located])
     wrote_any = False
@@ -534,24 +533,20 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     return _status(n_points, n_failed)
 
 
-def margin_band(state: EquilibriumState, tol_eq: float,
-                delta: float | None = None) -> float:
+def margin_band(state: EquilibriumState, tol_eq: float, delta: float) -> float:
     """Half-width of the margin interval not decidable numerically at fixed eps.
 
     The classification criterion is asymptotic (valid for eps below a
     state-dependent ceiling), while the root count runs at the state's
-    actual eps on a half-disk Re s >= delta (the scan's, by default that of
-    `default_region`).  Near the critical set the finite-eps root shifts by
-    O(eps * E1 * |Hv'| * (1 + |v'|)) in the squared growth rate, and roots
-    with Re s <= delta are undetectable, so agreement can only be asserted
-    outside the band below.
+    actual eps on the scan's half-disk Re s >= delta.  Near the critical set
+    the finite-eps root shifts by O(eps * E1 * |Hv'| * (1 + |v'|)) in the
+    squared growth rate, and roots with Re s <= delta are undetectable, so
+    agreement can only be asserted outside the band below.
     """
     e1, hv, vm = abs(state.E1_hat), math.sqrt(state.Hv_sq), math.sqrt(state.v_sq)
     a = 2.0 * state.eps * e1 * hv * vm + (state.eps * e1 * hv) ** 2
     smax = e1 + vm
     b = (state.eps * smax) ** 2 * (state.Hv_sq + 0.5 * (smax ** 2 + state.H_sq))
-    if delta is None:
-        delta = default_region(state).delta
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
@@ -566,7 +561,7 @@ def judge_verdicts(states: list[EquilibriumState],
     cannot decide.  A scan in which any direction failed yields, in place of
     the pair, a PvstabError naming how many failed and the first failure.
     """
-    regions = [analysis.region_for(st) for st in states]
+    regions = [default_region(st, analysis.delta) for st in states]
     for st, cls, region, summary in zip(states, classes, regions,
                                         scan_states(states, analysis.n_dirs, regions)):
         if summary.n_errors:
@@ -618,7 +613,7 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
         attempts += 1
         st = sample_validation_state(rng)
         cls = classify(st, tol_eq=analysis.tol_for(st))
-        band = margin_band(st, cls.tol_eq, analysis.region_for(st).delta)
+        band = margin_band(st, cls.tol_eq, default_region(st, analysis.delta).delta)
         if abs(cls.margin) <= band:
             n_band += 1
             continue

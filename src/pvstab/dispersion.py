@@ -10,9 +10,9 @@ the scalar equation L(s) = 0 in the Laplace variable s, with
 
 Roots with Re s > 0 generate modes growing at a rate proportional to the
 wavenumber (violent instability).  They are counted in a half-disk
-{Re s >= delta, |s - delta| <= R} proven to hold them all by default
-(``root_radius_bound``).  With L = A sqrt(1 + eps^2 s^2) + B and A =
-ell^2 + w_plus^2, they are principal-branch roots of the degree-6
+{Re s >= delta, |s - delta| <= R}, R proven to hold them all at that
+delta (``default_region``).  With L = A sqrt(1 + eps^2 s^2) + B and
+A = ell^2 + w_plus^2, they are principal-branch roots of the degree-6
 polynomial Q = A^2 (1 + eps^2 s^2) - B^2, real in sigma = -i s.  One
 eigenvalue call solves Q for a batch of directions, and clusters of
 Weierstrass disks about its roots certify every count
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -244,17 +243,20 @@ def root_radius_bound(state: EquilibriumState, delta: float) -> float:
     return min(inner, 0.5 / eps)
 
 
-def default_region(state: EquilibriumState) -> HalfDiskRegion:
-    """Half-disk holding every root with Re s >= delta, in every direction.
+def default_region(state: EquilibriumState, delta: float | None = None) -> HalfDiskRegion:
+    """Half-disk holding every root with Re s >= delta, in every direction:
+    the only place a counting region is built.
 
-    R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|) sets delta = 1e-3 R and is the
-    radius unless the bound R* (``root_radius_bound``), taken at the least
-    jittered delta and divided by the least jitter factor, needs more: every
-    half-disk a count may move to still holds all the roots.
+    R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|) sets the default delta = 1e-3 R
+    and is the radius unless the bound R* (``root_radius_bound``), taken at
+    the least jittered delta and divided by the least jitter factor, needs
+    more: every half-disk a count may move to still holds all the roots.
+    The radius is proven at the delta given, whatever it is.
     """
     r = 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
                 + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
-    delta = 1e-3 * r
+    if delta is None:
+        delta = 1e-3 * r
     r_star = root_radius_bound(state, _JITTER_MIN * delta)
     return HalfDiskRegion(delta=delta, radius=max(r, r_star / _JITTER_MIN))
 
@@ -429,18 +431,10 @@ def _root_of_l(cols, z, r):
     return of_l, (g2 > 0.0) & (of_l != (np.abs(ag + bz) > reach))
 
 
-class _RegionCount(NamedTuple):
-    """A count certified on one half-disk (after any jitter) by clusters of
-    inclusion disks, the largest of radius ``radius``."""
-
-    count: int
-    region: HalfDiskRegion
-    radius: float
-
-
 def _algebraic_counts(cols, regions):
-    """The roots of Q (see ``_inclusion``) and, per direction, its count in
-    its region, or a PvstabError where the clusters cannot decide it.
+    """The roots of Q (see ``_inclusion``) and, per direction, a RootReport
+    of its count in its region without roots, or a PvstabError where the
+    clusters cannot decide it.
 
     A cluster is decided when it lies wholly outside the half-disk, or wholly
     inside with its factor of Q decided (``_root_of_l``); the count is the
@@ -472,7 +466,7 @@ def _algebraic_counts(cols, regions):
         counts = np.where(of_l, n, 0).sum(axis=1).tolist()
         for j, reg, ok, count in zip(pending.tolist(), regs, decided.tolist(), counts):
             if ok:
-                out[j] = _RegionCount(count, reg, largest[j])
+                out[j] = RootReport(reg, count, (), (), inclusion_radius=largest[j])
         pending = pending[~decided]
         if not pending.size:
             return roots, out
@@ -535,7 +529,8 @@ def newton_refine(ctx, s0, max_iter: int = 60):
 
 @dataclass(frozen=True)
 class RootReport:
-    """Certified right-half-plane roots of L in a region."""
+    """The certified count of the roots of L in a region and, when it is
+    positive, the roots located: a count of 0 has no roots."""
 
     region: HalfDiskRegion           # region actually counted (after jitter)
     winding_count: int               # roots of L in the region
@@ -570,31 +565,27 @@ def _candidate_roots(cols, roots) -> list:
 
 
 def _root_reports(cols, counts, roots) -> list:
-    """The RootReport of each direction from its count.
+    """The count-only RootReports ``counts`` with their roots added.
 
     The roots of Q of all directions with a positive count are polished as
     one batch (``_candidate_roots``); those inside the counted region are
-    reported, sorted by (-Re, Im).  A mismatch with the count, or a residual
+    added, sorted by (-Re, Im).  A mismatch with the count, or a residual
     above certification, is reported via ``flags``.
     """
-    located = [i for i, c in enumerate(counts) if c.count > 0]
-    found = dict(zip(located, _candidate_roots(cols[:, located], roots[located]))
-                 if located else ())
-    reports = []
-    for i, c in enumerate(counts):
-        if c.count == 0:
-            reports.append(RootReport(c.region, 0, (), (), (), c.radius))
-            continue
-        z, abs_l, scale = (a.tolist() for a in found[i])
+    located = [i for i, c in enumerate(counts) if c.winding_count > 0]
+    reports = list(counts)
+    for i, found in zip(located, _candidate_roots(cols[:, located], roots[located])):
+        c = counts[i]
+        z, abs_l, scale = (a.tolist() for a in found)
         inside = sorted((j for j, s in enumerate(z) if c.region.contains(s)),
                         key=lambda j: (-z[j].real, z[j].imag))
         flags: list[str] = []
-        if len(inside) != c.count:
-            flags.append(f"located {len(inside)} roots but winding is {c.count}")
+        if len(inside) != c.winding_count:
+            flags.append(f"located {len(inside)} roots but winding is {c.winding_count}")
         flags += [f"root {z[j]:.6g} residual {abs_l[j]:.3e} above certification"
                   for j in inside if abs_l[j] > _ROOT_RESIDUAL * scale[j]]
-        reports.append(RootReport(c.region, c.count, tuple(z[j] for j in inside),
-                                  tuple(abs_l[j] for j in inside), tuple(flags), c.radius))
+        reports[i] = replace(c, roots=tuple(z[j] for j in inside),
+                             residuals=tuple(abs_l[j] for j in inside), flags=tuple(flags))
     return reports
 
 
@@ -630,12 +621,20 @@ def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> RootR
 
 @dataclass(frozen=True)
 class DirectionScan:
+    """The scan of one direction: its RootReport (a count of 0 included),
+    or the error that ended its count."""
+
     direction: WaveDirection
-    count: int | None                  # None when the count itself failed
-    region: HalfDiskRegion | None = None
-    report: RootReport | None = None   # present when roots were located
+    report: RootReport | None = None    # None when the count itself failed
     error: str | None = None
-    inclusion_radius: float | None = None
+
+    @property
+    def count(self) -> int | None:
+        return self.report.winding_count if self.report is not None else None
+
+    @property
+    def region(self) -> HalfDiskRegion | None:
+        return self.report.region if self.report is not None else None
 
     @property
     def max_re_s(self) -> float | None:
@@ -660,21 +659,20 @@ def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
     and inclusion radius carry over, and the roots are the conjugates.
     """
     report = scan.report
-    if report is not None:
+    if report is not None and report.roots:
         pairs = sorted(zip((z.conjugate() for z in report.roots), report.residuals),
                        key=lambda p: (-p[0].real, p[0].imag))
         report = replace(report, roots=tuple(z for z, _ in pairs),
                          residuals=tuple(res for _, res in pairs))
-    return DirectionScan(direction, scan.count, scan.region, report, scan.error,
-                         scan.inclusion_radius)
+    return DirectionScan(direction, report, scan.error)
 
 
 def _summary(records) -> ScanSummary:
-    counts = [r.count for r in records if r.count is not None]
-    res = [r.max_re_s for r in records if r.max_re_s is not None]
+    reports = [r.report for r in records if r.report is not None]
+    res = [rep.max_re for rep in reports if rep.roots]
     return ScanSummary(
         records=tuple(records),
-        numerically_unstable=any(c > 0 for c in counts),
+        numerically_unstable=any(rep.winding_count > 0 for rep in reports),
         max_re_s=max(res) if res else None,
         n_errors=sum(1 for r in records if r.error is not None),
     )
@@ -714,11 +712,8 @@ def scan_states(states, n_dirs: int = 32, regions=None):
             scans = {}
             for i in own:
                 rep = next(located)
-                scans[i] = (DirectionScan(directions[i], None, error=str(rep))
-                            if isinstance(rep, Exception) else
-                            DirectionScan(directions[i], rep.winding_count, rep.region,
-                                          rep if rep.winding_count else None, None,
-                                          rep.inclusion_radius))
+                scans[i] = (DirectionScan(directions[i], error=str(rep))
+                            if isinstance(rep, Exception) else DirectionScan(directions[i], rep))
             yield _summary([scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
                             for i, d in enumerate(directions)])
 

@@ -21,9 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dispersion import (HalfDiskRegion, LopatinskiContext, default_region,
-                         find_unstable_roots, lopatinski, lopatinski_scale,
-                         make_context)
+from .dispersion import (LopatinskiContext, default_region, find_unstable_roots,
+                         lopatinski, lopatinski_scale, make_context)
 from .errors import (DirectionError, NotTransitionalError, PvstabError,
                      TransitionalAtThisDirectionError)
 from .state import EquilibriumState, WaveDirection
@@ -358,7 +357,7 @@ def series_vs_numeric(state: EquilibriumState, direction: WaveDirection,
 
         reg = default_region(st)
         if expected_re > 0.0:
-            reg = HalfDiskRegion(min(reg.delta, 0.2 * expected_re), reg.radius)
+            reg = default_region(st, min(reg.delta, 0.2 * expected_re))
         try:
             report = find_unstable_roots(ctx, reg)
         except PvstabError as err:          # a count the inclusion disks cannot decide

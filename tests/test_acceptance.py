@@ -52,8 +52,7 @@ def test_c01_collinearity():
         # omega* perpendicular to the common field direction
         perp = pv.WaveDirection(float(d[1]), float(-d[0]))
         ctx = pv.make_context(st, perp)
-        base = pv.default_region(st)
-        region = pv.HalfDiskRegion(min(base.delta, 1e-2 * abs(e1)), base.radius)
+        region = pv.default_region(st, min(pv.default_region(st).delta, 1e-2 * abs(e1)))
         assert pv.find_unstable_roots(ctx, region).winding_count >= 1, st
 
 
@@ -102,7 +101,7 @@ def test_c04_neutral_series_and_spectra():
         st = dataclasses.replace(
             st, E1_hat=float(rng.uniform(0, math.sqrt(0.5 * f_min))))
         cls = pv.classify(st)
-        if cls.margin >= -margin_band(st, cls.tol_eq):
+        if cls.margin >= -margin_band(st, cls.tol_eq, pv.default_region(st).delta):
             continue
         checked += 1
 

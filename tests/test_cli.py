@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 
 from pvstab.cli import (AnalysisOptions, apply_sweep_parameter, cmd_classify, cmd_sweep,
                         main, margin_band, parse_scenario, sample_validation_state)
+from pvstab.dispersion import default_region, root_radius_bound
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
 from pvstab.state import EquilibriumState
@@ -115,19 +116,21 @@ PARSE_ERRORS = {
     "n_dirs_range": (_ANALYSIS + "n_dirs = 7\n", "line 4: n_dirs must be at least 8, got '7'"),
     "delta_range": (_ANALYSIS + "delta = 0\n",
                     "line 4: delta must be positive and finite, got '0'"),
-    "radius_range": (_ANALYSIS + "radius = inf\n",
-                     "line 4: radius must be positive and finite, got 'inf'"),
+    "radius_removed": (_ANALYSIS + "radius = 50\n",
+                       "line 4: unknown key 'radius' in [analysis] block"),
     "tol_eq_range": (_ANALYSIS + "tol_eq = -1\n",
                      "line 4: tol_eq must be non-negative and finite, got '-1'"),
     "decay_p_range": (_ANALYSIS + "decay_p = nan\n", "line 4: decay_p must be finite, got 'nan'"),
-    # radius = 1e200 used to end the winding count in a ValueError on NaN,
-    # and decay_p = -400 building a mode in an OverflowError
+    # decay_p = -400 used to end in an OverflowError while building a mode
     "delta_bound": (_ANALYSIS + "delta = 1e51\n", "line 4: delta must be at most 1e+50, got '1e51'"),
-    "radius_bound": (_ANALYSIS + "radius = 1e200\n",
-                     "line 4: radius must be at most 1e+50, got '1e200'"),
     "decay_p_bound": (_ANALYSIS + "decay_p = -400\n",
                       "line 4: decay_p must be at most 100 in magnitude, got '-400'"),
     "sample_range": (_ANALYSIS + "sample = 0\n", "line 4: sample must be at least 1, got '0'"),
+    # a repeat used to replace the first value, or merge into the first block
+    "repeated_key": ("[state]\nE1 = 0.3\nH2 = 1\nE1 = 5.0\n",
+                     "line 4: repeated key 'E1' in [state] block (first at line 2)"),
+    "repeated_analysis": (_ANALYSIS + "n_dirs = 8\n[analysis]\nsample = 3\n",
+                          "line 5: repeated [analysis] block (first at line 3)"),
 }
 
 
@@ -205,12 +208,6 @@ class TestParseScenario:
         for value in ("0", "-0.5", "nan", "inf"):
             path = _write(tmp_path, MINIMAL + f"\n[analysis]\ndelta = {value}\n")
             with pytest.raises(ScenarioParseError, match="line 8: delta must be positive"):
-                parse_scenario(path)
-
-    def test_radius_out_of_range(self, tmp_path):
-        for value in ("0", "-1", "nan", "inf"):
-            path = _write(tmp_path, MINIMAL + f"\n[analysis]\nradius = {value}\n")
-            with pytest.raises(ScenarioParseError, match="line 8: radius must be positive"):
                 parse_scenario(path)
 
     def test_tol_eq_out_of_range(self, tmp_path):
@@ -446,7 +443,7 @@ class TestSweepCrossCheck:
         # neither row is judged
         text = ("[state]\nH2 = 1\nHv2 = 2\n"
                 "[sweep]\nparameter = E1\nmin = 0.3\nmax = 0.5\nsteps = 2\n"
-                "[analysis]\ndelta = 1.0\nradius = 10\ncross_check = true\n")
+                "[analysis]\ndelta = 1.0\ncross_check = true\n")
         out = tmp_path / "sweep.csv"
         assert _run(["sweep", _write(tmp_path, text), "--out", str(out)]) == 0
         rows = _csv_rows(out)
@@ -456,14 +453,15 @@ class TestSweepCrossCheck:
 
     def test_failed_direction_is_an_error_row(self, tmp_path, monkeypatch):
         import pvstab.cli as cli_mod
-        from pvstab.dispersion import DirectionScan, ScanSummary
+        from pvstab.dispersion import DirectionScan, HalfDiskRegion, RootReport, ScanSummary
         from pvstab.state import WaveDirection
 
         def fake_scan(states, n_dirs=32, regions=None):
             for _ in states:
                 yield ScanSummary(
-                    records=(DirectionScan(WaveDirection(1, 0), None, error="boom"),
-                             DirectionScan(WaveDirection(0, 1), 0)),
+                    records=(DirectionScan(WaveDirection(1, 0), error="boom"),
+                             DirectionScan(WaveDirection(0, 1), RootReport(
+                                 HalfDiskRegion(0.1, 10.0), 0, (), ()))),
                     numerically_unstable=False, max_re_s=None, n_errors=1)
 
         monkeypatch.setattr(cli_mod, "scan_states", fake_scan)
@@ -513,7 +511,7 @@ class TestRootsCommand:
         locate = dispersion._root_reports
 
         def flagged(*args):
-            return [dataclasses.replace(rep, flags=("first", "second"))
+            return [dataclasses.replace(rep, flags=("first", "second")) if rep.roots else rep
                     for rep in locate(*args)]
 
         monkeypatch.setattr(dispersion, "_root_reports", flagged)
@@ -533,13 +531,26 @@ class TestRootsRegionOverride:
     def test_analysis_region_excludes_root(self, tmp_path):
         # the known root sits near 0.3; a region starting at Re s = 1 must
         # report zero windings everywhere
-        text = MINIMAL + "\n[analysis]\nn_dirs = 8\ndelta = 1.0\nradius = 10.0\n"
+        text = MINIMAL + "\n[analysis]\nn_dirs = 8\ndelta = 1.0\n"
         out = tmp_path / "roots.csv"
         assert _run(["roots", _write(tmp_path, text), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
         assert all(r["winding"] == "0" for r in rows)
         assert all(float(r["delta"]) == pytest.approx(1.0, rel=0.11) for r in rows)
+
+    def test_radius_is_proven_at_overridden_delta(self, tmp_path):
+        # a small delta needs a larger radius than the default delta: the
+        # dip of |1 + eps^2 s^2| at |s| = 1/eps must be cleared by the
+        # radius proven at the least jittered delta, 0.9e-6
+        text = MINIMAL + "\n[analysis]\nn_dirs = 8\ndelta = 1e-6\n"
+        out = tmp_path / "roots.csv"
+        assert _run(["roots", _write(tmp_path, text), "--out", str(out)]) == 0
+        st = parse_scenario(_write(tmp_path, MINIMAL, "state.scn")).states[0]
+        radius = default_region(st, 1e-6).radius
+        assert radius >= root_radius_bound(st, 0.9e-6) / 0.9 > 118.0
+        rows = _csv_rows(out)
+        assert len(rows) >= 10 and all(float(r["R"]) == radius for r in rows)
 
 
 class TestModesCommand:
@@ -637,7 +648,7 @@ class TestValidateCommand:
             st = sample_validation_state(rng)
             from pvstab.criterion import classify
             cls = classify(st, tol_eq=AnalysisOptions().tol_for(st))
-            if abs(cls.margin) <= margin_band(st, cls.tol_eq):
+            if abs(cls.margin) <= margin_band(st, cls.tol_eq, default_region(st).delta):
                 n_band += 1
         assert 0 < n_band < 100     # the filter trims a minority of draws
 

@@ -91,7 +91,7 @@ def test_inclusion_counts_against_mpmath(name):
     _, size, center, radius, beyond = _inclusion(cols)
     for j, (ctx, reg, c) in enumerate(zip(ctxs, regions, counts)):
         assert not isinstance(c, Exception), (name, ctx.direction, c)
-        assert c.region == reg and c.count == _mp_count(st, ctx.direction, reg), \
+        assert c.region == reg and c.winding_count == _mp_count(st, ctx.direction, reg), \
             (name, ctx.direction)
         d = ctx.direction
         with mpmath.workdps(50):
@@ -133,7 +133,7 @@ def test_double_roots_are_decided_by_clusters():
     ctxs = [make_context(st, d) for d in _directions(st)]
     regions = [default_region(st)] * len(ctxs)
     counts = _algebraic_counts(_columns(ctxs), regions)[1]
-    assert [(c.count, c.region) for c in counts] == [(0, regions[0])] * len(ctxs)
+    assert [(c.winding_count, c.region) for c in counts] == [(0, regions[0])] * len(ctxs)
     summary = scan_directions(st, n_dirs=16)
     assert summary.n_errors == 0 and all(r.count == 0 for r in summary.records)
 
@@ -158,7 +158,7 @@ def test_tiny_eps_against_mpmath():
                                                        mpmath.mpf(d.omega3)), reverse=True)
                     if reg.contains(complex(z))]
         assert rec.count == len(want), rec
-        got = rec.report.roots if rec.report else ()
+        got = rec.report.roots
         assert len(got) == len(want)
         for z in got:
             assert min(abs(z - y) for y in want) <= 1e-12, (z, want)

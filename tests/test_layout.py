@@ -1,4 +1,5 @@
-"""Module layering: the independent cross-checks stay in ``oracle``."""
+"""Module layering: the independent cross-checks stay in ``oracle``, and
+only ``dispersion`` builds a counting region."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,12 @@ def _defined(tree):
     return names
 
 
+def _builds_region(tree):
+    return any(isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "HalfDiskRegion"
+        or getattr(node.func, "attr", None) == "HalfDiskRegion") for node in ast.walk(tree))
+
+
 def test_only_init_and_oracle_import_oracle():
     modules = sorted(p.stem for p in SRC.glob("*.py"))
     assert {"dispersion", "oracle", "cli"} <= set(modules)
@@ -64,3 +71,19 @@ def test_detects_oracle_imports():
 def test_cross_checks_live_in_oracle_only():
     assert not _defined(_tree("dispersion")) & ORACLE_ONLY
     assert ORACLE_ONLY <= _defined(_tree("oracle"))
+
+
+def test_only_dispersion_builds_regions():
+    # a region built by hand keeps a radius proven at another delta; every
+    # other module asks dispersion.default_region for one
+    builders = {p.stem for p in SRC.glob("*.py") if _builds_region(_tree(p.stem))}
+    assert builders == {"dispersion"}
+
+
+def test_detects_region_builds():
+    for source in ("HalfDiskRegion(0.1, 10.0)", "pv.HalfDiskRegion(delta=1, radius=2)",
+                   "def f(r):\n    return dispersion.HalfDiskRegion(r.delta, 1.0)"):
+        assert _builds_region(ast.parse(source)), source
+    for source in ("from .dispersion import HalfDiskRegion",
+                   "x: HalfDiskRegion = default_region(st)", "isinstance(r, HalfDiskRegion)"):
+        assert not _builds_region(ast.parse(source)), source
