@@ -11,16 +11,22 @@ A scenario file is a flat key-value document with block headers:
                        Hv2 Hv3 E1 eps sigma; eps defaults to 1e-2)
     [sweep]            optional, up to two axes: parameter in
                        {E1, angle_alpha, H_mag, Hv_mag, v2, v3, eps},
-                       min, max, steps
+                       min, max (finite), steps; the grid has at most
+                       MAX_GRID_POINTS points
     [analysis]         optional numerics overrides: tol_eq (relative
                        equality-band coefficient), n_dirs, delta (counting
                        region Re s >= delta; its radius is always proven at
                        that delta), decay_p, cross_check, sample
 
-Every grid point is validated and classified once (`_checked`), and one
-that fails becomes one error row; rows are written in index order.  The
-grid is generated as it is read (`Scenario.grid`), and ``roots`` and
-``sweep`` write CSV through one row writer (`_csv_rows`).
+The grid is generated as it is read, in blocks of at most BLOCK_POINTS
+points held as columns of plain floats (`Scenario.grid`).  Every point is
+validated (`state.check_values`) and classified
+(`criterion.classify_values`) once (`_checked`), and one that fails becomes
+one error row; rows are written in index order.  ``classify``, and
+``sweep`` without ``cross_check``, write the rows of a block as one string
+before they build the next, so they hold at most one block.  ``roots`` and
+``sweep`` write CSV through one row writer (`_csv_rows`), which spells each
+cell as ``csv.writer`` does.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``/``locate_roots``).  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
@@ -37,7 +43,6 @@ codes: 0 success, 1 usage, I/O or parse failure, 2 validation-gate failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -49,13 +54,21 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import criterion
-from .criterion import classify
-from .dispersion import MIN_N_DIRS, default_region, locate_roots, make_context, scan_states
+from .criterion import classify, classify_values
+from .dispersion import (MIN_N_DIRS, default_delta, default_region, locate_roots,
+                         make_context, scan_states)
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import build_mode, growth_rows, residuals
-from .state import MAX_MAGNITUDE, EquilibriumState, validate_state
+from .state import MAX_MAGNITUDE, EquilibriumState, check_values, validate_state
 
 SWEEP_PARAMETERS = ("E1", "angle_alpha", "H_mag", "Hv_mag", "v2", "v3", "eps")
+# the record column a swept parameter sets, for those that set one directly
+_SWEPT_COLUMN = {"v2": 0, "v3": 1, "E1": 6, "eps": 7}
+
+BLOCK_POINTS = 1024             # grid points validated, classified and written at a time
+# Largest number of points a grid may have: the output is held until the run
+# succeeds, about 230 bytes a sweep row.
+MAX_GRID_POINTS = 10 ** 7
 
 _MODE_N = (1, 10, 100)
 _MODE_T = (0.01, 0.1, 1.0)
@@ -86,9 +99,22 @@ class AnalysisOptions:
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    state: EquilibriumState
-    coords: tuple[tuple[str, float], ...]  # swept (parameter, value) pairs
+class GridBlock:
+    """Consecutive grid points as columns, the first at index ``start``.
+
+    ``coords`` holds one column per sweep axis, the swept value of each point;
+    ``columns`` the nine `EquilibriumState.RECORD_KEYS` columns.
+    """
+
+    start: int
+    coords: tuple[list[float], ...]
+    columns: tuple[list[float], ...]
+
+    def points(self) -> Iterator[tuple[int, tuple, tuple]]:
+        """(index, swept values, record values) of each point."""
+        n = len(self.columns[0])
+        return zip(range(self.start, self.start + n),
+                   zip(*self.coords) if self.coords else [()] * n, zip(*self.columns))
 
 
 @dataclass
@@ -98,26 +124,61 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     warnings: list[str] = field(default_factory=list)
 
-    def grid(self) -> Iterator[GridPoint]:
-        """States crossed with the sweep grid (identity when no sweep).
+    def grid(self) -> Iterator[GridBlock]:
+        """States crossed with the sweep grid (identity when no sweep), in
+        blocks of at most BLOCK_POINTS points.
 
         A generator, in index order: the last axis varies fastest, and each
-        axis level applies its parameter once per point of the level above.
+        axis level applies its parameter to every point of the level above.
+        A block is a run of the innermost axis, or of consecutive states
+        when there is no sweep.
         """
-        levels = [(axis.parameter, [float(v) for v in axis.values()])
-                  for axis in self.sweeps]
-
-        def crossed(state, coords, depth):
-            if depth == len(levels):
-                yield GridPoint(state, coords)
-                return
-            name, values = levels[depth]
-            for v in values:
-                yield from crossed(apply_sweep_parameter(state, name, v),
-                                   coords + ((name, v),), depth + 1)
-
+        if not self.sweeps:
+            for lo in range(0, len(self.states), BLOCK_POINTS):
+                records = [st.record_values() for st in self.states[lo:lo + BLOCK_POINTS]]
+                yield GridBlock(lo, (), tuple(map(list, zip(*records))))
+            return
+        *outer, inner = self.sweeps
+        inner_values = inner.values()
+        start = 0
         for st in self.states:
-            yield from crossed(st, (), 0)
+            base = st.record_values()
+            bases = [((), base)]
+            if outer:       # one record per point of the outer axis
+                name = outer[0].parameter
+                bases = (((v,), next(zip(*_swept(base, name, [v]))))
+                         for v in outer[0].values().tolist())
+            for coords, record in bases:
+                for lo in range(0, len(inner_values), BLOCK_POINTS):
+                    values = inner_values[lo:lo + BLOCK_POINTS].tolist()
+                    yield GridBlock(start, (*([v] * len(values) for v in coords), values),
+                                    _swept(record, inner.parameter, values))
+                    start += len(values)
+
+
+def _swept(record: tuple, name: str, values: list[float]) -> tuple[list[float], ...]:
+    """The `EquilibriumState.RECORD_KEYS` columns of the state with record
+    values ``record`` and swept parameter ``name`` set to each of ``values``:
+    `apply_sweep_parameter` on plain floats, for both axis levels of a grid."""
+    columns = [[x] * len(values) for x in record]
+    if name in _SWEPT_COLUMN:
+        columns[_SWEPT_COLUMN[name]] = list(values)
+    elif name in ("H_mag", "Hv_mag"):
+        i = 2 if name == "H_mag" else 4
+        a, b = record[i], record[i + 1]
+        h = math.sqrt(a ** 2 + b ** 2)
+        u = (a / h, b / h) if h > 0 else (1.0, 0.0)
+        columns[i] = [v * u[0] for v in values]
+        columns[i + 1] = [v * u[1] for v in values]
+    elif name == "angle_alpha":
+        _, _, H2, H3, Hv2, Hv3, *_ = record
+        angle, mag = math.atan2(H3, H2), math.sqrt(Hv2 ** 2 + Hv3 ** 2)
+        thetas = [angle + v for v in values]
+        columns[4] = [mag * math.cos(theta) for theta in thetas]
+        columns[5] = [mag * math.sin(theta) for theta in thetas]
+    else:
+        raise ScenarioParseError(f"unknown sweep parameter {name!r}")
+    return tuple(columns)
 
 
 def apply_sweep_parameter(state: EquilibriumState, name: str,
@@ -128,28 +189,8 @@ def apply_sweep_parameter(state: EquilibriumState, name: str,
     field is given direction (1, 0)); ``angle_alpha`` rotates Hv' to the
     angle alpha measured from H', keeping |Hv'|.
     """
-    if name == "E1":
-        return dataclasses.replace(state, E1_hat=value)
-    if name == "eps":
-        return dataclasses.replace(state, eps=value)
-    if name == "v2":
-        return dataclasses.replace(state, v_hat_t=(value, state.v_hat_t[1]))
-    if name == "v3":
-        return dataclasses.replace(state, v_hat_t=(state.v_hat_t[0], value))
-    if name == "H_mag":
-        h = math.sqrt(state.H_sq)
-        u = (state.H_hat_t[0] / h, state.H_hat_t[1] / h) if h > 0 else (1.0, 0.0)
-        return dataclasses.replace(state, H_hat_t=(value * u[0], value * u[1]))
-    if name == "Hv_mag":
-        h = math.sqrt(state.Hv_sq)
-        u = (state.Hv_hat_t[0] / h, state.Hv_hat_t[1] / h) if h > 0 else (1.0, 0.0)
-        return dataclasses.replace(state, Hv_hat_t=(value * u[0], value * u[1]))
-    if name == "angle_alpha":
-        theta = math.atan2(state.H_hat_t[1], state.H_hat_t[0]) + value
-        mag = math.sqrt(state.Hv_sq)
-        return dataclasses.replace(
-            state, Hv_hat_t=(mag * math.cos(theta), mag * math.sin(theta)))
-    raise ScenarioParseError(f"unknown sweep parameter {name!r}")
+    return EquilibriumState.from_values(
+        *next(zip(*_swept(state.record_values(), name, [value]))))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +206,8 @@ _SWEEP_KEYS = {
     "parameter": (str, (SWEEP_PARAMETERS.__contains__,
                         f"sweep parameter must be one of {SWEEP_PARAMETERS}")),
     "steps": (int,),
-    "min": (float,),
-    "max": (float,),
+    "min": (float, (math.isfinite, "min must be finite")),
+    "max": (float, (math.isfinite, "max must be finite")),
 }
 _MAX_DECAY_P = 100.0
 _ANALYSIS_KEYS = {
@@ -271,6 +312,7 @@ def parse_scenario(path) -> Scenario:
         states.append(st)
 
     sweeps = []
+    n_points = len(states)
     for lineno, block in sweep_blocks:
         def value(key, missing=None):
             if key not in block:
@@ -281,7 +323,14 @@ def parse_scenario(path) -> Scenario:
         steps = value("steps", "sweep block needs a 'steps' key")
         if steps < 2:
             raise ScenarioParseError("sweep needs steps >= 2", lineno)
-        sweeps.append(SweepAxis(parameter, value("min"), value("max"), steps))
+        n_points *= steps
+        if n_points > MAX_GRID_POINTS:
+            raise ScenarioParseError(f"the grid would have {n_points} points; at most "
+                                     f"{MAX_GRID_POINTS} are supported", lineno)
+        lo, hi = value("min"), value("max")
+        if not math.isfinite(hi - lo):
+            raise ScenarioParseError("sweep range max - min must be finite", lineno)
+        sweeps.append(SweepAxis(parameter, lo, hi, steps))
 
     analysis = AnalysisOptions()
     for key, (text, line) in analysis_block.items():
@@ -299,9 +348,9 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(", ", ": ")) + "\n"
 
 
-def _state_params(state: EquilibriumState) -> dict:
-    return {k: float(v) for k, v in
-            zip(EquilibriumState.RECORD_KEYS, state.record_values())}
+def _params(values) -> dict:
+    """The record of a state's ``record_values()``."""
+    return dict(zip(EquilibriumState.RECORD_KEYS, map(float, values)))
 
 
 class _Reprs(dict):
@@ -312,43 +361,61 @@ class _Reprs(dict):
         return text
 
 
+def _cell(c) -> str:
+    """A cell other than None as ``csv.writer`` writes it: a string as it is
+    and anything else as its str, quoted when it holds a comma, quote or
+    newline."""
+    text = c if isinstance(c, str) else str(c)
+    if '"' in text or "," in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_rows(out: TextIO, columns):
     """Write the versioned CSV header of ``columns``; return the function
-    that writes one row, a list of cells in column order.
+    that writes rows, each a list of cells in column order, as one string.
 
-    A row is written as ``csv.writer`` writes it, None as an empty cell, but
-    the repr of each distinct float is computed once per table.  Zeros and
-    NaN are written directly (-0.0 == 0.0 would share a key, and NaN never
-    matches one), as is every cell that is not a float: bools, ints, numpy
-    scalars and strings keep their spellings and quoting.
+    The rows read as ``csv.writer`` writes them (`_cell`; a row of one empty
+    cell is ``""``), but the repr of each distinct float is computed once per
+    table.  Zeros and NaN are spelled each time (-0.0 == 0.0 would share a
+    key, and NaN never matches one).
     """
     out.write("# pvstab-csv v1\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
     reprs = _Reprs()
 
-    def write(cells):
-        writer.writerow([reprs[c] if type(c) is float and c and c == c else c
-                         for c in cells])
+    def write(*rows, cell=_cell):
+        out.write("".join([
+            (",".join([reprs[c] if type(c) is float and c and c == c
+                       else "" if c is None else cell(c) for c in row])
+             or ('""' if row else "")) + "\n"
+            for row in rows]))
 
+    write(columns)
     return write
 
 
 def _checked(scenario: Scenario):
-    """Validate and classify each grid point, in index order.
+    """Validate and classify the grid block by block, in index order.
 
-    Yields (index, point, outcome): the outcome is the classification and
-    the validation warnings, or the PvstabError that rejected the point.  A
-    generator, so that a command can write each row as it goes.
+    Yields a list per block of (index, swept values, record values, outcome):
+    the outcome is the point's `criterion.classify_values` row and its
+    validation warnings, or the PvstabError that rejected the point.  A
+    generator, so that a command can write a block before the next is built.
     """
-    analysis = scenario.analysis
-    for index, point in enumerate(scenario.grid()):
-        try:
-            _, warns = validate_state(point.state)
-            outcome = classify(point.state, tol_eq=analysis.tol_for(point.state)), warns
-        except PvstabError as err:
-            outcome = err
-        yield index, point, outcome
+    coeff = scenario.analysis.tol_eq
+    for block in scenario.grid():
+        points = []
+        for index, coords, values in block.points():
+            checked = check_values(*values)
+            outcome = (StateValidationError(checked) if isinstance(checked, str)
+                       else (classify_values(*values[:7], coeff), checked))
+            points.append((index, coords, values, outcome))
+        yield points
+
+
+def _valid_states(points) -> list[EquilibriumState]:
+    return [EquilibriumState.from_values(*values) for _, _, values, outcome in points
+            if not isinstance(outcome, PvstabError)]
 
 
 def _status(n_points: int, n_failed: int) -> int:
@@ -361,18 +428,22 @@ def _status(n_points: int, n_failed: int) -> int:
 
 
 def cmd_classify(scenario: Scenario, out: TextIO) -> int:
+    names = [axis.parameter for axis in scenario.sweeps]
     n_points = n_failed = 0
-    for index, point, outcome in _checked(scenario):
-        n_points += 1
-        if isinstance(outcome, PvstabError):
-            rec = {"index": index, "error": str(outcome)}
-            n_failed += 1
-        else:
-            cls, warns = outcome
-            rec = {"index": index, **dict(point.coords),
-                   **_state_params(point.state), **cls.to_record(),
-                   "warnings": warns}
-        out.write(_json_line(rec))
+    for points in _checked(scenario):
+        lines = []
+        for index, coords, values, outcome in points:
+            if isinstance(outcome, PvstabError):
+                rec = {"index": index, "error": str(outcome)}
+                n_failed += 1
+            else:
+                row, warns = outcome
+                rec = {"index": index, **dict(zip(names, coords)), **_params(values),
+                       **criterion.Classification.from_row(row).to_record(),
+                       "warnings": warns}
+            lines.append(_json_line(rec))
+        out.write("".join(lines))
+        n_points += len(points)
     return _status(n_points, n_failed)
 
 
@@ -381,12 +452,11 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     write = _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s",
                             "abs_L", "delta", "R", "contour_points", "error", "flags",
                             "certificate"])
-    checked = list(_checked(scenario))
-    valid = [point.state for _, point, outcome in checked
-             if not isinstance(outcome, PvstabError)]
+    points = [point for block in _checked(scenario) for point in block]
+    valid = _valid_states(points)
     summaries = scan_states(valid, analysis.n_dirs,
                             [default_region(st, analysis.delta) for st in valid])
-    for index, _, outcome in checked:
+    for index, _, _, outcome in points:
         if isinstance(outcome, PvstabError):
             write([index, *[None] * 9, str(outcome), None, None])
             continue
@@ -403,7 +473,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
                 write([*head, root.real, root.imag, res, *tail])
             if not report.roots:
                 write([*head, None, None, None, *tail])
-    return _status(len(checked), len(checked) - len(valid))
+    return _status(len(points), len(points) - len(valid))
 
 
 def _expected_growth(state: EquilibriumState, cls):
@@ -433,20 +503,23 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     # state, context and region of the direction to locate
     jobs: list[tuple[int, PvstabError | tuple]] = []
     n_points = 0
-    for index, point, outcome in _checked(scenario):
-        n_points += 1
-        if isinstance(outcome, PvstabError):
-            jobs.append((index, outcome))
-            continue
-        state, (cls, _) = point.state, outcome
-        if not cls.verdict.is_unstable:
-            continue
-        expected, direction = _expected_growth(state, cls)
-        if expected <= 0.0:
-            continue
-        delta = min(default_region(state, analysis.delta).delta, 0.3 * expected)
-        jobs.append((index, (state, make_context(state, direction),
-                             default_region(state, delta))))
+    for points in _checked(scenario):
+        n_points += len(points)
+        for index, _, values, outcome in points:
+            if isinstance(outcome, PvstabError):
+                jobs.append((index, outcome))
+                continue
+            row = outcome[0]
+            if not row[0].is_unstable:
+                continue
+            state = EquilibriumState.from_values(*values)
+            cls = criterion.Classification.from_row(row)
+            expected, direction = _expected_growth(state, cls)
+            if expected <= 0.0:
+                continue
+            delta = min(default_delta(state, analysis.delta), 0.3 * expected)
+            jobs.append((index, (state, make_context(state, direction),
+                                 default_region(state, delta))))
     located = [job for _, job in jobs if not isinstance(job, PvstabError)]
     reports = locate_roots([ctx for _, ctx, _ in located], [reg for _, _, reg in located])
     wrote_any = False
@@ -494,42 +567,41 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     if not scenario.sweeps:
         raise ScenarioParseError("sweep command requires a [sweep] block")
     columns = (["index"] + [f"sweep_{ax.parameter}" for ax in scenario.sweeps]
-               + list(EquilibriumState.RECORD_KEYS)
-               + ["verdict", "margin", "f_min", "omega_star_2", "omega_star_3",
-                  "G", "degenerate_flag", "numeric_unstable", "max_re_s",
-                  "agreement", "error"])
+               + list(EquilibriumState.RECORD_KEYS) + list(criterion.RECORD_KEYS)
+               + ["numeric_unstable", "max_re_s", "agreement", "error"])
     write = _csv_rows(out, columns)
     cross_check = scenario.analysis.cross_check
-    checked = _checked(scenario)
+    blocks = _checked(scenario)
     if cross_check:
-        checked = list(checked)
-        valid = [(point.state, outcome[0]) for _, point, outcome in checked
-                 if not isinstance(outcome, PvstabError)]
-        verdicts = judge_verdicts([st for st, _ in valid], [cls for _, cls in valid],
-                                  scenario.analysis)
+        blocks = list(blocks)
+        points = [point for block in blocks for point in block]
+        verdicts = judge_verdicts(_valid_states(points), [
+            criterion.Classification.from_row(outcome[0]) for _, _, _, outcome in points
+            if not isinstance(outcome, PvstabError)], scenario.analysis)
     n_points = n_failed = 0
-    for index, point, outcome in checked:
-        n_points += 1
-        row = [index, *(v for _, v in point.coords), *point.state.record_values()]
-        error = None
-        if isinstance(outcome, PvstabError):
-            error = outcome
-            row += [None] * 10      # columns not reached stay empty
-        else:
-            cls = outcome[0]
-            row += [cls.verdict.value, cls.margin, cls.f_min, cls.minimizer.omega2,
-                    cls.minimizer.omega3, cls.transitional_G, cls.degenerate]
-            verdict = next(verdicts) if cross_check else None
-            if isinstance(verdict, PvstabError):
-                error, verdict = verdict, None
-            if verdict is None:
-                row += [None] * 3
+    for points in blocks:
+        rows = []
+        for index, coords, values, outcome in points:
+            error = None
+            if isinstance(outcome, PvstabError):
+                error = outcome
+                row = [index, *coords, *values, *[None] * 10]   # not reached: empty
             else:
-                summary, agree = verdict    # agree None (empty cell): undecided
-                row += [summary.numerically_unstable, summary.max_re_s, agree]
-        n_failed += error is not None
-        row.append(None if error is None else str(error))
-        write(row)
+                crit = outcome[0]
+                row = [index, *coords, *values, crit[0].value, *crit[1:7]]
+                verdict = next(verdicts) if cross_check else None
+                if isinstance(verdict, PvstabError):
+                    error, verdict = verdict, None
+                if verdict is None:
+                    row += [None] * 3
+                else:
+                    summary, agree = verdict    # agree None (empty cell): undecided
+                    row += [summary.numerically_unstable, summary.max_re_s, agree]
+            n_failed += error is not None
+            row.append(None if error is None else str(error))
+            rows.append(row)
+        write(*rows)
+        n_points += len(points)
     return _status(n_points, n_failed)
 
 
@@ -613,14 +685,14 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
         attempts += 1
         st = sample_validation_state(rng)
         cls = classify(st, tol_eq=analysis.tol_for(st))
-        band = margin_band(st, cls.tol_eq, default_region(st, analysis.delta).delta)
+        band = margin_band(st, cls.tol_eq, default_delta(st, analysis.delta))
         if abs(cls.margin) <= band:
             n_band += 1
             continue
         accepted.append((st, cls, band))
 
     def record_of(index, st, cls, band, verdict):
-        rec = {"index": index, **_state_params(st),
+        rec = {"index": index, **_params(st.record_values()),
                "verdict": cls.verdict.value, "margin": cls.margin,
                "band": band}
         if isinstance(verdict, PvstabError):

@@ -11,12 +11,14 @@ right-hand side equals the minimum over unit wave directions omega' of
     F(omega') = (H'.omega')^2 + (Hv'.omega')^2,
 
 a quadratic form on the unit circle whose smaller eigenvalue has the closed
-form above.  `minimize_f` returns the minimum together with the minimizing
-direction, the eigenvector of that eigenvalue.  On the critical set,
-`transitional_discriminant` gives G; when F is constant (every direction
-minimizes it) `degenerate_transitional` gives G as the maximum of the
-direction-wise sign quantity, with its maximizing direction, also in
-closed form.
+form above.  One kernel on plain floats, `classify_values`, computes the
+minimum, the minimizing direction (the eigenvector of that eigenvalue) and
+the verdict; `classify`, `minimize_f` and `critical_e1_squared` wrap it for
+an `EquilibriumState`, and a grid calls it on the columns of a block.  On
+the critical set, `transitional_discriminant` gives G; when F is constant
+(every direction minimizes it) `degenerate_transitional` gives G as the
+maximum of the direction-wise sign quantity, with its maximizing direction,
+also in closed form.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ class MinimizationResult:
     degenerate: bool = False          # F constant on the circle (or both fields zero)
 
 
+# the keys of a classification record, in the order of a `classify_values` row
+RECORD_KEYS = ("verdict", "margin", "f_min", "omega_star_2", "omega_star_3", "G",
+               "degenerate_flag")
+
+
 @dataclass(frozen=True)
 class Classification:
     verdict: Verdict
@@ -58,16 +65,16 @@ class Classification:
     degenerate: bool = False
     tol_eq: float = 0.0
 
+    @classmethod
+    def from_row(cls, row: tuple) -> "Classification":
+        """The classification of a `classify_values` row."""
+        verdict, margin, f_min, w2, w3, G, degenerate, tol_eq = row
+        return cls(verdict, f_min, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
+
     def to_record(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "margin": self.margin,
-            "f_min": self.f_min,
-            "omega_star_2": self.minimizer.omega2,
-            "omega_star_3": self.minimizer.omega3,
-            "G": self.transitional_G,
-            "degenerate_flag": self.degenerate,
-        }
+        return dict(zip(RECORD_KEYS, (
+            self.verdict.value, self.margin, self.f_min, self.minimizer.omega2,
+            self.minimizer.omega3, self.transitional_G, self.degenerate)))
 
 
 def f_of_omega(state: EquilibriumState, direction: WaveDirection) -> float:
@@ -85,62 +92,90 @@ def default_tol_eq(state: EquilibriumState, coeff: float = 1e-9) -> float:
     return coeff * (1.0 + state.H_sq + state.Hv_sq)
 
 
-def _canonical(w2: float, w3: float) -> WaveDirection:
+def _canonical(w2: float, w3: float) -> tuple[float, float]:
     # Deterministic representative of the antipodal pair: omega2 >= 0,
     # ties broken by omega3 >= 0.
     if w2 < 0.0 or (w2 == 0.0 and w3 < 0.0):
-        w2, w3 = -w2, -w3
-    return WaveDirection(w2, w3)
+        return -w2, -w3
+    return w2, w3
 
 
-def _moments(state: EquilibriumState) -> tuple[float, float, float]:
-    # entries (m11, m22, m12) of M = H'H'^T + Hv'Hv'^T, F(omega') = omega'^T M omega'
-    H2, H3 = state.H_hat_t
-    Hv2, Hv3 = state.Hv_hat_t
-    return H2 * H2 + Hv2 * Hv2, H3 * H3 + Hv3 * Hv3, H2 * H3 + Hv2 * Hv3
+def classify_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
+                    E1: float, coeff: float = 1e-9, tol_eq: float | None = None) -> tuple:
+    """The closed-form criterion on the tangential components and E1.
+
+    Returns the row (verdict, margin, f_min, omega_star_2, omega_star_3, G,
+    degenerate, tol_eq), the first seven in the order of RECORD_KEYS.
+    ``tol_eq`` defaults to ``coeff (1 + |H'|^2 + |Hv'|^2)`` (`default_tol_eq`).
+
+    F(omega') = omega'^T M omega' with M = H'H'^T + Hv'Hv'^T.  Its minimum is
+    the smaller eigenvalue of M, (|H|^2 + |Hv|^2 - sqrt(rad)) / 2 with
+    rad = (|H|^2 + |Hv|^2)^2 - 4|H x Hv|^2 the squared eigenvalue gap
+    r^2 = (m11 - m22)^2 + 4 m12^2 formed as a difference of squares; near
+    constant F that difference cancels (roundoff can even make it
+    negative), so where it loses four or more leading bits the gap is taken
+    from the entries of M instead.  The minimizer is the eigenvector of that
+    eigenvalue, at the angle
+
+        theta* = atan2(-2 m12, -(m11 - m22)) / 2.
+
+    When the gap r vanishes (both fields zero, or orthogonal fields with
+    |H'| = |Hv'|), F is constant on the circle and any direction minimizes:
+    that case is flagged degenerate and reports (1, 0).  The verdict is
+    decided by margin = E1^2 - f_min against tol_eq (see `classify`).
+    """
+    H_sq = H2 ** 2 + H3 ** 2
+    Hv_sq = Hv2 ** 2 + Hv3 ** 2
+    if tol_eq is None:
+        tol_eq = coeff * (1.0 + H_sq + Hv_sq)
+    # entries (m11, m22, m12) of M
+    m11, m22, m12 = H2 * H2 + Hv2 * Hv2, H3 * H3 + Hv3 * Hv3, H2 * H3 + Hv2 * Hv3
+    hs = H_sq + Hv_sq
+    cross = H2 * Hv3 - H3 * Hv2             # |H x Hv|, signed
+    rad = hs * hs - 4.0 * cross * cross
+    r = math.hypot(m11 - m22, 2.0 * m12)
+    f_min = 0.5 * (hs - (r if rad < 0.0625 * hs * hs else math.sqrt(rad)))
+    degenerate = r <= 1e-14 * hs
+    if degenerate:
+        w2, w3 = 1.0, 0.0
+    else:
+        # + 0.0 turns -0.0 into +0.0: on axis-aligned fields the signed zero
+        # of m12 would otherwise pick the representative
+        theta = 0.5 * math.atan2(-2.0 * m12 + 0.0, -(m11 - m22))
+        w2, w3 = _canonical(math.cos(theta), math.sin(theta))
+
+    margin = E1 ** 2 - f_min
+    if margin > tol_eq:
+        verdict, G = Verdict.VIOLENTLY_UNSTABLE, None
+    elif margin < -tol_eq:
+        verdict, G = Verdict.NEUTRALLY_STABLE, None
+    else:
+        state = EquilibriumState((v2, v3), (H2, H3), (Hv2, Hv3), E1)
+        G = (degenerate_transitional(state)[0] if degenerate
+             else transitional_discriminant(state))
+        verdict = (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0
+                   else Verdict.TRANSITIONAL_NEUTRAL)
+    return verdict, margin, f_min, w2, w3, G, degenerate, tol_eq
+
+
+def _row(state: EquilibriumState, tol_eq: float | None = None) -> tuple:
+    return classify_values(*state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t, state.E1_hat,
+                           tol_eq=tol_eq)
 
 
 def minimize_f(state: EquilibriumState) -> MinimizationResult:
     """Minimize F(omega') = (H'.omega')^2 + (Hv'.omega')^2 on |omega'| = 1.
 
-    F(omega') = omega'^T M omega' with M = H'H'^T + Hv'Hv'^T, so the minimizer
-    is the eigenvector of the smaller eigenvalue of M, at the angle
-
-        theta* = atan2(-2 m12, -(m11 - m22)) / 2,
-
-    and F_min = critical_e1_squared(state).  When the eigenvalue gap
-    r = sqrt((m11 - m22)^2 + 4 m12^2) vanishes (both fields zero, or
-    orthogonal fields with |H'| = |Hv'|), F is constant on the circle and any
-    direction minimizes: that case is flagged degenerate and reports (1, 0).
+    The minimum, a minimizer and the degenerate flag of `classify_values`.
     """
-    m11, m22, m12 = _moments(state)
-    f_min = critical_e1_squared(state)
-    r = math.hypot(m11 - m22, 2.0 * m12)
-    if r <= 1e-14 * (state.H_sq + state.Hv_sq):
-        return MinimizationResult(f_min, WaveDirection(1.0, 0.0), degenerate=True)
-    # + 0.0 turns -0.0 into +0.0: on axis-aligned fields the signed zero of
-    # m12 would otherwise pick the representative
-    theta = 0.5 * math.atan2(-2.0 * m12 + 0.0, -(m11 - m22))
-    return MinimizationResult(f_min, _canonical(math.cos(theta), math.sin(theta)))
+    _, _, f_min, w2, w3, _, degenerate, _ = _row(state)
+    return MinimizationResult(f_min, WaveDirection(w2, w3), degenerate)
 
 
 def critical_e1_squared(state: EquilibriumState) -> float:
-    """Instability threshold for E1^2 (the minimum of F in closed form).
-
-    Uses |H x Hv| = |H2*Hv3 - H3*Hv2| directly.  The radicand is the squared
-    eigenvalue gap of M, (m11 - m22)^2 + 4 m12^2, formed as a difference of
-    squares; near constant F that difference cancels (roundoff can even make
-    it negative), so where it loses four or more leading bits the gap is
-    taken from the entries of M instead.  Where it loses fewer, the two
-    forms are about equally accurate.
-    """
-    hs = state.H_sq + state.Hv_sq
-    cross = state.cross_H_Hv
-    rad = hs * hs - 4.0 * cross * cross
-    if rad < 0.0625 * hs * hs:
-        m11, m22, m12 = _moments(state)
-        return 0.5 * (hs - math.hypot(m11 - m22, 2.0 * m12))
-    return 0.5 * (hs - math.sqrt(rad))
+    """Instability threshold for E1^2: the minimum of F in closed form
+    (`classify_values`)."""
+    return _row(state)[2]
 
 
 def transitional_discriminant(state: EquilibriumState) -> float:
@@ -182,11 +217,11 @@ def degenerate_transitional(state: EquilibriumState) -> tuple[float, WaveDirecti
     if nu == 0.0:       # a = 0, v' = 0, or a antiparallel to sgn(E1) v'
         return 0.0, WaveDirection(1.0, 0.0)
     g = abs(state.E1_hat) * nu * nu / (4.0 * na * nv)
-    return g, _canonical(u2 / nu, u3 / nu)
+    return g, WaveDirection(*_canonical(u2 / nu, u3 / nu))
 
 
 def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classification:
-    """Classify an equilibrium by the closed-form criterion.
+    """Classify an equilibrium by the closed-form criterion (`classify_values`).
 
     margin = E1^2 - critical_e1_squared(state); the verdict is
 
@@ -201,31 +236,4 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
     strict inequality exactly (meaningful when the threshold is exact, e.g.
     collinear fields).
     """
-    if tol_eq is None:
-        tol_eq = default_tol_eq(state)
-    mres = minimize_f(state)
-    crit = mres.f_min
-    margin = state.E1_hat ** 2 - crit
-
-    if margin > tol_eq:
-        verdict, G = Verdict.VIOLENTLY_UNSTABLE, None
-    elif margin < -tol_eq:
-        verdict, G = Verdict.NEUTRALLY_STABLE, None
-    else:
-        if mres.degenerate:
-            G, _ = degenerate_transitional(state)
-        else:
-            G = transitional_discriminant(state)
-        verdict = (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0
-                   else Verdict.TRANSITIONAL_NEUTRAL)
-
-    return Classification(
-        verdict=verdict,
-        critical_e1_sq=crit,
-        margin=margin,
-        minimizer=mres.omega_star,
-        f_min=mres.f_min,
-        transitional_G=G,
-        degenerate=mres.degenerate,
-        tol_eq=tol_eq,
-    )
+    return Classification.from_row(_row(state, tol_eq))

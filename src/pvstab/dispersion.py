@@ -243,20 +243,31 @@ def root_radius_bound(state: EquilibriumState, delta: float) -> float:
     return min(inner, 0.5 / eps)
 
 
+def _default_radius(state: EquilibriumState) -> float:
+    # R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|)
+    return 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
+                   + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
+
+
+def default_delta(state: EquilibriumState, delta: float | None = None) -> float:
+    """The delta of ``default_region(state, delta)``: ``delta``, or 1e-3 R when
+    it is None, without the cost of proving a radius."""
+    return 1e-3 * _default_radius(state) if delta is None else delta
+
+
 def default_region(state: EquilibriumState, delta: float | None = None) -> HalfDiskRegion:
     """Half-disk holding every root with Re s >= delta, in every direction:
     the only place a counting region is built.
 
     R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|) sets the default delta = 1e-3 R
-    and is the radius unless the bound R* (``root_radius_bound``), taken at
-    the least jittered delta and divided by the least jitter factor, needs
-    more: every half-disk a count may move to still holds all the roots.
-    The radius is proven at the delta given, whatever it is.
+    (`default_delta`) and is the radius unless the bound R*
+    (``root_radius_bound``), taken at the least jittered delta and divided by
+    the least jitter factor, needs more: every half-disk a count may move to
+    still holds all the roots.  The radius is proven at the delta given,
+    whatever it is.
     """
-    r = 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
-                + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
-    if delta is None:
-        delta = 1e-3 * r
+    r = _default_radius(state)
+    delta = default_delta(state, delta)
     r_star = root_radius_bound(state, _JITTER_MIN * delta)
     return HalfDiskRegion(delta=delta, radius=max(r, r_star / _JITTER_MIN))
 

@@ -116,16 +116,14 @@ class EquilibriumState:
         return {k: repr(float(v)) for k, v in zip(self.RECORD_KEYS, self.record_values())}
 
     @classmethod
+    def from_values(cls, v2, v3, H2, H3, Hv2, Hv3, E1, eps, sigma) -> "EquilibriumState":
+        """The state of ``record_values()``."""
+        return cls((v2, v3), (H2, H3), (Hv2, Hv3), E1, eps, sigma)
+
+    @classmethod
     def from_record(cls, record: dict) -> "EquilibriumState":
-        g = lambda k, d=0.0: float(record.get(k, d))
-        return cls(
-            v_hat_t=(g("v2"), g("v3")),
-            H_hat_t=(g("H2"), g("H3")),
-            Hv_hat_t=(g("Hv2"), g("Hv3")),
-            E1_hat=g("E1"),
-            eps=g("eps", 1e-2),
-            sigma=g("sigma"),
-        )
+        return cls.from_values(*(float(record.get(k, 1e-2 if k == "eps" else 0.0))
+                                 for k in cls.RECORD_KEYS))
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,48 @@ class FrequencyBundle:
     v_dot: float
 
 
+def _rejection(vals: tuple) -> str:
+    # the message of the first condition of `validate_state` that a state
+    # with these record values fails, when it fails one
+    if not all(map(math.isfinite, vals)):
+        return "non-finite equilibrium parameter"
+    if max(map(abs, vals[:7])) > MAX_MAGNITUDE:
+        name, value = next((k, v) for k, v in zip(EquilibriumState.RECORD_KEYS, vals)
+                           if abs(v) > MAX_MAGNITUDE)
+        return (f"|{name}| = {abs(value):g} exceeds {MAX_MAGNITUDE:g}, "
+                "the largest magnitude the analysis represents")
+    eps, sigma = vals[7:]
+    if eps <= 0.0:
+        return f"eps must be positive, got {eps}"
+    if eps >= 1.0:
+        return f"eps must be below 1, got {eps}"
+    return f"relativistic interface speed: eps*|sigma| = {eps * abs(sigma)} >= 1"
+
+
+def check_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
+                 E1: float, eps: float, sigma: float) -> str | list[str]:
+    """Admissibility of the equilibrium with these ``record_values()``: the
+    message that rejects it, or the list of its warnings (see `validate_state`)."""
+    big = MAX_MAGNITUDE     # the comparisons are False on NaN
+    if not (abs(v2) <= big and abs(v3) <= big and abs(H2) <= big and abs(H3) <= big
+            and abs(Hv2) <= big and abs(Hv3) <= big and abs(E1) <= big
+            and 0.0 < eps < 1.0 and eps * abs(sigma) < 1.0):
+        return _rejection((v2, v3, H2, H3, Hv2, Hv3, E1, eps, sigma))
+
+    warnings = []
+    e1sq, hvsq = E1 ** 2, Hv2 ** 2 + Hv3 ** 2
+    if e1sq > hvsq:
+        warnings.append("physical restriction violated: E1^2 > |Hv|^2 "
+                        "(equilibrium pressure would be negative)")
+    elif e1sq == hvsq:
+        warnings.append("physical restriction met with equality: E1^2 = |Hv|^2")
+    if eps >= EPS_WARN_THRESHOLD:
+        warnings.append(f"eps = {eps} is outside the small-eps regime "
+                        f"(>= {EPS_WARN_THRESHOLD}); classification may not "
+                        "match finite-eps numerics")
+    return warnings
+
+
 def validate_state(raw: EquilibriumState) -> tuple[EquilibriumState, list[str]]:
     """Check admissibility of an equilibrium; return it with warnings.
 
@@ -196,35 +236,10 @@ def validate_state(raw: EquilibriumState) -> tuple[EquilibriumState, list[str]]:
     violated or met with equality (either way the state is ill-posed, which
     the analysis itself will report), and eps above the asymptotic ceiling.
     """
-    vals = (*raw.v_hat_t, *raw.H_hat_t, *raw.Hv_hat_t,
-            raw.E1_hat, raw.eps, raw.sigma)
-    if not all(map(math.isfinite, vals)):
-        raise StateValidationError("non-finite equilibrium parameter")
-    if max(map(abs, vals[:7])) > MAX_MAGNITUDE:
-        name, value = next((k, v) for k, v in zip(raw.RECORD_KEYS, vals)
-                           if abs(v) > MAX_MAGNITUDE)
-        raise StateValidationError(f"|{name}| = {abs(value):g} exceeds {MAX_MAGNITUDE:g}, "
-                                   "the largest magnitude the analysis represents")
-    if raw.eps <= 0.0:
-        raise StateValidationError(f"eps must be positive, got {raw.eps}")
-    if raw.eps >= 1.0:
-        raise StateValidationError(f"eps must be below 1, got {raw.eps}")
-    if raw.eps * abs(raw.sigma) >= 1.0:
-        raise StateValidationError(
-            f"relativistic interface speed: eps*|sigma| = {raw.eps * abs(raw.sigma)} >= 1")
-
-    warnings = []
-    e1sq, hvsq = raw.E1_hat ** 2, raw.Hv_sq
-    if e1sq > hvsq:
-        warnings.append("physical restriction violated: E1^2 > |Hv|^2 "
-                        "(equilibrium pressure would be negative)")
-    elif e1sq == hvsq:
-        warnings.append("physical restriction met with equality: E1^2 = |Hv|^2")
-    if raw.eps >= EPS_WARN_THRESHOLD:
-        warnings.append(f"eps = {raw.eps} is outside the small-eps regime "
-                        f"(>= {EPS_WARN_THRESHOLD}); classification may not "
-                        "match finite-eps numerics")
-    return raw, warnings
+    checked = check_values(*raw.record_values())
+    if isinstance(checked, str):
+        raise StateValidationError(checked)
+    return raw, checked
 
 
 def frequency_bundle(state: EquilibriumState, direction: WaveDirection) -> FrequencyBundle:

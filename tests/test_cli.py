@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from pvstab.cli import (AnalysisOptions, apply_sweep_parameter, cmd_classify, cmd_sweep,
-                        main, margin_band, parse_scenario, sample_validation_state)
+from pvstab.cli import (SWEEP_PARAMETERS, AnalysisOptions, apply_sweep_parameter,
+                        cmd_classify, cmd_sweep, main, margin_band, parse_scenario,
+                        sample_validation_state)
 from pvstab.dispersion import default_region, root_radius_bound
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
@@ -109,6 +110,25 @@ PARSE_ERRORS = {
                          "line 6: " + _PARAMETER_ERROR),
     "axis_steps_before_min": (_AXIS + "min = x\nsteps = 1\nparameter = E1\n",
                               "line 3: sweep needs steps >= 2"),
+    # max = inf once wrote sweep_E1 = nan and leaked a numpy warning
+    "min_not_finite": (_AXIS + "parameter = E1\nmin = -inf\nmax = 1\nsteps = 3\n",
+                       "line 5: min must be finite, got '-inf'"),
+    "max_not_finite": (_AXIS + "parameter = E1\nmin = 0\nmax = inf\nsteps = 3\n",
+                       "line 6: max must be finite, got 'inf'"),
+    "max_nan": (_AXIS + "parameter = E1\nmin = 0\nmax = nan\nsteps = 3\n",
+                "line 6: max must be finite, got 'nan'"),
+    "range_overflows": (
+        _AXIS + "parameter = E1\nmin = -1e308\nmax = 1e308\nsteps = 3\n",
+        "line 3: sweep range max - min must be finite"),
+    # the output is held until the run ends; steps = 1e12 once died with a
+    # MemoryError traceback
+    "grid_too_large": (
+        _AXIS + "parameter = E1\nmin = 0\nmax = 1\nsteps = 1000000000000\n",
+        "line 3: the grid would have 1000000000000 points; at most 10000000 are supported"),
+    "grid_too_large_two_axes": (
+        "[state]\nH2 = 1\n[state]\nH2 = 2\n"
+        + "[sweep]\nparameter = E1\nmin = 0\nmax = 1\nsteps = 2500\n" * 2,
+        "line 10: the grid would have 12500000 points; at most 10000000 are supported"),
     "three_axes": ("[state]\nH2 = 1\n"
                    + "[sweep]\nparameter = E1\nmin = 0\nmax = 1\nsteps = 2\n" * 3,
                    "line 13: at most 2 swept axes are supported"),
@@ -148,15 +168,21 @@ class TestParseScenario:
         assert st.eps == 1e-2 and st.sigma == 0.0     # defaults
 
     def test_sweep_grid(self, tmp_path):
+        # one axis of 41 points is one block, its E1 column the axis
         sc = parse_scenario(_write(tmp_path, SWEEP))
-        assert len(list(sc.grid())) == 41
-        values = [dict(p.coords)["E1"] for p in list(sc.grid())]
-        assert values[0] == 0.0 and values[-1] == 2.0
+        (block,) = sc.grid()
+        assert block.start == 0 and len(block.columns) == 9
+        (values,) = block.coords
+        assert len(values) == 41 and values[0] == 0.0 and values[-1] == 2.0
+        assert block.columns[6] == values
 
     def test_two_axes(self, tmp_path):
+        # a block per point of the outer axis, a run of the inner axis
         text = SWEEP + "\n[sweep]\nparameter = v2\nmin = -1\nmax = 1\nsteps = 3\n"
-        sc = parse_scenario(_write(tmp_path, text))
-        assert len(list(sc.grid())) == 41 * 3
+        blocks = list(parse_scenario(_write(tmp_path, text)).grid())
+        assert [b.start for b in blocks] == list(range(0, 41 * 3, 3))
+        assert all(b.coords[1] == [-1.0, 0.0, 1.0] == b.columns[0] for b in blocks)
+        assert [b.coords[0] for b in blocks[:2]] == [[0.0] * 3, [0.05] * 3]
 
     def test_three_axes_rejected(self, tmp_path):
         text = SWEEP + (
@@ -270,6 +296,14 @@ class TestSweepParameters:
     def test_eps_and_components(self):
         assert apply_sweep_parameter(self.BASE, "eps", 0.05).eps == 0.05
         assert apply_sweep_parameter(self.BASE, "v3", 2.0).v_hat_t == (0.0, 2.0)
+
+    def test_magnitudes_keep_signed_zeros(self):
+        # a negative magnitude scales the zero component of the direction to
+        # -0.0, which the rows spell; a zero field takes direction (1, 0)
+        assert repr(apply_sweep_parameter(self.BASE, "Hv_mag", -2.0).Hv_hat_t) == \
+            "(-2.0, -0.0)"
+        assert repr(apply_sweep_parameter(EquilibriumState(), "H_mag", -1.0).H_hat_t) == \
+            "(-1.0, -0.0)"
 
 
 class TestClassifyCommand:
@@ -740,7 +774,7 @@ def test_batch_rows_equal_rows_alone(tmp_path, command):
     # three states swept in eps over 0..0.75 run as one batch: eps = 0 is
     # one error row per state, and every other point's rows are those of
     # its state run alone
-    from pvstab.cli import _state_params
+    from pvstab.cli import _params
 
     text = ("[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\n"
             "[state]\nH2 = 1\nHv3 = 2\nE1 = 1\nv2 = 1\n"
@@ -757,14 +791,15 @@ def test_batch_rows_equal_rows_alone(tmp_path, command):
         return [(str(r.pop("index", "")), json.dumps(r)) for r in map(json.loads, lines)]
 
     batch = rows(text, "batch")
-    grid = list(parse_scenario(_write(tmp_path, text)).grid())
-    for index, point in enumerate(grid):
+    grid = [(index, values) for block in parse_scenario(_write(tmp_path, text)).grid()
+            for index, _, values in block.points()]
+    for index, values in grid:
         mine = [rest for i, rest in batch if i == str(index)]
-        if point.state.eps == 0.0:
+        if values[7] == 0.0:        # eps
             assert len(mine) == 1 and "eps must be positive" in mine[0]
             continue
         alone = "[state]\n" + "".join(f"{k} = {v!r}\n" for k, v in
-                                       _state_params(point.state).items())
+                                       _params(values).items())
         want = [rest for i, rest in rows(alone + "[analysis]\nn_dirs = 8\n", f"alone{index}")
                 if i == "0"]
         assert mine == want, index
@@ -887,34 +922,152 @@ class TestUsage:
 
 @pytest.mark.parametrize("command", [cmd_classify, cmd_sweep])
 def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
-    # classify and sweep without cross_check write each row before they
-    # classify the next point: the output grows between any two calls
+    # classify and sweep without cross_check write the rows of a block, one
+    # string, before they build the next block: they hold at most one block
+    # of at most BLOCK_POINTS points
     import io
 
     import pvstab.cli as cli_mod
 
-    out, sizes = io.StringIO(), []
-    original = cli_mod.classify
+    monkeypatch.setattr(cli_mod, "BLOCK_POINTS", 8)
+    scenario = parse_scenario(_write(tmp_path, SWEEP))
+    out, blocks = io.StringIO(), scenario.grid
+    lines, sizes, writes = [], [], []
 
-    def recording(state, tol_eq=None):
-        sizes.append(out.tell())
-        return original(state, tol_eq=tol_eq)
+    def grid():
+        for block in blocks():
+            lines.append(out.getvalue().count("\n"))
+            sizes.append(len(block.columns[0]))
+            yield block
 
-    monkeypatch.setattr(cli_mod, "classify", recording)
-    # and they ask for grid point k + 1 only once row k is written: the grid
-    # is built as it is read (one sweep axis: one call per point)
-    lines, apply = [], cli_mod.apply_sweep_parameter
+    def write(text):
+        writes.append(text.count("\n"))
+        return io.StringIO.write(out, text)
 
-    def applying(state, name, value):
-        lines.append(out.getvalue().count("\n"))
-        return apply(state, name, value)
-
-    monkeypatch.setattr(cli_mod, "apply_sweep_parameter", applying)
-    assert command(parse_scenario(_write(tmp_path, SWEEP)), out) == 0
-    assert len(sizes) == 41
-    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    scenario.grid = grid
+    monkeypatch.setattr(out, "write", write)
+    assert command(scenario, out) == 0
+    assert sizes == [8] * 5 + [1]
     header = 2 if command is cmd_sweep else 0
-    assert lines == [header + k for k in range(41)]
+    assert lines == [header + 8 * k for k in range(6)]
+    assert writes[-6:] == sizes and sum(writes) == header + 41
+
+
+_SWEEP_RANGES = {"E1": (-2.0, 3.0), "angle_alpha": (0.0, math.pi), "H_mag": (-1.0, 2.0),
+                 "Hv_mag": (0.0, 2.5), "v2": (-1.0, 1.0), "v3": (-2.0, 2.0),
+                 "eps": (-0.5, 1.5)}    # eps = -0.5, 0 and 1.5 are rejected points
+_CORNER_STATES = (
+    "[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\nv2 = 0.5\n",                  # collinear
+    "[state]\nH2 = 1\nHv3 = 1\nE1 = 0.5\nv2 = 0.5\nv3 = 0.2\n",        # constant F
+    "[state]\nv2 = 1\nE1 = 0.3\n",                                      # zero fields
+    "[state]\nv2 = 1e49\nv3 = -1e49\nH2 = 1e49\nH3 = -2e49\nHv2 = -1e49\nHv3 = 3e49\n"
+    "E1 = 1e49\n",
+    "[state]\nv2 = 0.3\nv3 = -0.7\nH2 = 1.1\nH3 = 0.4\nHv2 = -0.6\nHv3 = 1.3\nE1 = 0.8\n",
+)
+
+
+def _axis(name, steps, lo=None, hi=None):
+    lo = _SWEEP_RANGES[name][0] if lo is None else lo
+    hi = _SWEEP_RANGES[name][1] if hi is None else hi
+    return f"[sweep]\nparameter = {name}\nmin = {lo!r}\nmax = {hi!r}\nsteps = {steps}\n"
+
+
+def _rows_point_by_point(scenario):
+    """The sweep CSV and classify JSON lines of each grid point built on its
+    own by apply_sweep_parameter, validate_state and classify."""
+    import io
+    import itertools
+
+    from pvstab.criterion import classify
+    from pvstab.errors import StateValidationError
+    from pvstab.state import validate_state
+
+    axes = [(a.parameter, [float(v) for v in np.linspace(a.min, a.max, a.steps)])
+            for a in scenario.sweeps]
+    sweep, lines = io.StringIO(), []
+    writer = csv.writer(sweep, lineterminator="\n")
+    index = 0
+    for st in scenario.states:
+        for coords in itertools.product(*(values for _, values in axes)):
+            point = st
+            for (name, _), v in zip(axes, coords):
+                point = apply_sweep_parameter(point, name, v)
+            head = [index, *coords, *point.record_values()]
+            try:
+                _, warns = validate_state(point)
+            except StateValidationError as err:
+                writer.writerow(head + [None] * 10 + [str(err)])
+                lines.append(json.dumps({"index": index, "error": str(err)},
+                                        separators=(", ", ": ")))
+                index += 1
+                continue
+            cls = classify(point, tol_eq=AnalysisOptions().tol_for(point))
+            writer.writerow(head + [cls.verdict.value, cls.margin, cls.f_min,
+                                    cls.minimizer.omega2, cls.minimizer.omega3,
+                                    cls.transitional_G, cls.degenerate] + [None] * 4)
+            rec = {"index": index, **dict(zip((name for name, _ in axes), coords)),
+                   **{k: float(v) for k, v in zip(EquilibriumState.RECORD_KEYS,
+                                                  point.record_values())},
+                   **cls.to_record(), "warnings": warns}
+            lines.append(json.dumps(rec, ensure_ascii=False, separators=(", ", ": ")))
+            index += 1
+    return sweep.getvalue().splitlines(), lines
+
+
+def _assert_blocks_equal_points(tmp_path, text):
+    scenario = parse_scenario(_write(tmp_path, text))
+    want_sweep, want_classify = _rows_point_by_point(scenario)
+    for command, want in (("sweep", want_sweep), ("classify", want_classify)):
+        out = tmp_path / f"{command}.txt"
+        assert _run([command, _write(tmp_path, text), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[2 if command == "sweep" else 0:] == want, command
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_blocks_equal_points(tmp_path, inner):
+    # every row of a block-built grid is the row of its point built alone,
+    # with each parameter the inner axis below each outer axis, over the
+    # corner states and rejected points
+    states = "".join(_CORNER_STATES)
+    for outer in SWEEP_PARAMETERS:
+        _assert_blocks_equal_points(tmp_path, states + _axis(outer, 3) + _axis(inner, 5))
+
+
+@pytest.mark.parametrize("text", [
+    # magnitudes past the bound 1e50 on both axes
+    _CORNER_STATES[3] + _axis("H_mag", 4, 1.0, 1e60) + _axis("E1", 3, 0.0, 2e50),
+    # an inner axis longer than a block, and a run of states without a sweep
+    _CORNER_STATES[0] + _axis("angle_alpha", 2) + _axis("E1", 2100, -3.0, 3.0),
+    "".join(_CORNER_STATES[k % 5] + f"sigma = {0.01 * k!r}\n" for k in range(1100)),
+], ids=["past_bound", "long_inner_axis", "long_state_run"])
+def test_long_and_rejected_blocks_equal_points(tmp_path, text):
+    if "[sweep]" in text:
+        _assert_blocks_equal_points(tmp_path, text)
+        return
+    # no sweep: classify only, one block per BLOCK_POINTS states
+    from pvstab.cli import BLOCK_POINTS
+
+    scenario = parse_scenario(_write(tmp_path, text))
+    assert [b.start for b in scenario.grid()] == [0, BLOCK_POINTS]
+    scenario.sweeps = []
+    want = _rows_point_by_point(scenario)[1]
+    out = tmp_path / "classify.txt"
+    assert _run(["classify", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == want
+
+
+def test_margin_squares_e1_by_pow(tmp_path):
+    # E1**2 and E1*E1 can differ in the last bit (pow need not round
+    # correctly): with E1*E1 this margin reads 0.022377115653071905
+    text = "[state]\nH2 = 1\nHv2 = 2\nE1 = 0.14958982469764415\n"
+    out = tmp_path / "out.txt"
+    assert _run(["classify", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert '"margin": 0.02237711565307191,' in out.read_text()
+    sweep = text + _axis("eps", 2, 0.01, 0.02)
+    assert _run(["sweep", _write(tmp_path, sweep), "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert [r["margin"] for r in rows] == ["0.02237711565307191"] * 2
 
 
 _CELLS = hst.one_of(

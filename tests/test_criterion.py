@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvstab.criterion import (Verdict, classify, critical_e1_squared,
+from pvstab.criterion import (Verdict, classify, classify_values, critical_e1_squared,
                               default_tol_eq, degenerate_transitional,
                               f_of_omega, minimize_f, transitional_discriminant)
 from pvstab.state import EquilibriumState, WaveDirection
@@ -320,3 +320,77 @@ def test_fmin_is_global_lower_bound(h2, h3, g2, g3, theta):
     s = _state(H=(h2, h3), Hv=(g2, g3))
     m = minimize_f(s)
     assert m.f_min <= f_of_omega(s, WaveDirection.from_angle(theta)) + 1e-9
+
+
+def _former_row(s, tol_eq=None):
+    # the criterion as the per-object path formed it before the kernel: the
+    # same formulas on the state's properties, squares of E1 and of the
+    # components by ** and products of the moments by *
+    if tol_eq is None:
+        tol_eq = 1e-9 * (1.0 + s.H_sq + s.Hv_sq)
+    (H2, H3), (Hv2, Hv3) = s.H_hat_t, s.Hv_hat_t
+    m11, m22, m12 = H2 * H2 + Hv2 * Hv2, H3 * H3 + Hv3 * Hv3, H2 * H3 + Hv2 * Hv3
+    hs, cross = s.H_sq + s.Hv_sq, s.cross_H_Hv
+    rad = hs * hs - 4.0 * cross * cross
+    if rad < 0.0625 * hs * hs:
+        f_min = 0.5 * (hs - math.hypot(m11 - m22, 2.0 * m12))
+    else:
+        f_min = 0.5 * (hs - math.sqrt(rad))
+    degenerate = math.hypot(m11 - m22, 2.0 * m12) <= 1e-14 * (s.H_sq + s.Hv_sq)
+    w2, w3 = 1.0, 0.0
+    if not degenerate:
+        theta = 0.5 * math.atan2(-2.0 * m12 + 0.0, -(m11 - m22))
+        w2, w3 = math.cos(theta), math.sin(theta)
+        if w2 < 0.0 or (w2 == 0.0 and w3 < 0.0):
+            w2, w3 = -w2, -w3
+    margin = s.E1_hat ** 2 - f_min
+    G = None
+    if margin > tol_eq:
+        verdict = Verdict.VIOLENTLY_UNSTABLE
+    elif margin < -tol_eq:
+        verdict = Verdict.NEUTRALLY_STABLE
+    else:
+        G = degenerate_transitional(s)[0] if degenerate else transitional_discriminant(s)
+        verdict = Verdict.TRANSITIONAL_UNSTABLE if G > 0.0 else Verdict.TRANSITIONAL_NEUTRAL
+    return verdict, margin, f_min, w2, w3, G, degenerate, tol_eq
+
+
+_COMPONENT = st.floats(-3, 3) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-8])
+
+
+@st.composite
+def _kernel_states(draw):
+    # random states, and the degenerate corners: collinear and zero fields,
+    # constant F, and E1 on the threshold
+    v, H, Hv = ((draw(_COMPONENT), draw(_COMPONENT)) for _ in range(3))
+    kind = draw(st.sampled_from(["random", "collinear", "constant_f", "zero_fields",
+                                 "threshold"]))
+    if kind == "collinear":
+        c = draw(_COMPONENT)
+        Hv = (c * H[0], c * H[1])
+    elif kind == "constant_f":
+        Hv = (-H[1], H[0])
+    elif kind == "zero_fields":
+        H = Hv = (draw(st.sampled_from([0.0, -0.0])), 0.0)
+    s = _state(H=H, Hv=Hv, v=v, E1=draw(_COMPONENT))
+    if kind == "threshold":
+        s = _state(H=H, Hv=Hv, v=v,
+                   E1=math.sqrt(critical_e1_squared(s)) * draw(st.sampled_from([1.0, -1.0])))
+    return s
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_states(), st.sampled_from([None, 0.0, 1e-3]))
+@example(_state(H=(1.0, 0.0), Hv=(2.0, 0.0), E1=0.14958982469764415), None)   # E1**2 != E1*E1
+def test_classify_is_the_kernel_row(s, tol_eq):
+    # every field of classify, to the last bit, is the kernel row, and the
+    # row is what the per-object path computed
+    row = classify_values(*s.v_hat_t, *s.H_hat_t, *s.Hv_hat_t, s.E1_hat, tol_eq=tol_eq)
+    assert list(map(repr, row)) == list(map(repr, _former_row(s, tol_eq)))
+    c = classify(s, tol_eq=tol_eq)
+    got = (c.verdict, c.margin, c.f_min, c.minimizer.omega2, c.minimizer.omega3,
+           c.transitional_G, c.degenerate, c.tol_eq)
+    assert list(map(repr, got)) == list(map(repr, row))
+    assert repr(c.critical_e1_sq) == repr(critical_e1_squared(s)) == repr(row[2])
+    m = minimize_f(s)
+    assert (m.f_min, m.omega_star, m.degenerate) == (row[2], c.minimizer, row[6])
