@@ -58,7 +58,7 @@ from .criterion import classify, classify_values
 from .dispersion import (MIN_N_DIRS, default_delta, default_region, locate_roots,
                          make_context, scan_states)
 from .errors import PvstabError, ScenarioParseError, StateValidationError
-from .modes import build_mode, growth_rows, residuals
+from .modes import mode_records
 from .state import MAX_MAGNITUDE, EquilibriumState, check_values, validate_state
 
 SWEEP_PARAMETERS = ("E1", "angle_alpha", "H_mag", "Hv_mag", "v2", "v3", "eps")
@@ -500,7 +500,8 @@ def _expected_growth(state: EquilibriumState, cls):
 def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
     # per point to report, in index order: the error that rejected it, or the
-    # state, context and region of the direction to locate
+    # state, classification, context and region of the direction to locate
+    # (None where no growth is expected)
     jobs: list[tuple[int, PvstabError | tuple]] = []
     n_points = 0
     for points in _checked(scenario):
@@ -515,49 +516,49 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             state = EquilibriumState.from_values(*values)
             cls = criterion.Classification.from_row(row)
             expected, direction = _expected_growth(state, cls)
-            if expected <= 0.0:
-                continue
-            delta = min(default_delta(state, analysis.delta), 0.3 * expected)
-            jobs.append((index, (state, make_context(state, direction),
-                                 default_region(state, delta))))
-    located = [job for _, job in jobs if not isinstance(job, PvstabError)]
-    reports = locate_roots([ctx for _, ctx, _ in located], [reg for _, _, reg in located])
-    wrote_any = False
-    n_failed = 0
+            region = None if expected <= 0.0 else default_region(
+                state, min(default_delta(state, analysis.delta), 0.3 * expected))
+            jobs.append((index, (state, cls, make_context(state, direction), region)))
+    located = [job[2:] for _, job in jobs
+               if not isinstance(job, PvstabError) and job[3] is not None]
+    reports = locate_roots([ctx for ctx, _ in located], [reg for _, reg in located])
+    # per job: an error, a note, or the flags of the root whose modes to build
+    outcomes, found = [], []
     for index, job in jobs:
-        try:
-            if isinstance(job, PvstabError):
-                raise job
-            state, ctx, _ = job
-            report = next(reports)
-            if isinstance(report, PvstabError):
-                raise report
-            if not report.roots:
-                continue
-            root = max(report.roots, key=lambda z: z.real)
-            modes = [build_mode(state, root, ctx.direction, n, decay_p=analysis.decay_p)
-                     for n in _MODE_N]
-        except PvstabError as err:
-            out.write(_json_line({"index": index, "error": str(err)}))
-            n_failed += 1
+        if isinstance(job, PvstabError):
+            outcomes.append((index, job))
             continue
-        for mode in modes:
-            res = residuals(mode, state)
-            rec = {"index": index, **mode.to_record(),
-                   "residuals": {
-                       "interior_plasma": res.interior_plasma,
-                       "interior_vacuum": res.interior_vacuum,
-                       **{k: v for k, v in res.boundary_detail.items()},
-                       "constraints": res.constraints,
-                       "scale": res.scale},
-                   "growth": [{"t": g.t, "initial_norm": g.initial_norm,
-                               "ratio": g.ratio, "log_ratio": g.log_ratio}
-                              for g in growth_rows(mode, _MODE_T)]}
-            if report.flags:
-                rec["flags"] = list(report.flags)
-            out.write(_json_line(rec))
-            wrote_any = True
-    if not wrote_any:
+        state, cls, ctx, region = job
+        report = None if region is None else next(reports)
+        if isinstance(report, PvstabError):
+            outcomes.append((index, report))
+        elif report is None or not report.roots:
+            # no root in the direction of growth: undecidable inside the band
+            band = margin_band(state, cls.tol_eq, default_delta(state, analysis.delta)
+                               if region is None else region.delta)
+            text = (f"no root located in the direction of growth; margin "
+                    f"{cls.margin:.6g}, band {band:.6g}")
+            outcomes.append((index, text if abs(cls.margin) <= band else PvstabError(text)))
+        else:
+            found.append((state, max(report.roots, key=lambda z: z.real), ctx.direction))
+            outcomes.append((index, report.flags))
+    built = mode_records(found, _MODE_N, _MODE_T, analysis.decay_p)
+    n_failed = n_written = 0     # error rows; mode records and notes
+    for index, outcome in outcomes:
+        if isinstance(outcome, tuple):      # the flags of a root
+            flags, outcome = outcome, next(built)
+            if not isinstance(outcome, PvstabError):
+                extra = {"flags": list(flags)} if flags else {}
+                out.writelines(_json_line({"index": index, **rec, **extra}) for rec in outcome)
+                n_written += len(outcome)
+                continue
+        if isinstance(outcome, PvstabError):
+            out.write(_json_line({"index": index, "error": str(outcome)}))
+            n_failed += 1
+        else:
+            out.write(_json_line({"index": index, "note": outcome}))
+            n_written += 1
+    if not n_written:
         out.write(_json_line({"note": "no unstable state/direction found; "
                                       "no modes to dump"}))
     return _status(n_points, n_failed)

@@ -620,23 +620,61 @@ class TestModesCommand:
 
     def test_each_mode_is_built_once(self, tmp_path, monkeypatch):
         # n = 1, 10, 100 per unstable state, for its record and its growth
-        # rows alike
-        import pvstab.cli as cli_mod
+        # rows alike: the rows that reach the mode kernel, in one call
         import pvstab.modes as modes_mod
 
         built = []
 
-        def counting(*args, **kwargs):
-            built.append(args[3])
-            return original(*args, **kwargs)
+        def counting(cols, n, phi):
+            built.append(n.tolist())
+            return original(cols, n, phi)
 
-        original = modes_mod.build_mode
-        monkeypatch.setattr(cli_mod, "build_mode", counting)
-        monkeypatch.setattr(modes_mod, "build_mode", counting)
+        original = modes_mod._build
+        monkeypatch.setattr(modes_mod, "_build", counting)
         text = MINIMAL + "\n[sweep]\nparameter = E1\nmin = 0.3\nmax = 0.4\nsteps = 2\n"
         out = tmp_path / "modes.jsonl"
         assert _run(["modes", _write(tmp_path, text), "--out", str(out)]) == 0
-        assert built == [1, 10, 100, 1, 10, 100]
+        assert built == [[1, 10, 100, 1, 10, 100]]
+        assert [json.loads(ln)["n"] for ln in out.read_text().splitlines()] == built[0]
+
+    def test_unlocated_root_is_a_note_inside_the_band(self, tmp_path):
+        # unstable states whose direction of growth shows no root once wrote
+        # nothing; inside the margin band they get one note each, never an
+        # error row (a state of seed 7 of the modes benchmark, and a collinear
+        # state at the magnitude bound)
+        text = ("[state]\nv2 = 1.751402964502863\nv3 = -1.298559817601137\n"
+                "H2 = 1.2399446229916897\nH3 = 1.4598076194403267\n"
+                "Hv2 = -0.029741616383380354\nHv3 = -1.5719853038172515\n"
+                "E1 = 0.8474865056754226\n"
+                "[state]\nH2 = 1e50\nHv2 = 1e50\nE1 = 1e50\nv2 = 1e50\n" + MINIMAL)
+        out = tmp_path / "modes.jsonl"
+        assert _run(["modes", _write(tmp_path, text), "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert [sorted(r) for r in recs[:2]] == [["index", "note"]] * 2
+        assert [r["index"] for r in recs[:2]] == [0, 1]
+        assert recs[0]["note"] == ("no root located in the direction of growth; "
+                                   "margin 0.0551681, band 0.210764")
+        assert [(r["index"], r["n"]) for r in recs[2:]] == [(2, 1), (2, 10), (2, 100)]
+        # a note stands for its state: no "nothing unstable" note after it
+        alone = text.split("[state]\nH2 = 1e50")[0]
+        assert _run(["modes", _write(tmp_path, alone), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [json.dumps(recs[0])]
+
+    def test_unlocated_root_outside_the_band_is_an_error(self, tmp_path, monkeypatch):
+        import pvstab.cli as cli_mod
+        from pvstab.dispersion import RootReport
+
+        def no_roots(ctxs, regions):
+            for region in regions:
+                yield RootReport(region=region, winding_count=0, roots=(), residuals=())
+
+        monkeypatch.setattr(cli_mod, "locate_roots", no_roots)
+        out = tmp_path / "modes.jsonl"
+        assert _run(["modes", _write(tmp_path, MINIMAL), "--out", str(out)]) == 3
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert recs[0] == {"index": 0, "error": "no root located in the direction of "
+                                                "growth; margin 0.09, band 0.0168333"}
+        assert recs[1:] == [{"note": "no unstable state/direction found; no modes to dump"}]
 
     def test_bad_point_does_not_lose_the_run(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nparameter = eps\nmin = 0\nmax = 0.02\nsteps = 3\n"

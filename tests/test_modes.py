@@ -1,13 +1,17 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pvstab.cli import _MODE_T, _json_line, main
+from pvstab.criterion import critical_e1_squared
 from pvstab.dispersion import (lopatinski, make_context, newton_refine,
                                vacuum_decay_root)
 from pvstab.errors import DegenerateSymbolError
-from pvstab.modes import ModeSolution, build_mode, growth_table, residuals
+from pvstab.modes import (ModeSolution, build_mode, growth_rows, growth_table,
+                          mode_records, residuals)
 from pvstab.state import EquilibriumState, WaveDirection
 
 COLLINEAR = EquilibriumState(H_hat_t=(1, 0), Hv_hat_t=(2, 0), E1_hat=0.3, eps=1e-2)
@@ -189,3 +193,168 @@ def test_mode_record_round_trip(collinear_root):
     assert len(rec["plasma_amp"]) == 7 and len(rec["vacuum_amp"]) == 6
     re, im = rec["s"]
     assert complex(re, im) == mode.s
+
+
+def _unstable_states(count, seed=7):
+    # seeded violently unstable states, E1^2 >= F_min + 0.05, and COLLINEAR
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        v = [float(x) for x in rng.uniform(-2.0, 2.0, 6)]
+        st = EquilibriumState(v_hat_t=(v[0], v[1]), H_hat_t=(v[2], v[3]),
+                              Hv_hat_t=(v[4], v[5]), E1_hat=0.0, eps=1e-2)
+        e1 = float(rng.uniform(0.0, 2.0))
+        if e1 * e1 >= critical_e1_squared(st) + 0.05:
+            states.append(dataclasses.replace(st, E1_hat=e1))
+    return states + [COLLINEAR]
+
+
+def _modes_lines(tmp_path, states, name):
+    # the lines `modes` writes for these states, by index
+    path = tmp_path / f"{name}.scn"
+    path.write_text("".join("[state]\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in zip(EquilibriumState.RECORD_KEYS, st.record_values()))
+        for st in states))
+    out = tmp_path / f"{name}.jsonl"
+    assert main(["modes", str(path), "--out", str(out)]) == 0
+    lines: dict = {}
+    for line in out.read_text().splitlines(keepends=True):
+        lines.setdefault(json.loads(line).get("index"), []).append(line)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def batch(tmp_path_factory):
+    states = _unstable_states(30)
+    return states, _modes_lines(tmp_path_factory.mktemp("batch"), states, "batch")
+
+
+class TestModeKernel:
+    def test_command_records_are_the_modes_built_one_by_one(self, batch):
+        # every record of `modes` is, byte for byte, the record of the mode
+        # built alone from the record's own s and omega (repr round trips)
+        states, lines = batch
+        assert sorted(k for k in lines if k is not None) == list(range(len(states)))
+        for index, state in enumerate(states):
+            assert [json.loads(ln)["n"] for ln in lines[index]] == [1, 10, 100]
+            for line in lines[index]:
+                rec = json.loads(line)
+                mode = build_mode(state, complex(*rec["s"]), WaveDirection(*rec["omega"]),
+                                  rec["n"])
+                res = residuals(mode, state)
+                want = {"index": index, **mode.to_record(), "residuals": {
+                    "interior_plasma": res.interior_plasma,
+                    "interior_vacuum": res.interior_vacuum, **res.boundary_detail,
+                    "constraints": res.constraints, "scale": res.scale},
+                    "growth": [{"t": g.t, "initial_norm": g.initial_norm, "ratio": g.ratio,
+                                "log_ratio": g.log_ratio} for g in growth_rows(mode, _MODE_T)]}
+                if "flags" in rec:
+                    want["flags"] = rec["flags"]
+                assert _json_line(want) == line
+
+    def test_state_records_alone_equal_those_in_the_batch(self, batch, tmp_path):
+        states, lines = batch
+        for index, state in enumerate(states):
+            alone = _modes_lines(tmp_path, [state], f"alone{index}")[0]
+            assert [ln.replace('"index": 0', f'"index": {index}', 1) for ln in alone] \
+                == lines[index]
+
+    def test_non_root_warned_and_degenerate_symbol_rejected(self, collinear_root):
+        # s = -i (v'.omega') makes ell vanish; root + 0.1 is no root
+        degenerate = dataclasses.replace(COLLINEAR, v_hat_t=(0.0, 1.0))
+        jobs = [(COLLINEAR, collinear_root, PERP), (degenerate, -1j, PERP),
+                (COLLINEAR, collinear_root + 0.1, PERP)]
+        root, rejected, off = mode_records(jobs, (1, 10), (0.1,))
+        assert isinstance(rejected, DegenerateSymbolError)
+        assert [r["n"] for r in root] == [r["n"] for r in off] == [1, 10]
+        assert all(r["warnings"] == [] and r["residuals"]["pressure"] <= 1e-10 for r in root)
+        for r in off:
+            assert len(r["warnings"]) == 1 and r["warnings"][0].startswith("NotARoot")
+            assert r["residuals"]["pressure"] > 1e-4
+        for (state, s, d), recs in ((jobs[0], root), (jobs[2], off)):
+            for r in recs:
+                assert r["warnings"] == list(build_mode(state, s, d, r["n"]).warnings)
+        only = list(mode_records(jobs[1:2], (1, 10), (0.1,)))
+        assert len(only) == 1 and isinstance(only[0], DegenerateSymbolError)
+
+
+# The per-mode formulas that the kernel replaced, one mode at a time on
+# Python complex scalars and size-3 arrays: the reference for its bits.
+
+def _ref_cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _ref_amplitudes(state, s, direction, n, decay_p=3.0):
+    ctx = make_context(state, direction)
+    d, b = ctx.direction, ctx.bundle
+    eps, e1, (Hv2, Hv3) = state.eps, state.E1_hat, state.Hv_hat_t
+    ell = s + 1j * b.v_dot
+    lam_minus = complex(vacuum_decay_root(s, eps))
+    phi = float(n) ** (-decay_p)
+    denom = ell + b.w_plus ** 2 / ell
+    q = denom * (n * ell * phi)
+    v = -np.array([-1.0, 1j * d.omega2, 1j * d.omega3]) * q / denom
+    H = 1j * b.w_plus * v / ell
+    E = np.array([-n * (1j * eps * s * b.w_perp + e1) * phi / lam_minus,
+                  n * (eps * s * Hv3 - 1j * d.omega2 * e1) * phi,
+                  -n * (eps * s * Hv2 + 1j * d.omega3 * e1) * phi])
+    Hv = -_ref_cross(np.array([lam_minus, 1j * d.omega2, 1j * d.omega3]), E) / (eps * s)
+    return np.concatenate([v, H, [q]]), np.concatenate([Hv, E])
+
+
+def _ref_residuals(mode, state):
+    ctx = make_context(state, mode.omega)
+    b, d = ctx.bundle, ctx.direction
+    n, s, eps, e1, (Hv2e, Hv3e) = mode.n, mode.s, state.eps, state.E1_hat, state.Hv_hat_t
+    v, H, q = mode.plasma_amp[:3], mode.plasma_amp[3:6], mode.plasma_amp[6]
+    Hv, E, phi = mode.vacuum_amp[:3], mode.vacuum_amp[3:], mode.phi_bar
+    ell = s + 1j * b.v_dot
+    kplus = np.array([mode.lambda_plus, 1j * d.omega2, 1j * d.omega3])
+    kminus = np.array([mode.lambda_minus, 1j * d.omega2, 1j * d.omega3])
+    groups = [
+        max(abs(n * (kplus @ v)),
+            np.abs(n * (ell * v - 1j * b.w_plus * H + kplus * q)).max(),
+            np.abs(n * (ell * H - 1j * b.w_plus * v)).max()),
+        max(np.abs(n * (eps * s * Hv + _ref_cross(kminus, E))).max(),
+            np.abs(n * (eps * s * E - _ref_cross(kminus, Hv))).max()),
+        abs(n * ell * phi - v[0]),
+        abs(q - (Hv2e * Hv[1] + Hv3e * Hv[2] - e1 * E[0])),
+        abs(E[1] - n * (eps * s * Hv3e - 1j * d.omega2 * e1) * phi),
+        abs(E[2] + n * (eps * s * Hv2e + 1j * d.omega3 * e1) * phi),
+        max(abs(n * (kplus @ H)), abs(n * (kminus @ Hv)), abs(n * (kminus @ E)),
+            abs(H[0] - 1j * b.w_plus * n * phi), abs(Hv[0] - 1j * b.w_minus * n * phi))]
+    scale = max(1.0, float(max(np.abs(mode.plasma_amp).max(initial=0.0),
+                               np.abs(mode.vacuum_amp).max(initial=0.0), abs(phi))))
+    return [float(g) / scale for g in groups] + [scale]
+
+
+def _report_values(rep):
+    return [rep.interior_plasma, rep.interior_vacuum, *rep.boundary_detail.values(),
+            rep.constraints, rep.scale]
+
+
+def test_kernel_keeps_the_bits_of_the_per_mode_formulas():
+    # random states, directions and s, exact and perturbed amplitudes: the
+    # same bytes as the scalar formulas (repr compares -0.0 and NaN too)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        c = rng.uniform(-2.0, 2.0, 7) * 10.0 ** rng.integers(-3, 4)
+        st = EquilibriumState(v_hat_t=tuple(c[:2]), H_hat_t=tuple(c[2:4]),
+                              Hv_hat_t=tuple(c[4:6]), E1_hat=float(c[6]),
+                              eps=float(10.0 ** rng.uniform(-4.0, -0.2)))
+        d = WaveDirection.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+        s = complex(*(rng.uniform([0.0, -3.0], 3.0) * (1.0 + abs(c).max())))
+        n = int(rng.choice([1, 10, 100, 1000]))
+        mode = build_mode(st, s, d, n)
+        plasma, vacuum = _ref_amplitudes(st, s, d, n)
+        assert mode.plasma_amp.tobytes() == plasma.tobytes()
+        assert mode.vacuum_amp.tobytes() == vacuum.tobytes()
+        bent = dataclasses.replace(
+            mode, s=s * 1.01, lambda_plus=-0.5, phi_bar=complex(*rng.standard_normal(2)),
+            lambda_minus=mode.lambda_minus * complex(1.0, 1e-2),
+            plasma_amp=mode.plasma_amp * (1.0 + 1e-3 * rng.standard_normal(7)),
+            vacuum_amp=mode.vacuum_amp + 1e-3j * rng.standard_normal(6))
+        for m in (mode, bent):
+            assert repr(_report_values(residuals(m, st))) == repr(_ref_residuals(m, st))
