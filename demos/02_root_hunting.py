@@ -16,8 +16,7 @@ NEUTRAL = pv.EquilibriumState(H_hat_t=(1, 0), Hv_hat_t=(0, 1), E1_hat=0.5)
 
 def show_region(state, direction, label):
     ctx = pv.make_context(state, direction)
-    region = pv.default_region(state)
-    report = pv.find_unstable_roots(ctx, region)
+    report = pv.find_unstable_roots(ctx)       # at the default delta
     print(f"{label}: direction ({direction.omega2:+.2f}, {direction.omega3:+.2f})")
     print(f"  region: Re s >= {report.region.delta:.3g}, "
           f"|s - delta| <= {report.region.radius:.3g}")

@@ -15,7 +15,7 @@ PERP = pv.WaveDirection(0, 1)
 
 def main():
     ctx = pv.make_context(STATE, PERP)
-    report = pv.find_unstable_roots(ctx, pv.default_region(STATE))
+    report = pv.find_unstable_roots(ctx)
     s = report.roots[0]
     print(f"growing root at the worst direction: s = {s:.8f}\n")
 

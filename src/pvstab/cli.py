@@ -28,7 +28,8 @@ before they build the next, so they hold at most one block.  ``roots`` and
 ``sweep`` write CSV through one row writer (`_csv_rows`), which spells each
 cell as ``csv.writer`` does.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
-as one batch (``dispersion.scan_states``/``locate_roots``).  ``sweep`` with
+as one batch (``dispersion.scan_states``/``locate_roots``), which they give a
+delta and never a region.  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
 root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
 an error when any scanned direction failed.  A state with a component or E1
@@ -55,8 +56,7 @@ import numpy as np
 
 from . import criterion
 from .criterion import classify, classify_values
-from .dispersion import (MIN_N_DIRS, default_delta, default_region, locate_roots,
-                         make_context, scan_states)
+from .dispersion import MIN_N_DIRS, default_delta, locate_roots, make_context, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
 from .state import MAX_MAGNITUDE, EquilibriumState, check_values, validate_state
@@ -454,8 +454,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
                             "certificate"])
     points = [point for block in _checked(scenario) for point in block]
     valid = _valid_states(points)
-    summaries = scan_states(valid, analysis.n_dirs,
-                            [default_region(st, analysis.delta) for st in valid])
+    summaries = scan_states(valid, analysis.n_dirs, analysis.delta)
     for index, _, _, outcome in points:
         if isinstance(outcome, PvstabError):
             write([index, *[None] * 9, str(outcome), None, None])
@@ -500,8 +499,8 @@ def _expected_growth(state: EquilibriumState, cls):
 def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
     # per point to report, in index order: the error that rejected it, or the
-    # state, classification, context and region of the direction to locate
-    # (None where no growth is expected)
+    # state, classification, context and delta of the direction to locate
+    # (no context where no growth is expected)
     jobs: list[tuple[int, PvstabError | tuple]] = []
     n_points = 0
     for points in _checked(scenario):
@@ -516,26 +515,27 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             state = EquilibriumState.from_values(*values)
             cls = criterion.Classification.from_row(row)
             expected, direction = _expected_growth(state, cls)
-            region = None if expected <= 0.0 else default_region(
-                state, min(default_delta(state, analysis.delta), 0.3 * expected))
-            jobs.append((index, (state, cls, make_context(state, direction), region)))
+            delta = default_delta(state, analysis.delta)
+            ctx = None
+            if expected > 0.0:
+                delta, ctx = min(delta, 0.3 * expected), make_context(state, direction)
+            jobs.append((index, (state, cls, ctx, delta)))
     located = [job[2:] for _, job in jobs
-               if not isinstance(job, PvstabError) and job[3] is not None]
-    reports = locate_roots([ctx for ctx, _ in located], [reg for _, reg in located])
+               if not isinstance(job, PvstabError) and job[2] is not None]
+    reports = locate_roots([ctx for ctx, _ in located], [delta for _, delta in located])
     # per job: an error, a note, or the flags of the root whose modes to build
     outcomes, found = [], []
     for index, job in jobs:
         if isinstance(job, PvstabError):
             outcomes.append((index, job))
             continue
-        state, cls, ctx, region = job
-        report = None if region is None else next(reports)
+        state, cls, ctx, delta = job
+        report = None if ctx is None else next(reports)
         if isinstance(report, PvstabError):
             outcomes.append((index, report))
         elif report is None or not report.roots:
             # no root in the direction of growth: undecidable inside the band
-            band = margin_band(state, cls.tol_eq, default_delta(state, analysis.delta)
-                               if region is None else region.delta)
+            band = margin_band(state, cls.tol_eq, delta)
             text = (f"no root located in the direction of growth; margin "
                     f"{cls.margin:.6g}, band {band:.6g}")
             outcomes.append((index, text if abs(cls.margin) <= band else PvstabError(text)))
@@ -634,13 +634,12 @@ def judge_verdicts(states: list[EquilibriumState],
     cannot decide.  A scan in which any direction failed yields, in place of
     the pair, a PvstabError naming how many failed and the first failure.
     """
-    regions = [default_region(st, analysis.delta) for st in states]
-    for st, cls, region, summary in zip(states, classes, regions,
-                                        scan_states(states, analysis.n_dirs, regions)):
+    for st, cls, summary in zip(states, classes,
+                                scan_states(states, analysis.n_dirs, analysis.delta)):
         if summary.n_errors:
             first = next(r.error for r in summary.records if r.error)
             yield PvstabError(f"{summary.n_errors} direction(s) failed: {first}")
-        elif abs(cls.margin) <= margin_band(st, cls.tol_eq, region.delta):
+        elif abs(cls.margin) <= margin_band(st, cls.tol_eq, default_delta(st, analysis.delta)):
             yield summary, None
         else:
             yield summary, cls.verdict.is_unstable == summary.numerically_unstable

@@ -9,9 +9,10 @@ the scalar equation L(s) = 0 in the Laplace variable s, with
     ell = s + i (v'.omega').
 
 Roots with Re s > 0 generate modes growing at a rate proportional to the
-wavenumber (violent instability).  They are counted in a half-disk
-{Re s >= delta, |s - delta| <= R}, R proven to hold them all at that
-delta (``default_region``).  With L = A sqrt(1 + eps^2 s^2) + B and
+wavenumber (violent instability).  The public counts take a delta (None:
+``default_delta``) and count the roots with Re s >= delta in a half-disk
+{Re s >= delta, |s - delta| <= R} that ``default_region`` builds, with R
+proven to hold them all at that delta.  With L = A sqrt(1 + eps^2 s^2) + B and
 A = ell^2 + w_plus^2, they are principal-branch roots of the degree-6
 polynomial Q = A^2 (1 + eps^2 s^2) - B^2, real in sigma = -i s.  One
 eigenvalue call solves Q for a batch of directions, and clusters of
@@ -600,14 +601,10 @@ def _root_reports(cols, counts, roots) -> list:
     return reports
 
 
-def locate_roots(ctxs, regions):
-    """Count and locate the roots of each context in its region ``regions[j]``.
-
-    Up to _MAX_BATCH contexts, of any states, form a batch: one eigenvalue
-    call solves Q for all, whose disks count them (``_algebraic_counts``),
-    and all are located as one (``_root_reports``).  Yields, per context and
-    in order, its RootReport or the error that ended its count.
-    """
+def _locate(ctxs, regions):
+    # the batches of ``locate_roots``, on regions already built: up to
+    # _MAX_BATCH contexts, of any states, are counted by one eigenvalue call
+    # (``_algebraic_counts``) and located as one (``_root_reports``)
     for lo in range(0, len(ctxs), _MAX_BATCH):
         cols = _columns(ctxs[lo:lo + _MAX_BATCH])
         roots, counts = _algebraic_counts(cols, regions[lo:lo + _MAX_BATCH])
@@ -617,10 +614,23 @@ def locate_roots(ctxs, regions):
         yield from (reports.get(i, c) for i, c in enumerate(counts))
 
 
-def find_unstable_roots(ctx: LopatinskiContext, region: HalfDiskRegion) -> RootReport:
-    """Count the roots of L in the region and locate them: a batch of one of
-    ``locate_roots``.  Raises the error that ended the count."""
-    result = next(locate_roots([ctx], [region]))
+def locate_roots(ctxs, deltas):
+    """Count and locate the roots of each context with Re s >= ``deltas[j]``
+    (None: its state's default delta), in batches.
+
+    Each count is in ``default_region(ctx.state, deltas[j])``.  Returns an
+    iterator of, per context and in order, its RootReport or the error that
+    ended its count.
+    """
+    if len(deltas) != len(ctxs):
+        raise ValueError(f"{len(deltas)} deltas for {len(ctxs)} contexts")
+    return _locate(ctxs, [default_region(c.state, d) for c, d in zip(ctxs, deltas)])
+
+
+def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> RootReport:
+    """Count the roots of L with Re s >= delta and locate them: a batch of
+    one of ``locate_roots``.  Raises the error that ended the count."""
+    result = next(locate_roots([ctx], [delta]))
     if isinstance(result, Exception):
         raise result
     return result
@@ -689,19 +699,19 @@ def _summary(records) -> ScanSummary:
     )
 
 
-def scan_states(states, n_dirs: int = 32, regions=None):
+def scan_states(states, n_dirs: int = 32, delta: float | None = None):
     """Scan the directions of each state (see ``scan_directions``) in batches.
 
-    ``regions[j]`` is the region of ``states[j]``, None for its default.
-    The counted directions of as many states as fit in _MAX_BATCH (at least
-    one) go to ``locate_roots`` together.  Yields a ScanSummary per state.
+    Every state is counted with Re s >= ``delta`` (None: its own default
+    delta), in one region proven once per state.  The counted directions of
+    as many states as fit in _MAX_BATCH (at least one) are counted and
+    located together.  Yields a ScanSummary per state.
     """
     if n_dirs < MIN_N_DIRS:
         raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
     from .criterion import minimize_f  # local import: criterion has no dispersion dep
 
     states = list(states)
-    regions = [None] * len(states) if regions is None else list(regions)
     equispaced = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
     # index of the direction whose mirror image each folded direction is
@@ -712,13 +722,13 @@ def scan_states(states, n_dirs: int = 32, regions=None):
     per_batch = max(1, _MAX_BATCH // len(own))
     for lo in range(0, len(states), per_batch):
         group, ctxs, regs = [], [], []
-        for st, reg in zip(states[lo:lo + per_batch], regions[lo:lo + per_batch]):
+        for st in states[lo:lo + per_batch]:
             star = minimize_f(st).omega_star
             directions = equispaced + [star, WaveDirection(-star.omega2, -star.omega3)]
             group.append(directions)
             ctxs += [make_context(st, directions[i]) for i in own]
-            regs += [reg or default_region(st)] * len(own)
-        located = locate_roots(ctxs, regs)
+            regs += [default_region(st, delta)] * len(own)
+        located = _locate(ctxs, regs)
         for directions in group:
             scans = {}
             for i in own:
@@ -730,14 +740,14 @@ def scan_states(states, n_dirs: int = 32, regions=None):
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
-                    region: HalfDiskRegion | None = None) -> ScanSummary:
+                    delta: float | None = None) -> ScanSummary:
     """Count unstable roots over equispaced directions plus the F-minimizers.
 
     A state is numerically unstable iff some direction has a root with
-    Re s > 0 in ``region`` (default: one proven to hold every root).  One
-    direction of each antipodal pair is counted and located, the other
-    mirrored (``_mirrored``); with an odd ``n_dirs`` only the F-minimizer
-    pair folds.  Per-direction failures are recorded, not raised.  A batch
-    of one of ``scan_states``.
+    Re s >= ``delta`` (default: ``default_delta``), counted in a half-disk
+    proven to hold every such root.  One direction of each antipodal pair is
+    counted and located, the other mirrored (``_mirrored``); with an odd
+    ``n_dirs`` only the F-minimizer pair folds.  Per-direction failures are
+    recorded, not raised.  A batch of one of ``scan_states``.
     """
-    return next(scan_states([state], n_dirs, [region]))
+    return next(scan_states([state], n_dirs, delta))

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dispersion import (LopatinskiContext, default_region, find_unstable_roots,
+from .dispersion import (LopatinskiContext, default_delta, find_unstable_roots,
                          lopatinski, lopatinski_scale, make_context)
 from .errors import (DirectionError, NotTransitionalError, PvstabError,
                      TransitionalAtThisDirectionError)
@@ -355,11 +355,11 @@ def series_vs_numeric(state: EquilibriumState, direction: WaveDirection,
         branch = tracked.branch.value
         tracked_series = tracked
 
-        reg = default_region(st)
+        delta = default_delta(st)
         if expected_re > 0.0:
-            reg = default_region(st, min(reg.delta, 0.2 * expected_re))
+            delta = min(delta, 0.2 * expected_re)
         try:
-            report = find_unstable_roots(ctx, reg)
+            report = find_unstable_roots(ctx, delta)
         except PvstabError as err:          # a count the inclusion disks cannot decide
             flags.append(f"eps={eps:g}: {err}")
             continue

@@ -56,22 +56,9 @@ class EquilibriumState:
     eps: float = 1e-2
     sigma: float = 0.0
 
-    # -- full 3-vector reconstructions -------------------------------------
-
-    @property
-    def v_hat(self) -> np.ndarray:
-        return np.array([self.sigma, self.v_hat_t[0], self.v_hat_t[1]])
-
-    @property
-    def H_hat(self) -> np.ndarray:
-        return np.array([0.0, self.H_hat_t[0], self.H_hat_t[1]])
-
-    @property
-    def Hv_hat(self) -> np.ndarray:
-        return np.array([0.0, self.Hv_hat_t[0], self.Hv_hat_t[1]])
-
     @property
     def E_hat(self) -> np.ndarray:
+        """The vacuum electric field Ev = (E1, eps sigma Hv3, -eps sigma Hv2)."""
         es = self.eps * self.sigma
         return np.array([self.E1_hat, es * self.Hv_hat_t[1], -es * self.Hv_hat_t[0]])
 
@@ -91,17 +78,6 @@ class EquilibriumState:
     def v_sq(self) -> float:
         """|v'|^2, tangential part only."""
         return self.v_hat_t[0] ** 2 + self.v_hat_t[1] ** 2
-
-    @property
-    def cross_H_Hv(self) -> float:
-        """First (and only nonzero) component of H x Hv."""
-        return (self.H_hat_t[0] * self.Hv_hat_t[1]
-                - self.H_hat_t[1] * self.Hv_hat_t[0])
-
-    @property
-    def satisfies_physical_restriction(self) -> bool:
-        """|Hv|^2 >= E1^2, required for a nonnegative equilibrium pressure."""
-        return self.Hv_sq >= self.E1_hat ** 2
 
     # -- serialization (flat key-value record, CLI scenario format) ---------
 

@@ -52,8 +52,21 @@ def test_c01_collinearity():
         # omega* perpendicular to the common field direction
         perp = pv.WaveDirection(float(d[1]), float(-d[0]))
         ctx = pv.make_context(st, perp)
-        region = pv.default_region(st, min(pv.default_region(st).delta, 1e-2 * abs(e1)))
-        assert pv.find_unstable_roots(ctx, region).winding_count >= 1, st
+        delta = min(pv.default_delta(st), 1e-2 * abs(e1))
+        assert pv.find_unstable_roots(ctx, delta).winding_count >= 1, st
+
+
+def test_collinear_scan_at_a_given_delta_is_unstable():
+    # a scan given only a delta counts in a half-disk whose radius is
+    # proven at that delta: the growing root s ~ 0.3 of the collinear state
+    # cannot fall outside it, and the scan agrees with the closed form
+    st = _state(H=(1, 0), Hv=(2, 0), E1=0.3)
+    summary = pv.scan_directions(st, 8, delta=0.05)
+    assert summary.n_errors == 0
+    assert summary.numerically_unstable
+    assert summary.numerically_unstable == pv.classify(st).verdict.is_unstable
+    assert summary.max_re_s > 0.05
+    assert {r.region for r in summary.records} == {pv.default_region(st, 0.05)}
 
 
 @criterion(2, "closed-form verdict agrees with winding scan on 200 states")
@@ -101,7 +114,7 @@ def test_c04_neutral_series_and_spectra():
         st = dataclasses.replace(
             st, E1_hat=float(rng.uniform(0, math.sqrt(0.5 * f_min))))
         cls = pv.classify(st)
-        if cls.margin >= -margin_band(st, cls.tol_eq, pv.default_region(st).delta):
+        if cls.margin >= -margin_band(st, cls.tol_eq, pv.default_delta(st)):
             continue
         checked += 1
 
@@ -145,7 +158,7 @@ def test_c07_hadamard_modes():
     st = _state(H=(1, 0), Hv=(2, 0), E1=0.3)
     perp = pv.WaveDirection(0, 1)
     ctx = pv.make_context(st, perp)
-    report = pv.find_unstable_roots(ctx, pv.default_region(st))
+    report = pv.find_unstable_roots(ctx)
     root = report.roots[0]
     for n in (1, 10, 100):
         rep = pv.residuals(pv.build_mode(st, root, perp, n), st)

@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 from pvstab.cli import (SWEEP_PARAMETERS, AnalysisOptions, apply_sweep_parameter,
                         cmd_classify, cmd_sweep, main, margin_band, parse_scenario,
                         sample_validation_state)
-from pvstab.dispersion import default_region, root_radius_bound
+from pvstab.dispersion import default_delta, default_region, root_radius_bound
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
 from pvstab.state import EquilibriumState
@@ -487,15 +487,15 @@ class TestSweepCrossCheck:
 
     def test_failed_direction_is_an_error_row(self, tmp_path, monkeypatch):
         import pvstab.cli as cli_mod
-        from pvstab.dispersion import DirectionScan, HalfDiskRegion, RootReport, ScanSummary
+        from pvstab.dispersion import DirectionScan, RootReport, ScanSummary
         from pvstab.state import WaveDirection
 
-        def fake_scan(states, n_dirs=32, regions=None):
-            for _ in states:
+        def fake_scan(states, n_dirs=32, delta=None):
+            for st in states:
                 yield ScanSummary(
                     records=(DirectionScan(WaveDirection(1, 0), error="boom"),
                              DirectionScan(WaveDirection(0, 1), RootReport(
-                                 HalfDiskRegion(0.1, 10.0), 0, (), ()))),
+                                 default_region(st, delta), 0, (), ()))),
                     numerically_unstable=False, max_re_s=None, n_errors=1)
 
         monkeypatch.setattr(cli_mod, "scan_states", fake_scan)
@@ -664,9 +664,10 @@ class TestModesCommand:
         import pvstab.cli as cli_mod
         from pvstab.dispersion import RootReport
 
-        def no_roots(ctxs, regions):
-            for region in regions:
-                yield RootReport(region=region, winding_count=0, roots=(), residuals=())
+        def no_roots(ctxs, deltas):
+            for ctx, delta in zip(ctxs, deltas):
+                yield RootReport(region=default_region(ctx.state, delta), winding_count=0,
+                                 roots=(), residuals=())
 
         monkeypatch.setattr(cli_mod, "locate_roots", no_roots)
         out = tmp_path / "modes.jsonl"
@@ -720,7 +721,7 @@ class TestValidateCommand:
             st = sample_validation_state(rng)
             from pvstab.criterion import classify
             cls = classify(st, tol_eq=AnalysisOptions().tol_for(st))
-            if abs(cls.margin) <= margin_band(st, cls.tol_eq, default_region(st).delta):
+            if abs(cls.margin) <= margin_band(st, cls.tol_eq, default_delta(st)):
                 n_band += 1
         assert 0 < n_band < 100     # the filter trims a minority of draws
 
@@ -745,7 +746,7 @@ class TestValidateCommand:
         import pvstab.cli as cli_mod
         from pvstab.dispersion import ScanSummary
 
-        def fake_scan(states, n_dirs=32, regions=None):
+        def fake_scan(states, n_dirs=32, delta=None):
             for _ in states:
                 yield ScanSummary(records=(), numerically_unstable=False,
                                   max_re_s=None, n_errors=0)

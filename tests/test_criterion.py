@@ -330,7 +330,7 @@ def _former_row(s, tol_eq=None):
         tol_eq = 1e-9 * (1.0 + s.H_sq + s.Hv_sq)
     (H2, H3), (Hv2, Hv3) = s.H_hat_t, s.Hv_hat_t
     m11, m22, m12 = H2 * H2 + Hv2 * Hv2, H3 * H3 + Hv3 * Hv3, H2 * H3 + Hv2 * Hv3
-    hs, cross = s.H_sq + s.Hv_sq, s.cross_H_Hv
+    hs, cross = s.H_sq + s.Hv_sq, H2 * Hv3 - H3 * Hv2
     rad = hs * hs - 4.0 * cross * cross
     if rad < 0.0625 * hs * hs:
         f_min = 0.5 * (hs - math.hypot(m11 - m22, 2.0 * m12))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as hst
 
-from pvstab.dispersion import (HalfDiskRegion, default_region, find_unstable_roots,
+from pvstab.dispersion import (default_region, find_unstable_roots, locate_roots,
                                lopatinski, lopatinski_deriv, lopatinski_scale,
                                make_context, newton_refine, scan_directions,
                                vacuum_decay_root)
@@ -111,23 +111,23 @@ class TestLopatinski:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def _count(ctx, region):
-    return find_unstable_roots(ctx, region).winding_count
+def _count(ctx, delta):
+    return find_unstable_roots(ctx, delta).winding_count
 
 
 class TestCounting:
     def test_neutral_no_roots(self):
         ctx = make_context(NEUTRAL, WaveDirection(1, 0))
-        assert _count(ctx, HalfDiskRegion(0.05, 10.0)) == 0
+        assert _count(ctx, 0.05) == 0
 
     def test_collinear_one_root(self):
         ctx = make_context(COLLINEAR, PERP)
-        assert _count(ctx, HalfDiskRegion(0.05, 10.0)) == 1
+        assert _count(ctx, 0.05) == 1
 
     def test_region_excluding_root(self):
         st = dataclasses.replace(COLLINEAR, eps=0.0)
         ctx = make_context(st, PERP)
-        assert _count(ctx, HalfDiskRegion(1.0, 10.0)) == 0
+        assert _count(ctx, 1.0) == 0
 
     def test_root_on_boundary_recovers_by_jitter(self):
         # exact eps = 0 root at s = 0.3 sits on the delta = 0.3 boundary:
@@ -135,15 +135,15 @@ class TestCounting:
         # decides the count
         st = dataclasses.replace(COLLINEAR, eps=0.0)
         ctx = make_context(st, PERP)
-        rep = find_unstable_roots(ctx, HalfDiskRegion(0.3, 10.0))
-        assert rep.region != HalfDiskRegion(0.3, 10.0)
+        rep = find_unstable_roots(ctx, 0.3)
+        assert rep.region.delta != 0.3
         assert rep.winding_count == 1
 
 
 class TestFindRoots:
     def test_collinear_root_located(self):
         ctx = make_context(COLLINEAR, PERP)
-        rep = find_unstable_roots(ctx, default_region(COLLINEAR))
+        rep = find_unstable_roots(ctx)
         assert rep.winding_count == 1 and len(rep.roots) == 1
         root = rep.roots[0]
         assert root.real == pytest.approx(0.3, abs=5e-3)
@@ -152,26 +152,26 @@ class TestFindRoots:
 
     def test_local_winding_confirms_root(self):
         ctx = make_context(COLLINEAR, PERP)
-        rep = find_unstable_roots(ctx, default_region(COLLINEAR))
+        rep = find_unstable_roots(ctx)
         assert local_winding(ctx, rep.roots[0], 1e-2) == 1
 
     def test_transitional_sqrt_eps_root(self):
         st = dataclasses.replace(TRANSITIONAL, eps=1e-4)
         ctx = make_context(st, WaveDirection(1, 0))
         expect = 2.0 * math.sqrt(1e-4)
-        rep = find_unstable_roots(ctx, HalfDiskRegion(0.2 * expect, 60.0))
+        rep = find_unstable_roots(ctx, 0.2 * expect)
         assert len(rep.roots) == 1
         assert rep.roots[0].real == pytest.approx(expect, rel=0.2)
 
     def test_neutral_empty(self):
         ctx = make_context(NEUTRAL, WaveDirection(1, 0))
-        rep = find_unstable_roots(ctx, default_region(NEUTRAL))
+        rep = find_unstable_roots(ctx)
         assert rep.winding_count == 0 and rep.roots == ()
 
     def test_mirror_root_excluded(self):
         # the partner root at -conj(s) must never appear in the half-disk
         ctx = make_context(COLLINEAR, PERP)
-        rep = find_unstable_roots(ctx, default_region(COLLINEAR))
+        rep = find_unstable_roots(ctx)
         assert all(r.real > 0 for r in rep.roots)
 
 
@@ -211,7 +211,7 @@ def test_polynomial_roots_certified_at_high_precision(st):
     located = 0
     for k in range(8):
         ctx = make_context(st, WaveDirection.from_angle(math.pi * k / 8 + 0.1))
-        rep = find_unstable_roots(ctx, default_region(st))
+        rep = find_unstable_roots(ctx)
         assert not rep.flags
         assert len(rep.roots) == rep.winding_count
         for s in rep.roots:
@@ -363,13 +363,14 @@ class TestCountAgainstBruteForce:
             assert np.max(np.abs(dphi)) < 0.5, (st, d)      # resolved
             brute = np.sum(dphi) / (2 * np.pi)
             assert abs(brute - round(brute)) < 1e-9
-            assert find_unstable_roots(ctx, region).winding_count == round(brute), (st, d)
+            rep = find_unstable_roots(ctx)
+            assert rep.region == region and rep.winding_count == round(brute), (st, d)
             checked += 1
 
 
-def _single_scan(state, n_dirs, region=None):
+def _single_scan(state, n_dirs, delta=None):
     """(count, region, error) per direction of a scan, each direction
-    counted alone, unfolded, on ``region`` or the default region."""
+    counted alone, unfolded, with Re s >= ``delta`` or the default delta."""
     from pvstab.criterion import minimize_f
 
     star = minimize_f(state).omega_star
@@ -379,7 +380,7 @@ def _single_scan(state, n_dirs, region=None):
     out = []
     for d in directions:
         try:
-            c = find_unstable_roots(make_context(state, d), region or default_region(state))
+            c = find_unstable_roots(make_context(state, d), delta)
             out.append((c.winding_count, c.region, None))
         except PvstabError as err:
             out.append((None, None, str(err)))
@@ -411,13 +412,12 @@ class TestBatchedCount:
         # the chord Re s = delta runs through the root at omega' = (0, 1)
         # and, by the mirror symmetry of this flowless state, through the
         # conjugate root at (0, -1); those directions alone are re-counted on
-        # a jittered region, the others keep the region they were given
+        # a jittered region, the others keep the delta they were given
         ctx = make_context(COLLINEAR, PERP)
-        root = find_unstable_roots(ctx, default_region(COLLINEAR)).roots[0]
-        region = HalfDiskRegion(root.real, 10.0)
-        summary = scan_directions(COLLINEAR, n_dirs=16, region=region)
-        assert _records(summary) == _single_scan(COLLINEAR, 16, region)
-        jittered = [r for r in summary.records if r.region != region]
+        root = find_unstable_roots(ctx).roots[0]
+        summary = scan_directions(COLLINEAR, n_dirs=16, delta=root.real)
+        assert _records(summary) == _single_scan(COLLINEAR, 16, root.real)
+        jittered = [r for r in summary.records if r.region.delta != root.real]
         assert len(jittered) == 4
         assert all(abs(r.direction.omega3) == 1.0 and r.count == 1 for r in jittered)
         assert summary.n_errors == 0
@@ -430,8 +430,8 @@ class TestBatchedCount:
         from pvstab.dispersion import _algebraic_counts, _columns
 
         ctx = make_context(COLLINEAR, PERP)
-        root = find_unstable_roots(ctx, default_region(COLLINEAR)).roots[0]
-        region = HalfDiskRegion(root.real, 10.0)
+        root = find_unstable_roots(ctx).roots[0]
+        region = default_region(COLLINEAR, root.real)
         ctxs = [make_context(COLLINEAR, WaveDirection.from_angle(2.0 * math.pi * k / 16))
                 for k in range(16)]
         cols, regions = _columns(ctxs), [region] * 16
@@ -457,11 +457,10 @@ class TestBatchedCount:
         from pvstab import dispersion
 
         ctx = make_context(COLLINEAR, PERP)
-        root = find_unstable_roots(ctx, default_region(COLLINEAR)).roots[0]
-        region = HalfDiskRegion(root.real, 10.0)
-        free = scan_directions(COLLINEAR, n_dirs=16, region=region)
+        root = find_unstable_roots(ctx).roots[0]
+        free = scan_directions(COLLINEAR, n_dirs=16, delta=root.real)
         monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
-        tight = scan_directions(COLLINEAR, n_dirs=16, region=region)
+        tight = scan_directions(COLLINEAR, n_dirs=16, delta=root.real)
         failed = [t for t in tight.records if t.error is not None]
         assert len(failed) == tight.n_errors == 4
         assert all(abs(t.direction.omega3) == 1.0 and t.count is None for t in failed)
@@ -470,34 +469,40 @@ class TestBatchedCount:
         assert free.numerically_unstable and not tight.numerically_unstable
 
     def test_states_batch_matches_each_state_alone(self, monkeypatch):
-        # states on different half-disks in one batch: one whose chord runs
-        # through its roots (a jittered retry), one whose chord passes 1e-5
-        # from its neutral roots, and sampler and corner states; the summary
-        # of each equals the scan of its state alone
+        # sampler and corner states in one batch, at their default deltas and
+        # at one delta for all: the root of the collinear state (its chord
+        # runs through its roots, a jittered retry) and 1e-5 (the chord passes
+        # 1e-5 from the neutral roots of the fifth state); the summary of each
+        # equals the scan of its state alone, and each state's region is
+        # proven once for all its directions
         from pvstab import dispersion
         from pvstab.cli import sample_validation_state
 
-        root = find_unstable_roots(make_context(COLLINEAR, PERP),
-                                   default_region(COLLINEAR)).roots[0]
+        root = find_unstable_roots(make_context(COLLINEAR, PERP)).roots[0]
         rng = np.random.default_rng(41)
         states = [sample_validation_state(rng) for _ in range(4)]
         states += [COLLINEAR, _state(H=(1, 0), Hv=(0, 1), E1=0.5, v=(0.8, -0.3)),
                    TRANSITIONAL, CORNERS["eps0.5"]]
-        regions = [None] * 4 + [HalfDiskRegion(root.real, 10.0), HalfDiskRegion(1e-5, 5.0),
-                                HalfDiskRegion(0.05, 30.0), None]
-        batches = []
-        count = dispersion._algebraic_counts
+        batches, proofs = [], []
+        count, prove = dispersion._algebraic_counts, dispersion.default_region
         monkeypatch.setattr(dispersion, "_algebraic_counts", lambda cols, regs: (
             batches.append(len(regs)), count(cols, regs))[1])
+        monkeypatch.setattr(dispersion, "default_region", lambda st, delta=None: (
+            proofs.append((st, delta)), prove(st, delta))[1])
         monkeypatch.setattr(dispersion, "_MAX_BATCH", 100)
-        summaries = list(dispersion.scan_states(states, 16, regions))
-        assert batches == [9 * len(states)]
-        for st, reg, summary in zip(states, regions, summaries):
-            assert summary == scan_directions(st, 16, reg), st
-        grazed = summaries[4].records
-        assert any(r.region != regions[4] for r in grazed) and summaries[4].n_errors == 0
-        assert sum(s.n_errors for s in summaries) == 0
-        assert sum(s.numerically_unstable for s in summaries) >= 3
+        for delta in (None, root.real, 1e-5):
+            batches.clear()
+            proofs.clear()
+            summaries = list(dispersion.scan_states(states, 16, delta))
+            assert batches == [9 * len(states)]
+            assert proofs == [(st, delta) for st in states]
+            for st, summary in zip(states, summaries):
+                assert summary == scan_directions(st, 16, delta), (st, delta)
+            assert sum(s.n_errors for s in summaries) == 0, delta
+            assert sum(s.numerically_unstable for s in summaries) >= 5, delta
+            jittered = [sum(r.region != prove(st, delta) for r in s.records)
+                        for st, s in zip(states, summaries)]
+            assert jittered == [0] * 4 + [4 if delta == root.real else 0] + [0] * 3
 
 
 class TestScanDirections:
@@ -759,7 +764,7 @@ def test_unsolvable_polynomial_fails_alone():
     # the coefficients over -eps^2), and with Q(0) = 0 so does that of the
     # reversed polynomial; that context gets an error, and the others of the
     # batch keep the roots and reports they have alone
-    from pvstab.dispersion import _columns, _inclusion, _sigma_polynomial, locate_roots
+    from pvstab.dispersion import _columns, _inclusion, _sigma_polynomial
 
     # Q(0) = (w_plus^2 - v^2)^2 - (w_minus^2 - E1^2)^2 = (0 - 1)^2 - (0.5625 - 1.5625)^2
     stuck = _state(H=(0.0, 1.0), Hv=(0.75, 0.0), E1=1.25, v=(1.0, 0.0), eps=1e-160)
@@ -769,10 +774,24 @@ def test_unsolvable_polynomial_fails_alone():
     assert _sigma_polynomial(cols)[0, 0] == 0.0
     got = _inclusion(cols)[0]
     assert np.isfinite(got).any(axis=1).tolist() == [False, True, True]
-    regions = [default_region(c.state) for c in ctxs]
-    failed, *reports = locate_roots(ctxs, regions)
+    failed, *reports = locate_roots(ctxs, [None] * 3)
     assert isinstance(failed, PvstabError) and "finite companion" in str(failed)
-    assert reports == [find_unstable_roots(c, r) for c, r in zip(ctxs[1:], regions[1:])]
+    assert reports == [find_unstable_roots(c) for c in ctxs[1:]]
+
+
+def test_locate_roots_takes_one_delta_per_context():
+    # each context is counted at its own delta, in one batch, as alone; a
+    # list of deltas of another length is refused, never zipped short
+    root = find_unstable_roots(make_context(COLLINEAR, PERP)).roots[0]
+    ctxs = [make_context(st, PERP) for st in (COLLINEAR, NEUTRAL, COLLINEAR)]
+    deltas = [None, 0.05, root.real]
+    reports = list(locate_roots(ctxs, deltas))
+    assert reports == [find_unstable_roots(c, d) for c, d in zip(ctxs, deltas)]
+    assert [r.winding_count for r in reports] == [1, 0, 1]
+    assert reports[2].region.delta != root.real      # the chord ran through the root
+    for wrong in ([None], [0.05] * 4):
+        with pytest.raises(ValueError, match="deltas for 3 contexts"):
+            locate_roots(ctxs, wrong)
 
 
 def test_branch_points_are_not_roots():
@@ -811,7 +830,7 @@ def test_counts_against_mpmath(picks):
     # it was certified on
     import mpmath
 
-    from pvstab.dispersion import _algebraic_counts, _columns
+    from pvstab.dispersion import HalfDiskRegion, _algebraic_counts, _columns
 
     ctxs, regions = [], []
     for h, hv, v, e1, eps, theta, delta, radius in picks:
@@ -857,7 +876,7 @@ class TestFold:
                 assert batches[0] == (n // 2 if n % 2 == 0 else n) + 1
                 for rec in summary.records:
                     ctx = make_context(st, rec.direction)
-                    alone = find_unstable_roots(ctx, default_region(st))
+                    alone = find_unstable_roots(ctx)
                     assert (rec.count, rec.region, rec.error) == (
                         alone.winding_count, alone.region, None), (st, rec)
                     assert len(rec.report.roots) == len(alone.roots) == alone.winding_count
@@ -869,7 +888,7 @@ class TestFold:
     def test_mirrored_record_conjugates_and_resorts(self):
         from pvstab.dispersion import DirectionScan, RootReport, _mirrored
 
-        reg = HalfDiskRegion(0.1, 10.0)
+        reg = default_region(COLLINEAR, 0.1)
         roots = (2.0 + 1.0j, 1.0 - 3.0j, 1.0 + 2.0j)
         rep = RootReport(reg, 3, roots, (1e-15, 2e-15, 3e-15), ("f",), 1e-12)
         out = _mirrored(DirectionScan(PERP, rep), WaveDirection(0, -1))

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from pvstab.criterion import critical_e1_squared, minimize_f
-from pvstab.dispersion import (HalfDiskRegion, _algebraic_counts, _columns, _inclusion,
-                               default_region, find_unstable_roots, make_context,
-                               scan_directions, scan_states)
+from pvstab.dispersion import (_algebraic_counts, _columns, _inclusion, default_region,
+                               find_unstable_roots, make_context, scan_directions,
+                               scan_states)
 from pvstab.state import EquilibriumState, WaveDirection
 from test_dispersion import _mp_roots
 
@@ -118,9 +118,8 @@ def test_root_on_the_chord_is_decided_on_a_jittered_region():
     # Re s = delta = 0.3: its disk straddles it, and the same disks decide
     # the count on a jittered half-disk
     st = _state(H=(1.0, 0.0), Hv=(2.0, 0.0), E1=0.3, eps=0.0)
-    rep = find_unstable_roots(make_context(st, WaveDirection(0.0, 1.0)),
-                              HalfDiskRegion(0.3, 10.0))
-    assert rep.region != HalfDiskRegion(0.3, 10.0) and rep.inclusion_radius < 1e-10
+    rep = find_unstable_roots(make_context(st, WaveDirection(0.0, 1.0)), 0.3)
+    assert rep.region.delta != 0.3 and rep.inclusion_radius < 1e-10
     assert rep.winding_count == 1 and len(rep.roots) == 1 and not rep.flags
 
 
@@ -178,7 +177,7 @@ def test_near_double_root_is_one_cluster():
     _, size, center, radius, _ = _inclusion(_columns([ctx]))
     pair = [i for i in range(6) if size[0, i] == 2 and abs(center[0, i] + 2.1157j) < 1e-4]
     assert len(pair) == 1 and center[0, pair[0]].real + radius[0, pair[0]] < reg.delta
-    rep = find_unstable_roots(ctx, reg)
+    rep = find_unstable_roots(ctx)
     assert rep.region == reg and rep.winding_count == 0
     assert _mp_count(NEAR_DOUBLE, NEAR_DOUBLE_DIRECTION, reg) == 0
 

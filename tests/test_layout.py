@@ -4,6 +4,8 @@ only ``dispersion`` builds a counting region."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import pvstab
 
 SRC = Path(pvstab.__file__).parent
@@ -47,10 +49,11 @@ def _defined(tree):
     return names
 
 
-def _builds_region(tree):
+def _builds_region(tree, name="HalfDiskRegion"):
+    # whether the module calls ``name``, bare or as an attribute
     return any(isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) == "HalfDiskRegion"
-        or getattr(node.func, "attr", None) == "HalfDiskRegion") for node in ast.walk(tree))
+        getattr(node.func, "id", None) == name
+        or getattr(node.func, "attr", None) == name) for node in ast.walk(tree))
 
 
 def test_only_init_and_oracle_import_oracle():
@@ -73,17 +76,29 @@ def test_cross_checks_live_in_oracle_only():
     assert ORACLE_ONLY <= _defined(_tree("oracle"))
 
 
-def test_only_dispersion_builds_regions():
-    # a region built by hand keeps a radius proven at another delta; every
-    # other module asks dispersion.default_region for one
-    builders = {p.stem for p in SRC.glob("*.py") if _builds_region(_tree(p.stem))}
+@pytest.mark.parametrize("name", ["HalfDiskRegion", "default_region"])
+def test_only_dispersion_builds_regions(name):
+    # a region built by hand keeps a radius proven at another delta, and one
+    # built by default_region outside dispersion is a second place a region
+    # comes from: every other module passes dispersion a delta
+    builders = {p.stem for p in SRC.glob("*.py") if _builds_region(_tree(p.stem), name)}
     assert builders == {"dispersion"}
 
 
-def test_detects_region_builds():
-    for source in ("HalfDiskRegion(0.1, 10.0)", "pv.HalfDiskRegion(delta=1, radius=2)",
-                   "def f(r):\n    return dispersion.HalfDiskRegion(r.delta, 1.0)"):
-        assert _builds_region(ast.parse(source)), source
-    for source in ("from .dispersion import HalfDiskRegion",
-                   "x: HalfDiskRegion = default_region(st)", "isinstance(r, HalfDiskRegion)"):
-        assert not _builds_region(ast.parse(source)), source
+@pytest.mark.parametrize("name, built, not_built", [
+    ("HalfDiskRegion",
+     ("HalfDiskRegion(0.1, 10.0)", "pv.HalfDiskRegion(delta=1, radius=2)",
+      "def f(r):\n    return dispersion.HalfDiskRegion(r.delta, 1.0)"),
+     ("from .dispersion import HalfDiskRegion",
+      "x: HalfDiskRegion = default_region(st)", "isinstance(r, HalfDiskRegion)")),
+    ("default_region",
+     ("default_region(st)", "pv.default_region(st, 1e-3).radius",
+      "def f(st):\n    return dispersion.default_region(st, delta=0.1)"),
+     ("from .dispersion import default_region", "f(default_region)",
+      "default_delta(st)", "find_unstable_roots(ctx, delta)")),
+])
+def test_detects_region_builds(name, built, not_built):
+    for source in built:
+        assert _builds_region(ast.parse(source), name), source
+    for source in not_built:
+        assert not _builds_region(ast.parse(source), name), source

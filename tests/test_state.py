@@ -17,7 +17,7 @@ def test_validate_accepts_restriction_satisfied():
     st_, warnings = validate_state(EquilibriumState(
         H_hat_t=(1, 0), Hv_hat_t=(2, 0), E1_hat=0.3, eps=0.01))
     assert warnings == []
-    assert st_.satisfies_physical_restriction  # 4 >= 0.09
+    assert st_.Hv_sq >= st_.E1_hat ** 2  # 4 >= 0.09: nonnegative pressure
 
 
 def test_validate_warns_on_violated_restriction():
@@ -71,13 +71,12 @@ def test_validate_bounds_magnitudes(field):
 def test_reconstruction_invariants():
     s = EquilibriumState(v_hat_t=(0.3, -0.7), H_hat_t=(1.0, 2.0),
                          Hv_hat_t=(-0.5, 1.5), E1_hat=0.4, eps=0.05, sigma=0.8)
-    assert s.v_hat[0] == s.sigma
-    assert s.H_hat[0] == 0.0 and s.Hv_hat[0] == 0.0
-    # |H| = |H'| and |Hv| = |Hv'|
-    assert np.linalg.norm(s.H_hat) ** 2 == pytest.approx(s.H_sq, rel=1e-15)
-    assert np.linalg.norm(s.Hv_hat) ** 2 == pytest.approx(s.Hv_sq, rel=1e-15)
+    # |H| = |H'| and |Hv| = |Hv'|: the normal components vanish
+    assert np.linalg.norm([0.0, *s.H_hat_t]) ** 2 == pytest.approx(s.H_sq, rel=1e-15)
+    assert np.linalg.norm([0.0, *s.Hv_hat_t]) ** 2 == pytest.approx(s.Hv_sq, rel=1e-15)
     # E reconstruction carries the eps*sigma cross terms
     es = s.eps * s.sigma
+    assert s.E_hat[0] == s.E1_hat
     assert s.E_hat[1] == pytest.approx(es * s.Hv_hat_t[1])
     assert s.E_hat[2] == pytest.approx(-es * s.Hv_hat_t[0])
 
@@ -170,7 +169,7 @@ class TestGalileanTransform:
         # the moving-frame equilibrium has E = (E1, es*Hv3, -es*Hv2); the
         # transform must strip the tangential components entirely
         s = EquilibriumState(Hv_hat_t=(1.5, -2.0), E1_hat=0.7, eps=0.1, sigma=2.0)
-        v6 = np.concatenate([s.Hv_hat, s.E_hat])
+        v6 = np.concatenate([[0.0, *s.Hv_hat_t], s.E_hat])
         out = galilean_transform(v6, s.eps, s.sigma)
         assert out[3] == s.E1_hat
         assert out[4] == pytest.approx(0.0, abs=1e-15)
