@@ -24,12 +24,12 @@ validated (`state.check_values`) and classified
 (`criterion.classify_values`) once (`_checked`), and one that fails becomes
 one error row; rows are written in index order.  ``classify``, and
 ``sweep`` without ``cross_check``, write the rows of a block as one string
-before they build the next, so they hold at most one block.  ``roots`` and
-``sweep`` write CSV through one row writer (`_csv_rows`), which spells each
-cell as ``csv.writer`` does.
+before they build the next, so they hold at most one block.  CSV cells
+are spelled as ``csv.writer`` does (`_csv_rows`; ``roots`` joins its rows from
+a segment per direction and a tail per half-disk into one string).
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
-as one batch (``dispersion.scan_states``/``locate_roots``), which they give a
-delta and never a region.  ``sweep`` with
+as one batch (``dispersion.count_states``/``locate_roots``), which they give
+a delta and never a region, and read the counts as columns.  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
 root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
 an error when any scanned direction failed.  A state with a component or E1
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import criterion
 from .criterion import classify, classify_values
-from .dispersion import MIN_N_DIRS, default_delta, locate_roots, make_context, scan_states
+from .dispersion import MIN_N_DIRS, count_states, default_delta, locate_roots, make_context
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
 from .state import MAX_MAGNITUDE, EquilibriumState, check_values, validate_state
@@ -353,12 +353,15 @@ def _params(values) -> dict:
     return dict(zip(EquilibriumState.RECORD_KEYS, map(float, values)))
 
 
-class _Reprs(dict):
-    """The repr of each float looked up, computed on the first lookup."""
+class _Memo(dict):
+    """The value of ``of`` at each key looked up, computed on the first lookup."""
 
-    def __missing__(self, x: float) -> str:
-        text = self[x] = repr(x)
-        return text
+    def __init__(self, of):
+        self.of = of
+
+    def __missing__(self, key):
+        value = self[key] = self.of(key)
+        return value
 
 
 def _cell(c) -> str:
@@ -381,7 +384,7 @@ def _csv_rows(out: TextIO, columns):
     key, and NaN never matches one).
     """
     out.write("# pvstab-csv v1\n")
-    reprs = _Reprs()
+    reprs = _Memo(repr)
 
     def write(*rows, cell=_cell):
         out.write("".join([
@@ -448,30 +451,37 @@ def cmd_classify(scenario: Scenario, out: TextIO) -> int:
 
 
 def cmd_roots(scenario: Scenario, out: TextIO) -> int:
+    # per direction a row per located root, or one without: the cells of
+    # `_csv_rows`, from a segment per direction and a tail per half-disk
     analysis = scenario.analysis
-    write = _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s",
-                            "abs_L", "delta", "R", "contour_points", "error", "flags",
-                            "certificate"])
+    _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s", "abs_L", "delta",
+                    "R", "contour_points", "error", "flags", "certificate"])
     points = [point for block in _checked(scenario) for point in block]
     valid = _valid_states(points)
-    summaries = scan_states(valid, analysis.n_dirs, analysis.delta)
+    scans = count_states(valid, analysis.n_dirs, analysis.delta)
+    tails = _Memo(lambda region: f"{region[0]!r},{region[1]!r},,,,inclusion\n")
+    rows: list[str] = []
+    segments: list[str] = []    # "omega2,omega3," of the equispaced directions
     for index, _, _, outcome in points:
         if isinstance(outcome, PvstabError):
-            write([index, *[None] * 9, str(outcome), None, None])
+            rows.append(f"{index},,,,,,,,,,{_cell(str(outcome))},,\n")
             continue
-        # a row per located root of each direction, or one without a root
-        for rec in next(summaries).records:
-            report, d = rec.report, rec.direction
-            if report is None:          # the count failed
-                write([index, d.omega2, d.omega3, *[None] * 7, rec.error, None, None])
-                continue
-            head = [index, d.omega2, d.omega3, report.winding_count]
-            tail = [report.region.delta, report.region.radius, None, None,
-                    "; ".join(report.flags), "inclusion"]
-            for root, res in zip(report.roots, report.residuals):
-                write([*head, root.real, root.imag, res, *tail])
-            if not report.roots:
-                write([*head, None, None, None, *tail])
+        scan = next(scans)
+        segments = segments or [f"{d.omega2!r},{d.omega3!r}," for d in scan.directions[:-2]]
+        for seg, (p, flip) in zip(segments + [f"{d.omega2!r},{d.omega3!r},"
+                                              for d in scan.directions[-2:]], scan.fold):
+            head, count = f"{index},{seg}", scan.count[p]
+            if count is None:
+                rows.append(f"{head},,,,,,,{_cell(scan.error[p])},,\n")
+            elif scan.located[p] is None:
+                rows.append(f"{head}{count},,,,{tails[scan.delta[p], scan.radius[p]]}")
+            else:
+                roots, residuals, flags = scan.found(p, flip)
+                tail = (f"{scan.delta[p]!r},{scan.radius[p]!r},,,{_cell('; '.join(flags))},"
+                        "inclusion\n")
+                rows += [f"{head}{count},{z.real!r},{z.imag!r},{res!r},{tail}"
+                         for z, res in zip(roots, residuals)] or [f"{head}{count},,,,{tail}"]
+    out.write("".join(rows))
     return _status(len(points), len(points) - len(valid))
 
 
@@ -634,15 +644,15 @@ def judge_verdicts(states: list[EquilibriumState],
     cannot decide.  A scan in which any direction failed yields, in place of
     the pair, a PvstabError naming how many failed and the first failure.
     """
-    for st, cls, summary in zip(states, classes,
-                                scan_states(states, analysis.n_dirs, analysis.delta)):
-        if summary.n_errors:
-            first = next(r.error for r in summary.records if r.error)
-            yield PvstabError(f"{summary.n_errors} direction(s) failed: {first}")
+    for st, cls, scan in zip(states, classes,
+                             count_states(states, analysis.n_dirs, analysis.delta)):
+        errors = scan.errors
+        if errors:
+            yield PvstabError(f"{len(errors)} direction(s) failed: {errors[0]}")
         elif abs(cls.margin) <= margin_band(st, cls.tol_eq, default_delta(st, analysis.delta)):
-            yield summary, None
+            yield scan, None
         else:
-            yield summary, cls.verdict.is_unstable == summary.numerically_unstable
+            yield scan, cls.verdict.is_unstable == scan.numerically_unstable
 
 
 def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
@@ -702,9 +712,9 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
         rec["numeric_unstable"] = summary.numerically_unstable
         rec["max_re_s"] = summary.max_re_s
         rec["agree"] = agree    # never None: band states were set aside
-        flags = [f"({r.direction.omega2:.6g}, {r.direction.omega3:.6g}): {flag}"
-                 for r in summary.records if r.report is not None
-                 for flag in r.report.flags]
+        flags = [f"({d.omega2:.6g}, {d.omega3:.6g}): {flag}"
+                 for d, (p, _) in zip(summary.directions, summary.fold) if summary.located[p]
+                 for flag in summary.located[p][2]]
         if flags:
             rec["flags"] = flags
         return rec

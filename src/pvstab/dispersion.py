@@ -18,15 +18,19 @@ polynomial Q = A^2 (1 + eps^2 s^2) - B^2, real in sigma = -i s.  One
 eigenvalue call solves Q for a batch of directions, and clusters of
 Weierstrass disks about its roots certify every count
 (``_algebraic_counts``); a direction they cannot decide is an error, never
-a guess.  Newton polishes the roots.  A scan counts one direction of each
-antipodal pair and mirrors the other.  Independent cross-checks are in
-``oracle``.
+a guess.  Newton polishes the roots.  A scan (``count_states``) counts its
+directions as columns, built from a table of the states and one of the
+directions, in batches of up to _MAX_BATCH, and keeps counts, regions,
+errors and roots as lists; it counts one direction of each antipodal pair
+and reads the other by index.  ``scan_states`` is its library view.
+Independent cross-checks are in ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +43,10 @@ _BRANCH_POINT = 1e-9           # |1 + eps^2 s^2| at which a root is a branch poi
 _ROUNDING = 2.0 ** -46         # 128 u: relative rounding bound of Q's coefficients and Horner
 _UNDERFLOW = 1e-322            # absolute rounding bound of values below the normal range
 _NUDGE = 2.0 ** -23            # relative step between nodes from repeated eigenvalues
-_MAX_BATCH = 64                # directions per batch (or one state's): bounds memory
+# Directions per batch (or one state's, if it has more).  Counting and
+# locating cost 28 us per direction at 17, 10 at 136, 7.4 at 1,088 and 9.6 at
+# 4,352 (seed-7 neutral states, n_dirs 32, 2-core Xeon); the cap bounds memory.
+_MAX_BATCH = 1024
 # (delta, R) multipliers tried when an inclusion disk straddles the boundary,
 # and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
@@ -443,10 +450,11 @@ def _root_of_l(cols, z, r):
     return of_l, (g2 > 0.0) & (of_l != (np.abs(ag + bz) > reach))
 
 
-def _algebraic_counts(cols, regions):
-    """The roots of Q (see ``_inclusion``) and, per direction, a RootReport
-    of its count in its region without roots, or a PvstabError where the
-    clusters cannot decide it.
+def _algebraic_counts(cols, delta, radius):
+    """The roots of Q (see ``_inclusion``) and, as lists per direction: the
+    count of the roots of L in {Re s >= delta, |s - delta| <= radius} (None
+    where the clusters cannot decide it), the half-disk decided on, the
+    largest disk and the error text (None where decided).
 
     A cluster is decided when it lies wholly outside the half-disk, or wholly
     inside with its factor of Q decided (``_root_of_l``); the count is the
@@ -455,40 +463,37 @@ def _algebraic_counts(cols, regions):
     each jittered half-disk in turn (all of them proven to hold every root
     by ``default_region``).
     """
-    roots, size, center, radius, beyond = _inclusion(cols)
-    largest = np.max(np.where(np.isfinite(radius), radius, 0.0), axis=1).tolist()
-    out: list = [None] * len(regions)
-    pending = np.arange(len(regions))
-    for jd, jr in _JITTERS:
-        regs = [regions[j] if jd == jr == 1.0 else
-                HalfDiskRegion(regions[j].delta * jd, regions[j].radius * jr)
-                for j in pending.tolist()]
-        delta = np.array([r.delta for r in regs])[:, None]
-        big = np.array([r.radius for r in regs])[:, None]
-        c, r, n = center[pending], radius[pending], size[pending]
+    roots, size, center, radius_, beyond = _inclusion(cols)
+    largest = np.max(np.where(np.isfinite(radius_), radius_, 0.0), axis=1).tolist()
+    base = np.array([delta, radius], dtype=float)
+    count, region = np.full(base.shape[1], -1), base.copy()
+    pending = np.arange(base.shape[1])
+    for jitter in _JITTERS:
+        d, big = base[:, pending, None] * np.array(jitter)[:, None, None]
+        c, r, n = center[pending], radius_[pending], size[pending]
         with np.errstate(invalid="ignore"):
-            dist = np.abs(c - delta)
-            inside = (n > 0) & (c.real - r > delta) & (dist + r < big)
-            known = ((n == 0) | (c.real + r < delta) | (dist - r > big)
-                     | (beyond[pending] > delta + big))
+            dist = np.abs(c - d)
+            inside = (n > 0) & (c.real - r > d) & (dist + r < big)
+            known = ((n == 0) | (c.real + r < d) | (dist - r > big)
+                     | (beyond[pending] > d + big))
         of_l = np.zeros_like(inside)
         j, i = np.nonzero(inside)
         of_l[j, i], known[j, i] = _root_of_l(cols[:, pending[j]], c[j, i], r[j, i])
         decided = known.all(axis=1) & n.any(axis=1)
-        counts = np.where(of_l, n, 0).sum(axis=1).tolist()
-        for j, reg, ok, count in zip(pending.tolist(), regs, decided.tolist(), counts):
-            if ok:
-                out[j] = RootReport(reg, count, (), (), inclusion_radius=largest[j])
+        done = pending[decided]
+        count[done] = np.where(of_l, n, 0).sum(axis=1)[decided]
+        region[:, done] = d[decided, 0], big[decided, 0]
         pending = pending[~decided]
         if not pending.size:
-            return roots, out
+            break
+    error = [None] * len(count)
     for j in pending.tolist():
-        out[j] = PvstabError(
-            "cannot count roots: neither the degree-6 polynomial nor its reverse has a "
-            "finite companion matrix" if np.isnan(roots[j]).all() else
-            f"inclusion disks cannot decide the root count after {len(_JITTERS) - 1} "
-            "boundary perturbations")
-    return roots, out
+        error[j] = ("cannot count roots: neither the degree-6 polynomial nor its reverse has a "
+                    "finite companion matrix" if np.isnan(roots[j]).all() else
+                    f"inclusion disks cannot decide the root count after {len(_JITTERS) - 1} "
+                    "boundary perturbations")
+    return (roots, [n if n >= 0 else None for n in count.tolist()], *region.tolist(),
+            largest, error)
 
 
 def _modulus(z):
@@ -576,42 +581,52 @@ def _candidate_roots(cols, roots) -> list:
     return [(found[lo:hi], abs_l[lo:hi], scale[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def _root_reports(cols, counts, roots) -> list:
-    """The count-only RootReports ``counts`` with their roots added.
+def _located(cols, roots, count, delta, radius) -> list:
+    """Per direction with a positive count (None elsewhere): the roots of L
+    in its half-disk, sorted by (-Re, Im), their |L| and the flags.
 
-    The roots of Q of all directions with a positive count are polished as
-    one batch (``_candidate_roots``); those inside the counted region are
-    added, sorted by (-Re, Im).  A mismatch with the count, or a residual
-    above certification, is reported via ``flags``.
+    The roots of Q of all these directions are polished as one batch
+    (``_candidate_roots``).  A mismatch with the count, or a residual above
+    certification, is reported via the flags.
     """
-    located = [i for i, c in enumerate(counts) if c.winding_count > 0]
-    reports = list(counts)
-    for i, found in zip(located, _candidate_roots(cols[:, located], roots[located])):
-        c = counts[i]
+    out = [None] * len(count)
+    counted = [j for j, n in enumerate(count) if n]
+    for j, found in zip(counted, _candidate_roots(cols[:, counted], roots[counted])
+                        if counted else ()):
         z, abs_l, scale = (a.tolist() for a in found)
-        inside = sorted((j for j, s in enumerate(z) if c.region.contains(s)),
-                        key=lambda j: (-z[j].real, z[j].imag))
-        flags: list[str] = []
-        if len(inside) != c.winding_count:
-            flags.append(f"located {len(inside)} roots but winding is {c.winding_count}")
-        flags += [f"root {z[j]:.6g} residual {abs_l[j]:.3e} above certification"
-                  for j in inside if abs_l[j] > _ROOT_RESIDUAL * scale[j]]
-        reports[i] = replace(c, roots=tuple(z[j] for j in inside),
-                             residuals=tuple(abs_l[j] for j in inside), flags=tuple(flags))
-    return reports
+        d, big, n = delta[j], radius[j], count[j]
+        inside = sorted((i for i, s in enumerate(z) if s.real >= d and abs(s - d) <= big),
+                        key=lambda i: (-z[i].real, z[i].imag))
+        flags = [f"located {len(inside)} roots but winding is {n}"] if len(inside) != n else []
+        flags += [f"root {z[i]:.6g} residual {abs_l[i]:.3e} above certification"
+                  for i in inside if abs_l[i] > _ROOT_RESIDUAL * scale[i]]
+        out[j] = (tuple(z[i] for i in inside), tuple(abs_l[i] for i in inside), tuple(flags))
+    return out
+
+
+def _count(cols, delta, radius) -> tuple:
+    # the lists count, delta, radius, largest and error of
+    # ``_algebraic_counts``, and located (``_located``)
+    roots, *counts = _algebraic_counts(cols, delta, radius)
+    return (*counts, _located(cols, roots, *counts[:3]))
+
+
+def _report(count, delta, radius, largest, error, found):
+    """A RootReport from one direction's entries of ``_count`` (``found``
+    conjugated for an antipode), or the error that ended its count."""
+    if count is None:
+        return PvstabError(error)
+    return RootReport(HalfDiskRegion(delta, radius), count, *(found or ((), (), ())), largest)
 
 
 def _locate(ctxs, regions):
     # the batches of ``locate_roots``, on regions already built: up to
-    # _MAX_BATCH contexts, of any states, are counted by one eigenvalue call
-    # (``_algebraic_counts``) and located as one (``_root_reports``)
+    # _MAX_BATCH contexts, of any states, are counted and located together
     for lo in range(0, len(ctxs), _MAX_BATCH):
-        cols = _columns(ctxs[lo:lo + _MAX_BATCH])
-        roots, counts = _algebraic_counts(cols, regions[lo:lo + _MAX_BATCH])
-        ok = [i for i, c in enumerate(counts) if not isinstance(c, Exception)]
-        reports = dict(zip(ok, _root_reports(cols[:, ok], [counts[i] for i in ok],
-                                             roots[ok])))
-        yield from (reports.get(i, c) for i, c in enumerate(counts))
+        part = regions[lo:lo + _MAX_BATCH]
+        counts = _count(_columns(ctxs[lo:lo + _MAX_BATCH]), [r.delta for r in part],
+                        [r.radius for r in part])
+        yield from (_report(*direction) for direction in zip(*counts))
 
 
 def locate_roots(ctxs, deltas):
@@ -672,40 +687,73 @@ class ScanSummary:
     n_errors: int
 
 
-def _mirrored(scan: DirectionScan, direction: WaveDirection) -> DirectionScan:
-    """The scan of -omega' built from that of omega'.
-
-    The field projections change sign, so L_{-omega'}(s) = conj(L_{omega'}(conj
-    s)); the half-disk is symmetric about the real axis, so the count, region
-    and inclusion radius carry over, and the roots are the conjugates.
-    """
-    report = scan.report
-    if report is not None and report.roots:
-        pairs = sorted(zip((z.conjugate() for z in report.roots), report.residuals),
-                       key=lambda p: (-p[0].real, p[0].imag))
-        report = replace(report, roots=tuple(z for z, _ in pairs),
-                         residuals=tuple(res for _, res in pairs))
-    return DirectionScan(direction, report, scan.error)
-
-
-def _summary(records) -> ScanSummary:
-    reports = [r.report for r in records if r.report is not None]
-    res = [rep.max_re for rep in reports if rep.roots]
-    return ScanSummary(
-        records=tuple(records),
-        numerically_unstable=any(rep.winding_count > 0 for rep in reports),
-        max_re_s=max(res) if res else None,
-        n_errors=sum(1 for r in records if r.error is not None),
-    )
+def _table_columns(states, directions, stars) -> np.ndarray:
+    """``_columns`` of each state's ``directions`` and then its ``stars[j]``,
+    from a table of the state values and one of the directions, each
+    direction normalized as ``make_context`` does: the products and sums of
+    ``frequency_bundle``, in its order, so the same bits."""
+    units = [d if d.is_unit else d.unit() for d in (*directions, *stars)]
+    w = np.array([(d.omega2, d.omega3) for d in units]).T
+    n = len(directions)
+    w2, w3 = np.concatenate([np.repeat(w[:, None, :n], len(stars), axis=1), w[:, n:, None]], 2)
+    eps, e1, hv_sq, h2, h3, hv2, hv3, v2, v3 = np.array([
+        (st.eps, st.E1_hat, st.Hv_sq, *st.H_hat_t, *st.Hv_hat_t, *st.v_hat_t)
+        for st in states]).T[:, :, None]
+    return np.array(np.broadcast_arrays(
+        eps, e1, hv_sq, h2 * w2 + h3 * w3, hv2 * w2 + hv3 * w3, hv3 * w2 - hv2 * w3,
+        v2 * w2 + v3 * w3)).reshape(7, -1)
 
 
-def scan_states(states, n_dirs: int = 32, delta: float | None = None):
-    """Scan the directions of each state (see ``scan_directions``) in batches.
+class StateCounts(NamedTuple):
+    """The scan of one state as lists (``count_states``): per direction its
+    fold, and per position among the counted directions the lists of
+    ``_count``.  The antipode -omega' has the count, half-disk and flags of
+    omega' and, as L_{-omega'}(s) = conj(L_{omega'}(conj s)), the conjugate
+    roots (``found``)."""
 
-    Every state is counted with Re s >= ``delta`` (None: its own default
-    delta), in one region proven once per state.  The counted directions of
-    as many states as fit in _MAX_BATCH (at least one) are counted and
-    located together.  Yields a ScanSummary per state.
+    directions: list        # n_dirs equispaced, then the F-minimizer and its antipode
+    fold: list              # per direction: (position counted, whether the antipode)
+    count: list             # per position: the root count, None where it failed
+    delta: list             # the half-disk counted {Re s >= delta, |s - delta| <= radius}
+    radius: list
+    largest: list           # the largest inclusion disk of the count
+    error: list             # the text of the error that ended the count, or None
+    located: list           # (roots, residuals, flags) where the count is positive
+
+    @property
+    def numerically_unstable(self) -> bool:
+        return any(self.count)
+
+    @property
+    def max_re_s(self) -> float | None:
+        return max((z.real for found in self.located if found for z in found[0]), default=None)
+
+    @property
+    def errors(self) -> list[str]:
+        """The error text of each direction whose count failed, in order."""
+        return [self.error[p] for p, _ in self.fold if self.count[p] is None]
+
+    def found(self, p: int, flip: bool = False):
+        """The (roots, residuals, flags) located at position p (None where the
+        count is not positive), or those of its antipode when ``flip``."""
+        found = self.located[p]
+        if not (found and flip):
+            return found
+        pairs = sorted(zip((z.conjugate() for z in found[0]), found[1]),
+                       key=lambda q: (-q[0].real, q[0].imag))
+        return tuple(z for z, _ in pairs), tuple(res for _, res in pairs), found[2]
+
+
+def count_states(states, n_dirs: int = 32, delta: float | None = None):
+    """Count and locate the roots of every direction of each state (see
+    ``scan_directions``) as columns; yields a StateCounts per state.
+
+    One direction of each antipodal pair is counted: the first half of an
+    even set of equispaced directions, and the F-minimizer.  Each state is
+    counted with Re s >= ``delta`` (None: its own default) in one region
+    proven once.  The counted directions of as many states as fit in
+    _MAX_BATCH directions (at least one) are one batch, whose columns are
+    built from a table of the states and one of the directions.
     """
     if n_dirs < MIN_N_DIRS:
         raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
@@ -714,29 +762,30 @@ def scan_states(states, n_dirs: int = 32, delta: float | None = None):
     states = list(states)
     equispaced = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
-    # index of the direction whose mirror image each folded direction is
-    mirror_of = {n_dirs + 1: n_dirs}
-    if n_dirs % 2 == 0:
-        mirror_of.update((k + n_dirs // 2, k) for k in range(n_dirs // 2))
-    own = [i for i in range(n_dirs + 2) if i not in mirror_of]
-    per_batch = max(1, _MAX_BATCH // len(own))
+    half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs      # equispaced ones counted
+    fold = [(k % half, k >= half) for k in range(n_dirs)] + [(half, False), (half, True)]
+    per_batch = max(1, _MAX_BATCH // (half + 1))
     for lo in range(0, len(states), per_batch):
-        group, ctxs, regs = [], [], []
-        for st in states[lo:lo + per_batch]:
-            star = minimize_f(st).omega_star
-            directions = equispaced + [star, WaveDirection(-star.omega2, -star.omega3)]
-            group.append(directions)
-            ctxs += [make_context(st, directions[i]) for i in own]
-            regs += [default_region(st, delta)] * len(own)
-        located = _locate(ctxs, regs)
-        for directions in group:
-            scans = {}
-            for i in own:
-                rep = next(located)
-                scans[i] = (DirectionScan(directions[i], error=str(rep))
-                            if isinstance(rep, Exception) else DirectionScan(directions[i], rep))
-            yield _summary([scans[i] if i in scans else _mirrored(scans[mirror_of[i]], d)
-                            for i, d in enumerate(directions)])
+        group = states[lo:lo + per_batch]
+        stars = [minimize_f(st).omega_star for st in group]
+        regions = [default_region(st, delta) for st in group]
+        counts = _count(_table_columns(group, equispaced[:half], stars),
+                        np.repeat([r.delta for r in regions], half + 1),
+                        np.repeat([r.radius for r in regions], half + 1))
+        for j, star in enumerate(stars):
+            part = slice(j * (half + 1), (j + 1) * (half + 1))
+            yield StateCounts(equispaced + [star, WaveDirection(-star.omega2, -star.omega3)],
+                              fold, *(c[part] for c in counts))
+
+
+def scan_states(states, n_dirs: int = 32, delta: float | None = None):
+    """The library view of ``count_states``: yields a ScanSummary per state."""
+    for scan in count_states(states, n_dirs, delta):
+        reports = (_report(*(c[p] for c in scan[2:7]), scan.found(p, flip))
+                   for p, flip in scan.fold)
+        records = tuple(DirectionScan(d, error=str(rep)) if isinstance(rep, PvstabError)
+                        else DirectionScan(d, rep) for d, rep in zip(scan.directions, reports))
+        yield ScanSummary(records, scan.numerically_unstable, scan.max_re_s, len(scan.errors))
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
@@ -746,7 +795,7 @@ def scan_directions(state: EquilibriumState, n_dirs: int = 32,
     A state is numerically unstable iff some direction has a root with
     Re s >= ``delta`` (default: ``default_delta``), counted in a half-disk
     proven to hold every such root.  One direction of each antipodal pair is
-    counted and located, the other mirrored (``_mirrored``); with an odd
+    counted and located, the other read by index (``StateCounts``); with an odd
     ``n_dirs`` only the F-minimizer pair folds.  Per-direction failures are
     recorded, not raised.  A batch of one of ``scan_states``.
     """

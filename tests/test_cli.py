@@ -487,18 +487,17 @@ class TestSweepCrossCheck:
 
     def test_failed_direction_is_an_error_row(self, tmp_path, monkeypatch):
         import pvstab.cli as cli_mod
-        from pvstab.dispersion import DirectionScan, RootReport, ScanSummary
+        from pvstab.dispersion import StateCounts
         from pvstab.state import WaveDirection
 
-        def fake_scan(states, n_dirs=32, delta=None):
-            for st in states:
-                yield ScanSummary(
-                    records=(DirectionScan(WaveDirection(1, 0), error="boom"),
-                             DirectionScan(WaveDirection(0, 1), RootReport(
-                                 default_region(st, delta), 0, (), ()))),
-                    numerically_unstable=False, max_re_s=None, n_errors=1)
+        def fake_counts(states, n_dirs=32, delta=None):
+            # two directions, each counted: the first failed, the second has no root
+            for _ in states:
+                yield StateCounts([WaveDirection(1, 0), WaveDirection(0, 1)],
+                                  [(0, False), (1, False)], [None, 0], [None, 0.1],
+                                  [None, 10.0], [None, 0.0], ["boom", None], [None, None])
 
-        monkeypatch.setattr(cli_mod, "scan_states", fake_scan)
+        monkeypatch.setattr(cli_mod, "count_states", fake_counts)
         out = tmp_path / "sweep.csv"
         assert _run(["sweep", _write(tmp_path, CROSS_CHECK), "--out", str(out)]) == 3
         for r in _csv_rows(out):
@@ -538,17 +537,15 @@ class TestRootsCommand:
     def test_flags_column(self, tmp_path, monkeypatch):
         # a flagged report shows its flags on each of its root rows, and the
         # mirror image of its direction carries the same flags
-        import dataclasses
-
         from pvstab import dispersion
 
-        locate = dispersion._root_reports
+        locate = dispersion._located
 
         def flagged(*args):
-            return [dataclasses.replace(rep, flags=("first", "second")) if rep.roots else rep
-                    for rep in locate(*args)]
+            return [(*found[:2], ("first", "second")) if found and found[0] else found
+                    for found in locate(*args)]
 
-        monkeypatch.setattr(dispersion, "_root_reports", flagged)
+        monkeypatch.setattr(dispersion, "_located", flagged)
         text = MINIMAL + "\n[analysis]\nn_dirs = 8\n"
         out = tmp_path / "roots.csv"
         assert _run(["roots", _write(tmp_path, text), "--out", str(out)]) == 0
@@ -744,14 +741,13 @@ class TestValidateCommand:
     def test_disagreement_exits_with_gate_code(self, tmp_path, monkeypatch):
         # force the scan to contradict the classifier: the gate must exit 2
         import pvstab.cli as cli_mod
-        from pvstab.dispersion import ScanSummary
+        from pvstab.dispersion import StateCounts
 
-        def fake_scan(states, n_dirs=32, delta=None):
-            for _ in states:
-                yield ScanSummary(records=(), numerically_unstable=False,
-                                  max_re_s=None, n_errors=0)
+        def fake_counts(states, n_dirs=32, delta=None):
+            for _ in states:            # no direction, so no root anywhere
+                yield StateCounts(*[[]] * 8)
 
-        monkeypatch.setattr(cli_mod, "scan_states", fake_scan)
+        monkeypatch.setattr(cli_mod, "count_states", fake_counts)
         text = "[state]\nH2 = 1.0\nHv2 = 2.0\nE1 = 0.3\n" \
                "[analysis]\nsample = 5\nn_dirs = 16\n"
         out = tmp_path / "val.jsonl"

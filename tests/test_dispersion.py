@@ -28,6 +28,16 @@ TRANSITIONAL = _state(H=(1, 0), Hv=(0, 2), E1=1.0, v=(1, 0))
 PERP = WaveDirection(0, 1)
 
 
+def _counted(cols, regions) -> list:
+    """Per direction of the columns ``cols``: the count-only RootReport of
+    ``_algebraic_counts`` in its region, or the error that ended its count."""
+    from pvstab.dispersion import _algebraic_counts, _report
+
+    _, *counts = _algebraic_counts(cols, [r.delta for r in regions],
+                                   [r.radius for r in regions])
+    return [_report(*direction, None) for direction in zip(*counts)]
+
+
 class TestDecayRoots:
     def test_vacuum_real(self):
         assert vacuum_decay_root(1.0, 0.1) == pytest.approx(math.sqrt(1.01))
@@ -427,7 +437,7 @@ class TestBatchedCount:
         # root (omega' = (0, +-1), see above) stay undecided: each is its own
         # error, and every other direction of the batch keeps its count
         from pvstab import dispersion
-        from pvstab.dispersion import _algebraic_counts, _columns
+        from pvstab.dispersion import _columns
 
         ctx = make_context(COLLINEAR, PERP)
         root = find_unstable_roots(ctx).roots[0]
@@ -435,9 +445,9 @@ class TestBatchedCount:
         ctxs = [make_context(COLLINEAR, WaveDirection.from_angle(2.0 * math.pi * k / 16))
                 for k in range(16)]
         cols, regions = _columns(ctxs), [region] * 16
-        free = _algebraic_counts(cols, regions)[1]
+        free = _counted(cols, regions)
         monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
-        tight = _algebraic_counts(cols, regions)[1]
+        tight = _counted(cols, regions)
         failed = 0
         for c, f, t in zip(ctxs, free, tight):
             assert not isinstance(f, PvstabError)
@@ -485,8 +495,8 @@ class TestBatchedCount:
                    TRANSITIONAL, CORNERS["eps0.5"]]
         batches, proofs = [], []
         count, prove = dispersion._algebraic_counts, dispersion.default_region
-        monkeypatch.setattr(dispersion, "_algebraic_counts", lambda cols, regs: (
-            batches.append(len(regs)), count(cols, regs))[1])
+        monkeypatch.setattr(dispersion, "_algebraic_counts", lambda cols, *region: (
+            batches.append(cols.shape[1]), count(cols, *region))[1])
         monkeypatch.setattr(dispersion, "default_region", lambda st, delta=None: (
             proofs.append((st, delta)), prove(st, delta))[1])
         monkeypatch.setattr(dispersion, "_MAX_BATCH", 100)
@@ -830,14 +840,14 @@ def test_counts_against_mpmath(picks):
     # it was certified on
     import mpmath
 
-    from pvstab.dispersion import HalfDiskRegion, _algebraic_counts, _columns
+    from pvstab.dispersion import HalfDiskRegion, _columns
 
     ctxs, regions = [], []
     for h, hv, v, e1, eps, theta, delta, radius in picks:
         ctxs.append(make_context(_state(H=h, Hv=hv, E1=e1, v=v, eps=eps),
                                  WaveDirection.from_angle(theta)))
         regions.append(HalfDiskRegion(delta, radius))
-    counts = _algebraic_counts(_columns(ctxs), regions)[1]
+    counts = _counted(_columns(ctxs), regions)
     for ctx, c in zip(ctxs, counts):
         if isinstance(c, PvstabError):
             continue            # a cluster across every jittered boundary
@@ -862,8 +872,8 @@ class TestFold:
 
         batches = []
         count = dispersion._algebraic_counts
-        monkeypatch.setattr(dispersion, "_algebraic_counts", lambda cols, regions: (
-            batches.append(len(regions)), count(cols, regions))[1])
+        monkeypatch.setattr(dispersion, "_algebraic_counts", lambda cols, *region: (
+            batches.append(cols.shape[1]), count(cols, *region))[1])
         rng = np.random.default_rng(37)
         states = [sample_validation_state(rng) for _ in range(4)]
         states += [COLLINEAR, TRANSITIONAL, CORNERS["collinear"], CORNERS["zero_fields"]]
@@ -885,15 +895,23 @@ class TestFold:
                     located += alone.winding_count
         assert located >= 50
 
-    def test_mirrored_record_conjugates_and_resorts(self):
-        from pvstab.dispersion import DirectionScan, RootReport, _mirrored
+    def test_mirrored_record_conjugates_and_resorts(self, monkeypatch):
+        # the antipode of a counted direction, read by index: the same
+        # count, region, inclusion radius and flags, and the conjugate roots
+        # sorted again by (-Re, Im) with their residuals
+        from pvstab import dispersion
 
         reg = default_region(COLLINEAR, 0.1)
         roots = (2.0 + 1.0j, 1.0 - 3.0j, 1.0 + 2.0j)
-        rep = RootReport(reg, 3, roots, (1e-15, 2e-15, 3e-15), ("f",), 1e-12)
-        out = _mirrored(DirectionScan(PERP, rep), WaveDirection(0, -1))
-        assert out.direction == WaveDirection(0, -1)
-        assert (out.count, out.region, out.report.inclusion_radius) == (3, reg, 1e-12)
-        assert out.report.roots == (2.0 - 1.0j, 1.0 - 2.0j, 1.0 + 3.0j)
-        assert out.report.residuals == (1e-15, 3e-15, 2e-15)
-        assert out.report.flags == ("f",) and out.report.winding_count == 3
+        scan = dispersion.StateCounts(
+            [PERP, WaveDirection(0, -1)], [(0, False), (0, True)], [3], [reg.delta],
+            [reg.radius], [1e-12], [None], [(roots, (1e-15, 2e-15, 3e-15), ("f",))])
+        monkeypatch.setattr(dispersion, "count_states", lambda *args: iter([scan]))
+        rec, mirror = next(dispersion.scan_states([COLLINEAR])).records
+        assert rec.report.roots == roots and mirror.direction == WaveDirection(0, -1)
+        out = mirror.report
+        assert (out.winding_count, out.region, out.inclusion_radius) == (3, reg, 1e-12)
+        assert out.roots == (2.0 - 1.0j, 1.0 - 2.0j, 1.0 + 3.0j)
+        assert out.residuals == (1e-15, 3e-15, 2e-15)
+        assert out.flags == ("f",)
+        assert scan.found(0, True) == (out.roots, out.residuals, out.flags)

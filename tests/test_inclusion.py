@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from pvstab.criterion import critical_e1_squared, minimize_f
-from pvstab.dispersion import (_algebraic_counts, _columns, _inclusion, default_region,
-                               find_unstable_roots, make_context, scan_directions,
-                               scan_states)
+from pvstab.dispersion import (_columns, _inclusion, default_region, find_unstable_roots,
+                               make_context, scan_directions, scan_states)
 from pvstab.state import EquilibriumState, WaveDirection
-from test_dispersion import _mp_roots
+from test_dispersion import _counted, _mp_roots
 
 EPS = (1e-6, 0.2, 0.5, 0.9)
 
@@ -87,7 +86,7 @@ def test_inclusion_counts_against_mpmath(name):
     ctxs = [make_context(st, d) for d in _directions(st)]
     regions = [default_region(st)] * len(ctxs)
     cols = _columns(ctxs)
-    counts = _algebraic_counts(cols, regions)[1]
+    counts = _counted(cols, regions)
     _, size, center, radius, beyond = _inclusion(cols)
     for j, (ctx, reg, c) in enumerate(zip(ctxs, regions, counts)):
         assert not isinstance(c, Exception), (name, ctx.direction, c)
@@ -131,7 +130,7 @@ def test_double_roots_are_decided_by_clusters():
     st = _state(H=(1.0, 0.5), v=(0.3, -0.2), eps=0.2)
     ctxs = [make_context(st, d) for d in _directions(st)]
     regions = [default_region(st)] * len(ctxs)
-    counts = _algebraic_counts(_columns(ctxs), regions)[1]
+    counts = _counted(_columns(ctxs), regions)
     assert [(c.winding_count, c.region) for c in counts] == [(0, regions[0])] * len(ctxs)
     summary = scan_directions(st, n_dirs=16)
     assert summary.n_errors == 0 and all(r.count == 0 for r in summary.records)
