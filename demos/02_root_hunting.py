@@ -49,10 +49,10 @@ def main():
 
     print()
     print("scan over directions (neutral state): all counts must be zero")
-    summary = pv.scan_directions(NEUTRAL, n_dirs=16)
-    counts = [r.count for r in summary.records]
+    scan = pv.scan_directions(NEUTRAL, n_dirs=16)
+    counts = [scan.count[p] for p, _ in scan.fold]
     print(f"  counts = {counts}")
-    print(f"  numerically unstable: {summary.numerically_unstable}")
+    print(f"  numerically unstable: {scan.numerically_unstable}")
 
 
 if __name__ == "__main__":

@@ -15,12 +15,11 @@ Layers:
 from .criterion import (Classification, MinimizationResult, Verdict, classify,
                         critical_e1_squared, default_tol_eq, f_of_omega,
                         minimize_f, transitional_discriminant)
-from .dispersion import (DirectionScan, LopatinskiContext, RootReport,
-                         ScanSummary, default_delta, default_region,
-                         find_unstable_roots, locate_roots, lopatinski,
-                         lopatinski_deriv, lopatinski_scale, make_context,
-                         newton_refine, scan_directions, scan_states,
-                         vacuum_decay_root)
+from .dispersion import (LopatinskiContext, RootReport, StateCounts,
+                         default_delta, find_unstable_roots, locate_roots,
+                         lopatinski, lopatinski_deriv, lopatinski_scale,
+                         make_context, newton_refine, scan_directions,
+                         scan_states, vacuum_decay_root)
 from .errors import (DegenerateSymbolError, DirectionError, NotTransitionalError,
                      PvstabError, ScenarioParseError, SingularFrameError,
                      StateValidationError, TransitionalAtThisDirectionError)

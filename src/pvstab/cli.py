@@ -28,8 +28,9 @@ before they build the next, so they hold at most one block.  CSV cells
 are spelled as ``csv.writer`` does (`_csv_rows`; ``roots`` joins its rows from
 a segment per direction and a tail per half-disk into one string).
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
-as one batch (``dispersion.count_states``/``locate_roots``), which they give
-a delta and never a region, and read the counts as columns.  ``sweep`` with
+as one batch (``dispersion.scan_states``/``locate_roots``), which they give
+a delta and never a region, and read the counts as the columns of a
+``StateCounts``.  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
 root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
 an error when any scanned direction failed.  A state with a component or E1
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import criterion
 from .criterion import classify, classify_values
-from .dispersion import MIN_N_DIRS, count_states, default_delta, locate_roots, make_context
+from .dispersion import MIN_N_DIRS, default_delta, locate_roots, make_context, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
 from .state import MAX_MAGNITUDE, EquilibriumState, check_values, validate_state
@@ -458,7 +459,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
                     "R", "contour_points", "error", "flags", "certificate"])
     points = [point for block in _checked(scenario) for point in block]
     valid = _valid_states(points)
-    scans = count_states(valid, analysis.n_dirs, analysis.delta)
+    scans = scan_states(valid, analysis.n_dirs, analysis.delta)
     tails = _Memo(lambda region: f"{region[0]!r},{region[1]!r},,,,inclusion\n")
     rows: list[str] = []
     segments: list[str] = []    # "omega2,omega3," of the equispaced directions
@@ -645,7 +646,7 @@ def judge_verdicts(states: list[EquilibriumState],
     the pair, a PvstabError naming how many failed and the first failure.
     """
     for st, cls, scan in zip(states, classes,
-                             count_states(states, analysis.n_dirs, analysis.delta)):
+                             scan_states(states, analysis.n_dirs, analysis.delta)):
         errors = scan.errors
         if errors:
             yield PvstabError(f"{len(errors)} direction(s) failed: {errors[0]}")
@@ -746,32 +747,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_COMMANDS = {"classify": cmd_classify, "roots": cmd_roots, "modes": cmd_modes,
+             "sweep": cmd_sweep, "validate": cmd_validate}
+_PARSER = _Parser(prog="pvstab",
+                  description="Stability analysis of planar plasma-vacuum interfaces "
+                              "with a nonzero vacuum displacement current.")
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("scenario", help="scenario file path")
+_PARSER.add_argument("--out", default="-",
+                     help="output path ('-' for stdout, the default)")
+_PARSER.add_argument("--seed", type=int, default=0,
+                     help="RNG seed for validate sampling")
+_PARSER.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility and ignored; "
+                          "every command runs serially")
+
+
 def main(argv=None) -> int:
-    commands = {"classify": cmd_classify, "roots": cmd_roots, "modes": cmd_modes,
-                "sweep": cmd_sweep,
-                "validate": lambda scenario, out: cmd_validate(scenario, out, args.seed)}
-    parser = _Parser(prog="pvstab",
-                     description="Stability analysis of planar plasma-vacuum interfaces "
-                                 "with a nonzero vacuum displacement current.")
-    parser.add_argument("command", choices=commands)
-    parser.add_argument("scenario", help="scenario file path")
-    parser.add_argument("--out", default="-",
-                        help="output path ('-' for stdout, the default)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for validate sampling")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility and ignored; "
-                             "every command runs serially")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.seed < 0:
-        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
+        _PARSER.error(f"argument --seed: must be non-negative, got {args.seed}")
 
     out = io.StringIO()     # written out once the command has succeeded
     try:
         scenario = parse_scenario(args.scenario)
         for warning in scenario.warnings:
             print(f"pvstab: warning: {warning}", file=sys.stderr)
-        code = commands[args.command](scenario, out)
+        code = (cmd_validate(scenario, out, args.seed) if args.command == "validate"
+                else _COMMANDS[args.command](scenario, out))
         if args.out == "-":
             sys.stdout.write(out.getvalue())
         else:

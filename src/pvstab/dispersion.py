@@ -18,11 +18,12 @@ polynomial Q = A^2 (1 + eps^2 s^2) - B^2, real in sigma = -i s.  One
 eigenvalue call solves Q for a batch of directions, and clusters of
 Weierstrass disks about its roots certify every count
 (``_algebraic_counts``); a direction they cannot decide is an error, never
-a guess.  Newton polishes the roots.  A scan (``count_states``) counts its
-directions as columns, built from a table of the states and one of the
-directions, in batches of up to _MAX_BATCH, and keeps counts, regions,
-errors and roots as lists; it counts one direction of each antipodal pair
-and reads the other by index.  ``scan_states`` is its library view.
+a guess.  Newton polishes the roots.  Every count runs on (7, k) columns
+built from a table of the states and one of the directions
+(``_table_columns``), in batches of up to _MAX_BATCH.  Its one result is a
+``StateCounts``, which keeps counts, regions, errors and roots as lists and
+gives a direction's RootReport on demand; a scan (``scan_states``) counts
+one direction of each antipodal pair and reads the other by index.
 Independent cross-checks are in ``oracle``.
 """
 
@@ -67,7 +68,7 @@ class LopatinskiContext:
     """
 
     state: EquilibriumState
-    direction: WaveDirection | None     # unit vector; None for a batch
+    direction: WaveDirection            # unit vector
     bundle: FrequencyBundle
 
     @property
@@ -188,9 +189,6 @@ class HalfDiskRegion:
         if not (self.delta > 0.0 and self.radius > 0.0):
             raise ValueError("half-disk region requires delta > 0 and radius > 0")
 
-    def contains(self, s: complex) -> bool:
-        return s.real >= self.delta and abs(s - self.delta) <= self.radius
-
 
 def _beyond(p2: float, p1: float, p0: float) -> float:
     # the larger root of p2 r^2 + p1 r + p0 (p2 > 0): the polynomial is
@@ -280,15 +278,30 @@ def default_region(state: EquilibriumState, delta: float | None = None) -> HalfD
     return HalfDiskRegion(delta=delta, radius=max(r, r_star / _JITTER_MIN))
 
 
-def _columns(ctxs) -> np.ndarray:
-    # (7, k): eps, E1, |Hv'|^2 and the bundle fields of each context
-    return np.array([(c.eps, c.e1, c.hv_sq, c.bundle.w_plus, c.bundle.w_minus,
-                      c.bundle.w_perp, c.bundle.v_dot) for c in ctxs]).T
+def _table_columns(states, directions, stars) -> np.ndarray:
+    """(7, k) columns: eps, E1, |Hv'|^2 and the ``frequency_bundle`` fields
+    of each state's ``directions`` and then of its ``stars[j]``, from a table
+    of the state values and one of the directions.  Each direction is
+    normalized as ``make_context`` does, and the bundle takes the products
+    and sums of ``frequency_bundle`` in its order, so the same bits.  With
+    no ``directions`` the columns are those of the pairs (states[j],
+    stars[j]), as ``locate_roots`` counts them."""
+    units = [d if d.is_unit else d.unit() for d in (*directions, *stars)]
+    w = np.array([(d.omega2, d.omega3) for d in units]).T
+    n = len(directions)
+    w2, w3 = np.concatenate([np.repeat(w[:, None, :n], len(stars), axis=1), w[:, n:, None]], 2)
+    eps, e1, hv_sq, h2, h3, hv2, hv3, v2, v3 = np.array([
+        (st.eps, st.E1_hat, st.Hv_sq, *st.H_hat_t, *st.Hv_hat_t, *st.v_hat_t)
+        for st in states]).T[:, :, None]
+    return np.array(np.broadcast_arrays(
+        eps, e1, hv_sq, h2 * w2 + h3 * w3, hv2 * w2 + hv3 * w3, hv3 * w2 - hv2 * w3,
+        v2 * w2 + v3 * w3)).reshape(7, -1)
 
 
 class _Batch:
     """Directions of any states, as the evaluators read them: the rows of
-    ``_columns``, one value per point, as a LopatinskiContext's attributes.
+    ``_table_columns``, one value per point, as a LopatinskiContext's
+    attributes.
     """
 
     def __init__(self, cols: np.ndarray):
@@ -303,7 +316,7 @@ class _Batch:
 
 def _sigma_polynomial(cols, sign: float = -1.0) -> np.ndarray:
     """Q = A^2 (1 + eps^2 s^2) - B^2 at s = i sigma: (7, k) coefficients,
-    lowest power first, for the ``_columns`` of k directions.
+    lowest power first, for the ``_table_columns`` of k directions.
 
     There A = w_plus^2 - (sigma + v.omega')^2, 1 + eps^2 s^2 = 1 - eps^2
     sigma^2 and B = w_minus^2 - E1^2 + 2 E1 w_perp eps sigma - |Hv'|^2 eps^2
@@ -514,7 +527,8 @@ def newton_refine(ctx, s0, max_iter: int = 60):
     shape = s.shape
     s = s.reshape(-1)
     n = s.size
-    cols = ctx.cols if isinstance(ctx, _Batch) else _columns([ctx])
+    cols = (ctx.cols if isinstance(ctx, _Batch)
+            else _table_columns([ctx.state], (), [ctx.direction]))
     cols = np.broadcast_to(cols, (cols.shape[0], n))
     abs_l, scale = np.empty(n), np.empty(n)
     act = np.arange(n)
@@ -555,10 +569,6 @@ class RootReport:
     residuals: tuple[float, ...]     # |L| at each root
     flags: tuple[str, ...] = ()
     inclusion_radius: float | None = None    # the largest disk of the count
-
-    @property
-    def max_re(self) -> float | None:
-        return max((r.real for r in self.roots), default=None)
 
 
 def _candidate_roots(cols, roots) -> list:
@@ -611,107 +621,15 @@ def _count(cols, delta, radius) -> tuple:
     return (*counts, _located(cols, roots, *counts[:3]))
 
 
-def _report(count, delta, radius, largest, error, found):
-    """A RootReport from one direction's entries of ``_count`` (``found``
-    conjugated for an antipode), or the error that ended its count."""
-    if count is None:
-        return PvstabError(error)
-    return RootReport(HalfDiskRegion(delta, radius), count, *(found or ((), (), ())), largest)
-
-
-def _locate(ctxs, regions):
-    # the batches of ``locate_roots``, on regions already built: up to
-    # _MAX_BATCH contexts, of any states, are counted and located together
-    for lo in range(0, len(ctxs), _MAX_BATCH):
-        part = regions[lo:lo + _MAX_BATCH]
-        counts = _count(_columns(ctxs[lo:lo + _MAX_BATCH]), [r.delta for r in part],
-                        [r.radius for r in part])
-        yield from (_report(*direction) for direction in zip(*counts))
-
-
-def locate_roots(ctxs, deltas):
-    """Count and locate the roots of each context with Re s >= ``deltas[j]``
-    (None: its state's default delta), in batches.
-
-    Each count is in ``default_region(ctx.state, deltas[j])``.  Returns an
-    iterator of, per context and in order, its RootReport or the error that
-    ended its count.
-    """
-    if len(deltas) != len(ctxs):
-        raise ValueError(f"{len(deltas)} deltas for {len(ctxs)} contexts")
-    return _locate(ctxs, [default_region(c.state, d) for c, d in zip(ctxs, deltas)])
-
-
-def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> RootReport:
-    """Count the roots of L with Re s >= delta and locate them: a batch of
-    one of ``locate_roots``.  Raises the error that ended the count."""
-    result = next(locate_roots([ctx], [delta]))
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-# ---------------------------------------------------------------------------
-# direction scans
-
-
-@dataclass(frozen=True)
-class DirectionScan:
-    """The scan of one direction: its RootReport (a count of 0 included),
-    or the error that ended its count."""
-
-    direction: WaveDirection
-    report: RootReport | None = None    # None when the count itself failed
-    error: str | None = None
-
-    @property
-    def count(self) -> int | None:
-        return self.report.winding_count if self.report is not None else None
-
-    @property
-    def region(self) -> HalfDiskRegion | None:
-        return self.report.region if self.report is not None else None
-
-    @property
-    def max_re_s(self) -> float | None:
-        return self.report.max_re if self.report is not None else None
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    """Per-direction root counts plus the worst growth rate found."""
-
-    records: tuple[DirectionScan, ...]
-    numerically_unstable: bool
-    max_re_s: float | None
-    n_errors: int
-
-
-def _table_columns(states, directions, stars) -> np.ndarray:
-    """``_columns`` of each state's ``directions`` and then its ``stars[j]``,
-    from a table of the state values and one of the directions, each
-    direction normalized as ``make_context`` does: the products and sums of
-    ``frequency_bundle``, in its order, so the same bits."""
-    units = [d if d.is_unit else d.unit() for d in (*directions, *stars)]
-    w = np.array([(d.omega2, d.omega3) for d in units]).T
-    n = len(directions)
-    w2, w3 = np.concatenate([np.repeat(w[:, None, :n], len(stars), axis=1), w[:, n:, None]], 2)
-    eps, e1, hv_sq, h2, h3, hv2, hv3, v2, v3 = np.array([
-        (st.eps, st.E1_hat, st.Hv_sq, *st.H_hat_t, *st.Hv_hat_t, *st.v_hat_t)
-        for st in states]).T[:, :, None]
-    return np.array(np.broadcast_arrays(
-        eps, e1, hv_sq, h2 * w2 + h3 * w3, hv2 * w2 + hv3 * w3, hv3 * w2 - hv2 * w3,
-        v2 * w2 + v3 * w3)).reshape(7, -1)
-
-
 class StateCounts(NamedTuple):
-    """The scan of one state as lists (``count_states``): per direction its
-    fold, and per position among the counted directions the lists of
-    ``_count``.  The antipode -omega' has the count, half-disk and flags of
-    omega' and, as L_{-omega'}(s) = conj(L_{omega'}(conj s)), the conjugate
-    roots (``found``)."""
+    """The one result of a count, as lists: per direction its fold, and per
+    position among the counted directions the lists of ``_count``.  A scan
+    (``scan_states``) counts one direction of each antipodal pair; the
+    antipode -omega' has the count, half-disk and flags of omega' and, as
+    L_{-omega'}(s) = conj(L_{omega'}(conj s)), the conjugate roots
+    (``found``).  ``report`` gives one direction's RootReport."""
 
-    directions: list        # n_dirs equispaced, then the F-minimizer and its antipode
+    directions: list        # a scan's n_dirs equispaced, the F-minimizer and its antipode
     fold: list              # per direction: (position counted, whether the antipode)
     count: list             # per position: the root count, None where it failed
     delta: list             # the half-disk counted {Re s >= delta, |s - delta| <= radius}
@@ -743,8 +661,52 @@ class StateCounts(NamedTuple):
                        key=lambda q: (-q[0].real, q[0].imag))
         return tuple(z for z, _ in pairs), tuple(res for _, res in pairs), found[2]
 
+    def report(self, k: int):
+        """The RootReport of direction k (a count of 0 included), or the
+        PvstabError that ended its count."""
+        p, flip = self.fold[k]
+        if self.count[p] is None:
+            return PvstabError(self.error[p])
+        return RootReport(HalfDiskRegion(self.delta[p], self.radius[p]), self.count[p],
+                          *(self.found(p, flip) or ((), (), ())), self.largest[p])
 
-def count_states(states, n_dirs: int = 32, delta: float | None = None):
+
+def locate_roots(ctxs, deltas):
+    """Count and locate the roots of each context with Re s >= ``deltas[j]``
+    (None: its state's default delta), in batches.
+
+    Each count is in ``default_region(ctx.state, deltas[j])``.  Up to
+    _MAX_BATCH contexts, of any states, are counted and located together.
+    Returns an iterator of, per context and in order, its RootReport or the
+    error that ended its count.
+    """
+    if len(deltas) != len(ctxs):
+        raise ValueError(f"{len(deltas)} deltas for {len(ctxs)} contexts")
+    regions = [default_region(c.state, d) for c, d in zip(ctxs, deltas)]
+    parts = ((ctxs[lo:lo + _MAX_BATCH], regions[lo:lo + _MAX_BATCH])
+             for lo in range(0, len(ctxs), _MAX_BATCH))
+    batches = (StateCounts([c.direction for c in part], [(j, False) for j in range(len(part))],
+                           *_count(_table_columns([c.state for c in part], (),
+                                                  [c.direction for c in part]),
+                                   [r.delta for r in region], [r.radius for r in region]))
+               for part, region in parts)
+    return (batch.report(k) for batch in batches for k in range(len(batch.fold)))
+
+
+def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> RootReport:
+    """Count the roots of L with Re s >= delta and locate them: a batch of
+    one of ``locate_roots``.  Raises the error that ended the count."""
+    result = next(locate_roots([ctx], [delta]))
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+# ---------------------------------------------------------------------------
+# direction scans
+
+
+def scan_states(states, n_dirs: int = 32, delta: float | None = None):
     """Count and locate the roots of every direction of each state (see
     ``scan_directions``) as columns; yields a StateCounts per state.
 
@@ -778,18 +740,8 @@ def count_states(states, n_dirs: int = 32, delta: float | None = None):
                               fold, *(c[part] for c in counts))
 
 
-def scan_states(states, n_dirs: int = 32, delta: float | None = None):
-    """The library view of ``count_states``: yields a ScanSummary per state."""
-    for scan in count_states(states, n_dirs, delta):
-        reports = (_report(*(c[p] for c in scan[2:7]), scan.found(p, flip))
-                   for p, flip in scan.fold)
-        records = tuple(DirectionScan(d, error=str(rep)) if isinstance(rep, PvstabError)
-                        else DirectionScan(d, rep) for d, rep in zip(scan.directions, reports))
-        yield ScanSummary(records, scan.numerically_unstable, scan.max_re_s, len(scan.errors))
-
-
 def scan_directions(state: EquilibriumState, n_dirs: int = 32,
-                    delta: float | None = None) -> ScanSummary:
+                    delta: float | None = None) -> StateCounts:
     """Count unstable roots over equispaced directions plus the F-minimizers.
 
     A state is numerically unstable iff some direction has a root with

@@ -14,6 +14,7 @@ import numpy as np
 
 import pvstab as pv
 from pvstab.cli import main, margin_band
+from pvstab.dispersion import default_region
 from pvstab.oracle import grid_fmin_bound
 
 
@@ -62,11 +63,12 @@ def test_collinear_scan_at_a_given_delta_is_unstable():
     # cannot fall outside it, and the scan agrees with the closed form
     st = _state(H=(1, 0), Hv=(2, 0), E1=0.3)
     summary = pv.scan_directions(st, 8, delta=0.05)
-    assert summary.n_errors == 0
+    assert summary.errors == []
     assert summary.numerically_unstable
     assert summary.numerically_unstable == pv.classify(st).verdict.is_unstable
     assert summary.max_re_s > 0.05
-    assert {r.region for r in summary.records} == {pv.default_region(st, 0.05)}
+    assert {summary.report(k).region for k in range(len(summary.fold))} == {
+        default_region(st, 0.05)}
 
 
 @criterion(2, "closed-form verdict agrees with winding scan on 200 states")
@@ -128,7 +130,7 @@ def test_c04_neutral_series_and_spectra():
                            for c in branch.coefficients), (st, d, branch)
 
         summary = pv.scan_directions(st, n_dirs=16)
-        assert summary.n_errors == 0, st
+        assert summary.errors == [], st
         assert not summary.numerically_unstable, st
 
 

@@ -497,7 +497,7 @@ class TestSweepCrossCheck:
                                   [(0, False), (1, False)], [None, 0], [None, 0.1],
                                   [None, 10.0], [None, 0.0], ["boom", None], [None, None])
 
-        monkeypatch.setattr(cli_mod, "count_states", fake_counts)
+        monkeypatch.setattr(cli_mod, "scan_states", fake_counts)
         out = tmp_path / "sweep.csv"
         assert _run(["sweep", _write(tmp_path, CROSS_CHECK), "--out", str(out)]) == 3
         for r in _csv_rows(out):
@@ -747,7 +747,7 @@ class TestValidateCommand:
             for _ in states:            # no direction, so no root anywhere
                 yield StateCounts(*[[]] * 8)
 
-        monkeypatch.setattr(cli_mod, "count_states", fake_counts)
+        monkeypatch.setattr(cli_mod, "scan_states", fake_counts)
         text = "[state]\nH2 = 1.0\nHv2 = 2.0\nE1 = 0.3\n" \
                "[analysis]\nsample = 5\nn_dirs = 16\n"
         out = tmp_path / "val.jsonl"

@@ -1,6 +1,6 @@
-"""The column path of ``roots`` and ``validate``: the columns built from a
-state table and a direction table equal those of one context per direction,
-bit for bit, and the ``roots`` rows equal rows spelled from the library view
+"""The column path of every count: the columns built from a state table and
+a direction table equal the fields of ``frequency_bundle``, bit for bit, and
+the ``roots`` rows equal rows spelled from the reports of
 ``scan_directions``."""
 
 import csv
@@ -12,10 +12,9 @@ import pytest
 
 from pvstab import cli, dispersion
 from pvstab.criterion import classify, minimize_f
-from pvstab.dispersion import (_columns, _table_columns, find_unstable_roots, make_context,
-                               scan_directions)
+from pvstab.dispersion import _table_columns, find_unstable_roots, make_context, scan_directions
 from pvstab.errors import PvstabError
-from pvstab.state import EquilibriumState, WaveDirection
+from pvstab.state import EquilibriumState, WaveDirection, frequency_bundle
 from test_dispersion import COLLINEAR, PERP
 from test_inclusion import CORPUS
 
@@ -27,11 +26,21 @@ STATES = [*CORPUS.values(), COLLINEAR]
 CHORD = find_unstable_roots(make_context(COLLINEAR, PERP)).roots[0].real
 
 
+def _bundle_columns(pairs) -> np.ndarray:
+    # the reference: eps, E1, |Hv'|^2 and frequency_bundle of each (state,
+    # direction), the direction normalized as make_context does
+    bundles = [frequency_bundle(st, d if d.is_unit else d.unit()) for st, d in pairs]
+    return np.array([(st.eps, st.E1_hat, st.Hv_sq, b.w_plus, b.w_minus, b.w_perp, b.v_dot)
+                     for (st, _), b in zip(pairs, bundles)]).T
+
+
 @pytest.mark.parametrize("n_dirs", [8, 9, 16, 32])
 def test_table_columns_equal_context_columns(n_dirs):
     # the counted directions of a scan (the first half of an even set) and
     # each state's F-minimizer; one minimizer off unit by more than 1e-12,
-    # which both normalize, and one within it, which both keep as it is
+    # which both normalize, and one within it, which both keep as it is.
+    # With no shared directions (as locate_roots counts) the columns are
+    # those of the pairs (state, minimizer)
     states = list(CORPUS.values())
     half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
     directions = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs) for k in range(half)]
@@ -39,25 +48,29 @@ def test_table_columns_equal_context_columns(n_dirs):
     stars[0] = WaveDirection(stars[0].omega2 * (1.0 + 1e-9), stars[0].omega3 * (1.0 + 1e-9))
     stars[1] = WaveDirection(stars[1].omega2 * (1.0 + 4e-13), stars[1].omega3 * (1.0 + 4e-13))
     assert not stars[0].is_unit and stars[1].is_unit and stars[1].norm != 1.0
-    want = _columns([make_context(st, d) for st, star in zip(states, stars)
-                     for d in directions + [star]])
-    got = _table_columns(states, directions, stars)
-    assert got.shape == want.shape == (7, len(states) * (half + 1))
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for shared, pairs in (
+            (directions, [(st, d) for st, star in zip(states, stars)
+                          for d in directions + [star]]),
+            ((), list(zip(states, stars)))):
+        want = _bundle_columns(pairs)
+        got = _table_columns(states, shared, stars)
+        assert got.shape == want.shape == (7, len(pairs))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _spelled(states, n_dirs, delta) -> str:
-    """The rows of ``roots`` spelled by csv.writer from the records of
+    """The rows of ``roots`` spelled by csv.writer from the reports of
     ``scan_directions``, one state at a time."""
     buf = io.StringIO()
     buf.write("# pvstab-csv v1\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HEADER)
     for index, st in enumerate(states):
-        for rec in scan_directions(st, n_dirs, delta).records:
-            d, rep = rec.direction, rec.report
-            if rep is None:
-                writer.writerow([index, d.omega2, d.omega3, *[None] * 7, rec.error, None, None])
+        scan = scan_directions(st, n_dirs, delta)
+        for k, d in enumerate(scan.directions):
+            rep = scan.report(k)
+            if isinstance(rep, PvstabError):
+                writer.writerow([index, d.omega2, d.omega3, *[None] * 7, str(rep), None, None])
                 continue
             head = [index, d.omega2, d.omega3, rep.winding_count]
             tail = [rep.region.delta, rep.region.radius, None, None, "; ".join(rep.flags),
@@ -120,7 +133,7 @@ def test_roots_rows_equal_library_view(tmp_path, monkeypatch, case, n_dirs):
 
 def test_first_failure_of_judge_verdicts_is_the_library_view(monkeypatch):
     # the error of a scan with failed directions, (0, +-1) twice (see above),
-    # names how many failed and the first failure, as the records of
+    # names how many failed and the first failure, as the errors of
     # scan_directions give them
     analysis = cli.AnalysisOptions(n_dirs=32, delta=CHORD)
     [verdict] = cli.judge_verdicts([COLLINEAR], [classify(COLLINEAR)], analysis)
@@ -128,6 +141,7 @@ def test_first_failure_of_judge_verdicts_is_the_library_view(monkeypatch):
     monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
     summary = scan_directions(COLLINEAR, 32, CHORD)
     [verdict] = cli.judge_verdicts([COLLINEAR], [classify(COLLINEAR)], analysis)
-    first = next(r.error for r in summary.records if r.error)
-    assert summary.n_errors == 4 and isinstance(verdict, PvstabError)
-    assert str(verdict) == f"{summary.n_errors} direction(s) failed: {first}"
+    first = next(str(r) for r in map(summary.report, range(len(summary.fold)))
+                 if isinstance(r, PvstabError))
+    assert len(summary.errors) == 4 and isinstance(verdict, PvstabError)
+    assert str(verdict) == f"4 direction(s) failed: {first}"

@@ -31,11 +31,18 @@ PERP = WaveDirection(0, 1)
 def _counted(cols, regions) -> list:
     """Per direction of the columns ``cols``: the count-only RootReport of
     ``_algebraic_counts`` in its region, or the error that ended its count."""
-    from pvstab.dispersion import _algebraic_counts, _report
+    from pvstab.dispersion import StateCounts, _algebraic_counts
 
     _, *counts = _algebraic_counts(cols, [r.delta for r in regions],
                                    [r.radius for r in regions])
-    return [_report(*direction, None) for direction in zip(*counts)]
+    k = cols.shape[1]
+    scan = StateCounts([None] * k, [(j, False) for j in range(k)], *counts, [None] * k)
+    return [scan.report(j) for j in range(k)]
+
+
+def _reports(scan) -> list:
+    """(direction, RootReport or PvstabError) per direction of a scan."""
+    return [(d, scan.report(k)) for k, d in enumerate(scan.directions)]
 
 
 class TestDecayRoots:
@@ -378,32 +385,45 @@ class TestCountAgainstBruteForce:
             checked += 1
 
 
+def _record(report, antipode):
+    # (count, region, error) and, unless the direction is an antipode (whose
+    # roots a scan conjugates), the bytes of its roots and residuals
+    if isinstance(report, PvstabError):
+        return None, None, str(report), None
+    found = None if antipode else (np.array(report.roots, dtype=complex).tobytes(),
+                                   np.array(report.residuals, dtype=float).tobytes())
+    return report.winding_count, report.region, None, found
+
+
 def _single_scan(state, n_dirs, delta=None):
-    """(count, region, error) per direction of a scan, each direction
-    counted alone, unfolded, with Re s >= ``delta`` or the default delta."""
+    """``_records`` of a scan, each direction counted alone, unfolded, with
+    Re s >= ``delta`` or the default delta."""
     from pvstab.criterion import minimize_f
 
     star = minimize_f(state).omega_star
     directions = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
     directions += [star, WaveDirection(-star.omega2, -star.omega3)]
+    half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
     out = []
-    for d in directions:
+    for k, d in enumerate(directions):
         try:
-            c = find_unstable_roots(make_context(state, d), delta)
-            out.append((c.winding_count, c.region, None))
+            report = find_unstable_roots(make_context(state, d), delta)
         except PvstabError as err:
-            out.append((None, None, str(err)))
+            report = err
+        out.append(_record(report, half <= k < n_dirs or k == n_dirs + 1))
     return out
 
 
-def _records(summary):
-    return [(r.count, r.region, r.error) for r in summary.records]
+def _records(scan):
+    return [_record(scan.report(k), flip) for k, (_, flip) in enumerate(scan.fold)]
 
 
 class TestBatchedCount:
     def test_batch_matches_batch_of_one(self):
-        # 12 states x 18 directions: sampler states plus the corners
+        # 12 states x 18 directions: sampler states plus the corners.  Every
+        # counted direction has the roots and residuals, bit for bit, of the
+        # direction located alone
         from pvstab.cli import sample_validation_state
 
         rng = np.random.default_rng(17)
@@ -411,12 +431,13 @@ class TestBatchedCount:
         states += [COLLINEAR, TRANSITIONAL,
                    _state(H=(1.3, -0.2), Hv=(0.4, 2.0), v=(0.5, 0.2))]   # E1 = 0
         states += [dataclasses.replace(OBLIQUE, eps=eps) for eps in (1e-4, 0.5, 0.9)]
-        pairs = 0
+        pairs = located = 0
         for st in states:
             batched = _records(scan_directions(st, n_dirs=16))
             assert batched == _single_scan(st, 16), st
             pairs += len(batched)
-        assert pairs >= 200
+            located += sum(r[0] for r in batched if r[3] is not None)
+        assert pairs >= 200 and located >= 20
 
     def test_grazed_root_jitters_only_its_directions(self):
         # the chord Re s = delta runs through the root at omega' = (0, 1)
@@ -427,29 +448,29 @@ class TestBatchedCount:
         root = find_unstable_roots(ctx).roots[0]
         summary = scan_directions(COLLINEAR, n_dirs=16, delta=root.real)
         assert _records(summary) == _single_scan(COLLINEAR, 16, root.real)
-        jittered = [r for r in summary.records if r.region.delta != root.real]
+        jittered = [(d, r) for d, r in _reports(summary) if r.region.delta != root.real]
         assert len(jittered) == 4
-        assert all(abs(r.direction.omega3) == 1.0 and r.count == 1 for r in jittered)
-        assert summary.n_errors == 0
+        assert all(abs(d.omega3) == 1.0 and r.winding_count == 1 for d, r in jittered)
+        assert summary.errors == []
 
     def test_failed_direction_leaves_others_unchanged(self, monkeypatch):
         # with no jittered retry, the directions whose chord runs through a
         # root (omega' = (0, +-1), see above) stay undecided: each is its own
         # error, and every other direction of the batch keeps its count
         from pvstab import dispersion
-        from pvstab.dispersion import _columns
+        from pvstab.dispersion import _table_columns
 
         ctx = make_context(COLLINEAR, PERP)
         root = find_unstable_roots(ctx).roots[0]
         region = default_region(COLLINEAR, root.real)
-        ctxs = [make_context(COLLINEAR, WaveDirection.from_angle(2.0 * math.pi * k / 16))
-                for k in range(16)]
-        cols, regions = _columns(ctxs), [region] * 16
+        directions = [WaveDirection.from_angle(2.0 * math.pi * k / 16) for k in range(16)]
+        cols = _table_columns([COLLINEAR] * 16, (), directions)
+        regions = [region] * 16
         free = _counted(cols, regions)
         monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
         tight = _counted(cols, regions)
         failed = 0
-        for c, f, t in zip(ctxs, free, tight):
+        for f, t in zip(free, tight):
             assert not isinstance(f, PvstabError)
             if f.region != region:
                 assert isinstance(t, PvstabError) and "cannot decide" in str(t)
@@ -460,8 +481,8 @@ class TestBatchedCount:
 
     def test_undecided_directions_are_error_records(self, monkeypatch):
         # the scan of the batch above: the undecided directions and their
-        # mirror images are error records, counted in n_errors, and the
-        # other records are those of the scan with jittered retries; as only
+        # mirror images are errors, listed in errors, and the other reports
+        # are those of the scan with jittered retries; as only
         # the undecided directions have roots in the region, the state is
         # not reported unstable
         from pvstab import dispersion
@@ -471,19 +492,19 @@ class TestBatchedCount:
         free = scan_directions(COLLINEAR, n_dirs=16, delta=root.real)
         monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
         tight = scan_directions(COLLINEAR, n_dirs=16, delta=root.real)
-        failed = [t for t in tight.records if t.error is not None]
-        assert len(failed) == tight.n_errors == 4
-        assert all(abs(t.direction.omega3) == 1.0 and t.count is None for t in failed)
-        for f, t in zip(free.records, tight.records):
-            assert t.error is not None or t == f
+        failed = [(d, t) for d, t in _reports(tight) if isinstance(t, PvstabError)]
+        assert len(failed) == len(tight.errors) == 4
+        assert all(abs(d.omega3) == 1.0 and str(t) in tight.errors for d, t in failed)
+        for (_, f), (_, t) in zip(_reports(free), _reports(tight)):
+            assert isinstance(t, PvstabError) or t == f
         assert free.numerically_unstable and not tight.numerically_unstable
 
     def test_states_batch_matches_each_state_alone(self, monkeypatch):
         # sampler and corner states in one batch, at their default deltas and
         # at one delta for all: the root of the collinear state (its chord
         # runs through its roots, a jittered retry) and 1e-5 (the chord passes
-        # 1e-5 from the neutral roots of the fifth state); the summary of each
-        # equals the scan of its state alone, and each state's region is
+        # 1e-5 from the neutral roots of the fifth state); the counts of each
+        # equal the scan of its state alone, and each state's region is
         # proven once for all its directions
         from pvstab import dispersion
         from pvstab.cli import sample_validation_state
@@ -508,9 +529,9 @@ class TestBatchedCount:
             assert proofs == [(st, delta) for st in states]
             for st, summary in zip(states, summaries):
                 assert summary == scan_directions(st, 16, delta), (st, delta)
-            assert sum(s.n_errors for s in summaries) == 0, delta
+            assert sum(len(s.errors) for s in summaries) == 0, delta
             assert sum(s.numerically_unstable for s in summaries) >= 5, delta
-            jittered = [sum(r.region != prove(st, delta) for r in s.records)
+            jittered = [sum(r.region != prove(st, delta) for _, r in _reports(s))
                         for st, s in zip(states, summaries)]
             assert jittered == [0] * 4 + [4 if delta == root.real else 0] + [0] * 3
 
@@ -519,17 +540,17 @@ class TestScanDirections:
     def test_collinear_unstable_everywhere_detected(self):
         summary = scan_directions(COLLINEAR, n_dirs=32)
         assert summary.numerically_unstable
-        assert summary.n_errors == 0
+        assert summary.errors == []
         # worst direction is the F-minimizer, perpendicular to the fields
-        best = max((r for r in summary.records if r.max_re_s is not None),
-                   key=lambda r: r.max_re_s)
-        assert abs(best.direction.omega3) == pytest.approx(1.0, abs=1e-6)
+        best, _ = max(_reports(summary), key=lambda p: max(
+            (z.real for z in p[1].roots), default=-math.inf))
+        assert abs(best.omega3) == pytest.approx(1.0, abs=1e-6)
         assert summary.max_re_s == pytest.approx(0.3, abs=5e-3)
 
     def test_neutral_all_zero(self):
         summary = scan_directions(NEUTRAL, n_dirs=32)
         assert not summary.numerically_unstable
-        assert all(r.count == 0 for r in summary.records)
+        assert all(r.winding_count == 0 for _, r in _reports(summary))
 
     def test_zero_e1_stable(self):
         summary = scan_directions(_state(H=(1.3, -0.2), Hv=(0.4, 2.0)), n_dirs=16)
@@ -710,7 +731,7 @@ def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
     # the third a near-double root on the axis
     import mpmath
 
-    from pvstab.dispersion import _candidate_roots, _columns, _inclusion
+    from pvstab.dispersion import _candidate_roots, _inclusion, _table_columns
 
     st = _state(H=h, Hv=hv, E1=e1, v=v, eps=eps)
     d = WaveDirection.from_angle(theta)
@@ -726,7 +747,7 @@ def test_l_and_roots_against_mpmath(h, hv, v, e1, eps, theta, points):
             every = [complex(z) for z in _mp_roots(st, w, principal=False)]
         except mpmath.mp.NoConvergence:
             reject()    # a (near-)multiple root polyroots cannot separate
-    cols = _columns([ctx])
+    cols = _table_columns([st], (), [d])
     got = _candidate_roots(cols, _inclusion(cols)[0])[0][0].tolist()
     # the roots clearly off the imaginary axis agree both ways; on the axis
     # sit neutral roots, where roundoff decides the sign of Re s, so a
@@ -751,14 +772,15 @@ def test_stacked_eigenvalues_are_np_roots():
     # term; the sigma^6 one is -eps^2 for every eps > 0) and eps = 0
     # (two leading zeros: degree 4)
     from pvstab.cli import sample_validation_state
-    from pvstab.dispersion import _columns, _inclusion, _sigma_polynomial
+    from pvstab.dispersion import _inclusion, _sigma_polynomial, _table_columns
 
     rng = np.random.default_rng(43)
     states = [sample_validation_state(rng) for _ in range(6)]
     states += [_state(H=(1.0, 0.5), Hv=(2.0, 0.0), E1=0.7, v=(0.3, 0.0), eps=0.5),
                dataclasses.replace(OBLIQUE, eps=0.0)]
-    cols = _columns([make_context(st, WaveDirection.from_angle(a))
-                     for st in states for a in rng.uniform(0.0, 2.0 * np.pi, 4)])
+    angles = rng.uniform(0.0, 2.0 * np.pi, (len(states), 4))
+    cols = _table_columns([st for st in states for _ in range(4)], (),
+                          [WaveDirection.from_angle(a) for a in angles.ravel()])
     got = _inclusion(cols)[0]
     degrees = set()
     for p, z in zip(_sigma_polynomial(cols).T, got):
@@ -774,13 +796,13 @@ def test_unsolvable_polynomial_fails_alone():
     # the coefficients over -eps^2), and with Q(0) = 0 so does that of the
     # reversed polynomial; that context gets an error, and the others of the
     # batch keep the roots and reports they have alone
-    from pvstab.dispersion import _columns, _inclusion, _sigma_polynomial
+    from pvstab.dispersion import _inclusion, _sigma_polynomial, _table_columns
 
     # Q(0) = (w_plus^2 - v^2)^2 - (w_minus^2 - E1^2)^2 = (0 - 1)^2 - (0.5625 - 1.5625)^2
     stuck = _state(H=(0.0, 1.0), Hv=(0.75, 0.0), E1=1.25, v=(1.0, 0.0), eps=1e-160)
     tiny = dataclasses.replace(COLLINEAR, eps=1e-160)
     ctxs = [make_context(st, WaveDirection(1.0, 0.0)) for st in (stuck, tiny, COLLINEAR)]
-    cols = _columns(ctxs)
+    cols = _table_columns([c.state for c in ctxs], (), [c.direction for c in ctxs])
     assert _sigma_polynomial(cols)[0, 0] == 0.0
     got = _inclusion(cols)[0]
     assert np.isfinite(got).any(axis=1).tolist() == [False, True, True]
@@ -808,11 +830,11 @@ def test_branch_points_are_not_roots():
     # B(+-i/eps) ~ 0 makes the branch points +-i/eps roots of the polynomial;
     # roundoff can put such a root at Re s > 0, where Newton cannot move it,
     # and none may come back as a root of L
-    from pvstab.dispersion import _candidate_roots, _columns, _inclusion
+    from pvstab.dispersion import _candidate_roots, _inclusion, _table_columns
 
     st = _state(H=(1.1993, 0.9874), Hv=(0.0, 1e-12), E1=1e-12, eps=0.487)
-    cols = _columns([make_context(st, WaveDirection.from_angle(a))
-                     for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)])
+    cols = _table_columns([st] * 24, (), [WaveDirection.from_angle(a) for a in
+                                          np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)])
     raw = _inclusion(cols)[0]
     at_branch = np.abs(1.0 + (st.eps * raw) ** 2) < 1e-12
     assert at_branch.sum() >= 24
@@ -840,14 +862,15 @@ def test_counts_against_mpmath(picks):
     # it was certified on
     import mpmath
 
-    from pvstab.dispersion import HalfDiskRegion, _columns
+    from pvstab.dispersion import HalfDiskRegion, _table_columns
 
     ctxs, regions = [], []
     for h, hv, v, e1, eps, theta, delta, radius in picks:
         ctxs.append(make_context(_state(H=h, Hv=hv, E1=e1, v=v, eps=eps),
                                  WaveDirection.from_angle(theta)))
         regions.append(HalfDiskRegion(delta, radius))
-    counts = _counted(_columns(ctxs), regions)
+    counts = _counted(_table_columns([c.state for c in ctxs], (), [c.direction for c in ctxs]),
+                      regions)
     for ctx, c in zip(ctxs, counts):
         if isinstance(c, PvstabError):
             continue            # a cluster across every jittered boundary
@@ -884,32 +907,30 @@ class TestFold:
                 batches.clear()
                 summary = scan_directions(st, n_dirs=n)
                 assert batches[0] == (n // 2 if n % 2 == 0 else n) + 1
-                for rec in summary.records:
-                    ctx = make_context(st, rec.direction)
-                    alone = find_unstable_roots(ctx)
-                    assert (rec.count, rec.region, rec.error) == (
-                        alone.winding_count, alone.region, None), (st, rec)
-                    assert len(rec.report.roots) == len(alone.roots) == alone.winding_count
-                    for got, want in zip(rec.report.roots, alone.roots):
-                        assert abs(got - want) <= 1e-12 * abs(want), (st, rec)
+                for d, rep in _reports(summary):
+                    alone = find_unstable_roots(make_context(st, d))
+                    assert not isinstance(rep, PvstabError), (st, d, rep)
+                    assert (rep.winding_count, rep.region) == (
+                        alone.winding_count, alone.region), (st, d)
+                    assert len(rep.roots) == len(alone.roots) == alone.winding_count
+                    for got, want in zip(rep.roots, alone.roots):
+                        assert abs(got - want) <= 1e-12 * abs(want), (st, d)
                     located += alone.winding_count
         assert located >= 50
 
-    def test_mirrored_record_conjugates_and_resorts(self, monkeypatch):
+    def test_mirrored_record_conjugates_and_resorts(self):
         # the antipode of a counted direction, read by index: the same
         # count, region, inclusion radius and flags, and the conjugate roots
         # sorted again by (-Re, Im) with their residuals
-        from pvstab import dispersion
+        from pvstab.dispersion import StateCounts
 
         reg = default_region(COLLINEAR, 0.1)
         roots = (2.0 + 1.0j, 1.0 - 3.0j, 1.0 + 2.0j)
-        scan = dispersion.StateCounts(
+        scan = StateCounts(
             [PERP, WaveDirection(0, -1)], [(0, False), (0, True)], [3], [reg.delta],
             [reg.radius], [1e-12], [None], [(roots, (1e-15, 2e-15, 3e-15), ("f",))])
-        monkeypatch.setattr(dispersion, "count_states", lambda *args: iter([scan]))
-        rec, mirror = next(dispersion.scan_states([COLLINEAR])).records
-        assert rec.report.roots == roots and mirror.direction == WaveDirection(0, -1)
-        out = mirror.report
+        assert scan.report(0).roots == roots
+        out = scan.report(1)
         assert (out.winding_count, out.region, out.inclusion_radius) == (3, reg, 1e-12)
         assert out.roots == (2.0 - 1.0j, 1.0 - 2.0j, 1.0 + 3.0j)
         assert out.residuals == (1e-15, 3e-15, 2e-15)

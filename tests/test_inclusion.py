@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pvstab.criterion import critical_e1_squared, minimize_f
-from pvstab.dispersion import (_columns, _inclusion, default_region, find_unstable_roots,
+from pvstab.dispersion import (_inclusion, _table_columns, default_region, find_unstable_roots,
                                make_context, scan_directions, scan_states)
 from pvstab.state import EquilibriumState, WaveDirection
 from test_dispersion import _counted, _mp_roots
@@ -85,7 +85,7 @@ def test_inclusion_counts_against_mpmath(name):
     st = CORPUS[name]
     ctxs = [make_context(st, d) for d in _directions(st)]
     regions = [default_region(st)] * len(ctxs)
-    cols = _columns(ctxs)
+    cols = _table_columns([st] * len(ctxs), (), [c.direction for c in ctxs])
     counts = _counted(cols, regions)
     _, size, center, radius, beyond = _inclusion(cols)
     for j, (ctx, reg, c) in enumerate(zip(ctxs, regions, counts)):
@@ -128,12 +128,12 @@ def test_double_roots_are_decided_by_clusters():
     # the two disks of each form one cluster, which lies left of delta.  The
     # roots of L = A g are those of A, on the imaginary axis: the count is 0
     st = _state(H=(1.0, 0.5), v=(0.3, -0.2), eps=0.2)
-    ctxs = [make_context(st, d) for d in _directions(st)]
-    regions = [default_region(st)] * len(ctxs)
-    counts = _counted(_columns(ctxs), regions)
-    assert [(c.winding_count, c.region) for c in counts] == [(0, regions[0])] * len(ctxs)
+    directions = _directions(st)
+    regions = [default_region(st)] * len(directions)
+    counts = _counted(_table_columns([st] * len(directions), (), directions), regions)
+    assert [(c.winding_count, c.region) for c in counts] == [(0, regions[0])] * len(directions)
     summary = scan_directions(st, n_dirs=16)
-    assert summary.n_errors == 0 and all(r.count == 0 for r in summary.records)
+    assert summary.errors == [] and summary.count == [0] * len(summary.count)
 
 
 def test_tiny_eps_against_mpmath():
@@ -146,17 +146,17 @@ def test_tiny_eps_against_mpmath():
 
     st = _state(H=(1.0, 0.0), Hv=(2.0, 0.0), E1=0.3, eps=1e-160)
     summary = scan_directions(st, n_dirs=8)
-    assert summary.n_errors == 0 and summary.numerically_unstable
+    assert summary.errors == [] and summary.numerically_unstable
     reg = default_region(st)
-    assert all(rec.region == reg for rec in summary.records)
-    for rec in summary.records:
-        d = rec.direction
+    for k, d in enumerate(summary.directions):
+        rep = summary.report(k)
+        assert rep.region == reg
         with mpmath.workdps(50):
-            want = [complex(z) for z in _mp_roots(st, (mpmath.mpf(d.omega2),
-                                                       mpmath.mpf(d.omega3)), reverse=True)
-                    if reg.contains(complex(z))]
-        assert rec.count == len(want), rec
-        got = rec.report.roots
+            want = [z for z in map(complex, _mp_roots(st, (mpmath.mpf(d.omega2),
+                                                           mpmath.mpf(d.omega3)), reverse=True))
+                    if z.real >= reg.delta and abs(z - reg.delta) <= reg.radius]
+        assert rep.winding_count == len(want), rep
+        got = rep.roots
         assert len(got) == len(want)
         for z in got:
             assert min(abs(z - y) for y in want) <= 1e-12, (z, want)
@@ -173,7 +173,8 @@ NEAR_DOUBLE_DIRECTION = WaveDirection.from_angle(2.0 * math.pi * 9 / 32)
 def test_near_double_root_is_one_cluster():
     ctx = make_context(NEAR_DOUBLE, NEAR_DOUBLE_DIRECTION)
     reg = default_region(NEAR_DOUBLE)
-    _, size, center, radius, _ = _inclusion(_columns([ctx]))
+    _, size, center, radius, _ = _inclusion(
+        _table_columns([NEAR_DOUBLE], (), [NEAR_DOUBLE_DIRECTION]))
     pair = [i for i in range(6) if size[0, i] == 2 and abs(center[0, i] + 2.1157j) < 1e-4]
     assert len(pair) == 1 and center[0, pair[0]].real + radius[0, pair[0]] < reg.delta
     rep = find_unstable_roots(ctx)
@@ -186,10 +187,11 @@ def test_roots_at_zero_are_decided():
     # up to rounding: every direction is counted on its region as at 50 digits
     st = _state(v=(1.0, -1.0), H=(1.0, -1.0), Hv=(-1.0, 1.0), E1=1.0)
     summary = scan_directions(st, n_dirs=8)
-    assert summary.n_errors == 0 and summary.numerically_unstable
+    assert summary.errors == [] and summary.numerically_unstable
     reg = default_region(st)
-    for rec in summary.records:
-        assert rec.region == reg and rec.count == _mp_count(st, rec.direction, reg), rec
+    for k, d in enumerate(summary.directions):
+        rep = summary.report(k)
+        assert rep.region == reg and rep.winding_count == _mp_count(st, d, reg), (d, rep)
 
 
 def test_no_undecided_direction_on_neutral_states():
@@ -204,7 +206,7 @@ def test_no_undecided_direction_on_neutral_states():
         if st.E1_hat ** 2 <= 0.9 * critical_e1_squared(st):
             states.append(st)
     summaries = list(scan_states(states, 32))
-    assert [s.n_errors for s in summaries] == [0] * len(states)
+    assert [s.errors for s in summaries] == [[]] * len(states)
     assert not any(s.numerically_unstable for s in summaries)
 
 

@@ -1,5 +1,6 @@
-"""Module layering: the independent cross-checks stay in ``oracle``, and
-only ``dispersion`` builds a counting region."""
+"""Module layering: the independent cross-checks stay in ``oracle``, only
+``dispersion`` builds a counting region, and every name the benchmark's
+tracer binds exists."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,22 @@ def test_detects_region_builds(name, built, not_built):
         assert _builds_region(ast.parse(source), name), source
     for source in not_built:
         assert not _builds_region(ast.parse(source), name), source
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer binds each (module, attribute) of its TARGETS,
+    # read here without importing it; a dotted attribute is a method
+    import importlib
+
+    tracing = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    [targets] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    names = [ast.literal_eval(t)[1:] for t in targets.elts]
+    assert ("pvstab.dispersion", "scan_directions") in names
+    for module, attr in names:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), (module, attr)
+            owner = getattr(owner, part)
+    assert hasattr(importlib.import_module("pvstab.dispersion"), "LopatinskiContext")
