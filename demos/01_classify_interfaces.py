@@ -34,7 +34,7 @@ def main():
     for label, state in CASES:
         state, warnings = pv.validate_state(state)
         cls = pv.classify(state)
-        print(f"{label:45s} {cls.critical_e1_sq:10.4f} {cls.margin:+9.4f}  "
+        print(f"{label:45s} {cls.f_min:10.4f} {cls.margin:+9.4f}  "
               f"{cls.verdict.value}")
         w = cls.minimizer
         print(f"{'':45s} worst direction omega* = "

@@ -14,12 +14,13 @@ A scenario file is a flat key-value document with block headers:
                        min, max (finite), steps; the grid has at most
                        MAX_GRID_POINTS points
     [analysis]         optional numerics overrides: tol_eq (relative
-                       equality-band coefficient), n_dirs, delta (counting
-                       region Re s >= delta; its radius is always proven at
-                       that delta), decay_p, cross_check, sample
+                       equality-band coefficient), n_dirs (MIN_N_DIRS to
+                       MAX_N_DIRS), delta (counting region Re s >= delta;
+                       its radius is always proven at that delta), decay_p,
+                       cross_check, sample (at most MAX_GRID_POINTS)
 
 The grid is generated as it is read, in blocks of at most BLOCK_POINTS
-points held as columns of plain floats (`Scenario.grid`).  Every point is
+points, each a row of plain floats (`Scenario.grid`).  Every point is
 validated (`state.check_values`) and classified
 (`criterion.classify_values`) once (`_checked`), and one that fails becomes
 one error row; rows are written in index order.  ``classify``, and
@@ -28,8 +29,9 @@ before they build the next, so they hold at most one block.  CSV cells
 are spelled as ``csv.writer`` does (`_csv_rows`; ``roots`` joins its rows from
 a segment per direction and a tail per half-disk into one string).
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
-as one batch (``dispersion.scan_states``/``locate_roots``), which they give
-a delta and never a region, and read the counts as the columns of a
+as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
+(state, direction) pair per unstable point), which they give a delta and
+never a region, and read the counts by position from the lists of a
 ``StateCounts``.  ``sweep`` with
 ``cross_check`` and ``validate`` judge the closed-form verdict against a
 root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
@@ -51,24 +53,27 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from . import criterion
-from .criterion import classify, classify_values
-from .dispersion import MIN_N_DIRS, default_delta, locate_roots, make_context, scan_states
+from .criterion import classify_values
+from .dispersion import MAX_N_DIRS, MIN_N_DIRS, default_delta, locate_roots, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
-from .state import MAX_MAGNITUDE, EquilibriumState, check_values, validate_state
+from .state import (MAX_MAGNITUDE, EquilibriumState, check_values, frequency_bundle,
+                    validate_state)
 
 SWEEP_PARAMETERS = ("E1", "angle_alpha", "H_mag", "Hv_mag", "v2", "v3", "eps")
 # the record column a swept parameter sets, for those that set one directly
 _SWEPT_COLUMN = {"v2": 0, "v3": 1, "E1": 6, "eps": 7}
 
 BLOCK_POINTS = 1024             # grid points validated, classified and written at a time
-# Largest number of points a grid may have: the output is held until the run
-# succeeds, about 230 bytes a sweep row.
+# Largest number of points a grid may have, and of states validate may
+# judge: the output is held until the run succeeds, about 230 bytes a sweep
+# row.
 MAX_GRID_POINTS = 10 ** 7
 
 _MODE_N = (1, 10, 100)
@@ -82,8 +87,16 @@ class SweepAxis:
     max: float
     steps: int
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.steps)
+    def values(self) -> list[float]:
+        """``steps`` (at least 2) equispaced floats from min to max, with the
+        bits of ``numpy.linspace``: i step + min, step = (max - min) / (steps
+        - 1), or i / (steps - 1) (max - min) + min when step is 0, and the
+        last value max."""
+        div, delta = self.steps - 1, self.max - self.min
+        step = delta / div
+        if step == 0.0:
+            return [i / div * delta + self.min for i in range(div)] + [self.max]
+        return [i * step + self.min for i in range(div)] + [self.max]
 
 
 @dataclass
@@ -95,28 +108,6 @@ class AnalysisOptions:
     cross_check: bool = False
     sample: int = 200
 
-    def tol_for(self, state: EquilibriumState) -> float:
-        return criterion.default_tol_eq(state, coeff=self.tol_eq)
-
-
-@dataclass(frozen=True)
-class GridBlock:
-    """Consecutive grid points as columns, the first at index ``start``.
-
-    ``coords`` holds one column per sweep axis, the swept value of each point;
-    ``columns`` the nine `EquilibriumState.RECORD_KEYS` columns.
-    """
-
-    start: int
-    coords: tuple[list[float], ...]
-    columns: tuple[list[float], ...]
-
-    def points(self) -> Iterator[tuple[int, tuple, tuple]]:
-        """(index, swept values, record values) of each point."""
-        n = len(self.columns[0])
-        return zip(range(self.start, self.start + n),
-                   zip(*self.coords) if self.coords else [()] * n, zip(*self.columns))
-
 
 @dataclass
 class Scenario:
@@ -125,9 +116,10 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     warnings: list[str] = field(default_factory=list)
 
-    def grid(self) -> Iterator[GridBlock]:
+    def grid(self) -> Iterator[list[tuple[int, tuple, tuple]]]:
         """States crossed with the sweep grid (identity when no sweep), in
-        blocks of at most BLOCK_POINTS points.
+        blocks of at most BLOCK_POINTS points: lists of (index, swept values,
+        record values) rows of plain floats.
 
         A generator, in index order: the last axis varies fastest, and each
         axis level applies its parameter to every point of the level above.
@@ -136,8 +128,8 @@ class Scenario:
         """
         if not self.sweeps:
             for lo in range(0, len(self.states), BLOCK_POINTS):
-                records = [st.record_values() for st in self.states[lo:lo + BLOCK_POINTS]]
-                yield GridBlock(lo, (), tuple(map(list, zip(*records))))
+                yield [(index, (), st.record_values()) for index, st in
+                       enumerate(self.states[lo:lo + BLOCK_POINTS], lo)]
             return
         *outer, inner = self.sweeps
         inner_values = inner.values()
@@ -147,23 +139,28 @@ class Scenario:
             bases = [((), base)]
             if outer:       # one record per point of the outer axis
                 name = outer[0].parameter
-                bases = (((v,), next(zip(*_swept(base, name, [v]))))
-                         for v in outer[0].values().tolist())
+                bases = (((v,), _swept(base, name, [v])[0]) for v in outer[0].values())
             for coords, record in bases:
                 for lo in range(0, len(inner_values), BLOCK_POINTS):
-                    values = inner_values[lo:lo + BLOCK_POINTS].tolist()
-                    yield GridBlock(start, (*([v] * len(values) for v in coords), values),
-                                    _swept(record, inner.parameter, values))
+                    values = inner_values[lo:lo + BLOCK_POINTS]
+                    yield list(zip(range(start, start + len(values)),
+                                   zip(*map(repeat, coords), values),
+                                   _swept(record, inner.parameter, values)))
                     start += len(values)
 
 
-def _swept(record: tuple, name: str, values: list[float]) -> tuple[list[float], ...]:
-    """The `EquilibriumState.RECORD_KEYS` columns of the state with record
-    values ``record`` and swept parameter ``name`` set to each of ``values``:
-    `apply_sweep_parameter` on plain floats, for both axis levels of a grid."""
-    columns = [[x] * len(values) for x in record]
+def _swept(record: tuple, name: str, values: list[float]) -> list[tuple]:
+    """The `EquilibriumState.RECORD_KEYS` values, one tuple per value of
+    ``values``, of the state with record values ``record`` and swept
+    parameter ``name`` set to that value, for both axis levels of a grid.
+
+    ``H_mag``/``Hv_mag`` rescale the field keeping its direction (a zero
+    field is given direction (1, 0)); ``angle_alpha`` rotates Hv' to the
+    angle alpha measured from H', keeping |Hv'|.
+    """
+    columns = [repeat(x) for x in record]
     if name in _SWEPT_COLUMN:
-        columns[_SWEPT_COLUMN[name]] = list(values)
+        columns[_SWEPT_COLUMN[name]] = values
     elif name in ("H_mag", "Hv_mag"):
         i = 2 if name == "H_mag" else 4
         a, b = record[i], record[i + 1]
@@ -179,19 +176,7 @@ def _swept(record: tuple, name: str, values: list[float]) -> tuple[list[float], 
         columns[5] = [mag * math.sin(theta) for theta in thetas]
     else:
         raise ScenarioParseError(f"unknown sweep parameter {name!r}")
-    return tuple(columns)
-
-
-def apply_sweep_parameter(state: EquilibriumState, name: str,
-                          value: float) -> EquilibriumState:
-    """Return a copy of ``state`` with one swept parameter replaced.
-
-    ``H_mag``/``Hv_mag`` rescale the field keeping its direction (a zero
-    field is given direction (1, 0)); ``angle_alpha`` rotates Hv' to the
-    angle alpha measured from H', keeping |Hv'|.
-    """
-    return EquilibriumState.from_values(
-        *next(zip(*_swept(state.record_values(), name, [value]))))
+    return list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +185,10 @@ def apply_sweep_parameter(state: EquilibriumState, name: str,
 
 # The typed keys: each maps to its type and the conditions on its value, each
 # with its words, checked in order.  A value that fails a condition is
-# rejected as "<words>, got <value>".  delta is bounded like the magnitudes
-# of a state (state.MAX_MAGNITUDE), and decay_p so that n**-decay_p
-# stays within [1e-200, 1e200] for the n of _MODE_N.
+# rejected as "<words>, got <value>".  n_dirs is bounded as a scan accepts
+# it, sample like the points of a grid, delta like the magnitudes of a state
+# (state.MAX_MAGNITUDE), and decay_p so that n**-decay_p stays within
+# [1e-200, 1e200] for the n of _MODE_N.
 _SWEEP_KEYS = {
     "parameter": (str, (SWEEP_PARAMETERS.__contains__,
                         f"sweep parameter must be one of {SWEEP_PARAMETERS}")),
@@ -214,14 +200,16 @@ _MAX_DECAY_P = 100.0
 _ANALYSIS_KEYS = {
     "tol_eq": (float, (lambda x: 0.0 <= x < math.inf,
                        "tol_eq must be non-negative and finite")),
-    "n_dirs": (int, (lambda n: n >= MIN_N_DIRS, f"n_dirs must be at least {MIN_N_DIRS}")),
+    "n_dirs": (int, (lambda n: n >= MIN_N_DIRS, f"n_dirs must be at least {MIN_N_DIRS}"),
+               (lambda n: n <= MAX_N_DIRS, f"n_dirs must be at most {MAX_N_DIRS}")),
     "delta": (float, (lambda x: 0.0 < x < math.inf, "delta must be positive and finite"),
               (lambda x: x <= MAX_MAGNITUDE, f"delta must be at most {MAX_MAGNITUDE:g}")),
     "decay_p": (float, (math.isfinite, "decay_p must be finite"),
                 (lambda p: abs(p) <= _MAX_DECAY_P,
                  f"decay_p must be at most {_MAX_DECAY_P:g} in magnitude")),
     "cross_check": (bool,),
-    "sample": (int, (lambda n: n >= 1, "sample must be at least 1")),
+    "sample": (int, (lambda n: n >= 1, "sample must be at least 1"),
+               (lambda n: n <= MAX_GRID_POINTS, f"sample must be at most {MAX_GRID_POINTS}")),
 }
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
              **dict.fromkeys(("false", "0", "no", "off"), False)}
@@ -409,7 +397,7 @@ def _checked(scenario: Scenario):
     coeff = scenario.analysis.tol_eq
     for block in scenario.grid():
         points = []
-        for index, coords, values in block.points():
+        for index, coords, values in block:
             checked = check_values(*values)
             outcome = (StateValidationError(checked) if isinstance(checked, str)
                        else (classify_values(*values[:7], coeff), checked))
@@ -502,7 +490,7 @@ def _expected_growth(state: EquilibriumState, cls):
         product = 2.0 * g
     else:
         direction = cls.minimizer
-        bundle = make_context(state, direction).bundle
+        bundle = frequency_bundle(state, direction)
         product = 2.0 * state.E1_hat * bundle.w_perp * bundle.v_dot
     return math.sqrt(max(product, 0.0) * state.eps), direction
 
@@ -510,9 +498,10 @@ def _expected_growth(state: EquilibriumState, cls):
 def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
     # per point to report, in index order: the error that rejected it, or the
-    # state, classification, context and delta of the direction to locate
-    # (no context where no growth is expected)
+    # state, classification and delta, and the position of the direction to
+    # locate among the located pairs (None where no growth is expected)
     jobs: list[tuple[int, PvstabError | tuple]] = []
+    states, directions, deltas = [], [], []     # the pairs to locate
     n_points = 0
     for points in _checked(scenario):
         n_points += len(points)
@@ -527,32 +516,34 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             cls = criterion.Classification.from_row(row)
             expected, direction = _expected_growth(state, cls)
             delta = default_delta(state, analysis.delta)
-            ctx = None
+            p = None
             if expected > 0.0:
-                delta, ctx = min(delta, 0.3 * expected), make_context(state, direction)
-            jobs.append((index, (state, cls, ctx, delta)))
-    located = [job[2:] for _, job in jobs
-               if not isinstance(job, PvstabError) and job[2] is not None]
-    reports = locate_roots([ctx for ctx, _ in located], [delta for _, delta in located])
+                delta, p = min(delta, 0.3 * expected), len(states)
+                states.append(state)
+                directions.append(direction)
+                deltas.append(delta)
+            jobs.append((index, (state, cls, delta, p)))
+    counts = locate_roots(states, directions, deltas)
     # per job: an error, a note, or the flags of the root whose modes to build
     outcomes, found = [], []
     for index, job in jobs:
         if isinstance(job, PvstabError):
             outcomes.append((index, job))
             continue
-        state, cls, ctx, delta = job
-        report = None if ctx is None else next(reports)
-        if isinstance(report, PvstabError):
-            outcomes.append((index, report))
-        elif report is None or not report.roots:
+        state, cls, delta, p = job
+        located = None if p is None else counts.located[p]
+        if p is not None and counts.count[p] is None:
+            outcomes.append((index, PvstabError(counts.error[p])))
+        elif located and located[0]:
+            roots, _, flags = located
+            found.append((state, max(roots, key=lambda z: z.real), counts.directions[p]))
+            outcomes.append((index, flags))
+        else:
             # no root in the direction of growth: undecidable inside the band
             band = margin_band(state, cls.tol_eq, delta)
             text = (f"no root located in the direction of growth; margin "
                     f"{cls.margin:.6g}, band {band:.6g}")
             outcomes.append((index, text if abs(cls.margin) <= band else PvstabError(text)))
-        else:
-            found.append((state, max(report.roots, key=lambda z: z.real), ctx.direction))
-            outcomes.append((index, report.flags))
     built = mode_records(found, _MODE_N, _MODE_T, analysis.decay_p)
     n_failed = n_written = 0     # error rows; mode records and notes
     for index, outcome in outcomes:
@@ -695,7 +686,8 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     while len(accepted) < target and attempts < max_attempts:
         attempts += 1
         st = sample_validation_state(rng)
-        cls = classify(st, tol_eq=analysis.tol_for(st))
+        cls = criterion.Classification.from_row(classify_values(
+            *st.v_hat_t, *st.H_hat_t, *st.Hv_hat_t, st.E1_hat, analysis.tol_eq))
         band = margin_band(st, cls.tol_eq, default_delta(st, analysis.delta))
         if abs(cls.margin) <= band:
             n_band += 1

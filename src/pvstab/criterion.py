@@ -57,10 +57,9 @@ RECORD_KEYS = ("verdict", "margin", "f_min", "omega_star_2", "omega_star_3", "G"
 @dataclass(frozen=True)
 class Classification:
     verdict: Verdict
-    critical_e1_sq: float        # instability threshold for E1^2
-    margin: float                # E1^2 - critical_e1_sq
+    margin: float                # E1^2 - f_min
     minimizer: WaveDirection     # worst direction omega'* (antipode equivalent)
-    f_min: float                 # min F, equal to critical_e1_sq
+    f_min: float                 # min F: the instability threshold for E1^2
     transitional_G: float | None = None
     degenerate: bool = False
     tol_eq: float = 0.0
@@ -69,7 +68,7 @@ class Classification:
     def from_row(cls, row: tuple) -> "Classification":
         """The classification of a `classify_values` row."""
         verdict, margin, f_min, w2, w3, G, degenerate, tol_eq = row
-        return cls(verdict, f_min, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
+        return cls(verdict, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
 
     def to_record(self) -> dict:
         return dict(zip(RECORD_KEYS, (

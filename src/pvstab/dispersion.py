@@ -22,9 +22,11 @@ a guess.  Newton polishes the roots.  Every count runs on (7, k) columns
 built from a table of the states and one of the directions
 (``_table_columns``), in batches of up to _MAX_BATCH.  Its one result is a
 ``StateCounts``, which keeps counts, regions, errors and roots as lists and
-gives a direction's RootReport on demand; a scan (``scan_states``) counts
-one direction of each antipodal pair and reads the other by index.
-Independent cross-checks are in ``oracle``.
+gives a direction's RootReport on demand: a scan (``scan_states``) counts
+one direction of each antipodal pair and reads the other by index, and
+``locate_roots`` counts given (state, direction) pairs.  The evaluators of L
+unpack seven values, the rows of those columns or the floats of one
+``LopatinskiContext``.  Independent cross-checks are in ``oracle``.
 """
 
 from __future__ import annotations
@@ -44,15 +46,17 @@ _BRANCH_POINT = 1e-9           # |1 + eps^2 s^2| at which a root is a branch poi
 _ROUNDING = 2.0 ** -46         # 128 u: relative rounding bound of Q's coefficients and Horner
 _UNDERFLOW = 1e-322            # absolute rounding bound of values below the normal range
 _NUDGE = 2.0 ** -23            # relative step between nodes from repeated eigenvalues
-# Directions per batch (or one state's, if it has more).  Counting and
-# locating cost 28 us per direction at 17, 10 at 136, 7.4 at 1,088 and 9.6 at
-# 4,352 (seed-7 neutral states, n_dirs 32, 2-core Xeon); the cap bounds memory.
+# Directions per batch.  Counting and locating cost 28 us per direction at
+# 17, 10 at 136, 7.4 at 1,088 and 9.6 at 4,352 (seed-7 neutral states,
+# n_dirs 32, 2-core Xeon); the cap bounds memory.  A scan counts at most
+# MAX_N_DIRS directions of a state, so one state always fits a batch.
 _MAX_BATCH = 1024
 # (delta, R) multipliers tried when an inclusion disk straddles the boundary,
 # and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 _JITTER_MIN = min(min(j) for j in _JITTERS)
 MIN_N_DIRS = 8                 # least number of directions a scan accepts
+MAX_N_DIRS = _MAX_BATCH        # and the most: a state's counted directions fit a batch
 
 
 # ---------------------------------------------------------------------------
@@ -63,34 +67,23 @@ MIN_N_DIRS = 8                 # least number of directions a scan accepts
 class LopatinskiContext:
     """Frozen per-direction data for evaluating L and its derivative.
 
-    The evaluators read only the attributes below, so they also take a
-    ``_Batch``, whose attributes are arrays that broadcast against ``s``.
+    A context iterates over its seven floats in the order of the rows of
+    ``_table_columns``, which is all the evaluators read: they unpack a
+    context and (7, k) columns alike.
     """
 
     state: EquilibriumState
     direction: WaveDirection            # unit vector
     bundle: FrequencyBundle
 
-    @property
-    def eps(self) -> float:
-        return self.state.eps
-
-    @property
-    def e1(self) -> float:
-        return self.state.E1_hat
-
-    @property
-    def hv_sq(self) -> float:
-        return self.state.Hv_sq
-
-    @property
-    def v_dot(self) -> float:
-        return self.bundle.v_dot
+    def __iter__(self):
+        st, b = self.state, self.bundle
+        return iter((st.eps, st.E1_hat, st.Hv_sq, b.w_plus, b.w_minus, b.w_perp, b.v_dot))
 
     @property
     def leading_deficit(self) -> float:
         """D = E1^2 - w_plus^2 - w_minus^2, the eps = 0 squared growth rate."""
-        return self.e1 ** 2 - self.bundle.w_plus ** 2 - self.bundle.w_minus ** 2
+        return self.state.E1_hat ** 2 - self.bundle.w_plus ** 2 - self.bundle.w_minus ** 2
 
 
 def make_context(state: EquilibriumState, direction: WaveDirection) -> LopatinskiContext:
@@ -118,58 +111,64 @@ def _sqrt_factor(es):
     return np.sqrt(g)
 
 
-def _head(ctx, s, g):
+def _head(cols, s, g):
     # (ell^2 + w_plus^2) g: the term that L and its scale share
-    ell = s + 1j * ctx.bundle.v_dot
+    _, _, _, wp, _, _, v = cols
+    ell = s + 1j * v
     head = ell * ell
     del ell
-    head += ctx.bundle.w_plus ** 2
+    head += wp ** 2
     return head * g
 
 
-def _add_tail(ctx, head, es):
+def _add_tail(cols, head, es):
     # L from its head, in place: the terms of L without the square root
-    head += ctx.bundle.w_minus ** 2
-    head -= ctx.e1 ** 2
-    head -= 2j * ctx.e1 * ctx.bundle.w_perp * es
-    head += (ctx.hv_sq * es) * es
+    _, e1, hv_sq, _, wm, wperp, _ = cols
+    head += wm ** 2
+    head -= e1 ** 2
+    head -= 2j * e1 * wperp * es
+    head += (hv_sq * es) * es
     return head
 
 
-def _scale_of(ctx, head, es):
+def _scale_of(cols, head, es):
     # the sum of the term magnitudes of L, from its head
+    _, e1, hv_sq, _, wm, wperp, _ = cols
     out = np.abs(head)
-    out += ctx.bundle.w_minus ** 2
-    out += ctx.e1 ** 2
-    out += np.abs(2.0 * ctx.e1 * ctx.bundle.w_perp * es)
-    out += ctx.hv_sq * np.abs(es) ** 2
+    out += wm ** 2
+    out += e1 ** 2
+    out += np.abs(2.0 * e1 * wperp * es)
+    out += hv_sq * np.abs(es) ** 2
     return out
 
 
-def lopatinski(ctx: LopatinskiContext, s):
-    """L(s) on the unit-|omega'| normalization; vectorized over s."""
+def lopatinski(ctx, s):
+    """L(s) on the unit-|omega'| normalization; vectorized over s.  ``ctx``
+    is a LopatinskiContext or (7, k) columns that broadcast against s."""
     s = np.asarray(s, dtype=complex)
-    es = ctx.eps * s
+    eps, *_ = ctx
+    es = eps * s
     out = _add_tail(ctx, _head(ctx, s, _sqrt_factor(es)), es)
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def lopatinski_deriv(ctx: LopatinskiContext, s):
+def lopatinski_deriv(ctx, s):
     """dL/ds; the square-root term contributes eps^2 s / sqrt(1 + eps^2 s^2)."""
     s = np.asarray(s, dtype=complex)
-    b = ctx.bundle
-    ell = s + 1j * b.v_dot
-    es = ctx.eps * s
+    eps, e1, hv_sq, wp, _, wperp, v = ctx
+    ell = s + 1j * v
+    es = eps * s
     g = np.sqrt(1.0 + es * es)
-    out = (2.0 * ell * g + (ell * ell + b.w_plus ** 2) * (ctx.eps ** 2) * s / g
-           - 2j * ctx.e1 * b.w_perp * ctx.eps + 2.0 * ctx.hv_sq * (ctx.eps ** 2) * s)
+    out = (2.0 * ell * g + (ell * ell + wp ** 2) * (eps ** 2) * s / g
+           - 2j * e1 * wperp * eps + 2.0 * hv_sq * (eps ** 2) * s)
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def lopatinski_scale(ctx: LopatinskiContext, s):
+def lopatinski_scale(ctx, s):
     """Sum of the term magnitudes of L(s): the natural relative scale."""
     s = np.asarray(s, dtype=complex)
-    es = ctx.eps * s
+    eps, *_ = ctx
+    es = eps * s
     out = _scale_of(ctx, _head(ctx, s, _sqrt_factor(es)), es)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -296,18 +295,6 @@ def _table_columns(states, directions, stars) -> np.ndarray:
     return np.array(np.broadcast_arrays(
         eps, e1, hv_sq, h2 * w2 + h3 * w3, hv2 * w2 + hv3 * w3, hv3 * w2 - hv2 * w3,
         v2 * w2 + v3 * w3)).reshape(7, -1)
-
-
-class _Batch:
-    """Directions of any states, as the evaluators read them: the rows of
-    ``_table_columns``, one value per point, as a LopatinskiContext's
-    attributes.
-    """
-
-    def __init__(self, cols: np.ndarray):
-        self.cols = cols
-        self.eps, self.e1, self.hv_sq = cols[:3]
-        self.bundle = FrequencyBundle(*cols[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +424,11 @@ def _inclusion(cols):
 
 
 def _factors(cols, z):
-    # the batch of the columns of z, eps z, g, A g and B of L = A g + B at z
-    b = _Batch(cols)
-    es = b.eps * z
+    # eps z, g, A g and B of L = A g + B at z
+    eps, *_ = cols
+    es = eps * z
     g = _sqrt_factor(es)
-    return b, es, g, _head(b, z, g), _add_tail(b, np.zeros_like(z), es)
+    return es, g, _head(cols, z, g), _add_tail(cols, np.zeros_like(z), es)
 
 
 def _root_of_l(cols, z, r):
@@ -450,15 +437,16 @@ def _root_of_l(cols, z, r):
     that is decided: exactly one factor has a modulus at z above r times a
     bound of its derivative on the disk (finite), plus rounding.
     """
-    b, es, g, ag, bz = _factors(cols, z)
-    eps, m = b.eps, np.abs(z) + r
-    ml = np.abs(z + 1j * b.bundle.v_dot) + r         # |ell| on the disk
+    eps, e1, hv_sq, wp, _, wperp, v = cols
+    es, g, ag, bz = _factors(cols, z)
+    m = np.abs(z) + r
+    ml = np.abs(z + 1j * v) + r                     # |ell| on the disk
     g2 = np.abs(g) ** 2 - eps * eps * r * (2.0 * np.abs(z) + r)     # |g|^2 on it
     with np.errstate(all="ignore"):
         slope = (2.0 * ml * np.sqrt(1.0 + (eps * m) ** 2)
-                 + (ml * ml + b.bundle.w_plus ** 2) * eps * eps * m / np.sqrt(g2)
-                 + 2.0 * eps * (np.abs(b.e1 * b.bundle.w_perp) + b.hv_sq * eps * m))
-        reach = r * slope + _ROUNDING * _scale_of(b, ag, es)
+                 + (ml * ml + wp ** 2) * eps * eps * m / np.sqrt(g2)
+                 + 2.0 * eps * (np.abs(e1 * wperp) + hv_sq * eps * m))
+        reach = r * slope + _ROUNDING * _scale_of(cols, ag, es)
     of_l = np.abs(ag - bz) > reach
     return of_l, (g2 > 0.0) & (of_l != (np.abs(ag + bz) > reach))
 
@@ -518,25 +506,23 @@ def _modulus(z):
 def newton_refine(ctx, s0, max_iter: int = 60):
     """Polish root estimates by Newton iteration, all of them at once.
 
-    ``ctx`` is one direction's context, or a ``_Batch`` of one direction per
-    estimate.  An estimate stops when |L| <= _NEWTON_TARGET * scale, when
-    dL/ds vanishes or when its step falls below roundoff.  Returns (s, |L(s)|,
-    scale at s) of the shape of ``s0``.
+    ``ctx`` is one direction's LopatinskiContext, or (7, n) columns
+    (``_table_columns``), one direction per estimate.  An estimate stops when
+    |L| <= _NEWTON_TARGET * scale, when dL/ds vanishes or when its step falls
+    below roundoff.  Returns (s, |L(s)|, scale at s) of the shape of ``s0``.
     """
     s = np.array(s0, dtype=complex)
     shape = s.shape
     s = s.reshape(-1)
     n = s.size
-    cols = (ctx.cols if isinstance(ctx, _Batch)
-            else _table_columns([ctx.state], (), [ctx.direction]))
-    cols = np.broadcast_to(cols, (cols.shape[0], n))
+    one = isinstance(ctx, LopatinskiContext)    # its floats serve every estimate
     abs_l, scale = np.empty(n), np.empty(n)
     act = np.arange(n)
     stepped = []                  # stopped after a step: evaluated at the end
     for _ in range(max_iter):
         if not act.size:
             break
-        c, z = _Batch(cols[:, act]), s[act]
+        c, z = ctx if one else ctx[:, act], s[act]
         val = lopatinski(c, z)
         sc = lopatinski_scale(c, z)
         mag = _modulus(val)
@@ -551,7 +537,7 @@ def newton_refine(ctx, s0, max_iter: int = 60):
         act = act[~small]
     done = np.concatenate(stepped + [act])
     if done.size:
-        c, z = _Batch(cols[:, done]), s[done]
+        c, z = ctx if one else ctx[:, done], s[done]
         abs_l[done], scale[done] = _modulus(lopatinski(c, z)), lopatinski_scale(c, z)
     if not shape:
         return complex(s[0]), float(abs_l[0]), float(scale[0])
@@ -581,12 +567,12 @@ def _candidate_roots(cols, roots) -> list:
     """
     j, i = np.nonzero(np.isfinite(roots))
     z, cols = roots[j, i], cols[:, j]
-    _, _, g, ag, bz = _factors(cols, z)
+    _, g, ag, bz = _factors(cols, z)
     # the branch points +-i/eps, roots of Q where B(+-i/eps) = 0, are dropped:
     # roundoff can put them at Re s > 0, where Newton cannot move them
     keep = (z.real > 0.0) & (np.abs(g) ** 2 > _BRANCH_POINT) & (
         np.abs(ag + bz) <= np.abs(ag - bz))
-    found, abs_l, scale = newton_refine(_Batch(cols[:, keep]), z[keep])
+    found, abs_l, scale = newton_refine(cols[:, keep], z[keep])
     ends = np.searchsorted(j[keep], np.arange(len(roots) + 1))
     return [(found[lo:hi], abs_l[lo:hi], scale[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
@@ -627,7 +613,8 @@ class StateCounts(NamedTuple):
     (``scan_states``) counts one direction of each antipodal pair; the
     antipode -omega' has the count, half-disk and flags of omega' and, as
     L_{-omega'}(s) = conj(L_{omega'}(conj s)), the conjugate roots
-    (``found``).  ``report`` gives one direction's RootReport."""
+    (``found``).  ``locate_roots`` counts every direction, at its own
+    position.  ``report`` gives one direction's RootReport."""
 
     directions: list        # a scan's n_dirs equispaced, the F-minimizer and its antipode
     fold: list              # per direction: (position counted, whether the antipode)
@@ -671,32 +658,32 @@ class StateCounts(NamedTuple):
                           *(self.found(p, flip) or ((), (), ())), self.largest[p])
 
 
-def locate_roots(ctxs, deltas):
-    """Count and locate the roots of each context with Re s >= ``deltas[j]``
-    (None: its state's default delta), in batches.
+def locate_roots(states, directions, deltas) -> StateCounts:
+    """Count and locate the roots of each pair (states[j], directions[j])
+    with Re s >= ``deltas[j]`` (None: its state's default delta).
 
-    Each count is in ``default_region(ctx.state, deltas[j])``.  Up to
-    _MAX_BATCH contexts, of any states, are counted and located together.
-    Returns an iterator of, per context and in order, its RootReport or the
-    error that ended its count.
+    Each count is in ``default_region(states[j], deltas[j])``.  Up to
+    _MAX_BATCH pairs, of any states, are counted and located together.
+    Returns one StateCounts whose position j is pair j (no antipodes).
     """
-    if len(deltas) != len(ctxs):
-        raise ValueError(f"{len(deltas)} deltas for {len(ctxs)} contexts")
-    regions = [default_region(c.state, d) for c, d in zip(ctxs, deltas)]
-    parts = ((ctxs[lo:lo + _MAX_BATCH], regions[lo:lo + _MAX_BATCH])
-             for lo in range(0, len(ctxs), _MAX_BATCH))
-    batches = (StateCounts([c.direction for c in part], [(j, False) for j in range(len(part))],
-                           *_count(_table_columns([c.state for c in part], (),
-                                                  [c.direction for c in part]),
-                                   [r.delta for r in region], [r.radius for r in region]))
-               for part, region in parts)
-    return (batch.report(k) for batch in batches for k in range(len(batch.fold)))
+    if not len(states) == len(directions) == len(deltas):
+        raise ValueError(f"{len(states)} states, {len(directions)} directions and "
+                         f"{len(deltas)} deltas")
+    regions = [default_region(st, d) for st, d in zip(states, deltas)]
+    lists = [[] for _ in StateCounts._fields[2:]]      # count ... located, of all batches
+    for lo in range(0, len(states), _MAX_BATCH):
+        part = slice(lo, lo + _MAX_BATCH)
+        counts = _count(_table_columns(states[part], (), directions[part]),
+                        [r.delta for r in regions[part]], [r.radius for r in regions[part]])
+        for out, c in zip(lists, counts):
+            out += c
+    return StateCounts(list(directions), [(j, False) for j in range(len(states))], *lists)
 
 
 def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> RootReport:
-    """Count the roots of L with Re s >= delta and locate them: a batch of
+    """Count the roots of L with Re s >= delta and locate them: the pair of
     one of ``locate_roots``.  Raises the error that ended the count."""
-    result = next(locate_roots([ctx], [delta]))
+    result = locate_roots([ctx.state], [ctx.direction], [delta]).report(0)
     if isinstance(result, Exception):
         raise result
     return result
@@ -714,11 +701,13 @@ def scan_states(states, n_dirs: int = 32, delta: float | None = None):
     even set of equispaced directions, and the F-minimizer.  Each state is
     counted with Re s >= ``delta`` (None: its own default) in one region
     proven once.  The counted directions of as many states as fit in
-    _MAX_BATCH directions (at least one) are one batch, whose columns are
-    built from a table of the states and one of the directions.
+    _MAX_BATCH directions are one batch, whose columns are built from a
+    table of the states and one of the directions.
     """
     if n_dirs < MIN_N_DIRS:
         raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
+    if n_dirs > MAX_N_DIRS:
+        raise ValueError(f"n_dirs must be at most {MAX_N_DIRS}")
     from .criterion import minimize_f  # local import: criterion has no dispersion dep
 
     states = list(states)
@@ -726,7 +715,7 @@ def scan_states(states, n_dirs: int = 32, delta: float | None = None):
                   for k in range(n_dirs)]
     half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs      # equispaced ones counted
     fold = [(k % half, k >= half) for k in range(n_dirs)] + [(half, False), (half, True)]
-    per_batch = max(1, _MAX_BATCH // (half + 1))
+    per_batch = _MAX_BATCH // (half + 1)
     for lo in range(0, len(states), per_batch):
         group = states[lo:lo + per_batch]
         stars = [minimize_f(st).omega_star for st in group]

@@ -175,7 +175,7 @@ class SeriesRoot:
 def transitional_tolerance(ctx: LopatinskiContext) -> float:
     """Band |D| below which a direction counts as transitional."""
     b = ctx.bundle
-    return 1e-9 * (1.0 + ctx.e1 ** 2 + b.w_plus ** 2 + b.w_minus ** 2)
+    return 1e-9 * (1.0 + ctx.state.E1_hat ** 2 + b.w_plus ** 2 + b.w_minus ** 2)
 
 
 def _series_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -208,7 +208,7 @@ def _sqrt1p_series(u: np.ndarray, n: int) -> np.ndarray:
 
 def _lopatinski_series(ctx: LopatinskiContext, s_ser: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of eps^0 .. eps^n of L(s(eps), eps) for s a series in eps."""
-    b = ctx.bundle
+    b, e1 = ctx.bundle, ctx.state.E1_hat
     s = _series_shift(s_ser, 0, n)
     ell = s.copy()
     ell[0] += 1j * b.v_dot
@@ -219,9 +219,9 @@ def _lopatinski_series(ctx: LopatinskiContext, s_ser: np.ndarray, n: int) -> np.
     head = ell2.copy()
     head[0] += b.w_plus ** 2
     out = _series_mul(head, g, n)
-    out[0] += b.w_minus ** 2 - ctx.e1 ** 2
-    out += -2j * ctx.e1 * b.w_perp * _series_shift(s, 1, n)
-    out += ctx.hv_sq * u
+    out[0] += b.w_minus ** 2 - e1 ** 2
+    out += -2j * e1 * b.w_perp * _series_shift(s, 1, n)
+    out += ctx.state.Hv_sq * u
     return out
 
 
@@ -281,19 +281,19 @@ def series_root_transitional(ctx: LopatinskiContext, order: int = 2) -> list[Ser
     if abs(D) > transitional_tolerance(ctx):
         raise NotTransitionalError(
             f"|D| = {abs(D):.3e} exceeds the transitional band at this direction")
-    b = ctx.bundle
+    b, e1 = ctx.bundle, ctx.state.E1_hat
     v = b.v_dot
     if v != 0.0:
-        s1 = cmath.sqrt(2.0 * ctx.e1 * b.w_perp * v)
+        s1 = cmath.sqrt(2.0 * e1 * b.w_perp * v)
         return [
             SeriesRoot(BranchKind.TRANSITIONAL_SQRT_EPS_PLUS,
                        (-1j * v, s1), (0.0, 0.5)),
             SeriesRoot(BranchKind.TRANSITIONAL_SQRT_EPS_MINUS,
                        (-1j * v, -s1), (0.0, 0.5)),
         ]
-    alpha = 2j * ctx.e1 * b.w_perp
+    alpha = 2j * e1 * b.w_perp
     # next term of the odd ladder s = alpha*eps + beta*eps^3 + ...
-    beta = -alpha * (ctx.hv_sq + 0.5 * b.w_plus ** 2)
+    beta = -alpha * (ctx.state.Hv_sq + 0.5 * b.w_plus ** 2)
     return [
         SeriesRoot(BranchKind.TRANSITIONAL_ZERO_SPEED, (0j,), (0.0,)),
         SeriesRoot(BranchKind.TRANSITIONAL_ZERO_SPEED, (alpha, beta), (1.0, 3.0)),

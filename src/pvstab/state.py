@@ -148,10 +148,8 @@ class FrequencyBundle:
 
     For unit omega': w_minus^2 + w_perp^2 = |Hv'|^2.
 
-    The fields are floats for one direction.  A batch of directions
-    (``dispersion._Batch``) puts arrays in them instead, one value per
-    evaluation point or (k, 1) columns of one value per direction, and
-    evaluates L for every direction with the same formula.
+    The fields are floats, for one direction.  A batch of directions is the
+    rows of ``dispersion._table_columns`` instead, with the same products.
     """
 
     w_plus: float

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as hst
 
-from pvstab.cli import (SWEEP_PARAMETERS, AnalysisOptions, apply_sweep_parameter,
-                        cmd_classify, cmd_sweep, main, margin_band, parse_scenario,
-                        sample_validation_state)
+from pvstab.cli import (MAX_GRID_POINTS, SWEEP_PARAMETERS, SweepAxis, _swept, cmd_classify,
+                        cmd_sweep, main, margin_band, parse_scenario, sample_validation_state)
 from pvstab.dispersion import default_delta, default_region, root_radius_bound
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
@@ -146,6 +145,12 @@ PARSE_ERRORS = {
     "decay_p_bound": (_ANALYSIS + "decay_p = -400\n",
                       "line 4: decay_p must be at most 100 in magnitude, got '-400'"),
     "sample_range": (_ANALYSIS + "sample = 0\n", "line 4: sample must be at least 1, got '0'"),
+    # a scan of n_dirs = 1e9 built 1e9 directions for one state, and validate
+    # holds every sampled record until the run ends
+    "n_dirs_bound": (_ANALYSIS + "n_dirs = 1025\n",
+                     "line 4: n_dirs must be at most 1024, got '1025'"),
+    "sample_bound": (_ANALYSIS + "sample = 10000001\n",
+                     "line 4: sample must be at most 10000000, got '10000001'"),
     # a repeat used to replace the first value, or merge into the first block
     "repeated_key": ("[state]\nE1 = 0.3\nH2 = 1\nE1 = 5.0\n",
                      "line 4: repeated key 'E1' in [state] block (first at line 2)"),
@@ -168,21 +173,22 @@ class TestParseScenario:
         assert st.eps == 1e-2 and st.sigma == 0.0     # defaults
 
     def test_sweep_grid(self, tmp_path):
-        # one axis of 41 points is one block, its E1 column the axis
+        # one axis of 41 points is one block of rows, each E1 its swept value
         sc = parse_scenario(_write(tmp_path, SWEEP))
         (block,) = sc.grid()
-        assert block.start == 0 and len(block.columns) == 9
-        (values,) = block.coords
-        assert len(values) == 41 and values[0] == 0.0 and values[-1] == 2.0
-        assert block.columns[6] == values
+        assert [index for index, _, _ in block] == list(range(41))
+        values = [v for _, (v,), _ in block]
+        assert values[0] == 0.0 and values[-1] == 2.0
+        assert all(len(record) == 9 and record[6] == v for _, (v,), record in block)
 
     def test_two_axes(self, tmp_path):
         # a block per point of the outer axis, a run of the inner axis
         text = SWEEP + "\n[sweep]\nparameter = v2\nmin = -1\nmax = 1\nsteps = 3\n"
         blocks = list(parse_scenario(_write(tmp_path, text)).grid())
-        assert [b.start for b in blocks] == list(range(0, 41 * 3, 3))
-        assert all(b.coords[1] == [-1.0, 0.0, 1.0] == b.columns[0] for b in blocks)
-        assert [b.coords[0] for b in blocks[:2]] == [[0.0] * 3, [0.05] * 3]
+        assert [b[0][0] for b in blocks] == list(range(0, 41 * 3, 3))
+        assert all([c[1] for _, c, _ in b] == [-1.0, 0.0, 1.0] == [r[0] for _, _, r in b]
+                   for b in blocks)
+        assert [[c[0] for _, c, _ in b] for b in blocks[:2]] == [[0.0] * 3, [0.05] * 3]
 
     def test_three_axes_rejected(self, tmp_path):
         text = SWEEP + (
@@ -257,6 +263,14 @@ class TestParseScenario:
             with pytest.raises(ScenarioParseError, match="line 8: sample must be at least 1"):
                 parse_scenario(path)
 
+    def test_n_dirs_and_sample_at_their_bounds(self, tmp_path):
+        # parsed only: no scan or validate runs at these values here
+        from pvstab.dispersion import MAX_N_DIRS
+
+        text = MINIMAL + f"\n[analysis]\nn_dirs = {MAX_N_DIRS}\nsample = {MAX_GRID_POINTS}\n"
+        analysis = parse_scenario(_write(tmp_path, text)).analysis
+        assert (analysis.n_dirs, analysis.sample) == (1024, 10 ** 7)
+
     def test_comments_ignored(self, tmp_path):
         sc = parse_scenario(_write(tmp_path, "# top\n[state]\nH2 = 1 # inline\n"))
         assert sc.states[0].H_hat_t == (1.0, 0.0)
@@ -280,30 +294,74 @@ class TestParseScenario:
         assert _run(["classify", _write(tmp_path, text)]) == 1
 
 
+def _swept_state(state: EquilibriumState, name: str, value: float) -> EquilibriumState:
+    """``state`` with the swept parameter ``name`` set to ``value``, as a grid
+    row of one point (`cli._swept`)."""
+    (record,) = _swept(state.record_values(), name, [value])
+    return EquilibriumState.from_values(*record)
+
+
 class TestSweepParameters:
     BASE = EquilibriumState(H_hat_t=(3.0, 4.0), Hv_hat_t=(1.0, 0.0), eps=1e-2)
 
     def test_magnitude_keeps_direction(self):
-        st = apply_sweep_parameter(self.BASE, "H_mag", 10.0)
+        st = _swept_state(self.BASE, "H_mag", 10.0)
         assert st.H_hat_t == pytest.approx((6.0, 8.0))
 
     def test_angle_alpha_rotates_from_plasma_field(self):
-        st = apply_sweep_parameter(self.BASE, "angle_alpha", math.pi / 2)
+        st = _swept_state(self.BASE, "angle_alpha", math.pi / 2)
         theta_h = math.atan2(4, 3)
         assert st.Hv_hat_t == pytest.approx(
             (math.cos(theta_h + math.pi / 2), math.sin(theta_h + math.pi / 2)))
 
     def test_eps_and_components(self):
-        assert apply_sweep_parameter(self.BASE, "eps", 0.05).eps == 0.05
-        assert apply_sweep_parameter(self.BASE, "v3", 2.0).v_hat_t == (0.0, 2.0)
+        assert _swept_state(self.BASE, "eps", 0.05).eps == 0.05
+        assert _swept_state(self.BASE, "v3", 2.0).v_hat_t == (0.0, 2.0)
 
     def test_magnitudes_keep_signed_zeros(self):
         # a negative magnitude scales the zero component of the direction to
         # -0.0, which the rows spell; a zero field takes direction (1, 0)
-        assert repr(apply_sweep_parameter(self.BASE, "Hv_mag", -2.0).Hv_hat_t) == \
-            "(-2.0, -0.0)"
-        assert repr(apply_sweep_parameter(EquilibriumState(), "H_mag", -1.0).H_hat_t) == \
-            "(-1.0, -0.0)"
+        assert repr(_swept_state(self.BASE, "Hv_mag", -2.0).Hv_hat_t) == "(-2.0, -0.0)"
+        assert repr(_swept_state(EquilibriumState(), "H_mag", -1.0).H_hat_t) == "(-1.0, -0.0)"
+
+    def test_grid_rows_are_swept_records(self, tmp_path):
+        # each grid row is its state's record with the outer and then the
+        # inner swept value applied: direction kept, rotation from H', a zero
+        # field along (1, 0), signed zeros
+        text = ("[state]\nH2 = 3\nH3 = 4\nHv2 = 1\n[state]\nE1 = 0.5\n"
+                "[sweep]\nparameter = H_mag\nmin = -2\nmax = 2\nsteps = 3\n"
+                "[sweep]\nparameter = angle_alpha\nmin = 0\nmax = 1.5\nsteps = 4\n")
+        sc = parse_scenario(_write(tmp_path, text))
+        rows = [row for block in sc.grid() for row in block]
+        points = [(st, a, b) for st in sc.states for a in (-2.0, 0.0, 2.0)
+                  for b in (0.0, 0.5, 1.0, 1.5)]
+        want = [(index, (a, b), _swept_state(_swept_state(st, "H_mag", a), "angle_alpha",
+                                             b).record_values())
+                for index, (st, a, b) in enumerate(points)]
+        assert repr(rows) == repr(want)
+        theta = math.atan2(4.0, 3.0)
+        _, _, (_, _, *fields, _, _, _) = rows[9]        # H_mag = 2, angle_alpha = 0.5
+        assert fields == pytest.approx([1.2, 1.6, math.cos(theta + 0.5), math.sin(theta + 0.5)])
+        assert repr(rows[12][2][2:4]) == "(-2.0, -0.0)"   # zero field, H_mag = -2
+
+
+@given(lo=hst.floats(allow_nan=False, allow_infinity=False),
+       hi=hst.floats(allow_nan=False, allow_infinity=False),
+       steps=hst.integers(2, 2000))
+@settings(max_examples=300, deadline=None)
+@example(lo=1.0, hi=1.0, steps=3)
+@example(lo=-0.0, hi=-0.0, steps=4)
+@example(lo=5e-324, hi=1e-323, steps=7)
+@example(lo=-1e300, hi=1e300, steps=11)
+@example(lo=2.0, hi=-3.0, steps=2000)
+def test_sweep_values_are_linspace(lo, hi, steps):
+    # the axis values on plain floats have the bits of numpy.linspace
+    if not math.isfinite(hi - lo):
+        reject()
+    got = SweepAxis("E1", lo, hi, steps).values()
+    with np.errstate(over="ignore"):    # numpy's last point may overflow before it is set
+        want = np.linspace(lo, hi, steps)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestClassifyCommand:
@@ -659,12 +717,14 @@ class TestModesCommand:
 
     def test_unlocated_root_outside_the_band_is_an_error(self, tmp_path, monkeypatch):
         import pvstab.cli as cli_mod
-        from pvstab.dispersion import RootReport
+        from pvstab.dispersion import StateCounts
 
-        def no_roots(ctxs, deltas):
-            for ctx, delta in zip(ctxs, deltas):
-                yield RootReport(region=default_region(ctx.state, delta), winding_count=0,
-                                 roots=(), residuals=())
+        def no_roots(states, directions, deltas):
+            regions = [default_region(st, delta) for st, delta in zip(states, deltas)]
+            n = len(regions)
+            return StateCounts(list(directions), [(j, False) for j in range(n)], [0] * n,
+                               [r.delta for r in regions], [r.radius for r in regions],
+                               [0.0] * n, [None] * n, [None] * n)
 
         monkeypatch.setattr(cli_mod, "locate_roots", no_roots)
         out = tmp_path / "modes.jsonl"
@@ -717,7 +777,7 @@ class TestValidateCommand:
         for _ in range(200):
             st = sample_validation_state(rng)
             from pvstab.criterion import classify
-            cls = classify(st, tol_eq=AnalysisOptions().tol_for(st))
+            cls = classify(st)
             if abs(cls.margin) <= margin_band(st, cls.tol_eq, default_delta(st)):
                 n_band += 1
         assert 0 < n_band < 100     # the filter trims a minority of draws
@@ -734,7 +794,7 @@ class TestValidateCommand:
         for r in recs:
             st = EquilibriumState.from_record(
                 {k: r[k] for k in EquilibriumState.RECORD_KEYS})
-            cls = classify(st, tol_eq=AnalysisOptions().tol_for(st))
+            cls = classify(st)
             assert r["band"] == margin_band(st, cls.tol_eq, 0.2)
             assert abs(r["margin"]) > r["band"] and r["agree"] is True
 
@@ -827,7 +887,7 @@ def test_batch_rows_equal_rows_alone(tmp_path, command):
 
     batch = rows(text, "batch")
     grid = [(index, values) for block in parse_scenario(_write(tmp_path, text)).grid()
-            for index, _, values in block.points()]
+            for index, _, values in block]
     for index, values in grid:
         mine = [rest for i, rest in batch if i == str(index)]
         if values[7] == 0.0:        # eps
@@ -972,7 +1032,7 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
     def grid():
         for block in blocks():
             lines.append(out.getvalue().count("\n"))
-            sizes.append(len(block.columns[0]))
+            sizes.append(len(block))
             yield block
 
     def write(text):
@@ -1009,7 +1069,7 @@ def _axis(name, steps, lo=None, hi=None):
 
 def _rows_point_by_point(scenario):
     """The sweep CSV and classify JSON lines of each grid point built on its
-    own by apply_sweep_parameter, validate_state and classify."""
+    own by `_swept_state`, validate_state and classify."""
     import io
     import itertools
 
@@ -1026,7 +1086,7 @@ def _rows_point_by_point(scenario):
         for coords in itertools.product(*(values for _, values in axes)):
             point = st
             for (name, _), v in zip(axes, coords):
-                point = apply_sweep_parameter(point, name, v)
+                point = _swept_state(point, name, v)
             head = [index, *coords, *point.record_values()]
             try:
                 _, warns = validate_state(point)
@@ -1036,7 +1096,7 @@ def _rows_point_by_point(scenario):
                                         separators=(", ", ": ")))
                 index += 1
                 continue
-            cls = classify(point, tol_eq=AnalysisOptions().tol_for(point))
+            cls = classify(point)
             writer.writerow(head + [cls.verdict.value, cls.margin, cls.f_min,
                                     cls.minimizer.omega2, cls.minimizer.omega3,
                                     cls.transitional_G, cls.degenerate] + [None] * 4)
@@ -1084,7 +1144,7 @@ def test_long_and_rejected_blocks_equal_points(tmp_path, text):
     from pvstab.cli import BLOCK_POINTS
 
     scenario = parse_scenario(_write(tmp_path, text))
-    assert [b.start for b in scenario.grid()] == [0, BLOCK_POINTS]
+    assert [b[0][0] for b in scenario.grid()] == [0, BLOCK_POINTS]
     scenario.sweeps = []
     want = _rows_point_by_point(scenario)[1]
     out = tmp_path / "classify.txt"

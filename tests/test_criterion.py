@@ -391,6 +391,6 @@ def test_classify_is_the_kernel_row(s, tol_eq):
     got = (c.verdict, c.margin, c.f_min, c.minimizer.omega2, c.minimizer.omega3,
            c.transitional_G, c.degenerate, c.tol_eq)
     assert list(map(repr, got)) == list(map(repr, row))
-    assert repr(c.critical_e1_sq) == repr(critical_e1_squared(s)) == repr(row[2])
+    assert repr(c.f_min) == repr(critical_e1_squared(s)) == repr(row[2])
     m = minimize_f(s)
     assert (m.f_min, m.omega_star, m.degenerate) == (row[2], c.minimizer, row[6])

@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 
 from pvstab.dispersion import (default_region, find_unstable_roots, locate_roots,
                                lopatinski, lopatinski_deriv, lopatinski_scale,
-                               make_context, newton_refine, scan_directions,
+                               make_context, newton_refine, scan_directions, scan_states,
                                vacuum_decay_root)
 from pvstab.errors import (NotTransitionalError, PvstabError,
                            TransitionalAtThisDirectionError)
@@ -196,12 +196,9 @@ def _mp_newton_step(ctx, s):
     """|L(s) / L'(s)| at 50 digits: the distance to the nearest simple root."""
     import mpmath
 
-    b = ctx.bundle
     with mpmath.workdps(50):
         s = mpmath.mpc(s.real, s.imag)
-        eps, e1, hv = (mpmath.mpf(x) for x in (ctx.eps, ctx.e1, ctx.hv_sq))
-        wp, wm, wperp, v = (mpmath.mpf(x) for x in
-                            (b.w_plus, b.w_minus, b.w_perp, b.v_dot))
+        eps, e1, hv, wp, wm, wperp, v = (mpmath.mpf(x) for x in ctx)
         ell = s + 1j * v
         g = mpmath.sqrt(1 + (eps * s) ** 2)
         val = ((ell ** 2 + wp ** 2) * g + wm ** 2 - e1 ** 2
@@ -560,6 +557,25 @@ class TestScanDirections:
         with pytest.raises(ValueError):
             scan_directions(NEUTRAL, n_dirs=4)
 
+    def test_rejects_many_directions(self):
+        with pytest.raises(ValueError, match="n_dirs must be at most 1024"):
+            scan_directions(NEUTRAL, n_dirs=1025)
+
+    def test_a_state_fits_one_batch_up_to_the_bound(self, monkeypatch):
+        # the most directions a scan counts for one state, n_dirs + 1 at the
+        # largest odd n_dirs, fill one batch
+        from pvstab import dispersion
+
+        batches = []
+        count = dispersion._algebraic_counts
+        monkeypatch.setattr(dispersion, "_algebraic_counts", lambda cols, *region: (
+            batches.append(cols.shape[1]), count(cols, *region))[1])
+        for n_dirs, sizes in ((1023, [1024, 1024]), (1024, [513, 513])):
+            batches.clear()
+            scans = list(scan_states([NEUTRAL, COLLINEAR], n_dirs=n_dirs))
+            assert batches == sizes
+            assert [s.numerically_unstable for s in scans] == [False, True]
+
 
 # ---------------------------------------------------------------------------
 # the fold of antipodal directions and the proven radius R*
@@ -806,24 +822,69 @@ def test_unsolvable_polynomial_fails_alone():
     assert _sigma_polynomial(cols)[0, 0] == 0.0
     got = _inclusion(cols)[0]
     assert np.isfinite(got).any(axis=1).tolist() == [False, True, True]
-    failed, *reports = locate_roots(ctxs, [None] * 3)
+    counts = locate_roots([c.state for c in ctxs], [c.direction for c in ctxs], [None] * 3)
+    failed, *reports = (counts.report(j) for j in range(3))
     assert isinstance(failed, PvstabError) and "finite companion" in str(failed)
     assert reports == [find_unstable_roots(c) for c in ctxs[1:]]
 
 
 def test_locate_roots_takes_one_delta_per_context():
-    # each context is counted at its own delta, in one batch, as alone; a
-    # list of deltas of another length is refused, never zipped short
+    # each pair is counted at its own delta, in one batch, as alone; lists
+    # of other lengths are refused, never zipped short
     root = find_unstable_roots(make_context(COLLINEAR, PERP)).roots[0]
-    ctxs = [make_context(st, PERP) for st in (COLLINEAR, NEUTRAL, COLLINEAR)]
+    states = [COLLINEAR, NEUTRAL, COLLINEAR]
     deltas = [None, 0.05, root.real]
-    reports = list(locate_roots(ctxs, deltas))
-    assert reports == [find_unstable_roots(c, d) for c, d in zip(ctxs, deltas)]
+    counts = locate_roots(states, [PERP] * 3, deltas)
+    reports = [counts.report(j) for j in range(3)]
+    assert reports == [find_unstable_roots(make_context(st, PERP), d)
+                       for st, d in zip(states, deltas)]
     assert [r.winding_count for r in reports] == [1, 0, 1]
     assert reports[2].region.delta != root.real      # the chord ran through the root
     for wrong in ([None], [0.05] * 4):
-        with pytest.raises(ValueError, match="deltas for 3 contexts"):
-            locate_roots(ctxs, wrong)
+        with pytest.raises(ValueError, match=f"3 states, 3 directions and {len(wrong)} deltas"):
+            locate_roots(states, [PERP] * 3, wrong)
+    with pytest.raises(ValueError, match="3 states, 2 directions and 3 deltas"):
+        locate_roots(states, [PERP] * 2, deltas)
+
+
+def test_locate_roots_of_nothing_is_empty():
+    from pvstab.dispersion import StateCounts
+
+    assert locate_roots([], [], []) == StateCounts(*[[]] * 8)
+
+
+def _located_bits(report):
+    # every field of a RootReport, or the text of its error, as bytes
+    if isinstance(report, PvstabError):
+        return str(report)
+    return (report.winding_count, repr(report.region.delta), repr(report.region.radius),
+            np.array(report.roots, dtype=complex).tobytes(),
+            np.array(report.residuals, dtype=float).tobytes(), report.flags,
+            repr(report.inclusion_radius))
+
+
+def test_two_batches_locate_as_each_pair_alone():
+    # 1,025 pairs are two batches; each pair has the count, region, error,
+    # roots, residuals and flags, bit for bit, that it has located alone
+    from pvstab.cli import sample_validation_state
+    from pvstab.dispersion import _MAX_BATCH
+
+    rng = np.random.default_rng(23)
+    stuck = _state(H=(0.0, 1.0), Hv=(0.75, 0.0), E1=1.25, v=(1.0, 0.0), eps=1e-160)
+    pool = [sample_validation_state(rng) for _ in range(20)] + list(CORNERS.values())
+    pool += [COLLINEAR, TRANSITIONAL, stuck]
+    n = _MAX_BATCH + 1
+    states = [pool[j % len(pool)] for j in range(n)]
+    directions = [WaveDirection(1.0, 0.0) if st is stuck else WaveDirection.from_angle(a)
+                  for st, a in zip(states, rng.uniform(0.0, 2.0 * np.pi, n))]
+    deltas = [None if j % 3 else 0.05 for j in range(n)]
+    counts = locate_roots(states, directions, deltas)
+    assert counts.fold == [(j, False) for j in range(n)]
+    got = [_located_bits(counts.report(j)) for j in range(n)]
+    assert got == [_located_bits(locate_roots([st], [d], [delta]).report(0))
+                   for st, d, delta in zip(states, directions, deltas)]
+    assert sum(isinstance(g, str) for g in got) >= 20
+    assert sum(g[0] for g in got if not isinstance(g, str)) >= 100
 
 
 def test_branch_points_are_not_roots():

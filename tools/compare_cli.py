@@ -1,0 +1,159 @@
+"""Compare the command-line output of this tree with that of a git revision.
+
+    python tools/compare_cli.py REF
+
+Exports REF with ``git archive`` into a temporary directory and builds a
+corpus of scenario files:
+
+* the benchmark's workload batches for seeds 0-2 (``benchmarks/workloads.py``),
+  each run with its own command line;
+* the states of ``corner_corpus`` (``tests/test_inclusion.py``), one by one
+  with a cross-checked E1 sweep, and all together with the default numerics
+  and with an odd ``n_dirs`` and a small ``delta``;
+* two-axis sweeps of H_mag, Hv_mag, eps and angle_alpha over three states.
+
+Every corpus scenario is run through ``classify``, ``roots``, ``modes``,
+``sweep`` and ``validate --seed 0`` (``validate`` once per distinct
+``[analysis]`` block, the only part it reads) with the ``src/`` of each tree,
+as ``python -m pvstab`` subprocesses.  Each difference in stdout, stderr or
+exit code is printed; the exit code is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = (("classify",), ("roots",), ("modes",), ("sweep",), ("validate", "--seed", "0"))
+SEEDS = (0, 1, 2)
+BATCHES = 6                 # workload batches per seed
+WORKERS = 2                 # subprocesses at a time
+
+
+def _state_text(st) -> str:
+    return "[state]\n" + "".join(f"{k} = {v}\n" for k, v in st.to_record().items())
+
+
+def _axis(name: str, lo: float, hi: float, steps: int) -> str:
+    return f"[sweep]\nparameter = {name}\nmin = {lo!r}\nmax = {hi!r}\nsteps = {steps}\n"
+
+
+def corpus_texts() -> dict[str, str]:
+    """Named scenario texts: the corner states and the sweeps."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from test_inclusion import corner_corpus
+
+    corners = corner_corpus()
+    checked = "[analysis]\ncross_check = true\nn_dirs = 12\n"
+    texts = {f"corner_{name}": _state_text(st) + _axis("E1", 0.0, 1.5, 3) + checked
+             for name, st in corners.items()}
+    together = "".join(_state_text(st) for st in corners.values())
+    texts["corners"] = together
+    texts["corners_odd"] = together + "[analysis]\nn_dirs = 9\ndelta = 0.001\n"
+    bases = ("[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\nv2 = 0.5\n",             # collinear
+             "[state]\nH2 = 1\nHv3 = 1\nE1 = 0.5\nv2 = 0.5\nv3 = 0.2\n",   # constant F
+             "[state]\nv2 = 0.3\nv3 = -0.7\nH2 = 1.1\nH3 = 0.4\nHv2 = -0.6\nHv3 = 1.3\n"
+             "E1 = 0.8\n")
+    for name, lo, hi in (("H_mag", -1.0, 2.0), ("Hv_mag", 0.0, 2.5), ("eps", -0.5, 1.5),
+                         ("angle_alpha", 0.0, 3.14159)):
+        texts[f"sweep_{name}"] = "".join(bases) + _axis(name, lo, hi, 5) + _axis(
+            "E1", -1.0, 2.0, 4)
+    return texts
+
+
+def workload_runs(workdir: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of the workload batches of each seed."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import WORKLOADS
+
+    runs = []
+    for name, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            where = workdir / name / str(seed)
+            where.mkdir(parents=True)
+            for k in range(BATCHES):
+                batch = workload.make_batch(where, seed, k, 1.0)
+                runs.append((f"{name} seed {seed} batch {k}", batch.argv))
+    return runs
+
+
+def corpus_runs(workdir: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of every command on every corpus scenario."""
+    runs, analyses = [], set()
+    for name, text in corpus_texts().items():
+        path = workdir / f"{name}.scn"
+        path.write_text(text, encoding="utf-8")
+        for command in COMMANDS:
+            if command[0] == "validate":
+                analysis = text.partition("[analysis]")[2]
+                if analysis in analyses:
+                    continue
+                analyses.add(analysis)
+            runs.append((f"{name} {command[0]}", (command[0], str(path), *command[1:])))
+    return runs
+
+
+def run(tree: Path, argv, cwd: Path) -> tuple[str, str, int]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-m", "pvstab", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def differences(ours, theirs) -> list[str]:
+    out = []
+    for label, a, b in zip(("stdout", "stderr"), ours, theirs):
+        if a != b:
+            lines_a, lines_b = a.splitlines(), b.splitlines()
+            at = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                      min(len(lines_a), len(lines_b)))
+            out.append(f"{label} differs from line {at + 1} "
+                       f"({len(lines_a)} lines here, {len(lines_b)} at the reference)")
+    if ours[2] != theirs[2]:
+        out.append(f"exit code {ours[2]} here, {theirs[2]} at the reference")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git revision to compare against")
+    ref = parser.parse_args(argv).ref
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                             capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        (tmp / "corpus").mkdir()
+        runs = workload_runs(tmp / "corpus") + corpus_runs(tmp / "corpus")
+        start = time.perf_counter()
+
+        def compare(item):
+            _, argv = item
+            return differences(run(ROOT, argv, tmp), run(tmp / "ref", argv, tmp))
+
+        n_diff = 0
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for (name, _), found in zip(runs, pool.map(compare, runs)):
+                for line in found:
+                    print(f"{name}: {line}")
+                n_diff += bool(found)
+    print(f"{len(runs)} runs against {ref}, {n_diff} with differences "
+          f"({time.perf_counter() - start:.0f} s)")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
