@@ -10,9 +10,9 @@ A scenario file is a flat key-value document with block headers:
     [state]            one or more equilibrium blocks (keys v2 v3 H2 H3
                        Hv2 Hv3 E1 eps sigma; eps defaults to 1e-2)
     [sweep]            optional, up to two axes: parameter in
-                       {E1, angle_alpha, H_mag, Hv_mag, v2, v3, eps},
-                       min, max (finite), steps; the grid has at most
-                       MAX_GRID_POINTS points
+                       {E1, angle_alpha, H_mag, Hv_mag, v2, v3, eps}
+                       (a different one per axis), min, max (finite),
+                       steps; the grid has at most MAX_GRID_POINTS points
     [analysis]         optional numerics overrides: tol_eq (relative
                        equality-band coefficient), n_dirs (MIN_N_DIRS to
                        MAX_N_DIRS), delta (counting region Re s >= delta;
@@ -21,13 +21,19 @@ A scenario file is a flat key-value document with block headers:
 
 The grid is generated as it is read, in blocks of at most BLOCK_POINTS
 points, each a row of plain floats (`Scenario.grid`).  Every point is
-validated (`state.check_values`) and classified
-(`criterion.classify_values`) once (`_checked`), and one that fails becomes
-one error row; rows are written in index order.  ``classify``, and
-``sweep`` without ``cross_check``, write the rows of a block as one string
-before they build the next, so they hold at most one block.  CSV cells
-are spelled as ``csv.writer`` does (`_csv_rows`; ``roots`` joins its rows from
-a segment per direction and a tail per half-disk into one string).
+validated (`state.check_values`) and classified once (`_checked`), and one
+that fails becomes one error row; rows are written in index order.  The
+criterion's field-only threshold (`criterion.threshold_values`) is
+evaluated once per block when the inner sweep parameter leaves H' and Hv'
+fixed (E1, v2, v3, eps: `_fields_fixed`), else once per valid point; its
+E1 part (`criterion.verdict_values`) once per valid point.  ``classify``,
+and ``sweep`` without ``cross_check``, write the rows of a block as one
+string before they build the next, so they hold at most one block.  CSV
+cells are spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a
+block's valid rows from one template, in which only the cells a row does
+not share with its block are left open (`_SWEPT_COLUMNS` names the record
+cells each parameter sets); ``roots`` joins its rows from a segment per
+direction and a tail per half-disk into one string.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
 (state, direction) pair per unstable point), which they give a delta and
@@ -59,16 +65,19 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import criterion
-from .criterion import classify_values
+from .criterion import classify_values, threshold_values, verdict_values
 from .dispersion import MAX_N_DIRS, MIN_N_DIRS, default_delta, locate_roots, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
 from .state import (MAX_MAGNITUDE, EquilibriumState, check_values, frequency_bundle,
                     validate_state)
 
-SWEEP_PARAMETERS = ("E1", "angle_alpha", "H_mag", "Hv_mag", "v2", "v3", "eps")
-# the record column a swept parameter sets, for those that set one directly
-_SWEPT_COLUMN = {"v2": 0, "v3": 1, "E1": 6, "eps": 7}
+# the record columns (of `EquilibriumState.RECORD_KEYS`) each sweep parameter
+# sets: the swept value itself for a single column, else a field's two
+# components
+_SWEPT_COLUMNS = {"E1": (6,), "angle_alpha": (4, 5), "H_mag": (2, 3), "Hv_mag": (4, 5),
+                  "v2": (0,), "v3": (1,), "eps": (7,)}
+SWEEP_PARAMETERS = tuple(_SWEPT_COLUMNS)
 
 BLOCK_POINTS = 1024             # grid points validated, classified and written at a time
 # Largest number of points a grid may have, and of states validate may
@@ -159,24 +168,28 @@ def _swept(record: tuple, name: str, values: list[float]) -> list[tuple]:
     angle alpha measured from H', keeping |Hv'|.
     """
     columns = [repeat(x) for x in record]
-    if name in _SWEPT_COLUMN:
-        columns[_SWEPT_COLUMN[name]] = values
-    elif name in ("H_mag", "Hv_mag"):
-        i = 2 if name == "H_mag" else 4
-        a, b = record[i], record[i + 1]
-        h = math.sqrt(a ** 2 + b ** 2)
-        u = (a / h, b / h) if h > 0 else (1.0, 0.0)
-        columns[i] = [v * u[0] for v in values]
-        columns[i + 1] = [v * u[1] for v in values]
+    i, *pair = _SWEPT_COLUMNS[name]
+    if not pair:
+        columns[i] = values
     elif name == "angle_alpha":
         _, _, H2, H3, Hv2, Hv3, *_ = record
         angle, mag = math.atan2(H3, H2), math.sqrt(Hv2 ** 2 + Hv3 ** 2)
         thetas = [angle + v for v in values]
         columns[4] = [mag * math.cos(theta) for theta in thetas]
         columns[5] = [mag * math.sin(theta) for theta in thetas]
-    else:
-        raise ScenarioParseError(f"unknown sweep parameter {name!r}")
+    else:               # H_mag, Hv_mag
+        a, b = record[i], record[i + 1]
+        h = math.sqrt(a ** 2 + b ** 2)
+        u = (a / h, b / h) if h > 0 else (1.0, 0.0)
+        columns[i] = [v * u[0] for v in values]
+        columns[i + 1] = [v * u[1] for v in values]
     return list(zip(*columns))
+
+
+def _fields_fixed(name: str) -> bool:
+    """Whether sweeping ``name`` leaves H' and Hv', and so the criterion's
+    threshold (`criterion.threshold_values`), unchanged."""
+    return not {2, 3, 4, 5} & set(_SWEPT_COLUMNS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +322,10 @@ def parse_scenario(path) -> Scenario:
             return _typed(_SWEEP_KEYS, key, *block[key])
 
         parameter = value("parameter", "sweep block needs a 'parameter' key")
+        if sweeps and parameter == sweeps[0].parameter:
+            first = sweep_blocks[0][1]["parameter"][1]
+            raise ScenarioParseError(f"repeated sweep parameter {parameter!r} "
+                                     f"(first at line {first})", block["parameter"][1])
         steps = value("steps", "sweep block needs a 'steps' key")
         if steps < 2:
             raise ScenarioParseError("sweep needs steps >= 2", lineno)
@@ -363,11 +380,14 @@ def _cell(c) -> str:
     return text
 
 
+_OPEN = "\0"    # a cell left open in a row template: no cell of a template is one
+
+
 def _csv_rows(out: TextIO, columns):
     """Write the versioned CSV header of ``columns``; return the function
-    that writes rows, each a list of cells in column order, as one string.
+    that spells a row, a list of cells in column order, as one line.
 
-    The rows read as ``csv.writer`` writes them (`_cell`; a row of one empty
+    The line reads as ``csv.writer`` writes it (`_cell`; a row of one empty
     cell is ``""``), but the repr of each distinct float is computed once per
     table.  Zeros and NaN are spelled each time (-0.0 == 0.0 would share a
     key, and NaN never matches one).
@@ -375,33 +395,41 @@ def _csv_rows(out: TextIO, columns):
     out.write("# pvstab-csv v1\n")
     reprs = _Memo(repr)
 
-    def write(*rows, cell=_cell):
-        out.write("".join([
-            (",".join([reprs[c] if type(c) is float and c and c == c
-                       else "" if c is None else cell(c) for c in row])
-             or ('""' if row else "")) + "\n"
-            for row in rows]))
+    def line(row, cell=_cell):
+        return (",".join([reprs[c] if type(c) is float and c and c == c
+                          else "" if c is None else cell(c) for c in row])
+                or ('""' if row else "")) + "\n"
 
-    write(columns)
-    return write
+    out.write(line(columns))
+    return line
 
 
 def _checked(scenario: Scenario):
     """Validate and classify the grid block by block, in index order.
 
     Yields a list per block of (index, swept values, record values, outcome):
-    the outcome is the point's `criterion.classify_values` row and its
-    validation warnings, or the PvstabError that rejected the point.  A
-    generator, so that a command can write a block before the next is built.
+    the outcome is the point's `criterion.verdict_values` row, the
+    `criterion.threshold_values` row it was decided on and its validation
+    warnings, or the PvstabError that rejected the point.  When the inner
+    sweep parameter leaves the fields fixed (`_fields_fixed`), the valid
+    points of a block share one threshold row, evaluated once; otherwise
+    each valid point has its own.  A generator, so that a command can write
+    a block before the next is built.
     """
     coeff = scenario.analysis.tol_eq
+    shared = bool(scenario.sweeps) and _fields_fixed(scenario.sweeps[-1].parameter)
     for block in scenario.grid():
-        points = []
+        points, threshold = [], None
         for index, coords, values in block:
             checked = check_values(*values)
-            outcome = (StateValidationError(checked) if isinstance(checked, str)
-                       else (classify_values(*values[:7], coeff), checked))
-            points.append((index, coords, values, outcome))
+            if isinstance(checked, str):
+                points.append((index, coords, values, StateValidationError(checked)))
+                continue
+            if threshold is None or not shared:
+                threshold = threshold_values(*values[2:6], coeff)
+                f_min, _, _, degenerate, tol_eq = threshold
+            points.append((index, coords, values, (
+                verdict_values(*values[:7], f_min, degenerate, tol_eq), threshold, checked)))
         yield points
 
 
@@ -429,9 +457,9 @@ def cmd_classify(scenario: Scenario, out: TextIO) -> int:
                 rec = {"index": index, "error": str(outcome)}
                 n_failed += 1
             else:
-                row, warns = outcome
+                part, threshold, warns = outcome
                 rec = {"index": index, **dict(zip(names, coords)), **_params(values),
-                       **criterion.Classification.from_row(row).to_record(),
+                       **criterion.Classification.from_parts(part, threshold).to_record(),
                        "warnings": warns}
             lines.append(_json_line(rec))
         out.write("".join(lines))
@@ -509,11 +537,11 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             if isinstance(outcome, PvstabError):
                 jobs.append((index, outcome))
                 continue
-            row = outcome[0]
-            if not row[0].is_unstable:
+            part, threshold, _ = outcome
+            if not part[0].is_unstable:
                 continue
             state = EquilibriumState.from_values(*values)
-            cls = criterion.Classification.from_row(row)
+            cls = criterion.Classification.from_parts(part, threshold)
             expected, direction = _expected_growth(state, cls)
             delta = default_delta(state, analysis.delta)
             p = None
@@ -572,38 +600,64 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     columns = (["index"] + [f"sweep_{ax.parameter}" for ax in scenario.sweeps]
                + list(EquilibriumState.RECORD_KEYS) + list(criterion.RECORD_KEYS)
                + ["numeric_unstable", "max_re_s", "agreement", "error"])
-    write = _csv_rows(out, columns)
+    line = _csv_rows(out, columns)
     cross_check = scenario.analysis.cross_check
     blocks = _checked(scenario)
     if cross_check:
         blocks = list(blocks)
         points = [point for block in blocks for point in block]
         verdicts = judge_verdicts(_valid_states(points), [
-            criterion.Classification.from_row(outcome[0]) for _, _, _, outcome in points
+            criterion.Classification.from_parts(*outcome[:2]) for _, _, _, outcome in points
             if not isinstance(outcome, PvstabError)], scenario.analysis)
+    # A block's valid rows are spelled from one template: its first valid
+    # row with the cells below left open.  Each row fills in its index, the
+    # inner coordinate, the record cells the inner parameter sets, verdict,
+    # margin and G, the other criterion cells when the fields move, and the
+    # cross_check/error tail; every other cell is the block's.
+    inner = scenario.sweeps[-1].parameter
+    n = len(scenario.sweeps)
+    crit = n + 10                   # the column of the verdict
+    i = _SWEPT_COLUMNS[inner][0]
+    own = {0, n, *(n + 1 + c for c in _SWEPT_COLUMNS[inner]), crit, crit + 1, crit + 5}
+    fixed = _fields_fixed(inner)
+    if not fixed:
+        own |= {crit + 2, crit + 3, crit + 4, crit + 6}
+    tail = [_OPEN] if cross_check else [None] * 4
+    reprs = _Memo(repr)
     n_points = n_failed = 0
     for points in blocks:
-        rows = []
+        rows, template = [], None
         for index, coords, values, outcome in points:
-            error = None
             if isinstance(outcome, PvstabError):
-                error = outcome
-                row = [index, *coords, *values, *[None] * 10]   # not reached: empty
+                rows.append(line([index, *coords, *values, *[None] * 10, str(outcome)]))
+                n_failed += 1
+                continue
+            (verdict, margin, G), threshold, _ = outcome
+            if template is None:
+                cells = [index, *coords, *values, verdict, margin, *threshold[:3], G,
+                         threshold[3]]
+                template = line([_OPEN if k in own else c for k, c in enumerate(cells)]
+                                + tail).replace("%", "%%").replace(_OPEN, "%s")
+            x = coords[-1]
+            x = reprs[x] if x and x == x else repr(x)
+            g = "" if G is None else repr(G)
+            if fixed:       # the inner record cell is the coordinate
+                cells = (index, x, x, verdict.value, repr(margin), g)
             else:
-                crit = outcome[0]
-                row = [index, *coords, *values, crit[0].value, *crit[1:7]]
-                verdict = next(verdicts) if cross_check else None
-                if isinstance(verdict, PvstabError):
-                    error, verdict = verdict, None
-                if verdict is None:
-                    row += [None] * 3
+                f_min, w2, w3, degenerate, _ = threshold
+                cells = (index, x, repr(values[i]), repr(values[i + 1]), verdict.value,
+                         repr(margin), repr(f_min), repr(w2), repr(w3), g, str(degenerate))
+            if cross_check:
+                checked, error = next(verdicts), None
+                if isinstance(checked, PvstabError):
+                    checked, error = (None, None, None), str(checked)
+                    n_failed += 1
                 else:
-                    summary, agree = verdict    # agree None (empty cell): undecided
-                    row += [summary.numerically_unstable, summary.max_re_s, agree]
-            n_failed += error is not None
-            row.append(None if error is None else str(error))
-            rows.append(row)
-        write(*rows)
+                    summary, agree = checked    # agree None (empty cell): undecided
+                    checked = summary.numerically_unstable, summary.max_re_s, agree
+                cells += (line([*checked, error])[:-1],)
+            rows.append(template % cells)
+        out.write("".join(rows))
         n_points += len(points)
     return _status(n_points, n_failed)
 

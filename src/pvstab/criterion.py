@@ -13,8 +13,12 @@ right-hand side equals the minimum over unit wave directions omega' of
 a quadratic form on the unit circle whose smaller eigenvalue has the closed
 form above.  One kernel on plain floats, `classify_values`, computes the
 minimum, the minimizing direction (the eigenvector of that eigenvalue) and
-the verdict; `classify`, `minimize_f` and `critical_e1_squared` wrap it for
-an `EquilibriumState`, and a grid calls it on the columns of a block.  On
+the verdict.  It is the composition of its two parts: `threshold_values`,
+the threshold set by the fields H', Hv' alone, and `verdict_values`, which
+places E1^2 against it.  `classify`, `minimize_f` and `critical_e1_squared`
+wrap them for an `EquilibriumState`.  A grid calls the parts on the rows of
+a block, the threshold once per block when the swept parameter leaves the
+fields fixed (E1, v2, v3, eps) and once per point otherwise.  On
 the critical set, `transitional_discriminant` gives G; when F is constant
 (every direction minimizes it) `degenerate_transitional` gives G as the
 maximum of the direction-wise sign quantity, with its maximizing direction,
@@ -70,6 +74,13 @@ class Classification:
         verdict, margin, f_min, w2, w3, G, degenerate, tol_eq = row
         return cls(verdict, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
 
+    @classmethod
+    def from_parts(cls, part: tuple, threshold: tuple) -> "Classification":
+        """The classification of a `verdict_values` row and the
+        `threshold_values` row it was decided on."""
+        (verdict, margin, G), (f_min, w2, w3, degenerate, tol_eq) = part, threshold
+        return cls(verdict, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
+
     def to_record(self) -> dict:
         return dict(zip(RECORD_KEYS, (
             self.verdict.value, self.margin, self.f_min, self.minimizer.omega2,
@@ -99,13 +110,15 @@ def _canonical(w2: float, w3: float) -> tuple[float, float]:
     return w2, w3
 
 
-def classify_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
-                    E1: float, coeff: float = 1e-9, tol_eq: float | None = None) -> tuple:
-    """The closed-form criterion on the tangential components and E1.
+def threshold_values(H2: float, H3: float, Hv2: float, Hv3: float,
+                     coeff: float = 1e-9) -> tuple:
+    """The instability threshold of the tangential fields H', Hv' alone.
 
-    Returns the row (verdict, margin, f_min, omega_star_2, omega_star_3, G,
-    degenerate, tol_eq), the first seven in the order of RECORD_KEYS.
-    ``tol_eq`` defaults to ``coeff (1 + |H'|^2 + |Hv'|^2)`` (`default_tol_eq`).
+    Returns the row (f_min, omega_star_2, omega_star_3, degenerate, tol_eq):
+    the threshold f_min for E1^2, its minimizing direction, whether F is
+    constant, and the default band ``coeff (1 + |H'|^2 + |Hv'|^2)``
+    (`default_tol_eq`).  E1 and v' play no part, so the points of a sweep
+    that moves only those share one row.
 
     F(omega') = omega'^T M omega' with M = H'H'^T + Hv'Hv'^T.  Its minimum is
     the smaller eigenvalue of M, (|H|^2 + |Hv|^2 - sqrt(rad)) / 2 with
@@ -120,13 +133,10 @@ def classify_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3:
 
     When the gap r vanishes (both fields zero, or orthogonal fields with
     |H'| = |Hv'|), F is constant on the circle and any direction minimizes:
-    that case is flagged degenerate and reports (1, 0).  The verdict is
-    decided by margin = E1^2 - f_min against tol_eq (see `classify`).
+    that case is flagged degenerate and reports (1, 0).
     """
     H_sq = H2 ** 2 + H3 ** 2
     Hv_sq = Hv2 ** 2 + Hv3 ** 2
-    if tol_eq is None:
-        tol_eq = coeff * (1.0 + H_sq + Hv_sq)
     # entries (m11, m22, m12) of M
     m11, m22, m12 = H2 * H2 + Hv2 * Hv2, H3 * H3 + Hv3 * Hv3, H2 * H3 + Hv2 * Hv3
     hs = H_sq + Hv_sq
@@ -142,39 +152,58 @@ def classify_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3:
         # of m12 would otherwise pick the representative
         theta = 0.5 * math.atan2(-2.0 * m12 + 0.0, -(m11 - m22))
         w2, w3 = _canonical(math.cos(theta), math.sin(theta))
+    return f_min, w2, w3, degenerate, coeff * (1.0 + H_sq + Hv_sq)
 
+
+def verdict_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
+                   E1: float, f_min: float, degenerate: bool, tol_eq: float) -> tuple:
+    """The E1 part of the criterion, given the threshold of `threshold_values`.
+
+    Returns (verdict, margin, G): margin = E1^2 - f_min decides the verdict
+    against tol_eq (see `classify`), and G, the sign quantity of the
+    transitional band, is None outside it.
+    """
     margin = E1 ** 2 - f_min
     if margin > tol_eq:
-        verdict, G = Verdict.VIOLENTLY_UNSTABLE, None
-    elif margin < -tol_eq:
-        verdict, G = Verdict.NEUTRALLY_STABLE, None
-    else:
-        state = EquilibriumState((v2, v3), (H2, H3), (Hv2, Hv3), E1)
-        G = (degenerate_transitional(state)[0] if degenerate
-             else transitional_discriminant(state))
-        verdict = (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0
-                   else Verdict.TRANSITIONAL_NEUTRAL)
+        return Verdict.VIOLENTLY_UNSTABLE, margin, None
+    if margin < -tol_eq:
+        return Verdict.NEUTRALLY_STABLE, margin, None
+    state = EquilibriumState((v2, v3), (H2, H3), (Hv2, Hv3), E1)
+    G = degenerate_transitional(state)[0] if degenerate else transitional_discriminant(state)
+    return (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0 else Verdict.TRANSITIONAL_NEUTRAL,
+            margin, G)
+
+
+def classify_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
+                    E1: float, coeff: float = 1e-9, tol_eq: float | None = None) -> tuple:
+    """The closed-form criterion on the tangential components and E1: the
+    field-only threshold (`threshold_values`) and the E1 part
+    (`verdict_values`) in one row.
+
+    Returns the row (verdict, margin, f_min, omega_star_2, omega_star_3, G,
+    degenerate, tol_eq), the first seven in the order of RECORD_KEYS.
+    ``tol_eq`` defaults to ``coeff (1 + |H'|^2 + |Hv'|^2)`` (`default_tol_eq`).
+    """
+    f_min, w2, w3, degenerate, default = threshold_values(H2, H3, Hv2, Hv3, coeff)
+    tol_eq = default if tol_eq is None else tol_eq
+    verdict, margin, G = verdict_values(v2, v3, H2, H3, Hv2, Hv3, E1, f_min, degenerate,
+                                        tol_eq)
     return verdict, margin, f_min, w2, w3, G, degenerate, tol_eq
-
-
-def _row(state: EquilibriumState, tol_eq: float | None = None) -> tuple:
-    return classify_values(*state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t, state.E1_hat,
-                           tol_eq=tol_eq)
 
 
 def minimize_f(state: EquilibriumState) -> MinimizationResult:
     """Minimize F(omega') = (H'.omega')^2 + (Hv'.omega')^2 on |omega'| = 1.
 
-    The minimum, a minimizer and the degenerate flag of `classify_values`.
+    The minimum, a minimizer and the degenerate flag of `threshold_values`.
     """
-    _, _, f_min, w2, w3, _, degenerate, _ = _row(state)
+    f_min, w2, w3, degenerate, _ = threshold_values(*state.H_hat_t, *state.Hv_hat_t)
     return MinimizationResult(f_min, WaveDirection(w2, w3), degenerate)
 
 
 def critical_e1_squared(state: EquilibriumState) -> float:
     """Instability threshold for E1^2: the minimum of F in closed form
-    (`classify_values`)."""
-    return _row(state)[2]
+    (`threshold_values`)."""
+    return threshold_values(*state.H_hat_t, *state.Hv_hat_t)[0]
 
 
 def transitional_discriminant(state: EquilibriumState) -> float:
@@ -235,4 +264,5 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
     strict inequality exactly (meaningful when the threshold is exact, e.g.
     collinear fields).
     """
-    return Classification.from_row(_row(state, tol_eq))
+    return Classification.from_row(classify_values(
+        *state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t, state.E1_hat, tol_eq=tol_eq))

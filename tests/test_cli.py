@@ -126,7 +126,8 @@ PARSE_ERRORS = {
         "line 3: the grid would have 1000000000000 points; at most 10000000 are supported"),
     "grid_too_large_two_axes": (
         "[state]\nH2 = 1\n[state]\nH2 = 2\n"
-        + "[sweep]\nparameter = E1\nmin = 0\nmax = 1\nsteps = 2500\n" * 2,
+        + "".join(f"[sweep]\nparameter = {name}\nmin = 0\nmax = 1\nsteps = 2500\n"
+                  for name in ("E1", "v2")),
         "line 10: the grid would have 12500000 points; at most 10000000 are supported"),
     "three_axes": ("[state]\nH2 = 1\n"
                    + "[sweep]\nparameter = E1\nmin = 0\nmax = 1\nsteps = 2\n" * 3,
@@ -189,6 +190,17 @@ class TestParseScenario:
         assert all([c[1] for _, c, _ in b] == [-1.0, 0.0, 1.0] == [r[0] for _, _, r in b]
                    for b in blocks)
         assert [[c[0] for _, c, _ in b] for b in blocks[:2]] == [[0.0] * 3, [0.05] * 3]
+
+    @pytest.mark.parametrize("name", SWEEP_PARAMETERS)
+    def test_repeated_sweep_parameter(self, tmp_path, capsys, name):
+        # the inner axis used to overwrite what the outer one set, so the
+        # outer axis did nothing; a repeat names the lines of both parameters
+        axis = "[sweep]\nmin = 0\nmax = 1\nsteps = 2\n"
+        text = ("[state]\nH2 = 1\n" + axis + f"parameter = {name}\n" + axis
+                + f"parameter = {name}\n")
+        assert _run(["sweep", _write(tmp_path, text)]) == 1
+        assert capsys.readouterr() == (
+            "", f"pvstab: line 12: repeated sweep parameter {name!r} (first at line 7)\n")
 
     def test_three_axes_rejected(self, tmp_path):
         text = SWEEP + (
@@ -1069,12 +1081,14 @@ def _axis(name, steps, lo=None, hi=None):
 
 def _rows_point_by_point(scenario):
     """The sweep CSV and classify JSON lines of each grid point built on its
-    own by `_swept_state`, validate_state and classify."""
+    own by `_swept_state`, validate_state and classify, and with
+    ``cross_check`` judged alone (`judge_verdicts` on a batch of one)."""
     import io
     import itertools
 
+    from pvstab.cli import judge_verdicts
     from pvstab.criterion import classify
-    from pvstab.errors import StateValidationError
+    from pvstab.errors import PvstabError, StateValidationError
     from pvstab.state import validate_state
 
     axes = [(a.parameter, [float(v) for v in np.linspace(a.min, a.max, a.steps)])
@@ -1097,9 +1111,17 @@ def _rows_point_by_point(scenario):
                 index += 1
                 continue
             cls = classify(point)
+            tail = [None] * 4
+            if scenario.analysis.cross_check:
+                (verdict,) = judge_verdicts([point], [cls], scenario.analysis)
+                if isinstance(verdict, PvstabError):
+                    tail[3] = str(verdict)
+                else:
+                    summary, agree = verdict
+                    tail[:3] = summary.numerically_unstable, summary.max_re_s, agree
             writer.writerow(head + [cls.verdict.value, cls.margin, cls.f_min,
                                     cls.minimizer.omega2, cls.minimizer.omega3,
-                                    cls.transitional_G, cls.degenerate] + [None] * 4)
+                                    cls.transitional_G, cls.degenerate] + tail)
             rec = {"index": index, **dict(zip((name for name, _ in axes), coords)),
                    **{k: float(v) for k, v in zip(EquilibriumState.RECORD_KEYS,
                                                   point.record_values())},
@@ -1126,7 +1148,60 @@ def test_blocks_equal_points(tmp_path, inner):
     # corner states and rejected points
     states = "".join(_CORNER_STATES)
     for outer in SWEEP_PARAMETERS:
-        _assert_blocks_equal_points(tmp_path, states + _axis(outer, 3) + _axis(inner, 5))
+        if outer != inner:
+            _assert_blocks_equal_points(tmp_path, states + _axis(outer, 3) + _axis(inner, 5))
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_cross_checked_rows_equal_rows_alone(tmp_path, inner):
+    # a cross-checked sweep scans its valid points as one batch: each row,
+    # spelled from its block's template, is the row of its point classified
+    # and judged alone, over the corner states and rejected points
+    outer = "v2" if inner == "E1" else "E1"
+    _assert_blocks_equal_points(tmp_path, "".join(_CORNER_STATES) + _axis(outer, 2)
+                                + _axis(inner, 3) + "[analysis]\ncross_check = true\n"
+                                "n_dirs = 8\n")
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_threshold_once_per_block(tmp_path, monkeypatch, inner):
+    # the field-only threshold is evaluated once per block (one with a valid
+    # point) when the inner axis leaves H' and Hv' fixed, once per valid
+    # point when it moves them, never for a rejected point, and once per
+    # state without a sweep
+    import pvstab.cli as cli_mod
+    from pvstab.criterion import threshold_values
+    from pvstab.state import check_values
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return threshold_values(*args)
+
+    monkeypatch.setattr(cli_mod, "threshold_values", spy)
+    states = "".join(_CORNER_STATES)
+    if inner == "eps":      # rejected points: eps = -0.5 and -0.15
+        axes = _axis("v2", 3) + _axis("eps", 5, -0.5, 0.9)
+    else:   # rejected points: eps = -0.5 and 1.5, and |x| = 2e50 on an inner axis
+        wide = () if inner == "angle_alpha" else (-2e50, 2e50)
+        axes = _axis("eps", 3) + _axis(inner, 5, *wide)
+    path = _write(tmp_path, states + axes)
+    valid = [[not isinstance(check_values(*values), str) for _, _, values in block]
+             for block in parse_scenario(path).grid()]
+    assert not all(map(all, valid))
+    want = sum(map(sum, valid))
+    if inner in ("E1", "v2", "v3", "eps"):
+        assert any(any(v) and not all(v) for v in valid)
+        want = sum(map(any, valid))
+        assert want < sum(map(sum, valid))
+    for command in ("sweep", "classify"):
+        calls.clear()
+        assert _run([command, path, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == want, command
+    calls.clear()
+    assert _run(["classify", _write(tmp_path, states), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(_CORNER_STATES)
 
 
 @pytest.mark.parametrize("text", [
@@ -1183,9 +1258,8 @@ def test_csv_rows_writes_what_csv_writer_writes(rows):
     columns = ["a", "b", "c"]
     rows = rows + rows[:3]          # repeated values come back from the cache
     got, want = io.StringIO(), io.StringIO()
-    write = _csv_rows(got, columns)
-    for row in rows:
-        write(row)
+    line = _csv_rows(got, columns)
+    got.write("".join(map(line, rows)))
     want.write("# pvstab-csv v1\n")
     csv.writer(want, lineterminator="\n").writerows([columns] + rows)
     assert got.getvalue() == want.getvalue()

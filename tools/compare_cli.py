@@ -10,7 +10,9 @@ corpus of scenario files:
 * the states of ``corner_corpus`` (``tests/test_inclusion.py``), one by one
   with a cross-checked E1 sweep, and all together with the default numerics
   and with an odd ``n_dirs`` and a small ``delta``;
-* two-axis sweeps of H_mag, Hv_mag, eps and angle_alpha over three states.
+* two-axis sweeps of H_mag, Hv_mag, eps and angle_alpha over three states;
+* every other sweep parameter as the inner axis below an E1 axis, over the
+  three states and, cross-checked, over the constant-F one alone.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes``,
 ``sweep`` and ``validate --seed 0`` (``validate`` once per distinct
@@ -63,10 +65,15 @@ def corpus_texts() -> dict[str, str]:
              "[state]\nH2 = 1\nHv3 = 1\nE1 = 0.5\nv2 = 0.5\nv3 = 0.2\n",   # constant F
              "[state]\nv2 = 0.3\nv3 = -0.7\nH2 = 1.1\nH3 = 0.4\nHv2 = -0.6\nHv3 = 1.3\n"
              "E1 = 0.8\n")
-    for name, lo, hi in (("H_mag", -1.0, 2.0), ("Hv_mag", 0.0, 2.5), ("eps", -0.5, 1.5),
-                         ("angle_alpha", 0.0, 3.14159)):
-        texts[f"sweep_{name}"] = "".join(bases) + _axis(name, lo, hi, 5) + _axis(
-            "E1", -1.0, 2.0, 4)
+    ranges = (("H_mag", -1.0, 2.0), ("Hv_mag", 0.0, 2.5), ("eps", -0.5, 1.5),
+              ("angle_alpha", 0.0, 3.14159), ("v2", -1.0, 1.0), ("v3", -2.0, 2.0))
+    e1 = _axis("E1", -1.0, 2.0, 4)
+    for name, lo, hi in ranges[:4]:
+        texts[f"sweep_{name}"] = "".join(bases) + _axis(name, lo, hi, 5) + e1
+    for name, lo, hi in ranges:
+        axes = e1 + _axis(name, lo, hi, 5)
+        texts[f"sweep_E1_{name}"] = "".join(bases) + axes
+        texts[f"sweep_E1_{name}_checked"] = bases[1] + axes + checked
     return texts
 
 
