@@ -21,8 +21,12 @@ A scenario file is a flat key-value document with block headers:
 
 The grid is generated as it is read, in blocks of at most BLOCK_POINTS
 points, each a row of plain floats (`Scenario.grid`).  Every point is
-validated (`state.check_values`) and classified once (`_checked`), and one
-that fails becomes one error row; rows are written in index order.  The
+validated and classified once (`_checked`), and one that fails becomes one
+error row; rows are written in index order.  Each block is validated as
+one (`state.check_block`): in a sweep, the record cells its inner
+parameter does not set once, the swept cells per point, and a rejected
+point's full record for its message; without a sweep, every cell of every
+point (`state.check_values`).  The
 criterion's field-only threshold (`criterion.threshold_values`) is
 evaluated once per block when the inner sweep parameter leaves H' and Hv'
 fixed (E1, v2, v3, eps: `_fields_fixed`), else once per valid point; its
@@ -69,7 +73,7 @@ from .criterion import classify_values, threshold_values, verdict_values
 from .dispersion import MAX_N_DIRS, MIN_N_DIRS, default_delta, locate_roots, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
-from .state import (MAX_MAGNITUDE, EquilibriumState, check_values, frequency_bundle,
+from .state import (MAX_MAGNITUDE, EquilibriumState, check_block, frequency_bundle,
                     validate_state)
 
 # the record columns (of `EquilibriumState.RECORD_KEYS`) each sweep parameter
@@ -410,18 +414,23 @@ def _checked(scenario: Scenario):
     Yields a list per block of (index, swept values, record values, outcome):
     the outcome is the point's `criterion.verdict_values` row, the
     `criterion.threshold_values` row it was decided on and its validation
-    warnings, or the PvstabError that rejected the point.  When the inner
-    sweep parameter leaves the fields fixed (`_fields_fixed`), the valid
-    points of a block share one threshold row, evaluated once; otherwise
-    each valid point has its own.  A generator, so that a command can write
-    a block before the next is built.
+    warnings, or the PvstabError that rejected the point.  Each block is
+    validated as one (`state.check_block`): in a sweep, the record cells
+    its inner parameter does not set (`_SWEPT_COLUMNS`) once, the swept
+    cells per point, and a rejected point's full record for its message;
+    without a sweep, every cell of every point.  When the inner sweep
+    parameter leaves the fields fixed (`_fields_fixed`), the valid points
+    of a block share one threshold row, evaluated once; otherwise each
+    valid point has its own.  A generator, so that a command can write a
+    block before the next is built.
     """
     coeff = scenario.analysis.tol_eq
-    shared = bool(scenario.sweeps) and _fields_fixed(scenario.sweeps[-1].parameter)
+    swept = _SWEPT_COLUMNS[scenario.sweeps[-1].parameter] if scenario.sweeps else None
+    shared = swept is not None and _fields_fixed(scenario.sweeps[-1].parameter)
     for block in scenario.grid():
         points, threshold = [], None
-        for index, coords, values in block:
-            checked = check_values(*values)
+        for (index, coords, values), checked in zip(
+                block, check_block([values for _, _, values in block], swept)):
             if isinstance(checked, str):
                 points.append((index, coords, values, StateValidationError(checked)))
                 continue
@@ -642,10 +651,10 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
             x = reprs[x] if x and x == x else repr(x)
             g = "" if G is None else repr(G)
             if fixed:       # the inner record cell is the coordinate
-                cells = (index, x, x, verdict.value, repr(margin), g)
+                cells = (index, x, x, verdict._value_, repr(margin), g)
             else:
                 f_min, w2, w3, degenerate, _ = threshold
-                cells = (index, x, repr(values[i]), repr(values[i + 1]), verdict.value,
+                cells = (index, x, repr(values[i]), repr(values[i + 1]), verdict._value_,
                          repr(margin), repr(f_min), repr(w2), repr(w3), g, str(degenerate))
             if cross_check:
                 checked, error = next(verdicts), None
@@ -750,7 +759,7 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
 
     def record_of(index, st, cls, band, verdict):
         rec = {"index": index, **_params(st.record_values()),
-               "verdict": cls.verdict.value, "margin": cls.margin,
+               "verdict": cls.verdict._value_, "margin": cls.margin,
                "band": band}
         if isinstance(verdict, PvstabError):
             rec["error"] = str(verdict)

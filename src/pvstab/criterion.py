@@ -33,6 +33,10 @@ from dataclasses import dataclass
 
 from .state import EquilibriumState, WaveDirection, frequency_bundle
 
+
+# A verdict's text is read as the plain attribute ``_value_``: ``value`` is a
+# property of enum, several times slower, and on Python 3.11 ``str()`` and
+# ``"%s"`` of a member spell ``Verdict.NAME``.
 class Verdict(str, enum.Enum):
     VIOLENTLY_UNSTABLE = "ViolentlyUnstable"
     NEUTRALLY_STABLE = "NeutrallyStable"
@@ -83,7 +87,7 @@ class Classification:
 
     def to_record(self) -> dict:
         return dict(zip(RECORD_KEYS, (
-            self.verdict.value, self.margin, self.f_min, self.minimizer.omega2,
+            self.verdict._value_, self.margin, self.f_min, self.minimizer.omega2,
             self.minimizer.omega3, self.transitional_G, self.degenerate)))
 
 

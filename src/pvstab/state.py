@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, itemgetter, le
+from typing import Iterator
 
 import numpy as np
 
@@ -176,28 +179,76 @@ def _rejection(vals: tuple) -> str:
     return f"relativistic interface speed: eps*|sigma| = {eps * abs(sigma)} >= 1"
 
 
+def _warning_lists(eps: float) -> tuple[list[str], list[str], list[str]]:
+    """The warnings of a state with this eps whose E1^2 is above, equal to
+    and below |Hv|^2: the physical restriction |Hv|^2 >= E1^2 violated, met
+    with equality or kept, and eps above the asymptotic ceiling."""
+    tail = []
+    if eps >= EPS_WARN_THRESHOLD:
+        tail.append(f"eps = {eps} is outside the small-eps regime "
+                    f"(>= {EPS_WARN_THRESHOLD}); classification may not "
+                    "match finite-eps numerics")
+    return (["physical restriction violated: E1^2 > |Hv|^2 "
+             "(equilibrium pressure would be negative)", *tail],
+            ["physical restriction met with equality: E1^2 = |Hv|^2", *tail], tail)
+
+
+def _bounded(cells) -> Iterator[bool]:
+    """Per cell, whether its magnitude is at most MAX_MAGNITUDE (False on NaN)."""
+    return map(le, map(abs, cells), repeat(MAX_MAGNITUDE))
+
+
+def _frame_ok(eps: float, sigma: float) -> bool:
+    """Whether 0 < eps < 1 and eps*|sigma| < 1 (False on NaN)."""
+    return 0.0 < eps < 1.0 and eps * abs(sigma) < 1.0
+
+
 def check_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
                  E1: float, eps: float, sigma: float) -> str | list[str]:
     """Admissibility of the equilibrium with these ``record_values()``: the
     message that rejects it, or the list of its warnings (see `validate_state`)."""
-    big = MAX_MAGNITUDE     # the comparisons are False on NaN
-    if not (abs(v2) <= big and abs(v3) <= big and abs(H2) <= big and abs(H3) <= big
-            and abs(Hv2) <= big and abs(Hv3) <= big and abs(E1) <= big
-            and 0.0 < eps < 1.0 and eps * abs(sigma) < 1.0):
+    if not (all(_bounded((v2, v3, H2, H3, Hv2, Hv3, E1))) and _frame_ok(eps, sigma)):
         return _rejection((v2, v3, H2, H3, Hv2, Hv3, E1, eps, sigma))
-
-    warnings = []
     e1sq, hvsq = E1 ** 2, Hv2 ** 2 + Hv3 ** 2
-    if e1sq > hvsq:
-        warnings.append("physical restriction violated: E1^2 > |Hv|^2 "
-                        "(equilibrium pressure would be negative)")
-    elif e1sq == hvsq:
-        warnings.append("physical restriction met with equality: E1^2 = |Hv|^2")
-    if eps >= EPS_WARN_THRESHOLD:
-        warnings.append(f"eps = {eps} is outside the small-eps regime "
-                        f"(>= {EPS_WARN_THRESHOLD}); classification may not "
-                        "match finite-eps numerics")
-    return warnings
+    above, equal, below = _warning_lists(eps)
+    return above if e1sq > hvsq else equal if e1sq == hvsq else below
+
+
+def _shared_cells_hold(values: tuple, swept: tuple[int, ...]) -> bool:
+    """Whether the hard conditions of `check_values` on the cells of
+    ``values`` outside the columns ``swept`` hold."""
+    return (all(_bounded(x for c, x in enumerate(values[:7]) if c not in swept))
+            and (7 in swept or _frame_ok(values[7], values[8])))
+
+
+def check_block(rows: list[tuple], swept: tuple[int, ...] | None) -> list[str | list[str]]:
+    """`check_values` of each tuple of record values in ``rows``.
+
+    ``swept`` names the columns in which the rows may differ (sigma, column
+    8, is never one); each other cell, a shared one, is the same in every
+    row.  The shared cells are checked once and then only the swept cells
+    of each row; a row that fails either check is rejected by
+    `check_values` on its full record, so its message names its first
+    failure.  With ``swept`` None every cell of every row is checked.  Rows
+    of one block with the same warnings may share one list.
+    """
+    if swept is None or not _shared_cells_hold(rows[0], swept):
+        return [check_values(*values) for values in rows]
+    first = rows[0]
+    ok = [True] * len(rows)
+    for c in swept:
+        ok = list(map(and_, ok, _bounded(map(itemgetter(c), rows)) if c < 7
+                      else map(_frame_ok, map(itemgetter(7), rows), repeat(first[8]))))
+    # E1^2, |Hv|^2 and the warning lists per row, or the block's one value;
+    # a rejected row's squares are not computed (its E1^2 may overflow)
+    e1sq = ([v[6] ** 2 if k else 0.0 for k, v in zip(ok, rows)] if 6 in swept
+            else repeat(first[6] ** 2))
+    hvsq = ([v[4] ** 2 + v[5] ** 2 if k else 0.0 for k, v in zip(ok, rows)]
+            if 4 in swept or 5 in swept else repeat(first[4] ** 2 + first[5] ** 2))
+    lists = ([_warning_lists(v[7]) for v in rows] if 7 in swept
+             else repeat(_warning_lists(first[7])))
+    return [(w[0] if a > b else w[1] if a == b else w[2]) if k else check_values(*v)
+            for k, v, a, b, w in zip(ok, rows, e1sq, hvsq, lists)]
 
 
 def validate_state(raw: EquilibriumState) -> tuple[EquilibriumState, list[str]]:

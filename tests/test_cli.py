@@ -1204,6 +1204,85 @@ def test_threshold_once_per_block(tmp_path, monkeypatch, inner):
     assert len(calls) == len(_CORNER_STATES)
 
 
+# outer axes under which whole blocks are rejected by a cell the inner axis
+# does not set: eps*|sigma| >= 1 at the upper eps levels of the sigma = 90
+# state, |H2| or |Hv2| past the bound 1e50, and eps past 0 and 1
+_SHARED_REJECTIONS = (_axis("eps", 5, 0.001, 0.05), _axis("H_mag", 5, -2e50, 2e50),
+                      _axis("Hv_mag", 5, 0.0, 2e50), _axis("eps", 5))
+_SIGMA_STATE = "[state]\nH2 = 1\nHv3 = 1.5\nE1 = 0.7\nv2 = 0.2\nsigma = 90\n"
+
+
+def _shared_rejection_scenarios(tmp_path, inner):
+    """The parsed scenarios of `_SHARED_REJECTIONS` over ``inner``, an inner
+    magnitude axis reaching past the bound too (`_axis` for the others)."""
+    wide = () if inner in ("angle_alpha", "eps") else (-2e50, 2e50)
+    states = "".join(_CORNER_STATES) + _SIGMA_STATE
+    return [parse_scenario(_write(tmp_path, states + outer + _axis(inner, 7, *wide)))
+            for outer in _SHARED_REJECTIONS if f"parameter = {inner}\n" not in outer]
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_block_check_equals_check_alone(tmp_path, inner):
+    # each point's outcome from a block checked as one (its shared cells
+    # once, its swept cells alone) is check_values on the point alone: the
+    # same rejection message, naming the first failure in record order, or
+    # the same warnings, also in blocks whose shared cells are rejected
+    from pvstab.cli import _SWEPT_COLUMNS, _checked
+    from pvstab.errors import StateValidationError
+    from pvstab.state import _shared_cells_hold, check_values
+
+    swept = _SWEPT_COLUMNS[inner]
+    n_shared_rejected = n_swept_rejected = 0
+    for scenario in _shared_rejection_scenarios(tmp_path, inner):
+        for block, points in zip(scenario.grid(), _checked(scenario)):
+            assert [p[:3] for p in points] == block
+            shared_ok = _shared_cells_hold(block[0][2], swept)
+            n_shared_rejected += not shared_ok
+            for _, _, values, outcome in points:
+                want = check_values(*values)
+                if isinstance(want, str):
+                    assert isinstance(outcome, StateValidationError), values
+                    assert str(outcome) == want, values
+                    n_swept_rejected += shared_ok
+                else:
+                    assert outcome[2] == want, values
+    assert n_shared_rejected and n_swept_rejected
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_shared_cells_checked_once_per_block(monkeypatch, tmp_path, inner):
+    # a swept block checks its shared cells once, and checks the full record
+    # of a point only when that point is rejected; without a sweep every
+    # point's full record is checked
+    import pvstab.state as state_mod
+    from pvstab.cli import _checked
+    from pvstab.errors import StateValidationError
+
+    shared, full = [], []
+
+    def spy(calls, check):
+        return lambda *args: calls.append(args) or check(*args)
+
+    monkeypatch.setattr(state_mod, "_shared_cells_hold",
+                        spy(shared, state_mod._shared_cells_hold))
+    monkeypatch.setattr(state_mod, "check_values", spy(full, state_mod.check_values))
+    for scenario in _shared_rejection_scenarios(tmp_path, inner):
+        shared.clear()
+        full.clear()
+        blocks = list(_checked(scenario))
+        assert len(shared) == len(blocks)
+        rejected = [values for points in blocks for _, _, values, outcome in points
+                    if isinstance(outcome, StateValidationError)]
+        assert rejected and len(rejected) < sum(map(len, blocks))
+        assert full == rejected
+    scenario = parse_scenario(_write(tmp_path, "".join(_CORNER_STATES) + _SIGMA_STATE))
+    shared.clear()
+    full.clear()
+    blocks = list(_checked(scenario))
+    assert not shared
+    assert full == [values for points in blocks for _, _, values, _ in points]
+
+
 @pytest.mark.parametrize("text", [
     # magnitudes past the bound 1e50 on both axes
     _CORNER_STATES[3] + _axis("H_mag", 4, 1.0, 1e60) + _axis("E1", 3, 0.0, 2e50),

@@ -12,7 +12,10 @@ corpus of scenario files:
   and with an odd ``n_dirs`` and a small ``delta``;
 * two-axis sweeps of H_mag, Hv_mag, eps and angle_alpha over three states;
 * every other sweep parameter as the inner axis below an E1 axis, over the
-  three states and, cross-checked, over the constant-F one alone.
+  three states and, cross-checked, over the constant-F one alone;
+* sweeps whose outer axis rejects whole blocks by a cell the inner axis does
+  not set (eps*|sigma| >= 1, |H2| or |Hv2| past the bound 1e50, eps past 0
+  and 1), with inner points past the bound too.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes``,
 ``sweep`` and ``validate --seed 0`` (``validate`` once per distinct
@@ -74,6 +77,18 @@ def corpus_texts() -> dict[str, str]:
         axes = e1 + _axis(name, lo, hi, 5)
         texts[f"sweep_E1_{name}"] = "".join(bases) + axes
         texts[f"sweep_E1_{name}_checked"] = bases[1] + axes + checked
+    # blocks rejected by a cell the inner axis does not set, with inner
+    # points past the bound 1e50 too: eps*|sigma| >= 1 at the upper eps
+    # levels of a sigma = 90 state (whose last row names |E1| = 2e+50 first),
+    # |H2| or |Hv2| past the bound, and eps past 0 and 1
+    sigma = "[state]\nH2 = 1\nHv3 = 1.5\nE1 = 0.7\nv2 = 0.2\nsigma = 90\n"
+    wide = ("E1", -2e50, 2e50, 5)
+    for name, outer, inner in (("eps_sigma", ("eps", 0.001, 0.05, 5), ("E1", 0.0, 2e50, 5)),
+                               ("H_mag", ("H_mag", -2e50, 2e50, 5), ("v2", -2e50, 2e50, 5)),
+                               ("Hv_mag", ("Hv_mag", 0.0, 2e50, 5), wide),
+                               ("eps", ("eps", -0.5, 1.5, 5), wide)):
+        texts[f"shared_rejected_{name}"] = (bases[0] + sigma + _axis(*outer)
+                                            + _axis(*inner))
     return texts
 
 
