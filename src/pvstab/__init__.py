@@ -13,8 +13,8 @@ Layers:
 """
 
 from .criterion import (Classification, MinimizationResult, Verdict, classify,
-                        critical_e1_squared, default_tol_eq, f_of_omega,
-                        minimize_f, transitional_discriminant)
+                        critical_e1_squared, f_of_omega, minimize_f,
+                        transitional_discriminant)
 from .dispersion import (LopatinskiContext, RootReport, StateCounts,
                          default_delta, find_unstable_roots, locate_roots,
                          lopatinski, lopatinski_deriv, lopatinski_scale,

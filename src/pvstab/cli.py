@@ -42,11 +42,13 @@ direction and a tail per half-disk into one string.
 as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
 (state, direction) pair per unstable point), which they give a delta and
 never a region, and read the counts by position from the lists of a
-``StateCounts``.  ``sweep`` with
-``cross_check`` and ``validate`` judge the closed-form verdict against a
-root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
-an error when any scanned direction failed.  A state with a component or E1
-beyond ``state.MAX_MAGNITUDE`` in magnitude is invalid.
+``StateCounts``.  ``validate`` draws its states in rounds and sends each
+round through `_checked` too, as a scenario of states without a sweep.
+``sweep`` with ``cross_check`` and ``validate`` judge the closed-form
+verdict against a root scan by one rule (`judge_verdicts`): undecided
+inside `margin_band`, an error when any scanned direction failed.  A state
+with a component or E1 beyond ``state.MAX_MAGNITUDE`` in magnitude is
+invalid.
 
 Outputs are JSON lines (classify, modes, validate) or versioned CSV
 (roots, sweep); identical scenarios produce byte-identical files.  Exit
@@ -69,7 +71,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import criterion
-from .criterion import classify_values, threshold_values, verdict_values
+from .criterion import threshold_values, verdict_values
 from .dispersion import MAX_N_DIRS, MIN_N_DIRS, default_delta, locate_roots, scan_states
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .modes import mode_records
@@ -735,32 +737,42 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     Draws states until ``analysis.sample`` of them fall outside the margin
     band, scans each for right-half-plane roots, and requires the numeric
     verdict (a root counted in some direction) to agree with the closed-form
-    verdict on every one.  Band states
-    are counted but not judged; root-finder failures are excluded from the
-    denominator and reported separately.
+    verdict on every one.  The draws are validated and classified as the
+    points of every other command are (`_checked`), in rounds of the
+    shortfall, so that no state is drawn past the last one accepted.  Band
+    states are counted but not judged; a drawn state that validation
+    rejects, and a root-finder failure, is an error record, reported
+    separately and excluded from the denominator.
     """
     analysis = scenario.analysis
     rng = np.random.default_rng(seed)
     target = analysis.sample
-    accepted: list[tuple[EquilibriumState, criterion.Classification, float]] = []
-    n_band = 0
+    # per accepted state: (state, classification, band), or (state, the error
+    # that rejected it, None)
+    accepted = []
+    n_band = attempts = 0
     max_attempts = 1000 * max(target, 1)
-    attempts = 0
     while len(accepted) < target and attempts < max_attempts:
-        attempts += 1
-        st = sample_validation_state(rng)
-        cls = criterion.Classification.from_row(classify_values(
-            *st.v_hat_t, *st.H_hat_t, *st.Hv_hat_t, st.E1_hat, analysis.tol_eq))
-        band = margin_band(st, cls.tol_eq, default_delta(st, analysis.delta))
-        if abs(cls.margin) <= band:
-            n_band += 1
-            continue
-        accepted.append((st, cls, band))
+        drawn = [sample_validation_state(rng)
+                 for _ in range(min(target - len(accepted), max_attempts - attempts))]
+        attempts += len(drawn)
+        for points in _checked(Scenario(drawn, analysis=analysis)):
+            for index, _, _, outcome in points:
+                st = drawn[index]
+                if isinstance(outcome, PvstabError):
+                    accepted.append((st, outcome, None))
+                    continue
+                cls = criterion.Classification.from_parts(*outcome[:2])
+                band = margin_band(st, cls.tol_eq, default_delta(st, analysis.delta))
+                if abs(cls.margin) <= band:
+                    n_band += 1
+                else:
+                    accepted.append((st, cls, band))
 
     def record_of(index, st, cls, band, verdict):
-        rec = {"index": index, **_params(st.record_values()),
-               "verdict": cls.verdict._value_, "margin": cls.margin,
-               "band": band}
+        rec = {"index": index, **_params(st.record_values())}
+        if band is not None:    # else validation rejected the state: verdict is cls
+            rec.update(verdict=cls.verdict._value_, margin=cls.margin, band=band)
         if isinstance(verdict, PvstabError):
             rec["error"] = str(verdict)
             return rec
@@ -775,10 +787,10 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
             rec["flags"] = flags
         return rec
 
-    verdicts = judge_verdicts([st for st, _, _ in accepted],
-                              [cls for _, cls, _ in accepted], analysis)
-    records = [record_of(index, *item, verdict)
-               for index, (item, verdict) in enumerate(zip(accepted, verdicts))]
+    valid = [(st, cls) for st, cls, band in accepted if band is not None]
+    verdicts = judge_verdicts([st for st, _ in valid], [cls for _, cls in valid], analysis)
+    records = [record_of(index, st, cls, band, cls if band is None else next(verdicts))
+               for index, (st, cls, band) in enumerate(accepted)]
     n_failed = sum(1 for r in records if "error" in r)
     judged = [r for r in records if "agree" in r]
     n_disagree = sum(1 for r in records if r.get("agree") is False)

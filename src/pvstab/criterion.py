@@ -11,18 +11,18 @@ right-hand side equals the minimum over unit wave directions omega' of
     F(omega') = (H'.omega')^2 + (Hv'.omega')^2,
 
 a quadratic form on the unit circle whose smaller eigenvalue has the closed
-form above.  One kernel on plain floats, `classify_values`, computes the
-minimum, the minimizing direction (the eigenvector of that eigenvalue) and
-the verdict.  It is the composition of its two parts: `threshold_values`,
-the threshold set by the fields H', Hv' alone, and `verdict_values`, which
-places E1^2 against it.  `classify`, `minimize_f` and `critical_e1_squared`
-wrap them for an `EquilibriumState`.  A grid calls the parts on the rows of
-a block, the threshold once per block when the swept parameter leaves the
-fields fixed (E1, v2, v3, eps) and once per point otherwise.  On
-the critical set, `transitional_discriminant` gives G; when F is constant
-(every direction minimizes it) `degenerate_transitional` gives G as the
-maximum of the direction-wise sign quantity, with its maximizing direction,
-also in closed form.
+form above.  Two kernels on plain floats decide the criterion:
+`threshold_values`, the minimum, the minimizing direction (the eigenvector
+of that eigenvalue) and the default equality band, set by the fields H',
+Hv' alone, and `verdict_values`, which places E1^2 against that threshold.
+`Classification.from_parts` joins their rows.  `classify` composes them for
+an `EquilibriumState`, and `minimize_f` and `critical_e1_squared` wrap the
+threshold.  A grid calls them on the rows of a block, the threshold once per
+block when the swept parameter leaves the fields fixed (E1, v2, v3, eps) and
+once per point otherwise.  On the critical set, `transitional_discriminant`
+gives G; when F is constant (every direction minimizes it)
+`degenerate_transitional` gives G as the maximum of the direction-wise sign
+quantity, with its maximizing direction, also in closed form.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MinimizationResult:
     degenerate: bool = False          # F constant on the circle (or both fields zero)
 
 
-# the keys of a classification record, in the order of a `classify_values` row
+# the keys of a classification record (`Classification.to_record`)
 RECORD_KEYS = ("verdict", "margin", "f_min", "omega_star_2", "omega_star_3", "G",
                "degenerate_flag")
 
@@ -71,12 +71,6 @@ class Classification:
     transitional_G: float | None = None
     degenerate: bool = False
     tol_eq: float = 0.0
-
-    @classmethod
-    def from_row(cls, row: tuple) -> "Classification":
-        """The classification of a `classify_values` row."""
-        verdict, margin, f_min, w2, w3, G, degenerate, tol_eq = row
-        return cls(verdict, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
 
     @classmethod
     def from_parts(cls, part: tuple, threshold: tuple) -> "Classification":
@@ -97,15 +91,6 @@ def f_of_omega(state: EquilibriumState, direction: WaveDirection) -> float:
     return b.w_plus ** 2 + b.w_minus ** 2
 
 
-def default_tol_eq(state: EquilibriumState, coeff: float = 1e-9) -> float:
-    """Half-width of the transitional band around E1^2 = critical value.
-
-    Exact equality is a codimension-one condition that floating point cannot
-    test; the band scales with the squared field magnitudes.
-    """
-    return coeff * (1.0 + state.H_sq + state.Hv_sq)
-
-
 def _canonical(w2: float, w3: float) -> tuple[float, float]:
     # Deterministic representative of the antipodal pair: omega2 >= 0,
     # ties broken by omega3 >= 0.
@@ -120,9 +105,11 @@ def threshold_values(H2: float, H3: float, Hv2: float, Hv3: float,
 
     Returns the row (f_min, omega_star_2, omega_star_3, degenerate, tol_eq):
     the threshold f_min for E1^2, its minimizing direction, whether F is
-    constant, and the default band ``coeff (1 + |H'|^2 + |Hv'|^2)``
-    (`default_tol_eq`).  E1 and v' play no part, so the points of a sweep
-    that moves only those share one row.
+    constant, and the default half-width ``coeff (1 + |H'|^2 + |Hv'|^2)`` of
+    the equality band: exact equality is a codimension-one condition that
+    floating point cannot test, so the band scales with the squared field
+    magnitudes.  E1 and v' play no part, so the points of a sweep that moves
+    only those share one row.
 
     F(omega') = omega'^T M omega' with M = H'H'^T + Hv'Hv'^T.  Its minimum is
     the smaller eigenvalue of M, (|H|^2 + |Hv|^2 - sqrt(rad)) / 2 with
@@ -176,23 +163,6 @@ def verdict_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: 
     G = degenerate_transitional(state)[0] if degenerate else transitional_discriminant(state)
     return (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0 else Verdict.TRANSITIONAL_NEUTRAL,
             margin, G)
-
-
-def classify_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
-                    E1: float, coeff: float = 1e-9, tol_eq: float | None = None) -> tuple:
-    """The closed-form criterion on the tangential components and E1: the
-    field-only threshold (`threshold_values`) and the E1 part
-    (`verdict_values`) in one row.
-
-    Returns the row (verdict, margin, f_min, omega_star_2, omega_star_3, G,
-    degenerate, tol_eq), the first seven in the order of RECORD_KEYS.
-    ``tol_eq`` defaults to ``coeff (1 + |H'|^2 + |Hv'|^2)`` (`default_tol_eq`).
-    """
-    f_min, w2, w3, degenerate, default = threshold_values(H2, H3, Hv2, Hv3, coeff)
-    tol_eq = default if tol_eq is None else tol_eq
-    verdict, margin, G = verdict_values(v2, v3, H2, H3, Hv2, Hv3, E1, f_min, degenerate,
-                                        tol_eq)
-    return verdict, margin, f_min, w2, w3, G, degenerate, tol_eq
 
 
 def minimize_f(state: EquilibriumState) -> MinimizationResult:
@@ -253,7 +223,8 @@ def degenerate_transitional(state: EquilibriumState) -> tuple[float, WaveDirecti
 
 
 def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classification:
-    """Classify an equilibrium by the closed-form criterion (`classify_values`).
+    """Classify an equilibrium by the closed-form criterion: the verdict of
+    `verdict_values` on the threshold of `threshold_values`.
 
     margin = E1^2 - critical_e1_squared(state); the verdict is
 
@@ -264,9 +235,14 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
         degenerate constant-F case, by the largest direction-wise sign
         quantity instead, in closed form; see degenerate_transitional).
 
-    ``tol_eq`` defaults to ``default_tol_eq(state)``; pass 0 to resolve the
-    strict inequality exactly (meaningful when the threshold is exact, e.g.
-    collinear fields).
+    ``tol_eq`` defaults to the threshold's band, 1e-9 (1 + |H'|^2 + |Hv'|^2);
+    pass 0 to resolve the strict inequality exactly (meaningful when the
+    threshold is exact, e.g. collinear fields).
     """
-    return Classification.from_row(classify_values(
-        *state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t, state.E1_hat, tol_eq=tol_eq))
+    threshold = threshold_values(*state.H_hat_t, *state.Hv_hat_t)
+    if tol_eq is not None:
+        threshold = (*threshold[:4], tol_eq)
+    f_min, _, _, degenerate, tol_eq = threshold
+    return Classification.from_parts(verdict_values(
+        *state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t, state.E1_hat, f_min, degenerate,
+        tol_eq), threshold)

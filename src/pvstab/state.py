@@ -207,8 +207,12 @@ def check_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: fl
                  E1: float, eps: float, sigma: float) -> str | list[str]:
     """Admissibility of the equilibrium with these ``record_values()``: the
     message that rejects it, or the list of its warnings (see `validate_state`)."""
-    if not (all(_bounded((v2, v3, H2, H3, Hv2, Hv3, E1))) and _frame_ok(eps, sigma)):
-        return _rejection((v2, v3, H2, H3, Hv2, Hv3, E1, eps, sigma))
+    # as floats: a numpy float32 cell would meet the bound in float32, where
+    # it is inf, so that inf would pass
+    vals = v2, v3, H2, H3, Hv2, Hv3, E1, eps, sigma = tuple(
+        map(float, (v2, v3, H2, H3, Hv2, Hv3, E1, eps, sigma)))
+    if not (all(_bounded(vals[:7])) and _frame_ok(eps, sigma)):
+        return _rejection(vals)
     e1sq, hvsq = E1 ** 2, Hv2 ** 2 + Hv3 ** 2
     above, equal, below = _warning_lists(eps)
     return above if e1sq > hvsq else equal if e1sq == hvsq else below

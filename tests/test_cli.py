@@ -830,6 +830,57 @@ class TestValidateCommand:
         else:  # pragma: no cover - seed dependent, all-neutral draw
             assert code == 0
 
+    def test_draws_are_checked_and_classified_once(self, tmp_path, monkeypatch):
+        # every drawn state, band states included, goes through _checked:
+        # validated by check_values (through check_block) and given one
+        # threshold row
+        import io
+
+        import pvstab.cli as cli_mod
+        import pvstab.state as state_mod
+
+        def spy(calls, function):
+            return lambda *args: calls.append(args) or function(*args)
+
+        scenario = parse_scenario(_write(tmp_path, MINIMAL + "[analysis]\nsample = 25\n"
+                                                            "n_dirs = 8\n"))
+        checks, thresholds = [], []
+        monkeypatch.setattr(state_mod, "check_values", spy(checks, state_mod.check_values))
+        monkeypatch.setattr(cli_mod, "threshold_values",
+                            spy(thresholds, cli_mod.threshold_values))
+        out = io.StringIO()
+        assert cli_mod.cmd_validate(scenario, out, seed=3) == 0
+        summary = json.loads(out.getvalue().splitlines()[-1])["summary"]
+        assert summary["band"] > 0 and summary["checked"] == 25
+        assert len(checks) == len(thresholds) == summary["sampled"]
+
+    def test_rejected_draw_is_an_error_record(self, tmp_path, monkeypatch):
+        # a drawn state that validation rejects is one error record, counted
+        # with the failures and never judged; the other draws are judged
+        import dataclasses
+
+        import pvstab.cli as cli_mod
+
+        draws = iter(range(10 ** 6))
+
+        def sampler(rng):
+            st = sample_validation_state(rng)
+            return dataclasses.replace(st, eps=1.5) if next(draws) % 3 == 0 else st
+
+        monkeypatch.setattr(cli_mod, "sample_validation_state", sampler)
+        text = MINIMAL + "[analysis]\nsample = 6\nn_dirs = 8\n"
+        out = tmp_path / "val.jsonl"
+        assert _run(["validate", _write(tmp_path, text), "--out", str(out)]) == 0
+        *recs, summary = (json.loads(ln) for ln in out.read_text().splitlines())
+        rejected = [r for r in recs if r["eps"] == 1.5]
+        assert len(recs) == 6 and rejected
+        for r in rejected:
+            assert r == {"index": r["index"], **{k: r[k] for k in EquilibriumState.RECORD_KEYS},
+                         "error": "eps must be below 1, got 1.5"}
+        assert all(r["agree"] for r in recs if r["eps"] != 1.5)
+        assert summary["summary"]["root_finder_failures"] == len(rejected)
+        assert summary["summary"]["checked"] == 6 - len(rejected)
+
 
 EPS_INVALID = EPS_SWEEP.replace("min = 0", "min = 1.0").replace(
     "steps = 4", "steps = 3\n[analysis]\nn_dirs = 8")

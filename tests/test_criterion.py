@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvstab.criterion import (Verdict, classify, classify_values, critical_e1_squared,
-                              default_tol_eq, degenerate_transitional,
-                              f_of_omega, minimize_f, transitional_discriminant)
+from pvstab.criterion import (Verdict, classify, critical_e1_squared, degenerate_transitional,
+                              f_of_omega, minimize_f, threshold_values,
+                              transitional_discriminant, verdict_values)
 from pvstab.state import EquilibriumState, WaveDirection
 
 
@@ -280,7 +280,7 @@ class TestClassify:
                             E1=t * s.E1_hat, v=s.v_hat_t)
             assert critical_e1_squared(scaled) == pytest.approx(
                 t * t * critical_e1_squared(s), rel=1e-10, abs=1e-13)
-            tol = default_tol_eq(s)
+            tol = threshold_values(*s.H_hat_t, *s.Hv_hat_t)[4]
             c1 = classify(s, tol_eq=tol)
             c2 = classify(scaled, tol_eq=t * t * tol)
             if not c1.degenerate:
@@ -383,9 +383,14 @@ def _kernel_states(draw):
 @given(_kernel_states(), st.sampled_from([None, 0.0, 1e-3]))
 @example(_state(H=(1.0, 0.0), Hv=(2.0, 0.0), E1=0.14958982469764415), None)   # E1**2 != E1*E1
 def test_classify_is_the_kernel_row(s, tol_eq):
-    # every field of classify, to the last bit, is the kernel row, and the
-    # row is what the per-object path computed
-    row = classify_values(*s.v_hat_t, *s.H_hat_t, *s.Hv_hat_t, s.E1_hat, tol_eq=tol_eq)
+    # every field of classify, to the last bit, is the composition of the two
+    # kernels, threshold_values and verdict_values, and that composition is
+    # what the per-object path computed
+    f_min, w2, w3, degenerate, band = threshold_values(*s.H_hat_t, *s.Hv_hat_t)
+    tol = band if tol_eq is None else tol_eq
+    verdict, margin, G = verdict_values(*s.v_hat_t, *s.H_hat_t, *s.Hv_hat_t, s.E1_hat,
+                                        f_min, degenerate, tol)
+    row = (verdict, margin, f_min, w2, w3, G, degenerate, tol)
     assert list(map(repr, row)) == list(map(repr, _former_row(s, tol_eq)))
     c = classify(s, tol_eq=tol_eq)
     got = (c.verdict, c.margin, c.f_min, c.minimizer.omega2, c.minimizer.omega3,

@@ -53,6 +53,18 @@ def test_validate_rejects_nonfinite():
         validate_state(EquilibriumState(H_hat_t=(math.nan, 0), eps=0.01))
 
 
+def test_validate_rejects_nonfinite_numpy_scalars():
+    # a float32 cell is checked as a float: in float32 the bound 1e50 is inf
+    # too, and inf <= inf would let an infinite E1 through
+    f = np.float32
+    st = EquilibriumState((f(0.1), f(0.2)), (f(1.0), f(0.0)), (f(0.0), f(2.0)), f(np.inf))
+    with pytest.raises(StateValidationError, match="non-finite equilibrium parameter"):
+        validate_state(st)
+    finite = EquilibriumState((f(0.1), f(0.2)), (f(1.0), f(0.0)), (f(0.0), f(2.0)), f(3.0))
+    assert validate_state(finite) == (finite, [
+        "physical restriction violated: E1^2 > |Hv|^2 (equilibrium pressure would be negative)"])
+
+
 @pytest.mark.parametrize("field", ["v_hat_t", "H_hat_t", "Hv_hat_t"])
 def test_validate_bounds_magnitudes(field):
     # each component, and E1, up to MAX_MAGNITUDE; sigma is bounded by eps
