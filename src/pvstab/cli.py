@@ -19,31 +19,25 @@ A scenario file is a flat key-value document with block headers:
                        its radius is always proven at that delta), decay_p,
                        cross_check, sample (at most MAX_GRID_POINTS)
 
-The grid is generated as it is read, in blocks of at most BLOCK_POINTS
-points, each a row of plain floats (`Scenario.grid`).  Every point is
-validated and classified once (`_checked`), and one that fails becomes one
-error row; rows are written in index order.  Each block is validated as
-one (`state.check_block`): in a sweep, the record cells its inner
-parameter does not set once, the swept cells per point, and a rejected
-point's full record for its message; without a sweep, every cell of every
-point (`state.check_values`).  The
-criterion's field-only threshold (`criterion.threshold_values`) is
-evaluated once per block when the inner sweep parameter leaves H' and Hv'
-fixed (E1, v2, v3, eps: `_fields_fixed`), else once per valid point; its
-E1 part (`criterion.verdict_values`) once per valid point.  ``classify``,
-and ``sweep`` without ``cross_check``, write the rows of a block as one
-string before they build the next, so they hold at most one block.  CSV
-cells are spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a
-block's valid rows from one template, in which only the cells a row does
-not share with its block are left open (`_SWEPT_COLUMNS` names the record
-cells each parameter sets); ``roots`` joins its rows from a segment per
-direction and a tail per half-disk into one string.
+A header of any kind opens a block of that kind, and `_BLOCK_KEYS` names
+the keys each kind takes.  The grid is generated as it is read, in blocks
+of at most BLOCK_POINTS points, each a row of plain floats
+(`Scenario.grid`).  Every point is validated and classified once, a block
+at a time (`_checked`), and one that fails becomes one error row; rows are
+written in index order.  ``classify``, and ``sweep`` without
+``cross_check``, write the rows of a block as one string before they build
+the next, so they hold at most one block.  CSV cells are spelled as
+``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a block's valid rows
+from one template, in which only the cells a row does not share with its
+block are left open (`_SWEPT_COLUMNS` names the record cells each parameter
+sets); ``roots`` joins its rows from a segment per direction and a tail per
+half-disk into one string.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
 (state, direction) pair per unstable point), which they give a delta and
 never a region, and read the counts by position from the lists of a
-``StateCounts``.  ``validate`` draws its states in rounds and sends each
-round through `_checked` too, as a scenario of states without a sweep.
+``StateCounts``.  ``validate`` sends its draws through `_checked` too and
+classifies, bands and records each one once as it is drawn.
 ``sweep`` with ``cross_check`` and ``validate`` judge the closed-form
 verdict against a root scan by one rule (`judge_verdicts`): undecided
 inside `margin_band`, an error when any scanned direction failed.  A state
@@ -71,10 +65,11 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import criterion
-from .criterion import threshold_values, verdict_values
-from .dispersion import MAX_N_DIRS, MIN_N_DIRS, default_delta, locate_roots, scan_states
+from .criterion import TOL_EQ_COEFF, threshold_values, verdict_values
+from .dispersion import (MAX_N_DIRS, MIN_N_DIRS, N_DIRS, default_delta, locate_roots,
+                         scan_states)
 from .errors import PvstabError, ScenarioParseError, StateValidationError
-from .modes import mode_records
+from .modes import DECAY_P, mode_records
 from .state import (MAX_MAGNITUDE, EquilibriumState, check_block, frequency_bundle,
                     validate_state)
 
@@ -116,10 +111,10 @@ class SweepAxis:
 
 @dataclass
 class AnalysisOptions:
-    tol_eq: float = 1e-9        # relative coefficient, scaled per state
-    n_dirs: int = 32
-    delta: float | None = None  # counting-region delta override (absolute)
-    decay_p: float = 3.0
+    tol_eq: float = TOL_EQ_COEFF    # relative coefficient, scaled per state
+    n_dirs: int = N_DIRS
+    delta: float | None = None      # counting-region delta override (absolute)
+    decay_p: float = DECAY_P
     cross_check: bool = False
     sample: int = 200
 
@@ -230,6 +225,9 @@ _ANALYSIS_KEYS = {
     "sample": (int, (lambda n: n >= 1, "sample must be at least 1"),
                (lambda n: n <= MAX_GRID_POINTS, f"sample must be at most {MAX_GRID_POINTS}")),
 }
+# the keys each kind of block takes
+_BLOCK_KEYS = {"state": EquilibriumState.RECORD_KEYS, "sweep": _SWEEP_KEYS,
+               "analysis": _ANALYSIS_KEYS}
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
              **dict.fromkeys(("false", "0", "no", "off"), False)}
 _NOT_A = {bool: "expected a boolean, got {text!r}",
@@ -255,12 +253,9 @@ def parse_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
-    state_blocks: list[tuple[int, dict]] = []
-    sweep_blocks: list[tuple[int, dict]] = []
-    analysis_block: dict = {}
-    analysis_line = 0               # the line of the [analysis] header, once read
+    # per kind, (header line, {key: (text, line)}) per block
+    blocks: dict[str, list[tuple[int, dict]]] = {kind: [] for kind in _BLOCK_KEYS}
     current: dict | None = None
-    current_kind = ""
 
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -268,20 +263,13 @@ def parse_scenario(path) -> Scenario:
             continue
         if text.startswith("["):
             kind = text.strip("[]").strip().lower()
-            if kind == "state":
-                current = {}
-                state_blocks.append((lineno, current))
-            elif kind == "sweep":
-                current = {}
-                sweep_blocks.append((lineno, current))
-            elif kind == "analysis":
-                if analysis_line:
-                    raise ScenarioParseError(
-                        f"repeated [analysis] block (first at line {analysis_line})", lineno)
-                current, analysis_line = analysis_block, lineno
-            else:
+            if kind not in _BLOCK_KEYS:
                 raise ScenarioParseError(f"unknown block [{kind}]", lineno)
-            current_kind = kind
+            if kind == "analysis" and blocks[kind]:
+                raise ScenarioParseError(f"repeated [analysis] block (first at line "
+                                         f"{blocks[kind][0][0]})", lineno)
+            current = {}
+            blocks[kind].append((lineno, current))
             continue
         if "=" not in text:
             raise ScenarioParseError(f"expected 'key = value', got {text!r}", lineno)
@@ -289,16 +277,14 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioParseError("key outside of any [state]/[sweep]/[analysis] block",
                                      lineno)
         key, value = (part.strip() for part in text.split("=", 1))
-        allowed = {"state": EquilibriumState.RECORD_KEYS, "sweep": _SWEEP_KEYS,
-                   "analysis": _ANALYSIS_KEYS}[current_kind]
-        if key not in allowed:
-            raise ScenarioParseError(f"unknown key {key!r} in [{current_kind}] block",
-                                     lineno)
+        if key not in _BLOCK_KEYS[kind]:
+            raise ScenarioParseError(f"unknown key {key!r} in [{kind}] block", lineno)
         if key in current:
-            raise ScenarioParseError(f"repeated key {key!r} in [{current_kind}] block "
+            raise ScenarioParseError(f"repeated key {key!r} in [{kind}] block "
                                      f"(first at line {current[key][1]})", lineno)
         current[key] = (value, lineno)
 
+    state_blocks, sweep_blocks = blocks["state"], blocks["sweep"]
     if not state_blocks:
         raise ScenarioParseError("scenario contains no [state] block")
     if len(sweep_blocks) > 2:
@@ -345,8 +331,9 @@ def parse_scenario(path) -> Scenario:
         sweeps.append(SweepAxis(parameter, lo, hi, steps))
 
     analysis = AnalysisOptions()
-    for key, (text, line) in analysis_block.items():
-        setattr(analysis, key, _typed(_ANALYSIS_KEYS, key, text, line))
+    for _, block in blocks["analysis"]:
+        for key, (text, line) in block.items():
+            setattr(analysis, key, _typed(_ANALYSIS_KEYS, key, text, line))
 
     return Scenario(states=states, sweeps=sweeps, analysis=analysis,
                     warnings=scenario_warnings)
@@ -444,11 +431,6 @@ def _checked(scenario: Scenario):
         yield points
 
 
-def _valid_states(points) -> list[EquilibriumState]:
-    return [EquilibriumState.from_values(*values) for _, _, values, outcome in points
-            if not isinstance(outcome, PvstabError)]
-
-
 def _status(n_points: int, n_failed: int) -> int:
     """Exit code of a grid command: 3 when every point failed, else 0."""
     return 3 if n_points and n_failed == n_points else 0
@@ -485,7 +467,8 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s", "abs_L", "delta",
                     "R", "contour_points", "error", "flags", "certificate"])
     points = [point for block in _checked(scenario) for point in block]
-    valid = _valid_states(points)
+    valid = [EquilibriumState.from_values(*values) for _, _, values, outcome in points
+             if not isinstance(outcome, PvstabError)]
     scans = scan_states(valid, analysis.n_dirs, analysis.delta)
     tails = _Memo(lambda region: f"{region[0]!r},{region[1]!r},,,,inclusion\n")
     rows: list[str] = []
@@ -612,14 +595,19 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
                + list(EquilibriumState.RECORD_KEYS) + list(criterion.RECORD_KEYS)
                + ["numeric_unstable", "max_re_s", "agreement", "error"])
     line = _csv_rows(out, columns)
-    cross_check = scenario.analysis.cross_check
+    analysis = scenario.analysis
+    cross_check = analysis.cross_check
     blocks = _checked(scenario)
     if cross_check:
         blocks = list(blocks)
-        points = [point for block in blocks for point in block]
-        verdicts = judge_verdicts(_valid_states(points), [
-            criterion.Classification.from_parts(*outcome[:2]) for _, _, _, outcome in points
-            if not isinstance(outcome, PvstabError)], scenario.analysis)
+        judged = []
+        for points in blocks:
+            for _, _, values, outcome in points:
+                if not isinstance(outcome, PvstabError):
+                    st = EquilibriumState.from_values(*values)
+                    cls = criterion.Classification.from_parts(*outcome[:2])
+                    judged.append((st, cls, margin_band(st, cls.tol_eq, analysis.delta)))
+        verdicts = judge_verdicts(judged, analysis)
     # A block's valid rows are spelled from one template: its first valid
     # row with the cells below left open.  Each row fills in its index, the
     # inner coordinate, the record cells the inner parameter sets, verdict,
@@ -673,16 +661,18 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     return _status(n_points, n_failed)
 
 
-def margin_band(state: EquilibriumState, tol_eq: float, delta: float) -> float:
+def margin_band(state: EquilibriumState, tol_eq: float, delta: float | None) -> float:
     """Half-width of the margin interval not decidable numerically at fixed eps.
 
     The classification criterion is asymptotic (valid for eps below a
     state-dependent ceiling), while the root count runs at the state's
-    actual eps on the scan's half-disk Re s >= delta.  Near the critical set
-    the finite-eps root shifts by O(eps * E1 * |Hv'| * (1 + |v'|)) in the
-    squared growth rate, and roots with Re s <= delta are undetectable, so
-    agreement can only be asserted outside the band below.
+    actual eps on the scan's half-disk Re s >= delta (None: the state's
+    default, `default_delta`).  Near the critical set the finite-eps root
+    shifts by O(eps * E1 * |Hv'| * (1 + |v'|)) in the squared growth rate,
+    and roots with Re s <= delta are undetectable, so agreement can only be
+    asserted outside the band below.
     """
+    delta = default_delta(state, delta)
     e1, hv, vm = abs(state.E1_hat), math.sqrt(state.Hv_sq), math.sqrt(state.v_sq)
     a = 2.0 * state.eps * e1 * hv * vm + (state.eps * e1 * hv) ** 2
     smax = e1 + vm
@@ -690,23 +680,24 @@ def margin_band(state: EquilibriumState, tol_eq: float, delta: float) -> float:
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
-def judge_verdicts(states: list[EquilibriumState],
-                   classes: list[criterion.Classification],
+def judge_verdicts(judged: list[tuple[EquilibriumState, criterion.Classification, float]],
                    analysis: AnalysisOptions):
-    """Scan the states as one batch and judge each closed-form verdict.
+    """Scan the states of the (state, classification, band) triples
+    ``judged`` as one batch and judge each closed-form verdict.
 
-    Yields, per state in order, the scan and the agreement: whether the
-    verdict ``classes[j]`` is unstable exactly when some direction has a
-    right-half-plane root, or None inside `margin_band`, where the numerics
-    cannot decide.  A scan in which any direction failed yields, in place of
-    the pair, a PvstabError naming how many failed and the first failure.
+    Yields, per triple in order, the scan and the agreement: whether the
+    verdict is unstable exactly when some direction has a right-half-plane
+    root, or None when the margin lies within the band (the state's
+    `margin_band`, which the caller computes), where the numerics cannot
+    decide.  A scan in which any direction failed yields, in place of the
+    pair, a PvstabError naming how many failed and the first failure.
     """
-    for st, cls, scan in zip(states, classes,
-                             scan_states(states, analysis.n_dirs, analysis.delta)):
+    scans = scan_states([st for st, _, _ in judged], analysis.n_dirs, analysis.delta)
+    for (_, cls, band), scan in zip(judged, scans):
         errors = scan.errors
         if errors:
             yield PvstabError(f"{len(errors)} direction(s) failed: {errors[0]}")
-        elif abs(cls.margin) <= margin_band(st, cls.tol_eq, default_delta(st, analysis.delta)):
+        elif abs(cls.margin) <= band:
             yield scan, None
         else:
             yield scan, cls.verdict.is_unstable == scan.numerically_unstable
@@ -739,69 +730,65 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     verdict (a root counted in some direction) to agree with the closed-form
     verdict on every one.  The draws are validated and classified as the
     points of every other command are (`_checked`), in rounds of the
-    shortfall, so that no state is drawn past the last one accepted.  Band
-    states are counted but not judged; a drawn state that validation
-    rejects, and a root-finder failure, is an error record, reported
-    separately and excluded from the denominator.
+    shortfall, so that no state is drawn past the last one accepted.  Each
+    draw is banded once (`margin_band`) and its record begun as it is
+    drawn; `judge_verdicts` reads that band.  Band states are counted but
+    not judged; a drawn state that validation rejects, and a root-finder
+    failure, is an error record, reported separately and excluded from the
+    denominator.
     """
     analysis = scenario.analysis
     rng = np.random.default_rng(seed)
     target = analysis.sample
-    # per accepted state: (state, classification, band), or (state, the error
-    # that rejected it, None)
-    accepted = []
+    accepted = []   # per accepted draw: its record, and the error that rejected it or None
+    judged = []     # per valid accepted draw: (state, classification, band)
     n_band = attempts = 0
-    max_attempts = 1000 * max(target, 1)
+    max_attempts = 1000 * target
     while len(accepted) < target and attempts < max_attempts:
         drawn = [sample_validation_state(rng)
                  for _ in range(min(target - len(accepted), max_attempts - attempts))]
         attempts += len(drawn)
         for points in _checked(Scenario(drawn, analysis=analysis)):
-            for index, _, _, outcome in points:
-                st = drawn[index]
+            for index, _, values, outcome in points:
                 if isinstance(outcome, PvstabError):
-                    accepted.append((st, outcome, None))
+                    accepted.append(({"index": len(accepted), **_params(values)}, outcome))
                     continue
+                st = drawn[index]
                 cls = criterion.Classification.from_parts(*outcome[:2])
-                band = margin_band(st, cls.tol_eq, default_delta(st, analysis.delta))
+                band = margin_band(st, cls.tol_eq, analysis.delta)
                 if abs(cls.margin) <= band:
                     n_band += 1
-                else:
-                    accepted.append((st, cls, band))
+                    continue
+                accepted.append(({"index": len(accepted), **_params(values),
+                                  "verdict": cls.verdict._value_, "margin": cls.margin,
+                                  "band": band}, None))
+                judged.append((st, cls, band))
 
-    def record_of(index, st, cls, band, verdict):
-        rec = {"index": index, **_params(st.record_values())}
-        if band is not None:    # else validation rejected the state: verdict is cls
-            rec.update(verdict=cls.verdict._value_, margin=cls.margin, band=band)
+    verdicts = judge_verdicts(judged, analysis)
+    n_failed = n_checked = n_disagree = 0
+    for rec, error in accepted:
+        verdict = next(verdicts) if error is None else error
         if isinstance(verdict, PvstabError):
             rec["error"] = str(verdict)
-            return rec
-        summary, agree = verdict
-        rec["numeric_unstable"] = summary.numerically_unstable
-        rec["max_re_s"] = summary.max_re_s
-        rec["agree"] = agree    # never None: band states were set aside
-        flags = [f"({d.omega2:.6g}, {d.omega3:.6g}): {flag}"
-                 for d, (p, _) in zip(summary.directions, summary.fold) if summary.located[p]
-                 for flag in summary.located[p][2]]
-        if flags:
-            rec["flags"] = flags
-        return rec
-
-    valid = [(st, cls) for st, cls, band in accepted if band is not None]
-    verdicts = judge_verdicts([st for st, _ in valid], [cls for _, cls in valid], analysis)
-    records = [record_of(index, st, cls, band, cls if band is None else next(verdicts))
-               for index, (st, cls, band) in enumerate(accepted)]
-    n_failed = sum(1 for r in records if "error" in r)
-    judged = [r for r in records if "agree" in r]
-    n_disagree = sum(1 for r in records if r.get("agree") is False)
-    agreement = 1.0 if not judged else 1.0 - n_disagree / len(judged)
-    for rec in records:
+            n_failed += 1
+        else:
+            summary, agree = verdict    # agree never None: band states were set aside
+            rec.update(numeric_unstable=summary.numerically_unstable,
+                       max_re_s=summary.max_re_s, agree=agree)
+            flags = [f"({d.omega2:.6g}, {d.omega3:.6g}): {flag}"
+                     for d, (p, _) in zip(summary.directions, summary.fold)
+                     if summary.located[p] for flag in summary.located[p][2]]
+            if flags:
+                rec["flags"] = flags
+            n_checked += 1
+            n_disagree += not agree
         out.write(_json_line(rec))
+    agreement = 1.0 if not n_checked else 1.0 - n_disagree / n_checked
     out.write(_json_line({"summary": {
-        "sampled": attempts, "band": n_band, "checked": len(judged),
+        "sampled": attempts, "band": n_band, "checked": n_checked,
         "root_finder_failures": n_failed, "disagreements": n_disagree,
         "agreement": agreement, "seed": seed}}))
-    return 0 if n_disagree == 0 and judged else (2 if n_disagree else 3)
+    return 0 if n_disagree == 0 and n_checked else (2 if n_disagree else 3)
 
 
 # ---------------------------------------------------------------------------

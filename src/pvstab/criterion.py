@@ -57,6 +57,7 @@ class MinimizationResult:
     degenerate: bool = False          # F constant on the circle (or both fields zero)
 
 
+TOL_EQ_COEFF = 1e-9     # default equality-band coefficient (`threshold_values`)
 # the keys of a classification record (`Classification.to_record`)
 RECORD_KEYS = ("verdict", "margin", "f_min", "omega_star_2", "omega_star_3", "G",
                "degenerate_flag")
@@ -100,7 +101,7 @@ def _canonical(w2: float, w3: float) -> tuple[float, float]:
 
 
 def threshold_values(H2: float, H3: float, Hv2: float, Hv3: float,
-                     coeff: float = 1e-9) -> tuple:
+                     coeff: float = TOL_EQ_COEFF) -> tuple:
     """The instability threshold of the tangential fields H', Hv' alone.
 
     Returns the row (f_min, omega_star_2, omega_star_3, degenerate, tol_eq):

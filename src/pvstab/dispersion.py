@@ -41,6 +41,7 @@ from .errors import PvstabError
 from .state import EquilibriumState, FrequencyBundle, WaveDirection, frequency_bundle
 
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
+_NEWTON_ITERATIONS = 60        # most Newton steps a polished estimate takes
 _ROOT_RESIDUAL = 1e-10         # relative residual certified per reported root
 _BRANCH_POINT = 1e-9           # |1 + eps^2 s^2| at which a root is a branch point
 _ROUNDING = 2.0 ** -46         # 128 u: relative rounding bound of Q's coefficients and Horner
@@ -55,6 +56,7 @@ _MAX_BATCH = 1024
 # and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 _JITTER_MIN = min(min(j) for j in _JITTERS)
+N_DIRS = 32                    # equispaced directions a scan counts by default
 MIN_N_DIRS = 8                 # least number of directions a scan accepts
 MAX_N_DIRS = _MAX_BATCH        # and the most: a state's counted directions fit a batch
 
@@ -503,13 +505,14 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def newton_refine(ctx, s0, max_iter: int = 60):
+def newton_refine(ctx, s0):
     """Polish root estimates by Newton iteration, all of them at once.
 
     ``ctx`` is one direction's LopatinskiContext, or (7, n) columns
     (``_table_columns``), one direction per estimate.  An estimate stops when
-    |L| <= _NEWTON_TARGET * scale, when dL/ds vanishes or when its step falls
-    below roundoff.  Returns (s, |L(s)|, scale at s) of the shape of ``s0``.
+    |L| <= _NEWTON_TARGET * scale, when dL/ds vanishes, when its step falls
+    below roundoff or after _NEWTON_ITERATIONS steps.  Returns (s, |L(s)|,
+    scale at s) of the shape of ``s0``.
     """
     s = np.array(s0, dtype=complex)
     shape = s.shape
@@ -519,7 +522,7 @@ def newton_refine(ctx, s0, max_iter: int = 60):
     abs_l, scale = np.empty(n), np.empty(n)
     act = np.arange(n)
     stepped = []                  # stopped after a step: evaluated at the end
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         if not act.size:
             break
         c, z = ctx if one else ctx[:, act], s[act]
@@ -693,7 +696,7 @@ def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> R
 # direction scans
 
 
-def scan_states(states, n_dirs: int = 32, delta: float | None = None):
+def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     """Count and locate the roots of every direction of each state (see
     ``scan_directions``) as columns; yields a StateCounts per state.
 
@@ -729,7 +732,7 @@ def scan_states(states, n_dirs: int = 32, delta: float | None = None):
                               fold, *(c[part] for c in counts))
 
 
-def scan_directions(state: EquilibriumState, n_dirs: int = 32,
+def scan_directions(state: EquilibriumState, n_dirs: int = N_DIRS,
                     delta: float | None = None) -> StateCounts:
     """Count unstable roots over equispaced directions plus the F-minimizers.
 

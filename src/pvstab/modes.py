@@ -44,6 +44,7 @@ from .dispersion import lopatinski, lopatinski_scale, make_context, vacuum_decay
 from .errors import DegenerateSymbolError
 from .state import EquilibriumState, WaveDirection
 
+DECAY_P = 3.0       # default phibar = n**(-decay_p) of the n-th mode
 _NOT_A_ROOT = 1e-8  # relative |L(s)| above which the input is flagged
 _NEXT, _LAST = [1, 2, 0], [2, 0, 1]     # (k x v)_i = k_next v_last - k_last v_next
 _RESIDUAL_KEYS = ("interior_plasma", "interior_vacuum", "kinematic", "pressure",
@@ -241,7 +242,7 @@ def _residual_columns(cols, n, lam_plus, lam_minus, phi, plasma, vacuum):
 
 
 def build_mode(state: EquilibriumState, s: complex, direction: WaveDirection,
-               n: int, decay_p: float = 3.0) -> ModeSolution:
+               n: int, decay_p: float = DECAY_P) -> ModeSolution:
     """The n-th mode for a (near-)root s with Re s > 0 (see `_build`);
     raises DegenerateSymbolError as `_admit` does."""
     ctx, sym, warnings = _admit(state, s, direction)
@@ -265,7 +266,7 @@ def residuals(mode: ModeSolution, state: EquilibriumState) -> ResidualReport:
                           constraints, scale.item())
 
 
-def mode_records(jobs, ns, t_list, decay_p: float = 3.0):
+def mode_records(jobs, ns, t_list, decay_p: float = DECAY_P):
     """Build and check the modes n in ``ns`` of every job (state, s, direction)
     as one table.  Yields, per job, the DegenerateSymbolError that rejected it
     or a record per n: `ModeSolution.to_record`, residuals, growth at t_list."""
@@ -322,7 +323,7 @@ def growth_rows(mode: ModeSolution, t_list) -> list[GrowthRow]:
 
 
 def growth_table(state: EquilibriumState, s: complex, direction: WaveDirection,
-                 n_list, t_list, decay_p: float = 3.0) -> list[GrowthRow]:
+                 n_list, t_list, decay_p: float = DECAY_P) -> list[GrowthRow]:
     """The Hadamard growth exp(n Re(s) t) against the initial size: with decay_p
     large, the initial norms decay in n while the ratio diverges in n."""
     return [row for n in n_list

@@ -101,8 +101,8 @@ class EquilibriumState:
 
     @classmethod
     def from_record(cls, record: dict) -> "EquilibriumState":
-        return cls.from_values(*(float(record.get(k, 1e-2 if k == "eps" else 0.0))
-                                 for k in cls.RECORD_KEYS))
+        return cls.from_values(*(float(record.get(k, default)) for k, default
+                                 in zip(cls.RECORD_KEYS, cls().record_values())))
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,14 @@ PARSE_ERRORS = {
                      "line 4: repeated key 'E1' in [state] block (first at line 2)"),
     "repeated_analysis": (_ANALYSIS + "n_dirs = 8\n[analysis]\nsample = 3\n",
                           "line 5: repeated [analysis] block (first at line 3)"),
+    "repeated_sweep_key": (_AXIS + "parameter = E1\nsteps = 3\nparameter = v2\n",
+                           "line 6: repeated key 'parameter' in [sweep] block "
+                           "(first at line 4)"),
+    "repeated_analysis_key": (_ANALYSIS + "n_dirs = 8\nsample = 3\nn_dirs = 9\n",
+                              "line 6: repeated key 'n_dirs' in [analysis] block "
+                              "(first at line 4)"),
+    "unknown_sweep_key": (_AXIS + "parameter = E1\nstep = 3\n",
+                          "line 5: unknown key 'step' in [sweep] block"),
 }
 
 
@@ -172,6 +180,14 @@ class TestParseScenario:
         st = sc.states[0]
         assert st.H_hat_t == (1.0, 0.0) and st.E1_hat == 0.3
         assert st.eps == 1e-2 and st.sigma == 0.0     # defaults
+
+    def test_header_kind_ignores_case_and_spaces(self, tmp_path):
+        text = ("[ STATE ]\nH2 = 1\n[Sweep]\nparameter = E1\nmin = 0\nmax = 1\n"
+                "steps = 3\n[ANALYSIS]\nn_dirs = 12\n")
+        sc = parse_scenario(_write(tmp_path, text))
+        assert sc.states[0].H_hat_t == (1.0, 0.0)
+        assert sc.sweeps == [SweepAxis("E1", 0.0, 1.0, 3)]
+        assert sc.analysis.n_dirs == 12
 
     def test_sweep_grid(self, tmp_path):
         # one axis of 41 points is one block of rows, each E1 its swept value
@@ -881,6 +897,34 @@ class TestValidateCommand:
         assert summary["summary"]["root_finder_failures"] == len(rejected)
         assert summary["summary"]["checked"] == 6 - len(rejected)
 
+    def test_each_draw_is_banded_once(self, tmp_path, monkeypatch):
+        # margin_band runs once per drawn state, band states included, and
+        # judge_verdicts reads the band it is handed
+        import io
+
+        import pvstab.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "margin_band",
+                            lambda *args: calls.append(args) or margin_band(*args))
+        scenario = parse_scenario(_write(tmp_path, MINIMAL + "[analysis]\nsample = 25\n"
+                                                            "n_dirs = 8\n"))
+        out = io.StringIO()
+        assert cli_mod.cmd_validate(scenario, out, seed=3) == 0
+        summary = json.loads(out.getvalue().splitlines()[-1])["summary"]
+        assert summary["band"] > 0 and summary["checked"] == 25
+        assert len(calls) == summary["sampled"]
+
+
+@pytest.mark.parametrize("band, agreement", [(math.inf, None), (0.0, True)])
+def test_judge_verdicts_reads_the_band_it_is_handed(band, agreement):
+    from pvstab.cli import AnalysisOptions, judge_verdicts
+    from pvstab.criterion import classify
+
+    st = EquilibriumState(H_hat_t=(1.0, 0.0), Hv_hat_t=(2.0, 0.0), E1_hat=0.3)
+    [(_, agree)] = judge_verdicts([(st, classify(st), band)], AnalysisOptions(n_dirs=8))
+    assert agree is agreement
+
 
 EPS_INVALID = EPS_SWEEP.replace("min = 0", "min = 1.0").replace(
     "steps = 4", "steps = 3\n[analysis]\nn_dirs = 8")
@@ -1164,7 +1208,8 @@ def _rows_point_by_point(scenario):
             cls = classify(point)
             tail = [None] * 4
             if scenario.analysis.cross_check:
-                (verdict,) = judge_verdicts([point], [cls], scenario.analysis)
+                band = margin_band(point, cls.tol_eq, scenario.analysis.delta)
+                (verdict,) = judge_verdicts([(point, cls, band)], scenario.analysis)
                 if isinstance(verdict, PvstabError):
                     tail[3] = str(verdict)
                 else:
@@ -1190,6 +1235,13 @@ def _assert_blocks_equal_points(tmp_path, text):
         assert _run([command, _write(tmp_path, text), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[2 if command == "sweep" else 0:] == want, command
+
+
+@pytest.mark.parametrize("tol_eq", [0.0, 1e-9, 0.5])
+def test_margin_band_reads_none_as_the_default_delta(tmp_path, tol_eq):
+    for st in parse_scenario(_write(tmp_path, "".join(_CORNER_STATES))).states:
+        band = margin_band(st, tol_eq, None)
+        assert band.hex() == margin_band(st, tol_eq, default_delta(st)).hex()
 
 
 @pytest.mark.parametrize("inner", SWEEP_PARAMETERS)

@@ -136,11 +136,13 @@ def test_first_failure_of_judge_verdicts_is_the_library_view(monkeypatch):
     # names how many failed and the first failure, as the errors of
     # scan_directions give them
     analysis = cli.AnalysisOptions(n_dirs=32, delta=CHORD)
-    [verdict] = cli.judge_verdicts([COLLINEAR], [classify(COLLINEAR)], analysis)
+    cls = classify(COLLINEAR)
+    judged = [(COLLINEAR, cls, cli.margin_band(COLLINEAR, cls.tol_eq, CHORD))]
+    [verdict] = cli.judge_verdicts(judged, analysis)
     assert not isinstance(verdict, PvstabError) and verdict[0].numerically_unstable
     monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
     summary = scan_directions(COLLINEAR, 32, CHORD)
-    [verdict] = cli.judge_verdicts([COLLINEAR], [classify(COLLINEAR)], analysis)
+    [verdict] = cli.judge_verdicts(judged, analysis)
     first = next(str(r) for r in map(summary.report, range(len(summary.fold)))
                  if isinstance(r, PvstabError))
     assert len(summary.errors) == 4 and isinstance(verdict, PvstabError)

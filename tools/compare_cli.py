@@ -17,11 +17,12 @@ corpus of scenario files:
   not set (eps*|sigma| >= 1, |H2| or |Hv2| past the bound 1e50, eps past 0
   and 1), with inner points past the bound too.
 
-Every corpus scenario is run through ``classify``, ``roots``, ``modes``,
-``sweep`` and ``validate --seed 0`` (``validate`` once per distinct
-``[analysis]`` block, the only part it reads) with the ``src/`` of each tree,
-as ``python -m pvstab`` subprocesses.  Each difference in stdout, stderr or
-exit code is printed; the exit code is 1 if there is any, else 0.
+Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
+``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
+distinct ``[analysis]`` block (the only part of a scenario it reads).  Each
+run uses the ``src/`` of each tree, as ``python -m pvstab`` subprocesses.
+Each difference in stdout, stderr or exit code is printed; the exit code is
+1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = (("classify",), ("roots",), ("modes",), ("sweep",), ("validate", "--seed", "0"))
+COMMANDS = ("classify", "roots", "modes", "sweep")
+VALIDATE_SEEDS = (0, 1, 5, 17)
 SEEDS = (0, 1, 2)
 BATCHES = 6                 # workload batches per seed
 WORKERS = 2                 # subprocesses at a time
@@ -114,13 +116,12 @@ def corpus_runs(workdir: Path) -> list[tuple[str, tuple[str, ...]]]:
     for name, text in corpus_texts().items():
         path = workdir / f"{name}.scn"
         path.write_text(text, encoding="utf-8")
-        for command in COMMANDS:
-            if command[0] == "validate":
-                analysis = text.partition("[analysis]")[2]
-                if analysis in analyses:
-                    continue
-                analyses.add(analysis)
-            runs.append((f"{name} {command[0]}", (command[0], str(path), *command[1:])))
+        runs += [(f"{name} {command}", (command, str(path))) for command in COMMANDS]
+        analysis = text.partition("[analysis]")[2]
+        if analysis not in analyses:
+            analyses.add(analysis)
+            runs += [(f"{name} validate --seed {seed}",
+                      ("validate", str(path), "--seed", str(seed))) for seed in VALIDATE_SEEDS]
     return runs
 
 
