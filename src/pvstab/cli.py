@@ -62,9 +62,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, TextIO
 
-import numpy as np
-
 from . import criterion
+from ._lazy import numpy as np
 from .criterion import TOL_EQ_COEFF, threshold_values, verdict_values
 from .dispersion import (MAX_N_DIRS, MIN_N_DIRS, N_DIRS, default_delta, locate_roots,
                          scan_states)
@@ -761,7 +760,7 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
                     continue
                 accepted.append(({"index": len(accepted), **_params(values),
                                   "verdict": cls.verdict._value_, "margin": cls.margin,
-                                  "band": band}, None))
+                                  "band": band, "warnings": outcome[2]}, None))
                 judged.append((st, cls, band))
 
     verdicts = judge_verdicts(judged, analysis)

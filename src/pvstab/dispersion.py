@@ -35,8 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import PvstabError
 from .state import EquilibriumState, FrequencyBundle, WaveDirection, frequency_bundle
 

@@ -38,8 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .dispersion import lopatinski, lopatinski_scale, make_context, vacuum_decay_root
 from .errors import DegenerateSymbolError
 from .state import EquilibriumState, WaveDirection

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .dispersion import (LopatinskiContext, default_delta, find_unstable_roots,
                          lopatinski, lopatinski_scale, make_context)
 from .errors import (DirectionError, NotTransitionalError, PvstabError,

@@ -24,8 +24,7 @@ from itertools import repeat
 from operator import and_, itemgetter, le
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import DirectionError, SingularFrameError, StateValidationError
 
 # Above this value the O(eps^2) terms dropped by the asymptotic analysis

@@ -16,7 +16,7 @@ from pvstab.cli import (MAX_GRID_POINTS, SWEEP_PARAMETERS, SweepAxis, _swept, cm
 from pvstab.dispersion import default_delta, default_region, root_radius_bound
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
-from pvstab.state import EquilibriumState
+from pvstab.state import EquilibriumState, validate_state
 
 MINIMAL = """
 [state]
@@ -826,6 +826,19 @@ class TestValidateCommand:
             assert r["band"] == margin_band(st, cls.tol_eq, 0.2)
             assert abs(r["margin"]) > r["band"] and r["agree"] is True
 
+    def test_records_carry_validation_warnings(self, tmp_path):
+        # as classify records do; the sampler draws E1 past |Hv| often
+        text = "[state]\nH2 = 1.0\n[analysis]\nsample = 40\nn_dirs = 8\n"
+        out = tmp_path / "val.jsonl"
+        assert _run(["validate", _write(tmp_path, text), "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()[:-1]]
+        assert len(recs) == 40
+        for r in recs:
+            st = EquilibriumState.from_record({k: r[k] for k in EquilibriumState.RECORD_KEYS})
+            assert r["warnings"] == validate_state(st)[1]
+        assert any(w.startswith("physical restriction violated")
+                   for r in recs for w in r["warnings"])
+
     def test_disagreement_exits_with_gate_code(self, tmp_path, monkeypatch):
         # force the scan to contradict the classifier: the gate must exit 2
         import pvstab.cli as cli_mod
@@ -1491,19 +1504,68 @@ def test_tiny_eps_state_is_located(tmp_path, command):
         assert len(rows[0]) == len(want[0]) > 0
 
 
+def _child(*args):
+    """Stdout of a Python subprocess run with ``args``, which must exit 0."""
+    import pvstab
+
+    # the child imports the package this test imported
+    env = {**os.environ, "PYTHONPATH": str(Path(pvstab.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import pvstab
-
-        path = _write(tmp_path, MINIMAL)
-        # the child imports the package this test imported
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(pvstab.__file__).resolve().parent.parent)}
-        proc = subprocess.run([sys.executable, "-m", "pvstab", "classify", path],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout.splitlines()[0])["verdict"] == \
-            "ViolentlyUnstable"
+        stdout = _child("-m", "pvstab", "classify", _write(tmp_path, MINIMAL))
+        assert json.loads(stdout.splitlines()[0])["verdict"] == "ViolentlyUnstable"
 
     def test_missing_file_exit_code(self):
         assert _run(["classify", "/no/such/file.scn"]) == 1
+
+
+# numpy has run once any of its submodules (numpy._core in numpy 2) is loaded
+_STARTUP = """
+import sys
+from pvstab import cli
+
+def executed():
+    return any(name.startswith("numpy.") for name in sys.modules)
+
+sweep, classify, out = sys.argv[1:]
+for command, path in (("sweep", sweep), ("classify", classify)):
+    assert cli.main([command, path, "--out", out]) == 0, command
+    assert not executed(), command
+assert cli.main(["roots", classify, "--out", out]) == 0
+assert executed()
+from pvstab import dispersion, modes, oracle, state
+numpy = sys.modules["numpy"]
+for module in (state, dispersion, modes, oracle, cli):
+    assert module.np is numpy, module.__name__
+print("ok")
+"""
+
+
+class TestStartup:
+    def test_sweep_and_classify_never_load_numpy(self, tmp_path):
+        # roots loads it, so the check is shown to see a load
+        sweep = _write(tmp_path, SWEEP, "sweep.scn")
+        classify = _write(tmp_path, EPS_SWEEP, "classify.scn")
+        assert _child("-c", _STARTUP, sweep, classify, str(tmp_path / "out")) == "ok\n"
+
+    def test_imported_numpy_is_kept(self):
+        from pvstab._lazy import _lazy
+
+        assert _lazy("numpy") is sys.modules["numpy"] is np
+        code = ("import types, numpy, pvstab.cli\n"
+                "assert type(numpy) is types.ModuleType\n"
+                "assert pvstab.cli.np is pvstab.state.np is numpy\n"
+                "print('ok')\n")
+        assert _child("-c", code) == "ok\n"
+
+    def test_missing_module_is_an_import_error(self):
+        from pvstab._lazy import _lazy
+
+        with pytest.raises(ModuleNotFoundError):
+            _lazy("pvstab_no_such_module")
+        assert "pvstab_no_such_module" not in sys.modules

@@ -1,6 +1,6 @@
 """Module layering: the independent cross-checks stay in ``oracle``, only
-``dispersion`` builds a counting region, and every name the benchmark's
-tracer binds exists."""
+``dispersion`` builds a counting region, numpy is imported on first use
+only, and every name the benchmark's tracer binds exists."""
 
 import ast
 from pathlib import Path
@@ -38,6 +38,24 @@ def _imports_oracle(tree):
     return False
 
 
+def _imports_numpy_on_load(tree):
+    # an import of numpy that runs when the module is imported: anywhere
+    # but inside a function
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "numpy" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "numpy":
+                return True
+        nodes.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def _defined(tree):
     names = set()
     for node in tree.body:
@@ -70,6 +88,25 @@ def test_detects_oracle_imports():
                    "def f():\n    from pvstab.oracle import grid_fmin"):
         assert _imports_oracle(ast.parse(source)), source
     assert not _imports_oracle(ast.parse("from . import dispersion"))
+
+
+def test_numpy_is_imported_through_the_helper_only():
+    # an eager import would load numpy in every process, ``classify`` and
+    # ``sweep`` included, which never use it (``pvstab._lazy``)
+    modules = {p.stem for p in SRC.glob("*.py")} - {"_lazy"}
+    assert {"state", "dispersion", "cli"} <= modules
+    assert not {m for m in modules if _imports_numpy_on_load(_tree(m))}
+
+
+def test_detects_numpy_imports():
+    for source in ("import numpy as np", "import numpy.linalg", "from numpy import pi",
+                   "from numpy.linalg import eigvals", "import math, numpy",
+                   "try:\n    import numpy\nexcept ImportError:\n    pass",
+                   "class A:\n    import numpy"):
+        assert _imports_numpy_on_load(ast.parse(source)), source
+    for source in ("from ._lazy import numpy as np", "import numbers",
+                   "def f():\n    import numpy", "from .numpy import x"):
+        assert not _imports_numpy_on_load(ast.parse(source)), source
 
 
 def test_cross_checks_live_in_oracle_only():
