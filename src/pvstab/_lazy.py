@@ -1,11 +1,15 @@
-"""numpy, loaded on first use.
+"""Modules loaded on first use: numpy, and pvstab's own numerical layers.
 
-``numpy`` is the module already imported, if any; otherwise a module that
+`_lazy` returns the module already imported, if any; otherwise a module that
 `importlib.util.LazyLoader` executes on its first attribute access, after
-which it is plain numpy.  So `classify` and `sweep` without ``cross_check``,
-which compute in ``math`` alone, never load numpy, while every pvstab module
-is imported as before.  Python 3.11's `LazyLoader` takes no lock: a program
-that first uses pvstab from several threads at once imports numpy first.
+which it is a plain module.  The module is in ``sys.modules`` from the start
+and, for a submodule, bound on its package, so ``import pvstab.dispersion``
+and ``from . import dispersion`` find it without loading it.  So `classify`
+and `sweep` without ``cross_check``, which compute in ``math`` alone, load
+neither numpy nor the ``dispersion``, ``modes`` and ``oracle`` that
+`pvstab/__init__` registers here.  Python 3.11's `LazyLoader` takes no
+lock: a program that first uses pvstab from several threads at once
+imports numpy and the pvstab modules it uses first.
 """
 
 import importlib.util
@@ -22,6 +26,9 @@ def _lazy(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 

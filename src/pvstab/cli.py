@@ -62,15 +62,12 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, TextIO
 
-from . import criterion
+from . import criterion, dispersion, modes
 from ._lazy import numpy as np
 from .criterion import TOL_EQ_COEFF, threshold_values, verdict_values
-from .dispersion import (MAX_N_DIRS, MIN_N_DIRS, N_DIRS, default_delta, locate_roots,
-                         scan_states)
 from .errors import PvstabError, ScenarioParseError, StateValidationError
-from .modes import DECAY_P, mode_records
-from .state import (MAX_MAGNITUDE, EquilibriumState, check_block, frequency_bundle,
-                    validate_state)
+from .state import (DECAY_P, MAX_MAGNITUDE, MAX_N_DIRS, MIN_N_DIRS, N_DIRS, EquilibriumState,
+                    check_block, frequency_bundle, validate_state)
 
 # the record columns (of `EquilibriumState.RECORD_KEYS`) each sweep parameter
 # sets: the swept value itself for a single column, else a field's two
@@ -261,7 +258,12 @@ def parse_scenario(path) -> Scenario:
         if not text:
             continue
         if text.startswith("["):
-            kind = text.strip("[]").strip().lower()
+            # "[", a name without brackets, "]"; the name's case and
+            # surrounding spaces are free
+            name = text[1:-1]
+            if not text.endswith("]") or "[" in name or "]" in name:
+                raise ScenarioParseError(f"malformed block header {text!r}", lineno)
+            kind = name.strip().lower()
             if kind not in _BLOCK_KEYS:
                 raise ScenarioParseError(f"unknown block [{kind}]", lineno)
             if kind == "analysis" and blocks[kind]:
@@ -468,7 +470,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     points = [point for block in _checked(scenario) for point in block]
     valid = [EquilibriumState.from_values(*values) for _, _, values, outcome in points
              if not isinstance(outcome, PvstabError)]
-    scans = scan_states(valid, analysis.n_dirs, analysis.delta)
+    scans = dispersion.scan_states(valid, analysis.n_dirs, analysis.delta)
     tails = _Memo(lambda region: f"{region[0]!r},{region[1]!r},,,,inclusion\n")
     rows: list[str] = []
     segments: list[str] = []    # "omega2,omega3," of the equispaced directions
@@ -536,7 +538,7 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             state = EquilibriumState.from_values(*values)
             cls = criterion.Classification.from_parts(part, threshold)
             expected, direction = _expected_growth(state, cls)
-            delta = default_delta(state, analysis.delta)
+            delta = dispersion.default_delta(state, analysis.delta)
             p = None
             if expected > 0.0:
                 delta, p = min(delta, 0.3 * expected), len(states)
@@ -544,7 +546,7 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
                 directions.append(direction)
                 deltas.append(delta)
             jobs.append((index, (state, cls, delta, p)))
-    counts = locate_roots(states, directions, deltas)
+    counts = dispersion.locate_roots(states, directions, deltas)
     # per job: an error, a note, or the flags of the root whose modes to build
     outcomes, found = [], []
     for index, job in jobs:
@@ -565,7 +567,7 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             text = (f"no root located in the direction of growth; margin "
                     f"{cls.margin:.6g}, band {band:.6g}")
             outcomes.append((index, text if abs(cls.margin) <= band else PvstabError(text)))
-    built = mode_records(found, _MODE_N, _MODE_T, analysis.decay_p)
+    built = modes.mode_records(found, _MODE_N, _MODE_T, analysis.decay_p)
     n_failed = n_written = 0     # error rows; mode records and notes
     for index, outcome in outcomes:
         if isinstance(outcome, tuple):      # the flags of a root
@@ -671,7 +673,7 @@ def margin_band(state: EquilibriumState, tol_eq: float, delta: float | None) -> 
     and roots with Re s <= delta are undetectable, so agreement can only be
     asserted outside the band below.
     """
-    delta = default_delta(state, delta)
+    delta = dispersion.default_delta(state, delta)
     e1, hv, vm = abs(state.E1_hat), math.sqrt(state.Hv_sq), math.sqrt(state.v_sq)
     a = 2.0 * state.eps * e1 * hv * vm + (state.eps * e1 * hv) ** 2
     smax = e1 + vm
@@ -691,7 +693,8 @@ def judge_verdicts(judged: list[tuple[EquilibriumState, criterion.Classification
     decide.  A scan in which any direction failed yields, in place of the
     pair, a PvstabError naming how many failed and the first failure.
     """
-    scans = scan_states([st for st, _, _ in judged], analysis.n_dirs, analysis.delta)
+    scans = dispersion.scan_states([st for st, _, _ in judged], analysis.n_dirs,
+                                   analysis.delta)
     for (_, cls, band), scan in zip(judged, scans):
         errors = scan.errors
         if errors:

@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 from ._lazy import numpy as np
 from .errors import PvstabError
-from .state import EquilibriumState, FrequencyBundle, WaveDirection, frequency_bundle
+from .state import (MAX_N_DIRS, MIN_N_DIRS, N_DIRS, EquilibriumState, FrequencyBundle,
+                    WaveDirection, frequency_bundle)
 
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
 _NEWTON_ITERATIONS = 60        # most Newton steps a polished estimate takes
@@ -48,16 +49,13 @@ _UNDERFLOW = 1e-322            # absolute rounding bound of values below the nor
 _NUDGE = 2.0 ** -23            # relative step between nodes from repeated eigenvalues
 # Directions per batch.  Counting and locating cost 28 us per direction at
 # 17, 10 at 136, 7.4 at 1,088 and 9.6 at 4,352 (seed-7 neutral states,
-# n_dirs 32, 2-core Xeon); the cap bounds memory.  A scan counts at most
-# MAX_N_DIRS directions of a state, so one state always fits a batch.
-_MAX_BATCH = 1024
+# n_dirs 32, 2-core Xeon); the cap bounds memory.  It is the most directions
+# a scan counts of a state (MAX_N_DIRS), so one state always fits a batch.
+_MAX_BATCH = MAX_N_DIRS
 # (delta, R) multipliers tried when an inclusion disk straddles the boundary,
 # and the least
 _JITTERS = ((1.0, 1.0), (0.9, 1.1), (1.1, 0.9), (1.05, 1.05))
 _JITTER_MIN = min(min(j) for j in _JITTERS)
-N_DIRS = 32                    # equispaced directions a scan counts by default
-MIN_N_DIRS = 8                 # least number of directions a scan accepts
-MAX_N_DIRS = _MAX_BATCH        # and the most: a state's counted directions fit a batch
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from ._lazy import numpy as np
 from .dispersion import lopatinski, lopatinski_scale, make_context, vacuum_decay_root
 from .errors import DegenerateSymbolError
-from .state import EquilibriumState, WaveDirection
+from .state import DECAY_P, EquilibriumState, WaveDirection
 
-DECAY_P = 3.0       # default phibar = n**(-decay_p) of the n-th mode
 _NOT_A_ROOT = 1e-8  # relative |L(s)| above which the input is flagged
 _NEXT, _LAST = [1, 2, 0], [2, 0, 1]     # (k x v)_i = k_next v_last - k_last v_next
 _RESIDUAL_KEYS = ("interior_plasma", "interior_vacuum", "kinematic", "pressure",

@@ -40,6 +40,13 @@ EPS_WARN_THRESHOLD = 0.2
 # factor 1e8 under the largest float (1.8e308) for their coefficients.
 MAX_MAGNITUDE = 1e50
 
+# The bounds of the numerics options a scenario may set, here so that the
+# command line reads them without loading the modules that use them.
+N_DIRS = 32                    # equispaced directions a scan counts by default
+MIN_N_DIRS = 8                 # least number of directions a scan accepts
+MAX_N_DIRS = 1024              # and the most: a state's counted directions fit a batch
+DECAY_P = 3.0                  # default phibar = n**(-decay_p) of the n-th mode
+
 
 @dataclass(frozen=True)
 class EquilibriumState:

@@ -75,6 +75,18 @@ _PARAMETER_ERROR = "sweep parameter must be one of ('E1', 'angle_alpha', 'H_mag'
 # one scenario per message a scenario can be rejected with, and the line it names
 PARSE_ERRORS = {
     "unknown_block": ("[foo]\n", "line 1: unknown block [foo]"),
+    # a header is "[", a name without brackets, "]"; these once passed as
+    # blocks, or named an unknown block "[state] x]"
+    "header_unclosed": ("[state\nH2 = 1\n", "line 1: malformed block header '[state'"),
+    "header_bracket_only": ("[state]\nH2 = 1\n[\n", "line 3: malformed block header '['"),
+    "header_extra_brackets": ("[state]\nH2 = 1\n[[analysis]]]\n",
+                              "line 3: malformed block header '[[analysis]]]'"),
+    "header_doubled": ("[[state]]\nH2 = 1\n", "line 1: malformed block header '[[state]]'"),
+    "header_inner_bracket": ("[sta]te]\nH2 = 1\n",
+                             "line 1: malformed block header '[sta]te]'"),
+    "header_trailing_text": ("[state] x\nH2 = 1\n",
+                             "line 1: malformed block header '[state] x'"),
+    "header_empty": ("[]\nH2 = 1\n", "line 1: unknown block []"),
     "no_equals": ("[state]\nH2 1\n", "line 2: expected 'key = value', got 'H2 1'"),
     "key_outside_block": (
         "H2 = 1\n", "line 1: key outside of any [state]/[sweep]/[analysis] block"),
@@ -572,7 +584,7 @@ class TestSweepCrossCheck:
         assert [r["agreement"] for r in rows] == ["", ""]
 
     def test_failed_direction_is_an_error_row(self, tmp_path, monkeypatch):
-        import pvstab.cli as cli_mod
+        from pvstab import dispersion
         from pvstab.dispersion import StateCounts
         from pvstab.state import WaveDirection
 
@@ -583,7 +595,7 @@ class TestSweepCrossCheck:
                                   [(0, False), (1, False)], [None, 0], [None, 0.1],
                                   [None, 10.0], [None, 0.0], ["boom", None], [None, None])
 
-        monkeypatch.setattr(cli_mod, "scan_states", fake_counts)
+        monkeypatch.setattr(dispersion, "scan_states", fake_counts)
         out = tmp_path / "sweep.csv"
         assert _run(["sweep", _write(tmp_path, CROSS_CHECK), "--out", str(out)]) == 3
         for r in _csv_rows(out):
@@ -744,7 +756,7 @@ class TestModesCommand:
         assert out.read_text().splitlines() == [json.dumps(recs[0])]
 
     def test_unlocated_root_outside_the_band_is_an_error(self, tmp_path, monkeypatch):
-        import pvstab.cli as cli_mod
+        from pvstab import dispersion
         from pvstab.dispersion import StateCounts
 
         def no_roots(states, directions, deltas):
@@ -754,7 +766,7 @@ class TestModesCommand:
                                [r.delta for r in regions], [r.radius for r in regions],
                                [0.0] * n, [None] * n, [None] * n)
 
-        monkeypatch.setattr(cli_mod, "locate_roots", no_roots)
+        monkeypatch.setattr(dispersion, "locate_roots", no_roots)
         out = tmp_path / "modes.jsonl"
         assert _run(["modes", _write(tmp_path, MINIMAL), "--out", str(out)]) == 3
         recs = [json.loads(ln) for ln in out.read_text().splitlines()]
@@ -841,14 +853,14 @@ class TestValidateCommand:
 
     def test_disagreement_exits_with_gate_code(self, tmp_path, monkeypatch):
         # force the scan to contradict the classifier: the gate must exit 2
-        import pvstab.cli as cli_mod
+        from pvstab import dispersion
         from pvstab.dispersion import StateCounts
 
         def fake_counts(states, n_dirs=32, delta=None):
             for _ in states:            # no direction, so no root anywhere
                 yield StateCounts(*[[]] * 8)
 
-        monkeypatch.setattr(cli_mod, "scan_states", fake_counts)
+        monkeypatch.setattr(dispersion, "scan_states", fake_counts)
         text = "[state]\nH2 = 1.0\nHv2 = 2.0\nE1 = 0.3\n" \
                "[analysis]\nsample = 5\nn_dirs = 16\n"
         out = tmp_path / "val.jsonl"
@@ -1527,17 +1539,29 @@ class TestEntryPoint:
 # numpy has run once any of its submodules (numpy._core in numpy 2) is loaded
 _STARTUP = """
 import sys
+import types
+
+import pvstab
 from pvstab import cli
 
-def executed():
-    return any(name.startswith("numpy.") for name in sys.modules)
 
+def executed(name):
+    # a module LazyLoader has not run yet is of another type; reading the
+    # type reads no attribute, so it runs nothing
+    return type(sys.modules[name]) is types.ModuleType
+
+
+LAYERS = ("numpy", "pvstab.dispersion", "pvstab.modes", "pvstab.oracle")
+assert pvstab.dispersion is sys.modules["pvstab.dispersion"]
 sweep, classify, out = sys.argv[1:]
 for command, path in (("sweep", sweep), ("classify", classify)):
     assert cli.main([command, path, "--out", out]) == 0, command
-    assert not executed(), command
+    assert not any(map(executed, LAYERS)), command
 assert cli.main(["roots", classify, "--out", out]) == 0
-assert executed()
+assert [executed(name) for name in LAYERS] == [True, True, False, False]
+assert cli.main(["modes", classify, "--out", out]) == 0
+assert executed("pvstab.modes")
+assert pvstab.scan_directions is pvstab.dispersion.scan_directions
 from pvstab import dispersion, modes, oracle, state
 numpy = sys.modules["numpy"]
 for module in (state, dispersion, modes, oracle, cli):
@@ -1548,7 +1572,9 @@ print("ok")
 
 class TestStartup:
     def test_sweep_and_classify_never_load_numpy(self, tmp_path):
-        # roots loads it, so the check is shown to see a load
+        # sweep and classify compute in math alone and load neither numpy
+        # nor dispersion, modes or oracle; roots loads numpy and dispersion,
+        # and modes the mode layer, so the check is shown to see a load
         sweep = _write(tmp_path, SWEEP, "sweep.scn")
         classify = _write(tmp_path, EPS_SWEEP, "classify.scn")
         assert _child("-c", _STARTUP, sweep, classify, str(tmp_path / "out")) == "ok\n"

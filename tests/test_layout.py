@@ -1,6 +1,7 @@
 """Module layering: the independent cross-checks stay in ``oracle``, only
-``dispersion`` builds a counting region, numpy is imported on first use
-only, and every name the benchmark's tracer binds exists."""
+``dispersion`` builds a counting region, numpy, ``dispersion``, ``modes``
+and ``oracle`` are imported on first use only, and every name the
+benchmark's tracer binds exists."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 import pvstab
 
 SRC = Path(pvstab.__file__).parent
+
+# the layers the package loads on first use (`pvstab._lazy`)
+LAZY_LAYERS = {"dispersion", "modes", "oracle"}
 
 # cross-checks that ``oracle`` holds and the product path must not
 ORACLE_ONLY = {
@@ -38,21 +42,47 @@ def _imports_oracle(tree):
     return False
 
 
-def _imports_numpy_on_load(tree):
-    # an import of numpy that runs when the module is imported: anywhere
+def _load_time_imports(tree):
+    # the import statements that run when the module is imported: anywhere
     # but inside a function
     nodes = list(tree.body)
     while nodes:
         node = nodes.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def _imports_numpy_on_load(tree):
+    for node in _load_time_imports(tree):
         if isinstance(node, ast.Import):
             if any(a.name.split(".")[0] == "numpy" for a in node.names):
                 return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and (node.module or "").split(".")[0] == "numpy":
+        elif node.level == 0 and (node.module or "").split(".")[0] == "numpy":
+            return True
+    return False
+
+
+def _binds_lazy_names(tree):
+    # an import run at load time that binds a name of a layer loaded on
+    # first use, and so loads it: ``from .dispersion import x``, ``import
+    # pvstab.modes`` or ``from . import scan_directions``; only ``from .
+    # import dispersion`` binds the module without loading it
+    for node in _load_time_imports(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, *inner = alias.name.split(".")
+                if package == "pvstab" and set(inner) & LAZY_LAYERS:
+                    return True
+        elif node.level or node.module.split(".")[0] == "pvstab":
+            module = (node.module or "").split(".")
+            if module[-1] in LAZY_LAYERS:
                 return True
-        nodes.extend(ast.iter_child_nodes(node))
+            if module in ([""], ["pvstab"]) and any(
+                    a.name in pvstab._LAZY_NAMES for a in node.names):
+                return True
     return False
 
 
@@ -107,6 +137,48 @@ def test_detects_numpy_imports():
     for source in ("from ._lazy import numpy as np", "import numbers",
                    "def f():\n    import numpy", "from .numpy import x"):
         assert not _imports_numpy_on_load(ast.parse(source)), source
+
+
+def test_eager_modules_bind_no_lazy_names():
+    # a name bound from dispersion, modes or oracle when cli, criterion,
+    # state or errors is imported would load that layer in every process,
+    # ``classify`` and ``sweep`` included, which never run it
+    for name in ("cli", "criterion", "state", "errors"):
+        assert not _binds_lazy_names(_tree(name)), name
+
+
+def test_detects_lazy_name_bindings():
+    for source in ("from .dispersion import scan_states", "from .modes import mode_records",
+                   "from pvstab.oracle import eigen_fmin", "import pvstab.dispersion",
+                   "import pvstab.modes as m", "from . import scan_directions",
+                   "from pvstab import build_mode", "from .dispersion import *",
+                   "try:\n    from .dispersion import default_delta\nexcept ImportError:\n"
+                   "    pass", "class A:\n    from .modes import mode_records"):
+        assert _binds_lazy_names(ast.parse(source)), source
+    for source in ("from . import criterion, dispersion, modes", "from pvstab import oracle",
+                   "def f():\n    from .dispersion import scan_states",
+                   "from .state import N_DIRS", "from .criterion import classify",
+                   "import dispersion", "from modes import x", "import pvstab"):
+        assert not _binds_lazy_names(ast.parse(source)), source
+
+
+def test_lazy_public_names_resolve_to_their_modules():
+    # each name of the package's table is its defining module's own object,
+    # and listed by dir(); a name outside it is an AttributeError
+    import importlib
+
+    table = pvstab._LAZY_NAMES
+    assert {"scan_directions", "build_mode", "eigen_fmin"} <= set(table)
+    assert set(table.values()) == LAZY_LAYERS
+    listed = dir(pvstab)
+    for name, layer in table.items():
+        assert name in _defined(_tree(layer)), name
+        assert getattr(pvstab, name) is getattr(importlib.import_module(
+            f"pvstab.{layer}"), name), name
+        assert name in listed, name
+    assert {"classify", "EquilibriumState", "dispersion"} <= set(listed)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pvstab.no_such_name
 
 
 def test_cross_checks_live_in_oracle_only():

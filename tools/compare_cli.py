@@ -21,14 +21,17 @@ Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
 distinct ``[analysis]`` block (the only part of a scenario it reads).  Each
 run uses the ``src/`` of each tree, as ``python -m pvstab`` subprocesses.
-Each difference in stdout, stderr or exit code is printed; the exit code is
-1 if there is any, else 0.
+Each difference in stdout, stderr or exit code is printed, with the first
+differing line of each side (cut to SHOWN characters) and, when both are
+JSON records, the keys whose values differ; the exit code is 1 if there is
+any difference, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +47,7 @@ VALIDATE_SEEDS = (0, 1, 5, 17)
 SEEDS = (0, 1, 2)
 BATCHES = 6                 # workload batches per seed
 WORKERS = 2                 # subprocesses at a time
+SHOWN = 200                 # characters shown of a differing line
 
 
 def _state_text(st) -> str:
@@ -132,6 +136,27 @@ def run(tree: Path, argv, cwd: Path) -> tuple[str, str, int]:
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def _shown(lines: list[str], at: int) -> str:
+    if at >= len(lines):
+        return "(no line)"
+    line = lines[at]
+    return line if len(line) <= SHOWN else line[:SHOWN] + " ..."
+
+
+def _differing_keys(a: str, b: str) -> list[str] | None:
+    """The keys whose values differ between the JSON records ``a`` and ``b``
+    (a key on one side only included), or None unless both are records."""
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return None
+    # compared as spelled, so that NaN equals NaN
+    return sorted(k for k in x.keys() | y.keys()
+                  if k not in x or k not in y or json.dumps(x[k]) != json.dumps(y[k]))
+
+
 def differences(ours, theirs) -> list[str]:
     out = []
     for label, a, b in zip(("stdout", "stderr"), ours, theirs):
@@ -139,8 +164,15 @@ def differences(ours, theirs) -> list[str]:
             lines_a, lines_b = a.splitlines(), b.splitlines()
             at = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
                       min(len(lines_a), len(lines_b)))
-            out.append(f"{label} differs from line {at + 1} "
-                       f"({len(lines_a)} lines here, {len(lines_b)} at the reference)")
+            text = (f"{label} differs from line {at + 1} "
+                    f"({len(lines_a)} lines here, {len(lines_b)} at the reference)\n"
+                    f"    here:      {_shown(lines_a, at)}\n"
+                    f"    reference: {_shown(lines_b, at)}")
+            if at < min(len(lines_a), len(lines_b)):
+                keys = _differing_keys(lines_a[at], lines_b[at])
+                if keys is not None:
+                    text += f"\n    keys that differ: {', '.join(keys) or 'none'}"
+            out.append(text)
     if ours[2] != theirs[2]:
         out.append(f"exit code {ours[2]} here, {theirs[2]} at the reference")
     return out
