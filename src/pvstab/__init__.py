@@ -23,14 +23,14 @@ from .errors import (DegenerateSymbolError, DirectionError, NotTransitionalError
                      PvstabError, ScenarioParseError, SingularFrameError,
                      StateValidationError, TransitionalAtThisDirectionError)
 from .state import (EquilibriumState, FrequencyBundle, WaveDirection,
-                    b0_matrix, frequency_bundle, galilean_transform,
+                    b0_matrix, default_delta, frequency_bundle, galilean_transform,
                     validate_state)
 
 # The public names of the layers loaded on first use (`pvstab._lazy`), each
 # with the module that defines it: ``pvstab.scan_directions`` loads
 # ``dispersion`` and is its ``scan_directions``.
 _LAZY_NAMES = {
-    **dict.fromkeys(("LopatinskiContext", "RootReport", "StateCounts", "default_delta",
+    **dict.fromkeys(("LopatinskiContext", "RootReport", "StateCounts",
                      "find_unstable_roots", "locate_roots", "lopatinski",
                      "lopatinski_deriv", "lopatinski_scale", "make_context",
                      "newton_refine", "scan_directions", "scan_states",

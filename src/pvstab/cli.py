@@ -21,16 +21,19 @@ A scenario file is a flat key-value document with block headers:
 
 A header of any kind opens a block of that kind, and `_BLOCK_KEYS` names
 the keys each kind takes.  The grid is generated as it is read, in blocks
-of at most BLOCK_POINTS points, each a row of plain floats
-(`Scenario.grid`).  Every point is validated and classified once, a block
-at a time (`_checked`), and one that fails becomes one error row; rows are
-written in index order.  ``classify``, and ``sweep`` without
-``cross_check``, write the rows of a block as one string before they build
-the next, so they hold at most one block.  CSV cells are spelled as
-``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a block's valid rows
-from one template, in which only the cells a row does not share with its
-block are left open (`_SWEPT_COLUMNS` names the record cells each parameter
-sets); ``roots`` joins its rows from a segment per direction and a tail per
+of at most BLOCK_POINTS points (`Scenario.grid`).  A block is columns, not
+rows: the record its points share and a list of plain floats per record
+cell its inner parameter sets (`_SWEPT_COLUMNS`; every cell in a run of
+states).  Each block is validated and classified a column at a pass
+(`_checked`), and a point that fails becomes one error row; rows are
+written in index order.  A point's full record is built only where it is
+read: an error row, a ``classify`` record, a state to scan.  ``classify``,
+and ``sweep`` without ``cross_check``, write the rows of a block as one
+string before they build the next, so they hold at most one block.  CSV
+cells are spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a
+block's valid rows from one template, filled from its columns, in which
+only the cells a row does not share with its block are left open;
+``roots`` joins its rows from a segment per direction and a tail per
 half-disk into one string.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
@@ -59,7 +62,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterator, TextIO
 
 from . import criterion, dispersion, modes
@@ -67,7 +70,8 @@ from ._lazy import numpy as np
 from .criterion import TOL_EQ_COEFF, threshold_values, verdict_values
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .state import (DECAY_P, MAX_MAGNITUDE, MAX_N_DIRS, MIN_N_DIRS, N_DIRS, EquilibriumState,
-                    check_block, frequency_bundle, validate_state)
+                    block_values, check_block, default_delta, frequency_bundle,
+                    validate_state)
 
 # the record columns (of `EquilibriumState.RECORD_KEYS`) each sweep parameter
 # sets: the swept value itself for a single column, else a field's two
@@ -115,6 +119,40 @@ class AnalysisOptions:
     sample: int = 200
 
 
+@dataclass(slots=True)
+class Block:
+    """A run of grid points that differ only in the record columns ``swept``
+    (`_SWEPT_COLUMNS` of the inner sweep parameter; all nine for a run of
+    states): the record values ``record`` they share (its swept cells are no
+    point's), and the cells of each swept column, a list per column of
+    ``swept`` in its order.  A point's record is built where it is read."""
+    start: int                  # the index of the first point
+    outer: tuple                # the outer axis coordinate the points share, if any
+    inner: list | None          # each point's inner axis coordinate (None: no sweep)
+    record: tuple
+    swept: tuple[int, ...]
+    columns: list[list]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def column(self, c: int) -> list:
+        """The cells of record column ``c``, one per point."""
+        return (self.columns[self.swept.index(c)] if c in self.swept
+                else [self.record[c]] * len(self))
+
+    def values(self, k: int) -> tuple:
+        """The record values of the k-th point."""
+        return block_values(self.record, self.swept, self.columns, k)
+
+    def points(self, *lists) -> Iterator[tuple]:
+        """Per point: its index, sweep coordinates and record values, then its
+        item of each of ``lists``."""
+        coords = (repeat((), len(self)) if self.inner is None
+                  else ((*self.outer, x) for x in self.inner))
+        return zip(count(self.start), coords, zip(*map(self.column, range(9))), *lists)
+
+
 @dataclass
 class Scenario:
     states: list[EquilibriumState]
@@ -122,71 +160,70 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     warnings: list[str] = field(default_factory=list)
 
-    def grid(self) -> Iterator[list[tuple[int, tuple, tuple]]]:
-        """States crossed with the sweep grid (identity when no sweep), in
-        blocks of at most BLOCK_POINTS points: lists of (index, swept values,
-        record values) rows of plain floats.
+    def grid(self) -> Iterator[Block]:
+        """States crossed with the sweep grid (identity when no sweep), as
+        `Block`s of at most BLOCK_POINTS points of plain floats.
 
         A generator, in index order: the last axis varies fastest, and each
         axis level applies its parameter to every point of the level above.
-        A block is a run of the innermost axis, or of consecutive states
-        when there is no sweep.
+        A block is a run of the innermost axis, with a column per record
+        cell its parameter sets (`_swept`), or of consecutive states when
+        there is no sweep, with all nine columns.
         """
         if not self.sweeps:
             for lo in range(0, len(self.states), BLOCK_POINTS):
-                yield [(index, (), st.record_values()) for index, st in
-                       enumerate(self.states[lo:lo + BLOCK_POINTS], lo)]
+                records = [st.record_values() for st in self.states[lo:lo + BLOCK_POINTS]]
+                yield Block(lo, (), None, records[0], tuple(range(9)),
+                            [list(map(float, column)) for column in zip(*records)])
             return
         *outer, inner = self.sweeps
         inner_values = inner.values()
+        swept = _SWEPT_COLUMNS[inner.parameter]
         start = 0
         for st in self.states:
             base = st.record_values()
             bases = [((), base)]
             if outer:       # one record per point of the outer axis
                 name = outer[0].parameter
-                bases = (((v,), _swept(base, name, [v])[0]) for v in outer[0].values())
+                bases = (((v,), block_values(base, _SWEPT_COLUMNS[name],
+                                             _swept(base, name, [v]), 0))
+                         for v in outer[0].values())
             for coords, record in bases:
                 for lo in range(0, len(inner_values), BLOCK_POINTS):
                     values = inner_values[lo:lo + BLOCK_POINTS]
-                    yield list(zip(range(start, start + len(values)),
-                                   zip(*map(repeat, coords), values),
-                                   _swept(record, inner.parameter, values)))
+                    yield Block(start, coords, values, record, swept,
+                                _swept(record, inner.parameter, values))
                     start += len(values)
 
 
-def _swept(record: tuple, name: str, values: list[float]) -> list[tuple]:
-    """The `EquilibriumState.RECORD_KEYS` values, one tuple per value of
-    ``values``, of the state with record values ``record`` and swept
-    parameter ``name`` set to that value, for both axis levels of a grid.
+def _swept(record: tuple, name: str, values: list[float]) -> list[list[float]]:
+    """The record columns `_SWEPT_COLUMNS[name]`, in that order, of the
+    states with record values ``record`` and swept parameter ``name`` set to
+    each value of ``values``, for both axis levels of a grid.
 
     ``H_mag``/``Hv_mag`` rescale the field keeping its direction (a zero
     field is given direction (1, 0)); ``angle_alpha`` rotates Hv' to the
     angle alpha measured from H', keeping |Hv'|.
     """
-    columns = [repeat(x) for x in record]
     i, *pair = _SWEPT_COLUMNS[name]
     if not pair:
-        columns[i] = values
-    elif name == "angle_alpha":
+        return [values]
+    if name == "angle_alpha":
         _, _, H2, H3, Hv2, Hv3, *_ = record
         angle, mag = math.atan2(H3, H2), math.sqrt(Hv2 ** 2 + Hv3 ** 2)
         thetas = [angle + v for v in values]
-        columns[4] = [mag * math.cos(theta) for theta in thetas]
-        columns[5] = [mag * math.sin(theta) for theta in thetas]
-    else:               # H_mag, Hv_mag
-        a, b = record[i], record[i + 1]
-        h = math.sqrt(a ** 2 + b ** 2)
-        u = (a / h, b / h) if h > 0 else (1.0, 0.0)
-        columns[i] = [v * u[0] for v in values]
-        columns[i + 1] = [v * u[1] for v in values]
-    return list(zip(*columns))
+        return [[mag * math.cos(theta) for theta in thetas],
+                [mag * math.sin(theta) for theta in thetas]]
+    a, b = record[i], record[i + 1]     # H_mag, Hv_mag
+    h = math.sqrt(a ** 2 + b ** 2)
+    u = (a / h, b / h) if h > 0 else (1.0, 0.0)
+    return [[v * u[0] for v in values], [v * u[1] for v in values]]
 
 
-def _fields_fixed(name: str) -> bool:
-    """Whether sweeping ``name`` leaves H' and Hv', and so the criterion's
-    threshold (`criterion.threshold_values`), unchanged."""
-    return not {2, 3, 4, 5} & set(_SWEPT_COLUMNS[name])
+def _fields_fixed(swept: tuple[int, ...]) -> bool:
+    """Whether points that differ only in the record columns ``swept`` share
+    H' and Hv', and so the criterion's threshold (`criterion.threshold_values`)."""
+    return not {2, 3, 4, 5} & set(swept)
 
 
 # ---------------------------------------------------------------------------
@@ -401,35 +438,34 @@ def _csv_rows(out: TextIO, columns):
 def _checked(scenario: Scenario):
     """Validate and classify the grid block by block, in index order.
 
-    Yields a list per block of (index, swept values, record values, outcome):
-    the outcome is the point's `criterion.verdict_values` row, the
-    `criterion.threshold_values` row it was decided on and its validation
-    warnings, or the PvstabError that rejected the point.  Each block is
-    validated as one (`state.check_block`): in a sweep, the record cells
-    its inner parameter does not set (`_SWEPT_COLUMNS`) once, the swept
-    cells per point, and a rejected point's full record for its message;
-    without a sweep, every cell of every point.  When the inner sweep
-    parameter leaves the fields fixed (`_fields_fixed`), the valid points
-    of a block share one threshold row, evaluated once; otherwise each
-    valid point has its own.  A generator, so that a command can write a
-    block before the next is built.
+    Yields per `Block` the block and five lists, an item per point: the
+    message that rejects the point or its warnings (`state.check_block`:
+    the block's shared cells once, then each swept column in one pass), and,
+    None for a rejected point, its verdict, margin and G and the
+    `criterion.threshold_values` row they were decided on.  When the swept
+    columns leave the fields fixed (`_fields_fixed`), the valid points of a
+    block share one threshold row, evaluated once; otherwise each has its
+    own.  Their verdicts take one pass over their E1 values
+    (`criterion.verdict_values`).  A generator, so that a command can write
+    a block before the next is built.
     """
     coeff = scenario.analysis.tol_eq
-    swept = _SWEPT_COLUMNS[scenario.sweeps[-1].parameter] if scenario.sweeps else None
-    shared = swept is not None and _fields_fixed(scenario.sweeps[-1].parameter)
     for block in scenario.grid():
-        points, threshold = [], None
-        for (index, coords, values), checked in zip(
-                block, check_block([values for _, _, values in block], swept)):
-            if isinstance(checked, str):
-                points.append((index, coords, values, StateValidationError(checked)))
-                continue
-            if threshold is None or not shared:
-                threshold = threshold_values(*values[2:6], coeff)
-                f_min, _, _, degenerate, tol_eq = threshold
-            points.append((index, coords, values, (
-                verdict_values(*values[:7], f_min, degenerate, tol_eq), threshold, checked)))
-        yield points
+        checks, rejected = check_block(block.record, block.swept, block.columns)
+        n, e1 = len(checks), block.column(6)
+        valid = [k for k, c in enumerate(checks) if type(c) is list] if rejected else range(n)
+        if _fields_fixed(block.swept):
+            thresholds = [threshold_values(*block.record[2:6], coeff)] * len(valid) if valid else []
+        else:
+            fields = list(zip(*map(block.column, (2, 3, 4, 5))))
+            thresholds = [threshold_values(*fields[k], coeff) for k in valid]
+        parts = (*verdict_values(
+            [e1[k] for k in valid] if rejected else e1, thresholds,
+            lambda j: EquilibriumState.from_values(*block.values(valid[j]))), thresholds)
+        if rejected:    # None at the rejected points
+            at = dict(zip(valid, range(n)))
+            parts = [[part[at[k]] if k in at else None for k in range(n)] for part in parts]
+        yield block, checks, *parts
 
 
 def _status(n_points: int, n_failed: int) -> int:
@@ -444,20 +480,19 @@ def _status(n_points: int, n_failed: int) -> int:
 def cmd_classify(scenario: Scenario, out: TextIO) -> int:
     names = [axis.parameter for axis in scenario.sweeps]
     n_points = n_failed = 0
-    for points in _checked(scenario):
+    for block, *lists in _checked(scenario):
         lines = []
-        for index, coords, values, outcome in points:
-            if isinstance(outcome, PvstabError):
-                rec = {"index": index, "error": str(outcome)}
+        for index, coords, values, check, *part in block.points(*lists):
+            if part[0] is None:
+                rec = {"index": index, "error": check}
                 n_failed += 1
             else:
-                part, threshold, warns = outcome
                 rec = {"index": index, **dict(zip(names, coords)), **_params(values),
-                       **criterion.Classification.from_parts(part, threshold).to_record(),
-                       "warnings": warns}
+                       **criterion.Classification.from_parts(*part).to_record(),
+                       "warnings": check}
             lines.append(_json_line(rec))
         out.write("".join(lines))
-        n_points += len(points)
+        n_points += len(block)
     return _status(n_points, n_failed)
 
 
@@ -467,16 +502,18 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
     _csv_rows(out, ["index", "omega2", "omega3", "winding", "re_s", "im_s", "abs_L", "delta",
                     "R", "contour_points", "error", "flags", "certificate"])
-    points = [point for block in _checked(scenario) for point in block]
-    valid = [EquilibriumState.from_values(*values) for _, _, values, outcome in points
-             if not isinstance(outcome, PvstabError)]
+    # per point, the message that rejects it or its state
+    points = [(index, check if verdict is None else EquilibriumState.from_values(*values))
+              for block, *lists in _checked(scenario)
+              for index, _, values, check, verdict, *_ in block.points(*lists)]
+    valid = [st for _, st in points if not isinstance(st, str)]
     scans = dispersion.scan_states(valid, analysis.n_dirs, analysis.delta)
     tails = _Memo(lambda region: f"{region[0]!r},{region[1]!r},,,,inclusion\n")
     rows: list[str] = []
     segments: list[str] = []    # "omega2,omega3," of the equispaced directions
-    for index, _, _, outcome in points:
-        if isinstance(outcome, PvstabError):
-            rows.append(f"{index},,,,,,,,,,{_cell(str(outcome))},,\n")
+    for index, point in points:
+        if isinstance(point, str):
+            rows.append(f"{index},,,,,,,,,,{_cell(point)},,\n")
             continue
         scan = next(scans)
         segments = segments or [f"{d.omega2!r},{d.omega3!r}," for d in scan.directions[:-2]]
@@ -526,19 +563,18 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     jobs: list[tuple[int, PvstabError | tuple]] = []
     states, directions, deltas = [], [], []     # the pairs to locate
     n_points = 0
-    for points in _checked(scenario):
-        n_points += len(points)
-        for index, _, values, outcome in points:
-            if isinstance(outcome, PvstabError):
-                jobs.append((index, outcome))
+    for block, *lists in _checked(scenario):
+        n_points += len(block)
+        for index, _, values, check, *part in block.points(*lists):
+            if part[0] is None:
+                jobs.append((index, StateValidationError(check)))
                 continue
-            part, threshold, _ = outcome
             if not part[0].is_unstable:
                 continue
             state = EquilibriumState.from_values(*values)
-            cls = criterion.Classification.from_parts(part, threshold)
+            cls = criterion.Classification.from_parts(*part)
             expected, direction = _expected_growth(state, cls)
-            delta = dispersion.default_delta(state, analysis.delta)
+            delta = default_delta(state, analysis.delta)
             p = None
             if expected > 0.0:
                 delta, p = min(delta, 0.3 * expected), len(states)
@@ -602,53 +638,60 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     if cross_check:
         blocks = list(blocks)
         judged = []
-        for points in blocks:
-            for _, _, values, outcome in points:
-                if not isinstance(outcome, PvstabError):
+        for block, *lists in blocks:
+            for _, _, values, _, *part in block.points(*lists):
+                if part[0] is not None:
                     st = EquilibriumState.from_values(*values)
-                    cls = criterion.Classification.from_parts(*outcome[:2])
+                    cls = criterion.Classification.from_parts(*part)
                     judged.append((st, cls, margin_band(st, cls.tol_eq, analysis.delta)))
-        verdicts = judge_verdicts(judged, analysis)
+        judgements = judge_verdicts(judged, analysis)
     # A block's valid rows are spelled from one template: its first valid
     # row with the cells below left open.  Each row fills in its index, the
     # inner coordinate, the record cells the inner parameter sets, verdict,
     # margin and G, the other criterion cells when the fields move, and the
-    # cross_check/error tail; every other cell is the block's.
-    inner = scenario.sweeps[-1].parameter
+    # cross_check/error tail, from the block's columns; every other cell is
+    # the block's.
+    swept = _SWEPT_COLUMNS[scenario.sweeps[-1].parameter]
     n = len(scenario.sweeps)
     crit = n + 10                   # the column of the verdict
-    i = _SWEPT_COLUMNS[inner][0]
-    own = {0, n, *(n + 1 + c for c in _SWEPT_COLUMNS[inner]), crit, crit + 1, crit + 5}
-    fixed = _fields_fixed(inner)
+    i = swept[0]
+    own = {0, n, *(n + 1 + c for c in swept), crit, crit + 1, crit + 5}
+    fixed = _fields_fixed(swept)
     if not fixed:
         own |= {crit + 2, crit + 3, crit + 4, crit + 6}
     tail = [_OPEN] if cross_check else [None] * 4
-    reprs = _Memo(repr)
+    # the inner axis, spelled once: a block is a run of it, which starts at
+    # the block's index modulo the axis length
+    axis = list(map(repr, scenario.sweeps[-1].values()))
     n_points = n_failed = 0
-    for points in blocks:
-        rows, template = [], None
-        for index, coords, values, outcome in points:
-            if isinstance(outcome, PvstabError):
-                rows.append(line([index, *coords, *values, *[None] * 10, str(outcome)]))
+    for block, checks, verdicts, margins, Gs, thresholds in blocks:
+        rows, template, start = [], None, block.start
+        a, b = block.column(i), block.column(i + 1)
+        lo = start % len(axis)
+        for index, x, verdict, margin, G in zip(count(start), axis[lo:lo + len(block)],
+                                                verdicts, margins, Gs):
+            if verdict is None:
+                k = index - start
+                rows.append(line([index, *block.outer, x, *block.values(k), *[None] * 10,
+                                  checks[k]]))
                 n_failed += 1
                 continue
-            (verdict, margin, G), threshold, _ = outcome
             if template is None:
-                cells = [index, *coords, *values, verdict, margin, *threshold[:3], G,
-                         threshold[3]]
-                template = line([_OPEN if k in own else c for k, c in enumerate(cells)]
+                k = index - start
+                cells = [index, *block.outer, x, *block.values(k), verdict, margin,
+                         *thresholds[k][:3], G, thresholds[k][3]]
+                template = line([_OPEN if j in own else c for j, c in enumerate(cells)]
                                 + tail).replace("%", "%%").replace(_OPEN, "%s")
-            x = coords[-1]
-            x = reprs[x] if x and x == x else repr(x)
             g = "" if G is None else repr(G)
             if fixed:       # the inner record cell is the coordinate
                 cells = (index, x, x, verdict._value_, repr(margin), g)
             else:
-                f_min, w2, w3, degenerate, _ = threshold
-                cells = (index, x, repr(values[i]), repr(values[i + 1]), verdict._value_,
-                         repr(margin), repr(f_min), repr(w2), repr(w3), g, str(degenerate))
+                k = index - start
+                f_min, w2, w3, degenerate, _ = thresholds[k]
+                cells = (index, x, repr(a[k]), repr(b[k]), verdict._value_, repr(margin),
+                         repr(f_min), repr(w2), repr(w3), g, str(degenerate))
             if cross_check:
-                checked, error = next(verdicts), None
+                checked, error = next(judgements), None
                 if isinstance(checked, PvstabError):
                     checked, error = (None, None, None), str(checked)
                     n_failed += 1
@@ -658,7 +701,7 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
                 cells += (line([*checked, error])[:-1],)
             rows.append(template % cells)
         out.write("".join(rows))
-        n_points += len(points)
+        n_points += len(block)
     return _status(n_points, n_failed)
 
 
@@ -673,7 +716,7 @@ def margin_band(state: EquilibriumState, tol_eq: float, delta: float | None) -> 
     and roots with Re s <= delta are undetectable, so agreement can only be
     asserted outside the band below.
     """
-    delta = dispersion.default_delta(state, delta)
+    delta = default_delta(state, delta)
     e1, hv, vm = abs(state.E1_hat), math.sqrt(state.Hv_sq), math.sqrt(state.v_sq)
     a = 2.0 * state.eps * e1 * hv * vm + (state.eps * e1 * hv) ** 2
     smax = e1 + vm
@@ -750,20 +793,21 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
         drawn = [sample_validation_state(rng)
                  for _ in range(min(target - len(accepted), max_attempts - attempts))]
         attempts += len(drawn)
-        for points in _checked(Scenario(drawn, analysis=analysis)):
-            for index, _, values, outcome in points:
-                if isinstance(outcome, PvstabError):
-                    accepted.append(({"index": len(accepted), **_params(values)}, outcome))
+        for block, *lists in _checked(Scenario(drawn, analysis=analysis)):
+            for index, _, values, check, *part in block.points(*lists):
+                if part[0] is None:
+                    accepted.append(({"index": len(accepted), **_params(values)},
+                                     StateValidationError(check)))
                     continue
                 st = drawn[index]
-                cls = criterion.Classification.from_parts(*outcome[:2])
+                cls = criterion.Classification.from_parts(*part)
                 band = margin_band(st, cls.tol_eq, analysis.delta)
                 if abs(cls.margin) <= band:
                     n_band += 1
                     continue
                 accepted.append(({"index": len(accepted), **_params(values),
                                   "verdict": cls.verdict._value_, "margin": cls.margin,
-                                  "band": band, "warnings": outcome[2]}, None))
+                                  "band": band, "warnings": check}, None))
                 judged.append((st, cls, band))
 
     verdicts = judge_verdicts(judged, analysis)

@@ -14,15 +14,16 @@ a quadratic form on the unit circle whose smaller eigenvalue has the closed
 form above.  Two kernels on plain floats decide the criterion:
 `threshold_values`, the minimum, the minimizing direction (the eigenvector
 of that eigenvalue) and the default equality band, set by the fields H',
-Hv' alone, and `verdict_values`, which places E1^2 against that threshold.
-`Classification.from_parts` joins their rows.  `classify` composes them for
-an `EquilibriumState`, and `minimize_f` and `critical_e1_squared` wrap the
-threshold.  A grid calls them on the rows of a block, the threshold once per
-block when the swept parameter leaves the fields fixed (E1, v2, v3, eps) and
-once per point otherwise.  On the critical set, `transitional_discriminant`
-gives G; when F is constant (every direction minimizes it)
-`degenerate_transitional` gives G as the maximum of the direction-wise sign
-quantity, with its maximizing direction, also in closed form.
+Hv' alone, and `verdict_values`, which places E1^2 against that threshold,
+for the points of a block in one pass.  `Classification.from_parts`
+joins a point's parts.  `classify` composes them for an `EquilibriumState`,
+and `minimize_f` and `critical_e1_squared` wrap the threshold.  A grid calls
+them on the columns of a block: the threshold once per block when the swept
+parameter leaves the fields fixed (E1, v2, v3, eps) and once per point
+otherwise.  On the critical set, `transitional_discriminant` gives G; when
+F is constant (every direction minimizes it) `degenerate_transitional`
+gives G as the maximum of the direction-wise sign quantity, with its
+maximizing direction, also in closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .state import EquilibriumState, WaveDirection, frequency_bundle
 
@@ -74,10 +76,11 @@ class Classification:
     tol_eq: float = 0.0
 
     @classmethod
-    def from_parts(cls, part: tuple, threshold: tuple) -> "Classification":
-        """The classification of a `verdict_values` row and the
-        `threshold_values` row it was decided on."""
-        (verdict, margin, G), (f_min, w2, w3, degenerate, tol_eq) = part, threshold
+    def from_parts(cls, verdict: Verdict, margin: float, G: float | None,
+                   threshold: tuple) -> "Classification":
+        """The classification of a point's `verdict_values` verdict, margin
+        and G, and the `threshold_values` row they were decided on."""
+        f_min, w2, w3, degenerate, tol_eq = threshold
         return cls(verdict, margin, WaveDirection(w2, w3), f_min, G, degenerate, tol_eq)
 
     def to_record(self) -> dict:
@@ -147,23 +150,31 @@ def threshold_values(H2: float, H3: float, Hv2: float, Hv3: float,
     return f_min, w2, w3, degenerate, coeff * (1.0 + H_sq + Hv_sq)
 
 
-def verdict_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: float,
-                   E1: float, f_min: float, degenerate: bool, tol_eq: float) -> tuple:
-    """The E1 part of the criterion, given the threshold of `threshold_values`.
+def verdict_values(E1: list[float], thresholds: list[tuple],
+                   state: Callable[[int], EquilibriumState]) -> tuple[list, list, list]:
+    """The E1 part of the criterion for points whose E1 values are ``E1``,
+    each given the `threshold_values` row of its fields in ``thresholds``
+    (one row, repeated, for points that share them).
 
-    Returns (verdict, margin, G): margin = E1^2 - f_min decides the verdict
-    against tol_eq (see `classify`), and G, the sign quantity of the
-    transitional band, is None outside it.
+    Returns their verdicts, margins and Gs, a list each in the order of
+    ``E1``: margin = E1^2 - f_min decides the verdict against tol_eq (see
+    `classify`), and G, the sign quantity of the transitional band, is None
+    outside it.  Only the points inside the band are read whole, as
+    ``state(k)`` for the k-th.
     """
-    margin = E1 ** 2 - f_min
-    if margin > tol_eq:
-        return Verdict.VIOLENTLY_UNSTABLE, margin, None
-    if margin < -tol_eq:
-        return Verdict.NEUTRALLY_STABLE, margin, None
-    state = EquilibriumState((v2, v3), (H2, H3), (Hv2, Hv3), E1)
-    G = degenerate_transitional(state)[0] if degenerate else transitional_discriminant(state)
-    return (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0 else Verdict.TRANSITIONAL_NEUTRAL,
-            margin, G)
+    margins = [e ** 2 - t[0] for e, t in zip(E1, thresholds)]
+    unstable, stable = Verdict.VIOLENTLY_UNSTABLE, Verdict.NEUTRALLY_STABLE
+    verdicts = [unstable if m > t[4] else stable if m < -t[4] else None
+                for m, t in zip(margins, thresholds)]
+    Gs = [None] * len(margins)
+    if None in verdicts:
+        for k in [k for k, v in enumerate(verdicts) if v is None]:
+            st = state(k)
+            G = Gs[k] = (degenerate_transitional(st)[0] if thresholds[k][3]
+                         else transitional_discriminant(st))
+            verdicts[k] = (Verdict.TRANSITIONAL_UNSTABLE if G > 0.0
+                           else Verdict.TRANSITIONAL_NEUTRAL)
+    return verdicts, margins, Gs
 
 
 def minimize_f(state: EquilibriumState) -> MinimizationResult:
@@ -243,7 +254,5 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
     threshold = threshold_values(*state.H_hat_t, *state.Hv_hat_t)
     if tol_eq is not None:
         threshold = (*threshold[:4], tol_eq)
-    f_min, _, _, degenerate, tol_eq = threshold
-    return Classification.from_parts(verdict_values(
-        *state.v_hat_t, *state.H_hat_t, *state.Hv_hat_t, state.E1_hat, f_min, degenerate,
-        tol_eq), threshold)
+    (verdict,), (margin,), (G,) = verdict_values([state.E1_hat], [threshold], lambda _: state)
+    return Classification.from_parts(verdict, margin, G, threshold)

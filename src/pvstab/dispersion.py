@@ -38,7 +38,7 @@ from typing import NamedTuple
 from ._lazy import numpy as np
 from .errors import PvstabError
 from .state import (MAX_N_DIRS, MIN_N_DIRS, N_DIRS, EquilibriumState, FrequencyBundle,
-                    WaveDirection, frequency_bundle)
+                    WaveDirection, _default_radius, default_delta, frequency_bundle)
 
 _NEWTON_TARGET = 1e-13         # relative residual targeted by polishing
 _NEWTON_ITERATIONS = 60        # most Newton steps a polished estimate takes
@@ -245,18 +245,6 @@ def root_radius_bound(state: EquilibriumState, delta: float) -> float:
         return 0.5 / eps
     inner = max(_beyond(p2, -2.0 * (c + rt2 * e * hv * eps), c * c - h * h - rt2 * m), c)
     return min(inner, 0.5 / eps)
-
-
-def _default_radius(state: EquilibriumState) -> float:
-    # R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|)
-    return 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
-                   + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
-
-
-def default_delta(state: EquilibriumState, delta: float | None = None) -> float:
-    """The delta of ``default_region(state, delta)``: ``delta``, or 1e-3 R when
-    it is None, without the cost of proving a radius."""
-    return 1e-3 * _default_radius(state) if delta is None else delta
 
 
 def default_region(state: EquilibriumState, delta: float | None = None) -> HalfDiskRegion:

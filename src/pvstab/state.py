@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import and_, itemgetter, le
-from typing import Iterator
 
 from ._lazy import numpy as np
 from .errors import DirectionError, SingularFrameError, StateValidationError
@@ -199,9 +197,9 @@ def _warning_lists(eps: float) -> tuple[list[str], list[str], list[str]]:
             ["physical restriction met with equality: E1^2 = |Hv|^2", *tail], tail)
 
 
-def _bounded(cells) -> Iterator[bool]:
+def _bounded(cells) -> list[bool]:
     """Per cell, whether its magnitude is at most MAX_MAGNITUDE (False on NaN)."""
-    return map(le, map(abs, cells), repeat(MAX_MAGNITUDE))
+    return [abs(x) <= MAX_MAGNITUDE for x in cells]
 
 
 def _frame_ok(eps: float, sigma: float) -> bool:
@@ -224,41 +222,69 @@ def check_values(v2: float, v3: float, H2: float, H3: float, Hv2: float, Hv3: fl
     return above if e1sq > hvsq else equal if e1sq == hvsq else below
 
 
-def _shared_cells_hold(values: tuple, swept: tuple[int, ...]) -> bool:
+def _shared_cells_hold(record: tuple, swept: tuple[int, ...]) -> bool:
     """Whether the hard conditions of `check_values` on the cells of
-    ``values`` outside the columns ``swept`` hold."""
-    return (all(_bounded(x for c, x in enumerate(values[:7]) if c not in swept))
-            and (7 in swept or _frame_ok(values[7], values[8])))
+    ``record`` outside the columns ``swept`` hold."""
+    return (all(_bounded(x for c, x in enumerate(record[:7]) if c not in swept))
+            and (7 in swept or _frame_ok(record[7], record[8])))
 
 
-def check_block(rows: list[tuple], swept: tuple[int, ...] | None) -> list[str | list[str]]:
-    """`check_values` of each tuple of record values in ``rows``.
+def block_values(record: tuple, swept: tuple[int, ...], columns: list[list], k: int) -> tuple:
+    """The record values of the k-th point of a block (`check_block`)."""
+    values = list(record)
+    for c, column in zip(swept, columns):
+        values[c] = column[k]
+    return tuple(values)
 
-    ``swept`` names the columns in which the rows may differ (sigma, column
-    8, is never one); each other cell, a shared one, is the same in every
-    row.  The shared cells are checked once and then only the swept cells
-    of each row; a row that fails either check is rejected by
-    `check_values` on its full record, so its message names its first
-    failure.  With ``swept`` None every cell of every row is checked.  Rows
-    of one block with the same warnings may share one list.
+
+def check_block(record: tuple, swept: tuple[int, ...],
+                columns: list[list]) -> tuple[list, list[int]]:
+    """`check_values` of each point of a block, and the positions of the
+    points it rejects.  A point has the float record values ``record`` with
+    the cells of the columns ``swept`` (sigma only with eps) set to its own,
+    one list per column of ``swept`` in ``columns``.
+
+    The cells outside ``swept`` are checked once, then each swept column in
+    one pass; a point that fails either is rejected by `check_values` on its
+    full record, so its message names its first failure.  Points with the
+    same warnings may share one list.
     """
-    if swept is None or not _shared_cells_hold(rows[0], swept):
-        return [check_values(*values) for values in rows]
-    first = rows[0]
-    ok = [True] * len(rows)
-    for c in swept:
-        ok = list(map(and_, ok, _bounded(map(itemgetter(c), rows)) if c < 7
-                      else map(_frame_ok, map(itemgetter(7), rows), repeat(first[8]))))
-    # E1^2, |Hv|^2 and the warning lists per row, or the block's one value;
-    # a rejected row's squares are not computed (its E1^2 may overflow)
-    e1sq = ([v[6] ** 2 if k else 0.0 for k, v in zip(ok, rows)] if 6 in swept
-            else repeat(first[6] ** 2))
-    hvsq = ([v[4] ** 2 + v[5] ** 2 if k else 0.0 for k, v in zip(ok, rows)]
-            if 4 in swept or 5 in swept else repeat(first[4] ** 2 + first[5] ** 2))
-    lists = ([_warning_lists(v[7]) for v in rows] if 7 in swept
-             else repeat(_warning_lists(first[7])))
-    return [(w[0] if a > b else w[1] if a == b else w[2]) if k else check_values(*v)
-            for k, v, a, b, w in zip(ok, rows, e1sq, hvsq, lists)]
+    n = len(columns[0])
+    if not _shared_cells_hold(record, swept):
+        return ([check_values(*block_values(record, swept, columns, k)) for k in range(n)],
+                list(range(n)))
+    cells = dict(zip(swept, columns))
+    passes = [_bounded(cells[c]) for c in swept if c < 7]
+    if 7 in cells:
+        passes.append(list(map(_frame_ok, cells[7], cells.get(8) or repeat(record[8], n))))
+    ok = [all(p) for p in zip(*passes)] if len(passes) > 1 else passes[0]
+    rejected = [k for k, good in enumerate(ok) if not good] if False in ok else []
+    if rejected:    # zeroed for the squares below: a rejected E1^2 may overflow
+        cells = {c: [x if good else 0.0 for x, good in zip(column, ok)]
+                 for c, column in cells.items()}
+    # E1^2, |Hv|^2 and the warning lists per point, or the block's one value
+    e1, hv2, hv3, eps = (cells.get(c) or repeat(record[c], n) for c in (6, 4, 5, 7))
+    e1sq = [e ** 2 for e in e1] if 6 in cells else repeat(record[6] ** 2, n)
+    hvsq = ([a ** 2 + b ** 2 for a, b in zip(hv2, hv3)] if 4 in cells or 5 in cells
+            else repeat(record[4] ** 2 + record[5] ** 2, n))
+    lists = map(_warning_lists, eps) if 7 in cells else repeat(_warning_lists(record[7]), n)
+    checked = [w[0] if a > b else w[1] if a == b else w[2]
+               for a, b, w in zip(e1sq, hvsq, lists)]
+    for k in rejected:
+        checked[k] = check_values(*block_values(record, swept, columns, k))
+    return checked, rejected
+
+
+def _default_radius(state: EquilibriumState) -> float:
+    # R = 10 (1 + |v'| + |H'| + |Hv'| + |E1|)
+    return 10.0 * (1.0 + math.sqrt(state.v_sq) + math.sqrt(state.H_sq)
+                   + math.sqrt(state.Hv_sq) + abs(state.E1_hat))
+
+
+def default_delta(state: EquilibriumState, delta: float | None = None) -> float:
+    """The delta of ``dispersion.default_region(state, delta)``: ``delta``, or
+    1e-3 R when it is None, without the cost of proving a radius."""
+    return 1e-3 * _default_radius(state) if delta is None else delta
 
 
 def validate_state(raw: EquilibriumState) -> tuple[EquilibriumState, list[str]]:

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as hst
 
-from pvstab.cli import (MAX_GRID_POINTS, SWEEP_PARAMETERS, SweepAxis, _swept, cmd_classify,
-                        cmd_sweep, main, margin_band, parse_scenario, sample_validation_state)
+from pvstab.cli import (_SWEPT_COLUMNS, MAX_GRID_POINTS, SWEEP_PARAMETERS, SweepAxis, _swept,
+                        cmd_classify, cmd_sweep, main, margin_band, parse_scenario,
+                        sample_validation_state)
 from pvstab.dispersion import default_delta, default_region, root_radius_bound
+from pvstab.criterion import threshold_values
 from pvstab.errors import ScenarioParseError
 from pvstab.oracle import eigen_fmin
-from pvstab.state import EquilibriumState, validate_state
+from pvstab.state import EquilibriumState, block_values, check_values, validate_state
 
 MINIMAL = """
 [state]
@@ -202,22 +204,25 @@ class TestParseScenario:
         assert sc.analysis.n_dirs == 12
 
     def test_sweep_grid(self, tmp_path):
-        # one axis of 41 points is one block of rows, each E1 its swept value
+        # one axis of 41 points is one block, whose one column, E1, holds
+        # each point's swept value
         sc = parse_scenario(_write(tmp_path, SWEEP))
         (block,) = sc.grid()
-        assert [index for index, _, _ in block] == list(range(41))
-        values = [v for _, (v,), _ in block]
+        assert [index for index, _, _ in _grid_rows(sc)] == list(range(41))
+        assert (block.start, len(block), block.swept) == (0, 41, (6,))
+        values = [v for _, (v,), _ in block.points()]
         assert values[0] == 0.0 and values[-1] == 2.0
-        assert all(len(record) == 9 and record[6] == v for _, (v,), record in block)
+        assert block.columns == [values] == [block.inner]
+        assert all(len(record) == 9 and record[6] == v for _, (v,), record in _grid_rows(sc))
 
     def test_two_axes(self, tmp_path):
         # a block per point of the outer axis, a run of the inner axis
         text = SWEEP + "\n[sweep]\nparameter = v2\nmin = -1\nmax = 1\nsteps = 3\n"
         blocks = list(parse_scenario(_write(tmp_path, text)).grid())
-        assert [b[0][0] for b in blocks] == list(range(0, 41 * 3, 3))
-        assert all([c[1] for _, c, _ in b] == [-1.0, 0.0, 1.0] == [r[0] for _, _, r in b]
-                   for b in blocks)
-        assert [[c[0] for _, c, _ in b] for b in blocks[:2]] == [[0.0] * 3, [0.05] * 3]
+        assert [b.start for b in blocks] == list(range(0, 41 * 3, 3))
+        assert all([c[1] for _, c, _ in b.points()] == [-1.0, 0.0, 1.0]
+                   == [r[0] for _, _, r in b.points()] == b.columns[0] for b in blocks)
+        assert [[c[0] for _, c, _ in b.points()] for b in blocks[:2]] == [[0.0] * 3, [0.05] * 3]
 
     @pytest.mark.parametrize("name", SWEEP_PARAMETERS)
     def test_repeated_sweep_parameter(self, tmp_path, capsys, name):
@@ -335,10 +340,16 @@ class TestParseScenario:
 
 
 def _swept_state(state: EquilibriumState, name: str, value: float) -> EquilibriumState:
-    """``state`` with the swept parameter ``name`` set to ``value``, as a grid
-    row of one point (`cli._swept`)."""
-    (record,) = _swept(state.record_values(), name, [value])
-    return EquilibriumState.from_values(*record)
+    """``state`` with the swept parameter ``name`` set to ``value``, as the
+    grid point of a block of one (`cli._swept`)."""
+    record = state.record_values()
+    return EquilibriumState.from_values(*block_values(
+        record, _SWEPT_COLUMNS[name], _swept(record, name, [value]), 0))
+
+
+def _grid_rows(scenario):
+    """(index, sweep coordinates, record values) of each grid point, in order."""
+    return [row for block in scenario.grid() for row in block.points()]
 
 
 class TestSweepParameters:
@@ -372,7 +383,7 @@ class TestSweepParameters:
                 "[sweep]\nparameter = H_mag\nmin = -2\nmax = 2\nsteps = 3\n"
                 "[sweep]\nparameter = angle_alpha\nmin = 0\nmax = 1.5\nsteps = 4\n")
         sc = parse_scenario(_write(tmp_path, text))
-        rows = [row for block in sc.grid() for row in block]
+        rows = _grid_rows(sc)
         points = [(st, a, b) for st in sc.states for a in (-2.0, 0.0, 2.0)
                   for b in (0.0, 0.5, 1.0, 1.5)]
         want = [(index, (a, b), _swept_state(_swept_state(st, "H_mag", a), "angle_alpha",
@@ -873,27 +884,27 @@ class TestValidateCommand:
 
     def test_draws_are_checked_and_classified_once(self, tmp_path, monkeypatch):
         # every drawn state, band states included, goes through _checked:
-        # validated by check_values (through check_block) and given one
+        # validated as a point of a block (check_block) and given one
         # threshold row
         import io
 
         import pvstab.cli as cli_mod
-        import pvstab.state as state_mod
 
         def spy(calls, function):
             return lambda *args: calls.append(args) or function(*args)
 
         scenario = parse_scenario(_write(tmp_path, MINIMAL + "[analysis]\nsample = 25\n"
                                                             "n_dirs = 8\n"))
-        checks, thresholds = [], []
-        monkeypatch.setattr(state_mod, "check_values", spy(checks, state_mod.check_values))
+        blocks, thresholds = [], []
+        monkeypatch.setattr(cli_mod, "check_block", spy(blocks, cli_mod.check_block))
         monkeypatch.setattr(cli_mod, "threshold_values",
                             spy(thresholds, cli_mod.threshold_values))
         out = io.StringIO()
         assert cli_mod.cmd_validate(scenario, out, seed=3) == 0
         summary = json.loads(out.getvalue().splitlines()[-1])["summary"]
         assert summary["band"] > 0 and summary["checked"] == 25
-        assert len(checks) == len(thresholds) == summary["sampled"]
+        checked = [len(columns[0]) for _, _, columns in blocks]
+        assert sum(checked) == len(thresholds) == summary["sampled"]
 
     def test_rejected_draw_is_an_error_record(self, tmp_path, monkeypatch):
         # a drawn state that validation rejects is one error record, counted
@@ -1018,8 +1029,8 @@ def test_batch_rows_equal_rows_alone(tmp_path, command):
         return [(str(r.pop("index", "")), json.dumps(r)) for r in map(json.loads, lines)]
 
     batch = rows(text, "batch")
-    grid = [(index, values) for block in parse_scenario(_write(tmp_path, text)).grid()
-            for index, _, values in block]
+    grid = [(index, values) for index, _, values in
+            _grid_rows(parse_scenario(_write(tmp_path, text)))]
     for index, values in grid:
         mine = [rest for i, rest in batch if i == str(index)]
         if values[7] == 0.0:        # eps
@@ -1165,6 +1176,8 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
         for block in blocks():
             lines.append(out.getvalue().count("\n"))
             sizes.append(len(block))
+            assert block.start == sum(sizes[:-1])
+            assert list(map(len, block.columns)) == [len(block)] == [len(block.inner)]
             yield block
 
     def write(text):
@@ -1253,6 +1266,8 @@ def _rows_point_by_point(scenario):
 
 
 def _assert_blocks_equal_points(tmp_path, text):
+    """Assert that the sweep and classify rows of the scenario ``text`` are
+    those of each point alone (`_rows_point_by_point`); return the sweep rows."""
     scenario = parse_scenario(_write(tmp_path, text))
     want_sweep, want_classify = _rows_point_by_point(scenario)
     for command, want in (("sweep", want_sweep), ("classify", want_classify)):
@@ -1260,6 +1275,7 @@ def _assert_blocks_equal_points(tmp_path, text):
         assert _run([command, _write(tmp_path, text), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[2 if command == "sweep" else 0:] == want, command
+    return want_sweep
 
 
 @pytest.mark.parametrize("tol_eq", [0.0, 1e-9, 0.5])
@@ -1298,8 +1314,6 @@ def test_threshold_once_per_block(tmp_path, monkeypatch, inner):
     # point when it moves them, never for a rejected point, and once per
     # state without a sweep
     import pvstab.cli as cli_mod
-    from pvstab.criterion import threshold_values
-    from pvstab.state import check_values
 
     calls = []
 
@@ -1315,7 +1329,7 @@ def test_threshold_once_per_block(tmp_path, monkeypatch, inner):
         wide = () if inner == "angle_alpha" else (-2e50, 2e50)
         axes = _axis("eps", 3) + _axis(inner, 5, *wide)
     path = _write(tmp_path, states + axes)
-    valid = [[not isinstance(check_values(*values), str) for _, _, values in block]
+    valid = [[not isinstance(check_values(*values), str) for _, _, values in block.points()]
              for block in parse_scenario(path).grid()]
     assert not all(map(all, valid))
     want = sum(map(sum, valid))
@@ -1349,66 +1363,143 @@ def _shared_rejection_scenarios(tmp_path, inner):
             for outer in _SHARED_REJECTIONS if f"parameter = {inner}\n" not in outer]
 
 
+def _band_axis(H2, H3, Hv2, Hv3, steps=9):
+    """An E1 axis across sqrt(F_min) of these fields, from margin -2 tol_eq
+    to 2 tol_eq: its middle points lie inside the transitional band."""
+    f_min, _, _, _, tol_eq = threshold_values(H2, H3, Hv2, Hv3)
+    return _axis("E1", steps, math.sqrt(f_min - 2 * tol_eq), math.sqrt(f_min + 2 * tol_eq))
+
+
+# E1 axes, each with the states it runs over: across sqrt(F_min) inside the
+# transitional band on constant-F (degenerate) and on ordinary fields, one
+# with min == max (the step-0 branch of SweepAxis.values), and one past the
+# bound 1e50, where E1^2 overflows
+_E1_AXES = {"band_constant_F": (_CORNER_STATES[1], _band_axis(1.0, 0.0, 0.0, 1.0)),
+            "band_generic": (_CORNER_STATES[4], _band_axis(1.1, 0.4, -0.6, 1.3)),
+            "equal_ends": ("".join(_CORNER_STATES), _axis("E1", 4, 0.7, 0.7)),
+            "past_bound": ("".join(_CORNER_STATES), _axis("E1", 5, -1e200, 1e200))}
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_e1_axes_blocks_equal_points(tmp_path, inner):
+    # each row, spelled from its block's columns, is the row of its point
+    # checked and classified alone: each kind of E1 axis is the inner axis
+    # below every other parameter and below the outer axes that reject whole
+    # blocks, or the outer axis above the inner one, which also runs below
+    # those rejecting axes
+    texts = [states + outer + e1 for states, e1 in _E1_AXES.values()
+             for outer in [_axis(name, 3) for name in SWEEP_PARAMETERS if name != "E1"]
+             + list(_SHARED_REJECTIONS)] if inner == "E1" else (
+        [states + e1 + _axis(inner, 5) for states, e1 in _E1_AXES.values()]
+        + ["".join(_CORNER_STATES) + _SIGMA_STATE + outer + _axis(inner, 5)
+           for outer in _SHARED_REJECTIONS if f"parameter = {inner}\n" not in outer])
+    rows = [row for text in texts for row in _assert_blocks_equal_points(tmp_path, text)]
+    verdicts = {row.split(",")[12] for row in rows}    # two axes: the 13th column
+    assert {"TransitionalUnstable", "TransitionalNeutral", "ViolentlyUnstable",
+            "NeutrallyStable", ""} <= verdicts
+    assert any("exceeds 1e+50" in row for row in rows)
+
+
+@pytest.mark.parametrize("fields", [(1.0, 0.0, 0.0, 1.0), (1.1, 0.4, -0.6, 1.3)],
+                         ids=["constant_F", "generic"])
+def test_transitional_path_runs_inside_the_band_only(tmp_path, monkeypatch, fields):
+    # in a block whose fields are fixed, the transitional path runs exactly
+    # for the points with |margin| <= tol_eq, and the threshold once per block
+    import pvstab.cli as cli_mod
+    import pvstab.criterion as criterion_mod
+    from pvstab.cli import _checked
+
+    f_min, _, _, degenerate, tol_eq = threshold_values(*fields)
+    H2, H3, Hv2, Hv3 = fields
+    state = f"[state]\nH2 = {H2}\nH3 = {H3}\nHv2 = {Hv2}\nHv3 = {Hv3}\nv3 = 0.3\n"
+    scenario = parse_scenario(_write(tmp_path, state + _axis("v2", 3) + _band_axis(*fields)))
+    calls, thresholds = {"transitional_discriminant": [], "degenerate_transitional": []}, []
+    for name, made in calls.items():
+        monkeypatch.setattr(criterion_mod, name, lambda st, made=made, f=getattr(
+            criterion_mod, name): made.append(st) or f(st))
+    monkeypatch.setattr(cli_mod, "threshold_values",
+                        lambda *args: thresholds.append(args) or threshold_values(*args))
+    blocks = list(_checked(scenario))
+    points = [(values, verdict) for block, *lists in blocks
+              for _, _, values, _, verdict, *_ in block.points(*lists)]
+    band = [values for values, _ in points if abs(values[6] ** 2 - f_min) <= tol_eq]
+    assert 0 < len(band) < len(points)
+    used = "degenerate_transitional" if degenerate else "transitional_discriminant"
+    assert calls.pop(used) == [EquilibriumState.from_values(*values) for values in band]
+    assert calls.popitem()[1] == []
+    assert [verdict.name.startswith("TRANSITIONAL") for _, verdict in points] == [
+        values in band for values, _ in points]
+    assert len(thresholds) == len(blocks) == 3
+
+
 @pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
 def test_block_check_equals_check_alone(tmp_path, inner):
     # each point's outcome from a block checked as one (its shared cells
     # once, its swept cells alone) is check_values on the point alone: the
     # same rejection message, naming the first failure in record order, or
     # the same warnings, also in blocks whose shared cells are rejected
-    from pvstab.cli import _SWEPT_COLUMNS, _checked
-    from pvstab.errors import StateValidationError
-    from pvstab.state import _shared_cells_hold, check_values
+    from pvstab.cli import _checked
+    from pvstab.state import _shared_cells_hold
 
-    swept = _SWEPT_COLUMNS[inner]
     n_shared_rejected = n_swept_rejected = 0
     for scenario in _shared_rejection_scenarios(tmp_path, inner):
-        for block, points in zip(scenario.grid(), _checked(scenario)):
-            assert [p[:3] for p in points] == block
-            shared_ok = _shared_cells_hold(block[0][2], swept)
+        for block, (checked, *lists) in zip(scenario.grid(), _checked(scenario)):
+            assert checked == block and block.swept == _SWEPT_COLUMNS[inner]
+            shared_ok = _shared_cells_hold(block.record, block.swept)
             n_shared_rejected += not shared_ok
-            for _, _, values, outcome in points:
+            for _, _, values, check, verdict, *_ in block.points(*lists):
                 want = check_values(*values)
-                if isinstance(want, str):
-                    assert isinstance(outcome, StateValidationError), values
-                    assert str(outcome) == want, values
-                    n_swept_rejected += shared_ok
-                else:
-                    assert outcome[2] == want, values
+                assert check == want, values
+                assert (verdict is None) == isinstance(want, str), values
+                n_swept_rejected += shared_ok and isinstance(want, str)
     assert n_shared_rejected and n_swept_rejected
 
 
-@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+# a run of states without a sweep, two of them rejected by a cell of their
+# own: every column of its block is swept
+_STATE_RUN = [EquilibriumState.from_values(*values) for values in (
+    (0.5, 0.0, 1.0, 0.0, 2.0, 0.0, 0.3, 0.01, 0.0),
+    (0.0, 0.0, 1.0, 0.0, 0.0, 1.5, 0.7, 0.5, 1.9),      # eps*|sigma| = 0.95
+    (0.0, 0.0, 1.0, 0.0, 0.0, 1.5, 0.7, 0.5, 2.0),      # eps*|sigma| >= 1
+    (1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 2e50, 0.01, 0.0),    # |E1| past the bound
+    (0.2, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.0),
+)]
+
+
+@pytest.mark.parametrize("inner", [*SWEEP_PARAMETERS, None])
 def test_shared_cells_checked_once_per_block(monkeypatch, tmp_path, inner):
-    # a swept block checks its shared cells once, and checks the full record
-    # of a point only when that point is rejected; without a sweep every
-    # point's full record is checked
+    # a block checks its shared cells once, and checks the full record of a
+    # point only when that point is rejected; in a run of states without a
+    # sweep no cell is shared, and each point's outcome is check_values on
+    # the point alone
     import pvstab.state as state_mod
-    from pvstab.cli import _checked
-    from pvstab.errors import StateValidationError
+    from pvstab.cli import AnalysisOptions, Scenario, _checked
 
     shared, full = [], []
 
     def spy(calls, check):
         return lambda *args: calls.append(args) or check(*args)
 
+    scenarios = ([Scenario(_STATE_RUN[k:] + _STATE_RUN[:k], analysis=AnalysisOptions())
+                  for k in range(len(_STATE_RUN))] if inner is None
+                 else _shared_rejection_scenarios(tmp_path, inner))
+    alone = [[check_values(*values) for _, _, values in block.points()]
+             for scenario in scenarios for block in scenario.grid()]
     monkeypatch.setattr(state_mod, "_shared_cells_hold",
                         spy(shared, state_mod._shared_cells_hold))
     monkeypatch.setattr(state_mod, "check_values", spy(full, state_mod.check_values))
-    for scenario in _shared_rejection_scenarios(tmp_path, inner):
+    for scenario in scenarios:
         shared.clear()
         full.clear()
         blocks = list(_checked(scenario))
         assert len(shared) == len(blocks)
-        rejected = [values for points in blocks for _, _, values, outcome in points
-                    if isinstance(outcome, StateValidationError)]
-        assert rejected and len(rejected) < sum(map(len, blocks))
+        rejected = [values for block, *lists in blocks
+                    for _, _, values, _, verdict, *_ in block.points(*lists) if verdict is None]
+        assert rejected and len(rejected) < sum(len(block) for block, *_ in blocks)
         assert full == rejected
-    scenario = parse_scenario(_write(tmp_path, "".join(_CORNER_STATES) + _SIGMA_STATE))
-    shared.clear()
-    full.clear()
-    blocks = list(_checked(scenario))
-    assert not shared
-    assert full == [values for points in blocks for _, _, values, _ in points]
+        if inner is None:
+            assert [block.swept for block, *_ in blocks] == [tuple(range(9))]
+            assert [checks for _, checks, *_ in blocks] == [alone.pop(0)]
 
 
 @pytest.mark.parametrize("text", [
@@ -1426,7 +1517,7 @@ def test_long_and_rejected_blocks_equal_points(tmp_path, text):
     from pvstab.cli import BLOCK_POINTS
 
     scenario = parse_scenario(_write(tmp_path, text))
-    assert [b[0][0] for b in scenario.grid()] == [0, BLOCK_POINTS]
+    assert [b.start for b in scenario.grid()] == [0, BLOCK_POINTS]
     scenario.sweeps = []
     want = _rows_point_by_point(scenario)[1]
     out = tmp_path / "classify.txt"
@@ -1557,11 +1648,16 @@ sweep, classify, out = sys.argv[1:]
 for command, path in (("sweep", sweep), ("classify", classify)):
     assert cli.main([command, path, "--out", out]) == 0, command
     assert not any(map(executed, LAYERS)), command
+# the band and the default delta are pure math
+st = pvstab.EquilibriumState(H_hat_t=(1.0, 0.0), Hv_hat_t=(2.0, 0.0), E1_hat=0.3)
+assert cli.margin_band(st, 1e-9, None) == cli.margin_band(st, 1e-9, pvstab.default_delta(st))
+assert not any(map(executed, LAYERS))
 assert cli.main(["roots", classify, "--out", out]) == 0
 assert [executed(name) for name in LAYERS] == [True, True, False, False]
 assert cli.main(["modes", classify, "--out", out]) == 0
 assert executed("pvstab.modes")
 assert pvstab.scan_directions is pvstab.dispersion.scan_directions
+assert pvstab.default_delta is pvstab.dispersion.default_delta
 from pvstab import dispersion, modes, oracle, state
 numpy = sys.modules["numpy"]
 for module in (state, dispersion, modes, oracle, cli):
@@ -1572,9 +1668,10 @@ print("ok")
 
 class TestStartup:
     def test_sweep_and_classify_never_load_numpy(self, tmp_path):
-        # sweep and classify compute in math alone and load neither numpy
-        # nor dispersion, modes or oracle; roots loads numpy and dispersion,
-        # and modes the mode layer, so the check is shown to see a load
+        # sweep, classify and margin_band compute in math alone and load
+        # neither numpy nor dispersion, modes or oracle; roots loads numpy
+        # and dispersion, and modes the mode layer, so the check is shown to
+        # see a load
         sweep = _write(tmp_path, SWEEP, "sweep.scn")
         classify = _write(tmp_path, EPS_SWEEP, "classify.scn")
         assert _child("-c", _STARTUP, sweep, classify, str(tmp_path / "out")) == "ok\n"

@@ -15,7 +15,10 @@ corpus of scenario files:
   three states and, cross-checked, over the constant-F one alone;
 * sweeps whose outer axis rejects whole blocks by a cell the inner axis does
   not set (eps*|sigma| >= 1, |H2| or |Hv2| past the bound 1e50, eps past 0
-  and 1), with inner points past the bound too.
+  and 1), with inner points past the bound too;
+* E1 axes across sqrt(F_min) inside the transitional band, on the constant-F
+  and the generic state, below a v2 axis, cross-checked and not, so that the
+  block's one-pass verdict reaches its transitional branch.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +99,15 @@ def corpus_texts() -> dict[str, str]:
                                ("eps", ("eps", -0.5, 1.5, 5), wide)):
         texts[f"shared_rejected_{name}"] = (bases[0] + sigma + _axis(*outer)
                                             + _axis(*inner))
+    # margins from -2 tol_eq to 2 tol_eq: the middle points are transitional
+    from pvstab.criterion import threshold_values
+
+    for name, base, fields in (("constant_F", bases[1], (1.0, 0.0, 0.0, 1.0)),
+                               ("generic", bases[2], (1.1, 0.4, -0.6, 1.3))):
+        f_min, _, _, _, tol_eq = threshold_values(*fields)
+        band = _axis("E1", math.sqrt(f_min - 2 * tol_eq), math.sqrt(f_min + 2 * tol_eq), 9)
+        texts[f"band_{name}"] = base + _axis("v2", -1.0, 1.0, 3) + band
+        texts[f"band_{name}_checked"] = texts[f"band_{name}"] + checked
     return texts
 
 
