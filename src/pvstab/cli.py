@@ -31,10 +31,14 @@ read: an error row, a ``classify`` record, a state to scan.  ``classify``,
 and ``sweep`` without ``cross_check``, write the rows of a block as one
 string before they build the next, so they hold at most one block.  CSV
 cells are spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a
-block's valid rows from one template, filled from its columns, in which
-only the cells a row does not share with its block are left open;
-``roots`` joins its rows from a segment per direction and a tail per
-half-disk into one string.
+block's valid rows from one template, the cells they share split into
+literal pieces at the cells a row does not share with its block: each row
+joins those pieces with its own cells, spelled from the block's columns.
+``roots`` spells its rows from a segment per direction and a tail per
+half-disk.  A command writes strings to any object with ``write`` and
+``writelines``; `main` holds them as written, one copy of the output (about
+230 bytes a sweep row), and writes them out with one ``writelines`` once
+the command has succeeded, so that a failed run writes nothing.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
 (state, direction) pair per unstable point), which they give a delta and
@@ -57,12 +61,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import Iterator, TextIO
 
 from . import criterion, dispersion, modes
@@ -82,8 +85,8 @@ SWEEP_PARAMETERS = tuple(_SWEPT_COLUMNS)
 
 BLOCK_POINTS = 1024             # grid points validated, classified and written at a time
 # Largest number of points a grid may have, and of states validate may
-# judge: the output is held until the run succeeds, about 230 bytes a sweep
-# row.
+# judge: the output is held, once, as the chunks a command writes, until the
+# run succeeds; about 230 bytes a sweep row, so 2.3 GB for a grid this size.
 MAX_GRID_POINTS = 10 ** 7
 
 _MODE_N = (1, 10, 100)
@@ -445,14 +448,14 @@ def _checked(scenario: Scenario):
     `criterion.threshold_values` row they were decided on.  When the swept
     columns leave the fields fixed (`_fields_fixed`), the valid points of a
     block share one threshold row, evaluated once; otherwise each has its
-    own.  Their verdicts take one pass over their E1 values
-    (`criterion.verdict_values`).  A generator, so that a command can write
-    a block before the next is built.
+    own.  Their verdicts take one pass over the E1^2 values that
+    `check_block` squared (`criterion.verdict_values`).  A generator, so
+    that a command can write a block before the next is built.
     """
     coeff = scenario.analysis.tol_eq
     for block in scenario.grid():
-        checks, rejected = check_block(block.record, block.swept, block.columns)
-        n, e1 = len(checks), block.column(6)
+        checks, rejected, e1sq = check_block(block.record, block.swept, block.columns)
+        n = len(checks)
         valid = [k for k, c in enumerate(checks) if type(c) is list] if rejected else range(n)
         if _fields_fixed(block.swept):
             thresholds = [threshold_values(*block.record[2:6], coeff)] * len(valid) if valid else []
@@ -460,7 +463,7 @@ def _checked(scenario: Scenario):
             fields = list(zip(*map(block.column, (2, 3, 4, 5))))
             thresholds = [threshold_values(*fields[k], coeff) for k in valid]
         parts = (*verdict_values(
-            [e1[k] for k in valid] if rejected else e1, thresholds,
+            [e1sq[k] for k in valid] if rejected else e1sq, thresholds,
             lambda j: EquilibriumState.from_values(*block.values(valid[j]))), thresholds)
         if rejected:    # None at the rejected points
             at = dict(zip(valid, range(n)))
@@ -530,7 +533,7 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
                         "inclusion\n")
                 rows += [f"{head}{count},{z.real!r},{z.imag!r},{res!r},{tail}"
                          for z, res in zip(roots, residuals)] or [f"{head}{count},,,,{tail}"]
-    out.write("".join(rows))
+    out.writelines(rows)
     return _status(len(points), len(points) - len(valid))
 
 
@@ -645,12 +648,12 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
                     cls = criterion.Classification.from_parts(*part)
                     judged.append((st, cls, margin_band(st, cls.tol_eq, analysis.delta)))
         judgements = judge_verdicts(judged, analysis)
-    # A block's valid rows are spelled from one template: its first valid
-    # row with the cells below left open.  Each row fills in its index, the
-    # inner coordinate, the record cells the inner parameter sets, verdict,
-    # margin and G, the other criterion cells when the fields move, and the
-    # cross_check/error tail, from the block's columns; every other cell is
-    # the block's.
+    # A block's valid rows are spelled from one template: a row of the cells
+    # they share, split into its literal pieces where the cells below are
+    # left open.  Each row joins those pieces with its own cells, spelled a
+    # column at a time: its index, the inner coordinate, the record cells the
+    # inner parameter sets, verdict, margin and G, the other criterion cells
+    # when the fields move, and the cross_check/error tail.
     swept = _SWEPT_COLUMNS[scenario.sweeps[-1].parameter]
     n = len(scenario.sweeps)
     crit = n + 10                   # the column of the verdict
@@ -665,43 +668,53 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     axis = list(map(repr, scenario.sweeps[-1].values()))
     n_points = n_failed = 0
     for block, checks, verdicts, margins, Gs, thresholds in blocks:
-        rows, template, start = [], None, block.start
-        a, b = block.column(i), block.column(i + 1)
+        start, size = block.start, len(block)
         lo = start % len(axis)
-        for index, x, verdict, margin, G in zip(count(start), axis[lo:lo + len(block)],
-                                                verdicts, margins, Gs):
-            if verdict is None:
-                k = index - start
-                rows.append(line([index, *block.outer, x, *block.values(k), *[None] * 10,
-                                  checks[k]]))
-                n_failed += 1
-                continue
-            if template is None:
-                k = index - start
-                cells = [index, *block.outer, x, *block.values(k), verdict, margin,
-                         *thresholds[k][:3], G, thresholds[k][3]]
-                template = line([_OPEN if j in own else c for j, c in enumerate(cells)]
-                                + tail).replace("%", "%%").replace(_OPEN, "%s")
-            g = "" if G is None else repr(G)
-            if fixed:       # the inner record cell is the coordinate
-                cells = (index, x, x, verdict._value_, repr(margin), g)
-            else:
-                k = index - start
-                f_min, w2, w3, degenerate, _ = thresholds[k]
-                cells = (index, x, repr(a[k]), repr(b[k]), verdict._value_, repr(margin),
-                         repr(f_min), repr(w2), repr(w3), g, str(degenerate))
+        xs = axis[lo:lo + size]
+        keep = [v is not None for v in verdicts] if None in verdicts else None
+        # the columns of the valid points
+        valid = [range(start, start + size), xs, verdicts, margins, Gs, thresholds]
+        if not fixed:
+            valid += (block.column(i), block.column(i + 1))
+        if keep:
+            valid = [list(compress(column, keep)) for column in valid]
+        indices, coords, vs, ms, gs, ts, *fields = valid
+        rows = []
+        if vs:
+            cells = [None, *block.outer, None, *block.record, None, None, *ts[0][:3], None,
+                     ts[0][3]]
+            pieces = line([_OPEN if j in own else c for j, c in enumerate(cells)]
+                          + tail).split(_OPEN)
+            spelled = [map(str, indices), coords]
+            spelled += [coords] if fixed else [map(repr, column) for column in fields]
+            spelled += [[v._value_ for v in vs], map(repr, ms)]
+            if not fixed:
+                spelled += [[repr(t[c]) for t in ts] for c in range(3)]
+            spelled.append(["" if G is None else repr(G) for G in gs])
+            if not fixed:
+                spelled.append([str(t[3]) for t in ts])
             if cross_check:
-                checked, error = next(judgements), None
-                if isinstance(checked, PvstabError):
-                    checked, error = (None, None, None), str(checked)
-                    n_failed += 1
-                else:
-                    summary, agree = checked    # agree None (empty cell): undecided
-                    checked = summary.numerically_unstable, summary.max_re_s, agree
-                cells += (line([*checked, error])[:-1],)
-            rows.append(template % cells)
+                checked = []
+                for judged in islice(judgements, len(vs)):
+                    if isinstance(judged, PvstabError):
+                        checked.append(line([None, None, None, str(judged)])[:-1])
+                        n_failed += 1
+                    else:
+                        summary, agree = judged     # agree None (empty cell): undecided
+                        checked.append(line([summary.numerically_unstable, summary.max_re_s,
+                                             agree, None])[:-1])
+                spelled.append(checked)
+            rows = list(map("".join, zip(*chain.from_iterable(zip(map(repeat, pieces), spelled)),
+                                         repeat(pieces[-1]))))
+        if keep:        # an error row at each rejected point
+            valid_rows = iter(rows)
+            rows = [next(valid_rows) if good
+                    else line([start + k, *block.outer, xs[k], *block.values(k), *[None] * 10,
+                               checks[k]])
+                    for k, good in enumerate(keep)]
+            n_failed += keep.count(False)
         out.write("".join(rows))
-        n_points += len(block)
+        n_points += size
     return _status(n_points, n_failed)
 
 
@@ -841,6 +854,13 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
 # entry point
 
 
+class _Held(list):
+    """The strings a command writes, held in order, each as it was written,
+    until the command has succeeded: the one copy of its output."""
+    write = list.append
+    writelines = list.extend
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # exit 1, not argparse's 2: that is the gate's code
         self.print_usage(sys.stderr)
@@ -868,7 +888,7 @@ def main(argv=None) -> int:
     if args.seed < 0:
         _PARSER.error(f"argument --seed: must be non-negative, got {args.seed}")
 
-    out = io.StringIO()     # written out once the command has succeeded
+    out = _Held()
     try:
         scenario = parse_scenario(args.scenario)
         for warning in scenario.warnings:
@@ -876,10 +896,10 @@ def main(argv=None) -> int:
         code = (cmd_validate(scenario, out, args.seed) if args.command == "validate"
                 else _COMMANDS[args.command](scenario, out))
         if args.out == "-":
-            sys.stdout.write(out.getvalue())
+            sys.stdout.writelines(out)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out.getvalue())
+                fh.writelines(out)
     except (OSError, ScenarioParseError) as err:
         print(f"pvstab: {err}", file=sys.stderr)
         return 1

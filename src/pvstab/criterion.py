@@ -150,19 +150,19 @@ def threshold_values(H2: float, H3: float, Hv2: float, Hv3: float,
     return f_min, w2, w3, degenerate, coeff * (1.0 + H_sq + Hv_sq)
 
 
-def verdict_values(E1: list[float], thresholds: list[tuple],
+def verdict_values(E1sq: list[float], thresholds: list[tuple],
                    state: Callable[[int], EquilibriumState]) -> tuple[list, list, list]:
-    """The E1 part of the criterion for points whose E1 values are ``E1``,
-    each given the `threshold_values` row of its fields in ``thresholds``
-    (one row, repeated, for points that share them).
+    """The E1 part of the criterion for points whose squared E1 values
+    (``E1 ** 2``) are ``E1sq``, each given the `threshold_values` row of its
+    fields in ``thresholds`` (one row, repeated, for points that share them).
 
     Returns their verdicts, margins and Gs, a list each in the order of
-    ``E1``: margin = E1^2 - f_min decides the verdict against tol_eq (see
+    ``E1sq``: margin = E1^2 - f_min decides the verdict against tol_eq (see
     `classify`), and G, the sign quantity of the transitional band, is None
     outside it.  Only the points inside the band are read whole, as
     ``state(k)`` for the k-th.
     """
-    margins = [e ** 2 - t[0] for e, t in zip(E1, thresholds)]
+    margins = [e - t[0] for e, t in zip(E1sq, thresholds)]
     unstable, stable = Verdict.VIOLENTLY_UNSTABLE, Verdict.NEUTRALLY_STABLE
     verdicts = [unstable if m > t[4] else stable if m < -t[4] else None
                 for m, t in zip(margins, thresholds)]
@@ -254,5 +254,6 @@ def classify(state: EquilibriumState, tol_eq: float | None = None) -> Classifica
     threshold = threshold_values(*state.H_hat_t, *state.Hv_hat_t)
     if tol_eq is not None:
         threshold = (*threshold[:4], tol_eq)
-    (verdict,), (margin,), (G,) = verdict_values([state.E1_hat], [threshold], lambda _: state)
+    (verdict,), (margin,), (G,) = verdict_values([state.E1_hat ** 2], [threshold],
+                                                 lambda _: state)
     return Classification.from_parts(verdict, margin, G, threshold)

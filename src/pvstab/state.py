@@ -238,11 +238,13 @@ def block_values(record: tuple, swept: tuple[int, ...], columns: list[list], k: 
 
 
 def check_block(record: tuple, swept: tuple[int, ...],
-                columns: list[list]) -> tuple[list, list[int]]:
-    """`check_values` of each point of a block, and the positions of the
-    points it rejects.  A point has the float record values ``record`` with
-    the cells of the columns ``swept`` (sigma only with eps) set to its own,
-    one list per column of ``swept`` in ``columns``.
+                columns: list[list]) -> tuple[list, list[int], list[float]]:
+    """`check_values` of each point of a block, the positions of the points
+    it rejects, and the E1^2 of each point, which the criterion reads too
+    (`criterion.verdict_values`; only meaningful at a point it accepts).  A
+    point has the float record values ``record`` with the cells of the
+    columns ``swept`` (sigma only with eps) set to its own, one list per
+    column of ``swept`` in ``columns``.
 
     The cells outside ``swept`` are checked once, then each swept column in
     one pass; a point that fails either is rejected by `check_values` on its
@@ -252,7 +254,7 @@ def check_block(record: tuple, swept: tuple[int, ...],
     n = len(columns[0])
     if not _shared_cells_hold(record, swept):
         return ([check_values(*block_values(record, swept, columns, k)) for k in range(n)],
-                list(range(n)))
+                list(range(n)), [0.0] * n)
     cells = dict(zip(swept, columns))
     passes = [_bounded(cells[c]) for c in swept if c < 7]
     if 7 in cells:
@@ -264,7 +266,7 @@ def check_block(record: tuple, swept: tuple[int, ...],
                  for c, column in cells.items()}
     # E1^2, |Hv|^2 and the warning lists per point, or the block's one value
     e1, hv2, hv3, eps = (cells.get(c) or repeat(record[c], n) for c in (6, 4, 5, 7))
-    e1sq = [e ** 2 for e in e1] if 6 in cells else repeat(record[6] ** 2, n)
+    e1sq = [e ** 2 for e in e1] if 6 in cells else [record[6] ** 2] * n
     hvsq = ([a ** 2 + b ** 2 for a, b in zip(hv2, hv3)] if 4 in cells or 5 in cells
             else repeat(record[4] ** 2 + record[5] ** 2, n))
     lists = map(_warning_lists, eps) if 7 in cells else repeat(_warning_lists(record[7]), n)
@@ -272,7 +274,7 @@ def check_block(record: tuple, swept: tuple[int, ...],
                for a, b, w in zip(e1sq, hvsq, lists)]
     for k in rejected:
         checked[k] = check_values(*block_values(record, swept, columns, k))
-    return checked, rejected
+    return checked, rejected, e1sq
 
 
 def _default_radius(state: EquilibriumState) -> float:

@@ -16,7 +16,7 @@ from pvstab.cli import (_SWEPT_COLUMNS, MAX_GRID_POINTS, SWEEP_PARAMETERS, Sweep
                         sample_validation_state)
 from pvstab.dispersion import default_delta, default_region, root_radius_bound
 from pvstab.criterion import threshold_values
-from pvstab.errors import ScenarioParseError
+from pvstab.errors import PvstabError, ScenarioParseError
 from pvstab.oracle import eigen_fmin
 from pvstab.state import EquilibriumState, block_values, check_values, validate_state
 
@@ -1191,6 +1191,112 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
     header = 2 if command is cmd_sweep else 0
     assert lines == [header + 8 * k for k in range(6)]
     assert writes[-6:] == sizes and sum(writes) == header + 41
+
+
+# a rejected point (eps = 0), warnings, and unstable points for roots and modes
+_EVERY_COMMAND = ("[state]\nH2 = 1\nHv2 = 2\nE1 = 0.3\nv2 = 0.5\n"
+                  "[sweep]\nparameter = eps\nmin = 0\nmax = 0.02\nsteps = 3\n"
+                  "[analysis]\nn_dirs = 8\nsample = 4\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "roots", "modes", "sweep", "validate"])
+def test_out_file_and_stdout_bytes_agree(tmp_path, command):
+    import pvstab
+
+    path, out = _write(tmp_path, _EVERY_COMMAND), tmp_path / "out"
+    code = _run([command, path, "--out", str(out)])
+    env = {**os.environ, "PYTHONPATH": str(Path(pvstab.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "pvstab", command, path],
+                          capture_output=True, env=env)
+    assert proc.returncode == code
+    assert proc.stdout == out.read_bytes() and proc.stdout.count(b"\n") > 2
+
+
+class _Tee:
+    """Writes to ``out``, and keeps each string written in ``written``."""
+
+    def __init__(self, out, written):
+        self.out, self.written = out, written
+
+    def write(self, text):
+        self.written.append(text)
+        self.out.write(text)
+
+    def writelines(self, texts):
+        texts = list(texts)
+        self.written += texts
+        self.out.writelines(texts)
+
+
+class _Sink:
+    """A text file that keeps the sequences ``writelines`` was given."""
+
+    def __init__(self, handed):
+        self.handed = handed
+
+    def write(self, text):
+        raise AssertionError(f"write({text[:40]!r}...) called")
+
+    def writelines(self, texts):
+        self.handed.append(list(texts))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+@pytest.mark.parametrize("command, text", [("sweep", SWEEP), ("roots", MINIMAL)],
+                         ids=["sweep", "roots"])
+def test_main_hands_on_the_chunks_written(tmp_path, monkeypatch, command, text, to_file):
+    # the strings a command writes are written out as they are, in one
+    # writelines, with no joined copy of the output
+    import builtins
+
+    import pvstab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "BLOCK_POINTS", 8)
+    written, handed = [], []
+    run = cli_mod._COMMANDS[command]
+    monkeypatch.setitem(cli_mod._COMMANDS, command,
+                        lambda scenario, out: run(scenario, _Tee(out, written)))
+    argv = [command, _write(tmp_path, text)]
+    if to_file:
+        def spy(path, mode="r", **kwargs):
+            return _Sink(handed) if "w" in mode else builtins.open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "open", spy, raising=False)
+        argv += ["--out", str(tmp_path / "out")]
+    else:
+        monkeypatch.setattr(sys, "stdout", _Sink(handed))
+    assert main(argv) == 0
+    assert len(handed) == 1 and len(handed[0]) == len(written) >= 8
+    assert all(a is b for a, b in zip(handed[0], written))
+
+
+@pytest.mark.parametrize("case", ["parse", "no_sweep_block", "numerical"])
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_failed_run_writes_nothing(tmp_path, monkeypatch, capsys, case, command):
+    import pvstab.cli as cli_mod
+
+    text, code = {"parse": ("[state]\nH2 = abc\n", 1),
+                  "no_sweep_block": (MINIMAL, 1 if command == "sweep" else 0),
+                  "numerical": (SWEEP, 3)}[case]
+    if case == "numerical":     # rows are written, then the run fails
+        grid = cli_mod.Scenario.grid
+
+        def failing(self):
+            yield next(grid(self))
+            raise PvstabError("failed after a block")
+
+        monkeypatch.setattr(cli_mod, "BLOCK_POINTS", 8)
+        monkeypatch.setattr(cli_mod.Scenario, "grid", failing)
+    out = tmp_path / "out"
+    assert _run([command, _write(tmp_path, text), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert capsys.readouterr().out == ""
 
 
 _SWEEP_RANGES = {"E1": (-2.0, 3.0), "angle_alpha": (0.0, math.pi), "H_mag": (-1.0, 2.0),

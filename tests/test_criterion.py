@@ -389,7 +389,7 @@ def test_classify_is_the_kernel_row(s, tol_eq):
     f_min, w2, w3, degenerate, band = threshold_values(*s.H_hat_t, *s.Hv_hat_t)
     tol = band if tol_eq is None else tol_eq
     (verdict,), (margin,), (G,) = verdict_values(
-        [s.E1_hat], [(f_min, w2, w3, degenerate, tol)], lambda _: s)
+        [s.E1_hat ** 2], [(f_min, w2, w3, degenerate, tol)], lambda _: s)
     row = (verdict, margin, f_min, w2, w3, G, degenerate, tol)
     assert list(map(repr, row)) == list(map(repr, _former_row(s, tol_eq)))
     c = classify(s, tol_eq=tol_eq)

@@ -23,8 +23,10 @@ corpus of scenario files:
 Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
 distinct ``[analysis]`` block (the only part of a scenario it reads).  Each
-run uses the ``src/`` of each tree, as ``python -m pvstab`` subprocesses.
-Each difference in stdout, stderr or exit code is printed, with the first
+run uses the ``src/`` of each tree, as ``python -m pvstab`` subprocesses,
+twice: once writing to stdout and once with ``--out FILE``, as the
+benchmark runs it.  Each difference in stdout, stderr, exit code or the
+bytes of the ``--out`` file (or its absence) is printed, with the first
 differing line of each side (cut to SHOWN characters) and, when both are
 JSON records, the keys whose values differ; the exit code is 1 if there is
 any difference, else 0.
@@ -142,11 +144,20 @@ def corpus_runs(workdir: Path) -> list[tuple[str, tuple[str, ...]]]:
     return runs
 
 
-def run(tree: Path, argv, cwd: Path) -> tuple[str, str, int]:
+def run(tree: Path, argv, cwd: Path, out: Path) -> dict:
+    """What the run ``argv`` of ``tree`` gives: its stdout, stderr and exit
+    code, and those of the same run with ``--out out`` and the bytes of that
+    file (None when the run wrote none)."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-m", "pvstab", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True)
-    return proc.stdout, proc.stderr, proc.returncode
+    found = {}
+    for label, extra in (("", ()), ("--out ", ("--out", str(out)))):
+        proc = subprocess.run([sys.executable, "-m", "pvstab", *argv, *extra], cwd=cwd,
+                              env=env, capture_output=True)
+        found.update({f"{label}stdout": proc.stdout, f"{label}stderr": proc.stderr,
+                      f"{label}exit code": proc.returncode})
+    found["--out file"] = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return found
 
 
 def _shown(lines: list[str], at: int) -> str:
@@ -170,24 +181,29 @@ def _differing_keys(a: str, b: str) -> list[str] | None:
                   if k not in x or k not in y or json.dumps(x[k]) != json.dumps(y[k]))
 
 
-def differences(ours, theirs) -> list[str]:
+def differences(ours: dict, theirs: dict) -> list[str]:
     out = []
-    for label, a, b in zip(("stdout", "stderr"), ours, theirs):
-        if a != b:
-            lines_a, lines_b = a.splitlines(), b.splitlines()
-            at = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
-                      min(len(lines_a), len(lines_b)))
-            text = (f"{label} differs from line {at + 1} "
-                    f"({len(lines_a)} lines here, {len(lines_b)} at the reference)\n"
-                    f"    here:      {_shown(lines_a, at)}\n"
-                    f"    reference: {_shown(lines_b, at)}")
-            if at < min(len(lines_a), len(lines_b)):
-                keys = _differing_keys(lines_a[at], lines_b[at])
-                if keys is not None:
-                    text += f"\n    keys that differ: {', '.join(keys) or 'none'}"
-            out.append(text)
-    if ours[2] != theirs[2]:
-        out.append(f"exit code {ours[2]} here, {theirs[2]} at the reference")
+    for label, a in ours.items():
+        b = theirs[label]
+        if a == b:
+            continue
+        if not (isinstance(a, bytes) and isinstance(b, bytes)):
+            out.append(f"{label} {'no file' if a is None else a} here, "
+                       f"{'no file' if b is None else b} at the reference")
+            continue
+        lines_a = a.decode("utf-8", "replace").splitlines()
+        lines_b = b.decode("utf-8", "replace").splitlines()
+        at = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                  min(len(lines_a), len(lines_b)))
+        text = (f"{label} differs from line {at + 1} "
+                f"({len(lines_a)} lines here, {len(lines_b)} at the reference)\n"
+                f"    here:      {_shown(lines_a, at)}\n"
+                f"    reference: {_shown(lines_b, at)}")
+        if at < min(len(lines_a), len(lines_b)):
+            keys = _differing_keys(lines_a[at], lines_b[at])
+            if keys is not None:
+                text += f"\n    keys that differ: {', '.join(keys) or 'none'}"
+        out.append(text)
     return out
 
 
@@ -209,12 +225,13 @@ def main(argv=None) -> int:
         start = time.perf_counter()
 
         def compare(item):
-            _, argv = item
-            return differences(run(ROOT, argv, tmp), run(tmp / "ref", argv, tmp))
+            k, (_, argv) = item
+            return differences(run(ROOT, argv, tmp, tmp / f"out_{k}_here"),
+                               run(tmp / "ref", argv, tmp, tmp / f"out_{k}_ref"))
 
         n_diff = 0
         with ThreadPoolExecutor(WORKERS) as pool:
-            for (name, _), found in zip(runs, pool.map(compare, runs)):
+            for (name, _), found in zip(runs, pool.map(compare, enumerate(runs))):
                 for line in found:
                     print(f"{name}: {line}")
                 n_diff += bool(found)
