@@ -50,8 +50,7 @@ def main():
     print()
     print("scan over directions (neutral state): all counts must be zero")
     scan = pv.scan_directions(NEUTRAL, n_dirs=16)
-    counts = [scan.count[p] for p, _ in scan.fold]
-    print(f"  counts = {counts}")
+    print(f"  counts = {scan.count}")
     print(f"  numerically unstable: {scan.numerically_unstable}")
 
 

@@ -42,9 +42,9 @@ the command has succeeded, so that a failed run writes nothing.
 ``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
 as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
 (state, direction) pair per unstable point), which they give a delta and
-never a region, and read the counts by position from the lists of a
-``StateCounts``.  ``validate`` sends its draws through `_checked` too and
-classifies, bands and records each one once as it is drawn.
+never a region, and read the lists of a ``StateCounts``, an item per
+direction, side by side.  ``validate`` sends its draws through `_checked`
+too and classifies, bands and records each one once as it is drawn.
 ``sweep`` with ``cross_check`` and ``validate`` judge the closed-form
 verdict against a root scan by one rule (`judge_verdicts`): undecided
 inside `margin_band`, an error when any scanned direction failed.  A state
@@ -422,16 +422,12 @@ def _csv_rows(out: TextIO, columns):
     that spells a row, a list of cells in column order, as one line.
 
     The line reads as ``csv.writer`` writes it (`_cell`; a row of one empty
-    cell is ``""``), but the repr of each distinct float is computed once per
-    table.  Zeros and NaN are spelled each time (-0.0 == 0.0 would share a
-    key, and NaN never matches one).
+    cell is ``""``).
     """
     out.write("# pvstab-csv v1\n")
-    reprs = _Memo(repr)
 
     def line(row, cell=_cell):
-        return (",".join([reprs[c] if type(c) is float and c and c == c
-                          else "" if c is None else cell(c) for c in row])
+        return (",".join(["" if c is None else cell(c) for c in row])
                 or ('""' if row else "")) + "\n"
 
     out.write(line(columns))
@@ -520,17 +516,17 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
             continue
         scan = next(scans)
         segments = segments or [f"{d.omega2!r},{d.omega3!r}," for d in scan.directions[:-2]]
-        for seg, (p, flip) in zip(segments + [f"{d.omega2!r},{d.omega3!r},"
-                                              for d in scan.directions[-2:]], scan.fold):
-            head, count = f"{index},{seg}", scan.count[p]
+        for seg, count, delta, radius, error, located in zip(
+                segments + [f"{d.omega2!r},{d.omega3!r}," for d in scan.directions[-2:]],
+                scan.count, scan.delta, scan.radius, scan.error, scan.located):
+            head = f"{index},{seg}"
             if count is None:
-                rows.append(f"{head},,,,,,,{_cell(scan.error[p])},,\n")
-            elif scan.located[p] is None:
-                rows.append(f"{head}{count},,,,{tails[scan.delta[p], scan.radius[p]]}")
+                rows.append(f"{head},,,,,,,{_cell(error)},,\n")
+            elif located is None:
+                rows.append(f"{head}{count},,,,{tails[delta, radius]}")
             else:
-                roots, residuals, flags = scan.found(p, flip)
-                tail = (f"{scan.delta[p]!r},{scan.radius[p]!r},,,{_cell('; '.join(flags))},"
-                        "inclusion\n")
+                roots, residuals, flags = located
+                tail = f"{delta!r},{radius!r},,,{_cell('; '.join(flags))},inclusion\n"
                 rows += [f"{head}{count},{z.real!r},{z.imag!r},{res!r},{tail}"
                          for z, res in zip(roots, residuals)] or [f"{head}{count},,,,{tail}"]
     out.writelines(rows)
@@ -560,17 +556,30 @@ def _expected_growth(state: EquilibriumState, cls):
 
 def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
-    # per point to report, in index order: the error that rejected it, or the
-    # state, classification and delta, and the position of the direction to
-    # locate among the located pairs (None where no growth is expected)
-    jobs: list[tuple[int, PvstabError | tuple]] = []
-    states, directions, deltas = [], [], []     # the pairs to locate
-    n_points = 0
+    # per point to report, in index order: its JSON lines, None while its
+    # pair (state, direction of growth) waits to be located
+    rows: list[str | None] = []
+    pairs, directions, deltas = [], [], []     # the pairs to locate: (index, state, cls)
+    n_points = n_failed = 0
+
+    def error(index, text):
+        nonlocal n_failed
+        n_failed += 1
+        return _json_line({"index": index, "error": text})
+
+    def no_root(index, state, cls, delta):
+        # no root in the direction of growth: undecidable inside the band
+        band = margin_band(state, cls.tol_eq, delta)
+        text = (f"no root located in the direction of growth; margin "
+                f"{cls.margin:.6g}, band {band:.6g}")
+        return (_json_line({"index": index, "note": text}) if abs(cls.margin) <= band
+                else error(index, text))
+
     for block, *lists in _checked(scenario):
         n_points += len(block)
         for index, _, values, check, *part in block.points(*lists):
             if part[0] is None:
-                jobs.append((index, StateValidationError(check)))
+                rows.append(error(index, check))
                 continue
             if not part[0].is_unstable:
                 continue
@@ -578,51 +587,32 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
             cls = criterion.Classification.from_parts(*part)
             expected, direction = _expected_growth(state, cls)
             delta = default_delta(state, analysis.delta)
-            p = None
             if expected > 0.0:
-                delta, p = min(delta, 0.3 * expected), len(states)
-                states.append(state)
+                rows.append(None)
+                pairs.append((index, state, cls))
                 directions.append(direction)
-                deltas.append(delta)
-            jobs.append((index, (state, cls, delta, p)))
-    counts = dispersion.locate_roots(states, directions, deltas)
-    # per job: an error, a note, or the flags of the root whose modes to build
-    outcomes, found = [], []
-    for index, job in jobs:
-        if isinstance(job, PvstabError):
-            outcomes.append((index, job))
-            continue
-        state, cls, delta, p = job
-        located = None if p is None else counts.located[p]
-        if p is not None and counts.count[p] is None:
-            outcomes.append((index, PvstabError(counts.error[p])))
+                deltas.append(min(delta, 0.3 * expected))
+            else:
+                rows.append(no_root(index, state, cls, delta))
+    counts = dispersion.locate_roots([st for _, st, _ in pairs], directions, deltas)
+    waiting = [k for k, row in enumerate(rows) if row is None]
+    jobs, growing = [], []      # per pair with a root: its job, and its row and flags
+    for k, (index, state, cls), direction, delta, count, text, located in zip(
+            waiting, pairs, directions, deltas, counts.count, counts.error, counts.located):
+        if count is None:
+            rows[k] = error(index, text)
         elif located and located[0]:
             roots, _, flags = located
-            found.append((state, max(roots, key=lambda z: z.real), counts.directions[p]))
-            outcomes.append((index, flags))
+            jobs.append((state, max(roots, key=lambda z: z.real), direction))
+            growing.append((k, index, {"flags": list(flags)} if flags else {}))
         else:
-            # no root in the direction of growth: undecidable inside the band
-            band = margin_band(state, cls.tol_eq, delta)
-            text = (f"no root located in the direction of growth; margin "
-                    f"{cls.margin:.6g}, band {band:.6g}")
-            outcomes.append((index, text if abs(cls.margin) <= band else PvstabError(text)))
-    built = modes.mode_records(found, _MODE_N, _MODE_T, analysis.decay_p)
-    n_failed = n_written = 0     # error rows; mode records and notes
-    for index, outcome in outcomes:
-        if isinstance(outcome, tuple):      # the flags of a root
-            flags, outcome = outcome, next(built)
-            if not isinstance(outcome, PvstabError):
-                extra = {"flags": list(flags)} if flags else {}
-                out.writelines(_json_line({"index": index, **rec, **extra}) for rec in outcome)
-                n_written += len(outcome)
-                continue
-        if isinstance(outcome, PvstabError):
-            out.write(_json_line({"index": index, "error": str(outcome)}))
-            n_failed += 1
-        else:
-            out.write(_json_line({"index": index, "note": outcome}))
-            n_written += 1
-    if not n_written:
+            rows[k] = no_root(index, state, cls, delta)
+    for (k, index, extra), built in zip(growing, modes.mode_records(
+            jobs, _MODE_N, _MODE_T, analysis.decay_p)):
+        rows[k] = (error(index, str(built)) if isinstance(built, PvstabError) else
+                   "".join([_json_line({"index": index, **rec, **extra}) for rec in built]))
+    out.writelines(rows)
+    if n_failed == len(rows):
         out.write(_json_line({"note": "no unstable state/direction found; "
                                       "no modes to dump"}))
     return _status(n_points, n_failed)
@@ -835,8 +825,8 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
             rec.update(numeric_unstable=summary.numerically_unstable,
                        max_re_s=summary.max_re_s, agree=agree)
             flags = [f"({d.omega2:.6g}, {d.omega3:.6g}): {flag}"
-                     for d, (p, _) in zip(summary.directions, summary.fold)
-                     if summary.located[p] for flag in summary.located[p][2]]
+                     for d, located in zip(summary.directions, summary.located)
+                     if located for flag in located[2]]
             if flags:
                 rec["flags"] = flags
             n_checked += 1

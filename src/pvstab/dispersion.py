@@ -21,9 +21,10 @@ Weierstrass disks about its roots certify every count
 a guess.  Newton polishes the roots.  Every count runs on (7, k) columns
 built from a table of the states and one of the directions
 (``_table_columns``), in batches of up to _MAX_BATCH.  Its one result is a
-``StateCounts``, which keeps counts, regions, errors and roots as lists and
-gives a direction's RootReport on demand: a scan (``scan_states``) counts
-one direction of each antipodal pair and reads the other by index, and
+``StateCounts``, which keeps counts, regions, errors and roots as lists with
+an item per direction and gives a direction's RootReport on demand: a scan
+(``scan_states``) counts one direction of each antipodal pair and gives the
+other its pair's items with the conjugate roots (``_antipode``), and
 ``locate_roots`` counts given (state, direction) pairs.  The evaluators of L
 unpack seven values, the rows of those columns or the floats of one
 ``LopatinskiContext``.  Independent cross-checks are in ``oracle``.
@@ -560,9 +561,10 @@ def _candidate_roots(cols, roots) -> list:
     # roundoff can put them at Re s > 0, where Newton cannot move them
     keep = (z.real > 0.0) & (np.abs(g) ** 2 > _BRANCH_POINT) & (
         np.abs(ag + bz) <= np.abs(ag - bz))
-    found, abs_l, scale = newton_refine(cols[:, keep], z[keep])
+    polished, abs_l, scale = newton_refine(cols[:, keep], z[keep])
     ends = np.searchsorted(j[keep], np.arange(len(roots) + 1))
-    return [(found[lo:hi], abs_l[lo:hi], scale[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
+    return [(polished[lo:hi], abs_l[lo:hi], scale[lo:hi])
+            for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 def _located(cols, roots, count, delta, radius) -> list:
@@ -575,9 +577,9 @@ def _located(cols, roots, count, delta, radius) -> list:
     """
     out = [None] * len(count)
     counted = [j for j, n in enumerate(count) if n]
-    for j, found in zip(counted, _candidate_roots(cols[:, counted], roots[counted])
-                        if counted else ()):
-        z, abs_l, scale = (a.tolist() for a in found)
+    for j, candidates in zip(counted, _candidate_roots(cols[:, counted], roots[counted])
+                             if counted else ()):
+        z, abs_l, scale = (a.tolist() for a in candidates)
         d, big, n = delta[j], radius[j], count[j]
         inside = sorted((i for i, s in enumerate(z) if s.real >= d and abs(s - d) <= big),
                         key=lambda i: (-z[i].real, z[i].imag))
@@ -596,17 +598,14 @@ def _count(cols, delta, radius) -> tuple:
 
 
 class StateCounts(NamedTuple):
-    """The one result of a count, as lists: per direction its fold, and per
-    position among the counted directions the lists of ``_count``.  A scan
-    (``scan_states``) counts one direction of each antipodal pair; the
-    antipode -omega' has the count, half-disk and flags of omega' and, as
-    L_{-omega'}(s) = conj(L_{omega'}(conj s)), the conjugate roots
-    (``found``).  ``locate_roots`` counts every direction, at its own
-    position.  ``report`` gives one direction's RootReport."""
+    """The one result of a count: the lists of ``_count``, an item per
+    direction.  A scan (``scan_states``) counts one direction of each
+    antipodal pair and gives the antipode its pair's items (``_antipode``);
+    ``locate_roots`` counts every direction.  ``report`` gives one
+    direction's RootReport."""
 
     directions: list        # a scan's n_dirs equispaced, the F-minimizer and its antipode
-    fold: list              # per direction: (position counted, whether the antipode)
-    count: list             # per position: the root count, None where it failed
+    count: list             # the root count, None where it failed
     delta: list             # the half-disk counted {Re s >= delta, |s - delta| <= radius}
     radius: list
     largest: list           # the largest inclusion disk of the count
@@ -619,31 +618,33 @@ class StateCounts(NamedTuple):
 
     @property
     def max_re_s(self) -> float | None:
-        return max((z.real for found in self.located if found for z in found[0]), default=None)
+        return max((z.real for loc in self.located if loc for z in loc[0]), default=None)
 
     @property
     def errors(self) -> list[str]:
         """The error text of each direction whose count failed, in order."""
-        return [self.error[p] for p, _ in self.fold if self.count[p] is None]
-
-    def found(self, p: int, flip: bool = False):
-        """The (roots, residuals, flags) located at position p (None where the
-        count is not positive), or those of its antipode when ``flip``."""
-        found = self.located[p]
-        if not (found and flip):
-            return found
-        pairs = sorted(zip((z.conjugate() for z in found[0]), found[1]),
-                       key=lambda q: (-q[0].real, q[0].imag))
-        return tuple(z for z, _ in pairs), tuple(res for _, res in pairs), found[2]
+        return [e for n, e in zip(self.count, self.error) if n is None]
 
     def report(self, k: int):
         """The RootReport of direction k (a count of 0 included), or the
         PvstabError that ended its count."""
-        p, flip = self.fold[k]
-        if self.count[p] is None:
-            return PvstabError(self.error[p])
-        return RootReport(HalfDiskRegion(self.delta[p], self.radius[p]), self.count[p],
-                          *(self.found(p, flip) or ((), (), ())), self.largest[p])
+        if self.count[k] is None:
+            return PvstabError(self.error[k])
+        return RootReport(HalfDiskRegion(self.delta[k], self.radius[k]), self.count[k],
+                          *(self.located[k] or ((), (), ())), self.largest[k])
+
+
+def _antipode(located):
+    """The (roots, residuals, flags) of the antipode -omega' of a direction
+    that has ``located`` (None stays None): as L_{-omega'}(s) =
+    conj(L_{omega'}(conj s)), the conjugate roots, sorted again by (-Re, Im)
+    with their residuals, and the same flags."""
+    if not located:
+        return located
+    roots, residuals, flags = located
+    pairs = sorted(zip((z.conjugate() for z in roots), residuals),
+                   key=lambda q: (-q[0].real, q[0].imag))
+    return tuple(z for z, _ in pairs), tuple(res for _, res in pairs), flags
 
 
 def locate_roots(states, directions, deltas) -> StateCounts:
@@ -652,20 +653,20 @@ def locate_roots(states, directions, deltas) -> StateCounts:
 
     Each count is in ``default_region(states[j], deltas[j])``.  Up to
     _MAX_BATCH pairs, of any states, are counted and located together.
-    Returns one StateCounts whose position j is pair j (no antipodes).
+    Returns one StateCounts whose direction j is pair j.
     """
     if not len(states) == len(directions) == len(deltas):
         raise ValueError(f"{len(states)} states, {len(directions)} directions and "
                          f"{len(deltas)} deltas")
     regions = [default_region(st, d) for st, d in zip(states, deltas)]
-    lists = [[] for _ in StateCounts._fields[2:]]      # count ... located, of all batches
+    lists = [[] for _ in StateCounts._fields[1:]]      # count ... located, of all batches
     for lo in range(0, len(states), _MAX_BATCH):
         part = slice(lo, lo + _MAX_BATCH)
         counts = _count(_table_columns(states[part], (), directions[part]),
                         [r.delta for r in regions[part]], [r.radius for r in regions[part]])
         for out, c in zip(lists, counts):
             out += c
-    return StateCounts(list(directions), [(j, False) for j in range(len(states))], *lists)
+    return StateCounts(list(directions), *lists)
 
 
 def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> RootReport:
@@ -702,19 +703,24 @@ def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     equispaced = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
     half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs      # equispaced ones counted
-    fold = [(k % half, k >= half) for k in range(n_dirs)] + [(half, False), (half, True)]
     per_batch = _MAX_BATCH // (half + 1)
     for lo in range(0, len(states), per_batch):
         group = states[lo:lo + per_batch]
         stars = [minimize_f(st).omega_star for st in group]
         regions = [default_region(st, delta) for st in group]
-        counts = _count(_table_columns(group, equispaced[:half], stars),
-                        np.repeat([r.delta for r in regions], half + 1),
-                        np.repeat([r.radius for r in regions], half + 1))
+        *counts, located = _count(_table_columns(group, equispaced[:half], stars),
+                                  np.repeat([r.delta for r in regions], half + 1),
+                                  np.repeat([r.radius for r in regions], half + 1))
         for j, star in enumerate(stars):
-            part = slice(j * (half + 1), (j + 1) * (half + 1))
+            # the counted directions at [first, last), the F-minimizer at last;
+            # an antipode takes its pair's items and the _antipode of its roots
+            first, last = j * (half + 1), (j + 1) * (half + 1) - 1
+            found = located[first:last]
+            antipodes = map(_antipode, found) if half < n_dirs else ()
             yield StateCounts(equispaced + [star, WaveDirection(-star.omega2, -star.omega3)],
-                              fold, *(c[part] for c in counts))
+                              *([*c[first:last] * (n_dirs // half), c[last], c[last]]
+                                for c in counts),
+                              [*found, *antipodes, located[last], _antipode(located[last])])
 
 
 def scan_directions(state: EquilibriumState, n_dirs: int = N_DIRS,
@@ -724,8 +730,9 @@ def scan_directions(state: EquilibriumState, n_dirs: int = N_DIRS,
     A state is numerically unstable iff some direction has a root with
     Re s >= ``delta`` (default: ``default_delta``), counted in a half-disk
     proven to hold every such root.  One direction of each antipodal pair is
-    counted and located, the other read by index (``StateCounts``); with an odd
-    ``n_dirs`` only the F-minimizer pair folds.  Per-direction failures are
-    recorded, not raised.  A batch of one of ``scan_states``.
+    counted and located, and the other has its count, half-disk and flags
+    and the conjugate roots (``_antipode``); with an odd ``n_dirs`` the
+    F-minimizer and its antipode are the only pair.  Per-direction failures
+    are recorded, not raised.  A batch of one of ``scan_states``.
     """
     return next(scan_states([state], n_dirs, delta))

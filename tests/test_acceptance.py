@@ -67,7 +67,7 @@ def test_collinear_scan_at_a_given_delta_is_unstable():
     assert summary.numerically_unstable
     assert summary.numerically_unstable == pv.classify(st).verdict.is_unstable
     assert summary.max_re_s > 0.05
-    assert {summary.report(k).region for k in range(len(summary.fold))} == {
+    assert {summary.report(k).region for k in range(len(summary.directions))} == {
         default_region(st, 0.05)}
 
 

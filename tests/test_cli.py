@@ -600,11 +600,11 @@ class TestSweepCrossCheck:
         from pvstab.state import WaveDirection
 
         def fake_counts(states, n_dirs=32, delta=None):
-            # two directions, each counted: the first failed, the second has no root
+            # two directions: the first failed, the second has no root
             for _ in states:
-                yield StateCounts([WaveDirection(1, 0), WaveDirection(0, 1)],
-                                  [(0, False), (1, False)], [None, 0], [None, 0.1],
-                                  [None, 10.0], [None, 0.0], ["boom", None], [None, None])
+                yield StateCounts([WaveDirection(1, 0), WaveDirection(0, 1)], [None, 0],
+                                  [None, 0.1], [None, 10.0], [None, 0.0], ["boom", None],
+                                  [None, None])
 
         monkeypatch.setattr(dispersion, "scan_states", fake_counts)
         out = tmp_path / "sweep.csv"
@@ -773,9 +773,9 @@ class TestModesCommand:
         def no_roots(states, directions, deltas):
             regions = [default_region(st, delta) for st, delta in zip(states, deltas)]
             n = len(regions)
-            return StateCounts(list(directions), [(j, False) for j in range(n)], [0] * n,
-                               [r.delta for r in regions], [r.radius for r in regions],
-                               [0.0] * n, [None] * n, [None] * n)
+            return StateCounts(list(directions), [0] * n, [r.delta for r in regions],
+                               [r.radius for r in regions], [0.0] * n, [None] * n,
+                               [None] * n)
 
         monkeypatch.setattr(dispersion, "locate_roots", no_roots)
         out = tmp_path / "modes.jsonl"
@@ -869,7 +869,7 @@ class TestValidateCommand:
 
         def fake_counts(states, n_dirs=32, delta=None):
             for _ in states:            # no direction, so no root anywhere
-                yield StateCounts(*[[]] * 8)
+                yield StateCounts(*[[]] * 7)
 
         monkeypatch.setattr(dispersion, "scan_states", fake_counts)
         text = "[state]\nH2 = 1.0\nHv2 = 2.0\nE1 = 0.3\n" \

@@ -96,11 +96,12 @@ def _command(tmp_path, states, n_dirs, delta) -> str:
     ("plain", 9), ("plain", 32), ("jittered", 32), ("jittered_empty", 32), ("failed", 32),
     ("flagged", 9), ("flagged", 32)])
 def test_roots_rows_equal_library_view(tmp_path, monkeypatch, case, n_dirs):
-    # n_dirs 9 is odd: only the F-minimizer pair folds.  At delta = CHORD the
-    # directions (0, +-1) of COLLINEAR are decided on jittered half-disks (on
-    # one that excludes the root when it is the only retry), or with no
-    # jittered retry are error rows; with no residual certifiable every
-    # located root is flagged, and so is its antipode's
+    # n_dirs 9 is odd: the F-minimizer and its antipode are the only pair
+    # counted once.  At delta = CHORD the directions (0, +-1) of COLLINEAR
+    # are decided on jittered half-disks (on one that excludes the root when
+    # it is the only retry), or with no jittered retry are error rows; with
+    # no residual certifiable every located root is flagged, and so is its
+    # antipode's
     delta = CHORD if case in ("jittered", "jittered_empty", "failed") else None
     if case == "failed":
         monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
@@ -143,7 +144,7 @@ def test_first_failure_of_judge_verdicts_is_the_library_view(monkeypatch):
     monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
     summary = scan_directions(COLLINEAR, 32, CHORD)
     [verdict] = cli.judge_verdicts(judged, analysis)
-    first = next(str(r) for r in map(summary.report, range(len(summary.fold)))
+    first = next(str(r) for r in map(summary.report, range(len(summary.directions)))
                  if isinstance(r, PvstabError))
     assert len(summary.errors) == 4 and isinstance(verdict, PvstabError)
     assert str(verdict) == f"4 direction(s) failed: {first}"

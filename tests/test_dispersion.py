@@ -36,7 +36,7 @@ def _counted(cols, regions) -> list:
     _, *counts = _algebraic_counts(cols, [r.delta for r in regions],
                                    [r.radius for r in regions])
     k = cols.shape[1]
-    scan = StateCounts([None] * k, [(j, False) for j in range(k)], *counts, [None] * k)
+    scan = StateCounts([None] * k, *counts, [None] * k)
     return [scan.report(j) for j in range(k)]
 
 
@@ -382,6 +382,12 @@ class TestCountAgainstBruteForce:
             checked += 1
 
 
+def _is_antipode(k, n_dirs):
+    # whether direction k of a scan of n_dirs is the antipode of one it counts
+    half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
+    return half <= k < n_dirs or k == n_dirs + 1
+
+
 def _record(report, antipode):
     # (count, region, error) and, unless the direction is an antipode (whose
     # roots a scan conjugates), the bytes of its roots and residuals
@@ -393,7 +399,7 @@ def _record(report, antipode):
 
 
 def _single_scan(state, n_dirs, delta=None):
-    """``_records`` of a scan, each direction counted alone, unfolded, with
+    """``_records`` of a scan, each direction counted alone, antipodes too, with
     Re s >= ``delta`` or the default delta."""
     from pvstab.criterion import minimize_f
 
@@ -401,19 +407,20 @@ def _single_scan(state, n_dirs, delta=None):
     directions = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
     directions += [star, WaveDirection(-star.omega2, -star.omega3)]
-    half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
     out = []
     for k, d in enumerate(directions):
         try:
             report = find_unstable_roots(make_context(state, d), delta)
         except PvstabError as err:
             report = err
-        out.append(_record(report, half <= k < n_dirs or k == n_dirs + 1))
+        out.append(_record(report, _is_antipode(k, n_dirs)))
     return out
 
 
 def _records(scan):
-    return [_record(scan.report(k), flip) for k, (_, flip) in enumerate(scan.fold)]
+    n_dirs = len(scan.directions) - 2
+    return [_record(scan.report(k), _is_antipode(k, n_dirs))
+            for k in range(len(scan.directions))]
 
 
 class TestBatchedCount:
@@ -578,7 +585,7 @@ class TestScanDirections:
 
 
 # ---------------------------------------------------------------------------
-# the fold of antipodal directions and the proven radius R*
+# the antipodes of a scan and the proven radius R*
 
 
 CORNERS = {
@@ -850,7 +857,7 @@ def test_locate_roots_takes_one_delta_per_context():
 def test_locate_roots_of_nothing_is_empty():
     from pvstab.dispersion import StateCounts
 
-    assert locate_roots([], [], []) == StateCounts(*[[]] * 8)
+    assert locate_roots([], [], []) == StateCounts(*[[]] * 7)
 
 
 def _located_bits(report):
@@ -879,7 +886,6 @@ def test_two_batches_locate_as_each_pair_alone():
                   for st, a in zip(states, rng.uniform(0.0, 2.0 * np.pi, n))]
     deltas = [None if j % 3 else 0.05 for j in range(n)]
     counts = locate_roots(states, directions, deltas)
-    assert counts.fold == [(j, False) for j in range(n)]
     got = [_located_bits(counts.report(j)) for j in range(n)]
     assert got == [_located_bits(locate_roots([st], [d], [delta]).report(0))
                    for st, d, delta in zip(states, directions, deltas)]
@@ -979,21 +985,42 @@ class TestFold:
                     located += alone.winding_count
         assert located >= 50
 
-    def test_mirrored_record_conjugates_and_resorts(self):
-        # the antipode of a counted direction, read by index: the same
-        # count, region, inclusion radius and flags, and the conjugate roots
-        # sorted again by (-Re, Im) with their residuals
-        from pvstab.dispersion import StateCounts
+    def test_antipode_conjugates_and_resorts(self):
+        # the antipode of a located direction: the conjugate roots sorted
+        # again by (-Re, Im) with their residuals, and the same flags
+        from pvstab.dispersion import _antipode
 
-        reg = default_region(COLLINEAR, 0.1)
         roots = (2.0 + 1.0j, 1.0 - 3.0j, 1.0 + 2.0j)
-        scan = StateCounts(
-            [PERP, WaveDirection(0, -1)], [(0, False), (0, True)], [3], [reg.delta],
-            [reg.radius], [1e-12], [None], [(roots, (1e-15, 2e-15, 3e-15), ("f",))])
-        assert scan.report(0).roots == roots
-        out = scan.report(1)
-        assert (out.winding_count, out.region, out.inclusion_radius) == (3, reg, 1e-12)
-        assert out.roots == (2.0 - 1.0j, 1.0 - 2.0j, 1.0 + 3.0j)
-        assert out.residuals == (1e-15, 3e-15, 2e-15)
-        assert out.flags == ("f",)
-        assert scan.found(0, True) == (out.roots, out.residuals, out.flags)
+        assert _antipode((roots, (1e-15, 2e-15, 3e-15), ("f",))) == (
+            (2.0 - 1.0j, 1.0 - 2.0j, 1.0 + 3.0j), (1e-15, 3e-15, 2e-15), ("f",))
+        assert _antipode(None) is None
+
+    @pytest.mark.parametrize("n_dirs", [16, 15])
+    def test_scan_gives_each_antipode_its_pair(self, n_dirs):
+        # every list of a scan has an item per direction; the antipode of a
+        # counted direction has its count, delta, radius, largest disk,
+        # error and flags, and its roots conjugated and sorted again by
+        # (-Re, Im), with their residuals
+        from test_inclusion import corner_corpus
+
+        states = [*corner_corpus().values(), COLLINEAR]
+        half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
+        pairs = [(k, k + half) for k in range(n_dirs - half)] + [(n_dirs, n_dirs + 1)]
+        located = 0
+        for st, scan in zip(states, scan_states(states, n_dirs)):
+            assert {len(items) for items in scan} == {n_dirs + 2}, st
+            for k, a in pairs:
+                d, e = scan.directions[k], scan.directions[a]
+                assert abs(d.omega2 + e.omega2) + abs(d.omega3 + e.omega3) < 1e-15
+                for items in scan[1:6]:
+                    assert items[a] == items[k], (st, k)
+                if scan.located[k] is None:
+                    assert scan.located[a] is None, (st, k)
+                    continue
+                roots, residuals, flags = scan.located[k]
+                want = sorted(zip((z.conjugate() for z in roots), residuals),
+                              key=lambda q: (-q[0].real, q[0].imag))
+                assert scan.located[a] == (tuple(z for z, _ in want),
+                                           tuple(res for _, res in want), flags), (st, k)
+                located += len(roots)
+        assert located >= 10

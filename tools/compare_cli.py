@@ -25,11 +25,14 @@ Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 distinct ``[analysis]`` block (the only part of a scenario it reads).  Each
 run uses the ``src/`` of each tree, as ``python -m pvstab`` subprocesses,
 twice: once writing to stdout and once with ``--out FILE``, as the
-benchmark runs it.  Each difference in stdout, stderr, exit code or the
-bytes of the ``--out`` file (or its absence) is printed, with the first
-differing line of each side (cut to SHOWN characters) and, when both are
-JSON records, the keys whose values differ; the exit code is 1 if there is
-any difference, else 0.
+benchmark runs it.  Each script of this tree's ``demos/`` (the users of the
+library API) is run too, that of each tree on its ``src/``, from an empty
+working directory.  Each run has a working directory of its own per tree.
+Each difference in stdout, stderr, exit code, the bytes of the ``--out``
+file (or its absence) or of a file a demo leaves in its working directory
+(``stability_map.csv``) is printed, with the first differing line of each
+side (cut to SHOWN characters) and, when both are JSON records, the keys
+whose values differ; the exit code is 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ import sys
 import tarfile
 import tempfile
 import time
+import shutil
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,20 +149,34 @@ def corpus_runs(workdir: Path) -> list[tuple[str, tuple[str, ...]]]:
     return runs
 
 
-def run(tree: Path, argv, cwd: Path, out: Path) -> dict:
-    """What the run ``argv`` of ``tree`` gives: its stdout, stderr and exit
-    code, and those of the same run with ``--out out`` and the bytes of that
-    file (None when the run wrote none)."""
+def _ran(proc, label: str = "") -> dict:
+    return {f"{label}stdout": proc.stdout, f"{label}stderr": proc.stderr,
+            f"{label}exit code": proc.returncode}
+
+
+def run(tree: Path, cwd: Path, argv) -> dict:
+    """What the run ``argv`` of ``tree`` from the empty directory ``cwd``
+    gives: its stdout, stderr and exit code, and those of the same run with
+    ``--out FILE`` and the bytes of that file (None when the run wrote none)."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    found = {}
+    out = cwd / "out"
+    got = {}
     for label, extra in (("", ()), ("--out ", ("--out", str(out)))):
-        proc = subprocess.run([sys.executable, "-m", "pvstab", *argv, *extra], cwd=cwd,
-                              env=env, capture_output=True)
-        found.update({f"{label}stdout": proc.stdout, f"{label}stderr": proc.stderr,
-                      f"{label}exit code": proc.returncode})
-    found["--out file"] = out.read_bytes() if out.exists() else None
-    out.unlink(missing_ok=True)
-    return found
+        got.update(_ran(subprocess.run([sys.executable, "-m", "pvstab", *argv, *extra],
+                                       cwd=cwd, env=env, capture_output=True), label))
+    got["--out file"] = out.read_bytes() if out.exists() else None
+    return got
+
+
+def run_demo(tree: Path, cwd: Path, script: str) -> dict:
+    """What the demo ``script`` of ``tree`` run from the empty directory
+    ``cwd`` gives: its stdout, stderr and exit code, and the bytes of each
+    file it leaves there (e.g. ``stability_map.csv``)."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    got = _ran(subprocess.run([sys.executable, str(tree / "demos" / script)], cwd=cwd,
+                              env=env, capture_output=True))
+    got.update({f"file {p.name}": p.read_bytes() for p in sorted(cwd.iterdir())})
+    return got
 
 
 def _shown(lines: list[str], at: int) -> str:
@@ -183,8 +202,8 @@ def _differing_keys(a: str, b: str) -> list[str] | None:
 
 def differences(ours: dict, theirs: dict) -> list[str]:
     out = []
-    for label, a in ours.items():
-        b = theirs[label]
+    for label in {**ours, **theirs}:
+        a, b = ours.get(label), theirs.get(label)
         if a == b:
             continue
         if not (isinstance(a, bytes) and isinstance(b, bytes)):
@@ -221,20 +240,28 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "ref", filter="data")
         (tmp / "corpus").mkdir()
-        runs = workload_runs(tmp / "corpus") + corpus_runs(tmp / "corpus")
+        runs = [(name, partial(run, argv=argv)) for name, argv in
+                workload_runs(tmp / "corpus") + corpus_runs(tmp / "corpus")]
+        runs += [(f"demo {p.name}", partial(run_demo, script=p.name))
+                 for p in sorted((ROOT / "demos").glob("*.py"))]
         start = time.perf_counter()
 
         def compare(item):
-            k, (_, argv) = item
-            return differences(run(ROOT, argv, tmp, tmp / f"out_{k}_here"),
-                               run(tmp / "ref", argv, tmp, tmp / f"out_{k}_ref"))
+            k, (_, job) = item
+            sides = []
+            for tree, side in ((ROOT, "here"), (tmp / "ref", "ref")):
+                cwd = tmp / f"{side}_{k}"
+                cwd.mkdir()
+                sides.append(job(tree, cwd))
+                shutil.rmtree(cwd)
+            return differences(*sides)
 
         n_diff = 0
         with ThreadPoolExecutor(WORKERS) as pool:
-            for (name, _), found in zip(runs, pool.map(compare, enumerate(runs))):
-                for line in found:
+            for (name, _), lines in zip(runs, pool.map(compare, enumerate(runs))):
+                for line in lines:
                     print(f"{name}: {line}")
-                n_diff += bool(found)
+                n_diff += bool(lines)
     print(f"{len(runs)} runs against {ref}, {n_diff} with differences "
           f"({time.perf_counter() - start:.0f} s)")
     return 1 if n_diff else 0
