@@ -1,50 +1,62 @@
 """Map the stability region in the (field angle, E1) plane.
 
 For |H| = |Hv| = 1 the instability threshold is E1^2 > 1 - |cos(alpha)|,
-with alpha the angle between the two fields; this sweep samples the plane,
-prints an ASCII map, and writes a plot-ready CSV.
+with alpha the angle between the two fields; this demo runs the ``sweep``
+command over the plane, which writes the plot-ready CSV, and prints an
+ASCII map drawn from that CSV.
 Run: python demos/03_stability_map.py [out.csv]
 """
 
+import csv
 import math
 import sys
+import tempfile
+from pathlib import Path
 
-import pvstab as pv
+from pvstab.cli import main as pvstab
 
 N_ALPHA, N_E1 = 61, 25
+SCENARIO = f"""[state]
+H2 = 1
+Hv2 = 1
+
+[sweep]
+parameter = angle_alpha
+min = 0
+max = {math.pi!r}
+steps = {N_ALPHA}
+
+[sweep]
+parameter = E1
+min = 0
+max = 1.2
+steps = {N_E1}
+"""
 
 
 def main():
     out_path = sys.argv[1] if len(sys.argv) > 1 else "stability_map.csv"
-    alphas = [math.pi * k / (N_ALPHA - 1) for k in range(N_ALPHA)]
-    e1s = [1.2 * k / (N_E1 - 1) for k in range(N_E1)]
-
-    rows = []
-    grid = {}
-    for alpha in alphas:
-        for e1 in e1s:
-            st = pv.EquilibriumState(H_hat_t=(1.0, 0.0),
-                                     Hv_hat_t=(math.cos(alpha), math.sin(alpha)),
-                                     E1_hat=e1)
-            cls = pv.classify(st)
-            grid[(alpha, e1)] = cls.verdict
-            rows.append((alpha, e1, cls.verdict.value, cls.margin, cls.f_min))
-
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("# pvstab-csv v1\n")
-        fh.write("alpha,E1,verdict,margin,f_min\n")
-        for alpha, e1, verdict, margin, f_min in rows:
-            fh.write(f"{alpha!r},{e1!r},{verdict},{margin!r},{f_min!r}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "stability_map.scn"
+        scenario.write_text(SCENARIO, encoding="utf-8")
+        code = pvstab(["sweep", str(scenario), "--out", out_path])
+    if code:
+        sys.exit(code)
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        fh.readline()       # the "# pvstab-csv v1" line
+        rows = list(csv.DictReader(fh))
+    # in index order: the E1 axis varies fastest
+    e1s = [float(row["sweep_E1"]) for row in rows[:N_E1]]
 
     print("stability map, |H| = |Hv| = 1  ('#' unstable, '.' neutral, 'T' band)")
     print("E1")
-    for e1 in reversed(e1s):
+    for j in reversed(range(N_E1)):
         cells = []
-        for alpha in alphas:
-            v = grid[(alpha, e1)]
-            cells.append("#" if v is pv.Verdict.VIOLENTLY_UNSTABLE
-                         else "T" if v.value.startswith("Transitional") else ".")
-        print(f"{e1:5.2f} {''.join(cells)}")
+        for row in rows[j::N_E1]:
+            v = row["verdict"]
+            cells.append("#" if v == "ViolentlyUnstable"
+                         else "T" if v.startswith("Transitional") else ".")
+        print(f"{e1s[j]:5.2f} {''.join(cells)}")
     print("      " + "0" + " " * (N_ALPHA // 2 - 2) + "pi/2" + " "
           * (N_ALPHA // 2 - 4) + "pi  (alpha)")
     print()

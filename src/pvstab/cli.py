@@ -27,29 +27,29 @@ cell its inner parameter sets (`_SWEPT_COLUMNS`; every cell in a run of
 states).  Each block is validated and classified a column at a pass
 (`_checked`), and a point that fails becomes one error row; rows are
 written in index order.  A point's full record is built only where it is
-read: an error row, a ``classify`` record, a state to scan.  ``classify``,
-and ``sweep`` without ``cross_check``, write the rows of a block as one
-string before they build the next, so they hold at most one block.  CSV
-cells are spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a
-block's valid rows from one template, the cells they share split into
-literal pieces at the cells a row does not share with its block: each row
-joins those pieces with its own cells, spelled from the block's columns.
-``roots`` spells its rows from a segment per direction and a tail per
-half-disk.  A command writes strings to any object with ``write`` and
-``writelines``; `main` holds them as written, one copy of the output (about
-230 bytes a sweep row), and writes them out with one ``writelines`` once
-the command has succeeded, so that a failed run writes nothing.
-``roots``, ``modes`` and ``sweep`` with ``cross_check`` run the valid points
-as one batch (``dispersion.scan_states``, and ``locate_roots`` on one
-(state, direction) pair per unstable point), which they give a delta and
-never a region, and read the lists of a ``StateCounts``, an item per
-direction, side by side.  ``validate`` sends its draws through `_checked`
-too and classifies, bands and records each one once as it is drawn.
-``sweep`` with ``cross_check`` and ``validate`` judge the closed-form
-verdict against a root scan by one rule (`judge_verdicts`): undecided
-inside `margin_band`, an error when any scanned direction failed.  A state
-with a component or E1 beyond ``state.MAX_MAGNITUDE`` in magnitude is
-invalid.
+read: an error row, a ``classify`` record, a state to scan.  ``classify``
+and ``sweep`` write the rows of a block as one string before they build
+the next, so they hold at most one block.  CSV cells are spelled as
+``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a block's valid rows
+from one template, the cells they share split into literal pieces at the
+cells a row does not share with its block: each row joins those pieces
+with its own cells, spelled from the block's columns.  ``roots`` spells
+its rows from a segment per direction and a tail per half-disk.  A
+command writes strings to any object with ``write`` and ``writelines``;
+`main` holds them as written, one copy of the output (about 230 bytes a
+sweep row), and writes them out with one ``writelines`` once the command
+has succeeded, so that a failed run writes nothing.  ``roots`` and
+``modes`` run the valid points as one batch (``dispersion.scan_states``,
+and ``locate_roots`` on one (state, direction) pair per unstable point),
+and ``sweep`` with ``cross_check`` those of each block as it arrives; each
+gives a scan a delta and never a region, and reads the lists of a
+``StateCounts``, an item per direction, side by side.  ``validate`` sends
+its draws through `_checked` too and classifies, bands and records each
+one once as it is drawn.  ``sweep`` with ``cross_check`` and ``validate``
+judge the closed-form verdict against a root scan by one rule
+(`judge_verdicts`): undecided inside `margin_band`, which the caller
+decides, and an error when any scanned direction failed.  A state with a
+component or E1 beyond ``state.MAX_MAGNITUDE`` in magnitude is invalid.
 
 Outputs are JSON lines (classify, modes, validate) or versioned CSV
 (roots, sweep); identical scenarios produce byte-identical files.  Exit
@@ -65,7 +65,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from typing import Iterator, TextIO
 
 from . import criterion, dispersion, modes
@@ -621,43 +621,28 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
 def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     if not scenario.sweeps:
         raise ScenarioParseError("sweep command requires a [sweep] block")
+    analysis, inner = scenario.analysis, scenario.sweeps[-1]
+    tail = ["numeric_unstable", "max_re_s", "agreement", "error"]
     columns = (["index"] + [f"sweep_{ax.parameter}" for ax in scenario.sweeps]
-               + list(EquilibriumState.RECORD_KEYS) + list(criterion.RECORD_KEYS)
-               + ["numeric_unstable", "max_re_s", "agreement", "error"])
+               + list(EquilibriumState.RECORD_KEYS) + list(criterion.RECORD_KEYS) + tail)
     line = _csv_rows(out, columns)
-    analysis = scenario.analysis
-    cross_check = analysis.cross_check
-    blocks = _checked(scenario)
-    if cross_check:
-        blocks = list(blocks)
-        judged = []
-        for block, *lists in blocks:
-            for _, _, values, _, *part in block.points(*lists):
-                if part[0] is not None:
-                    st = EquilibriumState.from_values(*values)
-                    cls = criterion.Classification.from_parts(*part)
-                    judged.append((st, cls, margin_band(st, cls.tol_eq, analysis.delta)))
-        judgements = judge_verdicts(judged, analysis)
     # A block's valid rows are spelled from one template: a row of the cells
-    # they share, split into its literal pieces where the cells below are
-    # left open.  Each row joins those pieces with its own cells, spelled a
-    # column at a time: its index, the inner coordinate, the record cells the
-    # inner parameter sets, verdict, margin and G, the other criterion cells
-    # when the fields move, and the cross_check/error tail.
-    swept = _SWEPT_COLUMNS[scenario.sweeps[-1].parameter]
-    n = len(scenario.sweeps)
-    crit = n + 10                   # the column of the verdict
-    i = swept[0]
-    own = {0, n, *(n + 1 + c for c in swept), crit, crit + 1, crit + 5}
-    fixed = _fields_fixed(swept)
-    if not fixed:
-        own |= {crit + 2, crit + 3, crit + 4, crit + 6}
-    tail = [_OPEN] if cross_check else [None] * 4
+    # they share, split into its literal pieces at the cells each row has of
+    # its own (`own`, in column order).  Each row joins those pieces with its
+    # own cells, spelled a column at a time from the block's columns.
+    swept = _SWEPT_COLUMNS[inner.parameter]
+    fixed = _fields_fixed(swept)    # else the criterion cells of the fields move too
+    coordinate, keys = f"sweep_{inner.parameter}", [EquilibriumState.RECORD_KEYS[c] for c in swept]
+    own = {"index", coordinate, *keys, "verdict", "margin", "G",
+           *(() if fixed else ("f_min", "omega_star_2", "omega_star_3", "degenerate_flag")),
+           *(tail if analysis.cross_check else ())}
+    opened = [name in own for name in columns]
+    own = list(compress(columns, opened))
     # the inner axis, spelled once: a block is a run of it, which starts at
     # the block's index modulo the axis length
-    axis = list(map(repr, scenario.sweeps[-1].values()))
+    axis = list(map(repr, inner.values()))
     n_points = n_failed = 0
-    for block, checks, verdicts, margins, Gs, thresholds in blocks:
+    for block, checks, verdicts, margins, Gs, thresholds in _checked(scenario):
         start, size = block.start, len(block)
         lo = start % len(axis)
         xs = axis[lo:lo + size]
@@ -665,35 +650,43 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
         # the columns of the valid points
         valid = [range(start, start + size), xs, verdicts, margins, Gs, thresholds]
         if not fixed:
-            valid += (block.column(i), block.column(i + 1))
+            valid += map(block.column, swept)
         if keep:
             valid = [list(compress(column, keep)) for column in valid]
         indices, coords, vs, ms, gs, ts, *fields = valid
         rows = []
         if vs:
-            cells = [None, *block.outer, None, *block.record, None, None, *ts[0][:3], None,
-                     ts[0][3]]
-            pieces = line([_OPEN if j in own else c for j, c in enumerate(cells)]
-                          + tail).split(_OPEN)
-            spelled = [map(str, indices), coords]
-            spelled += [coords] if fixed else [map(repr, column) for column in fields]
-            spelled += [[v._value_ for v in vs], map(repr, ms)]
-            if not fixed:
-                spelled += [[repr(t[c]) for t in ts] for c in range(3)]
-            spelled.append(["" if G is None else repr(G) for G in gs])
-            if not fixed:
-                spelled.append([str(t[3]) for t in ts])
-            if cross_check:
+            spelled = {"index": map(str, indices), coordinate: coords,
+                       "verdict": [v._value_ for v in vs], "margin": map(repr, ms),
+                       "G": ["" if G is None else repr(G) for G in gs]}
+            if fixed:   # the one record cell the inner parameter sets: its coordinate
+                spelled[keys[0]] = coords
+            else:
+                spelled.update(zip(keys, [map(repr, column) for column in fields]))
+                f_min, w2, w3, degenerate, _ = zip(*ts)
+                spelled.update(f_min=map(repr, f_min), omega_star_2=map(repr, w2),
+                               omega_star_3=map(repr, w3), degenerate_flag=map(str, degenerate))
+            if analysis.cross_check:    # the block's valid points, judged as one batch
+                states = [EquilibriumState.from_values(*block.values(i - start)) for i in indices]
                 checked = []
-                for judged in islice(judgements, len(vs)):
+                for judged in judge_verdicts(
+                        [(st, None if abs(m) <= margin_band(st, t[4], analysis.delta)
+                          else v.is_unstable) for st, v, m, t in zip(states, vs, ms, ts)],
+                        analysis):
                     if isinstance(judged, PvstabError):
-                        checked.append(line([None, None, None, str(judged)])[:-1])
+                        checked.append((None, None, None, str(judged)))
                         n_failed += 1
                     else:
-                        summary, agree = judged     # agree None (empty cell): undecided
-                        checked.append(line([summary.numerically_unstable, summary.max_re_s,
-                                             agree, None])[:-1])
-                spelled.append(checked)
+                        summary, agree = judged     # agree None (empty cell): in the band
+                        checked.append((summary.numerically_unstable, summary.max_re_s, agree,
+                                        None))
+                spelled.update(zip(tail, (["" if c is None else _cell(c) for c in column]
+                                          for column in zip(*checked))))
+            # a row of the block's cells, in column order: those a row owns are opened
+            shared = [None, *block.outer, None, *block.record, None, None, *ts[0][:3], None,
+                      ts[0][3], *[None] * len(tail)]
+            pieces = line([_OPEN if o else c for o, c in zip(opened, shared)]).split(_OPEN)
+            spelled = [spelled[name] for name in own]
             rows = list(map("".join, zip(*chain.from_iterable(zip(map(repeat, pieces), spelled)),
                                          repeat(pieces[-1]))))
         if keep:        # an error row at each rejected point
@@ -727,28 +720,26 @@ def margin_band(state: EquilibriumState, tol_eq: float, delta: float | None) -> 
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
-def judge_verdicts(judged: list[tuple[EquilibriumState, criterion.Classification, float]],
+def judge_verdicts(judged: list[tuple[EquilibriumState, bool | None]],
                    analysis: AnalysisOptions):
-    """Scan the states of the (state, classification, band) triples
-    ``judged`` as one batch and judge each closed-form verdict.
+    """Scan the states of the (state, expected) pairs ``judged`` as one
+    batch and judge each closed-form verdict.
 
-    Yields, per triple in order, the scan and the agreement: whether the
-    verdict is unstable exactly when some direction has a right-half-plane
-    root, or None when the margin lies within the band (the state's
-    `margin_band`, which the caller computes), where the numerics cannot
-    decide.  A scan in which any direction failed yields, in place of the
-    pair, a PvstabError naming how many failed and the first failure.
+    ``expected`` is whether the closed-form verdict is unstable, or None
+    where the caller found the margin within the state's `margin_band`,
+    where the numerics cannot decide.  Yields, per pair in order, the scan
+    and the agreement: whether some direction has a right-half-plane root
+    exactly when ``expected`` is true, or None when it is None.  A scan in
+    which any direction failed yields, in place of the pair, a PvstabError
+    naming how many failed and the first failure.
     """
-    scans = dispersion.scan_states([st for st, _, _ in judged], analysis.n_dirs,
-                                   analysis.delta)
-    for (_, cls, band), scan in zip(judged, scans):
+    scans = dispersion.scan_states([st for st, _ in judged], analysis.n_dirs, analysis.delta)
+    for (_, expected), scan in zip(judged, scans):
         errors = scan.errors
         if errors:
             yield PvstabError(f"{len(errors)} direction(s) failed: {errors[0]}")
-        elif abs(cls.margin) <= band:
-            yield scan, None
         else:
-            yield scan, cls.verdict.is_unstable == scan.numerically_unstable
+            yield scan, None if expected is None else expected == scan.numerically_unstable
 
 
 def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
@@ -780,16 +771,15 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     points of every other command are (`_checked`), in rounds of the
     shortfall, so that no state is drawn past the last one accepted.  Each
     draw is banded once (`margin_band`) and its record begun as it is
-    drawn; `judge_verdicts` reads that band.  Band states are counted but
-    not judged; a drawn state that validation rejects, and a root-finder
-    failure, is an error record, reported separately and excluded from the
-    denominator.
+    drawn.  Band states are counted but not judged; a drawn state that
+    validation rejects, and a root-finder failure, is an error record,
+    reported separately and excluded from the denominator.
     """
     analysis = scenario.analysis
     rng = np.random.default_rng(seed)
     target = analysis.sample
-    accepted = []   # per accepted draw: its record, and the error that rejected it or None
-    judged = []     # per valid accepted draw: (state, classification, band)
+    accepted = []   # per accepted draw: its record, and the message that rejected it or None
+    judged = []     # per valid accepted draw: (state, whether its verdict is unstable)
     n_band = attempts = 0
     max_attempts = 1000 * target
     while len(accepted) < target and attempts < max_attempts:
@@ -799,8 +789,7 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
         for block, *lists in _checked(Scenario(drawn, analysis=analysis)):
             for index, _, values, check, *part in block.points(*lists):
                 if part[0] is None:
-                    accepted.append(({"index": len(accepted), **_params(values)},
-                                     StateValidationError(check)))
+                    accepted.append(({"index": len(accepted), **_params(values)}, check))
                     continue
                 st = drawn[index]
                 cls = criterion.Classification.from_parts(*part)
@@ -811,13 +800,13 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
                 accepted.append(({"index": len(accepted), **_params(values),
                                   "verdict": cls.verdict._value_, "margin": cls.margin,
                                   "band": band, "warnings": check}, None))
-                judged.append((st, cls, band))
+                judged.append((st, cls.verdict.is_unstable))
 
     verdicts = judge_verdicts(judged, analysis)
     n_failed = n_checked = n_disagree = 0
     for rec, error in accepted:
         verdict = next(verdicts) if error is None else error
-        if isinstance(verdict, PvstabError):
+        if isinstance(verdict, (str, PvstabError)):     # rejected, or a scan failed
             rec["error"] = str(verdict)
             n_failed += 1
         else:

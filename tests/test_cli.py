@@ -934,8 +934,7 @@ class TestValidateCommand:
         assert summary["summary"]["checked"] == 6 - len(rejected)
 
     def test_each_draw_is_banded_once(self, tmp_path, monkeypatch):
-        # margin_band runs once per drawn state, band states included, and
-        # judge_verdicts reads the band it is handed
+        # margin_band runs once per drawn state, band states included
         import io
 
         import pvstab.cli as cli_mod
@@ -952,14 +951,15 @@ class TestValidateCommand:
         assert len(calls) == summary["sampled"]
 
 
-@pytest.mark.parametrize("band, agreement", [(math.inf, None), (0.0, True)])
-def test_judge_verdicts_reads_the_band_it_is_handed(band, agreement):
+@pytest.mark.parametrize("expected, agreement", [(None, None), (True, True), (False, False)])
+def test_judge_verdicts_compares_the_verdict_it_is_handed(expected, agreement):
+    # None (inside the band, decided by the caller) is undecided; a verdict
+    # is compared with the scan, which finds this collinear state unstable
     from pvstab.cli import AnalysisOptions, judge_verdicts
-    from pvstab.criterion import classify
 
     st = EquilibriumState(H_hat_t=(1.0, 0.0), Hv_hat_t=(2.0, 0.0), E1_hat=0.3)
-    [(_, agree)] = judge_verdicts([(st, classify(st), band)], AnalysisOptions(n_dirs=8))
-    assert agree is agreement
+    [(scan, agree)] = judge_verdicts([(st, expected)], AnalysisOptions(n_dirs=8))
+    assert scan.numerically_unstable and agree is agreement
 
 
 EPS_INVALID = EPS_SWEEP.replace("min = 0", "min = 1.0").replace(
@@ -1158,17 +1158,30 @@ class TestUsage:
         assert capsys.readouterr().out.startswith("usage: pvstab ")
 
 
-@pytest.mark.parametrize("command", [cmd_classify, cmd_sweep])
-def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
-    # classify and sweep without cross_check write the rows of a block, one
-    # string, before they build the next block: they hold at most one block
-    # of at most BLOCK_POINTS points
+@pytest.mark.parametrize("command, analysis", [
+    (cmd_classify, ""), (cmd_sweep, ""),
+    (cmd_sweep, "[analysis]\ncross_check = true\nn_dirs = 8\n"),
+], ids=["cmd_classify", "cmd_sweep", "cmd_sweep-cross_check"])
+def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command, analysis):
+    # classify and sweep write the rows of a block, one string, before they
+    # build the next block: they hold at most one block of at most
+    # BLOCK_POINTS points.  With cross_check, sweep judges the valid points
+    # of each block as one batch, once the block is built and before the
+    # next is
     import io
 
     import pvstab.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "BLOCK_POINTS", 8)
-    scenario = parse_scenario(_write(tmp_path, SWEEP))
+    judged = []     # per judge_verdicts call: the blocks built by then, and its batch size
+
+    def judge(batch, options):
+        judged.append((len(sizes), len(batch)))
+        return judge_verdicts(batch, options)
+
+    judge_verdicts = cli_mod.judge_verdicts
+    monkeypatch.setattr(cli_mod, "judge_verdicts", judge)
+    scenario = parse_scenario(_write(tmp_path, SWEEP + analysis))
     out, blocks = io.StringIO(), scenario.grid
     lines, sizes, writes = [], [], []
 
@@ -1191,6 +1204,7 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command):
     header = 2 if command is cmd_sweep else 0
     assert lines == [header + 8 * k for k in range(6)]
     assert writes[-6:] == sizes and sum(writes) == header + 41
+    assert judged == ([(k + 1, size) for k, size in enumerate(sizes)] if analysis else [])
 
 
 # a rejected point (eps = 0), warnings, and unstable points for roots and modes
@@ -1353,7 +1367,8 @@ def _rows_point_by_point(scenario):
             tail = [None] * 4
             if scenario.analysis.cross_check:
                 band = margin_band(point, cls.tol_eq, scenario.analysis.delta)
-                (verdict,) = judge_verdicts([(point, cls, band)], scenario.analysis)
+                expected = None if abs(cls.margin) <= band else cls.verdict.is_unstable
+                (verdict,) = judge_verdicts([(point, expected)], scenario.analysis)
                 if isinstance(verdict, PvstabError):
                     tail[3] = str(verdict)
                 else:

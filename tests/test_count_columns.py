@@ -138,7 +138,8 @@ def test_first_failure_of_judge_verdicts_is_the_library_view(monkeypatch):
     # scan_directions give them
     analysis = cli.AnalysisOptions(n_dirs=32, delta=CHORD)
     cls = classify(COLLINEAR)
-    judged = [(COLLINEAR, cls, cli.margin_band(COLLINEAR, cls.tol_eq, CHORD))]
+    band = cli.margin_band(COLLINEAR, cls.tol_eq, CHORD)
+    judged = [(COLLINEAR, None if abs(cls.margin) <= band else cls.verdict.is_unstable)]
     [verdict] = cli.judge_verdicts(judged, analysis)
     assert not isinstance(verdict, PvstabError) and verdict[0].numerically_unstable
     monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])

@@ -18,7 +18,10 @@ corpus of scenario files:
   and 1), with inner points past the bound too;
 * E1 axes across sqrt(F_min) inside the transitional band, on the constant-F
   and the generic state, below a v2 axis, cross-checked and not, so that the
-  block's one-pass verdict reaches its transitional branch.
+  block's one-pass verdict reaches its transitional branch;
+* a cross-checked E1 axis BLOCK_POINTS + 6 points long on the generic state,
+  so that its second block starts mid-axis and is judged as a batch of its
+  own.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
@@ -115,6 +118,9 @@ def corpus_texts() -> dict[str, str]:
         band = _axis("E1", math.sqrt(f_min - 2 * tol_eq), math.sqrt(f_min + 2 * tol_eq), 9)
         texts[f"band_{name}"] = base + _axis("v2", -1.0, 1.0, 3) + band
         texts[f"band_{name}_checked"] = texts[f"band_{name}"] + checked
+    from pvstab.cli import BLOCK_POINTS
+
+    texts["long_axis_checked"] = bases[2] + _axis("E1", 0.0, 1.5, BLOCK_POINTS + 6) + checked
     return texts
 
 
