@@ -29,27 +29,31 @@ states).  Each block is validated and classified a column at a pass
 written in index order.  A point's full record is built only where it is
 read: an error row, a ``classify`` record, a state to scan.  ``classify``
 and ``sweep`` write the rows of a block as one string before they build
-the next, so they hold at most one block.  CSV cells are spelled as
-``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a block's valid rows
-from one template, the cells they share split into literal pieces at the
-cells a row does not share with its block: each row joins those pieces
-with its own cells, spelled from the block's columns.  ``roots`` spells
-its rows from a segment per direction and a tail per half-disk.  A
-command writes strings to any object with ``write`` and ``writelines``;
-`main` holds them as written, one copy of the output (about 230 bytes a
-sweep row), and writes them out with one ``writelines`` once the command
-has succeeded, so that a failed run writes nothing.  ``roots`` and
-``modes`` run the valid points as one batch (``dispersion.scan_states``,
-and ``locate_roots`` on one (state, direction) pair per unstable point),
-and ``sweep`` with ``cross_check`` those of each block as it arrives; each
-gives a scan a delta and never a region, and reads the lists of a
-``StateCounts``, an item per direction, side by side.  ``validate`` sends
-its draws through `_checked` too and classifies, bands and records each
-one once as it is drawn.  ``sweep`` with ``cross_check`` and ``validate``
-judge the closed-form verdict against a root scan by one rule
-(`judge_verdicts`): undecided inside `margin_band`, which the caller
-decides, and an error when any scanned direction failed.  A state with a
-component or E1 beyond ``state.MAX_MAGNITUDE`` in magnitude is invalid.
+the next, so they hold at most one block; ``sweep`` with ``cross_check``
+holds a block until its valid points are judged, which are scanned a scan
+batch (``dispersion.states_per_batch``) at a time as the held blocks fill
+one, so it holds at most a batch and a block of points.  CSV cells are
+spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a block's
+valid rows from one template, the cells they share, named by column, split
+into literal pieces at the cells a row has of its own: each row joins
+those pieces with its own cells, spelled from the block's columns.
+``roots`` spells its rows from a segment per direction and a tail per
+half-disk.  A command writes strings to any object with ``write`` and
+``writelines``; `main` holds them as written, one copy of the output
+(about 230 bytes a sweep row), and writes them out with one ``writelines``
+once the command has succeeded, so that a failed run writes nothing.
+``roots`` and ``modes`` run the valid points as one batch
+(``dispersion.scan_states``, and ``locate_roots`` on one (state,
+direction) pair per unstable point), and ``sweep`` with ``cross_check``
+those of its held blocks; each gives a scan a delta and never a region,
+and reads the lists of a ``StateCounts``, an item per direction, side by
+side.  ``validate`` sends its draws through `_checked` too and classifies,
+bands and records each one once as it is drawn.  ``sweep`` with
+``cross_check`` and ``validate`` judge the closed-form verdict against a
+root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
+which the caller decides, and an error when any scanned direction failed.
+A state with a component or E1 beyond ``state.MAX_MAGNITUDE`` in magnitude
+is invalid.
 
 Outputs are JSON lines (classify, modes, validate) or versioned CSV
 (roots, sweep); identical scenarios produce byte-identical files.  Exit
@@ -64,6 +68,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from typing import Iterator, TextIO
@@ -622,27 +627,54 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     if not scenario.sweeps:
         raise ScenarioParseError("sweep command requires a [sweep] block")
     analysis, inner = scenario.analysis, scenario.sweeps[-1]
+    record_keys, coordinate = EquilibriumState.RECORD_KEYS, f"sweep_{inner.parameter}"
+    outer = [f"sweep_{ax.parameter}" for ax in scenario.sweeps[:-1]]
     tail = ["numeric_unstable", "max_re_s", "agreement", "error"]
-    columns = (["index"] + [f"sweep_{ax.parameter}" for ax in scenario.sweeps]
-               + list(EquilibriumState.RECORD_KEYS) + list(criterion.RECORD_KEYS) + tail)
+    columns = ["index", *outer, coordinate, *record_keys, *criterion.RECORD_KEYS, *tail]
     line = _csv_rows(out, columns)
     # A block's valid rows are spelled from one template: a row of the cells
-    # they share, split into its literal pieces at the cells each row has of
-    # its own (`own`, in column order).  Each row joins those pieces with its
-    # own cells, spelled a column at a time from the block's columns.
+    # they share, named by column, split into its literal pieces at the cells
+    # each row has of its own (`own`, in column order).  Each row joins those
+    # pieces with its own cells, spelled a column at a time from the block's
+    # columns.
     swept = _SWEPT_COLUMNS[inner.parameter]
     fixed = _fields_fixed(swept)    # else the criterion cells of the fields move too
-    coordinate, keys = f"sweep_{inner.parameter}", [EquilibriumState.RECORD_KEYS[c] for c in swept]
+    keys = [record_keys[c] for c in swept]
+    moving = ("f_min", "omega_star_2", "omega_star_3", "degenerate_flag")  # of a threshold row
     own = {"index", coordinate, *keys, "verdict", "margin", "G",
-           *(() if fixed else ("f_min", "omega_star_2", "omega_star_3", "degenerate_flag")),
-           *(tail if analysis.cross_check else ())}
-    opened = [name in own for name in columns]
-    own = list(compress(columns, opened))
+           *(() if fixed else moving), *(tail if analysis.cross_check else ())}
+    own, opening = [name for name in columns if name in own], dict.fromkeys(own, _OPEN)
+    named = [*outer, *record_keys, *moving]     # the shared cells, as a block gives them
     # the inner axis, spelled once: a block is a run of it, which starts at
     # the block's index modulo the axis length
     axis = list(map(repr, inner.values()))
+    # A block is held until its valid points are judged (with cross_check;
+    # else at once).  The points of the held blocks are judged a scan batch
+    # (`dispersion.states_per_batch`) at a time as they fill one, and the
+    # rest at the end: at most a batch and a block of points wait, and each
+    # batch is as full as in a scan of the whole grid.
+    batch = dispersion.states_per_batch(analysis.n_dirs) if analysis.cross_check else 1
+    held = deque()              # per held block: its number of valid points, and its lists
+    waiting, judged = [], []    # (state, expected) of the valid points, and their tail cells
     n_points = n_failed = 0
-    for block, checks, verdicts, margins, Gs, thresholds in _checked(scenario):
+
+    def release(n: int) -> None:
+        # judge the first n waiting points, then write each held block whose
+        # points are all judged
+        nonlocal n_failed
+        for judgement in judge_verdicts(waiting[:n], analysis) if n else ():
+            if isinstance(judgement, PvstabError):
+                judged.append((None, None, None, str(judgement)))
+                n_failed += 1
+            else:
+                summary, agree = judgement      # agree None (empty cell): in the band
+                judged.append((summary.numerically_unstable, summary.max_re_s, agree, None))
+        del waiting[:n]
+        while held and held[0][0] <= len(judged):
+            out.write(rows(*held.popleft()[1]))
+
+    def rows(block, checks, verdicts, margins, Gs, thresholds) -> str:
+        nonlocal n_failed
         start, size = block.start, len(block)
         lo = start % len(axis)
         xs = axis[lo:lo + size]
@@ -666,38 +698,40 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
                 f_min, w2, w3, degenerate, _ = zip(*ts)
                 spelled.update(f_min=map(repr, f_min), omega_star_2=map(repr, w2),
                                omega_star_3=map(repr, w3), degenerate_flag=map(str, degenerate))
-            if analysis.cross_check:    # the block's valid points, judged as one batch
-                states = [EquilibriumState.from_values(*block.values(i - start)) for i in indices]
-                checked = []
-                for judged in judge_verdicts(
-                        [(st, None if abs(m) <= margin_band(st, t[4], analysis.delta)
-                          else v.is_unstable) for st, v, m, t in zip(states, vs, ms, ts)],
-                        analysis):
-                    if isinstance(judged, PvstabError):
-                        checked.append((None, None, None, str(judged)))
-                        n_failed += 1
-                    else:
-                        summary, agree = judged     # agree None (empty cell): in the band
-                        checked.append((summary.numerically_unstable, summary.max_re_s, agree,
-                                        None))
+            if analysis.cross_check:    # the block's judgements are the first held
                 spelled.update(zip(tail, (["" if c is None else _cell(c) for c in column]
-                                          for column in zip(*checked))))
-            # a row of the block's cells, in column order: those a row owns are opened
-            shared = [None, *block.outer, None, *block.record, None, None, *ts[0][:3], None,
-                      ts[0][3], *[None] * len(tail)]
-            pieces = line([_OPEN if o else c for o, c in zip(opened, shared)]).split(_OPEN)
+                                          for column in zip(*judged[:len(vs)]))))
+                del judged[:len(vs)]
+            # the cells the block's rows share, by column: those a row owns are opened
+            shared = dict(zip(named, (*block.outer, *block.record, *ts[0])))
+            shared.update(opening)
+            pieces = line(list(map(shared.get, columns))).split(_OPEN)
             spelled = [spelled[name] for name in own]
             rows = list(map("".join, zip(*chain.from_iterable(zip(map(repeat, pieces), spelled)),
                                          repeat(pieces[-1]))))
-        if keep:        # an error row at each rejected point
-            valid_rows = iter(rows)
-            rows = [next(valid_rows) if good
-                    else line([start + k, *block.outer, xs[k], *block.values(k), *[None] * 10,
-                               checks[k]])
-                    for k, good in enumerate(keep)]
+        if keep:        # an error row at each rejected point, its cells named by column
+            valid_rows, cells = iter(rows), dict(zip(outer, block.outer))
+            rows = []
+            for k, good in enumerate(keep):
+                if not good:
+                    cells.update(zip(record_keys, block.values(k)))
+                    cells.update({"index": start + k, coordinate: xs[k], "error": checks[k]})
+                rows.append(next(valid_rows) if good else line(list(map(cells.get, columns))))
             n_failed += keep.count(False)
-        out.write("".join(rows))
-        n_points += size
+        return "".join(rows)
+
+    for block, *lists in _checked(scenario):
+        n_points += len(block)
+        n_waiting = len(waiting)
+        for _, _, values, _, verdict, margin, _, threshold in (
+                block.points(*lists) if analysis.cross_check else ()):
+            if verdict is not None:     # threshold[4]: the tol_eq it was decided on
+                st = EquilibriumState.from_values(*values)
+                waiting.append((st, None if abs(margin) <= margin_band(
+                    st, threshold[4], analysis.delta) else verdict.is_unstable))
+        held.append((len(waiting) - n_waiting, (block, *lists)))
+        release(len(waiting) - len(waiting) % batch)
+    release(len(waiting))
     return _status(n_points, n_failed)
 
 

@@ -682,6 +682,17 @@ def find_unstable_roots(ctx: LopatinskiContext, delta: float | None = None) -> R
 # direction scans
 
 
+def _counted(n_dirs: int) -> int:
+    """The equispaced directions a scan counts of each state at ``n_dirs``."""
+    return n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
+
+
+def states_per_batch(n_dirs: int = N_DIRS) -> int:
+    """The states ``scan_states`` counts as one batch at ``n_dirs``: as many
+    as fit their counted directions and F-minimizer in _MAX_BATCH."""
+    return _MAX_BATCH // (_counted(n_dirs) + 1)
+
+
 def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     """Count and locate the roots of every direction of each state (see
     ``scan_directions``) as columns; yields a StateCounts per state.
@@ -689,9 +700,9 @@ def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     One direction of each antipodal pair is counted: the first half of an
     even set of equispaced directions, and the F-minimizer.  Each state is
     counted with Re s >= ``delta`` (None: its own default) in one region
-    proven once.  The counted directions of as many states as fit in
-    _MAX_BATCH directions are one batch, whose columns are built from a
-    table of the states and one of the directions.
+    proven once.  The counted directions of `states_per_batch` states are
+    one batch, whose columns are built from a table of the states and one
+    of the directions.
     """
     if n_dirs < MIN_N_DIRS:
         raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
@@ -702,8 +713,8 @@ def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     states = list(states)
     equispaced = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
-    half = n_dirs // 2 if n_dirs % 2 == 0 else n_dirs      # equispaced ones counted
-    per_batch = _MAX_BATCH // (half + 1)
+    half = _counted(n_dirs)
+    per_batch = states_per_batch(n_dirs)
     for lo in range(0, len(states), per_batch):
         group = states[lo:lo + per_batch]
         stars = [minimize_f(st).omega_star for st in group]

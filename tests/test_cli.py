@@ -1165,14 +1165,18 @@ class TestUsage:
 def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command, analysis):
     # classify and sweep write the rows of a block, one string, before they
     # build the next block: they hold at most one block of at most
-    # BLOCK_POINTS points.  With cross_check, sweep judges the valid points
-    # of each block as one batch, once the block is built and before the
-    # next is
+    # BLOCK_POINTS points.  With cross_check, sweep holds a block until its
+    # valid points are judged: they are judged a scan batch at a time (here
+    # 12 points) as the held blocks fill one, and the rest at the end, so
+    # that at most a batch and a block of points wait
     import io
 
     import pvstab.cli as cli_mod
+    from pvstab import dispersion
 
     monkeypatch.setattr(cli_mod, "BLOCK_POINTS", 8)
+    asked = []      # the n_dirs of each batch size asked for, by sweep and each scan
+    monkeypatch.setattr(dispersion, "states_per_batch", lambda n_dirs: asked.append(n_dirs) or 12)
     judged = []     # per judge_verdicts call: the blocks built by then, and its batch size
 
     def judge(batch, options):
@@ -1202,9 +1206,13 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command, analysis):
     assert command(scenario, out) == 0
     assert sizes == [8] * 5 + [1]
     header = 2 if command is cmd_sweep else 0
-    assert lines == [header + 8 * k for k in range(6)]
     assert writes[-6:] == sizes and sum(writes) == header + 41
-    assert judged == ([(k + 1, size) for k, size in enumerate(sizes)] if analysis else [])
+    if analysis:    # blocks 1, 3 and 4 are written once batches fill at blocks 2, 3 and 5
+        assert lines == [header + 8 * k for k in (0, 0, 1, 3, 3, 4)]
+        assert judged == [(2, 12), (3, 12), (5, 12), (6, 5)] and set(asked) == {8}
+    else:
+        assert lines == [header + 8 * k for k in range(6)]
+        assert judged == asked == []
 
 
 # a rejected point (eps = 0), warnings, and unstable points for roots and modes
@@ -1417,15 +1425,29 @@ def test_blocks_equal_points(tmp_path, inner):
             _assert_blocks_equal_points(tmp_path, states + _axis(outer, 3) + _axis(inner, 5))
 
 
+def _cross_checked(inner):
+    outer = "v2" if inner == "E1" else "E1"
+    return ("".join(_CORNER_STATES) + _axis(outer, 2) + _axis(inner, 3)
+            + "[analysis]\ncross_check = true\nn_dirs = 8\n")
+
+
 @pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
 def test_cross_checked_rows_equal_rows_alone(tmp_path, inner):
-    # a cross-checked sweep scans its valid points as one batch: each row,
-    # spelled from its block's template, is the row of its point classified
-    # and judged alone, over the corner states and rejected points
-    outer = "v2" if inner == "E1" else "E1"
-    _assert_blocks_equal_points(tmp_path, "".join(_CORNER_STATES) + _axis(outer, 2)
-                                + _axis(inner, 3) + "[analysis]\ncross_check = true\n"
-                                "n_dirs = 8\n")
+    # a cross-checked sweep scans the valid points of the blocks it holds a
+    # scan batch at a time (here all of them): each row, spelled from its
+    # block's template, is the row of its point classified and judged alone,
+    # over the corner states and rejected points
+    _assert_blocks_equal_points(tmp_path, _cross_checked(inner))
+
+
+@pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
+def test_cross_checked_rows_equal_rows_alone_in_small_batches(tmp_path, monkeypatch, inner):
+    # scan batches of 4 points split the blocks of 3 and hold blocks with no
+    # valid point: each row is still that of its point judged alone
+    from pvstab import dispersion
+
+    monkeypatch.setattr(dispersion, "states_per_batch", lambda n_dirs: 4)
+    _assert_blocks_equal_points(tmp_path, _cross_checked(inner))
 
 
 @pytest.mark.parametrize("inner", SWEEP_PARAMETERS)

@@ -20,8 +20,8 @@ corpus of scenario files:
   and the generic state, below a v2 axis, cross-checked and not, so that the
   block's one-pass verdict reaches its transitional branch;
 * a cross-checked E1 axis BLOCK_POINTS + 6 points long on the generic state,
-  so that its second block starts mid-axis and is judged as a batch of its
-  own.
+  so that its second block starts mid-axis, and a scan batch holds the last
+  points of the first block and the points of the second.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
