@@ -30,13 +30,14 @@ written in index order.  A point's full record is built only where it is
 read: an error row, a ``classify`` record, a state to scan.  ``classify``
 and ``sweep`` write the rows of a block as one string before they build
 the next, so they hold at most one block; ``sweep`` with ``cross_check``
-holds a block until its valid points are judged, which are scanned a scan
-batch (``dispersion.states_per_batch``) at a time as the held blocks fill
-one, so it holds at most a batch and a block of points.  CSV cells are
-spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells a block's
-valid rows from one template, the cells they share, named by column, split
-into literal pieces at the cells a row has of its own: each row joins
-those pieces with its own cells, spelled from the block's columns.
+judges its valid points as one stream, which the scan reads a batch at a
+time, and a block takes its judgements as it is written, so it holds at
+most a batch and a block of points (the blocks a batch reads ahead).  CSV
+cells are spelled as ``csv.writer`` does (`_csv_rows`).  ``sweep`` spells
+a block's valid rows from one template, the cells they share, named by
+column, split into literal pieces at the cells a row has of its own: each
+row joins those pieces with its own cells, spelled from the block's
+columns.
 ``roots`` spells its rows from a segment per direction and a tail per
 half-disk.  A command writes strings to any object with ``write`` and
 ``writelines``; `main` holds them as written, one copy of the output
@@ -45,7 +46,7 @@ once the command has succeeded, so that a failed run writes nothing.
 ``roots`` and ``modes`` run the valid points as one batch
 (``dispersion.scan_states``, and ``locate_roots`` on one (state,
 direction) pair per unstable point), and ``sweep`` with ``cross_check``
-those of its held blocks; each gives a scan a delta and never a region,
+its stream of valid points; each gives a scan a delta and never a region,
 and reads the lists of a ``StateCounts``, an item per direction, side by
 side.  ``validate`` sends its draws through `_checked` too and classifies,
 bands and records each one once as it is drawn.  ``sweep`` with
@@ -68,10 +69,9 @@ import dataclasses
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
-from typing import Iterator, TextIO
+from itertools import chain, compress, count, islice, repeat, tee
+from typing import Iterable, Iterator, TextIO
 
 from . import criterion, dispersion, modes
 from ._lazy import numpy as np
@@ -648,30 +648,7 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     # the inner axis, spelled once: a block is a run of it, which starts at
     # the block's index modulo the axis length
     axis = list(map(repr, inner.values()))
-    # A block is held until its valid points are judged (with cross_check;
-    # else at once).  The points of the held blocks are judged a scan batch
-    # (`dispersion.states_per_batch`) at a time as they fill one, and the
-    # rest at the end: at most a batch and a block of points wait, and each
-    # batch is as full as in a scan of the whole grid.
-    batch = dispersion.states_per_batch(analysis.n_dirs) if analysis.cross_check else 1
-    held = deque()              # per held block: its number of valid points, and its lists
-    waiting, judged = [], []    # (state, expected) of the valid points, and their tail cells
     n_points = n_failed = 0
-
-    def release(n: int) -> None:
-        # judge the first n waiting points, then write each held block whose
-        # points are all judged
-        nonlocal n_failed
-        for judgement in judge_verdicts(waiting[:n], analysis) if n else ():
-            if isinstance(judgement, PvstabError):
-                judged.append((None, None, None, str(judgement)))
-                n_failed += 1
-            else:
-                summary, agree = judgement      # agree None (empty cell): in the band
-                judged.append((summary.numerically_unstable, summary.max_re_s, agree, None))
-        del waiting[:n]
-        while held and held[0][0] <= len(judged):
-            out.write(rows(*held.popleft()[1]))
 
     def rows(block, checks, verdicts, margins, Gs, thresholds) -> str:
         nonlocal n_failed
@@ -698,10 +675,17 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
                 f_min, w2, w3, degenerate, _ = zip(*ts)
                 spelled.update(f_min=map(repr, f_min), omega_star_2=map(repr, w2),
                                omega_star_3=map(repr, w3), degenerate_flag=map(str, degenerate))
-            if analysis.cross_check:    # the block's judgements are the first held
+            if analysis.cross_check:    # the block's judgements are the next in line
+                tails = []
+                for judgement in islice(judgements, len(vs)):
+                    if isinstance(judgement, PvstabError):
+                        tails.append((None, None, None, str(judgement)))
+                        n_failed += 1
+                    else:
+                        summary, agree = judgement  # agree None (empty cell): in the band
+                        tails.append((summary.numerically_unstable, summary.max_re_s, agree, None))
                 spelled.update(zip(tail, (["" if c is None else _cell(c) for c in column]
-                                          for column in zip(*judged[:len(vs)]))))
-                del judged[:len(vs)]
+                                          for column in zip(*tails))))
             # the cells the block's rows share, by column: those a row owns are opened
             shared = dict(zip(named, (*block.outer, *block.record, *ts[0])))
             shared.update(opening)
@@ -720,18 +704,26 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
             n_failed += keep.count(False)
         return "".join(rows)
 
-    for block, *lists in _checked(scenario):
+    def pairs(blocks):
+        # (state, expected verdict) of each valid point, None inside the band
+        for block, *lists in blocks:
+            for _, _, values, _, verdict, margin, _, threshold in block.points(*lists):
+                if verdict is not None:     # threshold[4]: the tol_eq it was decided on
+                    st = EquilibriumState.from_values(*values)
+                    yield st, None if abs(margin) <= margin_band(
+                        st, threshold[4], analysis.delta) else verdict.is_unstable
+
+    blocks = _checked(scenario)
+    if analysis.cross_check:
+        # The valid points are judged as one stream, a scan batch at a time
+        # (`dispersion.scan_states`), and each block's rows take theirs as it
+        # is written: the blocks a filling batch reads ahead wait in the tee,
+        # so at most a batch and a block of points are held.
+        blocks, ahead = tee(blocks)
+        judgements = judge_verdicts(pairs(ahead), analysis)
+    for block, *lists in blocks:
         n_points += len(block)
-        n_waiting = len(waiting)
-        for _, _, values, _, verdict, margin, _, threshold in (
-                block.points(*lists) if analysis.cross_check else ()):
-            if verdict is not None:     # threshold[4]: the tol_eq it was decided on
-                st = EquilibriumState.from_values(*values)
-                waiting.append((st, None if abs(margin) <= margin_band(
-                    st, threshold[4], analysis.delta) else verdict.is_unstable))
-        held.append((len(waiting) - n_waiting, (block, *lists)))
-        release(len(waiting) - len(waiting) % batch)
-    release(len(waiting))
+        out.write(rows(block, *lists))
     return _status(n_points, n_failed)
 
 
@@ -754,10 +746,11 @@ def margin_band(state: EquilibriumState, tol_eq: float, delta: float | None) -> 
     return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
 
 
-def judge_verdicts(judged: list[tuple[EquilibriumState, bool | None]],
+def judge_verdicts(pairs: Iterable[tuple[EquilibriumState, bool | None]],
                    analysis: AnalysisOptions):
-    """Scan the states of the (state, expected) pairs ``judged`` as one
-    batch and judge each closed-form verdict.
+    """Scan the states of the (state, expected) pairs ``pairs``, read as
+    the scan needs them (`dispersion.scan_states`), and judge each
+    closed-form verdict.
 
     ``expected`` is whether the closed-form verdict is unstable, or None
     where the caller found the margin within the state's `margin_band`,
@@ -767,8 +760,9 @@ def judge_verdicts(judged: list[tuple[EquilibriumState, bool | None]],
     which any direction failed yields, in place of the pair, a PvstabError
     naming how many failed and the first failure.
     """
-    scans = dispersion.scan_states([st for st, _ in judged], analysis.n_dirs, analysis.delta)
-    for (_, expected), scan in zip(judged, scans):
+    pairs, ahead = tee(pairs)
+    scans = dispersion.scan_states((st for st, _ in ahead), analysis.n_dirs, analysis.delta)
+    for (_, expected), scan in zip(pairs, scans):
         errors = scan.errors
         if errors:
             yield PvstabError(f"{len(errors)} direction(s) failed: {errors[0]}")
@@ -813,7 +807,7 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     target = analysis.sample
     accepted = []   # per accepted draw: its record, and the message that rejected it or None
-    judged = []     # per valid accepted draw: (state, whether its verdict is unstable)
+    pairs = []      # per valid accepted draw: (state, whether its verdict is unstable)
     n_band = attempts = 0
     max_attempts = 1000 * target
     while len(accepted) < target and attempts < max_attempts:
@@ -834,9 +828,9 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
                 accepted.append(({"index": len(accepted), **_params(values),
                                   "verdict": cls.verdict._value_, "margin": cls.margin,
                                   "band": band, "warnings": check}, None))
-                judged.append((st, cls.verdict.is_unstable))
+                pairs.append((st, cls.verdict.is_unstable))
 
-    verdicts = judge_verdicts(judged, analysis)
+    verdicts = judge_verdicts(pairs, analysis)
     n_failed = n_checked = n_disagree = 0
     for rec, error in accepted:
         verdict = next(verdicts) if error is None else error

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from ._lazy import numpy as np
@@ -687,12 +688,6 @@ def _counted(n_dirs: int) -> int:
     return n_dirs // 2 if n_dirs % 2 == 0 else n_dirs
 
 
-def states_per_batch(n_dirs: int = N_DIRS) -> int:
-    """The states ``scan_states`` counts as one batch at ``n_dirs``: as many
-    as fit their counted directions and F-minimizer in _MAX_BATCH."""
-    return _MAX_BATCH // (_counted(n_dirs) + 1)
-
-
 def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     """Count and locate the roots of every direction of each state (see
     ``scan_directions``) as columns; yields a StateCounts per state.
@@ -700,9 +695,10 @@ def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
     One direction of each antipodal pair is counted: the first half of an
     even set of equispaced directions, and the F-minimizer.  Each state is
     counted with Re s >= ``delta`` (None: its own default) in one region
-    proven once.  The counted directions of `states_per_batch` states are
-    one batch, whose columns are built from a table of the states and one
-    of the directions.
+    proven once.  The states are read as they are needed: as many as fit
+    their counted directions and F-minimizer in _MAX_BATCH are one batch,
+    whose columns are built from a table of the states and one of the
+    directions.
     """
     if n_dirs < MIN_N_DIRS:
         raise ValueError(f"n_dirs must be at least {MIN_N_DIRS}")
@@ -710,13 +706,12 @@ def scan_states(states, n_dirs: int = N_DIRS, delta: float | None = None):
         raise ValueError(f"n_dirs must be at most {MAX_N_DIRS}")
     from .criterion import minimize_f  # local import: criterion has no dispersion dep
 
-    states = list(states)
+    states = iter(states)
     equispaced = [WaveDirection.from_angle(2.0 * math.pi * k / n_dirs)
                   for k in range(n_dirs)]
     half = _counted(n_dirs)
-    per_batch = states_per_batch(n_dirs)
-    for lo in range(0, len(states), per_batch):
-        group = states[lo:lo + per_batch]
+    per_batch = _MAX_BATCH // (half + 1)
+    while group := list(islice(states, per_batch)):
         stars = [minimize_f(st).omega_star for st in group]
         regions = [default_region(st, delta) for st in group]
         *counts, located = _count(_table_columns(group, equispaced[:half], stars),

@@ -1165,26 +1165,25 @@ class TestUsage:
 def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command, analysis):
     # classify and sweep write the rows of a block, one string, before they
     # build the next block: they hold at most one block of at most
-    # BLOCK_POINTS points.  With cross_check, sweep holds a block until its
-    # valid points are judged: they are judged a scan batch at a time (here
-    # 12 points) as the held blocks fill one, and the rest at the end, so
-    # that at most a batch and a block of points wait
+    # BLOCK_POINTS points.  With cross_check, sweep's valid points are
+    # scanned a batch at a time (here 12 points) as the blocks are read
+    # ahead to fill one, and each block is written once its points are
+    # scanned, so that at most a batch and a block of points wait
     import io
 
     import pvstab.cli as cli_mod
     from pvstab import dispersion
 
     monkeypatch.setattr(cli_mod, "BLOCK_POINTS", 8)
-    asked = []      # the n_dirs of each batch size asked for, by sweep and each scan
-    monkeypatch.setattr(dispersion, "states_per_batch", lambda n_dirs: asked.append(n_dirs) or 12)
-    judged = []     # per judge_verdicts call: the blocks built by then, and its batch size
+    monkeypatch.setattr(dispersion, "_MAX_BATCH", 60)  # 12 states of 4 + 1 directions
+    scanned = []    # per scan batch: the blocks built by then, and its states
 
-    def judge(batch, options):
-        judged.append((len(sizes), len(batch)))
-        return judge_verdicts(batch, options)
+    def count(cols, delta, radius):
+        scanned.append((len(sizes), cols.shape[1] // (dispersion._counted(8) + 1)))
+        return _count(cols, delta, radius)
 
-    judge_verdicts = cli_mod.judge_verdicts
-    monkeypatch.setattr(cli_mod, "judge_verdicts", judge)
+    _count = dispersion._count
+    monkeypatch.setattr(dispersion, "_count", count)
     scenario = parse_scenario(_write(tmp_path, SWEEP + analysis))
     out, blocks = io.StringIO(), scenario.grid
     lines, sizes, writes = [], [], []
@@ -1209,10 +1208,10 @@ def test_rows_are_written_as_they_go(tmp_path, monkeypatch, command, analysis):
     assert writes[-6:] == sizes and sum(writes) == header + 41
     if analysis:    # blocks 1, 3 and 4 are written once batches fill at blocks 2, 3 and 5
         assert lines == [header + 8 * k for k in (0, 0, 1, 3, 3, 4)]
-        assert judged == [(2, 12), (3, 12), (5, 12), (6, 5)] and set(asked) == {8}
+        assert scanned == [(2, 12), (3, 12), (5, 12), (6, 5)]
     else:
         assert lines == [header + 8 * k for k in range(6)]
-        assert judged == asked == []
+        assert scanned == []
 
 
 # a rejected point (eps = 0), warnings, and unstable points for roots and modes
@@ -1433,20 +1432,21 @@ def _cross_checked(inner):
 
 @pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
 def test_cross_checked_rows_equal_rows_alone(tmp_path, inner):
-    # a cross-checked sweep scans the valid points of the blocks it holds a
-    # scan batch at a time (here all of them): each row, spelled from its
-    # block's template, is the row of its point classified and judged alone,
-    # over the corner states and rejected points
+    # a cross-checked sweep scans its valid points a scan batch at a time
+    # (here all of them in one): each row, spelled from its block's
+    # template, is the row of its point classified and judged alone, over
+    # the corner states and rejected points
     _assert_blocks_equal_points(tmp_path, _cross_checked(inner))
 
 
 @pytest.mark.parametrize("inner", SWEEP_PARAMETERS)
 def test_cross_checked_rows_equal_rows_alone_in_small_batches(tmp_path, monkeypatch, inner):
-    # scan batches of 4 points split the blocks of 3 and hold blocks with no
-    # valid point: each row is still that of its point judged alone
+    # scan batches of 4 points split the blocks of 3 and read ahead past
+    # blocks with no valid point: each row is still that of its point
+    # judged alone
     from pvstab import dispersion
 
-    monkeypatch.setattr(dispersion, "states_per_batch", lambda n_dirs: 4)
+    monkeypatch.setattr(dispersion, "_MAX_BATCH", 20)     # 4 states of 4 + 1 directions
     _assert_blocks_equal_points(tmp_path, _cross_checked(inner))
 
 

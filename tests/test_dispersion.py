@@ -539,6 +539,27 @@ class TestBatchedCount:
                         for st, s in zip(states, summaries)]
             assert jittered == [0] * 4 + [4 if delta == root.real else 0] + [0] * 3
 
+    def test_states_are_read_a_batch_at_a_time(self, monkeypatch):
+        # a generator of 7 states at batches of 3 (4 + 1 directions each):
+        # the first StateCounts comes when only the first batch is read, and
+        # the scans of the states equal those of a list
+        from pvstab import dispersion
+
+        monkeypatch.setattr(dispersion, "_MAX_BATCH", 15)
+        states = [COLLINEAR, NEUTRAL, TRANSITIONAL] * 2 + [COLLINEAR]
+        pulled = []
+
+        def read():
+            for st in states:
+                pulled.append(st)
+                yield st
+
+        scans = scan_states(read(), 8)
+        first = next(scans)
+        assert len(pulled) == 3
+        assert [first, *scans] == list(scan_states(states, 8))
+        assert len(pulled) == 7
+
 
 class TestScanDirections:
     def test_collinear_unstable_everywhere_detected(self):

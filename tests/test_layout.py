@@ -1,7 +1,7 @@
 """Module layering: the independent cross-checks stay in ``oracle``, only
-``dispersion`` builds a counting region, numpy, ``dispersion``, ``modes``
-and ``oracle`` are imported on first use only, and every name the
-benchmark's tracer binds exists."""
+``dispersion`` builds a counting region or sizes a scan batch, numpy,
+``dispersion``, ``modes`` and ``oracle`` are imported on first use only,
+and every name the benchmark's tracer binds exists."""
 
 import ast
 from pathlib import Path
@@ -193,6 +193,30 @@ def test_only_dispersion_builds_regions(name):
     # comes from: every other module passes dispersion a delta
     builders = {p.stem for p in SRC.glob("*.py") if _builds_region(_tree(p.stem), name)}
     assert builders == {"dispersion"}
+
+
+def _reads_batch_size(tree):
+    # whether the module names the batch cap or a batch size of a scan, bare,
+    # as an attribute or imported
+    names = {"_MAX_BATCH", "states_per_batch"}
+    return any(getattr(node, "id", None) in names or getattr(node, "attr", None) in names
+               or isinstance(node, ast.alias) and node.name in names
+               for node in ast.walk(tree))
+
+
+def test_only_dispersion_reads_batch_sizes():
+    # how many states a scan counts together is decided where they are
+    # counted: every other module hands dispersion its states as they come
+    readers = {p.stem for p in SRC.glob("*.py") if _reads_batch_size(_tree(p.stem))}
+    assert readers == {"dispersion"}
+
+
+def test_detects_batch_size_reads():
+    for source in ("dispersion._MAX_BATCH", "from .dispersion import _MAX_BATCH",
+                   "n = dispersion.states_per_batch(8)", "x = _MAX_BATCH // 5"):
+        assert _reads_batch_size(ast.parse(source)), source
+    for source in ("dispersion.scan_states(states, 8)", "batch = 12", "MAX_N_DIRS"):
+        assert not _reads_batch_size(ast.parse(source)), source
 
 
 @pytest.mark.parametrize("name, built, not_built", [

@@ -22,6 +22,8 @@ corpus of scenario files:
 * a cross-checked E1 axis BLOCK_POINTS + 6 points long on the generic state,
   so that its second block starts mid-axis, and a scan batch holds the last
   points of the first block and the points of the second.
+* a cross-checked 300 x 5 (E1, v2) grid on the generic state, whose scan
+  batches end mid-block.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
@@ -121,6 +123,10 @@ def corpus_texts() -> dict[str, str]:
     from pvstab.cli import BLOCK_POINTS
 
     texts["long_axis_checked"] = bases[2] + _axis("E1", 0.0, 1.5, BLOCK_POINTS + 6) + checked
+    # 5-point blocks below 300 E1 levels: scan batches of 146 states end
+    # mid-block, so a block's judgements come from two batches
+    texts["short_axis_checked"] = (bases[2] + _axis("E1", 0.0, 1.5, 300)
+                                   + _axis("v2", -1.0, 1.0, 5) + checked)
     return texts
 
 
