@@ -393,6 +393,69 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(", ", ": ")) + "\n"
 
 
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_SLOT, _FLOAT = "\0", "\1"     # cells of a template record (`_template`)
+
+
+def _json_float(x: float) -> str:
+    """``x`` as `_json_line` spells it."""
+    r = float.__repr__(x)
+    return _JSON_NONFINITE.get(r, r)
+
+
+class _JsonFloat(float):
+    """A float that ``%r`` spells as `_json_line` does, NaN and infinities too."""
+
+    __repr__ = _json_float
+
+
+def _template(record: dict) -> str:
+    """``_json_line(record)`` as a ``%``-template: a ``%s`` slot per _SLOT
+    cell, a ``%r`` slot (a finite float) per _FLOAT cell."""
+    return (_json_line(record).replace("%", "%%").replace('"\\u0000"', "%s")
+            .replace('"\\u0001"', "%r"))
+
+
+def _mode_templates(ns, t_list, decay_p) -> list[str]:
+    """Per n of ``ns``, the template of a `modes` record: the index, the
+    keys of `ModeSolution.to_record`, "residuals", "growth" and, if any, the
+    flags.  Its slots take the index, the s, lambda_minus and omega parts,
+    the 26 amplitude parts, the warnings, the residuals, the scale, per time
+    of ``t_list`` the initial norm, ratio and log_ratio, and the flags piece."""
+    pair = (_SLOT, _SLOT)
+    residuals = {**dict.fromkeys(modes.RESIDUAL_KEYS, _FLOAT), "scale": _SLOT}
+    growth = [dict(t=t, initial_norm=_SLOT, ratio=_FLOAT, log_ratio=_FLOAT) for t in t_list]
+    return [_template({"index": _SLOT, "n": n, "s": pair, "lambda_plus": -1.0,
+                       "lambda_minus": pair, "omega": pair, "phi_bar": (phi, 0.0),
+                       "plasma_amp": [(_FLOAT, _FLOAT)] * 7,
+                       "vacuum_amp": [(_FLOAT, _FLOAT)] * 6, "warnings": _SLOT,
+                       "residuals": residuals, "growth": growth}
+                      ).removesuffix("}\n") + "%s}\n"
+            for n, phi in zip(ns, modes.phi_bars(ns, decay_p))]
+
+
+def _mode_lines(templates, index, job, rows, flags) -> str:
+    """The `modes` records of one job of `modes.mode_records`, each float
+    spelled once: the job's s, lambda_minus and omega once for its records,
+    and a record's initial norm once for its times and its scale."""
+    s, lam, direction, warnings = job
+    head = (index, *map(_json_float, (s.real, s.imag, lam.real, lam.imag,
+                                      direction.omega2, direction.omega3)))
+    warned = json.dumps(list(warnings), ensure_ascii=False)
+    flagged = f', "flags": {json.dumps(list(flags), ensure_ascii=False)}' if flags else ""
+    lines = []
+    for template, (amps, res, amp, growth) in zip(templates, rows):
+        if not math.isfinite(sum(amps) + sum(res) + sum(growth)):
+            amps, res, growth = ([x if math.isfinite(x) else _JsonFloat(x) for x in row]
+                                 for row in (amps, res, growth))
+        norm = _json_float(amp)
+        lines.append(template % (
+            *head, *amps, warned, *res[:7], norm if res[7] == amp else _json_float(res[7]),
+            *[c for ratio, log in zip(growth[::2], growth[1::2]) for c in (norm, ratio, log)],
+            flagged))
+    return "".join(lines)
+
+
 def _params(values) -> dict:
     """The record of a state's ``record_values()``."""
     return dict(zip(EquilibriumState.RECORD_KEYS, map(float, values)))
@@ -609,13 +672,14 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
         elif located and located[0]:
             roots, _, flags = located
             jobs.append((state, max(roots, key=lambda z: z.real), direction))
-            growing.append((k, index, {"flags": list(flags)} if flags else {}))
+            growing.append((k, index, flags))
         else:
             rows[k] = no_root(index, state, cls, delta)
-    for (k, index, extra), built in zip(growing, modes.mode_records(
+    templates = _mode_templates(_MODE_N, _MODE_T, analysis.decay_p)
+    for (k, index, flags), built in zip(growing, modes.mode_records(
             jobs, _MODE_N, _MODE_T, analysis.decay_p)):
         rows[k] = (error(index, str(built)) if isinstance(built, PvstabError) else
-                   "".join([_json_line({"index": index, **rec, **extra}) for rec in built]))
+                   _mode_lines(templates, index, *built, flags))
     out.writelines(rows)
     if n_failed == len(rows):
         out.write(_json_line({"note": "no unstable state/direction found; "

@@ -18,6 +18,9 @@ One kernel builds and checks all modes of a command (`mode_records`): the
 symbol once per state (`_admit`), the modes as rows of (K, 7) plasma and
 (K, 6) vacuum amplitudes (`_build`), each residual group as a (K,) column
 (`_residual_columns`).  `build_mode` and `residuals` are its one-row case.
+It yields plain floats, not records: the ``modes`` command spells its
+records from these rows (`cli._mode_lines`), each float once and byte-equal
+to ``json.dumps`` of `ModeSolution.to_record`, the residuals and the growth.
 It keeps the bits of scalar formulas by these rules (numpy 2.4.6, AVX-512):
 
 * numpy's array complex ``*``, ``/`` and ``abs`` give the same bits at every
@@ -45,17 +48,8 @@ from .state import DECAY_P, EquilibriumState, WaveDirection
 
 _NOT_A_ROOT = 1e-8  # relative |L(s)| above which the input is flagged
 _NEXT, _LAST = [1, 2, 0], [2, 0, 1]     # (k x v)_i = k_next v_last - k_last v_next
-_RESIDUAL_KEYS = ("interior_plasma", "interior_vacuum", "kinematic", "pressure",
-                  "efield2", "efield3", "constraints")
-
-
-def _record(n, s, lambda_plus, lambda_minus, omega, phi_bar, plasma, vacuum, warnings):
-    # s, lambda_minus and phi_bar Python complex, the amplitudes lists of them
-    return {"n": n, "s": (s.real, s.imag), "lambda_plus": lambda_plus,
-            "lambda_minus": (lambda_minus.real, lambda_minus.imag),
-            "omega": (omega.omega2, omega.omega3), "phi_bar": (phi_bar.real, phi_bar.imag),
-            "plasma_amp": [(z.real, z.imag) for z in plasma],
-            "vacuum_amp": [(z.real, z.imag) for z in vacuum], "warnings": list(warnings)}
+RESIDUAL_KEYS = ("interior_plasma", "interior_vacuum", "kinematic", "pressure",
+                 "efield2", "efield3", "constraints")
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,14 @@ class ModeSolution:
         return _amplitude(plasma[None], vacuum[None], np.array([self.phi_bar], complex)).item()
 
     def to_record(self) -> dict:
-        return _record(self.n, complex(self.s), self.lambda_plus, complex(self.lambda_minus),
-                       self.omega, complex(self.phi_bar), self.plasma_amp.tolist(),
-                       self.vacuum_amp.tolist(), self.warnings)
+        s, lam, phi = complex(self.s), complex(self.lambda_minus), complex(self.phi_bar)
+        return {"n": self.n, "s": (s.real, s.imag), "lambda_plus": self.lambda_plus,
+                "lambda_minus": (lam.real, lam.imag),
+                "omega": (self.omega.omega2, self.omega.omega3),
+                "phi_bar": (phi.real, phi.imag),
+                "plasma_amp": [(z.real, z.imag) for z in self.plasma_amp.tolist()],
+                "vacuum_amp": [(z.real, z.imag) for z in self.vacuum_amp.tolist()],
+                "warnings": list(self.warnings)}
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def _build(cols, n, phi):
 
 
 def _residual_columns(cols, n, lam_plus, lam_minus, phi, plasma, vacuum):
-    """Residual groups (_RESIDUAL_KEYS) over the scale max(1, amplitude), the
+    """Residual groups (RESIDUAL_KEYS) over the scale max(1, amplitude), the
     scale and the amplitude, as (K,) columns; d/dt -> n s, d/dx1 -> n lambda,
     d/dx2,3 -> i n omega2,3."""
     ell, es, cp, cm, i2, i3, f2, f3, hv2, hv3, e1 = cols[:11]
@@ -239,12 +238,17 @@ def _residual_columns(cols, n, lam_plus, lam_minus, phi, plasma, vacuum):
     return [g / scale for g in groups], scale, amplitude
 
 
+def phi_bars(ns, decay_p: float = DECAY_P) -> list[float]:
+    """The initial sizes phibar = n**(-decay_p) of the modes n in ``ns``."""
+    return [float(n) ** (-decay_p) for n in ns]
+
+
 def build_mode(state: EquilibriumState, s: complex, direction: WaveDirection,
                n: int, decay_p: float = DECAY_P) -> ModeSolution:
     """The n-th mode for a (near-)root s with Re s > 0 (see `_build`);
     raises DegenerateSymbolError as `_admit` does."""
     ctx, sym, warnings = _admit(state, s, direction)
-    phi = float(n) ** (-decay_p)
+    phi, = phi_bars((n,), decay_p)
     plasma, vacuum = _build(_columns([sym], 1), np.array([float(n)]), np.array([phi]))
     return ModeSolution(n=n, s=complex(s), omega=ctx.direction, lambda_plus=-1.0,
                         lambda_minus=sym[11], phi_bar=complex(phi),
@@ -260,14 +264,18 @@ def residuals(mode: ModeSolution, state: EquilibriumState) -> ResidualReport:
         np.array([mode.phi_bar], complex), np.asarray(mode.plasma_amp, complex)[None],
         np.asarray(mode.vacuum_amp, complex)[None])
     plasma, vacuum, *boundary, constraints = (g.item() for g in groups)
-    return ResidualReport(plasma, vacuum, dict(zip(_RESIDUAL_KEYS[2:6], boundary)),
+    return ResidualReport(plasma, vacuum, dict(zip(RESIDUAL_KEYS[2:6], boundary)),
                           constraints, scale.item())
 
 
 def mode_records(jobs, ns, t_list, decay_p: float = DECAY_P):
     """Build and check the modes n in ``ns`` of every job (state, s, direction)
     as one table.  Yields, per job, the DegenerateSymbolError that rejected it
-    or a record per n: `ModeSolution.to_record`, residuals, growth at t_list."""
+    or its numbers: ``(s, lambda_minus, direction, warnings)`` and a row per n
+    of plain floats, the values of `ModeSolution.to_record`, `residuals` and
+    `growth_rows`: the 26 real and imaginary parts of plasma_amp then
+    vacuum_amp, the residual groups (RESIDUAL_KEYS) and the scale, the
+    amplitude (the initial norm), and ratio, log_ratio per time of t_list."""
     admitted = []
     for state, s, direction in jobs:
         try:
@@ -279,24 +287,21 @@ def mode_records(jobs, ns, t_list, decay_p: float = DECAY_P):
         yield from admitted
         return
     cols = _columns([sym for _, _, sym, _ in ok], len(ns))
-    phis = [float(m) ** (-decay_p) for m in ns]
+    phis = phi_bars(ns, decay_p)
     n, phi = np.tile(np.array(ns, float), len(ok)), np.tile(phis, len(ok))
     plasma, vacuum = _build(cols, n, phi)
     groups, scale, amplitude = _residual_columns(cols, n, -np.ones(len(n)), cols[11],
                                                  phi + 0j, plasma, vacuum)
-    rows = zip(plasma, vacuum, zip(*[g.tolist() for g in groups]), scale.tolist(),
-               amplitude.tolist())
+    rows = zip(np.concatenate([plasma, vacuum], 1).view(float).tolist(),
+               np.stack([*groups, scale], 1).tolist(), amplitude.tolist())
     for a in admitted:
         if isinstance(a, DegenerateSymbolError):
             yield a
             continue
         s, ctx, sym, warnings = a
-        yield [{**_record(m, s, -1.0, sym[11], ctx.direction, complex(phi_m), P.tolist(),
-                          V.tolist(), warnings),
-                "residuals": {**dict(zip(_RESIDUAL_KEYS, res)), "scale": sc},
-                "growth": [dict(zip(("t", "initial_norm", "ratio", "log_ratio"), g))
-                           for g in _growth(m, s.real, amp, t_list)]}
-               for m, phi_m, (P, V, res, sc, amp) in zip(ns, phis, rows)]
+        yield (s, sym[11], ctx.direction, warnings), [
+            (amps, res, amp, _growth(m, s.real, t_list))
+            for m, (amps, res, amp) in zip(ns, rows)]
 
 
 @dataclass(frozen=True)
@@ -308,16 +313,20 @@ class GrowthRow:
     log_ratio: float
 
 
-def _growth(n, rate, norm0, t_list):
+def _growth(n, rate, t_list) -> list[float]:
+    # ratio, log_ratio at each time: exp(n Re(s) t), inf past 700, and n Re(s) t
+    out = []
     for t in t_list:
         log_ratio = n * rate * t
-        yield t, norm0, (math.exp(log_ratio) if log_ratio < 700.0 else math.inf), log_ratio
+        out += (math.exp(log_ratio) if log_ratio < 700.0 else math.inf, log_ratio)
+    return out
 
 
 def growth_rows(mode: ModeSolution, t_list) -> list[GrowthRow]:
     """Growth exp(n Re(s) t) of one mode at the times t_list."""
-    return [GrowthRow(mode.n, *g)
-            for g in _growth(mode.n, mode.s.real, mode.amplitude_scale, t_list)]
+    norm, growth = mode.amplitude_scale, _growth(mode.n, mode.s.real, t_list)
+    return [GrowthRow(mode.n, t, norm, ratio, log_ratio)
+            for t, ratio, log_ratio in zip(t_list, growth[::2], growth[1::2])]
 
 
 def growth_table(state: EquilibriumState, s: complex, direction: WaveDirection,

@@ -10,8 +10,8 @@ from pvstab.criterion import critical_e1_squared
 from pvstab.dispersion import (lopatinski, make_context, newton_refine,
                                vacuum_decay_root)
 from pvstab.errors import DegenerateSymbolError
-from pvstab.modes import (ModeSolution, build_mode, growth_rows, growth_table,
-                          mode_records, residuals)
+from pvstab.modes import (RESIDUAL_KEYS, ModeSolution, build_mode, growth_rows,
+                          growth_table, mode_records, residuals)
 from pvstab.state import EquilibriumState, WaveDirection
 
 COLLINEAR = EquilibriumState(H_hat_t=(1, 0), Hv_hat_t=(2, 0), E1_hat=0.3, eps=1e-2)
@@ -229,28 +229,68 @@ def batch(tmp_path_factory):
     return states, _modes_lines(tmp_path_factory.mktemp("batch"), states, "batch")
 
 
+def _assert_built_alone(index, state, lines):
+    # each line is, byte for byte, the record of the mode built alone from
+    # the record's own s and omega (repr round trips)
+    for line in lines:
+        rec = json.loads(line)
+        mode = build_mode(state, complex(*rec["s"]), WaveDirection(*rec["omega"]), rec["n"])
+        res = residuals(mode, state)
+        want = {"index": index, **mode.to_record(), "residuals": {
+            "interior_plasma": res.interior_plasma,
+            "interior_vacuum": res.interior_vacuum, **res.boundary_detail,
+            "constraints": res.constraints, "scale": res.scale},
+            "growth": [{"t": g.t, "initial_norm": g.initial_norm, "ratio": g.ratio,
+                        "log_ratio": g.log_ratio} for g in growth_rows(mode, _MODE_T)]}
+        if "flags" in rec:
+            want["flags"] = rec["flags"]
+        assert _json_line(want) == line
+
+
+def _with_located(monkeypatch, change):
+    # `modes` with each located direction's (roots, residuals, flags) changed
+    from pvstab import dispersion
+
+    locate = dispersion.locate_roots
+
+    def changed(*args):
+        counts = locate(*args)
+        return counts._replace(located=[change(*found) if found and found[0] else found
+                                        for found in counts.located])
+
+    monkeypatch.setattr(dispersion, "locate_roots", changed)
+
+
 class TestModeKernel:
     def test_command_records_are_the_modes_built_one_by_one(self, batch):
-        # every record of `modes` is, byte for byte, the record of the mode
-        # built alone from the record's own s and omega (repr round trips)
         states, lines = batch
         assert sorted(k for k in lines if k is not None) == list(range(len(states)))
         for index, state in enumerate(states):
             assert [json.loads(ln)["n"] for ln in lines[index]] == [1, 10, 100]
-            for line in lines[index]:
-                rec = json.loads(line)
-                mode = build_mode(state, complex(*rec["s"]), WaveDirection(*rec["omega"]),
-                                  rec["n"])
-                res = residuals(mode, state)
-                want = {"index": index, **mode.to_record(), "residuals": {
-                    "interior_plasma": res.interior_plasma,
-                    "interior_vacuum": res.interior_vacuum, **res.boundary_detail,
-                    "constraints": res.constraints, "scale": res.scale},
-                    "growth": [{"t": g.t, "initial_norm": g.initial_norm, "ratio": g.ratio,
-                                "log_ratio": g.log_ratio} for g in growth_rows(mode, _MODE_T)]}
-                if "flags" in rec:
-                    want["flags"] = rec["flags"]
-                assert _json_line(want) == line
+            _assert_built_alone(index, state, lines[index])
+
+    def test_overflowing_ratio_is_spelled_as_json_spells_it(self, tmp_path):
+        # Re s ~ 29.4, so n Re(s) t >= 700 at n = 100, t = 1
+        state = EquilibriumState(v_hat_t=(0.5, 0), H_hat_t=(1, 0), Hv_hat_t=(2, 0), E1_hat=30)
+        lines = _modes_lines(tmp_path, [state], "overflow")[0]
+        assert [ln.count('"ratio": Infinity') for ln in lines] == [0, 0, 1]
+        _assert_built_alone(0, state, lines)
+
+    def test_flags_are_spelled_as_json_spells_them(self, tmp_path, monkeypatch):
+        flags = ("first", 'a "quoted" 100% %s flag, \u00e9\\')
+        _with_located(monkeypatch, lambda roots, res, _: (roots, res, flags))
+        lines = _modes_lines(tmp_path, [COLLINEAR], "flagged")[0]
+        assert [json.loads(ln)["flags"] for ln in lines] == [list(flags)] * 3
+        _assert_built_alone(0, COLLINEAR, lines)
+
+    def test_warnings_are_spelled_as_json_spells_them(self, tmp_path, monkeypatch):
+        # the located root moved off by 0.1, as in the off-root job below
+        _with_located(monkeypatch, lambda roots, *rest: ([z + 0.1 for z in roots], *rest))
+        lines = _modes_lines(tmp_path, [COLLINEAR], "warned")[0]
+        for line in lines:
+            warnings = json.loads(line)["warnings"]
+            assert len(warnings) == 1 and warnings[0].startswith("NotARoot")
+        _assert_built_alone(0, COLLINEAR, lines)
 
     def test_state_records_alone_equal_those_in_the_batch(self, batch, tmp_path):
         states, lines = batch
@@ -266,14 +306,19 @@ class TestModeKernel:
                 (COLLINEAR, collinear_root + 0.1, PERP)]
         root, rejected, off = mode_records(jobs, (1, 10), (0.1,))
         assert isinstance(rejected, DegenerateSymbolError)
-        assert [r["n"] for r in root] == [r["n"] for r in off] == [1, 10]
-        assert all(r["warnings"] == [] and r["residuals"]["pressure"] <= 1e-10 for r in root)
-        for r in off:
-            assert len(r["warnings"]) == 1 and r["warnings"][0].startswith("NotARoot")
-            assert r["residuals"]["pressure"] > 1e-4
-        for (state, s, d), recs in ((jobs[0], root), (jobs[2], off)):
-            for r in recs:
-                assert r["warnings"] == list(build_mode(state, s, d, r["n"]).warnings)
+        pressure = RESIDUAL_KEYS.index("pressure")
+        (*_, root_warnings), root_rows = root
+        (*_, off_warnings), off_rows = off
+        assert len(root_rows) == len(off_rows) == 2
+        assert root_warnings == () and all(res[pressure] <= 1e-10 for _, res, _, _ in root_rows)
+        assert len(off_warnings) == 1 and off_warnings[0].startswith("NotARoot")
+        assert all(res[pressure] > 1e-4 for _, res, _, _ in off_rows)
+        for (state, s, d), ((*_, warnings), rows) in ((jobs[0], root), (jobs[2], off)):
+            for n, (amps, *_) in zip((1, 10), rows):
+                mode = build_mode(state, s, d, n)
+                assert warnings == mode.warnings
+                assert amps == np.concatenate([mode.plasma_amp, mode.vacuum_amp]).view(
+                    float).tolist()
         only = list(mode_records(jobs[1:2], (1, 10), (0.1,)))
         assert len(only) == 1 and isinstance(only[0], DegenerateSymbolError)
 

@@ -23,7 +23,9 @@ corpus of scenario files:
   so that its second block starts mid-axis, and a scan batch holds the last
   points of the first block and the points of the second.
 * a cross-checked 300 x 5 (E1, v2) grid on the generic state, whose scan
-  batches end mid-block.
+  batches end mid-block;
+* a state whose growth ratio exp(n Re(s) t) overflows, so that ``modes``
+  writes ``Infinity``, with the default ``decay_p`` and with 100.
 
 Every corpus scenario is run through ``classify``, ``roots``, ``modes`` and
 ``sweep``; ``validate`` runs at each of the seeds 0, 1, 5 and 17 once per
@@ -127,6 +129,10 @@ def corpus_texts() -> dict[str, str]:
     # mid-block, so a block's judgements come from two batches
     texts["short_axis_checked"] = (bases[2] + _axis("E1", 0.0, 1.5, 300)
                                    + _axis("v2", -1.0, 1.0, 5) + checked)
+    # Re s ~ 29.4: n Re(s) t >= 700 at n = 100, t = 1
+    overflow = "[state]\nH2 = 1\nHv2 = 2\nE1 = 30\nv2 = 0.5\n"
+    texts["modes_overflow"] = overflow
+    texts["modes_overflow_decay_p"] = overflow + "[analysis]\ndecay_p = 100\n"
     return texts
 
 
