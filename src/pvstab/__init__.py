@@ -9,6 +9,8 @@ Layers:
   modes       explicit exponentially growing mode sequences with residual checks
   oracle      independent verifiers (grids, dense scans, small-eps series,
               raw determinant, local winding)
+  agreement   the margin band, the judge of a verdict against a root scan,
+              and the mode job of an unstable point
   cli         scenario files, sweeps, and the criterion-vs-numerics gate
 
 state, criterion and errors are imported with the package; dispersion, modes

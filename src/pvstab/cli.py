@@ -49,10 +49,8 @@ direction) pair per unstable point), and ``sweep`` with ``cross_check``
 its stream of valid points; each gives a scan a delta and never a region,
 and reads the lists of a ``StateCounts``, an item per direction, side by
 side.  ``validate`` sends its draws through `_checked` too and classifies,
-bands and records each one once as it is drawn.  ``sweep`` with
-``cross_check`` and ``validate`` judge the closed-form verdict against a
-root scan by one rule (`judge_verdicts`): undecided inside `margin_band`,
-which the caller decides, and an error when any scanned direction failed.
+bands and records each one once as it is drawn.  Which answers can be
+compared, and how they are judged, is `agreement`'s.
 A state with a component or E1 beyond ``state.MAX_MAGNITUDE`` in magnitude
 is invalid.
 
@@ -65,21 +63,19 @@ codes: 0 success, 1 usage, I/O or parse failure, 2 validation-gate failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat, tee
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
-from . import criterion, dispersion, modes
+from . import agreement, criterion, dispersion, modes
 from ._lazy import numpy as np
 from .criterion import TOL_EQ_COEFF, threshold_values, verdict_values
 from .errors import PvstabError, ScenarioParseError, StateValidationError
 from .state import (DECAY_P, MAX_MAGNITUDE, MAX_N_DIRS, MIN_N_DIRS, N_DIRS, EquilibriumState,
-                    block_values, check_block, default_delta, frequency_bundle,
-                    validate_state)
+                    block_values, check_block, validate_state)
 
 # the record columns (of `EquilibriumState.RECORD_KEYS`) each sweep parameter
 # sets: the swept value itself for a single column, else a field's two
@@ -601,33 +597,12 @@ def cmd_roots(scenario: Scenario, out: TextIO) -> int:
     return _status(len(points), len(points) - len(valid))
 
 
-def _expected_growth(state: EquilibriumState, cls):
-    """Leading-order growth rate and the direction carrying it.
-
-    Above the threshold the growing root sits at sqrt(margin) along the
-    F-minimizer.  On the critical set it opens at sqrt(2 eps P), where
-    P = E1 w_perp (v'.omega') > 0 is the sign product at the F-minimizer or,
-    when F is constant and every direction minimizes it, the largest P over
-    all directions (`criterion.degenerate_transitional`).
-    """
-    if cls.margin > cls.tol_eq:
-        return math.sqrt(cls.margin), cls.minimizer
-    if cls.degenerate:
-        g, direction = criterion.degenerate_transitional(state)
-        product = 2.0 * g
-    else:
-        direction = cls.minimizer
-        bundle = frequency_bundle(state, direction)
-        product = 2.0 * state.E1_hat * bundle.w_perp * bundle.v_dot
-    return math.sqrt(max(product, 0.0) * state.eps), direction
-
-
 def cmd_modes(scenario: Scenario, out: TextIO) -> int:
     analysis = scenario.analysis
     # per point to report, in index order: its JSON lines, None while its
-    # pair (state, direction of growth) waits to be located
+    # mode job is routed (`agreement.mode_jobs`)
     rows: list[str | None] = []
-    pairs, directions, deltas = [], [], []     # the pairs to locate: (index, state, cls)
+    waiting, unstable = [], []      # per unstable point: its row and index, and (state, cls)
     n_points = n_failed = 0
 
     def error(index, text):
@@ -635,46 +610,26 @@ def cmd_modes(scenario: Scenario, out: TextIO) -> int:
         n_failed += 1
         return _json_line({"index": index, "error": text})
 
-    def no_root(index, state, cls, delta):
-        # no root in the direction of growth: undecidable inside the band
-        band = margin_band(state, cls.tol_eq, delta)
-        text = (f"no root located in the direction of growth; margin "
-                f"{cls.margin:.6g}, band {band:.6g}")
-        return (_json_line({"index": index, "note": text}) if abs(cls.margin) <= band
-                else error(index, text))
-
     for block, *lists in _checked(scenario):
         n_points += len(block)
         for index, _, values, check, *part in block.points(*lists):
             if part[0] is None:
                 rows.append(error(index, check))
-                continue
-            if not part[0].is_unstable:
-                continue
-            state = EquilibriumState.from_values(*values)
-            cls = criterion.Classification.from_parts(*part)
-            expected, direction = _expected_growth(state, cls)
-            delta = default_delta(state, analysis.delta)
-            if expected > 0.0:
+            elif part[0].is_unstable:
+                waiting.append((len(rows), index))
                 rows.append(None)
-                pairs.append((index, state, cls))
-                directions.append(direction)
-                deltas.append(min(delta, 0.3 * expected))
-            else:
-                rows.append(no_root(index, state, cls, delta))
-    counts = dispersion.locate_roots([st for _, st, _ in pairs], directions, deltas)
-    waiting = [k for k, row in enumerate(rows) if row is None]
-    jobs, growing = [], []      # per pair with a root: its job, and its row and flags
-    for k, (index, state, cls), direction, delta, count, text, located in zip(
-            waiting, pairs, directions, deltas, counts.count, counts.error, counts.located):
-        if count is None:
-            rows[k] = error(index, text)
-        elif located and located[0]:
-            roots, _, flags = located
-            jobs.append((state, max(roots, key=lambda z: z.real), direction))
-            growing.append((k, index, flags))
+                unstable.append((EquilibriumState.from_values(*values),
+                                 criterion.Classification.from_parts(*part)))
+    jobs, growing = [], []      # per located root: its job, and its row and flags
+    for (k, index), route in zip(waiting, agreement.mode_jobs(unstable, analysis.delta)):
+        if isinstance(route, PvstabError):
+            rows[k] = error(index, str(route))
+        elif isinstance(route, str):    # no root located, inside the band
+            rows[k] = _json_line({"index": index, "note": route})
         else:
-            rows[k] = no_root(index, state, cls, delta)
+            job, flags = route
+            jobs.append(job)
+            growing.append((k, index, flags))
     templates = _mode_templates(_MODE_N, _MODE_T, analysis.decay_p)
     for (k, index, flags), built in zip(growing, modes.mode_records(
             jobs, _MODE_N, _MODE_T, analysis.decay_p)):
@@ -771,11 +726,11 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
     def pairs(blocks):
         # (state, expected verdict) of each valid point, None inside the band
         for block, *lists in blocks:
-            for _, _, values, _, verdict, margin, _, threshold in block.points(*lists):
-                if verdict is not None:     # threshold[4]: the tol_eq it was decided on
+            for _, _, values, _, *part in block.points(*lists):
+                if part[0] is not None:
                     st = EquilibriumState.from_values(*values)
-                    yield st, None if abs(margin) <= margin_band(
-                        st, threshold[4], analysis.delta) else verdict.is_unstable
+                    cls = criterion.Classification.from_parts(*part)
+                    yield st, agreement.expected(st, cls, analysis.delta)[1]
 
     blocks = _checked(scenario)
     if analysis.cross_check:
@@ -784,73 +739,11 @@ def cmd_sweep(scenario: Scenario, out: TextIO) -> int:
         # is written: the blocks a filling batch reads ahead wait in the tee,
         # so at most a batch and a block of points are held.
         blocks, ahead = tee(blocks)
-        judgements = judge_verdicts(pairs(ahead), analysis)
+        judgements = agreement.judge_verdicts(pairs(ahead), analysis.n_dirs, analysis.delta)
     for block, *lists in blocks:
         n_points += len(block)
         out.write(rows(block, *lists))
     return _status(n_points, n_failed)
-
-
-def margin_band(state: EquilibriumState, tol_eq: float, delta: float | None) -> float:
-    """Half-width of the margin interval not decidable numerically at fixed eps.
-
-    The classification criterion is asymptotic (valid for eps below a
-    state-dependent ceiling), while the root count runs at the state's
-    actual eps on the scan's half-disk Re s >= delta (None: the state's
-    default, `default_delta`).  Near the critical set the finite-eps root
-    shifts by O(eps * E1 * |Hv'| * (1 + |v'|)) in the squared growth rate,
-    and roots with Re s <= delta are undetectable, so agreement can only be
-    asserted outside the band below.
-    """
-    delta = default_delta(state, delta)
-    e1, hv, vm = abs(state.E1_hat), math.sqrt(state.Hv_sq), math.sqrt(state.v_sq)
-    a = 2.0 * state.eps * e1 * hv * vm + (state.eps * e1 * hv) ** 2
-    smax = e1 + vm
-    b = (state.eps * smax) ** 2 * (state.Hv_sq + 0.5 * (smax ** 2 + state.H_sq))
-    return 10.0 * tol_eq + 2.5 * (a + b) + 9.0 * delta ** 2
-
-
-def judge_verdicts(pairs: Iterable[tuple[EquilibriumState, bool | None]],
-                   analysis: AnalysisOptions):
-    """Scan the states of the (state, expected) pairs ``pairs``, read as
-    the scan needs them (`dispersion.scan_states`), and judge each
-    closed-form verdict.
-
-    ``expected`` is whether the closed-form verdict is unstable, or None
-    where the caller found the margin within the state's `margin_band`,
-    where the numerics cannot decide.  Yields, per pair in order, the scan
-    and the agreement: whether some direction has a right-half-plane root
-    exactly when ``expected`` is true, or None when it is None.  A scan in
-    which any direction failed yields, in place of the pair, a PvstabError
-    naming how many failed and the first failure.
-    """
-    pairs, ahead = tee(pairs)
-    scans = dispersion.scan_states((st for st, _ in ahead), analysis.n_dirs, analysis.delta)
-    for (_, expected), scan in zip(pairs, scans):
-        errors = scan.errors
-        if errors:
-            yield PvstabError(f"{len(errors)} direction(s) failed: {errors[0]}")
-        else:
-            yield scan, None if expected is None else expected == scan.numerically_unstable
-
-
-def sample_validation_state(rng: np.random.Generator) -> EquilibriumState:
-    """Random state straddling the stability boundary.
-
-    Components uniform in [-2, 2], eps fixed at 1e-2, and E1 uniform in
-    [0, 1.5*sqrt(F_min + 1)] so that both verdicts occur with comparable
-    frequency.
-    """
-    v = rng.uniform(-2.0, 2.0, 2)
-    H = rng.uniform(-2.0, 2.0, 2)
-    Hv = rng.uniform(-2.0, 2.0, 2)
-    st = EquilibriumState(v_hat_t=(float(v[0]), float(v[1])),
-                          H_hat_t=(float(H[0]), float(H[1])),
-                          Hv_hat_t=(float(Hv[0]), float(Hv[1])),
-                          E1_hat=0.0, eps=1e-2)
-    f_min = criterion.critical_e1_squared(st)
-    e1 = float(rng.uniform(0.0, 1.5 * math.sqrt(f_min + 1.0)))
-    return dataclasses.replace(st, E1_hat=e1)
 
 
 def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
@@ -862,8 +755,8 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     verdict on every one.  The draws are validated and classified as the
     points of every other command are (`_checked`), in rounds of the
     shortfall, so that no state is drawn past the last one accepted.  Each
-    draw is banded once (`margin_band`) and its record begun as it is
-    drawn.  Band states are counted but not judged; a drawn state that
+    draw is banded once (`agreement.expected`) and its record begun as it
+    is drawn.  Band states are counted but not judged; a drawn state that
     validation rejects, and a root-finder failure, is an error record,
     reported separately and excluded from the denominator.
     """
@@ -875,7 +768,7 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
     n_band = attempts = 0
     max_attempts = 1000 * target
     while len(accepted) < target and attempts < max_attempts:
-        drawn = [sample_validation_state(rng)
+        drawn = [agreement.sample_validation_state(rng)
                  for _ in range(min(target - len(accepted), max_attempts - attempts))]
         attempts += len(drawn)
         for block, *lists in _checked(Scenario(drawn, analysis=analysis)):
@@ -885,16 +778,16 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
                     continue
                 st = drawn[index]
                 cls = criterion.Classification.from_parts(*part)
-                band = margin_band(st, cls.tol_eq, analysis.delta)
-                if abs(cls.margin) <= band:
+                band, expected = agreement.expected(st, cls, analysis.delta)
+                if expected is None:
                     n_band += 1
                     continue
                 accepted.append(({"index": len(accepted), **_params(values),
                                   "verdict": cls.verdict._value_, "margin": cls.margin,
                                   "band": band, "warnings": check}, None))
-                pairs.append((st, cls.verdict.is_unstable))
+                pairs.append((st, expected))
 
-    verdicts = judge_verdicts(pairs, analysis)
+    verdicts = agreement.judge_verdicts(pairs, analysis.n_dirs, analysis.delta)
     n_failed = n_checked = n_disagree = 0
     for rec, error in accepted:
         verdict = next(verdicts) if error is None else error
@@ -913,11 +806,11 @@ def cmd_validate(scenario: Scenario, out: TextIO, seed: int = 0) -> int:
             n_checked += 1
             n_disagree += not agree
         out.write(_json_line(rec))
-    agreement = 1.0 if not n_checked else 1.0 - n_disagree / n_checked
+    share = 1.0 if not n_checked else 1.0 - n_disagree / n_checked
     out.write(_json_line({"summary": {
         "sampled": attempts, "band": n_band, "checked": n_checked,
         "root_finder_failures": n_failed, "disagreements": n_disagree,
-        "agreement": agreement, "seed": seed}}))
+        "agreement": share, "seed": seed}}))
     return 0 if n_disagree == 0 and n_checked else (2 if n_disagree else 3)
 
 

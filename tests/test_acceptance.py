@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 import pvstab as pv
-from pvstab.cli import main, margin_band
+from pvstab.agreement import margin_band
+from pvstab.cli import main
 from pvstab.dispersion import default_region
 from pvstab.oracle import grid_fmin_bound
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as hst
 
+from pvstab import agreement
+from pvstab.agreement import margin_band, sample_validation_state
 from pvstab.cli import (_SWEPT_COLUMNS, MAX_GRID_POINTS, SWEEP_PARAMETERS, SweepAxis, _swept,
-                        cmd_classify, cmd_sweep, main, margin_band, parse_scenario,
-                        sample_validation_state)
+                        cmd_classify, cmd_sweep, main, parse_scenario)
 from pvstab.dispersion import default_delta, default_region, root_radius_bound
 from pvstab.criterion import threshold_values
 from pvstab.errors import PvstabError, ScenarioParseError
@@ -693,6 +694,16 @@ class TestRootsRegionOverride:
         assert len(rows) >= 10 and all(float(r["R"]) == radius for r in rows)
 
 
+# two unstable states whose direction of growth shows no root, both inside
+# the margin band: a state of seed 7 of the modes benchmark, and a collinear
+# state at the magnitude bound
+UNLOCATED = ("[state]\nv2 = 1.751402964502863\nv3 = -1.298559817601137\n"
+             "H2 = 1.2399446229916897\nH3 = 1.4598076194403267\n"
+             "Hv2 = -0.029741616383380354\nHv3 = -1.5719853038172515\n"
+             "E1 = 0.8474865056754226\n"
+             "[state]\nH2 = 1e50\nHv2 = 1e50\nE1 = 1e50\nv2 = 1e50\n")
+
+
 class TestModesCommand:
     def test_neutral_scenario_writes_note(self, tmp_path):
         text = "[state]\nH2 = 1.0\nHv3 = 1.0\nE1 = 0.5\n"
@@ -746,13 +757,8 @@ class TestModesCommand:
     def test_unlocated_root_is_a_note_inside_the_band(self, tmp_path):
         # unstable states whose direction of growth shows no root once wrote
         # nothing; inside the margin band they get one note each, never an
-        # error row (a state of seed 7 of the modes benchmark, and a collinear
-        # state at the magnitude bound)
-        text = ("[state]\nv2 = 1.751402964502863\nv3 = -1.298559817601137\n"
-                "H2 = 1.2399446229916897\nH3 = 1.4598076194403267\n"
-                "Hv2 = -0.029741616383380354\nHv3 = -1.5719853038172515\n"
-                "E1 = 0.8474865056754226\n"
-                "[state]\nH2 = 1e50\nHv2 = 1e50\nE1 = 1e50\nv2 = 1e50\n" + MINIMAL)
+        # error row
+        text = UNLOCATED + MINIMAL
         out = tmp_path / "modes.jsonl"
         assert _run(["modes", _write(tmp_path, text), "--out", str(out)]) == 0
         recs = [json.loads(ln) for ln in out.read_text().splitlines()]
@@ -829,7 +835,7 @@ class TestValidateCommand:
             st = sample_validation_state(rng)
             from pvstab.criterion import classify
             cls = classify(st)
-            if abs(cls.margin) <= margin_band(st, cls.tol_eq, default_delta(st)):
+            if agreement.expected(st, cls, default_delta(st))[1] is None:
                 n_band += 1
         assert 0 < n_band < 100     # the filter trims a minority of draws
 
@@ -911,15 +917,13 @@ class TestValidateCommand:
         # with the failures and never judged; the other draws are judged
         import dataclasses
 
-        import pvstab.cli as cli_mod
-
         draws = iter(range(10 ** 6))
 
         def sampler(rng):
             st = sample_validation_state(rng)
             return dataclasses.replace(st, eps=1.5) if next(draws) % 3 == 0 else st
 
-        monkeypatch.setattr(cli_mod, "sample_validation_state", sampler)
+        monkeypatch.setattr(agreement, "sample_validation_state", sampler)
         text = MINIMAL + "[analysis]\nsample = 6\nn_dirs = 8\n"
         out = tmp_path / "val.jsonl"
         assert _run(["validate", _write(tmp_path, text), "--out", str(out)]) == 0
@@ -933,32 +937,63 @@ class TestValidateCommand:
         assert summary["summary"]["root_finder_failures"] == len(rejected)
         assert summary["summary"]["checked"] == 6 - len(rejected)
 
-    def test_each_draw_is_banded_once(self, tmp_path, monkeypatch):
-        # margin_band runs once per drawn state, band states included
-        import io
 
-        import pvstab.cli as cli_mod
-
-        calls = []
-        monkeypatch.setattr(cli_mod, "margin_band",
-                            lambda *args: calls.append(args) or margin_band(*args))
-        scenario = parse_scenario(_write(tmp_path, MINIMAL + "[analysis]\nsample = 25\n"
-                                                            "n_dirs = 8\n"))
-        out = io.StringIO()
-        assert cli_mod.cmd_validate(scenario, out, seed=3) == 0
-        summary = json.loads(out.getvalue().splitlines()[-1])["summary"]
+@pytest.mark.parametrize("command, text", [
+    ("validate", MINIMAL + "[analysis]\nsample = 25\nn_dirs = 8\n"),
+    ("sweep", MINIMAL + "[sweep]\nparameter = eps\nmin = 0\nmax = 0.02\nsteps = 3\n"
+              "[analysis]\ncross_check = true\nn_dirs = 8\n"),
+    ("modes", UNLOCATED + MINIMAL + "[state]\nH2 = 1.0\nHv3 = 2.0\nE1 = 0.1\n"),
+], ids=["validate", "sweep", "modes"])
+def test_each_point_is_banded_once(tmp_path, monkeypatch, command, text):
+    # margin_band runs once per validate draw, band draws included, once per
+    # valid point of a cross-checked sweep, and in modes once per unstable
+    # point whose root is not located and for no other point
+    calls = []
+    monkeypatch.setattr(agreement, "margin_band",
+                        lambda *args: calls.append(args) or margin_band(*args))
+    out = tmp_path / "out"
+    assert _run([command, _write(tmp_path, text), "--out", str(out), "--seed", "3"]) == 0
+    if command == "validate":
+        summary = json.loads(out.read_text().splitlines()[-1])["summary"]
         assert summary["band"] > 0 and summary["checked"] == 25
         assert len(calls) == summary["sampled"]
+    elif command == "sweep":
+        rows = _csv_rows(out)
+        valid = [r for r in rows if r["verdict"]]
+        assert 0 < len(valid) < len(rows) and all(r["agreement"] for r in valid)
+        assert len(calls) == len(valid)
+    else:
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert [r["index"] for r in recs] == [0, 1, 2, 2, 2]   # the stable state 3 writes none
+        assert [sorted(r) for r in recs[:2]] == [["index", "note"]] * 2
+        assert len(calls) == 2
+
+
+def test_expected_is_undecided_on_the_band_edge():
+    # |margin| == band is inside the band, where no verdict is expected
+    import dataclasses
+
+    from pvstab.criterion import classify
+
+    st = EquilibriumState(H_hat_t=(1.0, 0.0), Hv_hat_t=(2.0, 0.0), E1_hat=0.3)
+    cls = classify(st)
+    band, verdict = agreement.expected(st, cls, None)
+    assert verdict is True and band == margin_band(st, cls.tol_eq, None) < cls.margin
+    for margin in (band, -band):
+        edge = dataclasses.replace(cls, margin=margin)
+        assert agreement.expected(st, edge, None) == (band, None)
+    past = dataclasses.replace(cls, margin=math.nextafter(band, math.inf))
+    assert agreement.expected(st, past, None) == (band, True)
 
 
 @pytest.mark.parametrize("expected, agreement", [(None, None), (True, True), (False, False)])
 def test_judge_verdicts_compares_the_verdict_it_is_handed(expected, agreement):
     # None (inside the band, decided by the caller) is undecided; a verdict
     # is compared with the scan, which finds this collinear state unstable
-    from pvstab.cli import AnalysisOptions, judge_verdicts
+    from pvstab.agreement import judge_verdicts
 
     st = EquilibriumState(H_hat_t=(1.0, 0.0), Hv_hat_t=(2.0, 0.0), E1_hat=0.3)
-    [(scan, agree)] = judge_verdicts([(st, expected)], AnalysisOptions(n_dirs=8))
+    [(scan, agree)] = judge_verdicts([(st, expected)], 8, None)
     assert scan.numerically_unstable and agree is agreement
 
 
@@ -1342,15 +1377,16 @@ def _axis(name, steps, lo=None, hi=None):
 def _rows_point_by_point(scenario):
     """The sweep CSV and classify JSON lines of each grid point built on its
     own by `_swept_state`, validate_state and classify, and with
-    ``cross_check`` judged alone (`judge_verdicts` on a batch of one)."""
+    ``cross_check`` judged alone (`agreement.judge_verdicts` on a batch of
+    one)."""
     import io
     import itertools
 
-    from pvstab.cli import judge_verdicts
     from pvstab.criterion import classify
     from pvstab.errors import PvstabError, StateValidationError
     from pvstab.state import validate_state
 
+    analysis = scenario.analysis
     axes = [(a.parameter, [float(v) for v in np.linspace(a.min, a.max, a.steps)])
             for a in scenario.sweeps]
     sweep, lines = io.StringIO(), []
@@ -1372,10 +1408,10 @@ def _rows_point_by_point(scenario):
                 continue
             cls = classify(point)
             tail = [None] * 4
-            if scenario.analysis.cross_check:
-                band = margin_band(point, cls.tol_eq, scenario.analysis.delta)
-                expected = None if abs(cls.margin) <= band else cls.verdict.is_unstable
-                (verdict,) = judge_verdicts([(point, expected)], scenario.analysis)
+            if analysis.cross_check:
+                _, expected = agreement.expected(point, cls, analysis.delta)
+                (verdict,) = agreement.judge_verdicts([(point, expected)], analysis.n_dirs,
+                                                      analysis.delta)
                 if isinstance(verdict, PvstabError):
                     tail[3] = str(verdict)
                 else:
@@ -1776,7 +1812,7 @@ import sys
 import types
 
 import pvstab
-from pvstab import cli
+from pvstab import agreement, cli
 
 
 def executed(name):
@@ -1791,9 +1827,12 @@ sweep, classify, out = sys.argv[1:]
 for command, path in (("sweep", sweep), ("classify", classify)):
     assert cli.main([command, path, "--out", out]) == 0, command
     assert not any(map(executed, LAYERS)), command
-# the band and the default delta are pure math
+# the band, the default delta and the verdict a scan is expected to give
+# are pure math
 st = pvstab.EquilibriumState(H_hat_t=(1.0, 0.0), Hv_hat_t=(2.0, 0.0), E1_hat=0.3)
-assert cli.margin_band(st, 1e-9, None) == cli.margin_band(st, 1e-9, pvstab.default_delta(st))
+band = agreement.margin_band(st, 1e-9, None)
+assert band == agreement.margin_band(st, 1e-9, pvstab.default_delta(st))
+assert agreement.expected(st, pvstab.classify(st), None)[1] is True
 assert not any(map(executed, LAYERS))
 assert cli.main(["roots", classify, "--out", out]) == 0
 assert [executed(name) for name in LAYERS] == [True, True, False, False]
@@ -1803,7 +1842,7 @@ assert pvstab.scan_directions is pvstab.dispersion.scan_directions
 assert pvstab.default_delta is pvstab.dispersion.default_delta
 from pvstab import dispersion, modes, oracle, state
 numpy = sys.modules["numpy"]
-for module in (state, dispersion, modes, oracle, cli):
+for module in (state, dispersion, modes, oracle, agreement, cli):
     assert module.np is numpy, module.__name__
 print("ok")
 """
@@ -1811,7 +1850,7 @@ print("ok")
 
 class TestStartup:
     def test_sweep_and_classify_never_load_numpy(self, tmp_path):
-        # sweep, classify and margin_band compute in math alone and load
+        # sweep, classify and the band compute in math alone and load
         # neither numpy nor dispersion, modes or oracle; roots loads numpy
         # and dispersion, and modes the mode layer, so the check is shown to
         # see a load

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pvstab import cli, dispersion
+from pvstab import agreement, cli, dispersion
 from pvstab.criterion import classify, minimize_f
 from pvstab.dispersion import _table_columns, find_unstable_roots, make_context, scan_directions
 from pvstab.errors import PvstabError
@@ -136,15 +136,12 @@ def test_first_failure_of_judge_verdicts_is_the_library_view(monkeypatch):
     # the error of a scan with failed directions, (0, +-1) twice (see above),
     # names how many failed and the first failure, as the errors of
     # scan_directions give them
-    analysis = cli.AnalysisOptions(n_dirs=32, delta=CHORD)
-    cls = classify(COLLINEAR)
-    band = cli.margin_band(COLLINEAR, cls.tol_eq, CHORD)
-    judged = [(COLLINEAR, None if abs(cls.margin) <= band else cls.verdict.is_unstable)]
-    [verdict] = cli.judge_verdicts(judged, analysis)
+    judged = [(COLLINEAR, agreement.expected(COLLINEAR, classify(COLLINEAR), CHORD)[1])]
+    [verdict] = agreement.judge_verdicts(judged, 32, CHORD)
     assert not isinstance(verdict, PvstabError) and verdict[0].numerically_unstable
     monkeypatch.setattr(dispersion, "_JITTERS", dispersion._JITTERS[:1])
     summary = scan_directions(COLLINEAR, 32, CHORD)
-    [verdict] = cli.judge_verdicts(judged, analysis)
+    [verdict] = agreement.judge_verdicts(judged, 32, CHORD)
     first = next(str(r) for r in map(summary.report, range(len(summary.directions)))
                  if isinstance(r, PvstabError))
     assert len(summary.errors) == 4 and isinstance(verdict, PvstabError)

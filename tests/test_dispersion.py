@@ -428,7 +428,7 @@ class TestBatchedCount:
         # 12 states x 18 directions: sampler states plus the corners.  Every
         # counted direction has the roots and residuals, bit for bit, of the
         # direction located alone
-        from pvstab.cli import sample_validation_state
+        from pvstab.agreement import sample_validation_state
 
         rng = np.random.default_rng(17)
         states = [sample_validation_state(rng) for _ in range(6)]
@@ -511,7 +511,7 @@ class TestBatchedCount:
         # equal the scan of its state alone, and each state's region is
         # proven once for all its directions
         from pvstab import dispersion
-        from pvstab.cli import sample_validation_state
+        from pvstab.agreement import sample_validation_state
 
         root = find_unstable_roots(make_context(COLLINEAR, PERP)).roots[0]
         rng = np.random.default_rng(41)
@@ -815,7 +815,7 @@ def test_stacked_eigenvalues_are_np_roots():
     # sigma), eps |Hv'| = 1 (the sigma^4 coefficient loses its constant
     # term; the sigma^6 one is -eps^2 for every eps > 0) and eps = 0
     # (two leading zeros: degree 4)
-    from pvstab.cli import sample_validation_state
+    from pvstab.agreement import sample_validation_state
     from pvstab.dispersion import _inclusion, _sigma_polynomial, _table_columns
 
     rng = np.random.default_rng(43)
@@ -894,7 +894,7 @@ def _located_bits(report):
 def test_two_batches_locate_as_each_pair_alone():
     # 1,025 pairs are two batches; each pair has the count, region, error,
     # roots, residuals and flags, bit for bit, that it has located alone
-    from pvstab.cli import sample_validation_state
+    from pvstab.agreement import sample_validation_state
     from pvstab.dispersion import _MAX_BATCH
 
     rng = np.random.default_rng(23)
@@ -979,7 +979,7 @@ class TestFold:
         # one direction of each antipodal pair is counted; every record
         # equals the one of its direction counted and located alone
         from pvstab import dispersion
-        from pvstab.cli import sample_validation_state
+        from pvstab.agreement import sample_validation_state
 
         batches = []
         count = dispersion._algebraic_counts

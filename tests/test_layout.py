@@ -1,7 +1,8 @@
 """Module layering: the independent cross-checks stay in ``oracle``, only
-``dispersion`` builds a counting region or sizes a scan batch, numpy,
-``dispersion``, ``modes`` and ``oracle`` are imported on first use only,
-and every name the benchmark's tracer binds exists."""
+``dispersion`` builds a counting region or sizes a scan batch, only
+``agreement`` bands a margin, numpy, ``dispersion``, ``modes`` and
+``oracle`` are imported on first use only, and every name the benchmark's
+tracer binds exists."""
 
 import ast
 from pathlib import Path
@@ -140,10 +141,10 @@ def test_detects_numpy_imports():
 
 
 def test_eager_modules_bind_no_lazy_names():
-    # a name bound from dispersion, modes or oracle when cli, criterion,
-    # state or errors is imported would load that layer in every process,
-    # ``classify`` and ``sweep`` included, which never run it
-    for name in ("cli", "criterion", "state", "errors"):
+    # a name bound from dispersion, modes or oracle when cli, agreement,
+    # criterion, state or errors is imported would load that layer in every
+    # process, ``classify`` and ``sweep`` included, which never run it
+    for name in ("cli", "agreement", "criterion", "state", "errors"):
         assert not _binds_lazy_names(_tree(name)), name
 
 
@@ -193,6 +194,15 @@ def test_only_dispersion_builds_regions(name):
     # comes from: every other module passes dispersion a delta
     builders = {p.stem for p in SRC.glob("*.py") if _builds_region(_tree(p.stem), name)}
     assert builders == {"dispersion"}
+
+
+def test_only_agreement_bands_a_margin():
+    # which points the three answers can be compared at is decided in one
+    # place: ``agreement.expected`` bands a point for every command
+    callers = {p.stem for p in SRC.glob("*.py") if _builds_region(_tree(p.stem), "margin_band")}
+    assert callers == {"agreement"}
+    functions = [node for node in _tree("agreement").body if isinstance(node, ast.FunctionDef)]
+    assert {f.name for f in functions if _builds_region(f, "margin_band")} == {"expected"}
 
 
 def _reads_batch_size(tree):
